@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet staticcheck test test-race chaos replica-chaos shard-chaos cache-check bench-smoke bench-json loadtest loadtest-smoke overload-chaos ci experiments
+.PHONY: all build vet staticcheck test test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke bench-smoke bench-json loadtest loadtest-smoke overload-chaos ci loc experiments
 
 all: build
 
@@ -121,7 +121,28 @@ loadtest-smoke:
 overload-chaos:
 	$(GO) run -race ./cmd/loadgen -overload -out overload-chaos.json
 
-ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check loadtest-smoke overload-chaos bench-smoke bench-json
+# Ten seconds of coverage-guided fuzzing over the wire request decoder:
+# every malformed header must come back as a typed CodeBadRequest, never a
+# panic. The committed seed corpus also runs as a plain test in `make test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/wire
+
+ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest-smoke overload-chaos bench-smoke bench-json
+
+# Non-test, non-blank, non-comment Go lines per package — the figure the
+# simplification PRs report shrinkage in (a line inside a /* */ block or
+# starting with // is a comment; trailing comments stay with their code).
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] || continue; \
+		cat $$files | awk -v pkg="$$pkg" ' \
+			block { if (/\*\//) block = 0; next } \
+			/^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+			/^[ \t]*\/\*/ { if (!/\*\//) block = 1; next } \
+			{ n++ } \
+			END { printf "%6d %s\n", n, pkg }'; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 experiments:
 	$(GO) run ./cmd/experiments

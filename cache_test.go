@@ -324,7 +324,7 @@ func TestChaosCachedEquivalence(t *testing.T) {
 
 	for _, seed := range chaosSeeds() {
 		addr := startChaosServer(t, db, "seed="+seed+",cutrowmax=10")
-		remote := ConnectTCP(addr, WithResume(16))
+		remote := mustDial(t, Single(addr), WithResume(16))
 		rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource,
 			WithResume(16), WithPlanCache(), WithFragmentCache(1<<24))
 		if err != nil {
@@ -367,7 +367,7 @@ func TestChaosNeverCachesPartialFragment(t *testing.T) {
 		// second attempt's identical SQL is killed again: without that, a
 		// clean re-run would mask a partial fragment served from cache.
 		addr := startChaosServer(t, db, "seed="+seed+",cutrow=2,kills=64")
-		remote := ConnectTCP(addr)
+		remote := mustDial(t, Single(addr))
 		rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource,
 			WithFragmentCache(1<<24))
 		if err != nil {
@@ -405,7 +405,7 @@ func TestRemoteWriteInvalidation(t *testing.T) {
 	defer l.Close()
 	go db.Serve(l)
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, cacheLibrarySchema(t), libraryView,
 		WithPlanCache(), WithFragmentCache(1<<20))

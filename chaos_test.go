@@ -67,7 +67,7 @@ func TestChaosEquivalence(t *testing.T) {
 	for _, seed := range chaosSeeds() {
 		// A fresh server per seed: the per-query kill budget resets with it.
 		addr := startChaosServer(t, db, "seed="+seed+",cutrowmax=10")
-		remote := ConnectTCP(addr, WithResume(16))
+		remote := mustDial(t, Single(addr), WithResume(16))
 		rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, WithResume(16))
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestChaosResumeRefetchesOnlySuffix(t *testing.T) {
 	}
 
 	addr := startChaosServer(t, db, "cutrow=2")
-	remote := ConnectTCP(addr, WithResume(8))
+	remote := mustDial(t, Single(addr), WithResume(8))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, WithResume(8))
 	if err != nil {
@@ -199,7 +199,7 @@ func TestChaosEveryStreamKilledOnce(t *testing.T) {
 	}
 
 	addr := startChaosServer(t, db, "cutrow=2")
-	remote := ConnectTCP(addr, WithResume(8))
+	remote := mustDial(t, Single(addr), WithResume(8))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, WithResume(8))
 	if err != nil {
@@ -245,7 +245,7 @@ func TestChaosEveryStreamKilledOnce(t *testing.T) {
 func TestChaosFailsClosedWithoutResume(t *testing.T) {
 	db := OpenTPCH(0.001, 42)
 	addr := startChaosServer(t, db, "cutrow=2")
-	remote := ConnectTCP(addr)
+	remote := mustDial(t, Single(addr))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {
@@ -284,9 +284,7 @@ func TestChaosClientSideDialFaults(t *testing.T) {
 		return d.DialContext(dctx, "tcp", l.Addr().String())
 	})
 	retry := WithRetry(Retry{MaxAttempts: 4, BaseDelay: time.Millisecond})
-	remote := ConnectFunc(func() (net.Conn, error) {
-		return flaky(context.Background())
-	}, retry)
+	remote := mustDial(t, SingleFunc(flaky), retry)
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {

@@ -143,56 +143,50 @@ func main() {
 		opts = append(opts, silkroute.WithHedge(*hedge))
 	}
 
-	var view *silkroute.View
-	if *shards != "" {
+	// Every remote mode is one Topology handed to one Dial; the zero
+	// topology means the database is local.
+	var topo silkroute.Topology
+	switch {
+	case *shards != "":
 		// Sharded middleware mode: each ";"-separated segment is one
 		// partition's replica group; every stream scatters to all shards and
 		// the sorted partials are k-way merged back on the structural key.
-		topo, terr := silkroute.ParseTopology(*shards)
-		if terr != nil {
-			fatal(terr)
+		if topo, err = silkroute.ParseTopology(*shards); err != nil {
+			fatal(err)
 		}
+	case *replicas != "":
+		// Replicated middleware mode: N -serve endpoints of the same data,
+		// health-balanced per stream, with cross-replica failover when
+		// -resume is on.
+		topo = silkroute.Replicas(strings.Split(*replicas, ",")...)
+	case *connect != "" && *chaosSpec != "":
+		// Client-side fault injection: refuse dials, cut or delay the
+		// connections this client opens.
+		sp, err := chaos.ParseSpec(*chaosSpec)
+		if err != nil {
+			fatal(err)
+		}
+		var d net.Dialer
+		topo = silkroute.SingleFunc(chaos.New(sp).WrapDial(func(ctx context.Context) (net.Conn, error) {
+			return d.DialContext(ctx, "tcp", *connect)
+		}))
+		fmt.Fprintf(os.Stderr, "silkroute: injecting faults: %s\n", *chaosSpec)
+	case *connect != "":
+		topo = silkroute.Single(*connect)
+	}
+	var view *silkroute.View
+	if topo.IsZero() {
+		db := loadDB(*scale, *seed, *data)
+		view, err = silkroute.ParseView(db, src, opts...)
+	} else {
+		// Remote middleware mode: the TPC-H schema is the local source
+		// description; data and optimizer live on the server.
 		remote, derr := silkroute.Dial(topo, opts...)
 		if derr != nil {
 			fatal(derr)
 		}
 		defer remote.Close()
 		view, err = silkroute.ParseRemoteView(remote, silkroute.TPCHSourceDescription(), src, opts...)
-	} else if *replicas != "" {
-		// Replicated middleware mode: N -serve endpoints of the same data,
-		// health-balanced per stream, with cross-replica failover when
-		// -resume is on.
-		addrs := strings.Split(*replicas, ",")
-		remote := silkroute.ConnectReplicas(addrs, opts...)
-		defer remote.Close()
-		view, err = silkroute.ParseRemoteView(remote, silkroute.TPCHSourceDescription(), src, opts...)
-	} else if *connect != "" {
-		// Remote middleware mode: the TPC-H schema is the local source
-		// description; data and optimizer live on the server.
-		var remote *silkroute.Remote
-		if *chaosSpec != "" {
-			// Client-side fault injection: refuse dials, cut or delay the
-			// connections this client opens.
-			sp, err := chaos.ParseSpec(*chaosSpec)
-			if err != nil {
-				fatal(err)
-			}
-			var d net.Dialer
-			dial := chaos.New(sp).WrapDial(func(ctx context.Context) (net.Conn, error) {
-				return d.DialContext(ctx, "tcp", *connect)
-			})
-			remote = silkroute.ConnectFunc(func() (net.Conn, error) {
-				return dial(context.Background())
-			}, opts...)
-			fmt.Fprintf(os.Stderr, "silkroute: injecting faults: %s\n", *chaosSpec)
-		} else {
-			remote = silkroute.ConnectTCP(*connect, opts...)
-		}
-		defer remote.Close()
-		view, err = silkroute.ParseRemoteView(remote, silkroute.TPCHSourceDescription(), src, opts...)
-	} else {
-		db := loadDB(*scale, *seed, *data)
-		view, err = silkroute.ParseView(db, src, opts...)
 	}
 	if err != nil {
 		fatal(err)

@@ -87,7 +87,7 @@ func TestMaterializeDeadlineAgainstStalledServer(t *testing.T) {
 		}
 	}()
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, TPCHSourceDescription(), rxl.FragmentSource)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestRemoteParallelSerialEquivalenceWithPool(t *testing.T) {
 	defer l.Close()
 	go db.Serve(l)
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	defer remote.Close()
 
 	serialView, err := ParseRemoteView(remote, TPCHSourceDescription(), rxl.Query1Source, WithParallelism(1))
@@ -162,7 +162,7 @@ func TestServeContextShutsDownCleanly(t *testing.T) {
 	go func() { done <- db.ServeContext(sctx, l) }()
 
 	// The server answers while running...
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	rv, err := ParseRemoteView(remote, TPCHSourceDescription(), rxl.FragmentSource)
 	if err != nil {
 		t.Fatal(err)

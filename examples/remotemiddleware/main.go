@@ -45,7 +45,10 @@ func main() {
 	// Client side: the middleware holds only the source description (the
 	// schema plus the constraints that drive edge labeling) and the RXL
 	// view. Data never leaves the server except as result tuples.
-	remote := silkroute.ConnectTCP(l.Addr().String())
+	remote, err := silkroute.Dial(silkroute.Single(l.Addr().String()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	view, err := silkroute.ParseRemoteView(remote, silkroute.TPCHSourceDescription(), rxl.Query1Source)
 	if err != nil {
 		log.Fatal(err)

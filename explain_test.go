@@ -121,7 +121,7 @@ func TestStreamStatsRemote(t *testing.T) {
 	defer l.Close()
 	go db.Serve(l)
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {

@@ -57,21 +57,28 @@ func TestDialRejectsBadEndpointConfigs(t *testing.T) {
 	if _, err := Dial(Topology{}); err == nil {
 		t.Error("Dial(Topology{}) with no endpoint succeeded")
 	}
-	dialer := func(context.Context) (net.Conn, error) { return nil, nil }
-	if _, err := Dial(Topology{}, WithAddrs("x:1"), WithDialer(dialer)); err == nil {
-		t.Error("Dial with both WithAddrs and WithDialer succeeded")
+	// A replica group needs at least one address, alone or inside a grid.
+	if _, err := Dial(Replicas()); err == nil {
+		t.Error("Dial(Replicas()) with no address succeeded")
 	}
-	if _, err := Dial(Single("x:1"), WithAddrs("y:1")); err == nil {
-		t.Error("Dial with both a topology and WithAddrs succeeded")
+	if _, err := Dial(Sharded(Single("x:1"), Replicas())); err == nil {
+		t.Error("Dial of a grid with an empty replica group succeeded")
 	}
-	if _, err := Dial(Single("x:1"), WithDialer(dialer)); err == nil {
-		t.Error("Dial with both a topology and WithDialer succeeded")
+}
+
+// mustDial is Dial for tests whose topology is known good.
+func mustDial(t testing.TB, topo Topology, opts ...Option) *Remote {
+	t.Helper()
+	r, err := Dial(topo, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r
 }
 
 // TestDialSingleAndReplicas drives the unified constructor down both remote
 // shapes — one address and many — and requires byte-identity with the
-// local materialization, the same contract the Connect* aliases carry.
+// local materialization.
 func TestDialSingleAndReplicas(t *testing.T) {
 	db := OpenTPCH(0.001, 42)
 	var listeners []net.Listener

@@ -8,7 +8,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -17,9 +16,9 @@ import (
 	"time"
 )
 
-// TestBudgetedQueryRoundTrip: with a context deadline, the client sends
-// the budgeted request kind and the stream must still arrive complete and
-// in order — the budget header must not disturb the framing.
+// TestBudgetedQueryRoundTrip: with a context deadline, the client sets the
+// budgeted flag and the stream must still arrive complete and in order —
+// the budget field must not disturb the framing.
 func TestBudgetedQueryRoundTrip(t *testing.T) {
 	srv := &Server{DB: seqDB(t, 100)}
 	var dials atomic.Int64
@@ -72,63 +71,49 @@ func TestSpentBudgetShedsWithoutDialing(t *testing.T) {
 	if _, err := client.Estimate(ctx, seqQuery); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("Estimate error = %v, want ErrDeadlineExceeded", err)
 	}
+	// The freshness probe rides the same path: a spent request must not
+	// dial for it either.
+	if _, err := client.StatsEpoch(ctx); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("StatsEpoch error = %v, want ErrDeadlineExceeded", err)
+	}
 	if got := dials.Load(); got != 0 {
 		t.Fatalf("dials = %d, want 0 — spent budget must shed before the transport", got)
 	}
 }
 
-// TestServerRefusesUnservableBudget speaks the protocol raw: a 'B' frame
-// whose budget is below the server's minimum must come back as a
-// CodeDeadline error frame without executing, and the connection must
-// stay request-aligned — the next plain 'Q' on the same conn serves
-// normally.
+// TestServerRefusesUnservableBudget speaks the protocol raw: a budgeted
+// request of any op whose budget is below the server's minimum must come
+// back as a CodeDeadline error frame without executing, and the connection
+// must stay request-aligned — the next unbudgeted query on the same conn
+// serves normally.
 func TestServerRefusesUnservableBudget(t *testing.T) {
 	srv := &Server{DB: seqDB(t, 10)}
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	go srv.ServeConn(c2)
-	bw := bufio.NewWriter(c1)
 	br := bufio.NewReader(c1)
 
-	payload := []byte{'B'}
-	payload = binary.BigEndian.AppendUint64(payload, uint64(time.Microsecond))
-	payload = append(payload, seqQuery...)
-	if err := writeFrame(bw, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp) < 2 || resp[0] != 'E' {
-		t.Fatalf("response frame = %q, want error frame", resp)
-	}
-	if got := Code(resp[1]); got != CodeDeadline {
-		t.Fatalf("error code = %s, want %s", got, CodeDeadline)
+	for _, op := range []byte{opQuery, opEstimate, opEpoch} {
+		req := request{op: op, sql: seqQuery}.withBudget(time.Microsecond)
+		resp := sendRaw(t, c1, br, appendRequest(nil, req))
+		if len(resp) < 2 || resp[0] != 'E' {
+			t.Fatalf("%q: response frame = %q, want error frame", op, resp)
+		}
+		if got := Code(resp[1]); got != CodeDeadline {
+			t.Fatalf("%q: error code = %s, want %s", op, got, CodeDeadline)
+		}
 	}
 
-	// Same connection, next request: must be served as if the refusal
+	// Same connection, next request: must be served as if the refusals
 	// never happened.
-	if err := writeFrame(bw, append([]byte{'Q'}, seqQuery...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = readFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := sendRaw(t, c1, br, appendRequest(nil, request{op: opQuery, sql: seqQuery}))
 	if len(resp) < 1 || resp[0] != 'C' {
 		t.Fatalf("follow-up response = %q, want columns frame", resp)
 	}
 }
 
 // TestBudgetForFloorsAndZeroes pins the budget derivation: no deadline
-// means no budget (the unbudgeted kinds stay on the wire), and a deadline
+// means no budget (the budgeted flag stays clear), and a deadline
 // already behind us still encodes a positive budget so the server — not a
 // zero-value ambiguity — delivers the typed refusal.
 func TestBudgetForFloorsAndZeroes(t *testing.T) {

@@ -310,44 +310,6 @@ func isDeadline(err error) bool {
 		(errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// encodeRequest frames one request. An untraced request is the kind byte
-// followed by the SQL; when span is non-nil the traced variant is sent
-// instead — lowercase kind, then the 16-byte trace header carrying the
-// span's trace ID and span ID (the server's parent). The span is created
-// once per logical request, before the retry loop, so every attempt
-// carries the same IDs and a retried request still forms one trace.
-//
-// When budget > 0 the budgeted kind is sent ('Q' → 'B', 'E' → 'F', traced
-// 'b'/'f') and the remaining deadline budget rides as 8 big-endian
-// nanosecond bytes after the trace header, so the server can bound its own
-// work by what the caller can still use.
-func encodeRequest(kind byte, span *obs.Span, budget time.Duration, sql string) []byte {
-	if budget > 0 {
-		switch kind {
-		case 'Q':
-			kind = 'B'
-		case 'E':
-			kind = 'F'
-		}
-	}
-	if span == nil && budget <= 0 {
-		return append([]byte{kind}, sql...)
-	}
-	buf := make([]byte, 0, 1+16+8+len(sql))
-	if span != nil {
-		kind |= 0x20 // 'Q' → 'q', 'E' → 'e', 'B' → 'b', 'F' → 'f'
-	}
-	buf = append(buf, kind)
-	if span != nil {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(span.Trace))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(span.ID))
-	}
-	if budget > 0 {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(budget))
-	}
-	return append(buf, sql...)
-}
-
 // budgetFor converts the request's effective deadline into the wire budget:
 // the time remaining until it, floored at one nanosecond (a deadline in the
 // past still rides as a positive budget, which the server refuses without
@@ -360,20 +322,6 @@ func budgetFor(deadline time.Time) time.Duration {
 		return b
 	}
 	return time.Nanosecond
-}
-
-// budgetCheck sheds a request whose effective deadline has already passed,
-// before any connection is acquired or dialed: the caller can no longer
-// use the answer, so opening a backend stream for it is pure waste. The
-// check sits in the per-attempt path (queryOnce/estimateOnce), so fresh
-// requests, retries, resumes, cross-replica failovers, and per-shard
-// scatters are all covered.
-func (c *Client) budgetCheck(ctx context.Context, op string) error {
-	if d := c.requestDeadline(ctx); !d.IsZero() && !time.Now().Before(d) {
-		obs.M().ClientBudgetExpired()
-		return fmt.Errorf("wire: %s: budget spent: %w", op, ErrDeadlineExceeded)
-	}
-	return nil
 }
 
 // transient reports whether a pre-stream failure is worth a fresh attempt:
@@ -456,121 +404,169 @@ func (c *Client) Query(ctx context.Context, sql string) (*Rows, error) {
 	return c.QueryResumable(ctx, sql, nil)
 }
 
-func (c *Client) queryRetry(ctx context.Context, span *obs.Span, sql string) (*Rows, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.attempts(); attempt++ {
+// response is one decoded status frame: exactly one field is set, by op.
+type response struct {
+	rows  *Rows           // opQuery: the open stream, holding its connection
+	est   engine.Estimate // opEstimate
+	epoch int64           // opEpoch
+}
+
+// do runs one logical request: one span and one request count around the
+// retry loop, which ops[op].retried switches off.
+func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) {
+	if err := ctx.Err(); err != nil {
+		return response{}, fmt.Errorf("wire: %s: %w", ops[op].name, ctxSentinel(err))
+	}
+	m := obs.M()
+	m.ClientRequestStart()
+	// One span per logical request: its IDs ride the wire on every attempt.
+	ctx, span := obs.StartSpan(ctx, ops[op].clientSpan)
+	span.SetDetail(sql)
+	req := newRequest(op, span, sql)
+	attempts := 1
+	if ops[op].retried {
+		attempts = c.attempts()
+	}
+	var resp response
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			obs.M().ClientRetry()
-			if err := c.backoff(ctx, attempt); err != nil {
-				return nil, err
+			m.ClientRetry()
+			if err = c.backoff(ctx, attempt); err != nil {
+				break
 			}
 		}
-		rows, err := c.queryOnce(ctx, span, sql)
-		if err == nil {
-			rows.Attempts = attempt + 1
-			return rows, nil
+		if resp, err = c.attempt(ctx, req); err == nil {
+			if resp.rows != nil {
+				resp.rows.Attempts = attempt + 1
+			}
+			break
 		}
-		lastErr = err
 		if !transient(err) || ctx.Err() != nil || errors.Is(err, ErrClientClosed) {
-			return nil, err
+			break
 		}
 	}
-	return nil, lastErr
+	span.End()
+	m.ClientRequestEnd(isDeadline(err))
+	return resp, err
 }
 
-// queryOnce runs one breaker-guarded attempt. Stale pooled connections
-// (closed by the server while idle) are replaced with a fresh dial without
-// consuming a retry attempt.
-func (c *Client) queryOnce(ctx context.Context, span *obs.Span, sql string) (*Rows, error) {
-	if err := c.budgetCheck(ctx, "query"); err != nil {
-		return nil, err
+// attempt runs one guarded round trip. A request whose effective deadline
+// has already passed is shed before any connection is acquired or dialed:
+// the caller can no longer use the answer, so opening a backend stream for
+// it is pure waste. Every op's fresh requests, retries, resumes,
+// cross-replica failovers, and per-shard scatters pass through here, so all
+// are covered. The breaker then admits the attempt and learns from its
+// outcome.
+func (c *Client) attempt(ctx context.Context, req request) (response, error) {
+	name := ops[req.op].name
+	if d := c.requestDeadline(ctx); !d.IsZero() && !time.Now().Before(d) {
+		obs.M().ClientBudgetExpired()
+		return response{}, fmt.Errorf("wire: %s: budget spent: %w", name, ErrDeadlineExceeded)
 	}
 	if err := c.breakerAllow(); err != nil {
-		return nil, fmt.Errorf("wire: query: %w", err)
+		return response{}, fmt.Errorf("wire: %s: %w", name, err)
 	}
-	rows, err := c.queryAttempt(ctx, span, sql)
+	resp, err := c.roundTrip(ctx, req)
 	c.breakerDone(classifyBreaker(ctx.Err(), err))
-	return rows, err
+	return resp, err
 }
 
-func (c *Client) queryAttempt(ctx context.Context, span *obs.Span, sql string) (*Rows, error) {
+// roundTrip performs one request/response exchange. A stale pooled
+// connection (closed by the server while idle) is replaced with a fresh
+// dial without consuming a retry attempt. Any complete response — the
+// status frame or a clean error frame, decoded into the server's typed
+// *Error — leaves the connection request-aligned, so it returns to the
+// pool; an open stream keeps it instead, and a transport failure closes it.
+func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 	for {
 		conn, reused, err := c.acquire(ctx)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
-				return nil, err
+				return response{}, err
 			}
-			return nil, wrapErr(ctx, "dial", err)
+			return response{}, wrapErr(ctx, "dial", err)
 		}
-		rows, err := c.openStream(ctx, conn, span, sql)
-		if err == nil {
-			return rows, nil
+		deadline := c.requestDeadline(ctx)
+		conn.SetDeadline(deadline)
+		w := watchCancel(ctx, conn)
+		resp, err := exchange(conn, req.withBudget(budgetFor(deadline)))
+		var se *Error
+		switch {
+		case err == nil && resp.rows != nil:
+			r := resp.rows
+			r.ctx, r.client, r.conn, r.watch = ctx, c, conn, w
+			r.br = bufio.NewReaderSize(conn, 64<<10)
+			return resp, nil
+		case err == nil || errors.As(err, &se):
+			c.settle(ctx, conn, w, true)
+			return resp, err
 		}
+		c.settle(ctx, conn, w, false)
+		err = wrapErr(ctx, ops[req.op].name, err)
 		if reused && ctx.Err() == nil && transient(err) {
 			continue // the pooled connection had gone stale; redial
 		}
-		return nil, err
+		return response{}, err
 	}
 }
 
-// openStream submits one query on conn and parses the status frame. On
-// success it hands the connection to the returned Rows; on failure the
-// connection is closed (or repooled after a clean server error frame,
-// which leaves the connection synchronized).
-func (c *Client) openStream(ctx context.Context, conn net.Conn, span *obs.Span, sql string) (*Rows, error) {
-	deadline := c.requestDeadline(ctx)
-	conn.SetDeadline(deadline)
-	w := watchCancel(ctx, conn)
-	fail := func(op string, err error) error {
-		w.Stop()
-		conn.Close()
-		return wrapErr(ctx, op, err)
+// exchange writes the request frame — length prefix and payload in one
+// Write — and reads and decodes the status frame.
+func exchange(conn net.Conn, req request) (response, error) {
+	frame := appendRequest(make([]byte, 4, 4+2+16+8+len(req.sql)), req)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := conn.Write(frame); err != nil {
+		return response{}, fmt.Errorf("send: %w", err)
 	}
-	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, encodeRequest('Q', span, budgetFor(deadline), sql)); err != nil {
-		return nil, fail("send query", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, fail("send query", err)
-	}
-	r := &Rows{ctx: ctx, client: c, conn: conn, watch: w, br: bufio.NewReaderSize(conn, 64<<10)}
-	status, err := readFrame(r.br, nil)
+	status, err := readFrame(conn, nil, maxFrame)
 	if err != nil {
-		return nil, fail("read status", err)
+		return response{}, fmt.Errorf("read status: %w", err)
 	}
-	if len(status) == 0 {
-		return nil, fail("read status", fmt.Errorf("empty status frame"))
-	}
-	switch status[0] {
-	case 'E':
-		// A clean error frame leaves the connection request-aligned.
-		err := decodeError(status)
-		w.Stop()
-		if ctx.Err() == nil {
-			conn.SetDeadline(time.Time{})
-			c.put(conn)
-		} else {
-			conn.Close()
+	return parseResponse(req.op, status)
+}
+
+// parseResponse decodes the status frame answering op: 'E' is the server's
+// typed error, otherwise 'C' (column names) for a query and 'V' (fixed-size
+// values) for the others.
+func parseResponse(op byte, status []byte) (response, error) {
+	switch {
+	case len(status) == 0:
+		return response{}, fmt.Errorf("read status: empty frame")
+	case status[0] == 'E':
+		if len(status) < 2 {
+			return response{}, &Error{Code: CodeUnknown, Msg: "truncated error frame"}
 		}
-		return nil, err
-	case 'C':
+		return response{}, &Error{Code: Code(status[1]), Msg: string(status[2:])}
+	case status[0] == 'C' && op == opQuery:
 		cols, err := decodeColumns(status)
 		if err != nil {
-			return nil, fail("read status", err)
+			return response{}, fmt.Errorf("read status: %w", err)
 		}
-		r.Columns = cols
-		return r, nil
-	default:
-		return nil, fail("read status", fmt.Errorf("unknown status %q", status[0]))
+		return response{rows: &Rows{Columns: cols}}, nil
+	case status[0] == 'V' && op == opEstimate && len(status) == 1+3*8:
+		return response{est: engine.Estimate{
+			Cost:  math.Float64frombits(binary.BigEndian.Uint64(status[1:9])),
+			Rows:  math.Float64frombits(binary.BigEndian.Uint64(status[9:17])),
+			Width: math.Float64frombits(binary.BigEndian.Uint64(status[17:25])),
+		}}, nil
+	case status[0] == 'V' && op == opEpoch && len(status) == 1+8:
+		return response{epoch: int64(binary.BigEndian.Uint64(status[1:9]))}, nil
 	}
+	return response{}, fmt.Errorf("read status: unexpected %q frame of %d bytes", status[0], len(status))
 }
 
-// decodeError rebuilds the server's typed error from an 'E' frame.
-func decodeError(frame []byte) error {
-	if len(frame) < 2 {
-		return &Error{Code: CodeUnknown, Msg: "truncated error frame"}
+// settle retires a connection after an exchange: back to the pool when the
+// response was consumed to its end and the request is still live, closed
+// otherwise (unread frames may be in flight).
+func (c *Client) settle(ctx context.Context, conn net.Conn, w *watcher, reusable bool) {
+	w.Stop()
+	if reusable && ctx.Err() == nil {
+		conn.SetDeadline(time.Time{})
+		c.put(conn)
+	} else {
+		conn.Close()
 	}
-	return &Error{Code: Code(frame[1]), Msg: string(frame[2:])}
 }
 
 // decodeColumns parses the 'C' status frame's column names.
@@ -609,7 +605,7 @@ func (r *Rows) Next() ([]value.Value, error) {
 		return nil, io.EOF
 	}
 	for r.off >= len(r.buf) {
-		frame, err := readFrame(r.br, r.buf)
+		frame, err := readFrame(r.br, r.buf, maxFrame)
 		if err != nil {
 			// A transport failure mid-stream. tryResume either splices a
 			// continuation onto the stream (nil: loop and keep reading from
@@ -652,13 +648,7 @@ func (r *Rows) release(reusable bool) {
 	}
 	r.released = true
 	r.done = true
-	r.watch.Stop()
-	if reusable && r.ctx.Err() == nil {
-		r.conn.SetDeadline(time.Time{})
-		r.client.put(r.conn)
-	} else {
-		r.conn.Close()
-	}
+	r.client.settle(r.ctx, r.conn, r.watch, reusable)
 	if r.set != nil {
 		r.set.reps[r.Replica].inFlight.Add(-1)
 	}
@@ -683,124 +673,15 @@ func (r *Rows) Close() error {
 // row-width estimate — the middleware-side face of the paper's §5 oracle.
 // It obeys the same context, pooling, and retry rules as Query.
 func (c *Client) Estimate(ctx context.Context, sql string) (engine.Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return engine.Estimate{}, fmt.Errorf("wire: estimate: %w", ctxSentinel(err))
-	}
-	m := obs.M()
-	m.ClientRequestStart()
-	ctx, span := obs.StartSpan(ctx, "wire.client.estimate")
-	span.SetDetail(sql)
-	est, err := c.estimateRetry(ctx, span, sql)
-	span.End()
-	m.ClientRequestEnd(isDeadline(err))
-	return est, err
+	resp, err := c.do(ctx, opEstimate, sql)
+	return resp.est, err
 }
 
-func (c *Client) estimateRetry(ctx context.Context, span *obs.Span, sql string) (engine.Estimate, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.attempts(); attempt++ {
-		if attempt > 0 {
-			obs.M().ClientRetry()
-			if err := c.backoff(ctx, attempt); err != nil {
-				return engine.Estimate{}, err
-			}
-		}
-		est, err := c.estimateOnce(ctx, span, sql)
-		if err == nil {
-			return est, nil
-		}
-		lastErr = err
-		if !transient(err) || ctx.Err() != nil || errors.Is(err, ErrClientClosed) {
-			return engine.Estimate{}, err
-		}
-	}
-	return engine.Estimate{}, lastErr
-}
-
-func (c *Client) estimateOnce(ctx context.Context, span *obs.Span, sql string) (engine.Estimate, error) {
-	if err := c.budgetCheck(ctx, "estimate"); err != nil {
-		return engine.Estimate{}, err
-	}
-	if err := c.breakerAllow(); err != nil {
-		return engine.Estimate{}, fmt.Errorf("wire: estimate: %w", err)
-	}
-	est, err := c.estimateAttempt(ctx, span, sql)
-	c.breakerDone(classifyBreaker(ctx.Err(), err))
-	return est, err
-}
-
-func (c *Client) estimateAttempt(ctx context.Context, span *obs.Span, sql string) (engine.Estimate, error) {
-	for {
-		conn, reused, err := c.acquire(ctx)
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return engine.Estimate{}, err
-			}
-			return engine.Estimate{}, wrapErr(ctx, "dial", err)
-		}
-		est, err := c.estimateOn(ctx, conn, span, sql)
-		if err == nil {
-			return est, nil
-		}
-		if reused && ctx.Err() == nil && transient(err) {
-			continue
-		}
-		return engine.Estimate{}, err
-	}
-}
-
-// estimateOn runs one estimate exchange on conn, returning it to the pool
-// on any complete response ('V' or a clean error frame).
-func (c *Client) estimateOn(ctx context.Context, conn net.Conn, span *obs.Span, sql string) (engine.Estimate, error) {
-	deadline := c.requestDeadline(ctx)
-	conn.SetDeadline(deadline)
-	w := watchCancel(ctx, conn)
-	fail := func(op string, err error) (engine.Estimate, error) {
-		w.Stop()
-		conn.Close()
-		return engine.Estimate{}, wrapErr(ctx, op, err)
-	}
-	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, encodeRequest('E', span, budgetFor(deadline), sql)); err != nil {
-		return fail("send estimate", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail("send estimate", err)
-	}
-	br := bufio.NewReader(conn)
-	resp, err := readFrame(br, nil)
-	if err != nil {
-		return fail("read estimate", err)
-	}
-	if len(resp) == 0 {
-		return fail("read estimate", fmt.Errorf("empty estimate response"))
-	}
-	finish := func() {
-		w.Stop()
-		if ctx.Err() == nil {
-			conn.SetDeadline(time.Time{})
-			c.put(conn)
-		} else {
-			conn.Close()
-		}
-	}
-	switch resp[0] {
-	case 'E':
-		err := decodeError(resp)
-		finish()
-		return engine.Estimate{}, err
-	case 'V':
-		if len(resp) != 1+3*8 {
-			return fail("read estimate", fmt.Errorf("estimate payload has %d bytes", len(resp)))
-		}
-		est := engine.Estimate{
-			Cost:  math.Float64frombits(binary.BigEndian.Uint64(resp[1:9])),
-			Rows:  math.Float64frombits(binary.BigEndian.Uint64(resp[9:17])),
-			Width: math.Float64frombits(binary.BigEndian.Uint64(resp[17:25])),
-		}
-		finish()
-		return est, nil
-	default:
-		return fail("read estimate", fmt.Errorf("unknown estimate status %q", resp[0]))
-	}
+// StatsEpoch asks the server for its database's stats epoch — the write
+// counter the client-side fragment cache validates remote freshness against.
+// Unlike Query and Estimate it is never retried (see ops): callers must map
+// an error to the cold path, never to serving stale data.
+func (c *Client) StatsEpoch(ctx context.Context) (int64, error) {
+	resp, err := c.do(ctx, opEpoch, "")
+	return resp.epoch, err
 }

@@ -40,7 +40,7 @@ type Backend interface {
 	QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error)
 	// Estimate asks the remote optimizer for a query's cost estimate.
 	Estimate(ctx context.Context, sql string) (engine.Estimate, error)
-	// StatsEpoch probes the remote statistics epoch (see epoch.go).
+	// StatsEpoch probes the remote statistics epoch (see Client.StatsEpoch).
 	StatsEpoch(ctx context.Context) (int64, error)
 	// MaxResumes reports the per-stream resume budget; zero disables
 	// resume.
@@ -149,8 +149,8 @@ func WithReplicaNames(names []string) ReplicaOption {
 
 // NewReplicaSet builds a set over the given endpoint clients. The clients
 // should share one configuration (pool, retry, resume, breaker) so a
-// stream behaves identically wherever it lands; the facade's
-// ConnectReplicas guarantees that.
+// stream behaves identically wherever it lands; the facade's Dial
+// guarantees that.
 func NewReplicaSet(clients []*Client, opts ...ReplicaOption) *ReplicaSet {
 	s := &ReplicaSet{fo: len(clients) - 1}
 	for i, c := range clients {
@@ -215,23 +215,67 @@ func keyLess(a, b [3]float64) bool {
 	return false
 }
 
-// openOn opens one stream on the chosen replica and binds the returned
-// Rows to the set: replica index, failover budget, and the in-flight slot
-// that release surrenders.
-func (s *ReplicaSet) openOn(ctx context.Context, idx int, rs *replicaState, sql string, spec *ResumeSpec) (*Rows, error) {
+// run executes op on the replica under the balancer's bookkeeping: the
+// in-flight slot is held while op runs — and kept on success when hold is
+// set, for a stream to surrender in Rows.release — and the outcome folds
+// into the health estimate.
+func (rs *replicaState) run(hold bool, op func(*Client) error) error {
 	rs.inFlight.Add(1)
 	start := time.Now()
-	rows, err := rs.client.QueryResumable(ctx, sql, spec)
-	if err != nil {
+	err := op(rs.client)
+	if err != nil || !hold {
 		rs.inFlight.Add(-1)
-		rs.note(true, 0)
-		return nil, err
 	}
-	rs.note(false, time.Since(start))
-	rows.set = s
-	rows.Replica = idx
-	rows.foBudget = s.fo
-	return rows, nil
+	if err != nil {
+		rs.note(true, 0)
+	} else {
+		rs.note(false, time.Since(start))
+	}
+	return err
+}
+
+// try runs op on balancer-chosen replicas until one answers, visiting at
+// most hops of them. A replica that fails with a transport-class error (or
+// fails fast on its own breaker) is skipped and the next healthy one tried,
+// so a dead endpoint costs one attempt, not the request.
+func (s *ReplicaSet) try(ctx context.Context, hops int, op func(idx int, rs *replicaState) error) error {
+	tried := make(map[int]bool, hops)
+	var lastErr error
+	for ; hops > 0; hops-- {
+		idx, rs, err := s.pickExcluding(func(i int) bool { return tried[i] })
+		if err != nil {
+			if lastErr != nil {
+				return lastErr
+			}
+			return err
+		}
+		if lastErr = op(idx, rs); lastErr == nil {
+			return nil
+		}
+		if ctx.Err() != nil || errors.Is(lastErr, ErrClientClosed) {
+			return lastErr
+		}
+		if !transient(lastErr) && !errors.Is(lastErr, ErrCircuitOpen) {
+			// A definitive server answer: the SQL itself is at fault, and
+			// every replica would answer the same.
+			return lastErr
+		}
+		tried[idx] = true
+	}
+	return lastErr
+}
+
+// openOn opens one stream on the chosen replica and binds the returned
+// Rows to the set: replica index and failover budget.
+func (s *ReplicaSet) openOn(ctx context.Context, idx int, rs *replicaState, sql string, spec *ResumeSpec) (rows *Rows, err error) {
+	err = rs.run(true, func(c *Client) error {
+		rows, err = c.QueryResumable(ctx, sql, spec)
+		return err
+	})
+	if err == nil {
+		rows.set, rows.Replica, rows.foBudget = s, idx, s.fo
+	}
+	return rows, err
 }
 
 // Query submits sql on a balancer-chosen replica; see Client.Query for
@@ -240,40 +284,17 @@ func (s *ReplicaSet) Query(ctx context.Context, sql string) (*Rows, error) {
 	return s.QueryResumable(ctx, sql, nil)
 }
 
-// QueryResumable opens a resumable stream on a balancer-chosen replica.
-// A replica that fails the open with a transport-class error (or fails
-// fast on its own breaker) is skipped and the next healthy replica tried,
-// so a dead endpoint costs one attempt, not the query.
-func (s *ReplicaSet) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error) {
+// QueryResumable opens a resumable stream on a balancer-chosen replica,
+// moving on to the next healthy replica when the open fails (see try).
+func (s *ReplicaSet) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (rows *Rows, err error) {
 	if s.hedge > 0 && len(s.reps) > 1 {
 		return s.queryHedged(ctx, sql, spec)
 	}
-	tried := make(map[int]bool, len(s.reps))
-	var lastErr error
-	for range s.reps {
-		idx, rs, err := s.pickExcluding(func(i int) bool { return tried[i] })
-		if err != nil {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		rows, err := s.openOn(ctx, idx, rs, sql, spec)
-		if err == nil {
-			return rows, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || errors.Is(err, ErrClientClosed) {
-			return nil, err
-		}
-		if !transient(err) && !errors.Is(err, ErrCircuitOpen) {
-			// A definitive server answer: the SQL itself is at fault, and
-			// every replica would answer the same.
-			return nil, err
-		}
-		tried[idx] = true
-	}
-	return nil, lastErr
+	err = s.try(ctx, len(s.reps), func(idx int, rs *replicaState) error {
+		rows, err = s.openOn(ctx, idx, rs, sql, spec)
+		return err
+	})
+	return rows, err
 }
 
 // queryHedged opens the stream on the balancer's choice and, if no header
@@ -350,57 +371,30 @@ func (s *ReplicaSet) queryHedged(ctx context.Context, sql string, spec *ResumeSp
 // Estimate asks a balancer-chosen replica's optimizer for a cost
 // estimate, failing over to the next healthy replica on transport-class
 // errors.
-func (s *ReplicaSet) Estimate(ctx context.Context, sql string) (engine.Estimate, error) {
-	tried := make(map[int]bool, len(s.reps))
-	var lastErr error
-	for range s.reps {
-		idx, rs, err := s.pickExcluding(func(i int) bool { return tried[i] })
-		if err != nil {
-			if lastErr != nil {
-				return engine.Estimate{}, lastErr
-			}
-			return engine.Estimate{}, err
-		}
-		rs.inFlight.Add(1)
-		start := time.Now()
-		est, err := rs.client.Estimate(ctx, sql)
-		rs.inFlight.Add(-1)
-		if err == nil {
-			rs.note(false, time.Since(start))
-			return est, nil
-		}
-		rs.note(true, 0)
-		lastErr = err
-		if ctx.Err() != nil || errors.Is(err, ErrClientClosed) {
-			return engine.Estimate{}, err
-		}
-		if !transient(err) && !errors.Is(err, ErrCircuitOpen) {
-			return engine.Estimate{}, err
-		}
-		tried[idx] = true
-	}
-	return engine.Estimate{}, lastErr
+func (s *ReplicaSet) Estimate(ctx context.Context, sql string) (est engine.Estimate, err error) {
+	err = s.try(ctx, len(s.reps), func(_ int, rs *replicaState) error {
+		return rs.run(false, func(c *Client) error {
+			est, err = c.Estimate(ctx, sql)
+			return err
+		})
+	})
+	return est, err
 }
 
 // StatsEpoch probes one balancer-chosen replica's statistics epoch. Like
-// Client.StatsEpoch it deliberately makes a single attempt — the caches
+// Client.StatsEpoch it deliberately visits a single replica — the caches
 // map a failed probe to the cold path, and hiding that behind silent
 // replica hopping would mask a sick deployment.
-func (s *ReplicaSet) StatsEpoch(ctx context.Context) (int64, error) {
-	idx, rs, err := s.pick(-1)
-	if err != nil {
-		return 0, err
-	}
-	rs.inFlight.Add(1)
-	start := time.Now()
-	epoch, err := rs.client.StatsEpoch(ctx)
-	rs.inFlight.Add(-1)
-	if err != nil {
-		rs.note(true, 0)
-		return 0, fmt.Errorf("%s: %w", s.reps[idx].name, err)
-	}
-	rs.note(false, time.Since(start))
-	return epoch, nil
+func (s *ReplicaSet) StatsEpoch(ctx context.Context) (epoch int64, err error) {
+	err = s.try(ctx, 1, func(_ int, rs *replicaState) error {
+		return rs.run(false, func(c *Client) error {
+			if epoch, err = c.StatsEpoch(ctx); err != nil {
+				err = fmt.Errorf("%s: %w", rs.name, err)
+			}
+			return err
+		})
+	})
+	return epoch, err
 }
 
 // MaxResumes reports the shared per-stream resume budget (the clients are

@@ -74,22 +74,12 @@ type ResumeSpec struct {
 //
 // A nil spec, or a client without WithResume, behaves exactly like Query.
 func (c *Client) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("wire: query: %w", ctxSentinel(err))
-	}
-	m := obs.M()
-	m.ClientRequestStart()
-	// One span per logical request: its IDs ride the wire on every attempt.
-	ctx, span := obs.StartSpan(ctx, "wire.client.query")
-	span.SetDetail(sql)
-	rows, err := c.queryRetry(ctx, span, sql)
-	span.End()
-	m.ClientRequestEnd(isDeadline(err))
+	resp, err := c.do(ctx, opQuery, sql)
 	if err == nil && spec != nil && c.MaxResumes() > 0 {
-		rows.spec = spec
-		rows.budget = c.MaxResumes()
+		resp.rows.spec = spec
+		resp.rows.budget = c.MaxResumes()
 	}
-	return rows, err
+	return resp.rows, err
 }
 
 // noteDelivered maintains the resume frontier after one row is handed to
@@ -186,7 +176,7 @@ func (r *Rows) tryResume(cause error) error {
 			return fmt.Errorf("wire: resume rewrite: %w", err)
 		}
 		span.SetDetail(sql)
-		nr, err := r.client.queryOnce(r.ctx, span, sql)
+		resp, err := r.client.attempt(r.ctx, newRequest(opQuery, span, sql))
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, ErrCircuitOpen) && r.set != nil {
@@ -201,7 +191,7 @@ func (r *Rows) tryResume(cause error) error {
 			}
 			continue
 		}
-		permanent, err := r.adopt(nr)
+		permanent, err := r.adopt(resp.rows)
 		if err == nil {
 			return nil
 		}
@@ -254,7 +244,7 @@ func (r *Rows) failover(span *obs.Span, lastErr *error) error {
 		m.ClientFailover()
 		span.SetDetail(sql)
 		start := time.Now()
-		nr, err := rep.client.queryOnce(r.ctx, span, sql)
+		resp, err := rep.client.attempt(r.ctx, newRequest(opQuery, span, sql))
 		if err != nil {
 			rep.note(true, 0)
 			*lastErr = err
@@ -268,7 +258,7 @@ func (r *Rows) failover(span *obs.Span, lastErr *error) error {
 			}
 			continue
 		}
-		permanent, err := r.adopt(nr)
+		permanent, err := r.adopt(resp.rows)
 		if err != nil {
 			rep.note(true, 0)
 			*lastErr = err

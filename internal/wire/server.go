@@ -225,8 +225,8 @@ func errCode(err error) Code {
 	return CodeSQL
 }
 
-// ServeConn handles one connection: a sequence of requests, each one SQL
-// query (one result stream) or one estimate exchange.
+// ServeConn handles one connection: a sequence of requests, each decoded
+// by parseRequest and dispatched on its op alone.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	if !s.trackConn(conn) {
@@ -244,11 +244,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if s.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		req, err := readFrame(br, reqBuf)
-		if err != nil || len(req) == 0 {
+		frame, err := readFrame(br, reqBuf, maxRequestFrame)
+		if errors.Is(err, errFrameTooLarge) {
+			// Refused from the length prefix alone. The payload is unread,
+			// so the connection cannot be realigned: answer and close.
+			_ = writeError(bw, CodeBadRequest, err.Error())
+			return
+		}
+		if err != nil || len(frame) == 0 {
 			return // client went away (or idled out) between requests
 		}
-		reqBuf = req
+		reqBuf = frame
 
 		ctx, ok := s.beginRequest(conn)
 		if !ok {
@@ -261,83 +267,48 @@ func (s *Server) ServeConn(conn net.Conn) {
 			conn.SetReadDeadline(time.Time{})
 		}
 
-		kind, payload := req[0], req[1:]
-		// Traced request kinds carry a 16-byte trace header (trace ID +
-		// parent span ID) between the kind byte and the SQL.
-		var trace obs.TraceID
-		var parent obs.SpanID
-		if kind == 'q' || kind == 'e' || kind == 'b' || kind == 'f' {
-			if len(payload) < 16 {
-				_ = writeError(bw, CodeBadRequest, "truncated trace header")
-				s.endRequest(conn)
-				return
-			}
-			trace = obs.TraceID(binary.BigEndian.Uint64(payload[:8]))
-			parent = obs.SpanID(binary.BigEndian.Uint64(payload[8:16]))
-			payload = payload[16:]
-			kind -= 0x20 // normalize 'q'/'e'/'b'/'f' → 'Q'/'E'/'B'/'F'
-		}
-		// Budgeted kinds carry the caller's remaining deadline budget as 8
-		// big-endian nanosecond bytes before the SQL: the server caps its own
-		// work at it, and refuses an already-spent budget without executing.
-		var budget time.Duration
-		var budgetCancel context.CancelFunc
-		if kind == 'B' || kind == 'F' {
-			if len(payload) < 8 {
-				_ = writeError(bw, CodeBadRequest, "truncated budget header")
-				s.endRequest(conn)
-				return
-			}
-			budget = time.Duration(binary.BigEndian.Uint64(payload[:8]))
-			payload = payload[8:]
-			if kind == 'B' {
-				kind = 'Q'
-			} else {
-				kind = 'E'
-			}
-			if budget < minServableBudget {
-				// Too little budget to execute anything and stream it back:
-				// answer the typed refusal without touching the engine. The
-				// connection stays request-aligned.
-				obs.M().ServerBudgetRefused()
-				s.endRequest(conn)
-				if writeError(bw, CodeDeadline, "deadline budget spent") != nil {
-					return
-				}
-				conn.SetDeadline(time.Time{})
-				continue
-			}
-			ctx, budgetCancel = context.WithTimeout(ctx, budget)
+		req, perr := parseRequest(frame)
+		// A budgeted request caps the server's own work at what the caller
+		// can still use; a budget too small to execute anything and stream
+		// it back is refused without touching the engine.
+		budgeted := req.flags&flagBudgeted != 0
+		spent := budgeted && req.budget < minServableBudget
+		cancel := context.CancelFunc(func() {})
+		if budgeted && !spent {
+			ctx, cancel = context.WithTimeout(ctx, req.budget)
 			if d, ok := ctx.Deadline(); ok {
 				conn.SetDeadline(d)
 			}
 		}
-		sqlText := string(payload)
 
 		m := obs.M()
 		m.ServerRequestStart()
 		start := time.Now()
-		keep := false
-		switch kind {
-		case 'E':
-			_, span := obs.StartRemoteSpan(ctx, "wire.server.estimate", trace, parent)
-			span.SetDetail(sqlText)
-			keep = s.serveEstimate(bw, sqlText)
-			span.End()
-		case 'Q':
-			sctx, span := obs.StartRemoteSpan(ctx, "wire.server.query", trace, parent)
-			span.SetDetail(sqlText)
-			keep = s.serveQuery(sctx, conn, bw, sqlText)
-			span.End()
-		case 'P':
-			keep = s.serveEpoch(bw)
+		// keep: the response went out whole, so the connection is still
+		// request-aligned. A refusal of a frame that was read whole is too.
+		var keep bool
+		var bad *Error
+		switch {
+		case errors.As(perr, &bad):
+			keep = writeError(bw, bad.Code, bad.Msg) == nil
+		case spent:
+			m.ServerBudgetRefused()
+			keep = writeError(bw, CodeDeadline, "deadline budget spent") == nil
 		default:
-			keep = writeError(bw, CodeBadRequest, "unknown request kind") == nil
+			sctx, span := obs.StartRemoteSpan(ctx, ops[req.op].serverSpan, req.trace, req.parent)
+			span.SetDetail(req.sql)
+			switch req.op {
+			case opQuery:
+				keep = s.serveQuery(sctx, conn, bw, req.sql)
+			case opEstimate:
+				keep = s.serveEstimate(bw, req.sql)
+			case opEpoch:
+				keep = s.serveEpoch(bw)
+			}
+			span.End()
 		}
 		m.ServerRequestEnd(time.Since(start), errors.Is(ctx.Err(), context.DeadlineExceeded))
-		if budgetCancel != nil {
-			budgetCancel()
-		}
+		cancel()
 		s.endRequest(conn)
 		if !keep {
 			return
@@ -446,9 +417,9 @@ func (s *Server) serveEstimate(bw *bufio.Writer, sql string) bool {
 	return bw.Flush() == nil
 }
 
-// serveEpoch answers a stats-epoch probe ('P'): the client-side fragment
-// cache validates remote freshness with it. One uint64, no SQL, no trace
-// header — the cheapest request the protocol has.
+// serveEpoch answers a stats-epoch probe: the client-side fragment cache
+// validates remote freshness with it. One uint64, no SQL — the cheapest
+// request the protocol has.
 func (s *Server) serveEpoch(bw *bufio.Writer) bool {
 	payload := []byte{'V'}
 	payload = binary.BigEndian.AppendUint64(payload, uint64(s.DB.StatsEpoch()))

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -25,16 +24,15 @@ func withObs(t *testing.T) *obs.Metrics {
 }
 
 // sniffRequest reads the client's first frame off conn and returns its
-// trace ID (zero for an untraced request) along with the raw frame.
-func sniffRequest(br *bufio.Reader) (uint64, []byte, error) {
-	frame, err := readFrame(br, nil)
+// decoded header (trace zero unless the traced flag is set) along with the
+// raw frame.
+func sniffRequest(br *bufio.Reader) (request, []byte, error) {
+	frame, err := readFrame(br, nil, maxFrame)
 	if err != nil {
-		return 0, nil, err
+		return request{}, nil, err
 	}
-	if len(frame) >= 17 && (frame[0] == 'q' || frame[0] == 'e') {
-		return binary.BigEndian.Uint64(frame[1:9]), frame, nil
-	}
-	return 0, frame, nil
+	req, err := parseRequest(frame)
+	return req, frame, err
 }
 
 // TestTraceIDStableAcrossRetry asserts the core trace-propagation
@@ -56,13 +54,13 @@ func TestTraceIDStableAcrossRetry(t *testing.T) {
 		mu.Unlock()
 		go func() {
 			br := bufio.NewReader(c2)
-			trace, frame, err := sniffRequest(br)
+			req, frame, err := sniffRequest(br)
 			if err != nil {
 				c2.Close()
 				return
 			}
 			mu.Lock()
-			traces = append(traces, trace)
+			traces = append(traces, uint64(req.trace))
 			mu.Unlock()
 			if failThis {
 				// Transient pre-stream failure: the request was read but the
@@ -114,26 +112,26 @@ func TestTraceIDStableAcrossRetry(t *testing.T) {
 	}
 }
 
-// TestUntracedRequestWhenObsDisabled asserts the protocol stays backward
-// compatible: with observability off, requests go out as plain 'Q' frames
-// with no trace header.
+// TestUntracedRequestWhenObsDisabled: with observability off (and no
+// deadline), requests go out as the bare two-byte header plus SQL — no
+// flag set, no trace field.
 func TestUntracedRequestWhenObsDisabled(t *testing.T) {
 	old := obs.M()
 	obs.SetGlobal(nil)
 	t.Cleanup(func() { obs.SetGlobal(old) })
 
 	srv := &Server{DB: wireDB(t)}
-	sawKind := make(chan byte, 1)
+	sawHeader := make(chan request, 1)
 	dial := func(dctx context.Context) (net.Conn, error) {
 		c1, c2 := net.Pipe()
 		go func() {
 			br := bufio.NewReader(c2)
-			frame, err := readFrame(br, nil)
+			req, frame, err := sniffRequest(br)
 			if err != nil {
 				c2.Close()
 				return
 			}
-			sawKind <- frame[0]
+			sawHeader <- req
 			s1, s2 := net.Pipe()
 			go srv.ServeConn(s2)
 			bw := bufio.NewWriter(s1)
@@ -155,8 +153,8 @@ func TestUntracedRequestWhenObsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, rows)
-	if k := <-sawKind; k != 'Q' {
-		t.Fatalf("request kind = %q, want 'Q' (untraced) with obs disabled", k)
+	if req := <-sawHeader; req.op != opQuery || req.flags != 0 {
+		t.Fatalf("request op %q flags %02b, want a flagless query with obs disabled", req.op, req.flags)
 	}
 }
 
@@ -176,6 +174,9 @@ func TestServerSpansStitchUnderClientSpan(t *testing.T) {
 	}
 	drain(t, rows)
 	if _, err := client.Estimate(ctx, "select n.name from Nation n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.StatsEpoch(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,6 +206,7 @@ func TestServerSpansStitchUnderClientSpan(t *testing.T) {
 	}
 	verify("wire.client.query", "wire.server.query")
 	verify("wire.client.estimate", "wire.server.estimate")
+	verify("wire.client.epoch", "wire.server.epoch")
 }
 
 // allSpans pulls every retained span out of the tracer by probing the

@@ -11,43 +11,37 @@
 // costs are genuinely paid rather than modeled.
 //
 // Framing: every frame is a 4-byte big-endian length followed by payload.
+// A request is one frame with one header shape (see request):
 //
-//	client → server:  one frame per request: a request byte then the SQL
-//	                  text — 'Q' to execute, 'E' to ask the optimizer for
-//	                  a cost/cardinality estimate (the oracle of §5).
-//	                  The lowercase kinds 'q' and 'e' are the traced
-//	                  variants: the request byte is followed by a 16-byte
-//	                  trace header — 8-byte big-endian trace ID then 8-byte
-//	                  parent span ID — before the SQL text, so the server's
-//	                  spans stitch under the client's request span in one
-//	                  trace. Untraced peers keep sending 'Q'/'E'; the
-//	                  response format is identical either way.
-//	server → client:  for 'Q': status frame 'E' + code byte + message, or
-//	                  'C' + uint16 column count + length-prefixed names
-//	                  (flushed immediately, so time-to-first-row stays
-//	                  honest), then row-batch frames — each frame holds the
-//	                  concatenated encodings of one or more rows, batched
-//	                  until batchMaxRows rows or batchFlushBytes bytes —
-//	                  then an empty frame terminating the stream;
-//	                  for 'E': 'V' + three big-endian float64 values
-//	                  (cost, rows, width), or 'E' + code byte + message
+//	op byte | flags byte | [trace: 16 bytes] | [budget: 8 bytes] | SQL text
 //
-// A third request kind 'P' (no SQL, no traced variant) probes the server's
-// stats epoch: the response is 'V' + one big-endian uint64 (the database's
-// write counter) or an error frame. The client-side fragment cache sends it
-// to validate cached XML before serving; it is never retried — a failed
-// probe means "run cold", not "serve stale".
+//	op            SQL   response
+//	'Q' query     yes   'C' + uint16 column count + length-prefixed names
+//	                    (flushed immediately, so time-to-first-row stays
+//	                    honest), then row-batch frames — each the
+//	                    concatenated encodings of up to batchMaxRows rows or
+//	                    batchFlushBytes bytes — then an empty terminator frame
+//	'E' estimate  yes   'V' + three big-endian float64 (cost, rows, width):
+//	                    the optimizer oracle of §5
+//	'P' epoch     no    'V' + one big-endian uint64, the database's write
+//	                    counter; the fragment cache validates cached XML
+//	                    against it and never retries it — a failed probe
+//	                    means "run cold", not "serve stale"
 //
-// The budgeted kinds 'B' (query) and 'F' (estimate), traced 'b'/'f', carry
-// the caller's remaining deadline budget as 8 big-endian nanosecond bytes
-// between the (optional) trace header and the SQL. The server caps its own
-// request context at the budget — execution plus streaming abort once the
-// caller can no longer use the answer — and refuses a budget below its
-// minimum servable threshold with an 'E' CodeDeadline frame before the
-// engine runs at all. The client sends the budgeted kind automatically
-// whenever its effective deadline (context deadline or per-request
-// timeout) is known; peers without deadlines keep sending 'Q'/'E', and
-// the response format is identical either way.
+//	flag          field
+//	traced   0x1  8-byte trace ID + 8-byte parent span ID, so the server's
+//	              spans stitch under the client's request span in one trace;
+//	              set whenever observability is enabled
+//	budgeted 0x2  the caller's remaining deadline budget in nanoseconds, set
+//	              whenever the effective deadline (context or per-request
+//	              timeout) is known; the server caps its request context at
+//	              it and refuses a budget below minServableBudget with
+//	              CodeDeadline before the engine runs
+//
+// Any op answers 'E' + code byte + message on failure. An unknown op, an
+// unknown flag bit, or a field cut short is CodeBadRequest and leaves the
+// connection request-aligned; a request frame longer than maxRequestFrame
+// is refused from its length prefix alone and the connection closed.
 //
 // The error frame's code byte carries a Code, so typed failures
 // (cancellation, deadline, shutdown) survive errors.Is across the network
@@ -71,12 +65,28 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"time"
+
+	"silkroute/internal/obs"
 )
 
-// maxFrame bounds a single frame; a row larger than this indicates a bug.
+// maxFrame bounds a response frame; a row batch larger than this indicates
+// a bug.
 const maxFrame = 64 << 20
+
+// maxRequestFrame bounds a request frame, so a hostile length prefix cannot
+// make the server allocate before any SQL is seen. The benchmark's
+// sqlgen.sql_bytes is 3 450 for a whole ten-stream plan, and the largest
+// single statement the fixtures generate is 10 424 bytes (Query 1's
+// unreduced outer-union plan), so 1 MiB leaves hundredfold headroom.
+const maxRequestFrame = 1 << 20
+
+// errFrameTooLarge reports a length prefix above the reader's limit; the
+// payload was not read, so the connection is no longer frame-aligned.
+var errFrameTooLarge = errors.New("wire: frame exceeds limit")
 
 // Row-batch flush policy: a batch frame is emitted when it holds
 // batchMaxRows rows or batchFlushBytes of payload, whichever comes first.
@@ -95,14 +105,17 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 	return err
 }
 
-func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+// readFrame reads one frame into buf (grown when too small). A length
+// prefix above limit fails with errFrameTooLarge before anything is
+// allocated for the payload.
+func readFrame(r io.Reader, buf []byte, limit uint32) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	if n > limit {
+		return nil, fmt.Errorf("%w: %d > %d bytes", errFrameTooLarge, n, limit)
 	}
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
@@ -112,4 +125,117 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// Request ops: what the server is asked to do. The op alone selects the
+// handler and the response shape.
+const (
+	opQuery    = 'Q'
+	opEstimate = 'E'
+	opEpoch    = 'P'
+)
+
+// ops holds each op's properties; an op byte absent from it is unknown.
+var ops = map[byte]struct {
+	name       string // in error text
+	clientSpan string
+	serverSpan string
+	// retried: transient pre-stream failures are retried under the client's
+	// Retry policy. The epoch probe is not: it exists to decide whether
+	// cached bytes may be served, so on any failure the only safe answer is
+	// "run cold", and retrying to rescue a cache shortcut would add latency
+	// exactly when the backend is struggling.
+	retried bool
+}{
+	opQuery:    {"query", "wire.client.query", "wire.server.query", true},
+	opEstimate: {"estimate", "wire.client.estimate", "wire.server.estimate", true},
+	opEpoch:    {"epoch", "wire.client.epoch", "wire.server.epoch", false},
+}
+
+// Request flags: which optional fixed fields follow the flags byte, in bit
+// order.
+const (
+	flagTraced   = 1 << 0
+	flagBudgeted = 1 << 1
+	flagsKnown   = flagTraced | flagBudgeted
+)
+
+// request is the one request header. Fields whose flag is clear are zero.
+type request struct {
+	op     byte
+	flags  byte
+	trace  obs.TraceID   // flagTraced
+	parent obs.SpanID    // flagTraced
+	budget time.Duration // flagBudgeted
+	sql    string        // empty for opEpoch
+}
+
+// newRequest builds the header of one logical request. The span is created
+// once per logical request, before the retry loop, so every attempt carries
+// the same IDs and a retried request still forms one trace.
+func newRequest(op byte, span *obs.Span, sql string) request {
+	req := request{op: op, sql: sql}
+	if span != nil {
+		req.flags, req.trace, req.parent = flagTraced, span.Trace, span.ID
+	}
+	return req
+}
+
+// withBudget returns the request carrying budget b; b <= 0 (no deadline)
+// leaves it unbudgeted.
+func (q request) withBudget(b time.Duration) request {
+	if b > 0 {
+		q.flags, q.budget = q.flags|flagBudgeted, b
+	}
+	return q
+}
+
+// appendRequest appends the request's frame payload to dst.
+func appendRequest(dst []byte, q request) []byte {
+	dst = append(dst, q.op, q.flags)
+	if q.flags&flagTraced != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(q.trace))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(q.parent))
+	}
+	if q.flags&flagBudgeted != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(q.budget))
+	}
+	return append(dst, q.sql...)
+}
+
+// parseRequest decodes a request frame's payload. It is pure, and every
+// failure is a CodeBadRequest *Error: the header holds no lengths, so a
+// malformed frame can cost no more than the bytes already read.
+func parseRequest(frame []byte) (request, error) {
+	bad := func(msg string) (request, error) {
+		return request{}, &Error{Code: CodeBadRequest, Msg: msg}
+	}
+	if len(frame) < 2 {
+		return bad("truncated request header")
+	}
+	q := request{op: frame[0], flags: frame[1]}
+	rest := frame[2:]
+	if _, ok := ops[q.op]; !ok {
+		return bad("unknown request op")
+	}
+	if q.flags&^flagsKnown != 0 {
+		return bad("unknown request flag")
+	}
+	if q.flags&flagTraced != 0 {
+		if len(rest) < 16 {
+			return bad("truncated trace field")
+		}
+		q.trace = obs.TraceID(binary.BigEndian.Uint64(rest[:8]))
+		q.parent = obs.SpanID(binary.BigEndian.Uint64(rest[8:16]))
+		rest = rest[16:]
+	}
+	if q.flags&flagBudgeted != 0 {
+		if len(rest) < 8 {
+			return bad("truncated budget field")
+		}
+		q.budget = time.Duration(binary.BigEndian.Uint64(rest[:8]))
+		rest = rest[8:]
+	}
+	q.sql = string(rest)
+	return q, nil
 }

@@ -294,7 +294,7 @@ func TestUnknownRequestKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(c1)
-	resp, err := readFrame(br, nil)
+	resp, err := readFrame(br, nil, maxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 package silkroute
 
 import (
-	"context"
 	"errors"
-	"net"
+	"fmt"
 	"sync"
 
 	"silkroute/internal/fragcache"
@@ -51,27 +50,18 @@ type Remote struct {
 // The option list carries the connection policy (retry, pool, timeouts,
 // resume, breaker, failover, hedging) and the source description
 // (WithSource), so a server's per-backend config maps 1:1 onto one option
-// slice. A zero Topology falls back to option-carried endpoints
-// (WithAddrs / WithDialer); declaring both is an error.
-//
-// ConnectTCP, ConnectReplicas, and ConnectFunc remain as thin documented
-// wrappers over Dial for code written against the older constructors.
+// slice. A topology with no endpoint, or with an empty replica group, is
+// an error.
 func Dial(t Topology, opts ...Option) (*Remote, error) {
-	c := buildConfig(opts)
 	if t.IsZero() {
-		switch {
-		case c.dialer != nil && len(c.addrs) > 0:
-			return nil, errors.New("silkroute: Dial: WithDialer and WithAddrs are mutually exclusive")
-		case c.dialer != nil:
-			t = SingleFunc(c.dialer)
-		case len(c.addrs) > 0:
-			t = Replicas(c.addrs...)
-		default:
-			return nil, errors.New("silkroute: Dial: no endpoint — pass a Topology, WithAddrs, or WithDialer")
-		}
-	} else if c.dialer != nil || len(c.addrs) > 0 {
-		return nil, errors.New("silkroute: Dial: a Topology and WithAddrs/WithDialer are mutually exclusive")
+		return nil, errors.New("silkroute: Dial: topology declares no endpoint")
 	}
+	for i, g := range t.groups {
+		if len(g) == 0 {
+			return nil, fmt.Errorf("silkroute: Dial: replica group %d needs at least one address", i)
+		}
+	}
+	c := buildConfig(opts)
 	r := &Remote{source: c.source}
 	backends := make([]wire.Backend, len(t.groups))
 	for i, g := range t.groups {
@@ -102,60 +92,6 @@ func dialEndpoint(e endpoint, c *config) *wire.Client {
 		return wire.NewClient(e.dial, c.clientOptions()...)
 	}
 	return wire.Dial(e.addr, c.clientOptions()...)
-}
-
-// ConnectTCP returns a remote database handle for the given address.
-// Connections are dialed on demand — honoring the materialize context's
-// deadline — pooled, and reused across queries and estimate requests.
-//
-// It is a wrapper for Dial(Single(addr), opts...), kept as a documented
-// alias.
-func ConnectTCP(addr string, opts ...Option) *Remote {
-	r, err := Dial(Single(addr), opts...)
-	if err != nil {
-		// Unreachable unless the option list smuggles in an endpoint; that
-		// misuse deserves the same loud failure ConnectReplicas gives.
-		panic(err)
-	}
-	return r
-}
-
-// ConnectFunc returns a remote database handle using a custom dialer. The
-// dialer is called whenever the pool has no idle connection; a dialer that
-// can block should keep its own timeout, as it is not handed the request
-// context.
-//
-// It is a wrapper for Dial(SingleFunc(...), opts...), kept as a documented
-// alias.
-func ConnectFunc(dial func() (net.Conn, error), opts ...Option) *Remote {
-	r, err := Dial(SingleFunc(func(context.Context) (net.Conn, error) { return dial() }), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// ConnectReplicas returns a remote database handle over N replica
-// endpoints serving the same data. Each replica keeps its own connection
-// pool, retry policy, and circuit breaker (built from the shared option
-// list); a health-weighted balancer assigns every stream to a replica at
-// execution time, and — with WithResume enabled — a stream whose replica
-// dies mid-flight resumes there first, then fails over to another healthy
-// replica, splicing the continuation in byte-identically (see
-// WithFailover). When every replica is open-circuit, requests fail closed
-// with ErrNoHealthyReplica. A single address behaves like ConnectTCP.
-//
-// It is a wrapper for Dial(Replicas(addrs...), opts...), kept as a
-// documented alias.
-func ConnectReplicas(addrs []string, opts ...Option) *Remote {
-	if len(addrs) == 0 {
-		panic("silkroute: ConnectReplicas needs at least one address")
-	}
-	r, err := Dial(Replicas(addrs...), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Close releases the connection pool. In-flight requests finish on their

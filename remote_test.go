@@ -35,7 +35,7 @@ func TestRemoteMaterializationMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestRemoteGreedyUsesRemoteOracle(t *testing.T) {
 	go db.Serve(l)
 
 	db.ResetEstimateRequests()
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.Query1Source)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestRemoteServerErrorSurfaces(t *testing.T) {
 	defer l.Close()
 	go db.Serve(l)
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	// A schema that disagrees with the server: the generated SQL will
 	// reference a relation the server does not have.
 	s := NewSchema()

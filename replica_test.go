@@ -2,6 +2,7 @@ package silkroute
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -44,7 +45,7 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 			// can finish a stream that lands there. The other replicas run
 			// clean. With a single "replica" there is nobody to fail over
 			// to, so the kill budget is survivable by resume alone — that
-			// leg proves ConnectReplicas degrades to plain resume.
+			// leg proves a one-address Replicas topology degrades to plain resume.
 			addrs := make([]string, n)
 			for i := range addrs {
 				spec := ""
@@ -64,7 +65,7 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 				WithResume(resumes),
 				WithRetry(Retry{BaseDelay: time.Millisecond}),
 			}
-			remote := ConnectReplicas(addrs, opts...)
+			remote := mustDial(t, Replicas(addrs...), opts...)
 			rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -100,9 +101,9 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 // errors.Is-able silkroute.ErrCircuitOpen and writes NOTHING — no document
 // prefix, no partial XML — because the failure precedes the first stream.
 func TestMaterializeFailsClosedWhenBreakerOpen(t *testing.T) {
-	remote := ConnectFunc(func() (net.Conn, error) {
+	remote := mustDial(t, SingleFunc(func(context.Context) (net.Conn, error) {
 		return nil, errors.New("refused")
-	},
+	}),
 		WithBreaker(1, time.Minute),
 		WithRetry(Retry{MaxAttempts: 1, BaseDelay: time.Millisecond}))
 	defer remote.Close()
@@ -131,13 +132,14 @@ func TestMaterializeFailsClosedWhenBreakerOpen(t *testing.T) {
 	}
 }
 
-// probeKiller fails every stats-epoch probe ('P' flushes as exactly one
-// 5-byte frame: 4-byte length + opcode) while passing queries through
-// untouched — a backend that answers data but not freshness probes.
+// probeKiller fails every stats-epoch probe (a request goes out as one
+// Write: 4-byte length, then the op byte — 'P' for the probe) while passing
+// queries through untouched — a backend that answers data but not
+// freshness probes.
 type probeKiller struct{ net.Conn }
 
 func (c probeKiller) Write(p []byte) (int, error) {
-	if len(p) == 5 && p[4] == 'P' {
+	if len(p) > 4 && p[4] == 'P' {
 		c.Conn.Close()
 		return 0, errors.New("probe refused")
 	}
@@ -166,14 +168,14 @@ func TestFragmentProbeFailureIsCounted(t *testing.T) {
 	}
 
 	addr := startChaosServer(t, db, "")
-	remote := ConnectFunc(func() (net.Conn, error) {
+	remote := mustDial(t, SingleFunc(func(dctx context.Context) (net.Conn, error) {
 		var d net.Dialer
-		conn, err := d.Dial("tcp", addr)
+		conn, err := d.DialContext(dctx, "tcp", addr)
 		if err != nil {
 			return nil, err
 		}
 		return probeKiller{conn}, nil
-	})
+	}))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, WithFragmentCache(-1))
 	if err != nil {
@@ -200,14 +202,4 @@ func TestFragmentProbeFailureIsCounted(t *testing.T) {
 	if !strings.Contains(b.String(), "silkroute_cache_fragment_probe_failures_total") {
 		t.Error("probe failures missing from Prometheus exposition")
 	}
-}
-
-// TestConnectReplicasValidation pins the constructor contract.
-func TestConnectReplicasValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ConnectReplicas(nil) did not panic")
-		}
-	}()
-	ConnectReplicas(nil)
 }

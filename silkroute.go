@@ -45,7 +45,7 @@ var ErrStreamLost = wire.ErrStreamLost
 var ErrCircuitOpen = wire.ErrCircuitOpen
 
 // ErrNoHealthyReplica reports a request on a replicated connection
-// (ConnectReplicas) refused fast because every replica's circuit breaker
+// (Dial(Replicas(...))) refused fast because every replica's circuit breaker
 // is open: the set fails closed rather than emitting a partial document.
 // Test for it with errors.Is.
 var ErrNoHealthyReplica = wire.ErrNoHealthyReplica
@@ -65,7 +65,7 @@ type Retry struct {
 }
 
 // Option configures a view or a remote connection. The same option list is
-// accepted by ParseView, ParseRemoteView, ConnectTCP, and ConnectFunc;
+// accepted by ParseView, ParseRemoteView, Dial, and NewHandle;
 // options that do not apply to the value being built (WithRetry on a view,
 // WithWrapper on a connection) are simply ignored, so one list can be
 // shared across both.
@@ -81,8 +81,6 @@ type config struct {
 	strategy    Strategy
 	strategySet bool
 
-	addrs  []string
-	dialer func(context.Context) (net.Conn, error)
 	source *Schema
 
 	planCache  bool
@@ -134,21 +132,6 @@ func WithParallelism(n int) Option {
 // strategy explicitly.
 func WithStrategy(s Strategy) Option {
 	return func(c *config) { c.strategy, c.strategySet = s, true }
-}
-
-// WithAddrs sets the endpoint(s) a Dial connects to: one address is a
-// single remote database, several are replicas of the same data behind a
-// health-weighted balancer with cross-replica failover (see WithFailover).
-// Connection option.
-func WithAddrs(addrs ...string) Option {
-	return func(c *config) { c.addrs = append(c.addrs, addrs...) }
-}
-
-// WithDialer sets a custom dialer for Dial, replacing TCP to a WithAddrs
-// endpoint — for tests over in-memory pipes, or transports with their own
-// handshake. Mutually exclusive with WithAddrs. Connection option.
-func WithDialer(dial func(ctx context.Context) (net.Conn, error)) Option {
-	return func(c *config) { c.dialer = dial }
 }
 
 // WithSource attaches the source description — the schema of the remote
@@ -204,7 +187,7 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 
 // WithFailover bounds how many times one tuple stream may fail over to a
 // different replica after its same-replica resume budget runs out
-// (ConnectReplicas only; requires WithResume, since failover re-issues
+// (replicated topologies only; requires WithResume, since failover re-issues
 // the stream's frontier suffix). The default is replicas-1 — enough to
 // try every other replica once; n <= 0 disables cross-replica failover.
 // Connection option.
@@ -216,7 +199,7 @@ func WithFailover(n int) Option {
 // replica has not produced a stream header within d, a second healthy
 // replica is raced and the first answer wins. Queries are read-only, so
 // the duplicated work is safe. Zero (the default) disables hedging.
-// Connection option (ConnectReplicas only).
+// Connection option (replicated topologies only).
 func WithHedge(d time.Duration) Option {
 	return func(c *config) { c.hedge, c.hedgeSet = d, true }
 }
@@ -730,7 +713,7 @@ type Report struct {
 	FragmentCached bool
 	// Failovers totals the cross-replica failovers over every stream: how
 	// many times a stream's frontier suffix was re-issued on a different
-	// replica after same-replica resume gave up (ConnectReplicas only).
+	// replica after same-replica resume gave up (replicated topologies only).
 	Failovers int
 	// ServedStale reports that the document came from a stale fragment-cache
 	// entry because the backend was entirely unhealthy (WithServeStale
@@ -751,7 +734,7 @@ type StreamStat struct {
 	Retries   int           // wire attempts beyond the first (0 for local views)
 	Resumes   int           // mid-stream resumes after transport failures (remote views with WithResume)
 	Restarts  int           // full re-executions after the resume budget ran out
-	Failovers int           // cross-replica failovers (ConnectReplicas views only)
+	Failovers int           // cross-replica failovers (replicated topologies only)
 	Replica   int           // replica index that finished serving the stream (0 single-backend)
 	// Shards breaks the stream down per shard for scatter-gather
 	// execution over a Sharded topology; nil otherwise.

@@ -12,8 +12,7 @@ import (
 // sprawl of per-shape constructors with one value: a single endpoint, a
 // replica group of endpoints serving the same data, or a shard list of
 // replica groups serving horizontal partitions. The zero Topology means
-// "no endpoint declared" — Dial then falls back to the option-carried
-// WithAddrs/WithDialer endpoints for compatibility.
+// "no endpoint declared", which Dial refuses.
 //
 // Topologies compose: Sharded(Replicas("a","b"), Replicas("c","d"))
 // declares a 2-shard × 2-replica grid, where every shard heals itself
