@@ -79,15 +79,15 @@ bench-smoke:
 	@$(GO) test $(GOFLAGS) -run '^$$' -bench ParallelExecute -benchtime 1x ./internal/plan > bench-smoke.txt 2>&1; \
 		status=$$?; cat bench-smoke.txt; exit $$status
 
-# The core benchmarks (cache speedup, parallel execution, hash join, tagger
-# memory, wire transfer, replica failover, sharded scatter-gather) in
+# The core benchmarks (cache speedup, parallel execution, hash join, wire
+# transfer, replica failover, sharded scatter-gather) in
 # machine-readable form: one pass each, three samples, parsed by
 # cmd/benchjson into BENCH_9.json — committed at the repo root and archived
 # by CI so later PRs can diff ns/op, B/op, and allocs/op without scraping
 # logs.
 bench-json:
 	@$(GO) test $(GOFLAGS) -run '^$$' \
-		-bench 'MaterializeCached|TaggerConstantSpace|WireTransfer|ReplicaFailover|ShardedMaterialize' \
+		-bench 'MaterializeCached|WireTransfer|ReplicaFailover|ShardedMaterialize' \
 		-benchtime 1x -count 3 . > bench-raw.txt 2>&1 && \
 	$(GO) test $(GOFLAGS) -run '^$$' -bench ParallelExecute -benchtime 1x -count 3 \
 		./internal/plan >> bench-raw.txt 2>&1 && \
@@ -121,11 +121,14 @@ loadtest-smoke:
 overload-chaos:
 	$(GO) run -race ./cmd/loadgen -overload -out overload-chaos.json
 
-# Ten seconds of coverage-guided fuzzing over the wire request decoder:
-# every malformed header must come back as a typed CodeBadRequest, never a
-# panic. The committed seed corpus also runs as a plain test in `make test`.
+# Ten seconds of coverage-guided fuzzing per target (go test -fuzz takes
+# one target per run): every malformed wire request header must come back
+# as a typed CodeBadRequest, never a panic, and the tagger's escaper must
+# match xml.EscapeText byte for byte. The seeds also run as plain tests in
+# `make test`.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
 
 ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest-smoke overload-chaos bench-smoke bench-json
 

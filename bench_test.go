@@ -247,35 +247,6 @@ func BenchmarkAblationGreedyCoefficients(b *testing.B) {
 	}
 }
 
-// BenchmarkTaggerConstantSpace demonstrates §3.3's claim: tagging
-// allocations per output row stay flat as the database grows (memory
-// depends on the view tree, not the data).
-func BenchmarkTaggerConstantSpace(b *testing.B) {
-	for _, scale := range []float64{0.001, 0.004} {
-		e := env(b, scale)
-		b.Run(scaleName(scale), func(b *testing.B) {
-			p := plan.Unified(e.tree1, true)
-			b.ReportAllocs()
-			var rows int64
-			for i := 0; i < b.N; i++ {
-				m, err := plan.ExecuteWire(ctx, e.client, p, io.Discard)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows += m.Rows
-			}
-			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
-		})
-	}
-}
-
-func scaleName(s float64) string {
-	if s >= 0.004 {
-		return "scale_large"
-	}
-	return "scale_small"
-}
-
 // BenchmarkWireTransfer isolates the middleware's tuple binding/transfer
 // path: the §2 "total time minus query time" component.
 func BenchmarkWireTransfer(b *testing.B) {

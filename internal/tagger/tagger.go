@@ -3,18 +3,21 @@
 // plan into document order, re-nests the tuples, and emits the XML
 // document.
 //
-// The algorithm is single-pass and constant-space: its memory footprint
-// depends only on the number of view-tree nodes and Skolem-term variables
-// (one buffered row and one remembered instance per stream, plus an open-
-// element stack bounded by the tree depth), never on the database size.
-// That property is what lets SilkRoute materialize XML views larger than
-// main memory.
+// The algorithm is single-pass and constant-space. Once per document,
+// WriteXML compiles every (stream, view-tree node) pair into a program
+// that reads the node's structural key and text in place from the
+// stream's rows, and allocates a 64 KiB output buffer, one reusable
+// pending list per stream and one open-element stack bounded by the tree
+// depth. Nothing is allocated per row, so both the live heap and the
+// allocation total depend only on the view tree and the number of streams,
+// never on the database size. That property is what lets SilkRoute
+// materialize XML views larger than main memory.
 package tagger
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlgen"
@@ -24,7 +27,8 @@ import (
 
 // Source yields the sorted rows of one tuple stream.
 type Source interface {
-	// Next returns the next row; ok is false at end of stream.
+	// Next returns the next row; ok is false at end of stream. The row is
+	// read only until the next call, so a source may reuse its slice.
 	Next() ([]value.Value, bool, error)
 }
 
@@ -51,45 +55,8 @@ func (s *SliceSource) Next() ([]value.Value, bool, error) {
 	return r, true, nil
 }
 
-// keyPos is one position of the global structural key
-// L1,V(1,*),L2,V(2,*),…
-type keyPos struct {
-	isL   bool
-	level int
-	ref   viewtree.VarRef
-}
-
-// instance is one XML node instance reconstructed from a row.
-type instance struct {
-	node *viewtree.Node
-	// key is the instance's global structural key vector.
-	key []value.Value
-	// vals maps the node's args to this instance's values.
-	vals map[viewtree.VarRef]value.Value
-}
-
-// compareKeys orders instances in document order.
-func compareKeys(a, b []value.Value) int {
-	for i := range a {
-		va, vb := a[i], b[i]
-		switch {
-		case va.IsNull() && vb.IsNull():
-			continue
-		case va.IsNull():
-			return -1
-		case vb.IsNull():
-			return 1
-		}
-		if c := value.Compare(va, vb); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
 // Tagger merges partitioned tuple streams and writes the XML document.
 type Tagger struct {
-	tree *viewtree.Tree
 	// Wrapper, when non-empty, wraps the whole output in one root element
 	// so the result is a well-formed document even when the view's root
 	// template produces many instances.
@@ -100,257 +67,356 @@ type Tagger struct {
 	// exact top-level boundaries; the unordered writer never calls it.
 	OnTopLevel func()
 
-	positions []keyPos
-	posIndex  map[viewtree.VarRef]int // var ref → key position
-	lIndex    []int                   // level (1-based) → key position
+	// The global structural key L1,V(1,*),L2,V(2,*),… has width positions.
+	width  int
+	lPos   []int                   // level (1-based) → key position of its L column
+	varPos map[viewtree.VarRef]int // variable → key position
 }
 
 // New builds a tagger for a view tree.
 func New(t *viewtree.Tree) *Tagger {
-	tg := &Tagger{tree: t, Wrapper: "document", posIndex: make(map[viewtree.VarRef]int)}
+	tg := &Tagger{Wrapper: "document", varPos: make(map[viewtree.VarRef]int)}
 	depth := t.MaxDepth()
-	tg.lIndex = make([]int, depth+1)
+	tg.lPos = make([]int, depth+1)
 	for lvl := 1; lvl <= depth; lvl++ {
-		tg.lIndex[lvl] = len(tg.positions)
-		tg.positions = append(tg.positions, keyPos{isL: true, level: lvl})
+		tg.lPos[lvl] = tg.width
+		tg.width++
 		for _, v := range t.VarsAtLevel(lvl) {
-			tg.posIndex[v.Ref] = len(tg.positions)
-			tg.positions = append(tg.positions, keyPos{ref: v.Ref})
+			tg.varPos[v.Ref] = tg.width
+			tg.width++
 		}
 	}
 	return tg
 }
 
-// streamState is the per-stream cursor: the row decoder and the pending
-// instances of the current row.
-type streamState struct {
-	in      Input
-	colIdx  map[string]int                   // column name → row index
-	lCols   map[int]int                      // level → row index of dynamic L column
-	last    map[*viewtree.Node][]value.Value // node → last emitted key
-	pending []*instance
+// slot is one compiled value: row[col] when col >= 0, else the constant lit.
+type slot struct {
+	col int
+	lit value.Value
+}
+
+func (s slot) get(row []value.Value) value.Value {
+	if s.col >= 0 {
+		return row[s.col]
+	}
+	return s.lit
+}
+
+// nodeProg is one view-tree node compiled against one stream's columns.
+// An instance of the node is the program plus the row it reads.
+type nodeProg struct {
+	node *viewtree.Node
+	key  []slot // the instance's global structural key
+	text []slot // the element's text children, in document order
+
+	// Deduplication: keyCols are the row columns of key, and last holds
+	// their values in the instance last queued, overwritten in place.
+	keyCols []int
+	last    []value.Value
+	seen    bool
+}
+
+// compareKeys orders two instances in document order: their structural
+// keys compared position by position, NULL first.
+func compareKeys(a *nodeProg, ra []value.Value, b *nodeProg, rb []value.Value) int {
+	for i := range a.key {
+		if c := value.Compare(a.key[i].get(ra), b.key[i].get(rb)); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// fresh reports whether the row's instance of p differs from the one last
+// queued, and if so remembers it.
+func (p *nodeProg) fresh(row []value.Value) bool {
+	if p.seen {
+		same := true
+		for i, c := range p.keyCols {
+			if value.Compare(p.last[i], row[c]) != 0 {
+				same = false
+				break
+			}
+		}
+		if same {
+			return false
+		}
+	}
+	for i, c := range p.keyCols {
+		p.last[i] = row[c]
+	}
+	p.seen = true
+	return true
+}
+
+// step is one entry of a stream's flattened group walk: a member node to
+// instantiate, or (prog nil) a branch test that jumps to skip, past the
+// child group's steps, unless the row's L column col holds ordinal.
+type step struct {
+	prog    *nodeProg
+	col     int // -1: the stream has no L column for the branch
+	ordinal int64
+	skip    int
+}
+
+// stream is the per-stream cursor: the compiled walk, the current row and
+// the instances of that row not yet emitted.
+type stream struct {
+	rows    Source
+	steps   []step
+	row     []value.Value
+	pending []*nodeProg // in document order; pending[head:] are unemitted
+	head    int
 	done    bool
 }
 
-// WriteXML merges the streams and writes the document to w.
-func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
-	states := make([]*streamState, len(inputs))
-	for i, in := range inputs {
-		st := &streamState{
-			in:     in,
-			colIdx: make(map[string]int),
-			lCols:  make(map[int]int),
-			last:   make(map[*viewtree.Node][]value.Value),
-		}
-		for ci, c := range in.Meta.Cols {
-			st.colIdx[c.Name] = ci
-			if c.IsL {
-				st.lCols[c.Level] = ci
-			}
-		}
-		states[i] = st
-		if err := tg.advance(st); err != nil {
-			return err
+// compile builds the stream's program: every member node of its component
+// resolved to row columns through the stream's column metadata.
+func (tg *Tagger) compile(in Input) *stream {
+	varCol := make(map[viewtree.VarRef]int, len(in.Meta.Cols))
+	lCol := make([]int, len(tg.lPos))
+	for i := range lCol {
+		lCol[i] = -1
+	}
+	for ci, c := range in.Meta.Cols {
+		if c.IsL {
+			lCol[c.Level] = ci
+		} else {
+			varCol[c.Ref] = ci
 		}
 	}
-
-	bw := newXMLWriter(w)
-	if tg.Wrapper != "" {
-		bw.open(tg.Wrapper)
-	}
-	var stack []*instance
-	closeTo := func(depth int) {
-		for len(stack) > depth {
-			bw.close(stack[len(stack)-1].node.Tag)
-			stack = stack[:len(stack)-1]
-		}
-	}
-
-	for {
-		// Pick the stream whose head instance is smallest in document
-		// order.
-		best := -1
-		for i, st := range states {
-			if len(st.pending) == 0 {
-				continue
-			}
-			if best < 0 || compareKeys(st.pending[0].key, states[best].pending[0].key) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		st := states[best]
-		inst := st.pending[0]
-		st.pending = st.pending[1:]
-		if len(st.pending) == 0 {
-			if err := tg.advance(st); err != nil {
-				return err
-			}
-		}
-
-		d := inst.node.Level()
-		closeTo(d - 1)
-		if len(stack) == d-1 && d > 1 {
-			if top := stack[len(stack)-1]; top.node != inst.node.Parent {
-				return fmt.Errorf("tagger: instance of <%s> arrived under <%s>, want <%s> (streams out of order?)",
-					inst.node.Tag, top.node.Tag, inst.node.Parent.Tag)
-			}
-		}
-		if d > 1 && len(stack) < d-1 {
-			return fmt.Errorf("tagger: instance of <%s> at depth %d arrived with only %d open ancestors",
-				inst.node.Tag, d, len(stack))
-		}
-		if d == 1 && tg.OnTopLevel != nil {
-			bw.flushBuf()
-			tg.OnTopLevel()
-		}
-		bw.open(inst.node.Tag)
-		for _, c := range inst.node.Contents {
-			if c.IsConst {
-				bw.text(c.Const.Text())
-			} else {
-				bw.text(inst.vals[c.Ref].Text())
-			}
-		}
-		stack = append(stack, inst)
-	}
-	closeTo(0)
-	if tg.Wrapper != "" {
-		bw.close(tg.Wrapper)
-	}
-	if err := bw.flush(); err != nil {
-		return err
-	}
-	// One record per document: the writer counted locally, so the per-element
-	// hot path stayed free of shared-counter traffic.
-	obs.M().TaggerDocument(bw.elems, bw.bytes)
-	return nil
-}
-
-// advance reads rows from a stream until at least one new instance appears
-// (or the stream ends), expanding each row into its node instances and
-// deduplicating against the previously emitted ones.
-func (tg *Tagger) advance(st *streamState) error {
-	if st.done {
-		return nil
-	}
-	for {
-		row, ok, err := st.in.Rows.Next()
-		if err != nil {
-			return fmt.Errorf("tagger: reading stream: %w", err)
-		}
-		if !ok {
-			st.done = true
-			return nil
-		}
-		tg.expandRow(st, row)
-		if len(st.pending) > 0 {
-			return nil
-		}
-	}
-}
-
-// expandRow turns one row into the instances of all node groups present in
-// the row, in document order, skipping instances already emitted.
-func (tg *Tagger) expandRow(st *streamState, row []value.Value) {
-	var instances []*instance
+	s := &stream{rows: in.Rows}
 	var walk func(g *viewtree.Group)
 	walk = func(g *viewtree.Group) {
 		for _, m := range g.Members {
-			if inst := tg.makeInstance(st, m, row); inst != nil {
-				instances = append(instances, inst)
-			}
+			s.steps = append(s.steps, step{prog: tg.program(m, varCol)})
 		}
 		for _, ge := range g.Children {
 			// A child branch is present when its dynamic L column holds
 			// the branch ordinal; an outer-join null means no child.
-			lvl := ge.Child.Root.Level()
-			ci, ok := st.lCols[lvl]
-			if !ok {
-				continue // no L column: branch can never be attributed
+			at := len(s.steps)
+			s.steps = append(s.steps, step{col: lCol[ge.Child.Root.Level()], ordinal: int64(ge.Child.Root.Ordinal())})
+			walk(ge.Child)
+			s.steps[at].skip = len(s.steps)
+		}
+	}
+	walk(in.Meta.Comp.Root)
+	// A row instantiates each member at most once.
+	s.pending = make([]*nodeProg, 0, len(s.steps))
+	return s
+}
+
+// program compiles one node: the L positions of its key hold its
+// Skolem-function index, its variables' positions their row columns, and
+// every other position NULL.
+func (tg *Tagger) program(n *viewtree.Node, varCol map[viewtree.VarRef]int) *nodeProg {
+	p := &nodeProg{node: n, key: make([]slot, tg.width)}
+	for i := range p.key {
+		p.key[i].col = -1
+	}
+	for lvl := 1; lvl <= n.Level(); lvl++ {
+		p.key[tg.lPos[lvl]].lit = value.Int(int64(n.SFI[lvl-1]))
+	}
+	for _, args := range [][]viewtree.VarRef{n.KeyArgs, n.ContentArgs} {
+		for _, a := range args {
+			if ci, ok := varCol[a]; ok {
+				p.key[tg.varPos[a]].col = ci
 			}
-			lv := row[ci]
-			if lv.IsNull() || lv.Kind() != value.KindInt || lv.AsInt() != int64(ge.Child.Root.Ordinal()) {
+		}
+	}
+	for _, k := range p.key {
+		if k.col >= 0 {
+			p.keyCols = append(p.keyCols, k.col)
+		}
+	}
+	p.last = make([]value.Value, len(p.keyCols))
+	for _, c := range n.Contents {
+		t := slot{col: -1, lit: c.Const} // a variable the stream lacks reads NULL
+		if ci, ok := varCol[c.Ref]; ok && !c.IsConst {
+			t.col = ci
+		}
+		p.text = append(p.text, t)
+	}
+	return p
+}
+
+// members sets s.pending to the member nodes the row instantiates, in walk
+// order.
+func (s *stream) members(row []value.Value) {
+	s.pending = s.pending[:0]
+	for i := 0; i < len(s.steps); {
+		st := &s.steps[i]
+		i++
+		if st.prog != nil {
+			s.pending = append(s.pending, st.prog)
+			continue
+		}
+		if st.col < 0 {
+			i = st.skip // no L column: the branch can never be attributed
+			continue
+		}
+		if lv := row[st.col]; lv.Kind() != value.KindInt || lv.AsInt() != st.ordinal {
+			i = st.skip
+		}
+	}
+}
+
+// advance reads rows until one carries an instance not queued before (or
+// the stream ends), and queues that row's new instances in document order.
+func (s *stream) advance() error {
+	s.pending, s.head = s.pending[:0], 0
+	for !s.done {
+		row, ok, err := s.rows.Next()
+		if err != nil {
+			return fmt.Errorf("tagger: reading stream: %w", err)
+		}
+		if !ok {
+			s.done, s.row = true, nil
+			return nil
+		}
+		s.row = row
+		s.members(row)
+		// Drop the instances already queued, insertion-sorting the rest
+		// in place: a row expands to at most a handful of instances.
+		n := 0
+		for _, p := range s.pending {
+			if !p.fresh(row) {
 				continue
 			}
-			walk(ge.Child)
+			s.pending[n] = p
+			for j := n; j > 0 && compareKeys(p, row, s.pending[j-1], row) < 0; j-- {
+				s.pending[j], s.pending[j-1] = s.pending[j-1], s.pending[j]
+			}
+			n++
+		}
+		s.pending = s.pending[:n]
+		if n > 0 {
+			return nil
 		}
 	}
-	walk(st.in.Meta.Comp.Root)
-
-	// Document order within the row, then dedupe against history.
-	sortInstances(instances)
-	for _, inst := range instances {
-		if prev, seen := st.last[inst.node]; seen && compareKeys(prev, inst.key) == 0 {
-			continue
-		}
-		st.last[inst.node] = inst.key
-		st.pending = append(st.pending, inst)
-	}
+	return nil
 }
 
-// makeInstance extracts one node's instance from a row.
-func (tg *Tagger) makeInstance(st *streamState, n *viewtree.Node, row []value.Value) *instance {
-	inst := &instance{
-		node: n,
-		key:  make([]value.Value, len(tg.positions)),
-		vals: make(map[viewtree.VarRef]value.Value, len(n.KeyArgs)+len(n.ContentArgs)),
-	}
-	for _, a := range n.Args() {
-		ci, ok := st.colIdx[mangledName(a)]
-		if !ok {
-			continue
-		}
-		inst.vals[a] = row[ci]
-	}
-	for i := 0; i < n.Level(); i++ {
-		inst.key[tg.lIndex[i+1]] = value.Int(int64(n.SFI[i]))
-	}
-	for a, v := range inst.vals {
-		if pi, ok := tg.posIndex[a]; ok {
-			inst.key[pi] = v
+// WriteXML merges the streams and writes the document to w. It stops at the
+// first failed write to w and returns that error.
+func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
+	streams := make([]*stream, len(inputs))
+	for i, in := range inputs {
+		streams[i] = tg.compile(in)
+		if err := streams[i].advance(); err != nil {
+			return err
 		}
 	}
-	return inst
-}
 
-// mangledName mirrors sqlgen's column naming (kept in sync by tests).
-func mangledName(r viewtree.VarRef) string {
-	return "v_" + lower(r.Var) + "_" + lower(r.Field)
-}
+	x := newXMLWriter(w, len(tg.lPos))
+	x.begin(tg.Wrapper)
+	for {
+		// Pick the stream whose head instance is smallest in document
+		// order.
+		var best *stream
+		for _, s := range streams {
+			if s.head < len(s.pending) && (best == nil ||
+				compareKeys(s.pending[s.head], s.row, best.pending[best.head], best.row) < 0) {
+				best = s
+			}
+		}
+		if best == nil {
+			break
+		}
+		p := best.pending[best.head]
+		best.head++
 
-func lower(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
+		n, d := p.node, p.node.Level()
+		x.closeTo(d - 1)
+		if d > 1 && len(x.stack) < d-1 {
+			return fmt.Errorf("tagger: instance of <%s> at depth %d arrived with only %d open ancestors",
+				n.Tag, d, len(x.stack))
+		}
+		if top := len(x.stack) - 1; top >= 0 && x.stack[top] != n.Parent {
+			return fmt.Errorf("tagger: instance of <%s> arrived under <%s>, want <%s> (streams out of order?)",
+				n.Tag, x.stack[top].Tag, n.Parent.Tag)
+		}
+		if d == 1 && tg.OnTopLevel != nil {
+			if x.flushBuf(); x.err != nil {
+				return x.err
+			}
+			tg.OnTopLevel()
+		}
+		// The element reads best.row, so it is written before the stream
+		// advances: a source may overwrite the row on its next call.
+		x.element(p, best.row)
+		if x.err != nil {
+			return x.err
+		}
+		if best.head == len(best.pending) {
+			if err := best.advance(); err != nil {
+				return err
+			}
 		}
 	}
-	return string(b)
-}
-
-func sortInstances(insts []*instance) {
-	// Insertion sort: rows expand to at most a handful of instances.
-	for i := 1; i < len(insts); i++ {
-		for j := i; j > 0 && compareKeys(insts[j].key, insts[j-1].key) < 0; j-- {
-			insts[j], insts[j-1] = insts[j-1], insts[j]
-		}
+	x.end(tg.Wrapper)
+	if err := x.flush(); err != nil {
+		return err
 	}
+	// One record per document: the writer counted locally, so the per-element
+	// hot path stayed free of shared-counter traffic.
+	obs.M().TaggerDocument(x.elems, x.bytes)
+	return nil
 }
 
-// xmlWriter emits compact, escaped XML.
+// xmlWriter emits compact, escaped XML in document order.
 type xmlWriter struct {
 	w     io.Writer
 	buf   []byte
+	stack []*viewtree.Node // open elements, outermost first
 	err   error
 	elems int64 // elements opened
 	bytes int64 // bytes written to w
 }
 
-func newXMLWriter(w io.Writer) *xmlWriter {
-	return &xmlWriter{w: w, buf: make([]byte, 0, 64<<10)}
+func newXMLWriter(w io.Writer, depth int) *xmlWriter {
+	return &xmlWriter{w: w, buf: make([]byte, 0, 64<<10), stack: make([]*viewtree.Node, 0, depth)}
+}
+
+// begin opens the wrapper element, if any.
+func (x *xmlWriter) begin(wrapper string) {
+	if wrapper != "" {
+		x.open(wrapper)
+	}
+}
+
+// end closes every open element and then the wrapper, if any.
+func (x *xmlWriter) end(wrapper string) {
+	x.closeTo(0)
+	if wrapper != "" {
+		x.close(wrapper)
+	}
+}
+
+// element writes one instance — the node's start tag and its text read
+// from row — and leaves it open.
+func (x *xmlWriter) element(p *nodeProg, row []value.Value) {
+	x.open(p.node.Tag)
+	for _, t := range p.text {
+		v := t.get(row)
+		if v.Kind() == value.KindString {
+			x.buf = appendEscaped(x.buf, v.AsString())
+		} else {
+			// Numbers render as digits, signs, '.', 'e', "NaN" or "Inf"
+			// and NULL as nothing: there is nothing to escape.
+			x.buf = v.AppendText(x.buf)
+		}
+		x.maybeFlush()
+	}
+	x.stack = append(x.stack, p.node)
+}
+
+// closeTo closes open elements until depth remain.
+func (x *xmlWriter) closeTo(depth int) {
+	for len(x.stack) > depth {
+		x.close(x.stack[len(x.stack)-1].Tag)
+		x.stack = x.stack[:len(x.stack)-1]
+	}
 }
 
 func (x *xmlWriter) open(tag string) {
@@ -368,23 +434,56 @@ func (x *xmlWriter) close(tag string) {
 	x.maybeFlush()
 }
 
-func (x *xmlWriter) text(s string) {
-	if s == "" {
-		return
+// appendEscaped appends s to dst escaped exactly as xml.EscapeText does:
+// the five markup characters and \t \n \r become character references, and
+// invalid UTF-8 or a character outside XML's range becomes U+FFFD.
+func appendEscaped(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\'' && c != '&' && c != '<' && c != '>' {
+			i++
+			continue
+		}
+		r, width := rune(c), 1
+		if c >= utf8.RuneSelf {
+			r, width = utf8.DecodeRuneInString(s[i:])
+		}
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			// A control character or invalid UTF-8 (both of width 1)
+			// becomes U+FFFD. Of the valid multi-byte characters XML
+			// excludes only U+FFFE and U+FFFF: UTF-8 never decodes to a
+			// surrogate.
+			if width > 1 && r != 0xFFFE && r != 0xFFFF {
+				i += width
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, esc...)
+		i += width
+		last = i
 	}
-	// xml.EscapeText escapes &, <, >, quotes, and control characters.
-	var sink escapeSink
-	sink.buf = x.buf
-	_ = xml.EscapeText(&sink, []byte(s))
-	x.buf = sink.buf
-	x.maybeFlush()
-}
-
-type escapeSink struct{ buf []byte }
-
-func (e *escapeSink) Write(p []byte) (int, error) {
-	e.buf = append(e.buf, p...)
-	return len(p), nil
+	return append(dst, s[last:]...)
 }
 
 func (x *xmlWriter) maybeFlush() {

@@ -3,6 +3,7 @@ package tagger
 import (
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -180,16 +181,23 @@ func TestSliceSource(t *testing.T) {
 }
 
 func TestCompareKeysNullFirstAndPrefix(t *testing.T) {
+	// One program reading its whole key from the row, one whose last key
+	// position is a constant.
+	p := &nodeProg{key: []slot{{col: 0}, {col: 1}, {col: 2}}}
+	q := &nodeProg{key: []slot{{col: 0}, {col: 1}, {col: -1, lit: value.Int(0)}}}
 	a := []value.Value{value.Int(1), value.Null, value.Null}
 	b := []value.Value{value.Int(1), value.Int(2), value.Null}
-	if compareKeys(a, b) >= 0 {
+	if compareKeys(p, a, p, b) >= 0 {
 		t.Error("null prefix must sort before extension")
 	}
-	if compareKeys(b, a) <= 0 {
+	if compareKeys(p, b, p, a) <= 0 {
 		t.Error("antisymmetry")
 	}
-	if compareKeys(a, a) != 0 {
+	if compareKeys(p, a, p, a) != 0 {
 		t.Error("reflexivity")
+	}
+	if compareKeys(p, b, q, b) >= 0 || compareKeys(q, b, p, b) <= 0 {
+		t.Error("a NULL key position must sort before a constant one")
 	}
 }
 
@@ -305,4 +313,131 @@ func TestOutputIsWellFormedXML(t *testing.T) {
 	if elements < 100 {
 		t.Fatalf("document suspiciously small: %d elements", elements)
 	}
+}
+
+// rewind restarts every SliceSource input, so one set of inputs can be
+// written again without allocating new sources.
+func rewind(inputs []Input) {
+	for _, in := range inputs {
+		in.Rows.(*SliceSource).pos = 0
+	}
+}
+
+// TestWriteXMLAllocsIndependentOfRows is §3.3's constant-space claim as a
+// property: writing Query 1 allocates the same number of times at two
+// database sizes 4× apart, for the unified and the fully partitioned plan.
+// What WriteXML allocates is set by the streams and the view tree alone;
+// the slack of two absorbs a stray runtime allocation landing inside the
+// measured runs.
+func TestWriteXMLAllocsIndependentOfRows(t *testing.T) {
+	for _, keepAll := range []bool{true, false} {
+		var counts []float64
+		for _, scale := range []float64{0.0005, 0.002} {
+			tree, inputs := buildStreams(t, tpch.Generate(scale, 5), rxl.Query1Source, keepAll, true)
+			tg := New(tree)
+			counts = append(counts, testing.AllocsPerRun(5, func() {
+				rewind(inputs)
+				if err := tg.WriteXML(io.Discard, inputs); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("unified=%v: %v allocations per document", keepAll, counts)
+		if d := counts[1] - counts[0]; d > 2 || d < -2 {
+			t.Errorf("unified=%v: allocations per document grew with the database: %v", keepAll, counts)
+		}
+	}
+}
+
+// countingSource counts the rows its stream hands out.
+type countingSource struct {
+	Source
+	n *int
+}
+
+func (c countingSource) Next() ([]value.Value, bool, error) {
+	row, ok, err := c.Source.Next()
+	if ok {
+		*c.n++
+	}
+	return row, ok, err
+}
+
+// firstWrite records how many rows had been pulled when the first buffer
+// reached it, and fails that write when err is set.
+type firstWrite struct {
+	pulled *int
+	at     int // rows pulled at the first Write; -1 before it
+	err    error
+}
+
+func (f *firstWrite) Write(p []byte) (int, error) {
+	if f.at < 0 {
+		f.at = *f.pulled
+	}
+	if f.err != nil {
+		return 0, f.err
+	}
+	return len(p), nil
+}
+
+// TestWriteXMLStopsAtFailedWrite: a writer that fails (a client that hung
+// up, a response over its size limit) ends the document at once, so the
+// tagger pulls no more rows than it had when its first buffer went out.
+func TestWriteXMLStopsAtFailedWrite(t *testing.T) {
+	tree, inputs := buildStreams(t, tpch.Generate(0.002, 5), rxl.Query1Source, false, true)
+	pulled := 0
+	for i := range inputs {
+		inputs[i].Rows = countingSource{inputs[i].Rows, &pulled}
+	}
+	ok := &firstWrite{pulled: &pulled, at: -1}
+	if err := New(tree).WriteXML(ok, inputs); err != nil {
+		t.Fatal(err)
+	}
+	total, perBuffer := pulled, ok.at
+	if perBuffer <= 0 || perBuffer*4 > total {
+		t.Fatalf("want a document of many buffers: %d rows, %d before the first write", total, perBuffer)
+	}
+
+	for i := range inputs {
+		inputs[i].Rows.(countingSource).Source.(*SliceSource).pos = 0
+	}
+	pulled = 0
+	boom := errors.New("client went away")
+	failing := &firstWrite{pulled: &pulled, at: -1, err: boom}
+	if err := New(tree).WriteXML(failing, inputs); !errors.Is(err, boom) {
+		t.Fatalf("WriteXML = %v, want the writer's error", err)
+	}
+	if pulled > perBuffer {
+		t.Errorf("pulled %d of %d rows after the first write failed at %d", pulled, total, perBuffer)
+	}
+}
+
+// FuzzAppendEscaped holds the in-place escaper to xml.EscapeText, byte for
+// byte, on any input: the five markup characters, \t \n \r, and U+FFFD for
+// invalid UTF-8 and characters outside XML's range.
+func FuzzAppendEscaped(f *testing.F) {
+	for _, tc := range taggerCases {
+		for _, stream := range tc.Streams {
+			for _, r := range stream {
+				for _, v := range r {
+					if v.Kind() == value.KindString {
+						f.Add([]byte(v.AsString()))
+					}
+				}
+			}
+		}
+	}
+	for _, s := range []string{"", "plain", "\x00\x08\x0b\x0c\x1f\x7f", "\xed\xa0\x80", "\xef\xbf\xbe\xef\xbf\xbf", "\xf4\x90\x80\x80", "\xe2\x82"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, s []byte) {
+		var want bytes.Buffer
+		if err := xml.EscapeText(&want, s); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendEscaped([]byte("pre"), string(s)); string(got) != "pre"+want.String() {
+			t.Fatalf("appendEscaped(%q) = %q, xml.EscapeText = %q", s, got[3:], want.Bytes())
+		}
+	})
 }

@@ -2,11 +2,9 @@ package tagger
 
 import (
 	"io"
-	"sort"
-	"strings"
+	"slices"
 
 	"silkroute/internal/value"
-	"silkroute/internal/viewtree"
 )
 
 // WriteXMLUnordered implements the *unordered* strategy of
@@ -20,25 +18,18 @@ import (
 // path is only usable when the XML view fits in memory. SilkRoute's
 // sorted, constant-space merge (WriteXML) is the one that scales.
 func (tg *Tagger) WriteXMLUnordered(w io.Writer, inputs []Input) error {
-	type keyed struct {
-		inst *instance
-		sig  string
+	type instance struct {
+		p   *nodeProg
+		row []value.Value
 	}
 	seen := make(map[string]bool)
-	var all []*instance
-
+	var (
+		all   []instance
+		arena []value.Value // copies of the buffered rows
+		sig   []byte
+	)
 	for _, in := range inputs {
-		st := &streamState{
-			in:     in,
-			colIdx: make(map[string]int),
-			lCols:  make(map[int]int),
-		}
-		for ci, c := range in.Meta.Cols {
-			st.colIdx[c.Name] = ci
-			if c.IsL {
-				st.lCols[c.Level] = ci
-			}
-		}
+		s := tg.compile(in)
 		for {
 			row, ok, err := in.Rows.Next()
 			if err != nil {
@@ -47,94 +38,43 @@ func (tg *Tagger) WriteXMLUnordered(w io.Writer, inputs []Input) error {
 			if !ok {
 				break
 			}
-			for _, inst := range tg.rowInstances(st, row) {
-				k := keyed{inst: inst, sig: instanceSignature(inst)}
-				if seen[k.sig] {
+			// The row outlives the source's next call, so it is copied.
+			arena = append(arena, row...)
+			row = arena[len(arena)-len(row):]
+			s.members(row)
+			for _, p := range s.pending {
+				// Global deduplication on the node plus its structural key.
+				sig = append(sig[:0], p.node.SkolemName...)
+				for _, k := range p.key {
+					sig = append(sig, 0)
+					if v := k.get(row); v.IsNull() {
+						sig = append(sig, 'N')
+					} else {
+						sig = v.AppendHashKey(sig)
+					}
+				}
+				if seen[string(sig)] {
 					continue
 				}
-				seen[k.sig] = true
-				all = append(all, inst)
+				seen[string(sig)] = true
+				all = append(all, instance{p, row})
 			}
 		}
 	}
 
 	// Structure late: one global sort into document order, then the same
-	// emission logic as the streaming path.
-	sort.SliceStable(all, func(i, j int) bool {
-		return compareKeys(all[i].key, all[j].key) < 0
+	// emission as the streaming path.
+	slices.SortStableFunc(all, func(a, b instance) int {
+		return compareKeys(a.p, a.row, b.p, b.row)
 	})
-
-	bw := newXMLWriter(w)
-	if tg.Wrapper != "" {
-		bw.open(tg.Wrapper)
-	}
-	var stack []*instance
-	closeTo := func(depth int) {
-		for len(stack) > depth {
-			bw.close(stack[len(stack)-1].node.Tag)
-			stack = stack[:len(stack)-1]
+	x := newXMLWriter(w, len(tg.lPos))
+	x.begin(tg.Wrapper)
+	for _, in := range all {
+		x.closeTo(in.p.node.Level() - 1)
+		if x.element(in.p, in.row); x.err != nil {
+			return x.err
 		}
 	}
-	for _, inst := range all {
-		d := inst.node.Level()
-		closeTo(d - 1)
-		bw.open(inst.node.Tag)
-		for _, c := range inst.node.Contents {
-			if c.IsConst {
-				bw.text(c.Const.Text())
-			} else {
-				bw.text(inst.vals[c.Ref].Text())
-			}
-		}
-		stack = append(stack, inst)
-	}
-	closeTo(0)
-	if tg.Wrapper != "" {
-		bw.close(tg.Wrapper)
-	}
-	return bw.flush()
-}
-
-// rowInstances expands one row into the node instances it carries, without
-// the sorted-stream deduplication (the caller deduplicates globally).
-func (tg *Tagger) rowInstances(st *streamState, row []value.Value) []*instance {
-	var out []*instance
-	var walk func(g *viewtree.Group)
-	walk = func(g *viewtree.Group) {
-		for _, m := range g.Members {
-			if inst := tg.makeInstance(st, m, row); inst != nil {
-				out = append(out, inst)
-			}
-		}
-		for _, ge := range g.Children {
-			lvl := ge.Child.Root.Level()
-			ci, ok := st.lCols[lvl]
-			if !ok {
-				continue
-			}
-			lv := row[ci]
-			if lv.IsNull() || lv.Kind() != value.KindInt || lv.AsInt() != int64(ge.Child.Root.Ordinal()) {
-				continue
-			}
-			walk(ge.Child)
-		}
-	}
-	walk(st.in.Meta.Comp.Root)
-	return out
-}
-
-// instanceSignature identifies an instance for global deduplication: the
-// node plus its structural key.
-func instanceSignature(inst *instance) string {
-	var b strings.Builder
-	b.WriteString(inst.node.SkolemName)
-	for _, v := range inst.key {
-		b.WriteByte(0)
-		if v.IsNull() {
-			b.WriteByte('N')
-		} else {
-			b.WriteString(v.HashKey())
-		}
-	}
-	return b.String()
+	x.end(tg.Wrapper)
+	return x.flush()
 }

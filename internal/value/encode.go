@@ -34,7 +34,7 @@ func (v Value) AppendEncode(dst []byte) []byte {
 		return binary.BigEndian.AppendUint64(dst, uint64(v.i))
 	case KindFloat:
 		dst = append(dst, tagFloat)
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
+		return binary.BigEndian.AppendUint64(dst, uint64(v.i))
 	case KindString:
 		dst = append(dst, tagString)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.s)))

@@ -45,11 +45,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is one typed nullable scalar. The zero value is NULL.
+// Value is one typed nullable scalar. The zero value is NULL. Ints and
+// floats share one payload word, so a Value is 32 bytes: every row the
+// engine, the wire and the tagger hold is an array of them.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	i    int64 // an int, or a float's IEEE 754 bits
 	s    string
 }
 
@@ -60,7 +61,10 @@ var Null = Value{}
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
+
+// float returns a float value's payload.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // String returns a string value.
 func String(s string) Value { return Value{kind: KindString, s: s} }
@@ -94,7 +98,7 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
 		return float64(v.i)
 	}
@@ -118,11 +122,26 @@ func (v Value) Text() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	}
 	return ""
+}
+
+// AppendText appends Text's bytes to dst and returns the extended slice,
+// so the tagger can render a value into its output buffer without a string
+// per value.
+func (v Value) AppendText(dst []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
+	case KindString:
+		return append(dst, v.s...)
+	}
+	return dst
 }
 
 // String implements fmt.Stringer with a SQL-literal flavour, used by plan
@@ -134,7 +153,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	}
@@ -240,12 +259,13 @@ func (v Value) AppendHashKey(dst []byte) []byte {
 	case KindFloat:
 		// Normalize integral floats to the int representation so 1 and 1.0
 		// hash identically, matching Compare.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < 1e18 {
+		f := v.float()
+		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e18 {
 			dst = append(dst, 0, 'I')
-			return strconv.AppendInt(dst, int64(v.f), 10)
+			return strconv.AppendInt(dst, int64(f), 10)
 		}
 		dst = append(dst, 0, 'F')
-		return strconv.AppendFloat(dst, v.f, 'b', -1, 64)
+		return strconv.AppendFloat(dst, f, 'b', -1, 64)
 	case KindString:
 		dst = append(dst, 0, 'S')
 		return append(dst, v.s...)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -75,6 +76,43 @@ func TestText(t *testing.T) {
 	for _, c := range cases {
 		if got := c.v.Text(); got != c.want {
 			t.Errorf("%v.Text() = %q, want %q", c.v, got, c.want)
+		}
+	}
+}
+
+// TestCompactLayout pins the 32-byte Value of 64-bit platforms (ints and
+// floats share one payload word) and checks a float survives the bit
+// round trip, sign of zero and NaN included.
+func TestCompactLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); unsafe.Sizeof(uintptr(0)) == 8 && got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		if got := Float(f).AsFloat(); got != f || math.Signbit(got) != math.Signbit(f) {
+			t.Errorf("Float(%v).AsFloat() = %v", f, got)
+		}
+	}
+	if got := Float(math.NaN()).AsFloat(); !math.IsNaN(got) {
+		t.Errorf("Float(NaN).AsFloat() = %v", got)
+	}
+}
+
+// TestAppendTextMatchesText holds the tagger's allocation-free rendering to
+// the string one, byte for byte, and checks it appends rather than overwrites.
+func TestAppendTextMatchesText(t *testing.T) {
+	for _, v := range []Value{
+		Null,
+		Int(0), Int(-7), Int(math.MinInt64), Int(math.MaxInt64),
+		Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(1e21), Float(1e-7), Float(0.1),
+		String(""), String("plated brass"), String("A & B <\"x\">\t\xff"),
+	} {
+		if got, want := string(v.AppendText(nil)), v.Text(); got != want {
+			t.Errorf("%v.AppendText(nil) = %q, Text() = %q", v, got, want)
+		}
+		if got, want := string(v.AppendText([]byte("pre|"))), "pre|"+v.Text(); got != want {
+			t.Errorf("%v.AppendText(prefix) = %q, want %q", v, got, want)
 		}
 	}
 }
