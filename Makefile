@@ -123,12 +123,14 @@ overload-chaos:
 
 # Ten seconds of coverage-guided fuzzing per target (go test -fuzz takes
 # one target per run): every malformed wire request header must come back
-# as a typed CodeBadRequest, never a panic, and the tagger's escaper must
-# match xml.EscapeText byte for byte. The seeds also run as plain tests in
-# `make test`.
+# as a typed CodeBadRequest, never a panic, the tagger's escaper must
+# match xml.EscapeText byte for byte, and the executor must agree with the
+# brute-force reference on every generated query. The seeds also run as
+# plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
+	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 
 ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest-smoke overload-chaos bench-smoke bench-json
 

@@ -3,7 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"silkroute/internal/obs"
@@ -132,7 +132,16 @@ func evalUnion(ctx context.Context, cat Catalog, u *sqlast.Union) (*Rel, error) 
 }
 
 func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error) {
-	src, err := evalFromWhere(ctx, cat, s.From, s.Where)
+	// The select list and the ORDER BY (which may fall back to
+	// pre-projection columns) are what every join below must carry.
+	var need []*sqlast.ColumnRef
+	for _, item := range s.Items {
+		need = collectRefs(item.Expr, need)
+	}
+	for _, item := range s.OrderBy {
+		need = collectRefs(item.Expr, need)
+	}
+	src, err := evalFromWhere(ctx, cat, s.From, s.Where, need)
 	if err != nil {
 		return nil, err
 	}
@@ -154,16 +163,15 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 		}
 		outCols[i] = Col{Name: name}
 	}
-	out := &Rel{Cols: outCols, Rows: make([]table.Row, len(src.Rows))}
+	out := &Rel{Cols: outCols, Rows: slabRows(len(src.Rows), len(exprs))}
 	for ri, row := range src.Rows {
 		if err := pollCtx(ctx, ri); err != nil {
 			return nil, err
 		}
-		prow := make(table.Row, len(exprs))
+		prow := out.Rows[ri]
 		for i, e := range exprs {
 			prow[i] = e.eval(row)
 		}
-		out.Rows[ri] = prow
 	}
 	if err := sortRel(ctx, cat, out, s.OrderBy, src); err != nil {
 		return nil, err
@@ -174,8 +182,11 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 // sortRel sorts out by the ORDER BY items. Keys resolve against the output
 // columns first (aliases such as L1, L2); a key that does not resolve there
 // falls back to the pre-projection source relation, whose rows parallel the
-// output rows one-to-one. Sorts larger than the catalog's memory budget
-// spill to disk through the external merge sort.
+// output rows one-to-one. When every key is an output column and the sort
+// fits the catalog's memory budget, the rows are sorted in place by column
+// index. Otherwise each row's key is evaluated into one key slab, and
+// sorts larger than the budget spill to disk through the external merge
+// sort.
 func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderItem, src *Rel) error {
 	if len(order) == 0 {
 		return nil
@@ -185,10 +196,14 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 		onSrc bool
 	}
 	keys := make([]keyFn, len(order))
+	cols := make([]int, 0, len(order)) // the key columns, while every key is one
 	for i, item := range order {
 		ce, outErr := compile(item.Expr, out.Cols)
 		if outErr == nil {
 			keys[i] = keyFn{expr: ce}
+			if c, ok := ce.(colExpr); ok && len(cols) == i {
+				cols = append(cols, c.idx)
+			}
 			continue
 		}
 		if src == nil {
@@ -200,24 +215,42 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 		}
 		keys[i] = keyFn{expr: ce, onSrc: true}
 	}
+	budget := 0
+	if sb, ok := cat.(SortBudget); ok {
+		budget = sb.SortMemoryRows()
+	}
+	if len(cols) == len(keys) && (budget <= 0 || len(out.Rows) <= budget) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		slices.SortStableFunc(out.Rows, func(a, b table.Row) int {
+			for _, c := range cols {
+				if d := value.Compare(a[c], b[c]); d != 0 {
+					return d
+				}
+			}
+			return 0
+		})
+		obs.M().ExecSort(int64(len(out.Rows)))
+		return nil
+	}
+
+	nk := len(keys)
+	slab := make([]value.Value, len(out.Rows)*nk)
 	keyed := make([]keyedRow, len(out.Rows))
-	for i := range out.Rows {
+	for i, row := range out.Rows {
 		if err := pollCtx(ctx, i); err != nil {
 			return err
 		}
-		kv := make([]value.Value, len(keys))
+		kv := slab[i*nk : (i+1)*nk : (i+1)*nk]
 		for ki, k := range keys {
 			if k.onSrc {
 				kv[ki] = k.expr.eval(src.Rows[i])
 			} else {
-				kv[ki] = k.expr.eval(out.Rows[i])
+				kv[ki] = k.expr.eval(row)
 			}
 		}
-		keyed[i] = keyedRow{key: kv, row: out.Rows[i]}
-	}
-	budget := 0
-	if sb, ok := cat.(SortBudget); ok {
-		budget = sb.SortMemoryRows()
+		keyed[i] = keyedRow{key: kv, row: row}
 	}
 	sorted, err := sortKeyed(ctx, keyed, budget)
 	if err != nil {
@@ -235,8 +268,10 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 // relations become hash-join keys chosen greedily; everything left over is
 // applied as a residual filter. This mirrors what any real target RDBMS
 // does with the paper's generated queries — without it, comma joins over
-// TPC-H would be quadratic cross products.
-func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, where sqlast.Expr) (*Rel, error) {
+// TPC-H would be quadratic cross products. need lists the references the
+// caller evaluates over the result; each join keeps only the columns they
+// and the conjuncts not yet applied can resolve to.
+func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, where sqlast.Expr, need []*sqlast.ColumnRef) (*Rel, error) {
 	if len(from) == 0 {
 		// A FROM-less select produces one row so literal selects work.
 		r := &Rel{Rows: []table.Row{{}}}
@@ -245,17 +280,29 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 		}
 		return r, nil
 	}
+
+	conjs := sqlast.Conjuncts(where)
+	used := make([]bool, len(conjs))
+	// pending is need plus the references of every conjunct not yet applied.
+	pending := func() []*sqlast.ColumnRef {
+		refs := need[:len(need):len(need)]
+		for ci, c := range conjs {
+			if !used[ci] {
+				refs = collectRefs(c, refs)
+			}
+		}
+		return refs
+	}
+
 	rels := make([]*Rel, len(from))
+	entryNeed := pending()
 	for i, te := range from {
-		r, err := evalTable(ctx, cat, te)
+		r, err := evalTable(ctx, cat, te, entryNeed)
 		if err != nil {
 			return nil, err
 		}
 		rels[i] = r
 	}
-
-	conjs := sqlast.Conjuncts(where)
-	used := make([]bool, len(conjs))
 
 	// Pre-filter conjuncts whose column references all live in a single
 	// relation. Ownership is decided against the concatenation of all
@@ -278,7 +325,7 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 	for ci, c := range conjs {
 		own := -1
 		ok := true
-		for _, cr := range collectRefs(c) {
+		for _, cr := range collectRefs(c, nil) {
 			idx, err := resolve(allCols, cr.Table, cr.Column)
 			if err != nil {
 				ok = false // unknown or ambiguous: leave for the residual pass
@@ -340,7 +387,7 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 			on = sqlast.MakeAnd(terms)
 		}
 		var err error
-		joined, err = evalJoinRel(ctx, joined, right, sqlast.JoinInner, on)
+		joined, err = evalJoinRel(ctx, joined, right, sqlast.JoinInner, on, pending())
 		if err != nil {
 			return nil, err
 		}
@@ -363,46 +410,54 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 	return joined, nil
 }
 
-// collectRefs gathers every column reference in an expression.
-func collectRefs(e sqlast.Expr) []*sqlast.ColumnRef {
-	var out []*sqlast.ColumnRef
-	var walk func(sqlast.Expr)
-	walk = func(e sqlast.Expr) {
-		switch e := e.(type) {
-		case *sqlast.ColumnRef:
-			out = append(out, e)
-		case *sqlast.Compare:
-			walk(e.L)
-			walk(e.R)
-		case *sqlast.And:
-			for _, t := range e.Terms {
-				walk(t)
-			}
-		case *sqlast.Or:
-			for _, t := range e.Terms {
-				walk(t)
-			}
-		case *sqlast.IsNull:
-			walk(e.E)
+// collectRefs appends every column reference in an expression to dst.
+func collectRefs(e sqlast.Expr, dst []*sqlast.ColumnRef) []*sqlast.ColumnRef {
+	switch e := e.(type) {
+	case *sqlast.ColumnRef:
+		dst = append(dst, e)
+	case *sqlast.Compare:
+		dst = collectRefs(e.R, collectRefs(e.L, dst))
+	case *sqlast.And:
+		for _, t := range e.Terms {
+			dst = collectRefs(t, dst)
 		}
+	case *sqlast.Or:
+		for _, t := range e.Terms {
+			dst = collectRefs(t, dst)
+		}
+	case *sqlast.IsNull:
+		dst = collectRefs(e.E, dst)
 	}
-	walk(e)
-	return out
+	return dst
 }
 
 // filterRel returns a new relation holding the rows of r that satisfy pred.
 // It never mutates r: base-table relations share the stored row slice.
+// The predicate is evaluated once per row into a bitmap, so the output is
+// allocated at its exact size.
 func filterRel(r *Rel, pred compiledExpr) *Rel {
-	out := &Rel{Cols: r.Cols, Rows: make([]table.Row, 0, len(r.Rows)/4+1)}
-	for _, row := range r.Rows {
+	pass := make([]bool, len(r.Rows))
+	n := 0
+	for i, row := range r.Rows {
 		if isTrue(pred.eval(row)) {
+			pass[i] = true
+			n++
+		}
+	}
+	out := &Rel{Cols: r.Cols, Rows: make([]table.Row, 0, n)}
+	for i, row := range r.Rows {
+		if pass[i] {
 			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out
 }
 
-func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr) (*Rel, error) {
+// evalTable evaluates one FROM entry. need lists the references evaluated
+// over its result; a join keeps only the columns they can resolve to.
+// Base tables, CTEs and derived tables are returned unpruned: they share
+// their rows rather than copy them.
+func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sqlast.ColumnRef) (*Rel, error) {
 	switch te := te.(type) {
 	case *sqlast.BaseTable:
 		alias := te.Alias
@@ -440,15 +495,17 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr) (*Rel, err
 		}
 		return &Rel{Cols: cols, Rows: inner.Rows}, nil
 	case *sqlast.Join:
-		l, err := evalTable(ctx, cat, te.L)
+		// The inputs must also carry what this join's own ON reads.
+		inner := collectRefs(te.On, need[:len(need):len(need)])
+		l, err := evalTable(ctx, cat, te.L, inner)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalTable(ctx, cat, te.R)
+		r, err := evalTable(ctx, cat, te.R, inner)
 		if err != nil {
 			return nil, err
 		}
-		return evalJoinRel(ctx, l, r, te.Kind, te.On)
+		return evalJoinRel(ctx, l, r, te.Kind, te.On, need)
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported table expression %T", te)
 	}
@@ -472,81 +529,152 @@ func isEquiBetween(c sqlast.Expr, l, r *Rel) bool {
 		inR(lc) && inL(rc) && !inL(lc) && !inR(rc)
 }
 
-// evalJoinRel joins two materialized relations. The ON condition is
+// evalJoinRel joins two materialized relations, keeping only the columns
+// that some reference in need can resolve to. The ON condition is
 // decomposed into disjuncts (the paper's unified plans join on
 // "(L2=1 and …) or (L2=2 and …)"); each disjunct contributes matches via a
 // hash join when it contains an equi-conjunct, or a filtered nested loop
 // otherwise. Matches from different disjuncts are deduplicated so the join
-// behaves as a single logical predicate.
-func evalJoinRel(ctx context.Context, l, r *Rel, kind sqlast.JoinKind, on sqlast.Expr) (*Rel, error) {
-	outCols := concatCols(l.Cols, r.Cols)
-	matches := make([][]int, len(l.Rows)) // left row index → right row indices in match order
-	if on == nil {
-		// Cross product.
-		all := make([]int, len(r.Rows))
-		for i := range all {
-			all[i] = i
-		}
-		for i := range matches {
-			matches[i] = all
-		}
-	} else {
-		var disjuncts []sqlast.Expr
-		if or, ok := on.(*sqlast.Or); ok {
-			disjuncts = or.Terms
-		} else {
-			disjuncts = []sqlast.Expr{on}
-		}
-		// A single disjunct visits each (left, right) pair at most once, so
-		// the cross-disjunct dedup map is only needed when there are several.
-		var seen map[int64]bool
-		if len(disjuncts) > 1 {
-			seen = make(map[int64]bool)
-		}
-		for _, d := range disjuncts {
-			if err := joinDisjunct(ctx, l, r, d, outCols, matches, seen); err != nil {
-				return nil, err
+// behaves as a single logical predicate. The matches come first, so the
+// output's rows are carved from one slab sized to the exact row count.
+func evalJoinRel(ctx context.Context, l, r *Rel, kind sqlast.JoinKind, on sqlast.Expr, need []*sqlast.ColumnRef) (*Rel, error) {
+	m, err := joinMatches(ctx, l, r, on)
+	if err != nil {
+		return nil, err
+	}
+	keepL, keepR := keepCols(l.Cols, need), keepCols(r.Cols, need)
+	cols := make([]Col, 0, len(keepL)+len(keepR))
+	for _, c := range keepL {
+		cols = append(cols, l.Cols[c])
+	}
+	for _, c := range keepR {
+		cols = append(cols, r.Cols[c])
+	}
+	outer := kind == sqlast.JoinLeftOuter
+	n := len(m.right)
+	if outer {
+		for li := range l.Rows {
+			if m.off[li] == m.off[li+1] {
+				n++
 			}
 		}
 	}
 
-	out := &Rel{Cols: outCols}
-	nulls := make(table.Row, len(r.Cols))
+	out := &Rel{Cols: cols, Rows: slabRows(n, len(cols))}
+	o := 0
 	for li, lrow := range l.Rows {
 		if err := pollCtx(ctx, li); err != nil {
 			return nil, err
 		}
-		rs := matches[li]
-		if len(rs) == 0 {
-			if kind == sqlast.JoinLeftOuter {
-				out.Rows = append(out.Rows, concatRow(lrow, nulls))
-			}
-			continue
-		}
-		// Emit matches in right-relation order for determinism. Single-
-		// disjunct joins record matches in ascending order already; only
-		// multi-disjunct merges need the copy and sort.
-		if !sort.IntsAreSorted(rs) {
-			sorted := append([]int(nil), rs...)
-			sort.Ints(sorted)
-			rs = sorted
+		rs := m.right[m.off[li]:m.off[li+1]]
+		if len(rs) == 0 && outer {
+			gather(out.Rows[o], lrow, keepL) // the right-hand columns stay NULL
+			o++
 		}
 		for _, ri := range rs {
-			out.Rows = append(out.Rows, concatRow(lrow, r.Rows[ri]))
+			row := out.Rows[o]
+			gather(row, lrow, keepL)
+			gather(row[len(keepL):], r.Rows[ri], keepR)
+			o++
 		}
 	}
-	obs.M().ExecJoin(int64(len(out.Rows)))
+	obs.M().ExecJoin(int64(n))
 	return out, nil
 }
 
-// joinDisjunct adds the (left, right) index pairs satisfying one ON
-// disjunct to matches, skipping pairs already recorded in seen. A nil seen
-// disables the dedup (single-disjunct joins cannot repeat a pair).
-func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, outCols []Col, matches [][]int, seen map[int64]bool) error {
+// gather copies the columns idx of src, in order, to the front of dst.
+func gather(dst, src table.Row, idx []int) {
+	for i, c := range idx {
+		dst[i] = src[c]
+	}
+}
+
+// matchList holds a join's matches flat: left row li matches the right
+// rows right[off[li]:off[li+1]], in ascending order.
+type matchList struct {
+	off   []int32
+	right []int32
+}
+
+// joinMatches computes the matches of an ON condition (nil: a cross
+// product) between l and r.
+func joinMatches(ctx context.Context, l, r *Rel, on sqlast.Expr) (matchList, error) {
+	// A key/foreign-key join matches at most the larger side's row count;
+	// sizing the match lists to it spares them growth in the common case.
+	size := max(len(l.Rows), len(r.Rows))
+	p := pairs{left: make([]int32, 0, size), right: make([]int32, 0, size)}
+	if on == nil {
+		for li := range l.Rows {
+			for ri := range r.Rows {
+				p.add(li, ri)
+			}
+		}
+		return p.group(len(l.Rows), false), nil
+	}
+	disjuncts := []sqlast.Expr{on}
+	if or, ok := on.(*sqlast.Or); ok {
+		disjuncts = or.Terms
+	}
+	for _, d := range disjuncts {
+		if err := joinDisjunct(ctx, l, r, d, &p); err != nil {
+			return matchList{}, err
+		}
+	}
+	return p.group(len(l.Rows), len(disjuncts) > 1), nil
+}
+
+// pairs collects (left, right) row-index matches in the order one disjunct
+// finds them: ascending left index, ascending right index within a left
+// row.
+type pairs struct{ left, right []int32 }
+
+func (p *pairs) add(li, ri int) {
+	p.left = append(p.left, int32(li))
+	p.right = append(p.right, int32(ri))
+}
+
+// group turns the pairs into a matchList over nLeft left rows. One
+// disjunct's pairs arrive grouped and ordered already. Several disjuncts'
+// pairs (merge) are gathered per left row by a counting sort, and each
+// left row's segment is then sorted and deduplicated in place, so a pair
+// two disjuncts both match is emitted once.
+func (p *pairs) group(nLeft int, merge bool) matchList {
+	off := make([]int32, nLeft+1)
+	for _, li := range p.left {
+		off[li+1]++
+	}
+	for i := 1; i <= nLeft; i++ {
+		off[i] += off[i-1]
+	}
+	if !merge {
+		return matchList{off: off, right: p.right}
+	}
+	right := make([]int32, len(p.right))
+	next := append([]int32(nil), off[:nLeft]...)
+	for k, li := range p.left {
+		right[next[li]] = p.right[k]
+		next[li]++
+	}
+	w := int32(0)
+	for li := 0; li < nLeft; li++ {
+		seg := right[off[li]:off[li+1]]
+		slices.Sort(seg)
+		seg = slices.Compact(seg)
+		off[li] = w
+		w += int32(copy(right[w:], seg))
+	}
+	off[nLeft] = w
+	return matchList{off: off, right: right[:w]}
+}
+
+// joinDisjunct appends the (left, right) index pairs satisfying one ON
+// disjunct to p.
+func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, p *pairs) error {
 	conjs := sqlast.Conjuncts(d)
 	var leftKeys, rightKeys []compiledExpr
 	var leftPred, rightPred []compiledExpr
 	var residual []compiledExpr
+	var both []Col // l's columns then r's, the layout residuals read
 	for _, c := range conjs {
 		if cmp, ok := c.(*sqlast.Compare); ok && cmp.Op == sqlast.OpEq {
 			lc, lok := cmp.L.(*sqlast.ColumnRef)
@@ -577,7 +705,10 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, outCols []Col, 
 			rightPred = append(rightPred, ce)
 			continue
 		}
-		ce, err := compile(c, outCols)
+		if both == nil {
+			both = concatCols(l.Cols, r.Cols)
+		}
+		ce, err := compile(c, both)
 		if err != nil {
 			return err
 		}
@@ -592,44 +723,72 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, outCols []Col, 
 		}
 		return true
 	}
+	// Residuals read both sides: each candidate pair is copied into one
+	// scratch row, overwritten by the next.
+	var pair table.Row
+	if len(residual) > 0 {
+		pair = make(table.Row, len(both))
+	}
 	record := func(li, ri int, lrow, rrow table.Row) {
-		if len(residual) > 0 {
-			combined := concatRow(lrow, rrow)
-			if !passes(residual, combined) {
+		if pair != nil {
+			copy(pair, lrow)
+			copy(pair[len(l.Cols):], rrow)
+			if !passes(residual, pair) {
 				return
 			}
 		}
-		if seen != nil {
-			key := int64(li)<<32 | int64(ri)
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-		}
-		matches[li] = append(matches[li], ri)
+		p.add(li, ri)
 	}
 
 	if len(leftKeys) > 0 {
 		// Hash join: build on the right, probe from the left. NULL keys
-		// never match per SQL equality semantics. The build table is sized
-		// from the input cardinality up front, and both sides share one
-		// scratch buffer for composite keys; the probe side's
-		// map[string(buf)] lookups allocate nothing.
-		ht := make(map[string][]int, len(r.Rows))
+		// never match per SQL equality semantics. The build side's
+		// composite keys are written back to back into one string, so the
+		// map's keys are substrings of it; the map holds each distinct
+		// key's first row and next chains the rest. Neither side allocates
+		// per row: the probe reuses one scratch buffer and looks the map up
+		// through the allocation-free map[string(buf)] form.
+		// A first pass measures the keys, so the string is allocated once.
+		bounds := make([]int32, len(r.Rows)+1) // row ri's key is all[bounds[ri]:bounds[ri+1]]
 		var scratch []byte
 		for ri, rrow := range r.Rows {
 			if err := pollCtx(ctx, ri); err != nil {
 				return err
 			}
-			if !passes(rightPred, rrow) {
-				continue
+			n := 0
+			if passes(rightPred, rrow) {
+				key, ok := appendHashKey(scratch[:0], rightKeys, rrow)
+				scratch = key
+				if ok {
+					n = len(key)
+				}
 			}
-			key, ok := appendHashKey(scratch[:0], rightKeys, rrow)
-			scratch = key
+			bounds[ri+1] = bounds[ri] + int32(n)
+		}
+		var keys strings.Builder
+		keys.Grow(int(bounds[len(r.Rows)]))
+		for ri, rrow := range r.Rows {
+			if bounds[ri+1] > bounds[ri] {
+				scratch, _ = appendHashKey(scratch[:0], rightKeys, rrow)
+				keys.Write(scratch)
+			}
+		}
+		all := keys.String()
+		head := make(map[string]int32, len(r.Rows))
+		next := make([]int32, len(r.Rows))
+		// Inserting from the last row leaves every chain in ascending
+		// row order.
+		for ri := len(r.Rows) - 1; ri >= 0; ri-- {
+			k := all[bounds[ri]:bounds[ri+1]]
+			if k == "" {
+				continue // filtered out, or a NULL key
+			}
+			h, ok := head[k]
 			if !ok {
-				continue
+				h = -1
 			}
-			ht[string(key)] = append(ht[string(key)], ri)
+			next[ri] = h
+			head[k] = int32(ri)
 		}
 		for li, lrow := range l.Rows {
 			if err := pollCtx(ctx, li); err != nil {
@@ -643,8 +802,12 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, outCols []Col, 
 			if !ok {
 				continue
 			}
-			for _, ri := range ht[string(key)] {
-				record(li, ri, lrow, r.Rows[ri])
+			h, ok := head[string(key)]
+			if !ok {
+				continue
+			}
+			for ri := h; ri >= 0; ri = next[ri] {
+				record(li, int(ri), lrow, r.Rows[ri])
 			}
 		}
 		return nil

@@ -66,8 +66,8 @@ func BenchmarkHashJoinAllocs(b *testing.B) {
 }
 
 // BenchmarkHashJoinDisjunctiveAllocs covers the multi-disjunct ON path the
-// unified plans generate ("(cond and …) or (cond and …)"), which still
-// needs the cross-disjunct dedup map.
+// unified plans generate ("(cond and …) or (cond and …)"), which merges the
+// disjuncts' matches per left row and deduplicates them in place.
 func BenchmarkHashJoinDisjunctiveAllocs(b *testing.B) {
 	cat := benchCatalog(500, 4)
 	q, err := sqlparse.Parse(
@@ -82,5 +82,36 @@ func BenchmarkHashJoinDisjunctiveAllocs(b *testing.B) {
 		if _, err := Run(cat, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRunAllocsIndependentOfRows pins that the executor allocates per
+// operator, not per row: a three-way join with ORDER BY allocates nearly
+// the same at 250 and at 1 000 orders (1 000 and 4 000 order lines). The
+// slack is the hash builds' maps, which allocate one table per ~900 keys:
+// 24 more at the larger size. A per-row allocation would add thousands.
+func TestRunAllocsIndependentOfRows(t *testing.T) {
+	q, err := sqlparse.Parse("select o.okey, o.clerk, l.lnum, l2.qty from Ord o, Line l, Line l2" +
+		" where o.okey = l.okey and l.okey = l2.okey and l.lnum = l2.lnum and o.total >= 0" +
+		" order by o.clerk, o.okey, l.lnum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(nOrders int) float64 {
+		cat := benchCatalog(nOrders, 4)
+		return testing.AllocsPerRun(5, func() {
+			r, err := Run(cat, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Rows) != nOrders*4 {
+				t.Fatalf("join produced %d rows, want %d", len(r.Rows), nOrders*4)
+			}
+		})
+	}
+	small, large := allocs(250), allocs(1000)
+	t.Logf("allocations per query: %v at 250 orders, %v at 1000", small, large)
+	if large-small > 32 {
+		t.Errorf("allocations grow with rows: %v at 250 orders, %v at 1000", small, large)
 	}
 }

@@ -279,6 +279,49 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestColumnErrorsSurvivePruning pins the exact resolution errors, and the
+// ON-clause resolutions that succeed, across pruned joins: every column a
+// reference can match survives pruning, so each message names the same
+// columns as over the unpruned relations.
+func TestColumnErrorsSurvivePruning(t *testing.T) {
+	cat := paperCatalog(t)
+	cases := []struct{ src, want string }{
+		{"select name from Supplier s, Nation n where s.nationkey = n.nationkey",
+			`sqlexec: ambiguous column reference "name" (matches s.name and n.name)`},
+		{"select s.suppkey from Supplier s, Nation n, PartSupp ps where s.nationkey = n.nationkey and s.suppkey = ps.suppkey and name = 'USA'",
+			`sqlexec: ambiguous column reference "name" (matches s.name and n.name)`},
+		{"select s.suppkey as k from Supplier s, Nation n where s.nationkey = n.nationkey order by name",
+			`sqlexec: order by: sqlexec: ambiguous column reference "name" (matches s.name and n.name)`},
+		{"select name from Supplier s left outer join PartSupp ps on s.suppkey = ps.suppkey, Part p where ps.partkey = p.partkey",
+			`sqlexec: ambiguous column reference "name" (matches s.name and p.name)`},
+		{"select ps.availqty, n.ghost from Supplier s join PartSupp ps on s.suppkey = ps.suppkey, Nation n where s.nationkey = n.nationkey",
+			`sqlexec: unknown column "n.ghost"`},
+		// Join order, not FROM order, decides which two columns are named.
+		{"select name from Nation n, Part p, Supplier s where s.nationkey = n.nationkey",
+			`sqlexec: ambiguous column reference "name" (matches n.name and s.name)`},
+		{"select p.name from PartSupp ps join Part p on ps.partkey = p.partkey, PartSupp ps2 where availqty > 1",
+			`sqlexec: ambiguous column reference "availqty" (matches ps.availqty and ps2.availqty)`},
+		// An ON conjunct resolves against the left input first, so these
+		// succeed; the left input must keep s.name for that.
+		{"select s.suppkey from Supplier s left outer join Nation n on s.nationkey = n.nationkey and name = 'USA'", ""},
+		{"select s.suppkey from Supplier s join PartSupp ps on s.suppkey = ps.suppkey join Part p on ps.partkey = p.partkey and name = 'x'", ""},
+	}
+	for _, c := range cases {
+		q, err := sqlparse.Parse(c.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.src, err)
+		}
+		_, err = Run(cat, q)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("Run(%q):\n got error %q\nwant error %q", c.src, got, c.want)
+		}
+	}
+}
+
 func TestDisjunctsDoNotDuplicateMatches(t *testing.T) {
 	cat := paperCatalog(t)
 	// Both disjuncts match the same pairs; each pair must appear once.

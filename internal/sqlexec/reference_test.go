@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"silkroute/internal/sqlast"
@@ -37,7 +38,9 @@ func referenceRun(cat Catalog, q sqlast.Query) (*Rel, error) {
 				out.Rows = append(out.Rows, r.Rows...)
 			}
 		}
-		refSort(out, q.OrderBy, nil)
+		if err := refSort(out, q.OrderBy, nil); err != nil {
+			return nil, err
+		}
 		return out, nil
 	default:
 		return nil, fmt.Errorf("reference: %T", q)
@@ -55,7 +58,7 @@ func referenceSelect(cat Catalog, s *sqlast.Select) (*Rel, error) {
 		cross := &Rel{Cols: concatCols(src.Cols, r.Cols)}
 		for _, l := range src.Rows {
 			for _, rr := range r.Rows {
-				cross.Rows = append(cross.Rows, concatRow(l, rr))
+				cross.Rows = append(cross.Rows, refRow(l, rr))
 			}
 		}
 		src = cross
@@ -96,7 +99,9 @@ func referenceSelect(cat Catalog, s *sqlast.Select) (*Rel, error) {
 		}
 		out.Rows = append(out.Rows, prow)
 	}
-	refSort(out, s.OrderBy, src)
+	if err := refSort(out, s.OrderBy, src); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -134,14 +139,14 @@ func referenceTable(cat Catalog, te sqlast.TableExpr) (*Rel, error) {
 		for _, lrow := range l.Rows {
 			matched := false
 			for _, rrow := range r.Rows {
-				combined := concatRow(lrow, rrow)
+				combined := refRow(lrow, rrow)
 				if isTrue(pred.eval(combined)) {
 					out.Rows = append(out.Rows, combined)
 					matched = true
 				}
 			}
 			if !matched && te.Kind == sqlast.JoinLeftOuter {
-				out.Rows = append(out.Rows, concatRow(lrow, nulls))
+				out.Rows = append(out.Rows, refRow(lrow, nulls))
 			}
 		}
 		return out, nil
@@ -160,11 +165,16 @@ func referenceTable(cat Catalog, te sqlast.TableExpr) (*Rel, error) {
 	}
 }
 
+// refRow returns l ++ r as a fresh row.
+func refRow(l, r table.Row) table.Row {
+	return append(append(make(table.Row, 0, len(l)+len(r)), l...), r...)
+}
+
 // refSort sorts with the same key resolution rules as the engine, fully
 // in memory.
-func refSort(out *Rel, order []sqlast.OrderItem, src *Rel) {
+func refSort(out *Rel, order []sqlast.OrderItem, src *Rel) error {
 	if len(order) == 0 {
-		return
+		return nil
 	}
 	type kf struct {
 		ce    compiledExpr
@@ -172,13 +182,17 @@ func refSort(out *Rel, order []sqlast.OrderItem, src *Rel) {
 	}
 	var keys []kf
 	for _, it := range order {
-		if ce, err := compile(it.Expr, out.Cols); err == nil {
+		ce, err := compile(it.Expr, out.Cols)
+		if err == nil {
 			keys = append(keys, kf{ce: ce})
 			continue
 		}
-		ce, err := compile(it.Expr, src.Cols)
+		if src == nil {
+			return fmt.Errorf("sqlexec: order by: %w", err)
+		}
+		ce, err = compile(it.Expr, src.Cols)
 		if err != nil {
-			panic(err)
+			return fmt.Errorf("sqlexec: order by: %w", err)
 		}
 		keys = append(keys, kf{ce: ce, onSrc: true})
 	}
@@ -205,6 +219,7 @@ func refSort(out *Rel, order []sqlast.OrderItem, src *Rel) {
 		sorted[i] = out.Rows[j]
 	}
 	out.Rows = sorted
+	return nil
 }
 
 // canonical renders a relation as sorted row strings, so engines that
@@ -223,94 +238,229 @@ func canonical(r *Rel) []string {
 	return out
 }
 
-// randomQuery builds a random query over the paper catalog's tables.
-func randomQuery(rng *rand.Rand) string {
-	tables := []struct {
-		name  string
-		alias string
-		cols  []string
-	}{
-		{"Supplier", "s", []string{"suppkey", "name", "nationkey"}},
-		{"Nation", "n", []string{"nationkey", "name", "regionkey"}},
-		{"PartSupp", "ps", []string{"partkey", "suppkey", "availqty"}},
-		{"Part", "p", []string{"partkey", "name", "retail"}},
+// chooser is the query generator's source of decisions: a *rand.Rand in
+// the randomized test, the fuzz input's bytes in the fuzz target.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser decides from fuzz input, one byte per decision; exhausted
+// input decides 0, which always ends the query.
+type byteChooser struct{ b []byte }
+
+func (c *byteChooser) Intn(n int) int {
+	if len(c.b) == 0 {
+		return 0
 	}
-	n := rng.Intn(3) + 1
+	v := int(c.b[0]) % n
+	c.b = c.b[1:]
+	return v
+}
+
+// recorder records another chooser's decisions as bytes, which a
+// byteChooser replays into the same query (every decision is below 256).
+type recorder struct {
+	c chooser
+	b []byte
+}
+
+func (r *recorder) Intn(n int) int {
+	v := r.c.Intn(n)
+	r.b = append(r.b, byte(v))
+	return v
+}
+
+// genTables are the paper catalog's tables as the generator sees them.
+var genTables = []struct {
+	name, alias string
+	cols        []string
+}{
+	{"Supplier", "s", []string{"suppkey", "name", "addr", "nationkey"}},
+	{"Nation", "n", []string{"nationkey", "name", "regionkey"}},
+	{"PartSupp", "ps", []string{"partkey", "suppkey", "availqty"}},
+	{"Part", "p", []string{"partkey", "name", "retail"}},
+}
+
+// genLits are literals that split the paper catalog's keys and quantities.
+var genLits = []string{"0", "1", "2", "3", "4", "12", "19", "20", "24", "64", "100", "320", "910", "'USA'"}
+
+// randomQuery builds a query over one to five of the paper catalog's
+// tables. A table is a comma-join entry or is left-outer-joined to the one
+// before it on an equality, possibly a disjunction of two, possibly with
+// a literal filter or a cross-table non-equi residual. The select list
+// reads some of the tables' columns, so joins prune the rest, including
+// part of an outer join's right side. References are qualified or
+// unqualified, so some are unique and some ambiguous. WHERE mixes literal
+// filters, equalities between neighbours and cross-table non-equi
+// residuals. ORDER BY has one to three keys, each an output alias or a
+// source column outside the select list.
+func randomQuery(c chooser) string {
+	ops := []string{"=", "<", ">", "<=", ">=", "<>"}
+	n := c.Intn(5) + 1
 	chosen := make([]int, n)
+	aliases := make([]string, n)
 	for i := range chosen {
-		chosen[i] = rng.Intn(len(tables))
+		chosen[i] = c.Intn(len(genTables))
+		aliases[i] = fmt.Sprintf("%s%d", genTables[chosen[i]].alias, i)
 	}
-	from := ""
-	var whereParts []string
-	var items []string
-	for i, ti := range chosen {
-		t := tables[ti]
-		alias := fmt.Sprintf("%s%d", t.alias, i)
-		if i > 0 {
-			from += ", "
+	col := func(i int) string { t := genTables[chosen[i]]; return t.cols[c.Intn(len(t.cols))] }
+	qcol := func(i int) string { return aliases[i] + "." + col(i) }
+	// A reference to one of table i's columns, unqualified one time in ten.
+	anyCol := func(i int) string {
+		if c.Intn(10) == 0 {
+			return col(i)
 		}
-		from += t.name + " " + alias
-		items = append(items, fmt.Sprintf("%s.%s as c%d", alias, t.cols[rng.Intn(len(t.cols))], i))
-		// Random predicates: literal comparisons and cross-table
-		// equalities.
-		if rng.Intn(2) == 0 {
-			col := t.cols[rng.Intn(len(t.cols))]
-			op := []string{"=", "<", ">", "<=", ">=", "<>"}[rng.Intn(6)]
-			whereParts = append(whereParts, fmt.Sprintf("%s.%s %s %d", alias, col, op, rng.Intn(25)))
+		return qcol(i)
+	}
+	// An equality between tables i and j, on a column name they share
+	// (a key, or both sides of a self-join) three times in four.
+	eq := func(i, j int) string {
+		var shared []string
+		for _, a := range genTables[chosen[i]].cols {
+			for _, b := range genTables[chosen[j]].cols {
+				if a == b {
+					shared = append(shared, a)
+				}
+			}
 		}
-		if i > 0 && rng.Intn(2) == 0 {
-			prev := tables[chosen[i-1]]
-			prevAlias := fmt.Sprintf("%s%d", prev.alias, i-1)
-			whereParts = append(whereParts,
-				fmt.Sprintf("%s.%s = %s.%s", prevAlias, prev.cols[rng.Intn(len(prev.cols))], alias, t.cols[rng.Intn(len(t.cols))]))
+		if len(shared) > 0 && c.Intn(4) != 0 {
+			name := shared[c.Intn(len(shared))]
+			return aliases[i] + "." + name + " = " + aliases[j] + "." + name
+		}
+		return qcol(i) + " = " + qcol(j)
+	}
+
+	var entries, where, items []string
+	for i := range chosen {
+		t := genTables[chosen[i]]
+		if i > 0 && c.Intn(3) == 0 {
+			disjunct := func() string {
+				d := eq(i-1, i)
+				switch c.Intn(3) {
+				case 1:
+					d += " and " + qcol(i) + " " + ops[c.Intn(len(ops))] + " " + genLits[c.Intn(len(genLits))]
+				case 2:
+					d += " and " + qcol(i-1) + " " + ops[1+c.Intn(len(ops)-1)] + " " + qcol(i)
+				}
+				return d
+			}
+			on := disjunct()
+			if c.Intn(3) == 0 {
+				on = "(" + on + ") or (" + disjunct() + ")"
+			}
+			entries[len(entries)-1] += " left outer join " + t.name + " " + aliases[i] + " on " + on
+		} else {
+			entries = append(entries, t.name+" "+aliases[i])
+		}
+		if c.Intn(4) != 0 {
+			items = append(items, fmt.Sprintf("%s as c%d", anyCol(i), len(items)))
+		}
+		if c.Intn(3) == 0 {
+			where = append(where, anyCol(i)+" "+ops[c.Intn(len(ops))]+" "+genLits[c.Intn(len(genLits))])
+		}
+		if i > 0 && c.Intn(2) == 0 {
+			where = append(where, eq(c.Intn(i), i))
+		}
+		if i > 0 && c.Intn(4) == 0 {
+			where = append(where, qcol(c.Intn(i))+" "+ops[1+c.Intn(len(ops)-1)]+" "+qcol(i))
 		}
 	}
-	sql := "select " + join(items, ", ") + " from " + from
-	if len(whereParts) > 0 {
-		sql += " where " + join(whereParts, " and ")
+	if len(items) == 0 {
+		items = append(items, qcol(0)+" as c0")
 	}
-	sql += " order by c0"
-	return sql
+	var order []string
+	for k := c.Intn(3) + 1; k > 0; k-- {
+		switch c.Intn(4) {
+		case 0:
+			order = append(order, anyCol(c.Intn(n)))
+		default:
+			order = append(order, fmt.Sprintf("c%d", c.Intn(len(items))))
+		}
+	}
+	sql := "select " + strings.Join(items, ", ") + " from " + strings.Join(entries, ", ")
+	if len(where) > 0 {
+		sql += " where " + strings.Join(where, " and ")
+	}
+	return sql + " order by " + strings.Join(order, ", ")
 }
 
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
+// errKey is an error's text without the pair of columns an ambiguity
+// names: which two of the matching columns are reported depends on the
+// order the relations were joined in, which the reference does not model.
+func errKey(err error) string {
+	s := err.Error()
+	if i := strings.Index(s, " (matches "); i >= 0 {
+		return s[:i]
 	}
-	return out
+	return s
 }
 
-func TestExecutorMatchesReferenceOnRandomQueries(t *testing.T) {
-	cat := paperCatalog(t)
-	rng := rand.New(rand.NewSource(2001))
-	for i := 0; i < 300; i++ {
-		src := randomQuery(rng)
-		q, err := sqlparse.Parse(src)
+// checkAgainstReference runs src through the executor and the reference:
+// both must fail alike or return the same rows, in the same ORDER BY key
+// sequence.
+func checkAgainstReference(t *testing.T, cat Catalog, src string) {
+	t.Helper()
+	q, err := sqlparse.Parse(src)
+	if err != nil {
+		t.Fatalf("generated unparseable SQL %q: %v", src, err)
+	}
+	got, gerr := Run(cat, q)
+	want, werr := referenceRun(cat, q)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("on %q: executor error %v, reference error %v", src, gerr, werr)
+	}
+	if gerr != nil {
+		if errKey(gerr) != errKey(werr) {
+			t.Fatalf("on %q: executor error %q, reference error %q", src, gerr, werr)
+		}
+		return
+	}
+	g, w := canonical(got), canonical(want)
+	if len(g) != len(w) {
+		t.Fatalf("row count mismatch on %q: got %d, want %d", src, len(g), len(w))
+	}
+	for j := range g {
+		if g[j] != w[j] {
+			t.Fatalf("row %d mismatch on %q:\n got %s\nwant %s", j, src, g[j], w[j])
+		}
+	}
+	// Rows tied on every key may come out in either order, but the key
+	// sequence is fixed; compare it on the keys that are output columns.
+	for _, it := range q.(*sqlast.Select).OrderBy {
+		ce, err := compile(it.Expr, got.Cols)
 		if err != nil {
-			t.Fatalf("generated unparseable SQL %q: %v", src, err)
+			continue
 		}
-		got, err := Run(cat, q)
-		if err != nil {
-			t.Fatalf("executor failed on %q: %v", src, err)
-		}
-		want, err := referenceRun(cat, q)
-		if err != nil {
-			t.Fatalf("reference failed on %q: %v", src, err)
-		}
-		g, w := canonical(got), canonical(want)
-		if len(g) != len(w) {
-			t.Fatalf("row count mismatch on %q: got %d, want %d", src, len(g), len(w))
-		}
-		for j := range g {
-			if g[j] != w[j] {
-				t.Fatalf("row %d mismatch on %q:\n got %s\nwant %s", j, src, g[j], w[j])
+		for j := range got.Rows {
+			if gv, wv := ce.eval(got.Rows[j]), ce.eval(want.Rows[j]); !value.Identical(gv, wv) {
+				t.Fatalf("order mismatch on %q at row %d: got key %s, want %s", src, j, gv, wv)
 			}
 		}
 	}
+}
+
+// differentialSeed drives TestExecutorMatchesReferenceOnRandomQueries; the
+// decisions behind its first queries seed FuzzExecutorMatchesReference.
+const differentialSeed = 2001
+
+func TestExecutorMatchesReferenceOnRandomQueries(t *testing.T) {
+	cat := paperCatalog(t)
+	rng := rand.New(rand.NewSource(differentialSeed))
+	for i := 0; i < 600; i++ {
+		checkAgainstReference(t, cat, randomQuery(rng))
+	}
+}
+
+// FuzzExecutorMatchesReference derives a query from the fuzz input through
+// randomQuery's decisions and checks the executor against the reference.
+func FuzzExecutorMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(differentialSeed))
+	for i := 0; i < 32; i++ {
+		rec := &recorder{c: rng}
+		randomQuery(rec)
+		f.Add(rec.b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, paperCatalog(t), randomQuery(&byteChooser{b: data}))
+	})
 }
 
 func TestExecutorMatchesReferenceOnOuterJoins(t *testing.T) {
