@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet staticcheck test test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke bench-smoke bench-json loadtest loadtest-smoke overload-chaos ci loc experiments
+.PHONY: all build vet staticcheck test test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest loadtest-smoke overload-chaos ci loc experiments
 
 all: build
 
@@ -72,31 +72,6 @@ cache-check:
 	$(GO) test $(GOFLAGS) -race -run 'Cache|Invalidation' -count=1 .
 	$(GO) test $(GOFLAGS) -race ./internal/plancache/ ./internal/fragcache/
 
-# One iteration of the parallel-execution grid: proves the benchmark and
-# the worker pool still run, without paying for a full measurement.
-# The captured output doubles as the CI artifact (bench-smoke.txt).
-bench-smoke:
-	@$(GO) test $(GOFLAGS) -run '^$$' -bench ParallelExecute -benchtime 1x ./internal/plan > bench-smoke.txt 2>&1; \
-		status=$$?; cat bench-smoke.txt; exit $$status
-
-# The core benchmarks (cache speedup, parallel execution, hash join, wire
-# transfer, replica failover, sharded scatter-gather) in
-# machine-readable form: one pass each, three samples, parsed by
-# cmd/benchjson into BENCH_9.json — committed at the repo root and archived
-# by CI so later PRs can diff ns/op, B/op, and allocs/op without scraping
-# logs.
-bench-json:
-	@$(GO) test $(GOFLAGS) -run '^$$' \
-		-bench 'MaterializeCached|WireTransfer|ReplicaFailover|ShardedMaterialize' \
-		-benchtime 1x -count 3 . > bench-raw.txt 2>&1 && \
-	$(GO) test $(GOFLAGS) -run '^$$' -bench ParallelExecute -benchtime 1x -count 3 \
-		./internal/plan >> bench-raw.txt 2>&1 && \
-	$(GO) test $(GOFLAGS) -run '^$$' -bench HashJoin -benchtime 1x -count 3 \
-		./internal/sqlexec >> bench-raw.txt 2>&1; \
-	status=$$?; cat bench-raw.txt; \
-	if [ $$status -eq 0 ]; then $(GO) run ./cmd/benchjson -o BENCH_9.json bench-raw.txt; fi; \
-	rm -f bench-raw.txt; exit $$status
-
 # The view-service load test: N clients × M views against an in-process
 # silkrouted, every response byte-compared to a direct Materialize, plus
 # the saturation (503 + Retry-After) and SIGTERM-drain (zero truncated
@@ -132,7 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 
-ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest-smoke overload-chaos bench-smoke bench-json
+ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest-smoke overload-chaos
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

@@ -247,28 +247,6 @@ func BenchmarkAblationGreedyCoefficients(b *testing.B) {
 	}
 }
 
-// BenchmarkWireTransfer isolates the middleware's tuple binding/transfer
-// path: the §2 "total time minus query time" component.
-func BenchmarkWireTransfer(b *testing.B) {
-	e := env(b, benchScaleA)
-	sql := "select l.orderkey, l.partkey, l.suppkey, l.lno, l.qty, l.prc from LineItem l order by l.orderkey, l.lno"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := e.client.Query(ctx, sql)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := rows.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(rows.BytesRead)
-	}
-}
-
 // BenchmarkReplicaFailover measures the cross-replica failover path end to
 // end: every iteration opens a sorted stream on a replica that kills it
 // (and every same-replica continuation) after 100 rows, burns its one

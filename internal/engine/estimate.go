@@ -486,7 +486,8 @@ func equiSelectivity(c sqlast.Expr, l, r *estRel) (float64, bool) {
 // in one relation: equality with a literal uses 1/distinct, other
 // comparisons use the default selectivity.
 func singleRelSelectivity(c sqlast.Expr, r *estRel) (float64, bool) {
-	refs := collectRefs(c)
+	var buf [8]*sqlast.ColumnRef
+	refs := sqlast.ColumnRefs(c, buf[:0])
 	if len(refs) == 0 {
 		return 0, false
 	}
@@ -512,31 +513,4 @@ func singleRelSelectivity(c sqlast.Expr, r *estRel) (float64, bool) {
 		}
 	}
 	return defaultSelectivity, true
-}
-
-// collectRefs gathers the column references of an expression.
-func collectRefs(e sqlast.Expr) []*sqlast.ColumnRef {
-	var out []*sqlast.ColumnRef
-	var walk func(sqlast.Expr)
-	walk = func(e sqlast.Expr) {
-		switch e := e.(type) {
-		case *sqlast.ColumnRef:
-			out = append(out, e)
-		case *sqlast.Compare:
-			walk(e.L)
-			walk(e.R)
-		case *sqlast.And:
-			for _, t := range e.Terms {
-				walk(t)
-			}
-		case *sqlast.Or:
-			for _, t := range e.Terms {
-				walk(t)
-			}
-		case *sqlast.IsNull:
-			walk(e.E)
-		}
-	}
-	walk(e)
-	return out
 }

@@ -2,11 +2,9 @@ package plan
 
 import (
 	"context"
-	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -130,6 +128,11 @@ type costEntry struct {
 // thresholds. Cost estimates are cached per candidate query, so the
 // number of oracle requests stays far below the O(|E|²) bound.
 //
+// A candidate is named by its node set, read off one labelling of the
+// nodes per iteration, so costing a candidate the cache already holds
+// builds nothing. Only a miss builds the candidate's one component, its
+// SQL and its estimate request.
+//
 // Within each iteration the remaining edges are costed concurrently under
 // prm.Parallelism workers. Edge selection scans relative costs in edge
 // order, so the chosen plan family and the request count are independent
@@ -151,34 +154,38 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 
 	var requests atomic.Int64
 	var cacheMu sync.Mutex
+	// The cost cache is keyed by a candidate's node set, a bitset over node
+	// indices. In a tree a connected node set determines its internal edges
+	// (every edge between two members must be kept, or the set would not be
+	// connected), so the set alone names the query, and a key costs no
+	// partitioning. Only a miss builds the component.
 	costCache := make(map[string]*costEntry)
+	keyLen := (len(t.Nodes) + 7) / 8
 
 	// componentCost estimates the cost of the single query evaluating the
-	// component that contains seed, under the given contracted-edge set.
-	componentCost := func(keep []bool, seed *viewtree.Node) (float64, error) {
-		comps, err := t.Partition(keep, prm.Reduce)
-		if err != nil {
-			return 0, err
+	// component that contains seed under the contracted edges plus, when
+	// extra >= 0, edge extra. roots labels every node with its component's
+	// root under the contracted edges alone.
+	componentCost := func(roots []int, seed *viewtree.Node, extra int) (float64, error) {
+		a, b := roots[seed.Index], -1
+		if extra >= 0 {
+			b = roots[t.Edges[extra].Child.Index]
 		}
-		var comp *viewtree.Component
-	outer:
-		for _, c := range comps {
-			for _, n := range c.Nodes() {
-				if n == seed {
-					comp = c
-					break outer
-				}
+		var stack [32]byte // trees of up to 256 nodes key without allocating
+		key := stack[:min(keyLen, len(stack))]
+		if keyLen > len(stack) {
+			key = make([]byte, keyLen)
+		}
+		for i, r := range roots {
+			if r == a || r == b {
+				key[i/8] |= 1 << (i % 8)
 			}
 		}
-		if comp == nil {
-			return 0, fmt.Errorf("plan: component for node %s not found", seed.SkolemName)
-		}
-		key := componentKey(comp, prm.Reduce)
 		cacheMu.Lock()
-		entry, ok := costCache[key]
+		entry, ok := costCache[string(key)]
 		if !ok {
 			entry = &costEntry{}
-			costCache[key] = entry
+			costCache[string(key)] = entry
 		}
 		cacheMu.Unlock()
 		if ok {
@@ -187,6 +194,16 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 			obs.M().PlannerCacheHit()
 		}
 		entry.once.Do(func() {
+			keep := contracted
+			if extra >= 0 {
+				keep = slices.Clone(contracted)
+				keep[extra] = true
+			}
+			comp, err := t.Component(keep, seed, prm.Reduce)
+			if err != nil {
+				entry.err = err
+				return
+			}
 			streams, err := sqlgen.Generate(t, []*viewtree.Component{comp}, prm.Style)
 			if err != nil {
 				entry.err = err
@@ -206,22 +223,20 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 
 	// evalEdge computes one edge's relative cost: combined query minus the
 	// two separate incident queries.
-	evalEdge := func(ei int) (float64, error) {
+	evalEdge := func(roots []int, ei int) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		e := t.Edges[ei]
-		q1, err := componentCost(contracted, e.Parent)
+		q1, err := componentCost(roots, e.Parent, -1)
 		if err != nil {
 			return 0, err
 		}
-		q2, err := componentCost(contracted, e.Child)
+		q2, err := componentCost(roots, e.Child, -1)
 		if err != nil {
 			return 0, err
 		}
-		withEdge := append([]bool{}, contracted...)
-		withEdge[ei] = true
-		qc, err := componentCost(withEdge, e.Parent)
+		qc, err := componentCost(roots, e.Parent, ei)
 		if err != nil {
 			return 0, err
 		}
@@ -238,6 +253,10 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 		if len(remaining) == 0 {
 			break
 		}
+		roots, err := t.ComponentRoots(contracted)
+		if err != nil {
+			return nil, err
+		}
 		rels := make([]float64, len(remaining))
 		errs := make([]error, len(remaining))
 		if workers := min(par, len(remaining)); workers > 1 {
@@ -252,14 +271,14 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 						if i >= len(remaining) {
 							return
 						}
-						rels[i], errs[i] = evalEdge(remaining[i])
+						rels[i], errs[i] = evalEdge(roots, remaining[i])
 					}
 				}()
 			}
 			wg.Wait()
 		} else {
 			for i, ei := range remaining {
-				rels[i], errs[i] = evalEdge(ei)
+				rels[i], errs[i] = evalEdge(roots, ei)
 			}
 		}
 		for _, err := range errs {
@@ -289,20 +308,4 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 	sort.Ints(res.Mandatory)
 	sort.Ints(res.Optional)
 	return res, nil
-}
-
-// componentKey identifies a candidate query by the set of nodes it
-// evaluates. In a tree, a connected component's node set determines its
-// internal edge set (every tree edge between two member nodes must be
-// kept, or the component would not be connected), so the set alone keys
-// the query.
-func componentKey(c *viewtree.Component, reduce bool) string {
-	var sfis []string
-	for _, g := range c.Groups {
-		for _, m := range g.Members {
-			sfis = append(sfis, viewtree.SFIString(m.SFI))
-		}
-	}
-	sort.Strings(sfis)
-	return strings.Join(sfis, ",") + "/" + strconv.FormatBool(reduce)
 }

@@ -2,9 +2,11 @@ package plan
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"silkroute/internal/engine"
+	"silkroute/internal/obs"
 	"silkroute/internal/rxl"
 	"silkroute/internal/tpch"
 	"silkroute/internal/viewtree"
@@ -58,6 +60,80 @@ func TestGreedyQuery2(t *testing.T) {
 	}
 	if got := res.BestPlan(tree).NumStreams(); got != 3 {
 		t.Errorf("best plan has %d streams, want 3 (supplier group, part group, order group)", got)
+	}
+}
+
+func TestGreedyGolden(t *testing.T) {
+	// The search's outcome and its estimate economy, pinned: the chosen
+	// edges, the §5.1 request count and the cost-cache hits. Every
+	// componentCost call is either a request or a hit, so the two together
+	// also pin how many candidates the search costs.
+	cases := []struct {
+		scale               float64
+		name, src           string
+		reduce              bool
+		mandatory, optional []int
+		requests, hits      int64
+	}{
+		{0.001, "Q1", rxl.Query1Source, false, []int{0, 2, 3}, []int{1}, 31, 74},
+		{0.001, "Q1", rxl.Query1Source, true, []int{0, 1, 2, 4, 6, 7, 8}, nil, 33, 99},
+		{0.001, "Q2", rxl.Query2Source, false, []int{0, 2, 3, 4}, []int{1}, 43, 74},
+		{0.001, "Q2", rxl.Query2Source, true, []int{0, 1, 2, 5, 6, 7, 8}, nil, 35, 97},
+		{0.002, "Q1", rxl.Query1Source, false, []int{0, 2, 3}, []int{1}, 31, 74},
+		{0.002, "Q1", rxl.Query1Source, true, []int{0, 1, 2, 4, 6, 7, 8}, nil, 33, 99},
+		{0.002, "Q2", rxl.Query2Source, false, []int{0, 2, 3, 4}, []int{1}, 43, 74},
+		{0.002, "Q2", rxl.Query2Source, true, []int{0, 1, 2, 5, 6, 7, 8}, nil, 35, 97},
+	}
+	dbs := map[float64]*engine.Database{}
+	for _, c := range cases {
+		db := dbs[c.scale]
+		if db == nil {
+			db = tpch.Generate(c.scale, 42)
+			dbs[c.scale] = db
+		}
+		tree := buildTree(t, db, c.src)
+		m := obs.NewMetrics()
+		prev := obs.M()
+		obs.SetGlobal(m)
+		res, err := Greedy(ctx, db, tree, DefaultGreedyParams(c.reduce))
+		obs.SetGlobal(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Mandatory, c.mandatory) || !slices.Equal(res.Optional, c.optional) {
+			t.Errorf("%s scale=%v reduce=%v: mandatory %v optional %v, want %v %v",
+				c.name, c.scale, c.reduce, res.Mandatory, res.Optional, c.mandatory, c.optional)
+		}
+		if res.Requests != c.requests {
+			t.Errorf("%s scale=%v reduce=%v: %d estimate requests, want %d", c.name, c.scale, c.reduce, res.Requests, c.requests)
+		}
+		if got := m.Planner.CacheHits.Value(); got != c.hits {
+			t.Errorf("%s scale=%v reduce=%v: %d cost-cache hits, want %d", c.name, c.scale, c.reduce, got, c.hits)
+		}
+	}
+}
+
+func TestGreedyAllocs(t *testing.T) {
+	// One search of Q1 reduced at scale 0.001 allocates about 6 700 times.
+	// The ceiling is that count plus 3 %; a fall of more than 5 % is
+	// logged so the constant can be lowered.
+	const ceiling = 6_950
+	if testing.Short() {
+		t.Skip("allocation count in -short mode")
+	}
+	db := tpch.Generate(0.001, 42)
+	tree := buildTree(t, db, rxl.Query1Source)
+	prm := DefaultGreedyParams(true)
+	prm.Parallelism = 1
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Greedy(ctx, db, tree, prm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("greedy search allocates %.0f times, ceiling %d", got, ceiling)
+	} else if got < ceiling*0.95/1.03 {
+		t.Logf("greedy search allocates %.0f times, well under the ceiling %d: lower it", got, ceiling)
 	}
 }
 

@@ -227,6 +227,29 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// ColumnRefs appends every column reference in an expression to dst, in
+// left-to-right order, and returns the extended slice. A caller that passes
+// a stack buffer walks the expression without allocating.
+func ColumnRefs(e Expr, dst []*ColumnRef) []*ColumnRef {
+	switch e := e.(type) {
+	case *ColumnRef:
+		dst = append(dst, e)
+	case *Compare:
+		dst = ColumnRefs(e.R, ColumnRefs(e.L, dst))
+	case *And:
+		for _, t := range e.Terms {
+			dst = ColumnRefs(t, dst)
+		}
+	case *Or:
+		for _, t := range e.Terms {
+			dst = ColumnRefs(t, dst)
+		}
+	case *IsNull:
+		dst = ColumnRefs(e.E, dst)
+	}
+	return dst
+}
+
 // MakeAnd builds a conjunction, simplifying the 0- and 1-term cases.
 func MakeAnd(terms []Expr) Expr {
 	switch len(terms) {

@@ -136,10 +136,10 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 	// pre-projection columns) are what every join below must carry.
 	var need []*sqlast.ColumnRef
 	for _, item := range s.Items {
-		need = collectRefs(item.Expr, need)
+		need = sqlast.ColumnRefs(item.Expr, need)
 	}
 	for _, item := range s.OrderBy {
-		need = collectRefs(item.Expr, need)
+		need = sqlast.ColumnRefs(item.Expr, need)
 	}
 	src, err := evalFromWhere(ctx, cat, s.From, s.Where, need)
 	if err != nil {
@@ -288,7 +288,7 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 		refs := need[:len(need):len(need)]
 		for ci, c := range conjs {
 			if !used[ci] {
-				refs = collectRefs(c, refs)
+				refs = sqlast.ColumnRefs(c, refs)
 			}
 		}
 		return refs
@@ -325,7 +325,7 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 	for ci, c := range conjs {
 		own := -1
 		ok := true
-		for _, cr := range collectRefs(c, nil) {
+		for _, cr := range sqlast.ColumnRefs(c, nil) {
 			idx, err := resolve(allCols, cr.Table, cr.Column)
 			if err != nil {
 				ok = false // unknown or ambiguous: leave for the residual pass
@@ -410,27 +410,6 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 	return joined, nil
 }
 
-// collectRefs appends every column reference in an expression to dst.
-func collectRefs(e sqlast.Expr, dst []*sqlast.ColumnRef) []*sqlast.ColumnRef {
-	switch e := e.(type) {
-	case *sqlast.ColumnRef:
-		dst = append(dst, e)
-	case *sqlast.Compare:
-		dst = collectRefs(e.R, collectRefs(e.L, dst))
-	case *sqlast.And:
-		for _, t := range e.Terms {
-			dst = collectRefs(t, dst)
-		}
-	case *sqlast.Or:
-		for _, t := range e.Terms {
-			dst = collectRefs(t, dst)
-		}
-	case *sqlast.IsNull:
-		dst = collectRefs(e.E, dst)
-	}
-	return dst
-}
-
 // filterRel returns a new relation holding the rows of r that satisfy pred.
 // It never mutates r: base-table relations share the stored row slice.
 // The predicate is evaluated once per row into a bitmap, so the output is
@@ -496,7 +475,7 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 		return &Rel{Cols: cols, Rows: inner.Rows}, nil
 	case *sqlast.Join:
 		// The inputs must also carry what this join's own ON reads.
-		inner := collectRefs(te.On, need[:len(need):len(need)])
+		inner := sqlast.ColumnRefs(te.On, need[:len(need):len(need)])
 		l, err := evalTable(ctx, cat, te.L, inner)
 		if err != nil {
 			return nil, err

@@ -31,6 +31,7 @@ package sqlgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"silkroute/internal/rxl"
@@ -130,12 +131,27 @@ type colID struct {
 	ref   viewtree.VarRef
 }
 
-func (c colID) name() string {
-	if c.isL {
-		return fmt.Sprintf("L%d", c.level)
+// name returns a column's SQL name, computed once per colID: generation
+// asks for the same names many times over.
+func (g *gen) name(c colID) string {
+	if n, ok := g.names[c]; ok {
+		return n
 	}
-	return mangle(c.ref)
+	var n string
+	if c.isL {
+		n = "L" + strconv.Itoa(c.level)
+	} else {
+		n = mangle(c.ref)
+	}
+	if g.names == nil {
+		g.names = make(map[colID]string)
+	}
+	g.names[c] = n
+	return n
 }
+
+// varName returns the SQL name of a variable's column.
+func (g *gen) varName(r viewtree.VarRef) string { return g.name(colID{ref: r}) }
 
 // mangle turns a variable reference into a SQL identifier: s.suppkey →
 // v_s_suppkey. Tuple-variable aliases are globally unique, so names never
@@ -154,6 +170,8 @@ type gen struct {
 	useCTE bool
 	ctes   []sqlast.CTE
 	cteFor map[*viewtree.Group]string
+
+	names map[colID]string
 }
 
 // groupSource returns the FROM-clause source of a group's node query: an
@@ -176,7 +194,7 @@ func (g *gen) groupSource(grp *viewtree.Group, alias string) sqlast.TableExpr {
 
 func (g *gen) alias(prefix string) string {
 	g.n++
-	return fmt.Sprintf("%s%d", prefix, g.n)
+	return prefix + strconv.Itoa(g.n)
 }
 
 // sortCols orders column IDs by the structural key: level first, L column
@@ -245,7 +263,7 @@ func (g *gen) nodeSelect(grp *viewtree.Group) *sqlast.Select {
 	for _, a := range grp.Args {
 		s.Items = append(s.Items, sqlast.SelectItem{
 			Expr:  sqlast.Col(a.Var, a.Field),
-			Alias: mangle(a),
+			Alias: g.varName(a),
 		})
 	}
 	if len(s.Items) == 0 {
@@ -268,8 +286,8 @@ func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 		sel := &sqlast.Select{From: []sqlast.TableExpr{g.groupSource(grp, alias)}}
 		for _, a := range grp.Args {
 			sel.Items = append(sel.Items, sqlast.SelectItem{
-				Expr:  sqlast.Col(alias, mangle(a)),
-				Alias: mangle(a),
+				Expr:  sqlast.Col(alias, g.varName(a)),
+				Alias: g.varName(a),
 			})
 		}
 		if len(sel.Items) == 0 {
@@ -308,7 +326,7 @@ func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 		subAlias := g.alias("c")
 		subCols := make(map[string]bool)
 		for _, c := range g.subtreeCols(ge.Child) {
-			subCols[c.name()] = true
+			subCols[g.name(c)] = true
 		}
 		branch := &sqlast.Select{From: []sqlast.TableExpr{&sqlast.Derived{Query: sub, Alias: subAlias}}}
 		level := ge.Child.Root.Level()
@@ -318,12 +336,12 @@ func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 			switch {
 			case c.isL && c.level == level:
 				e = sqlast.IntLit(ordinal)
-			case subCols[c.name()]:
-				e = sqlast.Col(subAlias, c.name())
+			case subCols[g.name(c)]:
+				e = sqlast.Col(subAlias, g.name(c))
 			default:
 				e = sqlast.NullLit()
 			}
-			branch.Items = append(branch.Items, sqlast.SelectItem{Expr: e, Alias: c.name()})
+			branch.Items = append(branch.Items, sqlast.SelectItem{Expr: e, Alias: g.name(c)})
 		}
 		branches = append(branches, branch)
 	}
@@ -352,7 +370,7 @@ func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 	}
 	var on []sqlast.Expr
 	for _, k := range keys {
-		on = append(on, sqlast.Eq(sqlast.Col(baseAlias, mangle(k)), sqlast.Col(qAlias, mangle(k))))
+		on = append(on, sqlast.Eq(sqlast.Col(baseAlias, g.varName(k)), sqlast.Col(qAlias, g.varName(k))))
 	}
 	join := &sqlast.Join{
 		Kind: joinKind,
@@ -364,8 +382,8 @@ func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 	out := &sqlast.Select{From: []sqlast.TableExpr{join}}
 	for _, a := range grp.Args {
 		out.Items = append(out.Items, sqlast.SelectItem{
-			Expr:  sqlast.Col(baseAlias, mangle(a)),
-			Alias: mangle(a),
+			Expr:  sqlast.Col(baseAlias, g.varName(a)),
+			Alias: g.varName(a),
 		})
 	}
 	for _, c := range childCols {
@@ -373,8 +391,8 @@ func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 			continue // join keys already projected from the base side
 		}
 		out.Items = append(out.Items, sqlast.SelectItem{
-			Expr:  sqlast.Col(qAlias, c.name()),
-			Alias: c.name(),
+			Expr:  sqlast.Col(qAlias, g.name(c)),
+			Alias: g.name(c),
 		})
 	}
 	return out, nil
@@ -484,12 +502,12 @@ func (g *gen) genChain(chain []*viewtree.Group, all []colID) (*sqlast.Select, er
 		alias := g.alias("u")
 		cols := make(map[string]bool)
 		for _, a := range grp.Args {
-			cols[mangle(a)] = true
+			cols[g.varName(a)] = true
 		}
 		// Tag the branch's L value inside the derived table so outer-join
 		// null extension nulls it when the chain breaks.
 		if i > 0 {
-			lname := fmt.Sprintf("L%d", grp.Root.Level())
+			lname := g.name(colID{isL: true, level: grp.Root.Level()})
 			base.Items = append(base.Items, sqlast.SelectItem{
 				Expr:  sqlast.IntLit(int64(grp.Root.Ordinal())),
 				Alias: lname,
@@ -510,10 +528,10 @@ func (g *gen) genChain(chain []*viewtree.Group, all []colID) (*sqlast.Select, er
 				continue
 			}
 			for _, k := range ge.ParentNode.KeyArgs {
-				if prev.cols[mangle(k)] && cols[mangle(k)] {
+				if prev.cols[g.varName(k)] && cols[g.varName(k)] {
 					on = append(on, sqlast.Eq(
-						sqlast.Col(prev.alias, mangle(k)),
-						sqlast.Col(alias, mangle(k))))
+						sqlast.Col(prev.alias, g.varName(k)),
+						sqlast.Col(alias, g.varName(k))))
 				}
 			}
 		}
@@ -527,12 +545,12 @@ func (g *gen) genChain(chain []*viewtree.Group, all []colID) (*sqlast.Select, er
 		// the outer joins, which would corrupt the structural sort key.
 		var e sqlast.Expr = sqlast.NullLit()
 		for i := 0; i < len(parts); i++ {
-			if parts[i].cols[c.name()] {
-				e = sqlast.Col(parts[i].alias, c.name())
+			if parts[i].cols[g.name(c)] {
+				e = sqlast.Col(parts[i].alias, g.name(c))
 				break
 			}
 		}
-		sel.Items = append(sel.Items, sqlast.SelectItem{Expr: e, Alias: c.name()})
+		sel.Items = append(sel.Items, sqlast.SelectItem{Expr: e, Alias: g.name(c)})
 	}
 	return sel, nil
 }
@@ -547,7 +565,7 @@ func (g *gen) finishQuery(q sqlast.Query, cols []colID) (*Stream, error) {
 	outNames := sqlast.OutputColumns(q)
 	byName := make(map[string]colID, len(cols))
 	for _, c := range cols {
-		byName[c.name()] = c
+		byName[g.name(c)] = c
 	}
 	present := make(map[string]bool, len(outNames))
 	for _, n := range outNames {
@@ -558,15 +576,15 @@ func (g *gen) finishQuery(q sqlast.Query, cols []colID) (*Stream, error) {
 	// tagger addresses row values positionally.
 	var order []sqlast.OrderItem
 	for _, c := range cols {
-		if !present[c.name()] {
-			return nil, fmt.Errorf("sqlgen: generated query lacks column %s", c.name())
+		if !present[g.name(c)] {
+			return nil, fmt.Errorf("sqlgen: generated query lacks column %s", g.name(c))
 		}
-		order = append(order, sqlast.OrderItem{Expr: &sqlast.ColumnRef{Column: c.name()}})
+		order = append(order, sqlast.OrderItem{Expr: &sqlast.ColumnRef{Column: g.name(c)}})
 	}
 	var meta []StreamCol
 	for _, n := range outNames {
 		if c, ok := byName[n]; ok {
-			meta = append(meta, StreamCol{Name: c.name(), IsL: c.isL, Level: c.level, Ref: c.ref})
+			meta = append(meta, StreamCol{Name: n, IsL: c.isL, Level: c.level, Ref: c.ref})
 		} else {
 			// Filler columns (e.g. the "_k" constant of variable-free
 			// groups) keep positions aligned; the tagger never reads them.
@@ -581,7 +599,7 @@ func (g *gen) finishQuery(q sqlast.Query, cols []colID) (*Stream, error) {
 	}
 	sortKey := make([]int, 0, len(cols))
 	for _, c := range cols {
-		sortKey = append(sortKey, pos[c.name()])
+		sortKey = append(sortKey, pos[g.name(c)])
 	}
 	bodySQL := sqlast.Print(q)
 	attachOrder(q, order)

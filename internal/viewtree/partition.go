@@ -2,7 +2,7 @@ package viewtree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"silkroute/internal/datalog"
 	"silkroute/internal/rxl"
@@ -50,15 +50,6 @@ type Component struct {
 	Groups []*Group
 }
 
-// Nodes returns every view-tree node in the component.
-func (c *Component) Nodes() []*Node {
-	var out []*Node
-	for _, g := range c.Groups {
-		out = append(out, g.Members...)
-	}
-	return out
-}
-
 // MaxLevel returns the deepest node level in the component.
 func (c *Component) MaxLevel() int {
 	max := 0
@@ -76,181 +67,154 @@ func (c *Component) MaxLevel() int {
 // true, collapses '1'-labeled kept edges within each component. Components
 // are returned in breadth-first order of their root nodes.
 func (t *Tree) Partition(keep []bool, reduce bool) ([]*Component, error) {
+	lab, err := t.label(keep, reduce)
+	if err != nil {
+		return nil, err
+	}
+	return t.build(keep, lab, -1), nil
+}
+
+// Component returns the one component of the partition under keep that
+// contains seed: the same groups, members, rules, args and group edges, in
+// the same order, as the matching element of Partition(keep, reduce). Only
+// that component's groups and rules are built.
+func (t *Tree) Component(keep []bool, seed *Node, reduce bool) (*Component, error) {
+	if seed.Index >= len(t.Nodes) || t.Nodes[seed.Index] != seed {
+		return nil, fmt.Errorf("viewtree: node %s is not in the tree", seed.SkolemName)
+	}
+	lab, err := t.label(keep, reduce)
+	if err != nil {
+		return nil, err
+	}
+	return t.build(keep, lab, lab.comp[seed.Index])[0], nil
+}
+
+// ComponentRoots returns, for every node index, the index of the root node
+// of that node's component under keep. Two nodes share a component exactly
+// when they share a root.
+func (t *Tree) ComponentRoots(keep []bool) ([]int, error) {
+	lab, err := t.label(keep, false)
+	return lab.comp, err
+}
+
+// labelling assigns each node, by index, the index of its component's root
+// and of its group's root.
+type labelling struct {
+	comp, group []int
+}
+
+// label computes the labelling under keep. A component is a union of nodes
+// along kept edges, a group a union along kept '1'-labeled edges when
+// reduce is true, and each set is named by its shallowest node. Edges are
+// in breadth-first order, so a parent's labels are final before its child
+// edges are read and one pass carries them down.
+func (t *Tree) label(keep []bool, reduce bool) (labelling, error) {
 	if len(keep) != len(t.Edges) {
-		return nil, fmt.Errorf("viewtree: plan has %d edge flags, tree has %d edges", len(keep), len(t.Edges))
+		return labelling{}, fmt.Errorf("viewtree: plan has %d edge flags, tree has %d edges", len(keep), len(t.Edges))
 	}
-
-	// Node order index for union-find representatives.
-	order := make(map[*Node]int, len(t.Nodes))
-	for i, n := range t.Nodes {
-		order[n] = i
+	n := len(t.Nodes)
+	buf := make([]int, 2*n)
+	lab := labelling{comp: buf[:n:n], group: buf[n:]}
+	for i := range t.Nodes {
+		lab.comp[i], lab.group[i] = i, i
 	}
-	parent := make([]int, len(t.Nodes))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			// Keep the smaller (shallower, earlier BFS) index as root.
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-
-	// Components under kept edges.
-	comp := make([]int, len(t.Nodes))
-	for i := range comp {
-		comp[i] = i
-	}
-	{
-		cp := append([]int{}, parent...)
-		var findC func(int) int
-		findC = func(x int) int {
-			for cp[x] != x {
-				cp[x] = cp[cp[x]]
-				x = cp[x]
-			}
-			return x
-		}
-		for ei, e := range t.Edges {
-			if keep[ei] {
-				a, b := findC(order[e.Parent]), findC(order[e.Child])
-				if a > b {
-					a, b = b, a
-				}
-				if a != b {
-					cp[b] = a
-				}
-			}
-		}
-		for i := range comp {
-			comp[i] = findC(i)
-		}
-	}
-
-	// Groups: without reduction, singletons; with reduction, union along
-	// kept '1'-labeled edges.
-	if reduce {
-		for ei, e := range t.Edges {
-			if keep[ei] && e.Child.Label == One {
-				union(order[e.Parent], order[e.Child])
-			}
-		}
-	}
-	groupOf := make([]int, len(t.Nodes))
-	for i := range groupOf {
-		groupOf[i] = find(i)
-	}
-
-	// Materialize groups.
-	groups := make(map[int]*Group)
-	var groupIDs []int
-	for i, n := range t.Nodes {
-		gid := groupOf[i]
-		g, ok := groups[gid]
-		if !ok {
-			g = &Group{}
-			groups[gid] = g
-			groupIDs = append(groupIDs, gid)
-		}
-		g.Members = append(g.Members, n)
-	}
-	sort.Ints(groupIDs)
-	for _, gid := range groupIDs {
-		g := groups[gid]
-		g.Root = g.Members[0] // BFS order: first member is shallowest
-		t.combineRule(g)
-	}
-
-	// Group edges: kept edges crossing group boundaries.
 	for ei, e := range t.Edges {
 		if !keep[ei] {
 			continue
 		}
-		pg := groups[groupOf[order[e.Parent]]]
-		cg := groups[groupOf[order[e.Child]]]
-		if pg == cg {
+		p, c := e.Parent.Index, e.Child.Index
+		lab.comp[c] = lab.comp[p]
+		if reduce && e.Child.Label == One {
+			lab.group[c] = lab.group[p]
+		}
+	}
+	return lab, nil
+}
+
+// build materializes the components of a labelling, or only the one rooted
+// at node index only when only >= 0. Nodes are visited in breadth-first
+// order, so a component's or group's first node is its root, and groups
+// appear in breadth-first order of their roots.
+func (t *Tree) build(keep []bool, lab labelling, only int) []*Component {
+	groups := make([]*Group, len(t.Nodes)) // by root node index
+	comps := make([]*Component, len(t.Nodes))
+	var out []*Component
+	for i, n := range t.Nodes {
+		ci, gi := lab.comp[i], lab.group[i]
+		if only >= 0 && ci != only {
 			continue
 		}
-		pg.Children = append(pg.Children, &GroupEdge{Child: cg, ParentNode: e.Parent, Label: e.Child.Label})
-	}
-
-	// Components.
-	comps := make(map[int]*Component)
-	var compIDs []int
-	for _, gid := range groupIDs {
-		g := groups[gid]
-		cid := comp[gid]
-		c, ok := comps[cid]
-		if !ok {
+		c := comps[ci]
+		if c == nil {
 			c = &Component{}
-			comps[cid] = c
-			compIDs = append(compIDs, cid)
+			comps[ci] = c
+			out = append(out, c)
 		}
-		if c.Root == nil {
-			c.Root = g // groupIDs ascend in BFS order, so first is root
+		g := groups[gi]
+		if g == nil {
+			g = &Group{Root: n}
+			groups[gi] = g
+			c.Groups = append(c.Groups, g)
 		}
-		c.Groups = append(c.Groups, g)
+		g.Members = append(g.Members, n)
 	}
-	sort.Ints(compIDs)
-	out := make([]*Component, 0, len(compIDs))
-	for _, cid := range compIDs {
-		out = append(out, comps[cid])
+	// Group edges: kept edges crossing group boundaries.
+	for ei, e := range t.Edges {
+		p, ch := e.Parent.Index, e.Child.Index
+		if !keep[ei] || only >= 0 && lab.comp[p] != only {
+			continue
+		}
+		pg, cg := groups[lab.group[p]], groups[lab.group[ch]]
+		if pg != cg {
+			pg.Children = append(pg.Children, &GroupEdge{Child: cg, ParentNode: e.Parent, Label: e.Child.Label})
+		}
 	}
-	return out, nil
+	for _, c := range out {
+		c.Root = c.Groups[0]
+		for _, g := range c.Groups {
+			t.combineRule(g)
+		}
+	}
+	return out
 }
 
 // combineRule builds a group's combined rule and argument list: the union
 // of the members' atoms, conditions, and args (§3.5's "conjunction of all
-// the nodes' query bodies").
+// the nodes' query bodies"). Groups are small, so duplicates are found by
+// scanning what has been kept so far.
 func (t *Tree) combineRule(g *Group) {
 	var atoms []datalog.Atom
-	atomSeen := make(map[string]bool)
 	var conds []rxl.Condition
-	condSeen := make(map[string]bool)
-	var args []VarRef
-	argSeen := make(map[VarRef]bool)
+	var posBuf [32]int
+	pos := posBuf[:0]
 	for _, m := range g.Members {
 		for _, a := range m.Atoms {
-			if !atomSeen[a.Var] {
-				atomSeen[a.Var] = true
+			if !slices.ContainsFunc(atoms, func(b datalog.Atom) bool { return b.Var == a.Var }) {
 				atoms = append(atoms, a)
 			}
 		}
 		for _, c := range m.Conds {
-			key := condKey(c)
-			if !condSeen[key] {
-				condSeen[key] = true
+			if !slices.Contains(conds, c) {
 				conds = append(conds, c)
 			}
 		}
-		for _, a := range m.Args() {
-			if !argSeen[a] {
-				argSeen[a] = true
-				args = append(args, a)
-			}
+		for _, a := range m.KeyArgs {
+			pos = append(pos, t.varPos[a])
+		}
+		for _, a := range m.ContentArgs {
+			pos = append(pos, t.varPos[a])
 		}
 	}
-	// Order args by the global variable order so every generator emits
-	// columns in a canonical sequence.
-	sort.SliceStable(args, func(i, j int) bool {
-		return t.varPos[args[i]] < t.varPos[args[j]]
-	})
-	g.Args = args
-	qargs := make([]string, len(args))
-	for i, a := range args {
-		qargs[i] = a.Q()
+	// Args follow the global variable order so every generator emits
+	// columns in a canonical sequence; each name is the tree's, not a new
+	// concatenation.
+	slices.Sort(pos)
+	pos = slices.Compact(pos)
+	g.Args = make([]VarRef, len(pos))
+	qargs := make([]string, len(pos))
+	for i, p := range pos {
+		g.Args[i] = t.Vars[p].Ref
+		qargs[i] = t.varQ[p]
 	}
 	g.Rule = &datalog.Rule{
 		Head:  g.Root.SkolemName + "'",
@@ -258,17 +222,6 @@ func (t *Tree) combineRule(g *Group) {
 		Atoms: atoms,
 		Conds: conds,
 	}
-}
-
-func condKey(c rxl.Condition) string {
-	return operandKey(c.L) + c.Op.String() + operandKey(c.R)
-}
-
-func operandKey(o rxl.Operand) string {
-	if o.IsConst {
-		return o.Const.String()
-	}
-	return "$" + o.Var + "." + o.Field
 }
 
 // AllEdges returns the kept-edge vector of the unified plan (every edge

@@ -78,6 +78,8 @@ type Node struct {
 	// SFI is the Skolem-function index: the node's positional path, e.g.
 	// S1.4.2 has SFI [1,4,2]. Level = len(SFI).
 	SFI []int
+	// Index is the node's position in Tree.Nodes.
+	Index int
 
 	Parent   *Node
 	Children []*Node
@@ -170,6 +172,8 @@ type Tree struct {
 	// Vars is the global Skolem-term variable order.
 	Vars   []VarInfo
 	varPos map[VarRef]int
+	// varQ holds each variable's qualified name, by global position.
+	varQ []string
 }
 
 // MaxDepth returns the deepest node level.
@@ -390,6 +394,7 @@ func (t *Tree) assignIndices() {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
+		n.Index = len(t.Nodes)
 		t.Nodes = append(t.Nodes, n)
 		for i, c := range n.Children {
 			c.SFI = append(append([]int{}, n.SFI...), i+1)
@@ -466,8 +471,10 @@ func (t *Tree) indexVars() {
 		}
 		return t.Vars[i].Ord < t.Vars[j].Ord
 	})
+	t.varQ = make([]string, len(t.Vars))
 	for i := range t.Vars {
 		t.Vars[i].Pos = i
 		t.varPos[t.Vars[i].Ref] = i
+		t.varQ[i] = t.Vars[i].Ref.Q()
 	}
 }

@@ -1,6 +1,7 @@
 package viewtree
 
 import (
+	"reflect"
 	"testing"
 
 	"silkroute/internal/rxl"
@@ -292,6 +293,57 @@ func TestPartitionComponentCounts(t *testing.T) {
 		if len(comps) != 10-kept {
 			t.Errorf("bits %b: components = %d, want %d", bits, len(comps), 10-kept)
 		}
+	}
+}
+
+func TestComponentMatchesPartition(t *testing.T) {
+	// Component must return exactly Partition's component for its seed:
+	// the same groups, members, rules, args and group edges, in the same
+	// order. Checked for every seed of every plan of Q1 and Q2 × reduced.
+	for _, src := range []string{rxl.Query1Source, rxl.Query2Source} {
+		tree := buildQuery(t, src)
+		for _, reduce := range []bool{false, true} {
+			for bits := uint64(0); bits < 1<<uint(len(tree.Edges)); bits++ {
+				keep := tree.KeepFromBits(bits)
+				comps, err := tree.Partition(keep, reduce)
+				if err != nil {
+					t.Fatal(err)
+				}
+				roots, err := tree.ComponentRoots(keep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, want := range comps {
+					for _, g := range want.Groups {
+						for _, seed := range g.Members {
+							got, err := tree.Component(keep, seed, reduce)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("bits %b reduce=%v seed %s: Component differs from Partition's component",
+									bits, reduce, seed.SkolemName)
+							}
+							if r := roots[seed.Index]; tree.Nodes[r] != want.Root.Root {
+								t.Fatalf("bits %b seed %s: component root %s, want %s",
+									bits, seed.SkolemName, tree.Nodes[r].SkolemName, want.Root.Root.SkolemName)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestComponentRejectsForeignSeed(t *testing.T) {
+	tree := buildQuery(t, rxl.Query1Source)
+	other := buildQuery(t, rxl.Query1Source)
+	if _, err := tree.Component(tree.AllEdges(), other.Nodes[3], false); err == nil {
+		t.Error("seed from another tree accepted")
+	}
+	if _, err := tree.Component(make([]bool, 99), tree.Nodes[0], false); err == nil {
+		t.Error("wrong-length keep vector accepted")
 	}
 }
 

@@ -2,11 +2,8 @@ package silkroute
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"fmt"
 	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -346,52 +343,5 @@ func TestNewHandleTopologyBackend(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Error("topology-backed handle differs from local run")
-	}
-}
-
-// BenchmarkShardedMaterialize measures the scatter-gather path end to
-// end — partitioned loopback servers, concurrent scatter, k-way merge,
-// tagging — against the same document unsharded (shards_1 is the
-// single-backend baseline).
-func BenchmarkShardedMaterialize(b *testing.B) {
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards_%d", n), func(b *testing.B) {
-			db := OpenTPCH(0.001, 42)
-			sctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			parts := make([]Topology, n)
-			for i := 0; i < n; i++ {
-				sdb := db
-				if n > 1 {
-					var err error
-					if sdb, err = db.Partition("Supplier", i, n); err != nil {
-						b.Fatal(err)
-					}
-				}
-				l, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Skipf("loopback unavailable: %v", err)
-				}
-				go sdb.ServeContext(sctx, l)
-				defer l.Close()
-				parts[i] = Single(l.Addr().String())
-			}
-			remote, err := Dial(Sharded(parts...), WithSource(TPCHSourceDescription()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer remote.Close()
-			rv, err := ParseRemoteView(remote, nil, rxl.FragmentSource)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rv.Materialize(ctx, io.Discard, OuterUnion); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
