@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet staticcheck test test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest loadtest-smoke overload-chaos ci loc experiments
+.PHONY: all build vet staticcheck test test-race chaos cache-check fuzz-smoke loadtest loadtest-smoke overload-chaos ci loc experiments
 
 all: build
 
@@ -30,38 +30,21 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 
-# Deterministic seeds for the chaos suite's equivalence sweep; override to
-# widen the matrix (CHAOS_SEEDS="1 2 3 4 5 6 7 8" make chaos).
+# Deterministic seeds for the chaos suite's equivalence matrices; override
+# to widen them (CHAOS_SEEDS="1 2 3 4 5 6 7 8" make chaos).
 CHAOS_SEEDS ?= 1 2 3 5
 
-# The fault-injection suite under the race detector: every resilience test
-# (resume, breaker, stale-pool, chaos equivalence) across a deterministic
-# seed matrix. Separate from test-race so a resilience regression is
-# identifiable at a glance.
+# The fault-injection suite under the race detector: the fault injector's
+# own tests, then every test of the one stream-healing ladder and what it
+# rests on — resume splices, the breaker, stale-pool redials, backoff,
+# replica balancing and failover, the shard merge and topologies — with
+# the chaos, 1/2/3-replica and 1/2/4-shard equivalence matrices across
+# the seed list.
+CHAOS_RUN = Chaos|Resume|Breaker|StreamLost|PoolSurvives|Backoff|Jitter|Replica|Failover|ProbeFailure|Shard|Topology|TestPartition$$
 chaos:
-	$(GO) test -race ./internal/chaos/
-	CHAOS_SEEDS="$(CHAOS_SEEDS)" $(GO) test -race \
-		-run 'Chaos|Resume|Breaker|StreamLost|PoolSurvives|Backoff|Jitter' \
-		. ./internal/wire/ ./internal/plan/ ./internal/sqlgen/
-
-# The replication suite under the race detector: balancer picks, mid-stream
-# cross-replica failover with byte-exact splices, hedged opens, the
-# half-open probe race, per-replica chaos specs, and the 1/2/3-replica ×
-# chaos-seed equivalence matrix with one replica hard-killed mid-run.
-replica-chaos:
-	CHAOS_SEEDS="$(CHAOS_SEEDS)" $(GO) test -race -count=1 \
-		-run 'Replica|Failover|NoHealthy|HalfOpen|Hedge|FailsClosed|ProbeFailure|MultiSpec|SpecString' \
-		. ./internal/wire/ ./internal/chaos/
-
-# The sharding suite under the race detector: topology parsing, hash
-# partitioning, the k-way scatter-gather merge (global order, cross-shard
-# tie invariance, NULL keys), grid chaos specs, and the 1/2/4-shard ×
-# chaos-seed equivalence matrix with one shard replica hard-killed so the
-# per-shard resume + failover ladder heals underneath the merge.
-shard-chaos:
-	CHAOS_SEEDS="$(CHAOS_SEEDS)" $(GO) test -race -count=1 \
-		-run 'Shard|Topology|Scatter|GridSpec|Merge|Partition' \
-		. ./internal/wire/ ./internal/chaos/ ./internal/viewsvc/
+	$(GO) test -race -count=1 ./internal/chaos/
+	CHAOS_SEEDS="$(CHAOS_SEEDS)" $(GO) test -race -count=1 -run '$(CHAOS_RUN)' \
+		. ./internal/wire/ ./internal/plan/ ./internal/sqlgen/ ./internal/viewsvc/
 
 # The caching layer's correctness gate under the race detector: cached and
 # uncached materializations must be byte-identical across every strategy
@@ -98,16 +81,18 @@ overload-chaos:
 
 # Ten seconds of coverage-guided fuzzing per target (go test -fuzz takes
 # one target per run): every malformed wire request header must come back
-# as a typed CodeBadRequest, never a panic, the tagger's escaper must
+# as a typed CodeBadRequest, never a panic, every malformed status frame
+# as a typed error on the client side, the tagger's escaper must
 # match xml.EscapeText byte for byte, and the executor must agree with the
 # brute-force reference on every generated query. The seeds also run as
 # plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 
-ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check fuzz-smoke loadtest-smoke overload-chaos
+ci: vet staticcheck build test-race chaos cache-check fuzz-smoke loadtest-smoke overload-chaos
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

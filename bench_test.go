@@ -249,9 +249,8 @@ func BenchmarkAblationGreedyCoefficients(b *testing.B) {
 
 // BenchmarkReplicaFailover measures the cross-replica failover path end to
 // end: every iteration opens a sorted stream on a replica that kills it
-// (and every same-replica continuation) after 100 rows, burns its one
-// same-replica resume, then fails over to the healthy replica and finishes
-// the stream there — the degradation ladder's full middle rung.
+// after 100 rows; the stream's first reopen leaves that replica for the
+// healthy one and finishes the stream there.
 func BenchmarkReplicaFailover(b *testing.B) {
 	db := tpch.Generate(benchScaleA, 42)
 	const sql = "select o.orderkey, o.custkey from Orders o order by o.orderkey"

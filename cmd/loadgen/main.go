@@ -745,7 +745,6 @@ func runOverload(scale float64, seed int64, duration time.Duration) *overloadRep
 	opts := []silkroute.Option{
 		silkroute.WithSource(silkroute.TPCHSourceDescription()),
 		silkroute.WithResume(3),
-		silkroute.WithFailover(1),
 		silkroute.WithBreaker(1, 500*time.Millisecond),
 		silkroute.WithPlanCache(),
 		silkroute.WithFragmentCache(-1),

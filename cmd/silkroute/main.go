@@ -54,11 +54,10 @@ func main() {
 	shards := flag.String("shards", "", `topology string, e.g. "s0=a:7070;s1=b:7070" (shards of replica groups, scatter-gather merged)`)
 	shardOf := flag.String("shard", "", "with -serve: serve partition i of n as \"i/n\" (see -shard-by)")
 	shardBy := flag.String("shard-by", "Supplier", "with -shard: relation partitioned by primary-key hash; all others replicated")
-	failover := flag.Int("failover", 0, "cross-replica failovers per stream after resume gives up (0 = replicas-1 default)")
 	hedge := flag.Duration("hedge", 0, "race a second replica when the first has not answered within this delay (0 = off)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (enables observability)")
 	chaosSpec := flag.String("chaos", "", "inject faults, e.g. \"seed=7,cutrow=100\" (server: kill streams; client: wrap the dialer)")
-	resume := flag.Int("resume", 0, "resume a died tuple stream mid-flight up to N times (remote only; 0 = fail on stream loss)")
+	resume := flag.Int("resume", 0, "reopen a died tuple stream up to N times at its frontier, then once from the top (remote only; 0 = fail on stream loss)")
 	breakerThreshold := flag.Int("breaker", 0, "open a circuit breaker after N consecutive transport failures (remote only; 0 = off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing (0 = 1s default)")
 	planCache := flag.Bool("plan-cache", false, "memoize compiled plans across materializations (see -repeat)")
@@ -136,9 +135,6 @@ func main() {
 	if *fragCache != 0 {
 		opts = append(opts, silkroute.WithFragmentCache(*fragCache))
 	}
-	if *failover > 0 {
-		opts = append(opts, silkroute.WithFailover(*failover))
-	}
 	if *hedge > 0 {
 		opts = append(opts, silkroute.WithHedge(*hedge))
 	}
@@ -156,8 +152,8 @@ func main() {
 		}
 	case *replicas != "":
 		// Replicated middleware mode: N -serve endpoints of the same data,
-		// health-balanced per stream, with cross-replica failover when
-		// -resume is on.
+		// health-balanced per stream; with -resume a died stream reopens
+		// on another replica.
 		topo = silkroute.Replicas(strings.Split(*replicas, ",")...)
 	case *connect != "" && *chaosSpec != "":
 		// Client-side fault injection: refuse dials, cut or delay the
@@ -238,9 +234,6 @@ func main() {
 			}
 			if st.Resumes > 0 {
 				fmt.Fprintf(os.Stderr, " resumes=%d", st.Resumes)
-			}
-			if st.Restarts > 0 {
-				fmt.Fprintf(os.Stderr, " restarts=%d", st.Restarts)
 			}
 			if st.Failovers > 0 {
 				fmt.Fprintf(os.Stderr, " failovers=%d", st.Failovers)

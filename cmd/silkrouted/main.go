@@ -38,7 +38,12 @@
 // directory (-data), one remote silkroute -serve database (-connect), a
 // replica set (-replicas), or a sharded topology (-shards) — all through
 // the facade's unified Dial(topology) entry point, so every connection
-// policy flag maps onto one option list.
+// policy flag maps onto one option list. -resume N heals a tuple stream
+// that dies mid-flight: up to N reopens after its last delivered sort key
+// (on a replicated backend, each on a replica other than the one it died
+// on; on a sharded one, per shard under the merge), then one reopen from
+// the top that skips the delivered rows, then a typed failure — the
+// document is byte-identical or the request fails closed.
 //
 // Usage:
 //
@@ -95,10 +100,9 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "concurrent partition queries per request (0 = one per CPU)")
 	planCache := flag.Bool("plan-cache", true, "memoize compiled plans across requests")
 	fragCache := flag.Int64("fragment-cache", 0, "cache materialized XML under this byte budget (0 = off, -1 = unbounded)")
-	resume := flag.Int("resume", 0, "resume a died tuple stream mid-flight up to N times (remote only)")
+	resume := flag.Int("resume", 0, "reopen a died tuple stream up to N times at its frontier, then once from the top (remote only)")
 	breakerThreshold := flag.Int("breaker", 0, "open a circuit breaker after N consecutive transport failures (remote only)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing (0 = 1s default)")
-	failover := flag.Int("failover", 0, "cross-replica failovers per stream after resume gives up (0 = replicas-1 default)")
 	hedge := flag.Duration("hedge", 0, "race a second replica when the first has not answered within this delay (0 = off)")
 	flag.Parse()
 
@@ -140,9 +144,6 @@ func main() {
 	}
 	if *breakerThreshold > 0 {
 		opts = append(opts, silkroute.WithBreaker(*breakerThreshold, *breakerCooldown))
-	}
-	if *failover > 0 {
-		opts = append(opts, silkroute.WithFailover(*failover))
 	}
 	if *hedge > 0 {
 		opts = append(opts, silkroute.WithHedge(*hedge))

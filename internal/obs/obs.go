@@ -247,9 +247,8 @@ type ClientMetrics struct {
 	// BreakerState is the current breaker state: 0 closed, 1 half-open,
 	// 2 open.
 	BreakerState Gauge
-	// Failovers counts cross-replica failover attempts: a stream whose
-	// same-replica resume budget ran out had its frontier suffix re-issued
-	// on a different replica.
+	// Failovers counts cross-replica failovers: a live stream's reopen
+	// that moved it to a different replica than the one it died on.
 	Failovers Counter
 	// Hedges counts hedged opens: the primary replica had not answered
 	// within the hedge delay, so a second replica was raced.
@@ -747,7 +746,7 @@ func (m *Metrics) ClientBreakerState(s int64) {
 	m.Client.BreakerState.Set(s)
 }
 
-// ClientFailover records one cross-replica failover attempt.
+// ClientFailover records one cross-replica failover.
 func (m *Metrics) ClientFailover() {
 	if m == nil {
 		return

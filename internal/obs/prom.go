@@ -69,7 +69,7 @@ func (m *Metrics) WritePrometheus(b *strings.Builder) {
 	counter("silkroute_wire_client_breaker_opens_total", "Circuit-breaker open transitions.", m.Client.BreakerOpens.Value())
 	gauge("silkroute_wire_client_breaker_state", "Circuit-breaker state: 0 closed, 1 half-open, 2 open.", m.Client.BreakerState.Value())
 	gauge("silkroute_wire_client_inflight", "Wire requests currently outstanding.", m.Client.InFlight.Value())
-	counter("silkroute_wire_client_failovers_total", "Cross-replica failover attempts for live streams.", m.Client.Failovers.Value())
+	counter("silkroute_wire_client_failovers_total", "Reopens that moved a live stream to a different replica.", m.Client.Failovers.Value())
 	counter("silkroute_wire_client_hedges_total", "Hedged opens raced against a slow primary replica.", m.Client.Hedges.Value())
 	counter("silkroute_wire_client_no_healthy_replica_total", "Balancer picks that failed closed with every replica open-circuit.", m.Client.NoHealthyReplica.Value())
 	gauge("silkroute_wire_replicas", "Configured replica count of the active replica set.", m.Client.Replicas.Value())

@@ -15,7 +15,6 @@ package plan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -183,71 +182,32 @@ type StreamMetrics struct {
 	// Retries counts wire attempts beyond the first (always zero for
 	// direct execution).
 	Retries int
-	// Resumes counts mid-stream resumes: the stream died after delivering
-	// rows and was spliced back together from its last sort key (wire
-	// execution with resume enabled; always zero otherwise).
+	// Resumes counts mid-stream reopens: the stream died after delivering
+	// rows and was spliced back together from its last sort key, or from
+	// the top on its last reopen (wire execution with resume enabled;
+	// always zero otherwise).
 	Resumes int
-	// Restarts counts full re-executions of the stream after its resume
-	// budget ran out — the plan-level degradation that re-fetches just
-	// this stream from the top and fast-forwards past the delivered
-	// prefix.
-	Restarts int
-	// Failovers counts cross-replica failovers: the stream's frontier
-	// suffix was re-issued on a different replica after same-replica
-	// resume gave up (replica-set execution only; always zero otherwise).
+	// Failovers counts the reopens that moved the stream to a different
+	// replica (replica-set execution only; always zero otherwise).
 	Failovers int
 	// Replica is the index of the replica that finished serving the
 	// stream within the replica set (0 for single-backend execution).
 	Replica int
 	// Shards breaks the stream down by shard for scatter-gather
-	// execution: rows/bytes contributed and recovery machinery burned per
-	// partition, summed across plan-level restarts. Nil when the backend
-	// is not sharded.
+	// execution: rows/bytes contributed and reopens spent per partition.
+	// Nil when the backend is not sharded.
 	Shards []wire.ShardStat
 }
 
-// StreamSpec is one tuple stream's resume contract: its SQL text, the
-// output positions of its structural sort key, and the rewrite that turns
-// a boundary key into the stream's suffix query. The wire client consumes
-// it (via Wire) to splice a died stream back together mid-flight.
-type StreamSpec struct {
-	// SQL is the stream's full generated query.
-	SQL string
-	// SortKey holds the output-row positions of the structural sort key in
-	// ORDER BY order; nil when the stream is unordered (not resumable).
-	SortKey []int
-	stream  *sqlgen.Stream
-}
-
-func newStreamSpec(s *sqlgen.Stream) *StreamSpec {
-	return &StreamSpec{SQL: s.SQL(), SortKey: s.SortKey(), stream: s}
-}
-
-// Resumable reports whether the stream can be resumed mid-flight: it must
-// still carry its structural sort order.
-func (sp *StreamSpec) Resumable() bool { return sp.stream.Resumable() }
-
-// Wire returns the wire-client resume spec, or nil when the stream is not
-// resumable.
-func (sp *StreamSpec) Wire() *wire.ResumeSpec {
-	if !sp.Resumable() {
+// resumeSpec is one sorted stream's resume contract: the output positions
+// of its structural sort key and the rewrite that turns a boundary key
+// into the stream's suffix query. It is nil for an unordered stream, which
+// has no defined prefix to skip.
+func resumeSpec(s *sqlgen.Stream) *wire.ResumeSpec {
+	if !s.Resumable() {
 		return nil
 	}
-	return &wire.ResumeSpec{KeyCols: sp.SortKey, Rewrite: sp.stream.ResumeSQL}
-}
-
-// StreamSpecs generates the plan's streams and returns their resume
-// contracts, in stream order.
-func (p *Plan) StreamSpecs() ([]*StreamSpec, error) {
-	streams, err := p.Streams()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]*StreamSpec, len(streams))
-	for i, s := range streams {
-		specs[i] = newStreamSpec(s)
-	}
-	return specs, nil
+	return &wire.ResumeSpec{KeyCols: s.SortKey(), Rewrite: s.ResumeSQL}
 }
 
 // resultSource adapts an engine result to a tagger source and counts the
@@ -385,98 +345,23 @@ func writeDoc(tg *tagger.Tagger, w io.Writer, inputs []tagger.Input, unordered b
 }
 
 // wireSource adapts a wire row stream to a tagger source and remembers
-// when the stream finished draining, for the per-stream wall time. When
-// restartsLeft is positive it also provides the plan-level degradation
-// path: a stream lost beyond the wire client's resume budget is
-// re-executed from the top and fast-forwarded past the rows already
-// handed to the tagger, so one exhausted stream doesn't fail the whole
-// document.
+// when the stream finished draining, for the per-stream wall time.
 type wireSource struct {
-	ctx    context.Context
-	client wire.Backend
-	sql    string
-	spec   *wire.ResumeSpec
-	rows   *wire.Rows
-	start  time.Time
-	wall   time.Duration // set once the stream reaches EOF
-
-	restartsLeft int
-	delivered    int64 // rows handed to the tagger so far
-	// Totals carried over from streams replaced by restarts; the final
-	// metrics fold these with the live stream's counters.
-	prevRows, prevBytes int64
-	prevResumes         int
-	prevFailovers       int
-	prevShards          []wire.ShardStat
-	restarts            int
+	rows  *wire.Rows
+	start time.Time
+	wall  time.Duration // set once the stream reaches EOF
 }
 
 func (s *wireSource) Next() ([]value.Value, bool, error) {
-	for {
-		row, err := s.rows.Next()
-		if err == io.EOF {
-			s.wall = time.Since(s.start)
-			return nil, false, nil
-		}
-		if err != nil {
-			if s.restartsLeft > 0 && errors.Is(err, wire.ErrStreamLost) && s.ctx.Err() == nil {
-				if rerr := s.restart(); rerr == nil {
-					continue
-				}
-				// Restart failed too: surface the original typed loss.
-			}
-			return nil, false, err
-		}
-		s.delivered++
-		return row, true, nil
+	row, err := s.rows.Next()
+	if err == io.EOF {
+		s.wall = time.Since(s.start)
+		return nil, false, nil
 	}
-}
-
-// addShardStats folds a live stream's per-shard breakdown into the totals
-// carried over from restarted predecessors, element-wise by shard index;
-// Replica reflects the most recent execution.
-func addShardStats(prev, cur []wire.ShardStat) []wire.ShardStat {
-	if prev == nil {
-		return cur
-	}
-	for i := range prev {
-		if i >= len(cur) {
-			break
-		}
-		prev[i].Rows += cur[i].Rows
-		prev[i].Bytes += cur[i].Bytes
-		prev[i].Resumes += cur[i].Resumes
-		prev[i].Failovers += cur[i].Failovers
-		prev[i].Replica = cur[i].Replica
-	}
-	return prev
-}
-
-// restart replaces the lost stream with a fresh execution of the same
-// query (resume re-armed with a full budget) and skips the prefix already
-// delivered to the tagger. The skipped rows cross the wire again and so
-// stay counted in the transfer totals.
-func (s *wireSource) restart() error {
-	s.restartsLeft--
-	s.restarts++
-	s.prevRows += s.rows.RowCount
-	s.prevBytes += s.rows.BytesRead
-	s.prevResumes += s.rows.Resumes
-	s.prevFailovers += s.rows.Failovers
-	s.prevShards = addShardStats(s.prevShards, s.rows.ShardStats())
-	s.rows.Close()
-	nr, err := s.client.QueryResumable(s.ctx, s.sql, s.spec)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	for i := int64(0); i < s.delivered; i++ {
-		if _, err := nr.Next(); err != nil {
-			nr.Close()
-			return err
-		}
-	}
-	s.rows = nr
-	return nil
+	return row, true, nil
 }
 
 // ExecuteWire runs the plan through the wire protocol: all SQL queries are
@@ -499,26 +384,10 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 	start := time.Now()
 	m := Metrics{Streams: len(streams), PerStream: make([]StreamMetrics, len(streams))}
 
-	// With resume enabled on the client, every ordered stream is opened
-	// with its resume contract, and one plan-level restart per stream backs
-	// up the wire-level budget (graceful degradation). A sharded backend
-	// needs the contract even with resume off: the scatter-gather merge
-	// keys on the same structural sort columns.
-	wspecs := make([]*wire.ResumeSpec, len(streams))
-	restarts := 0
-	sharded := false
-	if sh, ok := client.(interface{ Shards() int }); ok && sh.Shards() > 1 {
-		sharded = true
-	}
-	if client.MaxResumes() > 0 || sharded {
-		for i, s := range streams {
-			wspecs[i] = newStreamSpec(s).Wire()
-		}
-	}
-	if client.MaxResumes() > 0 {
-		restarts = 1
-	}
-
+	// Every ordered stream is opened with its resume contract. The client
+	// arms healing only when its resume budget is above zero; a sharded
+	// backend's scatter-gather merge keys on the same structural sort
+	// columns either way.
 	type opened struct {
 		rows *wire.Rows
 		err  error
@@ -526,18 +395,19 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 	results := make([]opened, len(streams))
 	var wg sync.WaitGroup
 	for i, s := range streams {
-		m.PerStream[i].SQL = s.SQL()
+		sql := s.SQL()
+		m.PerStream[i].SQL = sql
 		wg.Add(1)
-		go func(i int, sql string) {
+		go func(i int, sql string, spec *wire.ResumeSpec) {
 			defer wg.Done()
 			qs := time.Now()
-			rows, err := client.QueryResumable(ctx, sql, wspecs[i])
+			rows, err := client.QueryResumable(ctx, sql, spec)
 			m.PerStream[i].QueryTime = time.Since(qs)
 			if rows != nil {
 				m.PerStream[i].Retries = rows.Attempts - 1
 			}
 			results[i] = opened{rows: rows, err: err}
-		}(i, s.SQL())
+		}(i, sql, resumeSpec(s))
 	}
 	wg.Wait()
 	m.QueryTime = time.Since(start)
@@ -547,16 +417,12 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 	sources := make([]*wireSource, len(streams))
 	for i, r := range results {
 		if r.rows != nil {
-			sources[i] = &wireSource{
-				ctx: ctx, client: client, sql: streams[i].SQL(), spec: wspecs[i],
-				rows: r.rows, start: start, restartsLeft: restarts,
-			}
+			sources[i] = &wireSource{rows: r.rows, start: start}
 		}
 	}
 
 	// Every opened stream is released on every exit path; Rows.Close is
-	// idempotent, so streams already closed at EOF are fine. Sources hold
-	// the live Rows (a restart may have replaced the originally opened one).
+	// idempotent, so streams already closed at EOF are fine.
 	closeAll := func() {
 		for _, s := range sources {
 			if s != nil {
@@ -580,17 +446,14 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 	}
 	m.TotalTime = time.Since(start)
 	for i, s := range sources {
-		rows := s.prevRows + s.rows.RowCount
-		bytes := s.prevBytes + s.rows.BytesRead
-		m.Rows += rows
-		m.Bytes += bytes
-		m.PerStream[i].Rows = rows
-		m.PerStream[i].Bytes = bytes
-		m.PerStream[i].Resumes = s.prevResumes + s.rows.Resumes
-		m.PerStream[i].Restarts = s.restarts
-		m.PerStream[i].Failovers = s.prevFailovers + s.rows.Failovers
+		m.Rows += s.rows.RowCount
+		m.Bytes += s.rows.BytesRead
+		m.PerStream[i].Rows = s.rows.RowCount
+		m.PerStream[i].Bytes = s.rows.BytesRead
+		m.PerStream[i].Resumes = s.rows.Resumes
+		m.PerStream[i].Failovers = s.rows.Failovers
 		m.PerStream[i].Replica = s.rows.Replica
-		m.PerStream[i].Shards = addShardStats(s.prevShards, s.rows.ShardStats())
+		m.PerStream[i].Shards = s.rows.ShardStats()
 		if w := s.wall; w > 0 {
 			m.PerStream[i].WallTime = w
 		} else {

@@ -337,6 +337,13 @@ func transient(err error) bool {
 		!errors.Is(err, ErrCircuitOpen)
 }
 
+// reroutable reports whether a failed open may succeed on a later attempt
+// or another endpoint: a transport failure, or a breaker failing fast.
+// A server's answer, a deadline or a cancellation ends the request.
+func reroutable(err error) bool {
+	return transient(err) || errors.Is(err, ErrCircuitOpen)
+}
+
 // Rows is one open tuple stream.
 type Rows struct {
 	// Columns holds the result column names.
@@ -349,14 +356,15 @@ type Rows struct {
 	// Attempts is how many tries the logical request took before this
 	// stream opened (1 = no retry).
 	Attempts int
-	// Resumes is how many times the stream was resumed mid-flight after a
-	// transport failure (0 = the stream ran uninterrupted). Only streams
-	// opened with QueryResumable on a WithResume client ever resume.
+	// Resumes is how many times the stream was reopened mid-flight after
+	// a transport failure, the last reopen from the top included (0 = the
+	// stream ran uninterrupted). Only streams opened with QueryResumable on
+	// a WithResume client ever reopen.
 	Resumes int
-	// Failovers is how many times the stream's frontier suffix was
-	// re-issued on a different replica after same-replica resume gave up
-	// (0 = the stream never left its first replica). Only streams opened
-	// through a ReplicaSet ever fail over.
+	// Failovers is how many of those reopens moved the stream to a
+	// different replica than the one it died on (0 = the stream never left
+	// its first replica). Only streams opened through a ReplicaSet ever
+	// fail over.
 	Failovers int
 	// Replica is the index of the replica currently serving the stream
 	// within its ReplicaSet; 0 for single-client streams.
@@ -374,14 +382,13 @@ type Rows struct {
 
 	// Resume state (see resume.go). spec == nil means resume is not armed.
 	spec    *ResumeSpec
-	budget  int           // remaining resume attempts
+	budget  int           // remaining reopens
 	lastKey []value.Value // sort key of the last delivered row
 	ties    int64         // delivered rows carrying exactly lastKey
 
 	// Replica state (see replica.go). set == nil means the stream was
-	// opened on a bare Client and never fails over.
+	// opened on a bare Client and reopens there.
 	set         *ReplicaSet
-	foBudget    int                // remaining cross-replica failovers
 	hedgeCancel context.CancelFunc // retires a hedged open's private context
 
 	// Shard state (see shard.go). merge != nil means this Rows is the
@@ -454,10 +461,9 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 // attempt runs one guarded round trip. A request whose effective deadline
 // has already passed is shed before any connection is acquired or dialed:
 // the caller can no longer use the answer, so opening a backend stream for
-// it is pure waste. Every op's fresh requests, retries, resumes,
-// cross-replica failovers, and per-shard scatters pass through here, so all
-// are covered. The breaker then admits the attempt and learns from its
-// outcome.
+// it is pure waste. Every op's fresh requests, retries, mid-stream reopens
+// and per-shard scatters pass through here, so all are covered. The
+// breaker then admits the attempt and learns from its outcome.
 func (c *Client) attempt(ctx context.Context, req request) (response, error) {
 	name := ops[req.op].name
 	if d := c.requestDeadline(ctx); !d.IsZero() && !time.Now().Before(d) {
@@ -519,7 +525,10 @@ func exchange(conn net.Conn, req request) (response, error) {
 	if _, err := conn.Write(frame); err != nil {
 		return response{}, fmt.Errorf("send: %w", err)
 	}
-	status, err := readFrame(conn, nil, maxFrame)
+	status, err := readFrame(conn, nil, maxRequestFrame)
+	if errors.Is(err, errFrameTooLarge) {
+		return response{}, fmt.Errorf("read status: %w: %w", ErrBadResponse, err)
+	}
 	if err != nil {
 		return response{}, fmt.Errorf("read status: %w", err)
 	}
@@ -528,11 +537,11 @@ func exchange(conn net.Conn, req request) (response, error) {
 
 // parseResponse decodes the status frame answering op: 'E' is the server's
 // typed error, otherwise 'C' (column names) for a query and 'V' (fixed-size
-// values) for the others.
+// values) for the others. A frame it cannot decode is ErrBadResponse.
 func parseResponse(op byte, status []byte) (response, error) {
 	switch {
 	case len(status) == 0:
-		return response{}, fmt.Errorf("read status: empty frame")
+		return response{}, fmt.Errorf("read status: %w: empty frame", ErrBadResponse)
 	case status[0] == 'E':
 		if len(status) < 2 {
 			return response{}, &Error{Code: CodeUnknown, Msg: "truncated error frame"}
@@ -541,7 +550,7 @@ func parseResponse(op byte, status []byte) (response, error) {
 	case status[0] == 'C' && op == opQuery:
 		cols, err := decodeColumns(status)
 		if err != nil {
-			return response{}, fmt.Errorf("read status: %w", err)
+			return response{}, fmt.Errorf("read status: %w: %v", ErrBadResponse, err)
 		}
 		return response{rows: &Rows{Columns: cols}}, nil
 	case status[0] == 'V' && op == opEstimate && len(status) == 1+3*8:
@@ -553,7 +562,7 @@ func parseResponse(op byte, status []byte) (response, error) {
 	case status[0] == 'V' && op == opEpoch && len(status) == 1+8:
 		return response{epoch: int64(binary.BigEndian.Uint64(status[1:9]))}, nil
 	}
-	return response{}, fmt.Errorf("read status: unexpected %q frame of %d bytes", status[0], len(status))
+	return response{}, fmt.Errorf("read status: %w: unexpected %q frame of %d bytes", ErrBadResponse, status[0], len(status))
 }
 
 // settle retires a connection after an exchange: back to the pool when the

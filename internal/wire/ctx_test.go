@@ -23,7 +23,7 @@ import (
 // seqDB builds a single-relation database with n wide rows, so a full
 // result stream is far larger than any client-side buffer and the server
 // must stay blocked on the pipe mid-stream.
-func seqDB(t *testing.T, n int) *engine.Database {
+func seqDB(t testing.TB, n int) *engine.Database {
 	t.Helper()
 	s := schema.New()
 	s.MustAddRelation("Seq", []string{"k"},

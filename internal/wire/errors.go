@@ -110,14 +110,18 @@ var (
 	// endpoint is currently worth a network round trip. The set fails
 	// closed — callers get this typed error instead of a partial document.
 	ErrNoHealthyReplica = errors.New("wire: no healthy replica")
+	// ErrBadResponse reports a status frame the client cannot decode:
+	// empty, truncated, of the wrong kind for the request, or longer than
+	// maxRequestFrame. The connection is closed; like any transport
+	// failure, the request may be retried.
+	ErrBadResponse = errors.New("wire: malformed response")
 	// ErrStreamLost reports a tuple stream that died mid-flight — after the
-	// column header, before the terminator — and could not be resumed: the
-	// rows already delivered cannot be trusted to be the whole result, and
-	// replaying the query from scratch is the caller's decision (plan
-	// executors do exactly that as a last resort). Test with errors.Is.
+	// column header, before the terminator — and could not be healed: the
+	// rows already delivered cannot be trusted to be the whole result. Test
+	// with errors.Is.
 	ErrStreamLost = errors.New("wire: stream lost mid-flight")
-	// ErrResumeExhausted reports a stream that died mid-flight and burned
-	// its whole resume budget trying to recover. It unwraps to
+	// ErrResumeExhausted reports a stream that died mid-flight and spent
+	// all its reopens (resume budget n gives n+1) trying to recover. It unwraps to
 	// ErrStreamLost, so errors.Is(err, ErrStreamLost) covers both the
 	// resume-disabled and budget-exhausted cases.
 	ErrResumeExhausted error = &sentinel{"wire: stream resume budget exhausted", ErrStreamLost}

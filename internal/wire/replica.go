@@ -11,8 +11,9 @@ package wire
 //
 // Because every SilkRoute stream is sorted by its structural key, a stream
 // whose home replica dies mid-flight has a well-defined frontier and its
-// suffix can be re-fetched from any other healthy replica byte-for-byte
-// (see resume.go): same-replica resume first, then cross-replica failover.
+// suffix can be re-fetched from any other healthy replica byte-for-byte:
+// the healing loop in resume.go asks this file's balancer for each reopen's
+// replica, away from the one the stream died on while another is usable.
 // When every breaker is open the set fails closed with ErrNoHealthyReplica
 // rather than emitting a partial document.
 
@@ -42,9 +43,6 @@ type Backend interface {
 	Estimate(ctx context.Context, sql string) (engine.Estimate, error)
 	// StatsEpoch probes the remote statistics epoch (see Client.StatsEpoch).
 	StatsEpoch(ctx context.Context) (int64, error)
-	// MaxResumes reports the per-stream resume budget; zero disables
-	// resume.
-	MaxResumes() int
 	// IdleConns reports pooled idle connections (summed over replicas).
 	IdleConns() int
 	// Close releases every pooled connection.
@@ -59,7 +57,7 @@ var (
 
 // replicaState is one replica's balancing state: its client plus the
 // signals the balancer weighs — in-flight streams, and error/latency
-// EWMAs updated at every open, estimate, and failover.
+// EWMAs updated at every open, estimate, and reopen.
 type replicaState struct {
 	client *Client
 	name   string
@@ -111,20 +109,11 @@ func (rs *replicaState) score() float64 {
 type ReplicaSet struct {
 	reps  []*replicaState
 	rr    atomic.Uint64 // round-robin cursor
-	fo    int           // per-stream cross-replica failover budget
 	hedge time.Duration // 0 = hedged opens disabled
 }
 
 // ReplicaOption configures a ReplicaSet.
 type ReplicaOption func(*ReplicaSet)
-
-// WithFailoverBudget bounds how many times one stream may fail over to a
-// different replica after its same-replica resume budget runs out. The
-// default is len(replicas)-1 — enough to try every other replica once.
-// n <= 0 disables cross-replica failover.
-func WithFailoverBudget(n int) ReplicaOption {
-	return func(s *ReplicaSet) { s.fo = n }
-}
 
 // WithHedgeDelay arms hedged opens: when the chosen replica has not
 // produced a stream header within d, a second healthy replica is raced
@@ -152,7 +141,7 @@ func WithReplicaNames(names []string) ReplicaOption {
 // stream behaves identically wherever it lands; the facade's Dial
 // guarantees that.
 func NewReplicaSet(clients []*Client, opts ...ReplicaOption) *ReplicaSet {
-	s := &ReplicaSet{fo: len(clients) - 1}
+	s := &ReplicaSet{}
 	for i, c := range clients {
 		s.reps = append(s.reps, &replicaState{client: c, name: fmt.Sprintf("replica %d", i)})
 	}
@@ -255,7 +244,7 @@ func (s *ReplicaSet) try(ctx context.Context, hops int, op func(idx int, rs *rep
 		if ctx.Err() != nil || errors.Is(lastErr, ErrClientClosed) {
 			return lastErr
 		}
-		if !transient(lastErr) && !errors.Is(lastErr, ErrCircuitOpen) {
+		if !reroutable(lastErr) {
 			// A definitive server answer: the SQL itself is at fault, and
 			// every replica would answer the same.
 			return lastErr
@@ -266,14 +255,14 @@ func (s *ReplicaSet) try(ctx context.Context, hops int, op func(idx int, rs *rep
 }
 
 // openOn opens one stream on the chosen replica and binds the returned
-// Rows to the set: replica index and failover budget.
+// Rows to the set, so its reopens go through the balancer.
 func (s *ReplicaSet) openOn(ctx context.Context, idx int, rs *replicaState, sql string, spec *ResumeSpec) (rows *Rows, err error) {
 	err = rs.run(true, func(c *Client) error {
 		rows, err = c.QueryResumable(ctx, sql, spec)
 		return err
 	})
 	if err == nil {
-		rows.set, rows.Replica, rows.foBudget = s, idx, s.fo
+		rows.set, rows.Replica = s, idx
 	}
 	return rows, err
 }
@@ -396,10 +385,6 @@ func (s *ReplicaSet) StatsEpoch(ctx context.Context) (epoch int64, err error) {
 	})
 	return epoch, err
 }
-
-// MaxResumes reports the shared per-stream resume budget (the clients are
-// built from one configuration).
-func (s *ReplicaSet) MaxResumes() int { return s.reps[0].client.MaxResumes() }
 
 // IdleConns sums the replicas' idle pools.
 func (s *ReplicaSet) IdleConns() int {

@@ -2,7 +2,8 @@ package wire
 
 // The request header: one table over every op × flag shape, the malformed
 // frames the decoder must refuse, a fuzz target over the decoder, and the
-// request-frame size bound.
+// request-frame size bound. Then the response's status frame: its size
+// bound and a fuzz target over its decoder.
 
 import (
 	"bufio"
@@ -206,5 +207,112 @@ func TestOversizeRequestRefused(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], maxRequestFrame+1)
 	if _, err := readFrame(bytes.NewReader(hdr[:]), nil, maxRequestFrame); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("frame of maxRequestFrame+1 bytes: %v, want errFrameTooLarge", err)
+	}
+}
+
+// statusFrames captures the status frames a live server answers to the
+// requests these tests send: every header shape, a query the engine
+// rejects, and every malformed header.
+func statusFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	srv := &Server{DB: seqDB(tb, 10)}
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	go srv.ServeConn(c2)
+	br := bufio.NewReader(c1)
+	bw := bufio.NewWriter(c1)
+	var reqs [][]byte
+	for _, q := range headerShapes() {
+		reqs = append(reqs, appendRequest(nil, q))
+	}
+	reqs = append(reqs, appendRequest(nil, request{op: opQuery, sql: "select nope from Nowhere n"}))
+	for _, frame := range malformedFrames() {
+		if len(frame) > 0 { // an empty frame is the client hanging up
+			reqs = append(reqs, frame)
+		}
+	}
+	var out [][]byte
+	for _, req := range reqs {
+		if err := writeFrame(bw, req); err != nil {
+			tb.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+		status, err := readFrame(br, nil, maxFrame)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, status)
+		if req[0] == opQuery && status[0] == 'C' {
+			// Drain the row batches through the terminator.
+			for {
+				frame, err := readFrame(br, nil, maxFrame)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if len(frame) == 0 {
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// FuzzParseResponse: the status-frame decoder must never panic, must
+// answer every failure with a typed error (the server's *Error, or
+// ErrBadResponse), and must set the field its op asks for.
+func FuzzParseResponse(f *testing.F) {
+	seen := make(map[string]bool)
+	for _, status := range statusFrames(f) {
+		if seen[string(status)] {
+			continue
+		}
+		seen[string(status)] = true
+		for _, op := range []byte{opQuery, opEstimate, opEpoch} {
+			f.Add(op, status)
+		}
+	}
+	f.Fuzz(func(t *testing.T, op byte, status []byte) {
+		resp, err := parseResponse(op, status)
+		if err != nil {
+			var se *Error
+			if !errors.As(err, &se) && !errors.Is(err, ErrBadResponse) {
+				t.Fatalf("error = %v, want *Error or ErrBadResponse", err)
+			}
+			return
+		}
+		if (resp.rows != nil) != (op == opQuery) {
+			t.Fatalf("op %q decoded to %+v", op, resp)
+		}
+	})
+}
+
+// TestOversizeStatusFrameRefused: a peer answering with a length prefix
+// above maxRequestFrame gets ErrBadResponse from the prefix alone, and the
+// client allocates nothing for the claimed payload.
+func TestOversizeStatusFrameRefused(t *testing.T) {
+	const claimed = 32 << 20
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	go func() {
+		defer c2.Close()
+		if _, err := readFrame(c2, nil, maxRequestFrame); err != nil {
+			return
+		}
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], claimed)
+		c2.Write(hdr[:])
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := exchange(c1, request{op: opEpoch})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadResponse) || !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("err = %v, want ErrBadResponse for an oversize status frame", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= claimed {
+		t.Fatalf("client allocated %d bytes reading a %d-byte claim", grew, claimed)
 	}
 }

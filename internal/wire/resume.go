@@ -1,22 +1,24 @@
 package wire
 
-// Mid-stream resume. The retry policy deliberately stops once a stream has
+// Stream healing. The retry policy deliberately stops once a stream has
 // started: replaying a whole query could re-deliver rows into a
 // half-merged document. But SilkRoute streams are sorted by their
 // structural key, so a dead stream has a well-defined frontier — the sort
-// key of the last row delivered — and the suffix at/after that frontier
-// can be fetched with a key-range query and spliced on, without the
-// consumer ever noticing. This file implements the splice: tracking the
-// frontier row by row, re-issuing the rewritten SQL on a fresh
-// connection, skipping the boundary rows already delivered, and adopting
-// the new connection into the existing Rows.
+// key of the last row delivered — and healing it means one thing: reopen
+// its SQL after that key on some endpoint, skip the boundary rows already
+// delivered, and splice the continuation in without the consumer ever
+// noticing. This file is the one loop that does it. A stream armed with
+// budget n gets at most n+1 reopens: n at the frontier (a replica-set
+// stream's reopen leaves the replica it died on), then one from the top
+// that re-runs the original query and skips every delivered row. After
+// that the stream fails with ErrResumeExhausted. A sharded stream heals
+// each shard's partial stream this way underneath the merge.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"silkroute/internal/obs"
 	"silkroute/internal/value"
@@ -24,10 +26,10 @@ import (
 
 // Resume configures mid-stream recovery.
 type Resume struct {
-	// MaxResumes bounds how many times one stream may be resumed after
-	// mid-flight transport failures; <= 0 disables resume (the default),
-	// in which case a started stream that dies fails with an error
-	// satisfying errors.Is(err, ErrStreamLost).
+	// MaxResumes is the per-stream healing budget n: a stream that dies
+	// mid-flight is reopened at most n+1 times (see tryResume); <= 0
+	// disables healing (the default), in which case a started stream that
+	// dies fails with an error satisfying errors.Is(err, ErrStreamLost).
 	MaxResumes int
 }
 
@@ -38,18 +40,9 @@ func WithResume(r Resume) ClientOption {
 	return func(c *Client) { c.resume = r }
 }
 
-// MaxResumes reports the configured per-stream resume budget; zero means
-// resume is disabled.
-func (c *Client) MaxResumes() int {
-	if c.resume.MaxResumes > 0 {
-		return c.resume.MaxResumes
-	}
-	return 0
-}
-
 // ResumeSpec tells the client how to recover one query's tuple stream
 // after a mid-stream transport failure. The plan layer builds it from the
-// stream's structural sort key (plan.StreamSpec).
+// stream's structural sort key (see plan.ExecuteWire).
 type ResumeSpec struct {
 	// KeyCols are the positions of the stream's sort-key columns within a
 	// result row, in ORDER BY order. It may be empty (a stream with a
@@ -58,26 +51,25 @@ type ResumeSpec struct {
 	KeyCols []int
 	// Rewrite returns SQL producing the stream's suffix at/after the
 	// given boundary key — the last fully delivered row's sort-key
-	// values, nil when no row was delivered yet. The rewritten query must
-	// keep the original's column set, order, and sort.
+	// values — or the original SQL when the key is nil. The rewritten
+	// query must keep the original's column set, order, and sort.
 	Rewrite func(lastKey []value.Value) (string, error)
 }
 
 // QueryResumable is Query with mid-stream recovery armed: if the returned
 // stream dies with a transient transport error after it started, the
-// client re-issues the spec's rewritten SQL (the suffix at/after the last
-// delivered sort key) on a fresh connection, skips the duplicate boundary
-// rows, and splices the continuation in place, so the caller observes one
-// uninterrupted sorted stream. Recovery is bounded by the client's Resume
-// budget per stream; when the budget runs out the stream fails with
-// ErrResumeExhausted (which also satisfies errors.Is(err, ErrStreamLost)).
+// client reopens it at the frontier (see tryResume), skips the duplicate
+// boundary rows, and splices the continuation in place, so the caller
+// observes one uninterrupted sorted stream. When the client's Resume
+// budget runs out the stream fails with ErrResumeExhausted (which also
+// satisfies errors.Is(err, ErrStreamLost)).
 //
 // A nil spec, or a client without WithResume, behaves exactly like Query.
 func (c *Client) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error) {
 	resp, err := c.do(ctx, opQuery, sql)
-	if err == nil && spec != nil && c.MaxResumes() > 0 {
+	if err == nil && spec != nil && c.resume.MaxResumes > 0 {
 		resp.rows.spec = spec
-		resp.rows.budget = c.MaxResumes()
+		resp.rows.budget = c.resume.MaxResumes + 1
 	}
 	return resp.rows, err
 }
@@ -136,11 +128,12 @@ func (r *Rows) frontierKey() []value.Value {
 	return append([]value.Value(nil), r.lastKey...)
 }
 
-// tryResume handles a failed mid-stream read. It returns nil after a
-// successful resume — the caller loops and keeps reading from the adopted
-// connection — or the error to surface. Non-transient failures (context,
-// deadline) and unarmed streams fail immediately; armed streams burn
-// resume attempts until one sticks or the budget is gone.
+// tryResume handles a failed mid-stream read: the stream-healing ladder.
+// It returns nil after a successful reopen — the caller loops and keeps
+// reading from the adopted connection — or the error to surface.
+// Non-transient failures (context, deadline) and unarmed streams fail
+// immediately. An armed stream spends its budget one reopen at a time,
+// backing off before each; the last reopen starts from the top.
 func (r *Rows) tryResume(cause error) error {
 	werr := wrapErr(r.ctx, "read row", cause)
 	if r.ctx.Err() != nil || !transient(werr) {
@@ -154,21 +147,29 @@ func (r *Rows) tryResume(cause error) error {
 	}
 	_, span := obs.StartSpan(r.ctx, "wire.client.resume")
 	defer span.End()
-	m := obs.M()
 	lastErr := cause
+	// tried marks the replicas whose reopen failed in this episode, so a
+	// replica-set stream's next reopen moves on (see reopenTarget).
+	var tried []bool
+	if r.set != nil {
+		tried = make([]bool, len(r.set.reps))
+	}
 	// The backoff attempt counter is per recovery episode: it resets once a
-	// resume sticks, because a stuck resume made progress. A long stream
+	// reopen sticks, because a stuck reopen made progress. A long stream
 	// that survives many separate failures must not be punished with the
-	// compounded exponential delay of its lifetime resume count.
-	attempt := 0
-	for r.budget > 0 {
+	// compounded exponential delay of its lifetime reopen count.
+	for attempt := 1; r.budget > 0; attempt++ {
 		r.budget--
 		r.Resumes++
-		attempt++
-		m.ClientResume()
+		obs.M().ClientResume()
 		if err := r.client.backoff(r.ctx, attempt); err != nil {
 			r.release(false)
 			return err
+		}
+		if r.budget == 0 {
+			// The last reopen starts from the top: no boundary key, and
+			// every delivered row is a tie to skip.
+			r.lastKey, r.ties = nil, r.RowCount
 		}
 		sql, err := r.spec.Rewrite(r.frontierKey())
 		if err != nil {
@@ -176,118 +177,86 @@ func (r *Rows) tryResume(cause error) error {
 			return fmt.Errorf("wire: resume rewrite: %w", err)
 		}
 		span.SetDetail(sql)
-		resp, err := r.client.attempt(r.ctx, newRequest(opQuery, span, sql))
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, ErrCircuitOpen) && r.set != nil {
-				// This replica's breaker opened under us; burning the rest
-				// of the same-replica budget would just fail fast again.
-				// Only another replica can continue the stream.
-				break
-			}
-			if r.ctx.Err() != nil || !transient(err) || errors.Is(err, ErrClientClosed) {
-				r.release(false)
-				return err
-			}
-			continue
-		}
-		permanent, err := r.adopt(resp.rows)
+		permanent, err := r.reopen(span, sql, tried)
 		if err == nil {
 			return nil
 		}
 		lastErr = err
-		if permanent || r.ctx.Err() != nil {
+		if permanent || r.ctx.Err() != nil || errors.Is(err, ErrClientClosed) || !reroutable(err) {
 			r.release(false)
 			return err
 		}
 	}
-	// Same-replica recovery is out of road. A replica-set stream gets one
-	// more ladder rung: re-issue the frontier suffix on a different healthy
-	// replica and splice the continuation in (the sorted-outer-union
-	// encoding makes the continuation byte-identical whichever healthy
-	// replica serves it).
-	if r.set != nil && r.foBudget > 0 {
-		if err := r.failover(span, &lastErr); err == nil {
-			return nil
-		}
-	}
 	r.release(false)
-	m.ClientStreamLost()
+	obs.M().ClientStreamLost()
 	return fmt.Errorf("wire: %w after %d rows: %v", ErrResumeExhausted, r.RowCount, lastErr)
 }
 
-// failover moves the stream to a different healthy replica: it rewrites
-// the frontier suffix exactly like a same-replica resume, but opens the
-// continuation on a replica chosen by the balancer (excluding the current
-// one), then re-arms the same-replica resume budget there. It returns nil
-// once a continuation is adopted; on failure *lastErr carries the most
-// informative cause for the ErrResumeExhausted wrapper.
-func (r *Rows) failover(span *obs.Span, lastErr *error) error {
-	m := obs.M()
-	for r.foBudget > 0 {
-		if err := r.ctx.Err(); err != nil {
-			*lastErr = ctxSentinel(err)
-			return *lastErr
+// reopen opens sql on this reopen's endpoint and splices the continuation
+// into r. A bare Client's stream reopens on its own client. A replica-set
+// stream reopens where reopenTarget says; the sorted outer union makes the
+// continuation byte-identical whichever replica serves it. A failed reopen
+// marks its replica in tried; once the replica the stream died on fails
+// too, every replica has had its turn and a new round begins. An adopted
+// continuation on a different replica counts as a failover.
+func (r *Rows) reopen(span *obs.Span, sql string, tried []bool) (permanent bool, err error) {
+	open := func(c *Client) error {
+		resp, err := c.attempt(r.ctx, newRequest(opQuery, span, sql))
+		if err == nil {
+			permanent, err = r.adopt(resp.rows)
 		}
-		r.foBudget--
-		sql, err := r.spec.Rewrite(r.frontierKey())
-		if err != nil {
-			*lastErr = fmt.Errorf("wire: failover rewrite: %w", err)
-			return *lastErr
-		}
-		idx, rep, err := r.set.pick(r.Replica)
-		if err != nil {
-			*lastErr = err
-			return err
-		}
-		r.Failovers++
-		m.ClientFailover()
-		span.SetDetail(sql)
-		start := time.Now()
-		resp, err := rep.client.attempt(r.ctx, newRequest(opQuery, span, sql))
-		if err != nil {
-			rep.note(true, 0)
-			*lastErr = err
-			if r.ctx.Err() != nil || errors.Is(err, ErrClientClosed) {
-				return err
-			}
-			if !transient(err) && !errors.Is(err, ErrCircuitOpen) {
-				// A definitive server answer; no replica will answer
-				// differently.
-				return err
-			}
-			continue
-		}
-		permanent, err := r.adopt(resp.rows)
-		if err != nil {
-			rep.note(true, 0)
-			*lastErr = err
-			if permanent || r.ctx.Err() != nil {
-				return err
-			}
-			continue
-		}
-		// Adopted: the stream now lives on the new replica. Move the
-		// in-flight slot, switch the owning client (release repools the
-		// connection into r.client's pool), and grant a fresh same-replica
-		// resume budget on the new home.
-		rep.note(false, time.Since(start))
-		r.set.reps[r.Replica].inFlight.Add(-1)
-		rep.inFlight.Add(1)
-		r.Replica = idx
-		r.client = rep.client
-		r.budget = r.client.MaxResumes()
-		return nil
+		return err
 	}
-	return *lastErr
+	if r.set == nil {
+		err = open(r.client)
+		return permanent, err
+	}
+	idx, rep := r.reopenTarget(tried)
+	if err = rep.run(true, open); err != nil {
+		if idx == r.Replica {
+			clear(tried)
+		} else {
+			tried[idx] = true
+		}
+		return permanent, err
+	}
+	// Adopted: the stream now lives on rep. Its in-flight slot moves with
+	// it, and release repools the connection into the new home's pool.
+	if idx != r.Replica {
+		r.Failovers++
+		obs.M().ClientFailover()
+	}
+	r.set.reps[r.Replica].inFlight.Add(-1)
+	r.Replica, r.client = idx, rep.client
+	return false, nil
+}
+
+// reopenTarget picks the replica for one reopen of a replica-set stream:
+// the balancer's choice among the replicas that are neither the one the
+// stream died on nor marked in tried (pick skips open breakers). When none
+// of those is usable, the stream reopens on the replica it died on, so a
+// flaky endpoint whose peers are all down still heals its own stream.
+func (r *Rows) reopenTarget(tried []bool) (int, *replicaState) {
+	skip := func(i int) bool { return i == r.Replica || tried[i] }
+	for i := range r.set.reps {
+		if skip(i) {
+			continue
+		}
+		if idx, rep, err := r.set.pickExcluding(skip); err == nil {
+			return idx, rep
+		}
+		break
+	}
+	return r.Replica, r.set.reps[r.Replica]
 }
 
 // adopt splices a freshly opened continuation stream into r: it verifies
 // the column set, skips the boundary rows already delivered (exactly
-// r.ties rows whose sort key equals the frontier), retires the dead
-// connection, and takes over the new stream's connection and read state.
-// permanent reports an error that burning more attempts cannot fix (the
-// source data changed under us, or the rewritten query is malformed).
+// r.ties rows, whose sort key must equal the frontier when there is one),
+// retires the dead connection, and takes over the new stream's connection
+// and read state. permanent reports an error that burning more attempts
+// cannot fix (the source data changed under us, or the rewritten query is
+// malformed).
 func (r *Rows) adopt(nr *Rows) (permanent bool, err error) {
 	if len(nr.Columns) != len(r.Columns) {
 		nr.Close()
@@ -304,7 +273,7 @@ func (r *Rows) adopt(nr *Rows) (permanent bool, err error) {
 			}
 			return false, err // the continuation died too; try again
 		}
-		if len(r.spec.KeyCols) > 0 && !r.keyMatches(row) {
+		if r.lastKey != nil && !r.keyMatches(row) {
 			nr.Close()
 			return true, fmt.Errorf("wire: resume: source changed: boundary key mismatch at row %d", i+1)
 		}

@@ -18,12 +18,12 @@ package wire
 //     without changing the document. The heap still breaks ties by shard
 //     index, keeping the merge deterministic.
 //
-// Each shard is a full Backend — a bare Client or a ReplicaSet — so the
-// PR 5/7 degradation ladder (same-replica resume, then cross-replica
-// failover) runs independently per shard underneath the merge: a shard
-// replica dying mid-scatter is healed by that shard's own machinery and
-// the merge never notices. Only when a shard exhausts its whole ladder
-// does the merged stream die, typed so the plan layer can restart it.
+// Each shard is a full Backend — a bare Client or a ReplicaSet — and each
+// shard's partial stream heals itself (resume.go's reopen loop, on that
+// shard's endpoints) underneath the merge: a shard replica dying
+// mid-scatter is reopened at its frontier and the merge never notices.
+// Only when a shard stream has spent all its reopens does the merged
+// stream die, with the shard's typed ErrResumeExhausted.
 
 import (
 	"container/heap"
@@ -82,11 +82,6 @@ func NewShardSet(shards []Backend, opts ...ShardOption) *ShardSet {
 	return s
 }
 
-// Shards reports the shard count. The plan layer uses it to decide
-// whether sort keys must ship with every stream even when resume is off:
-// a scatter-gather merge needs the key columns regardless.
-func (s *ShardSet) Shards() int { return len(s.shards) }
-
 // Query submits sql to every shard and returns the merged stream. Without
 // a resume spec there is no sort key to merge on, so the partial streams
 // are concatenated in shard order — exact only for unordered streams
@@ -97,8 +92,8 @@ func (s *ShardSet) Query(ctx context.Context, sql string) (*Rows, error) {
 
 // QueryResumable scatters sql to every shard concurrently and splices the
 // sorted partial streams through a k-way merge on spec.KeyCols. The spec
-// also rides into each shard backend, so per-shard resume and failover
-// stay armed underneath the merge. A single-shard set delegates outright.
+// also rides into each shard backend, so each shard stream heals itself
+// underneath the merge. A single-shard set delegates outright.
 func (s *ShardSet) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].QueryResumable(ctx, sql, spec)
@@ -211,10 +206,6 @@ func (s *ShardSet) StatsEpoch(ctx context.Context) (int64, error) {
 	return sum, nil
 }
 
-// MaxResumes reports the first shard's resume budget; shard backends are
-// configured uniformly, mirroring ReplicaSet.
-func (s *ShardSet) MaxResumes() int { return s.shards[0].MaxResumes() }
-
 // IdleConns sums pooled idle connections over every shard.
 func (s *ShardSet) IdleConns() int {
 	n := 0
@@ -244,7 +235,7 @@ type ShardStat struct {
 	// Rows and Bytes are the shard's share of the merged stream.
 	Rows  int64
 	Bytes int64
-	// Resumes and Failovers count the shard's own recovery ladder.
+	// Resumes and Failovers count the shard stream's own reopens.
 	Resumes   int
 	Failovers int
 	// Replica is the replica index serving the shard's partial stream.
@@ -415,10 +406,9 @@ func (m *shardMerge) finish(r *Rows) error {
 	return io.EOF
 }
 
-// fail kills the merged stream after one shard exhausted its whole
-// recovery ladder: the other children are closed and the error surfaces
-// wrapped with the shard's name, preserving its type so plan-level
-// restart (errors.Is ErrStreamLost) still fires and re-scatters.
+// fail kills the merged stream after one shard stream spent all its
+// reopens: the other children are closed and the error surfaces wrapped
+// with the shard's name, preserving its type (errors.Is ErrStreamLost).
 func (m *shardMerge) fail(r *Rows, shard int, err error) error {
 	m.closeChildren(r)
 	return fmt.Errorf("wire: %s: %w", m.names[shard], err)

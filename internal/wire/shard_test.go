@@ -152,7 +152,7 @@ func TestShardMergeNullKeys(t *testing.T) {
 
 // TestShardFailureWrapsShardName: when one shard's stream dies beyond
 // recovery, the merged error names the shard and stays errors.Is
-// ErrStreamLost so the plan layer's restart ladder still fires.
+// ErrStreamLost.
 func TestShardFailureWrapsShardName(t *testing.T) {
 	healthy := InProcess(bigDB(t, 100, 1))
 	sick := faultClient(t, bigDB(t, 100, 1), killEachTextOnceAt(10))

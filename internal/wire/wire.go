@@ -78,7 +78,9 @@ import (
 const maxFrame = 64 << 20
 
 // maxRequestFrame bounds a request frame, so a hostile length prefix cannot
-// make the server allocate before any SQL is seen. The benchmark's
+// make the server allocate before any SQL is seen, and a response's status
+// frame (a column header, a 25-byte estimate, a 9-byte epoch or an error),
+// so a hostile peer cannot make the client allocate either. The benchmark's
 // sqlgen.sql_bytes is 3 450 for a whole ten-stream plan, and the largest
 // single statement the fixtures generate is 10 424 bytes (Query 1's
 // unreduced outer-union plan), so 1 MiB leaves hundredfold headroom.

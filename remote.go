@@ -45,10 +45,10 @@ type Remote struct {
 // with health-weighted balancing and cross-replica failover, or a shard
 // set that scatters every stream and k-way-merges the sorted partials.
 // Grids compose: each shard of a Sharded topology is its own replica
-// group with its own recovery ladder underneath the merge.
+// group whose streams heal themselves underneath the merge.
 //
 // The option list carries the connection policy (retry, pool, timeouts,
-// resume, breaker, failover, hedging) and the source description
+// resume, breaker, hedging) and the source description
 // (WithSource), so a server's per-backend config maps 1:1 onto one option
 // slice. A topology with no endpoint, or with an empty replica group, is
 // an error.

@@ -30,8 +30,8 @@ func shardDBs(t testing.TB, db *DB, n int) []*DB {
 // across the chaos seed matrix and the strategy family, the
 // scatter-gather-merged document is byte-identical to the unsharded local
 // run — including when one shard replica is hard-killed mid-stream (every
-// stream and every continuation it serves dies), forcing that shard's own
-// resume + failover ladder to heal underneath the merge. Extra seeds via
+// stream and every continuation it serves dies), forcing that shard's
+// stream to heal itself on another replica underneath the merge. Extra seeds via
 // CHAOS_SEEDS="4 5 6".
 func TestShardEquivalenceMatrix(t *testing.T) {
 	db := OpenTPCH(0.001, 42)

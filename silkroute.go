@@ -36,7 +36,7 @@ var ErrUnsupportedPlan = errors.New("silkroute: plan not permissible on target")
 
 // ErrStreamLost reports a tuple stream that died mid-flight and could not
 // be recovered — resume was disabled, the stream was not resumable, or
-// its resume budget ran out. Test for it with errors.Is.
+// all its reopens were spent. Test for it with errors.Is.
 var ErrStreamLost = wire.ErrStreamLost
 
 // ErrCircuitOpen reports a request refused fast because the connection's
@@ -99,8 +99,6 @@ type config struct {
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	breakerSet       bool
-	failover         int
-	failoverSet      bool
 	hedge            time.Duration
 	hedgeSet         bool
 }
@@ -164,12 +162,17 @@ func WithRequestTimeout(d time.Duration) Option {
 }
 
 // WithResume enables mid-stream failure recovery on a remote connection:
-// a tuple stream that dies after delivering rows is resumed with a
+// a tuple stream that dies after delivering rows is reopened with a
 // key-range query from its last structural sort key and spliced back
 // together, so the document comes out byte-identical to a fault-free run.
-// maxResumes bounds the recovery attempts per stream (a stream whose
-// budget runs out fails with ErrStreamLost); <= 0 disables resume, the
-// default. Connection option.
+// On a replicated topology the reopen goes to a replica other than the
+// one the stream died on, back to that one only when no other is usable;
+// on a sharded one each shard's stream heals
+// itself under the merge. A stream gets at most maxResumes+1 reopens: the
+// first maxResumes at its frontier, the last from the top of its query,
+// skipping the rows already delivered. A stream whose budget runs out
+// fails with ErrStreamLost; <= 0 disables resume, the default.
+// Connection option.
 func WithResume(maxResumes int) Option {
 	return func(c *config) { c.maxResumes, c.resumeSet = maxResumes, true }
 }
@@ -183,16 +186,6 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 	return func(c *config) {
 		c.breakerThreshold, c.breakerCooldown, c.breakerSet = threshold, cooldown, true
 	}
-}
-
-// WithFailover bounds how many times one tuple stream may fail over to a
-// different replica after its same-replica resume budget runs out
-// (replicated topologies only; requires WithResume, since failover re-issues
-// the stream's frontier suffix). The default is replicas-1 — enough to
-// try every other replica once; n <= 0 disables cross-replica failover.
-// Connection option.
-func WithFailover(n int) Option {
-	return func(c *config) { c.failover, c.failoverSet = n, true }
 }
 
 // WithHedge arms hedged opens on a replicated connection: when the chosen
@@ -235,9 +228,6 @@ func (c *config) clientOptions() []wire.ClientOption {
 // replicaOptions translates the replica-side options into wire options.
 func (c *config) replicaOptions(names []string) []wire.ReplicaOption {
 	out := []wire.ReplicaOption{wire.WithReplicaNames(names)}
-	if c.failoverSet {
-		out = append(out, wire.WithFailoverBudget(c.failover))
-	}
 	if c.hedgeSet {
 		out = append(out, wire.WithHedgeDelay(c.hedge))
 	}
@@ -712,8 +702,8 @@ type Report struct {
 	// Streams is 0 and SQL is empty.
 	FragmentCached bool
 	// Failovers totals the cross-replica failovers over every stream: how
-	// many times a stream's frontier suffix was re-issued on a different
-	// replica after same-replica resume gave up (replicated topologies only).
+	// many of the streams' reopens (WithResume) went to a different replica
+	// than the one the stream died on (replicated topologies only).
 	Failovers int
 	// ServedStale reports that the document came from a stale fragment-cache
 	// entry because the backend was entirely unhealthy (WithServeStale
@@ -732,9 +722,8 @@ type StreamStat struct {
 	QueryTime time.Duration // server execution / time to first tuple
 	WallTime  time.Duration // through the last row drained into the tagger
 	Retries   int           // wire attempts beyond the first (0 for local views)
-	Resumes   int           // mid-stream resumes after transport failures (remote views with WithResume)
-	Restarts  int           // full re-executions after the resume budget ran out
-	Failovers int           // cross-replica failovers (replicated topologies only)
+	Resumes   int           // mid-stream reopens after transport failures (remote views with WithResume)
+	Failovers int           // reopens that moved to another replica (replicated topologies only)
 	Replica   int           // replica index that finished serving the stream (0 single-backend)
 	// Shards breaks the stream down per shard for scatter-gather
 	// execution over a Sharded topology; nil otherwise.
@@ -742,14 +731,14 @@ type StreamStat struct {
 }
 
 // ShardStat is one shard's contribution to a scattered stream: its share
-// of the merged rows and bytes, the recovery machinery it burned
-// underneath the merge, and the replica that ended up serving it.
+// of the merged rows and bytes, the reopens it spent underneath the
+// merge, and the replica that ended up serving it.
 type ShardStat struct {
 	Shard     int   // shard index within the topology
 	Rows      int64 // tuples this shard supplied to the merge
 	Bytes     int64 // payload bytes this shard transferred
-	Resumes   int   // the shard's own mid-stream resumes
-	Failovers int   // the shard's own cross-replica failovers
+	Resumes   int   // the shard stream's own mid-stream reopens
+	Failovers int   // the shard stream's reopens that moved replica
 	Replica   int   // replica index serving the shard's partial stream
 }
 
@@ -1007,7 +996,6 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 			WallTime:  sm.WallTime,
 			Retries:   sm.Retries,
 			Resumes:   sm.Resumes,
-			Restarts:  sm.Restarts,
 			Failovers: sm.Failovers,
 			Replica:   sm.Replica,
 		}

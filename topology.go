@@ -15,9 +15,9 @@ import (
 // "no endpoint declared", which Dial refuses.
 //
 // Topologies compose: Sharded(Replicas("a","b"), Replicas("c","d"))
-// declares a 2-shard × 2-replica grid, where every shard heals itself
-// through its own resume + failover ladder underneath the scatter-gather
-// merge. ParseTopology reads the same shapes from a flag-friendly string.
+// declares a 2-shard × 2-replica grid, where every shard's stream heals
+// itself (WithResume's reopens, each on another replica of its group)
+// underneath the scatter-gather merge. ParseTopology reads the same shapes from a flag-friendly string.
 type Topology struct {
 	// groups[i] is shard i's replica group; a 1-group topology is
 	// unsharded, a 1-endpoint group is unreplicated.
