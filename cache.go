@@ -144,7 +144,9 @@ func (v *View) statsEpoch(ctx context.Context) (int64, bool) {
 		if err != nil {
 			// Cold runs forced by a failed probe are a distinct signal from
 			// ordinary misses: the caches are degraded, not merely cold.
-			obs.M().FragmentProbeFailure()
+			if m := obs.M(); m != nil {
+				m.Cache.ProbeFailures.Inc()
+			}
 			return 0, false
 		}
 		return e, true
@@ -158,7 +160,9 @@ func (v *View) currentStamp(ctx context.Context, tables []string) (fragcache.Sta
 	if v.remote != nil {
 		e, err := v.remote.client.StatsEpoch(ctx)
 		if err != nil {
-			obs.M().FragmentProbeFailure()
+			if m := obs.M(); m != nil {
+				m.Cache.ProbeFailures.Inc()
+			}
 			return fragcache.Stamp{}, false
 		}
 		return fragcache.Stamp{Epoch: e}, true
@@ -184,22 +188,30 @@ func (v *View) serveCached(ctx context.Context, w io.Writer, s Strategy) (*Repor
 	key := v.fingerprint()
 	e := v.frags.Get(key)
 	if e == nil {
-		obs.M().FragmentCacheMiss()
+		if m := obs.M(); m != nil {
+			m.Cache.FragmentMisses.Inc()
+		}
 		return nil, false, nil
 	}
 	cur, ok := v.currentStamp(ctx, e.Tables)
 	if !ok {
 		// Epoch probe failed: cannot prove freshness, run cold. The entry
 		// stays — the next probe may succeed.
-		obs.M().FragmentCacheMiss()
+		if m := obs.M(); m != nil {
+			m.Cache.FragmentMisses.Inc()
+		}
 		return nil, false, nil
 	}
 	if !e.Stamp.Fresh(cur) {
 		v.frags.Invalidate(key)
-		obs.M().FragmentCacheMiss()
+		if m := obs.M(); m != nil {
+			m.Cache.FragmentMisses.Inc()
+		}
 		return nil, false, nil
 	}
-	obs.M().FragmentCacheHit()
+	if m := obs.M(); m != nil {
+		m.Cache.FragmentHits.Inc()
+	}
 	start := time.Now()
 	if _, err := e.WriteTo(w); err != nil {
 		return nil, true, err

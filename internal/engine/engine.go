@@ -238,7 +238,10 @@ func (db *Database) ExecuteQueryContext(ctx context.Context, q sqlast.Query) (*R
 	ctx, span := obs.StartSpan(ctx, "engine.query")
 	start := time.Now()
 	rel, err := sqlexec.RunContext(ctx, db, q)
-	obs.M().EngineQuery(time.Since(start))
+	if m := obs.M(); m != nil {
+		m.Exec.Queries.Inc()
+		m.Exec.QuerySeconds.Observe(time.Since(start))
+	}
 	span.End()
 	if err != nil {
 		return nil, err

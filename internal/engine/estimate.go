@@ -45,7 +45,9 @@ func (db *Database) EstimateQuery(ctx context.Context, q sqlast.Query) (Estimate
 		return Estimate{}, err
 	}
 	db.estimateRequests.Add(1)
-	obs.M().EngineEstimate()
+	if m := obs.M(); m != nil {
+		m.Exec.EstimatesServed.Inc()
+	}
 	est := &estimator{db: db}
 	r, err := est.estQuery(q)
 	if err != nil {

@@ -167,10 +167,10 @@ func (c *Cache) Put(key uint64, fragments [][]byte, tables []string, stamp Stamp
 	bytes := c.bytes
 	c.mu.Unlock()
 
-	if evicted > 0 {
-		obs.M().FragmentCacheEvict(evicted)
+	if m := obs.M(); m != nil {
+		m.Cache.FragmentEvictions.Add(evicted)
+		m.Cache.FragmentBytes.Set(bytes)
 	}
-	obs.M().CacheBytes(bytes)
 	return e
 }
 
@@ -188,9 +188,9 @@ func (c *Cache) InvalidateTable(table string) {
 	bytes := c.bytes
 	c.mu.Unlock()
 
-	if dropped > 0 {
-		obs.M().FragmentCacheInvalidate(dropped)
-		obs.M().CacheBytes(bytes)
+	if m := obs.M(); m != nil && dropped > 0 {
+		m.Cache.FragmentInvalidations.Add(dropped)
+		m.Cache.FragmentBytes.Set(bytes)
 	}
 }
 
@@ -206,9 +206,9 @@ func (c *Cache) Invalidate(key uint64) {
 	bytes := c.bytes
 	c.mu.Unlock()
 
-	if e != nil {
-		obs.M().FragmentCacheInvalidate(1)
-		obs.M().CacheBytes(bytes)
+	if m := obs.M(); m != nil && e != nil {
+		m.Cache.FragmentInvalidations.Add(1)
+		m.Cache.FragmentBytes.Set(bytes)
 	}
 }
 
@@ -225,9 +225,9 @@ func (c *Cache) SetMaxBytes(maxBytes int64) {
 	bytes := c.bytes
 	c.mu.Unlock()
 
-	if evicted > 0 {
-		obs.M().FragmentCacheEvict(evicted)
-		obs.M().CacheBytes(bytes)
+	if m := obs.M(); m != nil && evicted > 0 {
+		m.Cache.FragmentEvictions.Add(evicted)
+		m.Cache.FragmentBytes.Set(bytes)
 	}
 }
 

@@ -1,119 +1,100 @@
 package obs
 
 import (
+	"io"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestHTTPMetricsNilSafe(t *testing.T) {
-	var m *Metrics
-	m.HTTPSessionOpen()
-	m.HTTPReject()
-	m.HTTPRejectTenant("acme")
-	m.HTTPBudgetExpired()
-	m.HTTPStaleServe()
-	m.ViewReload(true)
-	m.HTTPRequestStart("q1", "acme")
-	m.HTTPRequestEnd("q1", "acme", time.Millisecond, 10, false)
-
-	var h *HTTPMetrics
-	if s := h.View("q1"); s != nil {
-		t.Fatal("nil HTTPMetrics returned a series")
+	old := M()
+	SetGlobal(nil)
+	defer SetGlobal(old)
+	// With observability off, /metrics still answers, with nothing in it.
+	rec := httptest.NewRecorder()
+	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if body, _ := io.ReadAll(rec.Body); rec.Code != 200 || len(body) != 0 {
+		t.Fatalf("GET /metrics on the nil sink: %d %q", rec.Code, body)
 	}
-	if s := h.Tenant("acme"); s != nil {
-		t.Fatal("nil HTTPMetrics returned a tenant series")
-	}
-	h.EachView(func(string, *ViewSeries) { t.Fatal("nil HTTPMetrics iterated") })
-	h.EachTenant(func(string, *TenantSeries) { t.Fatal("nil HTTPMetrics iterated tenants") })
 }
 
 func TestHTTPMetricsPerViewSeries(t *testing.T) {
 	m := &Metrics{}
-	m.HTTPSessionOpen()
-	m.HTTPRequestStart("q1", "acme")
-	m.HTTPRequestEnd("q1", "acme", 5*time.Millisecond, 1000, false)
-	m.HTTPRequestStart("q1", "acme")
-	m.HTTPRequestEnd("q1", "acme", 7*time.Millisecond, 1200, true)
-	m.HTTPRequestStart("q2", "beta")
-	m.HTTPRequestEnd("q2", "beta", time.Millisecond, 50, false)
-	m.HTTPReject()
+	for _, r := range []struct {
+		view  string
+		bytes int64
+		lat   time.Duration
+	}{{"q1", 1000, 5 * time.Millisecond}, {"q1", 1200, 7 * time.Millisecond}, {"q2", 50, time.Millisecond}} {
+		v := m.HTTP.Views.Get(r.view)
+		v.Requests.Inc()
+		v.Bytes.Add(r.bytes)
+		v.Latency.Observe(r.lat)
+	}
+	m.HTTP.Views.Get("q1").Errors.Inc()
 
-	if got := m.HTTP.Requests.Value(); got != 3 {
-		t.Errorf("Requests = %d, want 3", got)
-	}
-	if got := m.HTTP.Rejected.Value(); got != 1 {
-		t.Errorf("Rejected = %d, want 1", got)
-	}
-	if got := m.HTTP.InFlight.Value(); got != 0 {
-		t.Errorf("InFlight = %d, want 0 after all ended", got)
-	}
-	q1 := m.HTTP.View("q1")
+	q1 := m.HTTP.Views.Get("q1")
 	if q1.Requests.Value() != 2 || q1.Errors.Value() != 1 || q1.Bytes.Value() != 2200 {
 		t.Errorf("q1 series = %d req, %d err, %d bytes; want 2, 1, 2200",
 			q1.Requests.Value(), q1.Errors.Value(), q1.Bytes.Value())
 	}
-	if got := q1.Latency.Count(); got != 2 {
-		t.Errorf("q1 latency samples = %d, want 2", got)
+	if c, _ := q1.Latency.cumulative(); c[len(bucketBounds)] != 2 {
+		t.Errorf("q1 latency samples = %d, want 2", c[len(bucketBounds)])
 	}
-
-	// EachView walks lexically, and View returns the same series each call.
-	var order []string
-	m.HTTP.EachView(func(name string, _ *ViewSeries) { order = append(order, name) })
-	if len(order) != 2 || order[0] != "q1" || order[1] != "q2" {
-		t.Errorf("EachView order = %v, want [q1 q2]", order)
+	// Sets come back in lexical label order, and Get returns the same set
+	// each call.
+	_, values, _ := m.HTTP.Views.sets()
+	if len(values) != 2 || values[0] != "q1" || values[1] != "q2" {
+		t.Errorf("view order = %v, want [q1 q2]", values)
 	}
-	if m.HTTP.View("q1") != q1 {
-		t.Error("View returned a different series for the same name")
+	if m.HTTP.Views.Get("q1") != q1 {
+		t.Error("Get returned a different series set for the same view")
 	}
 }
 
 func TestHTTPMetricsPerTenantSeries(t *testing.T) {
 	m := &Metrics{}
-	m.HTTPRequestStart("q1", "acme")
-	m.HTTPRequestEnd("q1", "acme", 5*time.Millisecond, 1000, false)
-	m.HTTPRequestStart("q1", "acme")
-	m.HTTPRequestEnd("q1", "acme", time.Millisecond, 200, false)
-	m.HTTPRequestStart("q2", "beta")
-	m.HTTPRequestEnd("q2", "beta", time.Millisecond, 50, false)
-	m.HTTPRejectTenant("acme")
-	m.HTTPRejectTenant("acme")
+	m.HTTP.Tenants.Get("beta").Requests.Inc()
+	acme := m.HTTP.Tenants.Get("acme")
+	acme.Requests.Add(2)
+	acme.Rejected.Add(2)
+	acme.Bytes.Add(1200)
 
-	acme := m.HTTP.Tenant("acme")
 	if acme.Requests.Value() != 2 || acme.Rejected.Value() != 2 || acme.Bytes.Value() != 1200 {
 		t.Errorf("acme series = %d req, %d rej, %d bytes; want 2, 2, 1200",
 			acme.Requests.Value(), acme.Rejected.Value(), acme.Bytes.Value())
 	}
-	if got := acme.InFlight.Value(); got != 0 {
-		t.Errorf("acme InFlight = %d, want 0", got)
+	_, values, _ := m.HTTP.Tenants.sets()
+	if len(values) != 2 || values[0] != "acme" || values[1] != "beta" {
+		t.Errorf("tenant order = %v, want [acme beta]", values)
 	}
-	if got := m.HTTP.RejectedTenant.Value(); got != 2 {
-		t.Errorf("RejectedTenant = %d, want 2", got)
-	}
-
-	var order []string
-	m.HTTP.EachTenant(func(name string, _ *TenantSeries) { order = append(order, name) })
-	if len(order) != 2 || order[0] != "acme" || order[1] != "beta" {
-		t.Errorf("EachTenant order = %v, want [acme beta]", order)
-	}
-	if m.HTTP.Tenant("acme") != acme {
-		t.Error("Tenant returned a different series for the same name")
+	// Values differing only in invalid UTF-8 are one series in the
+	// exposition, so they share one set.
+	if m.HTTP.Tenants.Get("a\xff") != m.HTTP.Tenants.Get("a\xfe") {
+		t.Error("invalid UTF-8 variants of one tenant name got separate sets")
 	}
 }
 
 func TestPrometheusHTTPExposition(t *testing.T) {
 	m := &Metrics{}
-	m.HTTPSessionOpen()
-	m.HTTPRequestStart("fragment", "acme")
-	m.HTTPRequestEnd("fragment", "acme", 3*time.Millisecond, 512, false)
-	m.HTTPReject()
-	m.HTTPRejectTenant("acme")
-	m.HTTPBudgetExpired()
-	m.HTTPStaleServe()
-	m.ViewReload(true)
-	m.ViewReload(false)
-	m.ClientBudgetExpired()
-	m.ServerBudgetRefused()
+	m.HTTP.Sessions.Inc()
+	m.HTTP.Requests.Inc()
+	m.HTTP.Rejected.Inc()
+	m.HTTP.RejectedTenant.Inc()
+	m.HTTP.BudgetExpired.Inc()
+	m.HTTP.StaleServes.Inc()
+	m.HTTP.Reloads.Inc()
+	m.HTTP.ReloadErrors.Inc()
+	m.Client.BudgetExpired.Inc()
+	m.Server.BudgetRefused.Inc()
+	v, ten := m.HTTP.Views.Get("fragment"), m.HTTP.Tenants.Get("acme")
+	v.Requests.Inc()
+	v.Bytes.Add(512)
+	v.Latency.Observe(3 * time.Millisecond)
+	ten.Requests.Inc()
+	ten.Rejected.Inc()
+	ten.Bytes.Add(512)
 
 	var b strings.Builder
 	m.WritePrometheus(&b)
@@ -132,6 +113,7 @@ func TestPrometheusHTTPExposition(t *testing.T) {
 		"silkroute_wire_server_budget_refused_total 1",
 		`silkroute_http_view_requests_total{view="fragment"} 1`,
 		`silkroute_http_view_bytes_total{view="fragment"} 512`,
+		`silkroute_http_view_request_seconds_bucket{view="fragment",le="0.004642"} 1`,
 		`silkroute_http_view_request_seconds_count{view="fragment"} 1`,
 		`silkroute_http_tenant_requests_total{tenant="acme"} 1`,
 		`silkroute_http_tenant_rejected_total{tenant="acme"} 1`,

@@ -141,7 +141,9 @@ type costEntry struct {
 // Cancelling ctx stops the search between edge costings (and, through the
 // oracle, inside any in-flight remote estimate request).
 func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyParams) (*GreedyResult, error) {
-	obs.M().PlannerSearch()
+	if m := obs.M(); m != nil {
+		m.Planner.Searches.Inc()
+	}
 	ctx, span := obs.StartSpan(ctx, "plan.greedy")
 	defer span.End()
 	res := &GreedyResult{Params: prm}
@@ -191,7 +193,9 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 		if ok {
 			// Another costing already owns this candidate query; the oracle
 			// will be asked at most once regardless of who wins the race.
-			obs.M().PlannerCacheHit()
+			if m := obs.M(); m != nil {
+				m.Planner.CacheHits.Inc()
+			}
 		}
 		entry.once.Do(func() {
 			keep := contracted
@@ -215,7 +219,9 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 				return
 			}
 			requests.Add(1)
-			obs.M().PlannerEstimateRequest()
+			if m := obs.M(); m != nil {
+				m.Planner.EstimateRequests.Inc()
+			}
 			entry.cost = prm.A*est.Cost + prm.B*est.DataSize()
 		})
 		return entry.cost, entry.err

@@ -61,10 +61,14 @@ func (c *Cache) Get(k Key) *Entry {
 	e := c.entries[k]
 	c.mu.Unlock()
 	if e == nil {
-		obs.M().PlanCacheMiss()
+		if m := obs.M(); m != nil {
+			m.Cache.PlanMisses.Inc()
+		}
 		return nil
 	}
-	obs.M().PlanCacheHit()
+	if m := obs.M(); m != nil {
+		m.Cache.PlanHits.Inc()
+	}
 	return e
 }
 

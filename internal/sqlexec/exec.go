@@ -231,7 +231,9 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 			}
 			return 0
 		})
-		obs.M().ExecSort(int64(len(out.Rows)))
+		if m := obs.M(); m != nil {
+			m.Exec.RowsSorted.Add(int64(len(out.Rows)))
+		}
 		return nil
 	}
 
@@ -256,7 +258,9 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 	if err != nil {
 		return err
 	}
-	obs.M().ExecSort(int64(len(sorted)))
+	if m := obs.M(); m != nil {
+		m.Exec.RowsSorted.Add(int64(len(sorted)))
+	}
 	for i := range sorted {
 		out.Rows[i] = sorted[i].row
 	}
@@ -461,7 +465,9 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 		for i, c := range t.Rel.Columns {
 			cols[i] = Col{Qual: alias, Name: c.Name}
 		}
-		obs.M().ExecScan(int64(len(t.Rows)))
+		if m := obs.M(); m != nil {
+			m.Exec.RowsScanned.Add(int64(len(t.Rows)))
+		}
 		return &Rel{Cols: cols, Rows: t.Rows}, nil
 	case *sqlast.Derived:
 		inner, err := evalQuery(ctx, cat, te.Query)
@@ -557,7 +563,9 @@ func evalJoinRel(ctx context.Context, l, r *Rel, kind sqlast.JoinKind, on sqlast
 			o++
 		}
 	}
-	obs.M().ExecJoin(int64(n))
+	if m := obs.M(); m != nil {
+		m.Exec.RowsJoined.Add(int64(n))
+	}
 	return out, nil
 }
 

@@ -115,7 +115,9 @@ func externalSort(ctx context.Context, rows []keyedRow, budget int) ([]keyedRow,
 		}
 	}
 
-	obs.M().ExecSpill(int64(len(runs)))
+	if m := obs.M(); m != nil {
+		m.Exec.SortSpills.Add(int64(len(runs)))
+	}
 
 	// K-way merge.
 	readers := make([]*runReader, len(runs))

@@ -360,7 +360,11 @@ func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
 	}
 	// One record per document: the writer counted locally, so the per-element
 	// hot path stayed free of shared-counter traffic.
-	obs.M().TaggerDocument(x.elems, x.bytes)
+	if m := obs.M(); m != nil {
+		m.Tagger.Documents.Inc()
+		m.Tagger.Elements.Add(x.elems)
+		m.Tagger.Bytes.Add(x.bytes)
+	}
 	return nil
 }
 

@@ -113,7 +113,9 @@ func retrySecs(d time.Duration) string {
 // the age of the oldest live stream spread across the quota — rather than
 // a static constant.
 func (h *handler) rejectGlobal(w http.ResponseWriter) {
-	obs.M().HTTPReject()
+	if m := obs.M(); m != nil {
+		m.HTTP.Rejected.Inc()
+	}
 	oldest, _ := h.srv.sessions.oldestAge("")
 	ra := drainRetryAfter(oldest, h.srv.cfg.Limits.maxConcurrent(), h.srv.cfg.Limits.retryAfter())
 	w.Header().Set("Retry-After", retrySecs(ra))
@@ -126,7 +128,10 @@ func (h *handler) rejectGlobal(w http.ResponseWriter) {
 // token bucket (time until the next token) and drain-derived for a full
 // concurrency quota.
 func (h *handler) rejectTenant(w http.ResponseWriter, tenantName string, ten *tenant, retryAfter time.Duration, cause string) {
-	obs.M().HTTPRejectTenant(tenantName)
+	if m := obs.M(); m != nil {
+		m.HTTP.RejectedTenant.Inc()
+		m.HTTP.Tenants.Get(tenantName).Rejected.Inc()
+	}
 	if cause == "concurrency" {
 		oldest, _ := h.srv.sessions.oldestAge(tenantName)
 		retryAfter = drainRetryAfter(oldest, ten.limits.MaxConcurrent, h.srv.cfg.Limits.retryAfter())
@@ -194,7 +199,9 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 	if !deadline.IsZero() && deadline.Sub(now) < minHTTPBudget {
 		// The client cannot use any answer we could produce: fail fast
 		// before taking quota, a slot, or a backend stream.
-		obs.M().HTTPBudgetExpired()
+		if m := obs.M(); m != nil {
+			m.HTTP.BudgetExpired.Inc()
+		}
 		http.Error(w, "deadline budget spent before admission", http.StatusGatewayTimeout)
 		return
 	}
@@ -219,7 +226,6 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-h.srv.sem }()
 
 	sess := h.srv.sessions.open(name, strat.String(), tenantName, r.RemoteAddr, deadline)
-	obs.M().HTTPSessionOpen()
 	defer func() {
 		h.srv.sessions.close(sess)
 		if h.srv.cfg.Hooks.SessionClosed != nil {
@@ -241,7 +247,16 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 	if h.srv.cfg.Hooks.StreamStarted != nil {
 		h.srv.cfg.Hooks.StreamStarted(sess)
 	}
-	obs.M().HTTPRequestStart(name, tenantName)
+	if m := obs.M(); m != nil {
+		m.HTTP.Sessions.Inc()
+		m.HTTP.Requests.Inc()
+		m.HTTP.InFlight.Inc()
+		v, t := m.HTTP.Views.Get(name), m.HTTP.Tenants.Get(tenantName)
+		v.Requests.Inc()
+		v.InFlight.Inc()
+		t.Requests.Inc()
+		t.InFlight.Inc()
+	}
 	start := time.Now()
 
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
@@ -262,7 +277,18 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 			err = nil
 		}
 	}
-	obs.M().HTTPRequestEnd(name, tenantName, time.Since(start), out.n, err != nil)
+	if m := obs.M(); m != nil {
+		m.HTTP.InFlight.Dec()
+		v, t := m.HTTP.Views.Get(name), m.HTTP.Tenants.Get(tenantName)
+		v.InFlight.Dec()
+		v.Bytes.Add(out.n)
+		v.Latency.Observe(time.Since(start))
+		if err != nil {
+			v.Errors.Inc()
+		}
+		t.InFlight.Dec()
+		t.Bytes.Add(out.n)
+	}
 	if err == nil {
 		return
 	}

@@ -97,10 +97,8 @@ func (w *Watcher) Rescan() (reloaded, removed, failed int) {
 		w.seen[path] = sig
 		if w.reg.loadFile(path, w.b, w.opts) {
 			reloaded++
-			obs.M().ViewReload(true)
 		} else {
 			failed++
-			obs.M().ViewReload(false)
 		}
 	}
 	for path := range w.seen {
@@ -112,6 +110,10 @@ func (w *Watcher) Rescan() (reloaded, removed, failed int) {
 		if w.reg.removeIfOrigin(name, path) {
 			removed++
 		}
+	}
+	if m := obs.M(); m != nil {
+		m.HTTP.Reloads.Add(int64(reloaded))
+		m.HTTP.ReloadErrors.Add(int64(failed))
 	}
 	return reloaded, removed, failed
 }

@@ -137,7 +137,9 @@ func (c *Client) breakerDone(outcome breakerOutcome) {
 		if c.brState == breakerHalfOpen || c.brFails >= c.breaker.Threshold {
 			c.setBreakerState(breakerOpen)
 			c.brOpenedAt = time.Now()
-			obs.M().ClientBreakerOpen()
+			if m := obs.M(); m != nil {
+				m.Client.BreakerOpens.Inc()
+			}
 		}
 	case breakerNeutral:
 		// Nothing learned; a half-open breaker stays half-open with its
@@ -149,7 +151,9 @@ func (c *Client) breakerDone(outcome breakerOutcome) {
 // Callers hold brMu.
 func (c *Client) setBreakerState(s breakerState) {
 	c.brState = s
-	obs.M().ClientBreakerState(int64(s))
+	if m := obs.M(); m != nil {
+		m.Client.BreakerState.Set(int64(s))
+	}
 }
 
 // classifyBreaker maps a finished guarded operation onto a breaker

@@ -167,15 +167,21 @@ func (c *Client) acquire(ctx context.Context) (conn net.Conn, reused bool, err e
 			break
 		}
 		if connAlive(conn) {
-			obs.M().ClientPoolHit()
+			if m := obs.M(); m != nil {
+				m.Client.PoolHits.Inc()
+			}
 			return conn, true, nil
 		}
 		conn.Close()
-		obs.M().ClientStaleConn()
+		if m := obs.M(); m != nil {
+			m.Client.StaleConns.Inc()
+		}
 	}
 	conn, err = c.dial(ctx)
 	if err == nil {
-		obs.M().ClientDial()
+		if m := obs.M(); m != nil {
+			m.Client.Dials.Inc()
+		}
 	}
 	return conn, false, err
 }
@@ -425,7 +431,10 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 		return response{}, fmt.Errorf("wire: %s: %w", ops[op].name, ctxSentinel(err))
 	}
 	m := obs.M()
-	m.ClientRequestStart()
+	if m != nil {
+		m.Client.Requests.Inc()
+		m.Client.InFlight.Inc()
+	}
 	// One span per logical request: its IDs ride the wire on every attempt.
 	ctx, span := obs.StartSpan(ctx, ops[op].clientSpan)
 	span.SetDetail(sql)
@@ -438,7 +447,9 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			m.ClientRetry()
+			if m != nil {
+				m.Client.Retries.Inc()
+			}
 			if err = c.backoff(ctx, attempt); err != nil {
 				break
 			}
@@ -454,7 +465,12 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 		}
 	}
 	span.End()
-	m.ClientRequestEnd(isDeadline(err))
+	if m != nil {
+		m.Client.InFlight.Dec()
+		if isDeadline(err) {
+			m.Client.DeadlineExceeded.Inc()
+		}
+	}
 	return resp, err
 }
 
@@ -467,7 +483,9 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 func (c *Client) attempt(ctx context.Context, req request) (response, error) {
 	name := ops[req.op].name
 	if d := c.requestDeadline(ctx); !d.IsZero() && !time.Now().Before(d) {
-		obs.M().ClientBudgetExpired()
+		if m := obs.M(); m != nil {
+			m.Client.BudgetExpired.Inc()
+		}
 		return response{}, fmt.Errorf("wire: %s: budget spent: %w", name, ErrDeadlineExceeded)
 	}
 	if err := c.breakerAllow(); err != nil {
@@ -614,6 +632,13 @@ func (r *Rows) Next() ([]value.Value, error) {
 		return nil, io.EOF
 	}
 	for r.off >= len(r.buf) {
+		// The rest of the stream may already sit in r.br, where a read
+		// never reaches the watcher's interrupt: a cancelled stream must not
+		// end in a clean io.EOF.
+		if err := r.ctx.Err(); err != nil {
+			r.release(false)
+			return nil, wrapErr(r.ctx, "read row", err)
+		}
 		frame, err := readFrame(r.br, r.buf, maxFrame)
 		if err != nil {
 			// A transport failure mid-stream. tryResume either splices a

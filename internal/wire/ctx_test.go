@@ -5,6 +5,7 @@ package wire
 // depends on when the target server is slow, gone, or draining.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -96,6 +97,58 @@ func TestCancelMidStreamClosesConnPromptly(t *testing.T) {
 	}
 	if got := len(drain(t, rows2)); got != 2000 {
 		t.Errorf("post-cancel query rows = %d, want 2000", got)
+	}
+}
+
+// readAheadConn delivers a whole response in its first Read, as a client
+// whose socket had already received everything would see it.
+type readAheadConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *readAheadConn) Read(p []byte) (int, error) {
+	if c.buf.Len() == 0 {
+		// Status frame, then data frames up to the empty end frame.
+		tee := io.TeeReader(c.Conn, &c.buf)
+		for i := 0; ; i++ {
+			frame, err := readFrame(tee, nil, maxFrame)
+			if err != nil {
+				return 0, err
+			}
+			if i > 0 && len(frame) == 0 {
+				break
+			}
+		}
+	}
+	return c.buf.Read(p)
+}
+
+func TestCancelWithStreamBufferedEndsInCancel(t *testing.T) {
+	srv := &Server{DB: seqDB(t, 10)}
+	client := NewClient(func(context.Context) (net.Conn, error) {
+		c1, c2 := net.Pipe()
+		go srv.ServeConn(c2)
+		return &readAheadConn{Conn: c1}, nil
+	})
+	qctx, cancel := context.WithCancel(context.Background())
+	rows, err := client.Query(qctx, seqQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rows.Next(); err != nil {
+		t.Fatal(err)
+	}
+	// Every remaining row and the end frame are in the client's buffer now.
+	cancel()
+	for err == nil {
+		_, err = rows.Next()
+	}
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrCanceled) {
+		t.Fatalf("error after cancel = %v, want context.Canceled and ErrCanceled", err)
+	}
+	if n := client.IdleConns(); n != 0 {
+		t.Errorf("IdleConns after cancel = %d, want 0", n)
 	}
 }
 

@@ -148,7 +148,10 @@ func NewReplicaSet(clients []*Client, opts ...ReplicaOption) *ReplicaSet {
 	for _, o := range opts {
 		o(s)
 	}
-	obs.M().ReplicaHealth(int64(len(s.reps)), int64(len(s.reps)))
+	if m := obs.M(); m != nil {
+		m.Client.ReplicasHealthy.Set(int64(len(s.reps)))
+		m.Client.Replicas.Set(int64(len(s.reps)))
+	}
 	return s
 }
 
@@ -185,9 +188,14 @@ func (s *ReplicaSet) pickExcluding(excluded func(int) bool) (int, *replicaState,
 			best, bestKey = i, key
 		}
 	}
-	obs.M().ReplicaHealth(healthy, int64(len(s.reps)))
+	if m := obs.M(); m != nil {
+		m.Client.ReplicasHealthy.Set(healthy)
+		m.Client.Replicas.Set(int64(len(s.reps)))
+		if best < 0 {
+			m.Client.NoHealthyReplica.Inc()
+		}
+	}
 	if best < 0 {
-		obs.M().ClientNoHealthyReplica()
 		return 0, nil, ErrNoHealthyReplica
 	}
 	return best, s.reps[best], nil
@@ -326,7 +334,9 @@ func (s *ReplicaSet) queryHedged(ctx context.Context, sql string, spec *ResumeSp
 			if !hedged {
 				hedged = true
 				if idx, rs, err := s.pick(primary); err == nil {
-					obs.M().ClientHedge()
+					if m := obs.M(); m != nil {
+						m.Client.Hedges.Inc()
+					}
 					launch(1, idx, rs)
 					outstanding++
 				}

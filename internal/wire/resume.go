@@ -142,7 +142,9 @@ func (r *Rows) tryResume(cause error) error {
 	}
 	if r.spec == nil {
 		r.release(false)
-		obs.M().ClientStreamLost()
+		if m := obs.M(); m != nil {
+			m.Client.StreamsLost.Inc()
+		}
 		return fmt.Errorf("wire: %w after %d rows: %v", ErrStreamLost, r.RowCount, cause)
 	}
 	_, span := obs.StartSpan(r.ctx, "wire.client.resume")
@@ -161,7 +163,9 @@ func (r *Rows) tryResume(cause error) error {
 	for attempt := 1; r.budget > 0; attempt++ {
 		r.budget--
 		r.Resumes++
-		obs.M().ClientResume()
+		if m := obs.M(); m != nil {
+			m.Client.Resumes.Inc()
+		}
 		if err := r.client.backoff(r.ctx, attempt); err != nil {
 			r.release(false)
 			return err
@@ -188,7 +192,9 @@ func (r *Rows) tryResume(cause error) error {
 		}
 	}
 	r.release(false)
-	obs.M().ClientStreamLost()
+	if m := obs.M(); m != nil {
+		m.Client.StreamsLost.Inc()
+	}
 	return fmt.Errorf("wire: %w after %d rows: %v", ErrResumeExhausted, r.RowCount, lastErr)
 }
 
@@ -224,7 +230,9 @@ func (r *Rows) reopen(span *obs.Span, sql string, tried []bool) (permanent bool,
 	// it, and release repools the connection into the new home's pool.
 	if idx != r.Replica {
 		r.Failovers++
-		obs.M().ClientFailover()
+		if m := obs.M(); m != nil {
+			m.Client.Failovers.Inc()
+		}
 	}
 	r.set.reps[r.Replica].inFlight.Add(-1)
 	r.Replica, r.client = idx, rep.client

@@ -282,7 +282,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 
 		m := obs.M()
-		m.ServerRequestStart()
+		if m != nil {
+			m.Server.Requests.Inc()
+			m.Server.InFlight.Inc()
+		}
 		start := time.Now()
 		// keep: the response went out whole, so the connection is still
 		// request-aligned. A refusal of a frame that was read whole is too.
@@ -292,7 +295,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 		case errors.As(perr, &bad):
 			keep = writeError(bw, bad.Code, bad.Msg) == nil
 		case spent:
-			m.ServerBudgetRefused()
+			if m != nil {
+				m.Server.BudgetRefused.Inc()
+			}
 			keep = writeError(bw, CodeDeadline, "deadline budget spent") == nil
 		default:
 			sctx, span := obs.StartRemoteSpan(ctx, ops[req.op].serverSpan, req.trace, req.parent)
@@ -307,7 +312,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			span.End()
 		}
-		m.ServerRequestEnd(time.Since(start), errors.Is(ctx.Err(), context.DeadlineExceeded))
+		if m != nil {
+			m.Server.InFlight.Dec()
+			m.Server.RequestSeconds.Observe(time.Since(start))
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				m.Server.DeadlinesExceeded.Inc()
+			}
+		}
 		cancel()
 		s.endRequest(conn)
 		if !keep {
@@ -321,7 +332,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 // whether the connection is still request-aligned and worth keeping.
 func (s *Server) serveQuery(ctx context.Context, conn net.Conn, bw *bufio.Writer, sqlText string) bool {
 	var rowsSent, bytesSent int64
-	defer func() { obs.M().ServerSent(rowsSent, bytesSent) }()
+	defer func() {
+		if m := obs.M(); m != nil {
+			m.Server.RowsSent.Add(rowsSent)
+			m.Server.BytesSent.Add(bytesSent)
+		}
+	}()
 	res, err := s.DB.ExecuteContext(ctx, sqlText)
 	if err != nil {
 		return writeError(bw, errCode(err), err.Error()) == nil

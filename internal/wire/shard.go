@@ -78,7 +78,9 @@ func NewShardSet(shards []Backend, opts ...ShardOption) *ShardSet {
 	for _, o := range opts {
 		o(s)
 	}
-	obs.M().ShardTopology(int64(len(shards)))
+	if m := obs.M(); m != nil {
+		m.Client.Shards.Set(int64(len(shards)))
+	}
 	return s
 }
 
@@ -129,7 +131,9 @@ func (s *ShardSet) QueryResumable(ctx context.Context, sql string, spec *ResumeS
 				s.names[i], len(children[i].Columns), s.names[0], len(children[0].Columns))
 		}
 	}
-	obs.M().ClientScatter(int64(len(children)))
+	if m := obs.M(); m != nil {
+		m.Client.ScatterStreams.Add(int64(len(children)))
+	}
 	attempts := 1
 	for _, c := range children {
 		attempts += c.Attempts - 1
@@ -401,7 +405,9 @@ func (m *shardMerge) finish(r *Rows) error {
 	r.done = true
 	if !r.released {
 		r.released = true
-		obs.M().ShardMergeDone(m.start)
+		if om := obs.M(); om != nil {
+			om.Client.ShardMergeSeconds.Observe(time.Since(m.start))
+		}
 	}
 	return io.EOF
 }
@@ -430,5 +436,7 @@ func (m *shardMerge) closeChildren(r *Rows) {
 		c.Close()
 	}
 	m.sync(r)
-	obs.M().ShardMergeDone(m.start)
+	if om := obs.M(); om != nil {
+		om.Client.ShardMergeSeconds.Observe(time.Since(m.start))
+	}
 }

@@ -806,7 +806,9 @@ func (v *View) WriteStale(w io.Writer) (rep *Report, ok bool, err error) {
 	if e == nil {
 		return nil, false, nil
 	}
-	obs.M().HTTPStaleServe()
+	if m := obs.M(); m != nil {
+		m.HTTP.StaleServes.Inc()
+	}
 	start := time.Now()
 	if _, werr := e.WriteTo(w); werr != nil {
 		return nil, true, werr
