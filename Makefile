@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet staticcheck test test-race chaos cache-check fuzz-smoke loadtest loadtest-smoke overload-chaos ci loc experiments
+.PHONY: all build vet staticcheck test test-race chaos cache-check fuzz-smoke loadtest loadtest-smoke overload-chaos ci loc knobs experiments
 
 all: build
 
@@ -110,6 +110,19 @@ loc:
 			{ n++ } \
 			END { printf "%6d %s\n", n, pkg }'; \
 	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+
+# The configuration surface, counted the way `loc` counts lines: facade
+# With* options (non-test root files), wire option constructors, exported
+# config fields of wire.Server (besides DB, the database it serves), and
+# flag definitions per cmd/ binary.
+KNOB_FLAGS = flag\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64)(Var)?\(
+knobs:
+	@printf '%6d facade With* options\n' $$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -c '^func With')
+	@printf '%6d wire options\n' $$(ls internal/wire/*.go | grep -v '_test\.go$$' | xargs cat | grep -c '^func With')
+	@printf '%6d wire.Server config fields\n' $$(awk '/^type Server struct/ { body = 1; next } body && /^}/ { exit } body && /^\t[A-Z][A-Za-z0-9]* / && !/^\tDB / { n++ } END { print n + 0 }' internal/wire/server.go)
+	@for d in cmd/*/; do \
+		printf '%6d %s flags\n' $$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | grep -cE '$(KNOB_FLAGS)') $$(basename $$d); \
+	done
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -32,7 +32,7 @@ func WithPlanCache() Option {
 // request). A failed or killed materialization never populates the cache.
 // View option.
 func WithFragmentCache(maxBytes int64) Option {
-	return func(c *config) { c.fragBytes, c.fragSet = maxBytes, true }
+	return func(c *config) { c.fragCache, c.fragBytes = true, maxBytes }
 }
 
 // WithServeStale opts a view into graceful degradation: when the backend

@@ -7,7 +7,12 @@
 //
 // It can also run as a standalone database server ("-serve"), and a
 // middleware instance on another machine can evaluate views against it
-// ("-connect"), reproducing the paper's client/server deployment.
+// ("-connect"), reproducing the paper's client/server deployment. -connect
+// takes a topology string: one address, a comma-separated replica group
+// of the same data, or ";"-separated shards of replica groups whose
+// streams are scattered and merged back. -resume, -breaker and
+// -breaker-cooldown shape the connection, so they need -connect; so does
+// client-side -chaos, which wraps a single endpoint's dialer.
 //
 // Usage:
 //
@@ -15,8 +20,9 @@
 //	silkroute -view myview.rxl -data ./tpch-data -strategy unified -explain
 //	silkroute -serve :7070 -scale 0.01            # database server
 //	silkroute -connect host:7070 -query q1        # remote middleware
+//	silkroute -connect a:7070,b:7070 -resume 3 -query q1  # replica set
 //	silkroute -serve :7070 -shard 0/2             # partition 0 of 2
-//	silkroute -shards "s0=a:7070;s1=b:7070" -query q1   # scatter-gather
+//	silkroute -connect "s0=a:7070;s1=b:7070" -query q1   # scatter-gather
 package main
 
 import (
@@ -28,6 +34,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -49,14 +56,11 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "concurrent partition queries (0 = one per CPU, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "abort materialization after this long (0 = no limit)")
 	serve := flag.String("serve", "", "run as a database server on this address instead of materializing")
-	connect := flag.String("connect", "", "evaluate against a remote silkroute -serve database at this address")
-	replicas := flag.String("replicas", "", "comma-separated replica addresses, e.g. a:7070,b:7070,c:7070 (balanced, failover with -resume)")
-	shards := flag.String("shards", "", `topology string, e.g. "s0=a:7070;s1=b:7070" (shards of replica groups, scatter-gather merged)`)
+	connect := flag.String("connect", "", `evaluate against remote silkroute -serve databases: "a:7070", replicas "a:7070,b:7070", or shards "s0=a:7070;s1=b:7070"`)
 	shardOf := flag.String("shard", "", "with -serve: serve partition i of n as \"i/n\" (see -shard-by)")
 	shardBy := flag.String("shard-by", "Supplier", "with -shard: relation partitioned by primary-key hash; all others replicated")
-	hedge := flag.Duration("hedge", 0, "race a second replica when the first has not answered within this delay (0 = off)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (enables observability)")
-	chaosSpec := flag.String("chaos", "", "inject faults, e.g. \"seed=7,cutrow=100\" (server: kill streams; client: wrap the dialer)")
+	chaosSpec := flag.String("chaos", "", "inject faults, e.g. \"seed=7,cutrow=100\" (server: kill streams; client: wrap the one -connect endpoint's dialer)")
 	resume := flag.Int("resume", 0, "reopen a died tuple stream up to N times at its frontier, then once from the top (remote only; 0 = fail on stream loss)")
 	breakerThreshold := flag.Int("breaker", 0, "open a circuit breaker after N consecutive transport failures (remote only; 0 = off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing (0 = 1s default)")
@@ -81,9 +85,9 @@ func main() {
 	if *serve != "" {
 		db := loadDB(*scale, *seed, *data)
 		if *shardOf != "" {
-			var i, n int
-			if _, err := fmt.Sscanf(*shardOf, "%d/%d", &i, &n); err != nil {
-				fatal(fmt.Errorf("bad -shard %q: want i/n", *shardOf))
+			i, n, err := parseShard(*shardOf)
+			if err != nil {
+				fatal(err)
 			}
 			shard, err := db.Partition(*shardBy, i, n)
 			if err != nil {
@@ -135,40 +139,22 @@ func main() {
 	if *fragCache != 0 {
 		opts = append(opts, silkroute.WithFragmentCache(*fragCache))
 	}
-	if *hedge > 0 {
-		opts = append(opts, silkroute.WithHedge(*hedge))
-	}
 
 	// Every remote mode is one Topology handed to one Dial; the zero
 	// topology means the database is local.
-	var topo silkroute.Topology
-	switch {
-	case *shards != "":
-		// Sharded middleware mode: each ";"-separated segment is one
-		// partition's replica group; every stream scatters to all shards and
-		// the sorted partials are k-way merged back on the structural key.
-		if topo, err = silkroute.ParseTopology(*shards); err != nil {
-			fatal(err)
+	var connFlags []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "resume", "breaker", "breaker-cooldown", "chaos":
+			connFlags = append(connFlags, "-"+f.Name)
 		}
-	case *replicas != "":
-		// Replicated middleware mode: N -serve endpoints of the same data,
-		// health-balanced per stream; with -resume a died stream reopens
-		// on another replica.
-		topo = silkroute.Replicas(strings.Split(*replicas, ",")...)
-	case *connect != "" && *chaosSpec != "":
-		// Client-side fault injection: refuse dials, cut or delay the
-		// connections this client opens.
-		sp, err := chaos.ParseSpec(*chaosSpec)
-		if err != nil {
-			fatal(err)
-		}
-		var d net.Dialer
-		topo = silkroute.SingleFunc(chaos.New(sp).WrapDial(func(ctx context.Context) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", *connect)
-		}))
+	})
+	topo, err := topology(*connect, *chaosSpec, connFlags)
+	if err != nil {
+		fatal(err)
+	}
+	if *chaosSpec != "" {
 		fmt.Fprintf(os.Stderr, "silkroute: injecting faults: %s\n", *chaosSpec)
-	case *connect != "":
-		topo = silkroute.Single(*connect)
 	}
 	var view *silkroute.View
 	if topo.IsZero() {
@@ -238,7 +224,7 @@ func main() {
 			if st.Failovers > 0 {
 				fmt.Fprintf(os.Stderr, " failovers=%d", st.Failovers)
 			}
-			if *replicas != "" {
+			if topo.Shards() == 1 && topo.Replicas(0) > 1 {
 				fmt.Fprintf(os.Stderr, " replica=%d", st.Replica)
 			}
 			fmt.Fprintln(os.Stderr)
@@ -254,6 +240,46 @@ func main() {
 			}
 		}
 	}
+}
+
+// topology reads -connect into the backend Topology; the zero Topology
+// means the database is local. It refuses what would otherwise be dropped
+// silently: connection flags (connFlags, the ones given) without -connect,
+// and client-side chaos, which wraps one dialer, on more than one endpoint.
+func topology(connect, chaosSpec string, connFlags []string) (silkroute.Topology, error) {
+	if connect == "" {
+		if len(connFlags) > 0 {
+			return silkroute.Topology{}, fmt.Errorf("without -connect there is no remote connection for %s", strings.Join(connFlags, ", "))
+		}
+		return silkroute.Topology{}, nil
+	}
+	topo, err := silkroute.ParseTopology(connect)
+	if err != nil || chaosSpec == "" {
+		return topo, err
+	}
+	if topo.Shards() != 1 || topo.Replicas(0) != 1 {
+		return silkroute.Topology{}, fmt.Errorf("client-side -chaos wraps one endpoint's dialer; -connect %q names more", connect)
+	}
+	sp, err := chaos.ParseSpec(chaosSpec)
+	if err != nil {
+		return silkroute.Topology{}, err
+	}
+	addr := topo.String()
+	var d net.Dialer
+	return silkroute.SingleFunc(chaos.New(sp).WrapDial(func(ctx context.Context) (net.Conn, error) {
+		return d.DialContext(ctx, "tcp", addr)
+	})), nil
+}
+
+// parseShard reads -shard's "i/n".
+func parseShard(s string) (int, int, error) {
+	is, ns, _ := strings.Cut(s, "/")
+	i, ierr := strconv.Atoi(is)
+	n, nerr := strconv.Atoi(ns)
+	if ierr != nil || nerr != nil {
+		return 0, 0, fmt.Errorf("bad -shard %q: want i/n", s)
+	}
+	return i, n, nil
 }
 
 // loadDB opens the TPC-H database from the generator or a CSV directory.

@@ -35,10 +35,13 @@
 // in-flight streams finish (never truncated), new requests are refused.
 //
 // The backend is the built-in TPC-H generator (-scale/-seed), a CSV
-// directory (-data), one remote silkroute -serve database (-connect), a
-// replica set (-replicas), or a sharded topology (-shards) — all through
-// the facade's unified Dial(topology) entry point, so every connection
-// policy flag maps onto one option list. -resume N heals a tuple stream
+// directory (-data), or remote silkroute -serve databases (-connect, a
+// topology string: one address, a comma-separated replica group, or
+// ";"-separated shards of replica groups) — dialed through the facade's
+// one Dial(topology) entry point, so every connection policy flag maps
+// onto one option list. The policy flags also apply to views bound to
+// their own backend by a "<name>.topology" sidecar file, so they are
+// accepted with a local default backend too. -resume N heals a tuple stream
 // that dies mid-flight: up to N reopens after its last delivered sort key
 // (on a replicated backend, each on a replica other than the one it died
 // on; on a sharded one, per shard under the merge), then one reopen from
@@ -50,8 +53,8 @@
 //	silkrouted -addr :8344 -builtin                      # built-in TPC-H views
 //	silkrouted -addr :8344 -views ./views -data ./tpch   # view files over CSVs
 //	silkrouted -connect db:7070 -builtin                 # remote backend
-//	silkrouted -replicas a:7070,b:7070 -resume 3 -builtin
-//	silkrouted -shards "s0=a:7070;s1=b:7070" -builtin    # scatter-gather
+//	silkrouted -connect a:7070,b:7070 -resume 3 -builtin # replica set
+//	silkrouted -connect "s0=a:7070;s1=b:7070" -builtin   # scatter-gather
 //	curl -N localhost:8344/views/q1
 package main
 
@@ -62,6 +65,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -81,9 +85,7 @@ func main() {
 	scale := flag.Float64("scale", 0.001, "TPC-H scale factor when generating data")
 	seed := flag.Int64("seed", 42, "TPC-H generator seed")
 	data := flag.String("data", "", "directory of <Relation>.csv files (instead of generating)")
-	connect := flag.String("connect", "", "evaluate against a remote silkroute -serve database at this address")
-	replicas := flag.String("replicas", "", "comma-separated replica addresses (balanced, failover with -resume)")
-	shards := flag.String("shards", "", `backend topology string, e.g. "s0=a,b;s1=c,d" (shards of replica groups, scatter-gather merged)`)
+	connect := flag.String("connect", "", `evaluate against remote silkroute -serve databases: "a:7070", replicas "a:7070,b:7070", or shards "s0=a,b;s1=c,d"`)
 	maxConcurrent := flag.Int("max-concurrent", viewsvc.DefaultMaxConcurrent, "concurrent materializations admitted; beyond it 503 + Retry-After")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline, admission through last byte (0 = none)")
 	maxBytes := flag.Int64("max-bytes", 0, "abort responses past this many bytes, fail-closed (0 = none)")
@@ -103,7 +105,6 @@ func main() {
 	resume := flag.Int("resume", 0, "reopen a died tuple stream up to N times at its frontier, then once from the top (remote only)")
 	breakerThreshold := flag.Int("breaker", 0, "open a circuit breaker after N consecutive transport failures (remote only)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing (0 = 1s default)")
-	hedge := flag.Duration("hedge", 0, "race a second replica when the first has not answered within this delay (0 = off)")
 	flag.Parse()
 
 	strat, err := silkroute.ParseStrategy(*strategy)
@@ -145,9 +146,6 @@ func main() {
 	if *breakerThreshold > 0 {
 		opts = append(opts, silkroute.WithBreaker(*breakerThreshold, *breakerCooldown))
 	}
-	if *hedge > 0 {
-		opts = append(opts, silkroute.WithHedge(*hedge))
-	}
 
 	// The daemon always serves /metrics, so enable the sink before the
 	// backend dial — construction-time gauges (shards, replicas) record
@@ -158,30 +156,19 @@ func main() {
 	// source description rides along so sidecar-topology views (see
 	// viewsvc.LoadDir) can compile even when the default backend is local.
 	opts = append(opts, silkroute.WithSource(silkroute.TPCHSourceDescription()))
-	var topo silkroute.Topology
-	switch {
-	case *shards != "":
-		t, err := silkroute.ParseTopology(*shards)
+	var backend silkroute.Backend
+	if *connect != "" {
+		topo, err := silkroute.ParseTopology(*connect)
 		if err != nil {
 			fatal(err)
 		}
-		topo = t
-	case *replicas != "":
-		topo = silkroute.Replicas(strings.Split(*replicas, ",")...)
-	case *connect != "":
-		topo = silkroute.Single(*connect)
-	}
-
-	var backend silkroute.Backend
-	switch {
-	case !topo.IsZero():
 		r, err := silkroute.Dial(topo, opts...)
 		if err != nil {
 			fatal(err)
 		}
 		defer r.Close()
 		backend = r
-	default:
+	} else {
 		db := silkroute.OpenTPCH(scaleFor(*data, *scale), *seed)
 		if *data != "" {
 			if err := db.LoadCSVDir(*data); err != nil {
@@ -263,7 +250,8 @@ func main() {
 
 // parseTenants parses "name=rate:burst:concurrent,..." into per-tenant
 // limit overrides. Any of the three fields may be empty (that dimension
-// stays unlimited); trailing fields may be omitted.
+// stays unlimited); trailing fields may be omitted. A field must be a
+// number in full, and a fourth field is refused.
 func parseTenants(spec string) (map[string]viewsvc.TenantLimits, error) {
 	if spec == "" {
 		return nil, nil
@@ -271,22 +259,23 @@ func parseTenants(spec string) (map[string]viewsvc.TenantLimits, error) {
 	out := make(map[string]viewsvc.TenantLimits)
 	for _, item := range strings.Split(spec, ",") {
 		name, rest, ok := strings.Cut(strings.TrimSpace(item), "=")
-		if !ok || name == "" {
+		fields := strings.Split(rest, ":")
+		if !ok || name == "" || len(fields) > 3 {
 			return nil, fmt.Errorf(`-tenants: %q is not "name=rate:burst:concurrent"`, item)
 		}
 		var l viewsvc.TenantLimits
-		for i, f := range strings.SplitN(rest, ":", 3) {
+		for i, f := range fields {
 			if f == "" {
 				continue
 			}
 			var err error
 			switch i {
 			case 0:
-				_, err = fmt.Sscanf(f, "%g", &l.Rate)
+				l.Rate, err = strconv.ParseFloat(f, 64)
 			case 1:
-				_, err = fmt.Sscanf(f, "%d", &l.Burst)
+				l.Burst, err = strconv.Atoi(f)
 			case 2:
-				_, err = fmt.Sscanf(f, "%d", &l.MaxConcurrent)
+				l.MaxConcurrent, err = strconv.Atoi(f)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("-tenants: tenant %s: bad field %q: %w", name, f, err)

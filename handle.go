@@ -49,11 +49,7 @@ func NewHandle(name string, b Backend, src string, opts ...Option) (*Handle, err
 	if err != nil {
 		return nil, fmt.Errorf("silkroute: view %s: %w", name, err)
 	}
-	h := &Handle{name: name, view: v, strategy: Greedy}
-	if c := buildConfig(opts); c.strategySet {
-		h.strategy = c.strategy
-	}
-	return h, nil
+	return &Handle{name: name, view: v, strategy: buildConfig(opts).strategy}, nil
 }
 
 // Name returns the handle's registry name.

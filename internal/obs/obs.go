@@ -195,7 +195,6 @@ type ClientMetrics struct {
 	BreakerState      Gauge     `metric:"silkroute_wire_client_breaker_state" help:"Circuit-breaker state: 0 closed, 1 half-open, 2 open."`
 	InFlight          Gauge     `metric:"silkroute_wire_client_inflight" help:"Wire requests currently outstanding."`
 	Failovers         Counter   `metric:"silkroute_wire_client_failovers_total" help:"Reopens that moved a live stream to a different replica."`
-	Hedges            Counter   `metric:"silkroute_wire_client_hedges_total" help:"Hedged opens raced against a slow primary replica."`
 	NoHealthyReplica  Counter   `metric:"silkroute_wire_client_no_healthy_replica_total" help:"Balancer picks that failed closed with every replica open-circuit."`
 	Replicas          Gauge     `metric:"silkroute_wire_replicas" help:"Configured replica count of the active replica set."`
 	ReplicasHealthy   Gauge     `metric:"silkroute_wire_replicas_healthy" help:"Replicas the balancer currently considers usable."`

@@ -23,8 +23,7 @@ import (
 // should honor it, e.g. via net.Dialer.DialContext.
 type Dialer func(ctx context.Context) (net.Conn, error)
 
-// DefaultPoolSize is the idle-connection pool bound used when WithPoolSize
-// is not given.
+// DefaultPoolSize bounds each client's idle-connection pool.
 const DefaultPoolSize = 8
 
 // Retry configures the client's retry policy for dial-time and transient
@@ -49,12 +48,10 @@ type Retry struct {
 // a canceled or failed request closes its connection instead, leaving the
 // pool clean. Clients are safe for concurrent use.
 type Client struct {
-	dial           Dialer
-	poolSize       int
-	requestTimeout time.Duration
-	retry          Retry
-	resume         Resume
-	breaker        Breaker
+	dial    Dialer
+	retry   Retry
+	resume  Resume
+	breaker Breaker
 
 	mu     sync.Mutex
 	idle   []net.Conn
@@ -72,29 +69,15 @@ type Client struct {
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithPoolSize bounds the idle-connection pool. n <= 0 disables pooling:
-// every request dials a fresh connection and closes it afterwards, the
-// pre-pool behaviour.
-func WithPoolSize(n int) ClientOption {
-	return func(c *Client) { c.poolSize = n }
-}
-
 // WithRetry sets the retry policy for dial-time and transient pre-stream
 // failures.
 func WithRetry(r Retry) ClientOption {
 	return func(c *Client) { c.retry = r }
 }
 
-// WithRequestTimeout bounds each request (submit through last row) even
-// when the caller's context has no deadline. Zero means no client-imposed
-// deadline.
-func WithRequestTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.requestTimeout = d }
-}
-
 // NewClient returns a client over the given dialer.
 func NewClient(dial Dialer, opts ...ClientOption) *Client {
-	c := &Client{dial: dial, poolSize: DefaultPoolSize}
+	c := &Client{dial: dial}
 	for _, o := range opts {
 		o(c)
 	}
@@ -190,26 +173,13 @@ func (c *Client) acquire(ctx context.Context) (conn net.Conn, reused bool, err e
 // or the client closed.
 func (c *Client) put(conn net.Conn) {
 	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.poolSize {
+	if !c.closed && len(c.idle) < DefaultPoolSize {
 		c.idle = append(c.idle, conn)
 		c.mu.Unlock()
 		return
 	}
 	c.mu.Unlock()
 	conn.Close()
-}
-
-// requestDeadline combines the client's per-request timeout with the
-// context's deadline, whichever is sooner; zero means none.
-func (c *Client) requestDeadline(ctx context.Context) time.Time {
-	var d time.Time
-	if c.requestTimeout > 0 {
-		d = time.Now().Add(c.requestTimeout)
-	}
-	if cd, ok := ctx.Deadline(); ok && (d.IsZero() || cd.Before(d)) {
-		d = cd
-	}
-	return d
 }
 
 // watcher interrupts a connection's in-flight IO when the context ends, by
@@ -309,8 +279,8 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// isDeadline reports whether a request failed on a deadline (the client's
-// request timeout or the context's), for the deadline-exceeded counter.
+// isDeadline reports whether a request failed on a deadline, for the
+// deadline-exceeded counter.
 func isDeadline(err error) bool {
 	return err != nil &&
 		(errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded))
@@ -394,8 +364,7 @@ type Rows struct {
 
 	// Replica state (see replica.go). set == nil means the stream was
 	// opened on a bare Client and reopens there.
-	set         *ReplicaSet
-	hedgeCancel context.CancelFunc // retires a hedged open's private context
+	set *ReplicaSet
 
 	// Shard state (see shard.go). merge != nil means this Rows is the
 	// spliced head of a scatter-gather: it owns no connection of its own
@@ -474,7 +443,7 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 	return resp, err
 }
 
-// attempt runs one guarded round trip. A request whose effective deadline
+// attempt runs one guarded round trip. A request whose context deadline
 // has already passed is shed before any connection is acquired or dialed:
 // the caller can no longer use the answer, so opening a backend stream for
 // it is pure waste. Every op's fresh requests, retries, mid-stream reopens
@@ -482,7 +451,7 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 // breaker then admits the attempt and learns from its outcome.
 func (c *Client) attempt(ctx context.Context, req request) (response, error) {
 	name := ops[req.op].name
-	if d := c.requestDeadline(ctx); !d.IsZero() && !time.Now().Before(d) {
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 		if m := obs.M(); m != nil {
 			m.Client.BudgetExpired.Inc()
 		}
@@ -511,7 +480,7 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 			}
 			return response{}, wrapErr(ctx, "dial", err)
 		}
-		deadline := c.requestDeadline(ctx)
+		deadline, _ := ctx.Deadline()
 		conn.SetDeadline(deadline)
 		w := watchCancel(ctx, conn)
 		resp, err := exchange(conn, req.withBudget(budgetFor(deadline)))
@@ -685,9 +654,6 @@ func (r *Rows) release(reusable bool) {
 	r.client.settle(r.ctx, r.conn, r.watch, reusable)
 	if r.set != nil {
 		r.set.reps[r.Replica].inFlight.Add(-1)
-	}
-	if r.hedgeCancel != nil {
-		r.hedgeCancel()
 	}
 }
 

@@ -187,29 +187,6 @@ func TestDeadlineAgainstStalledServer(t *testing.T) {
 	}
 }
 
-func TestRequestTimeoutWithoutContextDeadline(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go io.Copy(io.Discard, conn)
-		}
-	}()
-
-	client := Dial(l.Addr().String(), WithRequestTimeout(100*time.Millisecond))
-	_, err = client.Query(context.Background(), seqQuery)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Errorf("request-timeout error = %v, want ErrDeadlineExceeded", err)
-	}
-}
-
 func TestRetryRecoversDialFailureWithoutDuplication(t *testing.T) {
 	const rowCount = 700 // several batch frames
 	srv := &Server{DB: seqDB(t, rowCount)}
@@ -296,25 +273,6 @@ func TestPoolReusesConnections(t *testing.T) {
 	}
 	if _, err := client.Query(context.Background(), seqQuery); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("query on closed client = %v, want ErrClientClosed", err)
-	}
-}
-
-func TestPoolDisabled(t *testing.T) {
-	srv := &Server{DB: seqDB(t, 5)}
-	var dials atomic.Int64
-	client := NewClient(countingDialer(srv, &dials, 0), WithPoolSize(0))
-	for i := 0; i < 3; i++ {
-		rows, err := client.Query(context.Background(), seqQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drain(t, rows)
-	}
-	if n := dials.Load(); n != 3 {
-		t.Errorf("dials = %d, want 3 (pooling disabled)", n)
-	}
-	if n := client.IdleConns(); n != 0 {
-		t.Errorf("IdleConns = %d, want 0 with pooling disabled", n)
 	}
 }
 

@@ -23,8 +23,8 @@ const (
 	// CodeCanceled is a request the server abandoned because it was
 	// canceled (its connection context ended before completion).
 	CodeCanceled
-	// CodeDeadline is a request that exceeded the server's per-request
-	// deadline.
+	// CodeDeadline is a request that exceeded, or arrived with too
+	// little of, the deadline budget it carried.
 	CodeDeadline
 	// CodeShutdown is a request refused because the server is draining.
 	CodeShutdown
@@ -89,9 +89,8 @@ func (s *sentinel) Unwrap() error { return s.cause }
 var (
 	// ErrCanceled reports a request interrupted by context cancellation.
 	ErrCanceled error = &sentinel{"wire: request canceled", context.Canceled}
-	// ErrDeadlineExceeded reports a request that ran past its deadline —
-	// whether the deadline came from the context or the client's
-	// per-request timeout.
+	// ErrDeadlineExceeded reports a request that ran past its context's
+	// deadline, or whose remaining budget the server refused.
 	ErrDeadlineExceeded error = &sentinel{"wire: request deadline exceeded", context.DeadlineExceeded}
 	// ErrClientClosed reports a request on a closed client.
 	ErrClientClosed = errors.New("wire: client closed")

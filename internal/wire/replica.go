@@ -107,21 +107,12 @@ func (rs *replicaState) score() float64 {
 // implements Backend; construction aside, callers use it exactly like a
 // Client. Safe for concurrent use.
 type ReplicaSet struct {
-	reps  []*replicaState
-	rr    atomic.Uint64 // round-robin cursor
-	hedge time.Duration // 0 = hedged opens disabled
+	reps []*replicaState
+	rr   atomic.Uint64 // round-robin cursor
 }
 
 // ReplicaOption configures a ReplicaSet.
 type ReplicaOption func(*ReplicaSet)
-
-// WithHedgeDelay arms hedged opens: when the chosen replica has not
-// produced a stream header within d, a second healthy replica is raced
-// and the first to answer wins (the loser is closed). Queries are
-// read-only, so the duplicate work is safe. Zero disables hedging.
-func WithHedgeDelay(d time.Duration) ReplicaOption {
-	return func(s *ReplicaSet) { s.hedge = d }
-}
 
 // WithReplicaNames labels the replicas (typically their addresses) for
 // error text; extra names are ignored, missing ones fall back to the
@@ -159,16 +150,12 @@ func NewReplicaSet(clients []*Client, opts ...ReplicaOption) *ReplicaSet {
 func (s *ReplicaSet) Replicas() int { return len(s.reps) }
 
 // pick chooses the replica for one operation: among the usable replicas
-// (breaker closed or probing, skipping exclude when another choice
+// (breaker closed or probing, skipping excluded ones when another choice
 // exists), it prefers the best availability class, then the fewest
 // in-flight streams, then the best error/latency score; remaining ties go
 // round-robin. It fails closed with ErrNoHealthyReplica when every
-// replica is open-circuit. exclude < 0 excludes nothing.
-func (s *ReplicaSet) pick(exclude int) (int, *replicaState, error) {
-	return s.pickExcluding(func(i int) bool { return i == exclude })
-}
-
-func (s *ReplicaSet) pickExcluding(excluded func(int) bool) (int, *replicaState, error) {
+// replica is open-circuit.
+func (s *ReplicaSet) pick(excluded func(int) bool) (int, *replicaState, error) {
 	start := int(s.rr.Add(1)-1) % len(s.reps)
 	best := -1
 	var bestKey [3]float64
@@ -239,7 +226,7 @@ func (s *ReplicaSet) try(ctx context.Context, hops int, op func(idx int, rs *rep
 	tried := make(map[int]bool, hops)
 	var lastErr error
 	for ; hops > 0; hops-- {
-		idx, rs, err := s.pickExcluding(func(i int) bool { return tried[i] })
+		idx, rs, err := s.pick(func(i int) bool { return tried[i] })
 		if err != nil {
 			if lastErr != nil {
 				return lastErr
@@ -284,87 +271,11 @@ func (s *ReplicaSet) Query(ctx context.Context, sql string) (*Rows, error) {
 // QueryResumable opens a resumable stream on a balancer-chosen replica,
 // moving on to the next healthy replica when the open fails (see try).
 func (s *ReplicaSet) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (rows *Rows, err error) {
-	if s.hedge > 0 && len(s.reps) > 1 {
-		return s.queryHedged(ctx, sql, spec)
-	}
 	err = s.try(ctx, len(s.reps), func(idx int, rs *replicaState) error {
 		rows, err = s.openOn(ctx, idx, rs, sql, spec)
 		return err
 	})
 	return rows, err
-}
-
-// queryHedged opens the stream on the balancer's choice and, if no header
-// has arrived within the hedge delay, races one more healthy replica.
-// The first successful open wins; the straggler is canceled and closed in
-// the background. Each attempt runs under its own child context so losing
-// it cannot disturb the winner.
-func (s *ReplicaSet) queryHedged(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error) {
-	type attempt struct {
-		rows *Rows
-		err  error
-		i    int
-	}
-	results := make(chan attempt, 2)
-	cancels := make([]context.CancelFunc, 2)
-	launch := func(slot, idx int, rs *replicaState) {
-		actx, cancel := context.WithCancel(ctx)
-		cancels[slot] = cancel
-		go func() {
-			rows, err := s.openOn(actx, idx, rs, sql, spec)
-			if rows != nil {
-				rows.hedgeCancel = cancel
-			}
-			results <- attempt{rows, err, slot}
-		}()
-	}
-	primary, rs, err := s.pick(-1)
-	if err != nil {
-		return nil, err
-	}
-	launch(0, primary, rs)
-	outstanding := 1
-	timer := time.NewTimer(s.hedge)
-	defer timer.Stop()
-	hedged := false
-	var firstErr error
-	for outstanding > 0 {
-		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				if idx, rs, err := s.pick(primary); err == nil {
-					if m := obs.M(); m != nil {
-						m.Client.Hedges.Inc()
-					}
-					launch(1, idx, rs)
-					outstanding++
-				}
-			}
-		case a := <-results:
-			outstanding--
-			if a.err == nil {
-				// Winner. Cancel and reap any straggler off the hot path;
-				// its release returns the in-flight slot.
-				if outstanding > 0 {
-					cancels[1-a.i]()
-					go func(n int) {
-						for i := 0; i < n; i++ {
-							if late := <-results; late.rows != nil {
-								late.rows.Close()
-							}
-						}
-					}(outstanding)
-				}
-				return a.rows, nil
-			}
-			cancels[a.i]()
-			if firstErr == nil {
-				firstErr = a.err
-			}
-		}
-	}
-	return nil, firstErr
 }
 
 // Estimate asks a balancer-chosen replica's optimizer for a cost

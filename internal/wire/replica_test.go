@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"silkroute/internal/engine"
-	"silkroute/internal/obs"
 )
 
 // replicaHarness builds a ReplicaSet of n in-process replicas over the
@@ -228,54 +227,6 @@ func TestReplicaSetEstimateFailsOver(t *testing.T) {
 	}
 	if est.Rows <= 0 {
 		t.Fatalf("estimate rows = %v, want > 0", est.Rows)
-	}
-}
-
-func TestReplicaSetHedgeWinsOverSlowPrimary(t *testing.T) {
-	prev := obs.M()
-	sink := obs.NewMetrics()
-	obs.SetGlobal(sink)
-	t.Cleanup(func() { obs.SetGlobal(prev) })
-
-	db := bigDB(t, 40, 1)
-	srv := &Server{DB: db}
-	dialLive := func(context.Context) (net.Conn, error) {
-		c1, c2 := net.Pipe()
-		go srv.ServeConn(c2)
-		return c1, nil
-	}
-	// Replica 0 stalls every dial far past the hedge delay (honoring
-	// cancellation so the loser unwinds promptly).
-	slow := NewClient(func(ctx context.Context) (net.Conn, error) {
-		select {
-		case <-time.After(2 * time.Second):
-			return dialLive(ctx)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	})
-	fast := NewClient(dialLive)
-	set := NewReplicaSet([]*Client{slow, fast}, WithHedgeDelay(5*time.Millisecond))
-	t.Cleanup(func() { set.Close() })
-
-	set.rr.Store(0) // primary = the slow replica
-	start := time.Now()
-	rows, err := set.Query(ctx, bigSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Replica != 1 {
-		t.Fatalf("hedged query served by replica %d, want 1", rows.Replica)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedged open took %v; the slow primary was awaited", elapsed)
-	}
-	got := drain(t, rows)
-	if len(got) != 40 {
-		t.Fatalf("got %d rows, want 40", len(got))
-	}
-	if sink.Client.Hedges.Value() < 1 {
-		t.Errorf("hedge counter = %d, want >= 1", sink.Client.Hedges.Value())
 	}
 }
 

@@ -250,7 +250,7 @@ func (r *Rows) reopenTarget(tried []bool) (int, *replicaState) {
 		if skip(i) {
 			continue
 		}
-		if idx, rep, err := r.set.pickExcluding(skip); err == nil {
+		if idx, rep, err := r.set.pick(skip); err == nil {
 			return idx, rep
 		}
 		break

@@ -22,15 +22,6 @@ import (
 type Server struct {
 	DB *engine.Database
 
-	// IdleTimeout bounds how long a connection may sit between requests
-	// before the server closes it, reclaiming abandoned pooled
-	// connections. Zero means no limit.
-	IdleTimeout time.Duration
-	// RequestTimeout bounds one request end to end — execution plus
-	// streaming the result. A request that exceeds it is abandoned: the
-	// running query is canceled and the connection closed. Zero means no
-	// limit.
-	RequestTimeout time.Duration
 	// RowFault, when set, is consulted once per query: a non-nil returned
 	// fault is then called before each result row with the count of rows
 	// already sent, and a non-nil fault error kills the connection at
@@ -178,13 +169,7 @@ func (s *Server) beginRequest(conn net.Conn) (context.Context, bool) {
 	if !ok {
 		return nil, false
 	}
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if s.RequestTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.RequestTimeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	st.active, st.cancel = true, cancel
 	return ctx, true
 }
@@ -241,9 +226,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if s.shuttingDown() {
 			return
 		}
-		if s.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-		}
 		frame, err := readFrame(br, reqBuf, maxRequestFrame)
 		if errors.Is(err, errFrameTooLarge) {
 			// Refused from the length prefix alone. The payload is unread,
@@ -252,7 +234,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return
 		}
 		if err != nil || len(frame) == 0 {
-			return // client went away (or idled out) between requests
+			return // client went away between requests
 		}
 		reqBuf = frame
 
@@ -260,11 +242,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if !ok {
 			_ = writeError(bw, CodeShutdown, "server draining")
 			return
-		}
-		if s.RequestTimeout > 0 {
-			conn.SetDeadline(time.Now().Add(s.RequestTimeout))
-		} else {
-			conn.SetReadDeadline(time.Time{})
 		}
 
 		req, perr := parseRequest(frame)
@@ -276,9 +253,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 		cancel := context.CancelFunc(func() {})
 		if budgeted && !spent {
 			ctx, cancel = context.WithTimeout(ctx, req.budget)
-			if d, ok := ctx.Deadline(); ok {
-				conn.SetDeadline(d)
-			}
+			d, _ := ctx.Deadline()
+			conn.SetDeadline(d)
 		}
 
 		m := obs.M()
@@ -324,7 +300,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if !keep {
 			return
 		}
-		conn.SetDeadline(time.Time{})
+		conn.SetDeadline(time.Time{}) // a budgeted request set one
 	}
 }
 

@@ -33,10 +33,10 @@
 //	              spans stitch under the client's request span in one trace;
 //	              set whenever observability is enabled
 //	budgeted 0x2  the caller's remaining deadline budget in nanoseconds, set
-//	              whenever the effective deadline (context or per-request
-//	              timeout) is known; the server caps its request context at
-//	              it and refuses a budget below minServableBudget with
-//	              CodeDeadline before the engine runs
+//	              whenever the request's context has a deadline; the
+//	              server caps its request context at it and refuses a
+//	              budget below minServableBudget with CodeDeadline before
+//	              the engine runs
 //
 // Any op answers 'E' + code byte + message on failure. An unknown op, an
 // unknown flag bit, or a field cut short is CodeBadRequest and leaves the

@@ -22,8 +22,8 @@ func tpchSchemaForRemote() *schema.Schema { return tpch.Schema() }
 // client machine, submits SQL over the network, and asks the remote
 // optimizer for cost estimates.
 //
-// The connection maintains a bounded pool of wire connections (see
-// WithPoolSize) and retries dial-time failures under the WithRetry policy.
+// The connection keeps a bounded pool of idle wire connections per
+// endpoint and retries dial-time failures under the WithRetry policy.
 // A Remote is safe for concurrent use; Close it when done to release the
 // pool.
 type Remote struct {
@@ -47,11 +47,10 @@ type Remote struct {
 // Grids compose: each shard of a Sharded topology is its own replica
 // group whose streams heal themselves underneath the merge.
 //
-// The option list carries the connection policy (retry, pool, timeouts,
-// resume, breaker, hedging) and the source description
-// (WithSource), so a server's per-backend config maps 1:1 onto one option
-// slice. A topology with no endpoint, or with an empty replica group, is
-// an error.
+// The option list carries the connection policy (retry, resume, breaker)
+// and the source description (WithSource), so a server's per-backend
+// config maps 1:1 onto one option slice. A topology with no endpoint, or
+// with an empty replica group, is an error.
 func Dial(t Topology, opts ...Option) (*Remote, error) {
 	if t.IsZero() {
 		return nil, errors.New("silkroute: Dial: topology declares no endpoint")
@@ -75,7 +74,7 @@ func Dial(t Topology, opts ...Option) (*Remote, error) {
 			clients[j] = dialEndpoint(e, c)
 			names[j] = e.addr
 		}
-		backends[i] = wire.NewReplicaSet(clients, c.replicaOptions(names)...)
+		backends[i] = wire.NewReplicaSet(clients, wire.WithReplicaNames(names))
 	}
 	if len(backends) == 1 {
 		r.client = backends[0]
@@ -121,7 +120,7 @@ func ParseRemoteView(r *Remote, s *Schema, src string, opts ...Option) (*View, e
 	if err != nil {
 		return nil, err
 	}
-	v := &View{remote: r, tree: tree, wrapper: "document", reduce: true}
+	v := &View{remote: r, tree: tree}
 	buildConfig(opts).apply(v)
 	return v, nil
 }

@@ -51,18 +51,12 @@ var ErrCircuitOpen = wire.ErrCircuitOpen
 var ErrNoHealthyReplica = wire.ErrNoHealthyReplica
 
 // Retry configures how a remote connection retries dial-time and transient
-// failures. A query whose tuple stream has started is never retried — the
-// document being assembled must not see duplicated rows.
-type Retry struct {
-	// MaxAttempts is the total number of tries including the first;
-	// values <= 1 disable retrying.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry, doubling per
-	// attempt with jitter. Zero means 10ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Zero means uncapped.
-	MaxDelay time.Duration
-}
+// failures: MaxAttempts tries in all (<= 1 disables retrying), backing off
+// from BaseDelay (zero means 10ms), doubling per attempt with jitter, up to
+// MaxDelay (zero means uncapped). A query whose tuple stream has started is
+// never retried — the document being assembled must not see duplicated
+// rows.
+type Retry = wire.Retry
 
 // Option configures a view or a remote connection. The same option list is
 // accepted by ParseView, ParseRemoteView, Dial, and NewHandle;
@@ -73,46 +67,32 @@ type Option func(*config)
 
 type config struct {
 	wrapper     string
-	wrapperSet  bool
 	reduce      bool
-	reduceSet   bool
 	parallelism int
-	parSet      bool
 	strategy    Strategy
-	strategySet bool
 
 	source *Schema
 
 	planCache  bool
+	fragCache  bool
 	fragBytes  int64
-	fragSet    bool
 	serveStale bool
 
-	retry            Retry
-	retrySet         bool
-	poolSize         int
-	poolSet          bool
-	timeout          time.Duration
-	timeoutSet       bool
-	maxResumes       int
-	resumeSet        bool
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	breakerSet       bool
-	hedge            time.Duration
-	hedgeSet         bool
+	retry   wire.Retry
+	resume  wire.Resume
+	breaker wire.Breaker
 }
 
 // WithWrapper sets the document element wrapped around a view's output;
 // "" emits a bare element sequence. Default "document". View option.
 func WithWrapper(name string) Option {
-	return func(c *config) { c.wrapper, c.wrapperSet = name, true }
+	return func(c *config) { c.wrapper = name }
 }
 
 // WithReduce toggles view-tree reduction (§3.5). Default true; reduction
 // alone speeds plans up ~2.5× in the paper's measurements. View option.
 func WithReduce(on bool) Option {
-	return func(c *config) { c.reduce, c.reduceSet = on, true }
+	return func(c *config) { c.reduce = on }
 }
 
 // WithParallelism bounds how many partition queries run concurrently when a
@@ -121,7 +101,7 @@ func WithReduce(on bool) Option {
 // forces strictly serial execution. The document and the planner's choices
 // are identical at every setting. View option.
 func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism, c.parSet = n, true }
+	return func(c *config) { c.parallelism = n }
 }
 
 // WithStrategy sets the plan strategy a Handle serves by default (clients
@@ -129,7 +109,7 @@ func WithParallelism(n int) Option {
 // Handle option; ignored by plain views, whose Materialize takes the
 // strategy explicitly.
 func WithStrategy(s Strategy) Option {
-	return func(c *config) { c.strategy, c.strategySet = s, true }
+	return func(c *config) { c.strategy = s }
 }
 
 // WithSource attaches the source description — the schema of the remote
@@ -144,21 +124,7 @@ func WithSource(s *Schema) Option {
 // WithRetry sets the retry policy for dial-time and transient pre-stream
 // failures on a remote connection. Connection option.
 func WithRetry(r Retry) Option {
-	return func(c *config) { c.retry, c.retrySet = r, true }
-}
-
-// WithPoolSize bounds a remote connection's idle-connection pool. Drained
-// connections are reused instead of dialing per request; n <= 0 disables
-// pooling. Default 8. Connection option.
-func WithPoolSize(n int) Option {
-	return func(c *config) { c.poolSize, c.poolSet = n, true }
-}
-
-// WithRequestTimeout bounds each remote request (submit through last row)
-// even when the materialize context has no deadline. Zero (the default)
-// imposes none. Connection option.
-func WithRequestTimeout(d time.Duration) Option {
-	return func(c *config) { c.timeout, c.timeoutSet = d, true }
+	return func(c *config) { c.retry = r }
 }
 
 // WithResume enables mid-stream failure recovery on a remote connection:
@@ -174,7 +140,7 @@ func WithRequestTimeout(d time.Duration) Option {
 // fails with ErrStreamLost; <= 0 disables resume, the default.
 // Connection option.
 func WithResume(maxResumes int) Option {
-	return func(c *config) { c.maxResumes, c.resumeSet = maxResumes, true }
+	return func(c *config) { c.resume = wire.Resume{MaxResumes: maxResumes} }
 }
 
 // WithBreaker adds a circuit breaker to a remote connection: threshold
@@ -183,70 +149,20 @@ func WithResume(maxResumes int) Option {
 // request decides whether to close it again. threshold <= 0 disables the
 // breaker (the default); cooldown 0 means one second. Connection option.
 func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *config) {
-		c.breakerThreshold, c.breakerCooldown, c.breakerSet = threshold, cooldown, true
-	}
-}
-
-// WithHedge arms hedged opens on a replicated connection: when the chosen
-// replica has not produced a stream header within d, a second healthy
-// replica is raced and the first answer wins. Queries are read-only, so
-// the duplicated work is safe. Zero (the default) disables hedging.
-// Connection option (replicated topologies only).
-func WithHedge(d time.Duration) Option {
-	return func(c *config) { c.hedge, c.hedgeSet = d, true }
+	return func(c *config) { c.breaker = wire.Breaker{Threshold: threshold, Cooldown: cooldown} }
 }
 
 // clientOptions translates the connection-side options into wire options.
+// Each policy's zero value is "off", so all three always pass.
 func (c *config) clientOptions() []wire.ClientOption {
-	var out []wire.ClientOption
-	if c.poolSet {
-		out = append(out, wire.WithPoolSize(c.poolSize))
-	}
-	if c.retrySet {
-		out = append(out, wire.WithRetry(wire.Retry{
-			MaxAttempts: c.retry.MaxAttempts,
-			BaseDelay:   c.retry.BaseDelay,
-			MaxDelay:    c.retry.MaxDelay,
-		}))
-	}
-	if c.timeoutSet {
-		out = append(out, wire.WithRequestTimeout(c.timeout))
-	}
-	if c.resumeSet {
-		out = append(out, wire.WithResume(wire.Resume{MaxResumes: c.maxResumes}))
-	}
-	if c.breakerSet {
-		out = append(out, wire.WithBreaker(wire.Breaker{
-			Threshold: c.breakerThreshold,
-			Cooldown:  c.breakerCooldown,
-		}))
-	}
-	return out
-}
-
-// replicaOptions translates the replica-side options into wire options.
-func (c *config) replicaOptions(names []string) []wire.ReplicaOption {
-	out := []wire.ReplicaOption{wire.WithReplicaNames(names)}
-	if c.hedgeSet {
-		out = append(out, wire.WithHedgeDelay(c.hedge))
-	}
-	return out
+	return []wire.ClientOption{wire.WithRetry(c.retry), wire.WithResume(c.resume), wire.WithBreaker(c.breaker)}
 }
 
 // apply stamps the view-side options onto a freshly built view. The caches
 // live on the view's backend (the DB or Remote), so every view sharing a
 // backend shares one cache and one invalidation domain.
 func (c *config) apply(v *View) {
-	if c.wrapperSet {
-		v.wrapper = c.wrapper
-	}
-	if c.reduceSet {
-		v.reduce = c.reduce
-	}
-	if c.parSet {
-		v.parallelism = c.parallelism
-	}
+	v.wrapper, v.reduce, v.parallelism = c.wrapper, c.reduce, c.parallelism
 	if c.planCache {
 		if v.remote != nil {
 			v.plans = v.remote.planCache()
@@ -254,7 +170,7 @@ func (c *config) apply(v *View) {
 			v.plans = v.db.planCache()
 		}
 	}
-	if c.fragSet {
+	if c.fragCache {
 		if v.remote != nil {
 			v.frags = v.remote.fragCache(c.fragBytes)
 		} else {
@@ -264,8 +180,10 @@ func (c *config) apply(v *View) {
 	v.serveStale = c.serveStale
 }
 
+// buildConfig applies opts over the defaults: a "document" wrapper,
+// reduction on, the Greedy strategy.
 func buildConfig(opts []Option) *config {
-	c := &config{}
+	c := &config{wrapper: "document", reduce: true, strategy: Greedy}
 	for _, o := range opts {
 		o(c)
 	}
@@ -651,7 +569,7 @@ func ParseView(db *DB, src string, opts ...Option) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{db: db, tree: tree, wrapper: "document", reduce: true}
+	v := &View{db: db, tree: tree}
 	buildConfig(opts).apply(v)
 	return v, nil
 }
