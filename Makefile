@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet staticcheck test test-race chaos cache-check fuzz-smoke loadtest loadtest-smoke overload-chaos ci loc knobs experiments
+.PHONY: all build vet staticcheck test test-race chaos fuzz-smoke ci loc knobs experiments
 
 all: build
 
@@ -26,7 +26,10 @@ test:
 	$(GO) test ./...
 
 # The race detector multiplies runtime; -short skips the exhaustive plan
-# sweeps while still covering every concurrent code path.
+# sweeps while still covering every concurrent code path. It also carries
+# the caching layer's correctness gate (root Cache|Invalidation tests,
+# plancache, fragcache) and the view service's load, drain and overload
+# tests (internal/viewsvc); none of them skips under -short.
 test-race:
 	$(GO) test -race -short ./...
 
@@ -46,39 +49,6 @@ chaos:
 	CHAOS_SEEDS="$(CHAOS_SEEDS)" $(GO) test -race -count=1 -run '$(CHAOS_RUN)' \
 		. ./internal/wire/ ./internal/plan/ ./internal/sqlgen/ ./internal/viewsvc/
 
-# The caching layer's correctness gate under the race detector: cached and
-# uncached materializations must be byte-identical across every strategy
-# family, base-table writes must always invalidate, a killed run must never
-# leave a partial fragment behind, and both cache packages' unit suites
-# must pass.
-cache-check:
-	$(GO) test $(GOFLAGS) -race -run 'Cache|Invalidation' -count=1 .
-	$(GO) test $(GOFLAGS) -race ./internal/plancache/ ./internal/fragcache/
-
-# The view-service load test: N clients × M views against an in-process
-# silkrouted, every response byte-compared to a direct Materialize, plus
-# the saturation (503 + Retry-After) and SIGTERM-drain (zero truncated
-# documents) assertions. The JSON summary carries the p50/p99 numbers.
-loadtest:
-	$(GO) run ./cmd/loadgen -clients 32 -rounds 4 -out loadtest.json
-
-# The same harness, small enough to run under the race detector in CI:
-# equivalence, saturation, and drain are all still asserted, and the p99
-# summary lands in loadtest-smoke.json for the artifact upload.
-loadtest-smoke:
-	$(GO) run -race ./cmd/loadgen -clients 8 -rounds 2 -out loadtest-smoke.json
-
-# The overload/degradation gate under the race detector: offered load at
-# twice the admitted cap split across two tenants (one inside its quota,
-# one hammering far past it) over a replica set with one replica
-# chaos-killed mid-stream. Asserts the in-quota tenant sees only
-# byte-identical documents with bounded p99, the abusive tenant collects
-# 429 + Retry-After, spent-budget requests are refused without a single
-# backend query, and all-replicas-down requests are served complete stale
-# documents flagged with Silkroute-Stale headers.
-overload-chaos:
-	$(GO) run -race ./cmd/loadgen -overload -out overload-chaos.json
-
 # Ten seconds of coverage-guided fuzzing per target (go test -fuzz takes
 # one target per run): every malformed wire request header must come back
 # as a typed CodeBadRequest, never a panic, every malformed status frame
@@ -94,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs
 
-ci: vet staticcheck build test-race chaos cache-check fuzz-smoke loadtest-smoke overload-chaos
+ci: vet staticcheck build test-race chaos fuzz-smoke
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

@@ -42,8 +42,9 @@ func cacheLibraryDB(t *testing.T) *DB {
 	return db
 }
 
-// TestCachedEquivalenceAllStrategies is the correctness gate `make
-// cache-check` runs: for every strategy family — and the explicit-bitmask
+// TestCachedEquivalenceAllStrategies is the caching layer's correctness
+// gate (`make test-race` runs it under the race detector): for every
+// strategy family — and the explicit-bitmask
 // path — a fully cached view produces bytes identical to an uncached one,
 // both on the cold fill and on the warm repeat.
 func TestCachedEquivalenceAllStrategies(t *testing.T) {

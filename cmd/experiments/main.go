@@ -5,45 +5,36 @@
 //
 //	experiments                 # run everything (paper order)
 //	experiments -exp fig13      # one experiment: table1 sec2 fig13 fig14
-//	                            # fig15 fig18 greedystats ratios
-//	experiments -exp single -strategy outer-union   # one materialization
+//	                            # fig15 fig18 greedystats ratios spill
 //	experiments -scaleB 0.1     # full Config B scale (slower)
 //	experiments -repeat 3       # keep the fastest of 3 runs per plan
 //	experiments -parallel 8     # sweep plans under 8 workers (exploration;
 //	                            # run serially for publishable timings)
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// ^C (or SIGTERM) cancels the run: the in-flight sweep or materialization
-// unwinds promptly instead of finishing the whole experiment.
+// ^C (or SIGTERM) cancels the run: the in-flight sweep unwinds promptly
+// instead of finishing the whole experiment.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
 
-	"silkroute"
 	"silkroute/internal/bench"
-	"silkroute/internal/rxl"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, sec2, fig13, fig14, fig15, fig18, greedystats, ratios, spill, single")
-	strategy := flag.String("strategy", "greedy", "plan strategy for -exp single: unified, unified-cte, outer-union, fully-partitioned, greedy")
-	query := flag.Int("query", 1, "paper query for -exp single: 1 or 2")
-	scaleA := flag.Float64("scaleA", 0.001, "Config A scale factor (used by -exp single)")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, sec2, fig13, fig14, fig15, fig18, greedystats, ratios, spill")
 	scaleB := flag.Float64("scaleB", 0.02, "Config B scale factor (paper ratio is 0.1 = 100x Config A)")
 	repeat := flag.Int("repeat", 1, "runs per plan (fastest kept)")
 	parallel := flag.Int("parallel", 1, "concurrent plan measurements and greedy estimates (0 = one per CPU, 1 = serial)")
 	csvDir := flag.String("csv", "", "also write the Figure 13/14 sweeps as CSV files into this directory")
-	planCache := flag.Bool("plancache", false, "memoize compiled plans across -exp single repeats")
-	fragCache := flag.Int64("fragcache", 0, "cache materialized XML under this byte budget for -exp single repeats (0 = off, -1 = unbounded)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -82,9 +73,6 @@ func main() {
 		"greedystats": s.GreedyStats,
 		"ratios":      s.Ratios,
 		"spill":       s.SpillAblation,
-		"single": func() error {
-			return runSingle(ctx, os.Stdout, *strategy, *query, *scaleA, *parallel, *repeat, *planCache, *fragCache)
-		},
 	}
 	f, ok := steps[*exp]
 	if !ok {
@@ -113,57 +101,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiment failed: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runSingle materializes one built-in query with one strategy through the
-// public facade — a smoke experiment for comparing individual strategies
-// without sweeping the whole plan space.
-func runSingle(ctx context.Context, w io.Writer, strategy string, query int, scale float64, parallel, repeat int, planCache bool, fragBytes int64) error {
-	strat, err := silkroute.ParseStrategy(strategy)
-	if err != nil {
-		return err
-	}
-	src := rxl.Query1Source
-	if query == 2 {
-		src = rxl.Query2Source
-	} else if query != 1 {
-		return fmt.Errorf("unknown query %d (want 1 or 2)", query)
-	}
-	db := silkroute.OpenTPCH(scale, 42)
-	opts := []silkroute.Option{silkroute.WithParallelism(parallel)}
-	if planCache {
-		opts = append(opts, silkroute.WithPlanCache())
-	}
-	if fragBytes != 0 {
-		opts = append(opts, silkroute.WithFragmentCache(fragBytes))
-	}
-	view, err := silkroute.ParseView(db, src, opts...)
-	if err != nil {
-		return err
-	}
-	if repeat < 1 {
-		repeat = 1
-	}
-	for run := 0; run < repeat; run++ {
-		rep, err := view.Materialize(ctx, io.Discard, strat)
-		if err != nil {
-			return err
-		}
-		var cached string
-		switch {
-		case rep.FragmentCached:
-			cached = "  [fragment cache]"
-		case rep.PlanCached:
-			cached = "  [plan cache]"
-		}
-		fmt.Fprintf(w, "query %d  strategy %-17s  streams %2d  rows %6d  query %8.3fms  total %8.3fms%s\n",
-			query, rep.Strategy, rep.Streams, rep.Rows,
-			float64(rep.QueryTime.Microseconds())/1000, float64(rep.TotalTime.Microseconds())/1000, cached)
-		for i, st := range rep.StreamStats {
-			fmt.Fprintf(w, "  stream %d  rows %6d  query %8.3fms  wall %8.3fms\n",
-				i+1, st.Rows,
-				float64(st.QueryTime.Microseconds())/1000, float64(st.WallTime.Microseconds())/1000)
-		}
-	}
-	return nil
 }

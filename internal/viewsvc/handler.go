@@ -127,17 +127,17 @@ func (h *handler) rejectGlobal(w http.ResponseWriter) {
 // everyone" (server saturation). The Retry-After is exact for a drained
 // token bucket (time until the next token) and drain-derived for a full
 // concurrency quota.
-func (h *handler) rejectTenant(w http.ResponseWriter, tenantName string, ten *tenant, retryAfter time.Duration, cause string) {
+func (h *handler) rejectTenant(w http.ResponseWriter, ten *tenant, retryAfter time.Duration, cause string) {
 	if m := obs.M(); m != nil {
 		m.HTTP.RejectedTenant.Inc()
-		m.HTTP.Tenants.Get(tenantName).Rejected.Inc()
+		m.HTTP.Tenants.Get(ten.name).Rejected.Inc()
 	}
 	if cause == "concurrency" {
-		oldest, _ := h.srv.sessions.oldestAge(tenantName)
+		oldest, _ := h.srv.sessions.oldestAge(ten.name)
 		retryAfter = drainRetryAfter(oldest, ten.limits.MaxConcurrent, h.srv.cfg.Limits.retryAfter())
 	}
 	w.Header().Set("Retry-After", retrySecs(retryAfter))
-	http.Error(w, fmt.Sprintf("tenant %q over %s quota", tenantName, cause), http.StatusTooManyRequests)
+	http.Error(w, fmt.Sprintf("tenant %q over %s quota", ten.name, cause), http.StatusTooManyRequests)
 }
 
 // serveView streams one materialization. The response is chunked: bytes
@@ -172,7 +172,8 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	tenantName := h.tenantFor(r)
+	ten := h.srv.tenants.get(h.tenantFor(r))
+	tenantName := ten.name
 	w.Header().Set(HeaderTenant, tenantName)
 
 	// Effective deadline: the tighter of the server's own RequestTimeout
@@ -208,9 +209,8 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 
 	// Tenant admission: the tenant's own token bucket and concurrency
 	// carve-out, charged before the shared semaphore.
-	ten := h.srv.tenants.get(tenantName)
 	if ok, retryAfter, cause := ten.admit(now); !ok {
-		h.rejectTenant(w, tenantName, ten, retryAfter, cause)
+		h.rejectTenant(w, ten, retryAfter, cause)
 		return
 	}
 	defer ten.release()

@@ -1,7 +1,8 @@
 // Tests for the overload-control surface: per-tenant quotas (429 with the
 // rate/concurrency split), the drain-derived Retry-After estimate, the
-// deadline-budget admission check, drain racing an admit burst, and the
-// serve-stale degradation path with its fail-closed boundary.
+// deadline-budget admission check, drain racing an admit burst, the
+// serve-stale degradation path with its fail-closed boundary, and the cap
+// on tenant names.
 package viewsvc
 
 import (
@@ -14,12 +15,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"silkroute"
+	"silkroute/internal/obs"
+	"silkroute/internal/obs/obstest"
 	"silkroute/internal/rxl"
 )
 
@@ -572,5 +576,91 @@ func TestWriteStaleFailClosedAfterInvalidation(t *testing.T) {
 	}
 	if after.Len() != 0 {
 		t.Errorf("WriteStale leaked %d bytes after invalidation, want 0", after.Len())
+	}
+}
+
+// TestTenantNamesCapped sends maxTenants+100 distinct tenant names. The
+// first maxTenants keep their own accounting; each later one is accounted,
+// labelled and echoed as the one overflow tenant. Names the config
+// declares, a name already seen and the default tenant still resolve to
+// themselves, so /tenants and the per-tenant series stay bounded.
+func TestTenantNamesCapped(t *testing.T) {
+	old := obs.M()
+	obs.SetGlobal(obs.NewMetrics())
+	defer obs.SetGlobal(old)
+	db, goldens := fixture(t)
+	reg := NewRegistry()
+	h, err := Compile("fragment", db, rxl.FragmentSource, silkroute.WithFragmentCache(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Register("fragment", h, rxl.FragmentSource, "test")
+	handler := New(Config{
+		Registry: reg,
+		Tenants:  map[string]TenantLimits{"acme": {MaxConcurrent: 3}},
+		APIKeys:  map[string]string{"sk-batch": "batch"},
+	}).Handler()
+	serve := func(path string, hdr ...string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		for i := 0; i+1 < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		return rec
+	}
+	resolve := func(hdr ...string) string {
+		rec := serve("/views/fragment", hdr...)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), goldens["fragment"]) {
+			t.Fatalf("%v: status %d, %d bytes; want 200 with the golden", hdr, rec.Code, rec.Body.Len())
+		}
+		return rec.Header().Get(HeaderTenant)
+	}
+
+	for i := 0; i < maxTenants+100; i++ {
+		name := fmt.Sprintf("t%04d", i)
+		want := name
+		if i >= maxTenants {
+			want = overflowTenant
+		}
+		if got := resolve(HeaderTenant, name); got != want {
+			t.Fatalf("tenant %s resolved to %q, want %q", name, got, want)
+		}
+	}
+	for _, c := range []struct {
+		hdr  []string
+		want string
+	}{
+		{[]string{HeaderTenant, "acme"}, "acme"},
+		{[]string{"X-Api-Key", "sk-batch"}, "batch"},
+		{[]string{HeaderTenant, "t0000"}, "t0000"},
+		{nil, DefaultTenant},
+	} {
+		if got := resolve(c.hdr...); got != c.want {
+			t.Errorf("%v resolved to %q past the cap, want %q", c.hdr, got, c.want)
+		}
+	}
+
+	var states []TenantState
+	if err := json.Unmarshal(serve("/tenants").Body.Bytes(), &states); err != nil {
+		t.Fatal(err)
+	}
+	if want := maxTenants + 4; len(states) != want {
+		t.Errorf("/tenants lists %d tenants, want %d (the capped names, overflow, acme, batch, default)", len(states), want)
+	}
+	for _, s := range states {
+		if s.Tenant == "acme" && s.MaxConcurrent != 3 {
+			t.Errorf("acme state %+v lost its configured limits", s)
+		}
+	}
+	scrape := serve("/metrics").Body.String()
+	if err := obstest.CheckExposition(scrape); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Count(scrape, "silkroute_http_tenant_requests_total{"), maxTenants+4; got != want {
+		t.Errorf("%d tenant request series, want %d", got, want)
+	}
+	if want := fmt.Sprintf("silkroute_http_tenant_requests_total{tenant=%q} 100\n", overflowTenant); !strings.Contains(scrape, want) {
+		t.Errorf("scrape lacks %q", want)
 	}
 }

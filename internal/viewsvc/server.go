@@ -121,7 +121,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.Limits.maxConcurrent()),
 		sessions: newSessionTable(),
-		tenants:  newTenantTable(cfg.Tenants, cfg.TenantDefaults),
+		tenants:  newTenantTable(cfg),
 	}
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	return s
@@ -139,17 +139,6 @@ func (s *Server) Handler() http.Handler {
 // http.ErrServerClosed after a clean drain, mirroring net/http.
 func (s *Server) Serve(l net.Listener) error {
 	return s.httpSrv.Serve(l)
-}
-
-// ListenAndServe binds addr and serves. The bound address is reported
-// through the returned listener address channel-free: use Serve with your
-// own listener when you need the port before blocking.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Shutdown drains gracefully: listeners close (new requests are refused at

@@ -10,6 +10,7 @@ package viewsvc
 // "back off, everyone".
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -144,65 +145,78 @@ func (t *tenant) state(now time.Time) TenantState {
 	}
 }
 
+// maxTenants caps the tenant names a server tracks besides the declared
+// ones. A name arrives in a request header, so without the cap every new
+// value would keep a /tenants entry and a set of labelled series for the
+// life of the process. Past it, an unseen undeclared name is accounted,
+// labelled and echoed as overflowTenant, one shared tenant with the
+// default limits (or its own, if the config declares it).
+const (
+	maxTenants     = 1024
+	overflowTenant = "overflow"
+)
+
 // tenantTable resolves tenant names to their live accounting, creating
-// unnamed tenants with the default limits on first sight.
+// undeclared tenants with the default limits on first sight.
 type tenantTable struct {
-	mu         sync.Mutex
-	configured map[string]TenantLimits
-	defaults   TenantLimits
-	tenants    map[string]*tenant
+	mu       sync.Mutex
+	declared map[string]TenantLimits
+	defaults TenantLimits
+	tenants  map[string]*tenant
 }
 
-func newTenantTable(configured map[string]TenantLimits, defaults TenantLimits) *tenantTable {
-	return &tenantTable{
-		configured: configured,
-		defaults:   defaults,
-		tenants:    make(map[string]*tenant),
+// newTenantTable declares DefaultTenant, every APIKeys value and every
+// Tenants key; only Tenants entries carry limits of their own.
+func newTenantTable(cfg Config) *tenantTable {
+	declared := map[string]TenantLimits{DefaultTenant: cfg.TenantDefaults}
+	for _, name := range cfg.APIKeys {
+		declared[name] = cfg.TenantDefaults
 	}
+	for name, limits := range cfg.Tenants {
+		declared[name] = limits
+	}
+	return &tenantTable{declared: declared, defaults: cfg.TenantDefaults, tenants: make(map[string]*tenant)}
 }
 
-// get returns the named tenant's accounting, creating it on first use —
-// configured tenants get their configured limits, everyone else the
-// defaults (but each name gets its own bucket, so two unknown tenants
-// never share a quota).
+// get returns the accounting of the tenant a request named, creating it on
+// first use. Each undeclared name gets its own bucket at the defaults (two
+// unknown tenants never share a quota) until maxTenants names are tracked;
+// after that, unseen undeclared names share overflowTenant. The returned
+// tenant's name is the one to label and echo.
 func (tt *tenantTable) get(name string) *tenant {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	t, ok := tt.tenants[name]
-	if !ok {
-		limits, configured := tt.configured[name]
-		if !configured {
-			limits = tt.defaults
-		}
-		t = &tenant{name: name, limits: limits}
-		tt.tenants[name] = t
+	if t, ok := tt.tenants[name]; ok {
+		return t
 	}
+	limits, declared := tt.declared[name]
+	if !declared && len(tt.tenants) >= maxTenants {
+		name = overflowTenant
+		if t, ok := tt.tenants[name]; ok {
+			return t
+		}
+		limits, declared = tt.declared[name]
+	}
+	if !declared {
+		limits = tt.defaults
+	}
+	t := &tenant{name: name, limits: limits}
+	tt.tenants[name] = t
 	return t
 }
 
 // states snapshots every tenant seen so far, lexically by name.
 func (tt *tenantTable) states(now time.Time) []TenantState {
 	tt.mu.Lock()
-	names := make([]string, 0, len(tt.tenants))
 	list := make([]*tenant, 0, len(tt.tenants))
-	for n, t := range tt.tenants {
-		names = append(names, n)
+	for _, t := range tt.tenants {
 		list = append(list, t)
 	}
 	tt.mu.Unlock()
-	// Sort by name; the parallel slices stay aligned via index sort.
-	order := make([]int, len(names))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && names[order[j-1]] > names[order[j]]; j-- {
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
-	out := make([]TenantState, 0, len(list))
-	for _, i := range order {
-		out = append(out, list[i].state(now))
+	sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
+	out := make([]TenantState, len(list))
+	for i, t := range list {
+		out[i] = t.state(now)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 // Tests for the view service: byte-identity against direct Materialize,
 // admission control (503 + Retry-After at saturation), graceful drain
-// (in-flight streams complete, new requests refused), view-dir loading
+// through Shutdown and ServeContext (in-flight streams complete, new
+// requests refused), view-dir loading
 // with positioned diagnostics, the admin surface, and the fail-closed
 // limit paths.
 package viewsvc
@@ -43,6 +44,7 @@ func fixture(t *testing.T) (*silkroute.DB, map[string][]byte) {
 		for name, src := range map[string]string{
 			"fragment": rxl.FragmentSource,
 			"q1":       rxl.Query1Source,
+			"q2":       rxl.Query2Source,
 		} {
 			h, err := silkroute.NewHandle(name, fixtureDB, src)
 			if err != nil {
@@ -238,84 +240,104 @@ func TestSaturationRejectsWith503RetryAfter(t *testing.T) {
 }
 
 // TestGracefulDrainCompletesInFlight is the shutdown contract: with streams
-// parked mid-flight, Shutdown must refuse new requests at the listener
+// parked mid-flight, a drain must refuse new requests at the listener
 // while every admitted stream runs to its last byte — byte-identical to
-// the direct materialization, never truncated.
+// the direct materialization, never truncated. The drain starts either by
+// Shutdown, after which Serve returns http.ErrServerClosed, or by
+// cancelling ServeContext's context, the path silkrouted's SIGTERM handler
+// takes, after which ServeContext returns nil.
 func TestGracefulDrainCompletesInFlight(t *testing.T) {
-	db, goldens := fixture(t)
-	gate := make(chan struct{})
-	const inFlight = 2
-	admitted := make(chan struct{}, inFlight)
-	srv := New(Config{
-		Registry: newRegistry(t, db),
-		Hooks: Hooks{StreamStarted: func(*Session) {
-			admitted <- struct{}{}
-			<-gate
-		}},
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback unavailable: %v", err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(l) }()
-	base := "http://" + l.Addr().String()
-
-	results := make(chan error, inFlight)
-	for i := 0; i < inFlight; i++ {
-		go func() {
-			resp, err := http.Get(base + "/views/fragment")
+	for _, viaContext := range []bool{false, true} {
+		t.Run(map[bool]string{false: "Shutdown", true: "ServeContext"}[viaContext], func(t *testing.T) {
+			db, goldens := fixture(t)
+			gate := make(chan struct{})
+			const inFlight = 2
+			admitted := make(chan struct{}, inFlight)
+			srv := New(Config{
+				Registry: newRegistry(t, db),
+				Hooks: Hooks{StreamStarted: func(*Session) {
+					admitted <- struct{}{}
+					<-gate
+				}},
+			})
+			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				results <- err
-				return
+				t.Fatal(err)
 			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err == nil && !bytes.Equal(body, goldens["fragment"]) {
-				err = fmt.Errorf("drained stream diverged from golden")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			served := make(chan error, 1)
+			wantServed := http.ErrServerClosed
+			if viaContext {
+				wantServed = nil
+				go func() { served <- srv.ServeContext(ctx, l, 30*time.Second) }()
+			} else {
+				go func() { served <- srv.Serve(l) }()
 			}
-			results <- err
-		}()
-		<-admitted
-	}
+			base := "http://" + l.Addr().String()
 
-	shutdown := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		shutdown <- srv.Shutdown(ctx)
-	}()
+			results := make(chan error, inFlight)
+			for i := 0; i < inFlight; i++ {
+				go func() {
+					res, err := fetch(http.DefaultClient, base+"/views/fragment")
+					if err == nil && (res.status != http.StatusOK || !bytes.Equal(res.body, goldens["fragment"])) {
+						err = fmt.Errorf("status %d, %d bytes; want 200 with the %d-byte golden",
+							res.status, len(res.body), len(goldens["fragment"]))
+					}
+					results <- err
+				}()
+				<-admitted
+			}
 
-	// The listener must close promptly: a fresh connection gets a transport
-	// error, not a queued slot.
-	refused := false
-	probe := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := probe.Get(base + "/healthz")
-		if err != nil {
-			refused = true
-			break
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !refused {
-		t.Error("new requests were still accepted during drain")
-	}
+			shutdown := make(chan error, 1)
+			if viaContext {
+				cancel()
+				shutdown <- nil
+			} else {
+				go func() {
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					defer cancel()
+					shutdown <- srv.Shutdown(ctx)
+				}()
+			}
 
-	close(gate)
-	for i := 0; i < inFlight; i++ {
-		if err := <-results; err != nil {
-			t.Errorf("in-flight stream %d: %v", i, err)
-		}
-	}
-	if err := <-shutdown; err != nil {
-		t.Errorf("Shutdown: %v", err)
-	}
-	if err := <-served; err != http.ErrServerClosed {
-		t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+			// The listener must close promptly: a fresh connection gets a
+			// transport error, not a queued slot.
+			refused := false
+			probe := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) {
+				resp, err := probe.Get(base + "/healthz")
+				if err != nil {
+					refused = true
+					break
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				time.Sleep(10 * time.Millisecond)
+			}
+			if !refused {
+				t.Error("new requests were still accepted during drain")
+			}
+
+			close(gate)
+			for i := 0; i < inFlight; i++ {
+				if err := <-results; err != nil {
+					t.Errorf("in-flight stream %d: %v", i, err)
+				}
+			}
+			if err := <-shutdown; err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+			select {
+			case err := <-served:
+				if err != wantServed {
+					t.Errorf("serving returned %v, want %v", err, wantServed)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("serving did not return after the drain")
+			}
+		})
 	}
 }
 
