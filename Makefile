@@ -23,7 +23,7 @@ staticcheck:
 	fi
 
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 # The race detector multiplies runtime; -short skips the exhaustive plan
 # sweeps while still covering every concurrent code path. It also carries
@@ -64,7 +64,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs
 
-ci: vet staticcheck build test-race chaos fuzz-smoke
+# test runs tier-1 in full: the allocation and byte gates, the plan sweeps
+# and the full tagger differential skip under test-race's -short.
+ci: vet staticcheck build test test-race chaos fuzz-smoke
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

@@ -2,15 +2,17 @@ package silkroute
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"silkroute/internal/rxl"
 )
 
-// TestAllocsPerDocument holds the allocation count of one document on the
-// paths the benchmark's workloads measure. Each ceiling is the count at the
-// time it was set plus its tolerance: a rise past it fails, and a fall of
-// more than 5 % is logged so the change that earned it can lower the count.
+// TestAllocsPerDocument holds the allocation count and the allocated bytes
+// of one document on the paths the benchmark's workloads measure. Each
+// ceiling is the figure at the time it was set plus its tolerance: a rise
+// past it fails, and a fall of more than 5 % is logged so the change that
+// earned it can lower the figure.
 func TestAllocsPerDocument(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts in -short mode")
@@ -18,15 +20,16 @@ func TestAllocsPerDocument(t *testing.T) {
 	db := OpenTPCH(0.001, 42)
 	cases := []struct {
 		name string
-		// count is the allocations per document when the ceiling was set;
-		// tol is the fraction a run may exceed it by.
-		count, tol float64
-		setup      func(t *testing.T) func() error
+		// count and mb are the allocations and the MB allocated per
+		// document when the ceilings were set; tol is the fraction a run
+		// may exceed either by.
+		count, mb, tol float64
+		setup          func(t *testing.T) func() error
 	}{
 		{
 			// export-cold: compile and materialise Query 1 with the greedy
 			// plan in process, no caches.
-			name: "parse-and-greedy", count: 10_110, tol: 0.03,
+			name: "parse-and-greedy", count: 10_110, mb: 5.43, tol: 0.03,
 			setup: func(t *testing.T) func() error {
 				return func() error {
 					v, err := ParseView(db, rxl.Query1Source)
@@ -43,7 +46,7 @@ func TestAllocsPerDocument(t *testing.T) {
 			// shards on loopback. The servers and their pooled connections
 			// run in this process, so their allocations count too and
 			// scheduling can move the total a little: 5 % tolerance.
-			name: "sharded-partitioned", count: 47_838, tol: 0.05,
+			name: "sharded-partitioned", count: 47_838, mb: 23.56, tol: 0.05,
 			setup: func(t *testing.T) func() error {
 				var parts []Topology
 				for i := 0; i < 2; i++ {
@@ -67,7 +70,7 @@ func TestAllocsPerDocument(t *testing.T) {
 		},
 		{
 			// serve-hot: a fragment-cache hit through a registry handle.
-			name: "fragment-hit", count: 278, tol: 0.03,
+			name: "fragment-hit", count: 278, mb: 0.0151, tol: 0.03,
 			setup: func(t *testing.T) func() error {
 				h, err := NewHandle("q1", db, rxl.Query1Source, WithPlanCache(), WithFragmentCache(0))
 				if err != nil {
@@ -89,22 +92,40 @@ func TestAllocsPerDocument(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			run := c.setup(t)
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			// AllocsPerRun makes one warm-up run and then runs, all of them
+			// warm; the bytes are their TotalAlloc delta.
+			const runs = 10
 			var err error
-			got := testing.AllocsPerRun(10, func() {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := testing.AllocsPerRun(runs, func() {
 				if e := run(); e != nil {
 					err = e
 				}
 			})
+			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ceiling := c.count * (1 + c.tol)
-			switch {
-			case got > ceiling:
-				t.Errorf("%.0f allocations per document, ceiling %.0f (%.0f + %.0f %%)", got, ceiling, c.count, 100*c.tol)
-			case got < 0.95*c.count:
-				t.Logf("%.0f allocations per document, more than 5 %% under %.0f: lower the count", got, c.count)
-			}
+			mb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1e6
+			check(t, "allocations", got, c.count, c.tol)
+			check(t, "MB allocated", mb, c.mb, c.tol)
 		})
+	}
+}
+
+// check fails when got, a figure per document, exceeds want by more than
+// tol, and logs when it is more than 5 % under.
+func check(t *testing.T, what string, got, want, tol float64) {
+	t.Helper()
+	ceiling := want * (1 + tol)
+	switch {
+	case got > ceiling:
+		t.Errorf("%.4g %s per document, ceiling %.4g (%.4g + %.0f %%)", got, what, ceiling, want, 100*tol)
+	case got < 0.95*want:
+		t.Logf("%.4g %s per document, more than 5 %% under %.4g: lower the figure", got, what, want)
 	}
 }

@@ -115,10 +115,14 @@ const (
 	defaultSelectivity = 1.0 / 3.0 // non-equality predicates
 	sortCostFactor     = 1.0       // per row·log2(rows)
 	perQueryOverhead   = 50.0      // parse/plan/submit overhead per statement
-	// widthCostDivisor converts row width into a per-row work multiplier:
-	// materializing, sorting, and joining wide rows costs proportionally
-	// more than narrow ones (the executor concatenates and copies whole
-	// rows), which is what makes over-merged unified queries expensive.
+	// widthCostDivisor converts row width into a per-row work multiplier.
+	// What it prices is the executor's projection and sort: they copy and
+	// order every output value, so wide rows cost proportionally more than
+	// narrow ones, which is what makes over-merged unified queries
+	// expensive. A join carries one row ID per input, not its columns, so
+	// charging joins at their full concatenated width (estFromWhere,
+	// estJoin) is known to be too high; that waits for the re-fit of the
+	// cost model to the executor (ROADMAP.md).
 	widthCostDivisor = 32.0
 )
 

@@ -146,15 +146,17 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 		return nil, err
 	}
 
-	// Project.
-	exprs := make([]compiledExpr, len(s.Items))
+	// Project: the one place the query's values are copied, into rows
+	// carved from one value array. Each row is capped at its width, so
+	// appending to one can never overwrite the next.
+	exprs := make([]rowExpr, len(s.Items))
 	outCols := make([]Col, len(s.Items))
 	for i, item := range s.Items {
-		ce, err := compile(item.Expr, src.Cols)
+		e, err := bind(item.Expr, src.cols, len(src.cols))
 		if err != nil {
 			return nil, err
 		}
-		exprs[i] = ce
+		exprs[i] = e
 		name := item.Alias
 		if name == "" {
 			if cr, ok := item.Expr.(*sqlast.ColumnRef); ok {
@@ -163,15 +165,18 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 		}
 		outCols[i] = Col{Name: name}
 	}
-	out := &Rel{Cols: outCols, Rows: slabRows(len(src.Rows), len(exprs))}
-	for ri, row := range src.Rows {
+	w := len(exprs)
+	slab := make([]value.Value, src.n*w)
+	out := &Rel{Cols: outCols, Rows: make([]table.Row, src.n)}
+	for ri := range out.Rows {
 		if err := pollCtx(ctx, ri); err != nil {
 			return nil, err
 		}
-		prow := out.Rows[ri]
-		for i, e := range exprs {
-			prow[i] = e.eval(row)
+		prow := slab[ri*w : (ri+1)*w : (ri+1)*w]
+		for i := range exprs {
+			prow[i] = exprs[i].eval(src, ri, nil, 0)
 		}
+		out.Rows[ri] = prow
 	}
 	if err := sortRel(ctx, cat, out, s.OrderBy, src); err != nil {
 		return nil, err
@@ -187,13 +192,14 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 // index. Otherwise each row's key is evaluated into one key slab, and
 // sorts larger than the budget spill to disk through the external merge
 // sort.
-func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderItem, src *Rel) error {
+func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderItem, src *rel) error {
 	if len(order) == 0 {
 		return nil
 	}
 	type keyFn struct {
-		expr  compiledExpr
-		onSrc bool
+		expr  compiledExpr // over an output row
+		onSrc rowExpr      // over a source row, when the key is not an output column
+		isSrc bool
 	}
 	keys := make([]keyFn, len(order))
 	cols := make([]int, 0, len(order)) // the key columns, while every key is one
@@ -209,11 +215,11 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 		if src == nil {
 			return fmt.Errorf("sqlexec: order by: %w", outErr)
 		}
-		ce, err := compile(item.Expr, src.Cols)
+		e, err := bind(item.Expr, src.cols, len(src.cols))
 		if err != nil {
 			return fmt.Errorf("sqlexec: order by: %w", err)
 		}
-		keys[i] = keyFn{expr: ce, onSrc: true}
+		keys[i] = keyFn{onSrc: e, isSrc: true}
 	}
 	budget := 0
 	if sb, ok := cat.(SortBudget); ok {
@@ -245,9 +251,9 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 			return err
 		}
 		kv := slab[i*nk : (i+1)*nk : (i+1)*nk]
-		for ki, k := range keys {
-			if k.onSrc {
-				kv[ki] = k.expr.eval(src.Rows[i])
+		for ki := range keys {
+			if k := &keys[ki]; k.isSrc {
+				kv[ki] = k.onSrc.eval(src, i, nil, 0)
 			} else {
 				kv[ki] = k.expr.eval(row)
 			}
@@ -275,14 +281,13 @@ func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderIte
 // TPC-H would be quadratic cross products. need lists the references the
 // caller evaluates over the result; each join keeps only the columns they
 // and the conjuncts not yet applied can resolve to.
-func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, where sqlast.Expr, need []*sqlast.ColumnRef) (*Rel, error) {
+func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, where sqlast.Expr, need []*sqlast.ColumnRef) (*rel, error) {
 	if len(from) == 0 {
 		// A FROM-less select produces one row so literal selects work.
-		r := &Rel{Rows: []table.Row{{}}}
 		if where != nil {
 			return nil, fmt.Errorf("sqlexec: where clause without from clause")
 		}
-		return r, nil
+		return &rel{n: 1}, nil
 	}
 
 	conjs := sqlast.Conjuncts(where)
@@ -298,7 +303,7 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 		return refs
 	}
 
-	rels := make([]*Rel, len(from))
+	rels := make([]*rel, len(from))
 	entryNeed := pending()
 	for i, te := range from {
 		r, err := evalTable(ctx, cat, te, entryNeed)
@@ -315,7 +320,7 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 	bounds := make([]int, 0, len(rels)+1)
 	for _, r := range rels {
 		bounds = append(bounds, len(allCols))
-		allCols = append(allCols, r.Cols...)
+		allCols = append(allCols, r.cols...)
 	}
 	bounds = append(bounds, len(allCols))
 	owner := func(idx int) int {
@@ -344,11 +349,11 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 			}
 		}
 		if ok && own >= 0 {
-			ce, err := compile(c, rels[own].Cols)
+			pred, err := bind(c, rels[own].cols, len(rels[own].cols))
 			if err != nil {
 				continue
 			}
-			rels[own] = filterRel(rels[own], ce)
+			rels[own] = filterRel(rels[own], pred)
 			used[ci] = true
 		}
 	}
@@ -405,42 +410,50 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 		}
 	}
 	if len(residual) > 0 {
-		ce, err := compile(sqlast.MakeAnd(residual), joined.Cols)
+		pred, err := bind(sqlast.MakeAnd(residual), joined.cols, len(joined.cols))
 		if err != nil {
 			return nil, err
 		}
-		joined = filterRel(joined, ce)
+		joined = filterRel(joined, pred)
 	}
 	return joined, nil
 }
 
-// filterRel returns a new relation holding the rows of r that satisfy pred.
-// It never mutates r: base-table relations share the stored row slice.
-// The predicate is evaluated once per row into a bitmap, so the output is
-// allocated at its exact size.
-func filterRel(r *Rel, pred compiledExpr) *Rel {
-	pass := make([]bool, len(r.Rows))
-	n := 0
-	for i, row := range r.Rows {
-		if isTrue(pred.eval(row)) {
-			pass[i] = true
-			n++
+// filterRel returns the rows of x that satisfy pred, bound to x's
+// columns, as a new relation over the same inputs: it filters the ID
+// columns and never copies or mutates a stored row.
+func filterRel(x *rel, pred rowExpr) *rel {
+	sel := make([]int32, 0, x.n) // the passing rows of x
+	for i := 0; i < x.n; i++ {
+		if isTrue(pred.eval(x, i, nil, 0)) {
+			sel = append(sel, int32(i))
 		}
 	}
-	out := &Rel{Cols: r.Cols, Rows: make([]table.Row, 0, n)}
-	for i, row := range r.Rows {
-		if pass[i] {
-			out.Rows = append(out.Rows, row)
+	n := len(sel)
+	if len(x.ins) == 1 {
+		// One input, a scan or filtered scan: its IDs replace sel's in place.
+		for k, i := range sel {
+			sel[k] = x.ins[0].id(int(i))
 		}
+		return oneInput(x.cols, x.src, input{rows: x.ins[0].rows, ids: sel}, n)
+	}
+	out := &rel{cols: x.cols, src: x.src, ins: make([]input, len(x.ins)), n: n}
+	block := make([]int32, len(x.ins)*n)
+	for j := range x.ins {
+		in := &x.ins[j]
+		ids := block[j*n : (j+1)*n : (j+1)*n]
+		for k, i := range sel {
+			ids[k] = in.id(int(i))
+		}
+		out.ins[j] = input{rows: in.rows, ids: ids}
 	}
 	return out
 }
 
 // evalTable evaluates one FROM entry. need lists the references evaluated
 // over its result; a join keeps only the columns they can resolve to.
-// Base tables, CTEs and derived tables are returned unpruned: they share
-// their rows rather than copy them.
-func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sqlast.ColumnRef) (*Rel, error) {
+// Base tables, CTEs and derived tables are scanned whole and in place.
+func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sqlast.ColumnRef) (*rel, error) {
 	switch te := te.(type) {
 	case *sqlast.BaseTable:
 		alias := te.Alias
@@ -454,7 +467,7 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 				for i, c := range r.Cols {
 					cols[i] = Col{Qual: alias, Name: c.Name}
 				}
-				return &Rel{Cols: cols, Rows: r.Rows}, nil
+				return scan(cols, r.Rows), nil
 			}
 		}
 		t, ok := cat.Lookup(te.Name)
@@ -468,7 +481,7 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 		if m := obs.M(); m != nil {
 			m.Exec.RowsScanned.Add(int64(len(t.Rows)))
 		}
-		return &Rel{Cols: cols, Rows: t.Rows}, nil
+		return scan(cols, t.Rows), nil
 	case *sqlast.Derived:
 		inner, err := evalQuery(ctx, cat, te.Query)
 		if err != nil {
@@ -478,7 +491,7 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 		for i, c := range inner.Cols {
 			cols[i] = Col{Qual: te.Alias, Name: c.Name}
 		}
-		return &Rel{Cols: cols, Rows: inner.Rows}, nil
+		return scan(cols, inner.Rows), nil
 	case *sqlast.Join:
 		// The inputs must also carry what this join's own ON reads.
 		inner := sqlast.ColumnRefs(te.On, need[:len(need):len(need)])
@@ -498,7 +511,7 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 
 // isEquiBetween reports whether c is "a = b" with one side in l and the
 // other in r.
-func isEquiBetween(c sqlast.Expr, l, r *Rel) bool {
+func isEquiBetween(c sqlast.Expr, l, r *rel) bool {
 	cmp, ok := c.(*sqlast.Compare)
 	if !ok || cmp.Op != sqlast.OpEq {
 		return false
@@ -508,72 +521,125 @@ func isEquiBetween(c sqlast.Expr, l, r *Rel) bool {
 	if !lok || !rok {
 		return false
 	}
-	inL := func(cr *sqlast.ColumnRef) bool { _, err := resolve(l.Cols, cr.Table, cr.Column); return err == nil }
-	inR := func(cr *sqlast.ColumnRef) bool { _, err := resolve(r.Cols, cr.Table, cr.Column); return err == nil }
+	inL := func(cr *sqlast.ColumnRef) bool { _, err := resolve(l.cols, cr.Table, cr.Column); return err == nil }
+	inR := func(cr *sqlast.ColumnRef) bool { _, err := resolve(r.cols, cr.Table, cr.Column); return err == nil }
 	return inL(lc) && inR(rc) && !inR(lc) && !inL(rc) ||
 		inR(lc) && inL(rc) && !inL(lc) && !inR(rc)
 }
 
-// evalJoinRel joins two materialized relations, keeping only the columns
-// that some reference in need can resolve to. The ON condition is
-// decomposed into disjuncts (the paper's unified plans join on
+// evalJoinRel joins two row-ID relations, keeping only the columns that
+// some reference in need can resolve to. The ON condition is decomposed
+// into disjuncts (the paper's unified plans join on
 // "(L2=1 and …) or (L2=2 and …)"); each disjunct contributes matches via a
 // hash join when it contains an equi-conjunct, or a filtered nested loop
 // otherwise. Matches from different disjuncts are deduplicated so the join
 // behaves as a single logical predicate. The matches come first, so the
-// output's rows are carved from one slab sized to the exact row count.
-func evalJoinRel(ctx context.Context, l, r *Rel, kind sqlast.JoinKind, on sqlast.Expr, need []*sqlast.ColumnRef) (*Rel, error) {
+// result's ID columns are carved from one allocation sized to the exact
+// row count; no value is copied.
+func evalJoinRel(ctx context.Context, l, r *rel, kind sqlast.JoinKind, on sqlast.Expr, need []*sqlast.ColumnRef) (*rel, error) {
 	m, err := joinMatches(ctx, l, r, on)
 	if err != nil {
 		return nil, err
 	}
-	keepL, keepR := keepCols(l.Cols, need), keepCols(r.Cols, need)
-	cols := make([]Col, 0, len(keepL)+len(keepR))
-	for _, c := range keepL {
-		cols = append(cols, l.Cols[c])
-	}
-	for _, c := range keepR {
-		cols = append(cols, r.Cols[c])
-	}
 	outer := kind == sqlast.JoinLeftOuter
 	n := len(m.right)
 	if outer {
-		for li := range l.Rows {
+		for li := 0; li < l.n; li++ {
 			if m.off[li] == m.off[li+1] {
 				n++
 			}
 		}
 	}
 
-	out := &Rel{Cols: cols, Rows: slabRows(n, len(cols))}
-	o := 0
-	for li, lrow := range l.Rows {
-		if err := pollCtx(ctx, li); err != nil {
-			return nil, err
+	// Expose the kept columns. The inputs of l, then those of r, are
+	// numbered in one sequence; slot maps each to its place in the result,
+	// or -1 when no kept column reads it and it drops out.
+	nl := len(l.ins)
+	slot := make([]int, nl+len(r.ins))
+	for c := range slot {
+		slot[c] = -1
+	}
+	cols := make([]Col, 0, len(l.cols)+len(r.cols))
+	src := make([]colSrc, 0, cap(cols))
+	for k, c := range l.cols {
+		if keepCol(c, need) {
+			cols = append(cols, c)
+			s := l.source(k)
+			src = append(src, s)
+			slot[s.in] = 0
 		}
-		rs := m.right[m.off[li]:m.off[li+1]]
-		if len(rs) == 0 && outer {
-			gather(out.Rows[o], lrow, keepL) // the right-hand columns stay NULL
-			o++
+	}
+	for k, c := range r.cols {
+		if keepCol(c, need) {
+			s := r.source(k)
+			s.in += nl
+			cols = append(cols, c)
+			src = append(src, s)
+			slot[s.in] = 0
 		}
-		for _, ri := range rs {
-			row := out.Rows[o]
-			gather(row, lrow, keepL)
-			gather(row[len(keepL):], r.Rows[ri], keepR)
-			o++
+	}
+	nout := 0 // number the inputs marked 0 above in order
+	for c := range slot {
+		if slot[c] == 0 {
+			slot[c] = nout
+			nout++
 		}
+	}
+	for k := range src {
+		src[k].in = slot[src[k].in]
+	}
+
+	out := &rel{cols: cols, src: src, ins: make([]input, nout), n: n}
+	block := make([]int32, nout*n)
+	for c, j := range slot {
+		if j < 0 {
+			continue
+		}
+		ids := block[j*n : (j+1)*n : (j+1)*n]
+		o := 0
+		if c < nl {
+			// A left input repeats its ID once per match of its row, and
+			// once for an unmatched row an outer join keeps.
+			in := &l.ins[c]
+			for li := 0; li < l.n; li++ {
+				if err := pollCtx(ctx, li); err != nil {
+					return nil, err
+				}
+				k := int(m.off[li+1] - m.off[li])
+				if k == 0 && outer {
+					k = 1
+				}
+				for id := in.id(li); k > 0; k-- {
+					ids[o] = id
+					o++
+				}
+			}
+			out.ins[j] = input{rows: in.rows, ids: ids}
+			continue
+		}
+		// A right input takes its matched rows' IDs, and -1 where an outer
+		// join pads an unmatched left row.
+		in := &r.ins[c-nl]
+		for li := 0; li < l.n; li++ {
+			if err := pollCtx(ctx, li); err != nil {
+				return nil, err
+			}
+			rs := m.right[m.off[li]:m.off[li+1]]
+			if len(rs) == 0 && outer {
+				ids[o] = -1
+				o++
+			}
+			for _, ri := range rs {
+				ids[o] = in.id(int(ri))
+				o++
+			}
+		}
+		out.ins[j] = input{rows: in.rows, ids: ids}
 	}
 	if m := obs.M(); m != nil {
 		m.Exec.RowsJoined.Add(int64(n))
 	}
 	return out, nil
-}
-
-// gather copies the columns idx of src, in order, to the front of dst.
-func gather(dst, src table.Row, idx []int) {
-	for i, c := range idx {
-		dst[i] = src[c]
-	}
 }
 
 // matchList holds a join's matches flat: left row li matches the right
@@ -585,18 +651,18 @@ type matchList struct {
 
 // joinMatches computes the matches of an ON condition (nil: a cross
 // product) between l and r.
-func joinMatches(ctx context.Context, l, r *Rel, on sqlast.Expr) (matchList, error) {
+func joinMatches(ctx context.Context, l, r *rel, on sqlast.Expr) (matchList, error) {
 	// A key/foreign-key join matches at most the larger side's row count;
 	// sizing the match lists to it spares them growth in the common case.
-	size := max(len(l.Rows), len(r.Rows))
+	size := max(l.n, r.n)
 	p := pairs{left: make([]int32, 0, size), right: make([]int32, 0, size)}
 	if on == nil {
-		for li := range l.Rows {
-			for ri := range r.Rows {
+		for li := 0; li < l.n; li++ {
+			for ri := 0; ri < r.n; ri++ {
 				p.add(li, ri)
 			}
 		}
-		return p.group(len(l.Rows), false), nil
+		return p.group(l.n, false), nil
 	}
 	disjuncts := []sqlast.Expr{on}
 	if or, ok := on.(*sqlast.Or); ok {
@@ -607,7 +673,7 @@ func joinMatches(ctx context.Context, l, r *Rel, on sqlast.Expr) (matchList, err
 			return matchList{}, err
 		}
 	}
-	return p.group(len(l.Rows), len(disjuncts) > 1), nil
+	return p.group(l.n, len(disjuncts) > 1), nil
 }
 
 // pairs collects (left, right) row-index matches in the order one disjunct
@@ -656,71 +722,64 @@ func (p *pairs) group(nLeft int, merge bool) matchList {
 
 // joinDisjunct appends the (left, right) index pairs satisfying one ON
 // disjunct to p.
-func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, p *pairs) error {
+func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error {
 	conjs := sqlast.Conjuncts(d)
-	var leftKeys, rightKeys []compiledExpr
-	var leftPred, rightPred []compiledExpr
-	var residual []compiledExpr
+	var leftKeys, rightKeys []int // key columns of l and r
+	var leftPred, rightPred []rowExpr
+	var residual []rowExpr
 	var both []Col // l's columns then r's, the layout residuals read
 	for _, c := range conjs {
 		if cmp, ok := c.(*sqlast.Compare); ok && cmp.Op == sqlast.OpEq {
 			lc, lok := cmp.L.(*sqlast.ColumnRef)
 			rc, rok := cmp.R.(*sqlast.ColumnRef)
 			if lok && rok {
-				li1, e1 := resolve(l.Cols, lc.Table, lc.Column)
-				ri1, e2 := resolve(r.Cols, rc.Table, rc.Column)
+				li1, e1 := resolve(l.cols, lc.Table, lc.Column)
+				ri1, e2 := resolve(r.cols, rc.Table, rc.Column)
 				if e1 == nil && e2 == nil {
-					leftKeys = append(leftKeys, colExpr{idx: li1})
-					rightKeys = append(rightKeys, colExpr{idx: ri1})
+					leftKeys = append(leftKeys, li1)
+					rightKeys = append(rightKeys, ri1)
 					continue
 				}
-				ri2, e3 := resolve(r.Cols, lc.Table, lc.Column)
-				li2, e4 := resolve(l.Cols, rc.Table, rc.Column)
+				ri2, e3 := resolve(r.cols, lc.Table, lc.Column)
+				li2, e4 := resolve(l.cols, rc.Table, rc.Column)
 				if e3 == nil && e4 == nil {
-					leftKeys = append(leftKeys, colExpr{idx: li2})
-					rightKeys = append(rightKeys, colExpr{idx: ri2})
+					leftKeys = append(leftKeys, li2)
+					rightKeys = append(rightKeys, ri2)
 					continue
 				}
 			}
 		}
 		// Not a cross-relation equality: classify as one-sided or residual.
-		if ce, err := compile(c, l.Cols); err == nil {
-			leftPred = append(leftPred, ce)
+		if e, err := bind(c, l.cols, len(l.cols)); err == nil {
+			leftPred = append(leftPred, e)
 			continue
 		}
-		if ce, err := compile(c, r.Cols); err == nil {
-			rightPred = append(rightPred, ce)
+		if e, err := bind(c, r.cols, len(r.cols)); err == nil {
+			rightPred = append(rightPred, e)
 			continue
 		}
 		if both == nil {
-			both = concatCols(l.Cols, r.Cols)
+			both = concatCols(l.cols, r.cols)
 		}
-		ce, err := compile(c, both)
+		e, err := bind(c, both, len(l.cols))
 		if err != nil {
 			return err
 		}
-		residual = append(residual, ce)
+		residual = append(residual, e)
 	}
 
-	passes := func(preds []compiledExpr, row table.Row) bool {
-		for _, p := range preds {
-			if !isTrue(p.eval(row)) {
+	passes := func(preds []rowExpr, x *rel, i int) bool {
+		for k := range preds {
+			if !isTrue(preds[k].eval(x, i, nil, 0)) {
 				return false
 			}
 		}
 		return true
 	}
-	// Residuals read both sides: each candidate pair is copied into one
-	// scratch row, overwritten by the next.
-	var pair table.Row
-	if len(residual) > 0 {
-		pair = make(table.Row, len(both))
-	}
-	record := func(li, ri int, lrow, rrow table.Row) {
-		if pair != nil {
-			copy(pair, lrow)
-			copy(pair[len(l.Cols):], rrow)
-			if !passes(residual, pair) {
+	// Residuals read a candidate pair's columns straight from both sides.
+	record := func(li, ri int) {
+		for k := range residual {
+			if !isTrue(residual[k].eval(l, li, r, ri)) {
 				return
 			}
 		}
@@ -736,15 +795,15 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, p *pairs) error
 		// per row: the probe reuses one scratch buffer and looks the map up
 		// through the allocation-free map[string(buf)] form.
 		// A first pass measures the keys, so the string is allocated once.
-		bounds := make([]int32, len(r.Rows)+1) // row ri's key is all[bounds[ri]:bounds[ri+1]]
+		bounds := make([]int32, r.n+1) // row ri's key is all[bounds[ri]:bounds[ri+1]]
 		var scratch []byte
-		for ri, rrow := range r.Rows {
+		for ri := 0; ri < r.n; ri++ {
 			if err := pollCtx(ctx, ri); err != nil {
 				return err
 			}
 			n := 0
-			if passes(rightPred, rrow) {
-				key, ok := appendHashKey(scratch[:0], rightKeys, rrow)
+			if passes(rightPred, r, ri) {
+				key, ok := appendHashKey(scratch[:0], r, rightKeys, ri)
 				scratch = key
 				if ok {
 					n = len(key)
@@ -753,19 +812,19 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, p *pairs) error
 			bounds[ri+1] = bounds[ri] + int32(n)
 		}
 		var keys strings.Builder
-		keys.Grow(int(bounds[len(r.Rows)]))
-		for ri, rrow := range r.Rows {
+		keys.Grow(int(bounds[r.n]))
+		for ri := 0; ri < r.n; ri++ {
 			if bounds[ri+1] > bounds[ri] {
-				scratch, _ = appendHashKey(scratch[:0], rightKeys, rrow)
+				scratch, _ = appendHashKey(scratch[:0], r, rightKeys, ri)
 				keys.Write(scratch)
 			}
 		}
 		all := keys.String()
-		head := make(map[string]int32, len(r.Rows))
-		next := make([]int32, len(r.Rows))
+		head := make(map[string]int32, r.n)
+		next := make([]int32, r.n)
 		// Inserting from the last row leaves every chain in ascending
 		// row order.
-		for ri := len(r.Rows) - 1; ri >= 0; ri-- {
+		for ri := r.n - 1; ri >= 0; ri-- {
 			k := all[bounds[ri]:bounds[ri+1]]
 			if k == "" {
 				continue // filtered out, or a NULL key
@@ -777,14 +836,14 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, p *pairs) error
 			next[ri] = h
 			head[k] = int32(ri)
 		}
-		for li, lrow := range l.Rows {
+		for li := 0; li < l.n; li++ {
 			if err := pollCtx(ctx, li); err != nil {
 				return err
 			}
-			if !passes(leftPred, lrow) {
+			if !passes(leftPred, l, li) {
 				continue
 			}
-			key, ok := appendHashKey(scratch[:0], leftKeys, lrow)
+			key, ok := appendHashKey(scratch[:0], l, leftKeys, li)
 			scratch = key
 			if !ok {
 				continue
@@ -794,7 +853,7 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, p *pairs) error
 				continue
 			}
 			for ri := h; ri >= 0; ri = next[ri] {
-				record(li, int(ri), lrow, r.Rows[ri])
+				record(li, int(ri))
 			}
 		}
 		return nil
@@ -802,33 +861,33 @@ func joinDisjunct(ctx context.Context, l, r *Rel, d sqlast.Expr, p *pairs) error
 
 	// Nested loop over pre-filtered sides.
 	var rightIdx []int
-	for ri, rrow := range r.Rows {
-		if passes(rightPred, rrow) {
+	for ri := 0; ri < r.n; ri++ {
+		if passes(rightPred, r, ri) {
 			rightIdx = append(rightIdx, ri)
 		}
 	}
-	for li, lrow := range l.Rows {
+	for li := 0; li < l.n; li++ {
 		if err := pollCtx(ctx, li); err != nil {
 			return err
 		}
-		if !passes(leftPred, lrow) {
+		if !passes(leftPred, l, li) {
 			continue
 		}
 		for _, ri := range rightIdx {
-			record(li, ri, lrow, r.Rows[ri])
+			record(li, ri)
 		}
 	}
 	return nil
 }
 
-// appendHashKey appends the composite hash key of a row under the given key
-// expressions to dst; ok is false when any key value is NULL. Callers reuse
-// dst as a scratch buffer across rows and look maps up through the
-// allocation-free map[string(buf)] form, so the probe side of a hash join
-// allocates nothing per row.
-func appendHashKey(dst []byte, keys []compiledExpr, row table.Row) ([]byte, bool) {
+// appendHashKey appends the composite hash key of row i of x under the
+// given key columns to dst; ok is false when any key value is NULL.
+// Callers reuse dst as a scratch buffer across rows and look maps up
+// through the allocation-free map[string(buf)] form, so the probe side of
+// a hash join allocates nothing per row.
+func appendHashKey(dst []byte, x *rel, keys []int, i int) ([]byte, bool) {
 	for _, k := range keys {
-		v := k.eval(row)
+		v := x.at(i, k)
 		if v.IsNull() {
 			return dst, false
 		}

@@ -2,7 +2,9 @@ package sqlexec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"silkroute/internal/schema"
 	"silkroute/internal/sqlast"
@@ -113,5 +115,54 @@ func TestRunAllocsIndependentOfRows(t *testing.T) {
 	t.Logf("allocations per query: %v at 250 orders, %v at 1000", small, large)
 	if large-small > 32 {
 		t.Errorf("allocations grow with rows: %v at 250 orders, %v at 1000", small, large)
+	}
+}
+
+// TestJoinBytesIndependentOfWidth pins that joins carry row IDs, not
+// values: the same three-way join, once selecting one column and once all
+// nine of its inputs' columns, allocates the same bytes but for the wider
+// projection's values (rows × 8 extra columns × one value), the wider
+// run's ID columns for the two inputs it keeps that the narrow one drops
+// (rows × 2 × 4 B per join), and 16 KiB of per-column bookkeeping. A join
+// that copied its inputs' values would add rows × columns × one value per
+// join on top.
+func TestJoinBytesIndependentOfWidth(t *testing.T) {
+	const nOrders, fanout = 1000, 4
+	const rows = nOrders * fanout
+	cat := benchCatalog(nOrders, fanout)
+	bytesPerRun := func(sel string) float64 {
+		q, err := sqlparse.Parse(sel + " from Ord o, Line l, Line l2" +
+			" where o.okey = l.okey and l.okey = l2.okey and l.lnum = l2.lnum order by o.okey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			r, err := Run(cat, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Rows) != rows {
+				t.Fatalf("join produced %d rows, want %d", len(r.Rows), rows)
+			}
+		}
+		run()
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	narrow := bytesPerRun("select o.okey")
+	wide := bytesPerRun("select o.okey, o.clerk, o.total, l.okey, l.lnum, l.qty, l2.okey, l2.lnum, l2.qty")
+	projection := float64(rows * 8 * unsafe.Sizeof(value.Value{}))
+	ids := float64(rows * 2 * 4 * 2)
+	const slack = 16 << 10
+	t.Logf("bytes per query: %.0f selecting 1 column, %.0f selecting 9; projection accounts for %.0f", narrow, wide, projection)
+	if wide-narrow > projection+ids+slack {
+		t.Errorf("selecting 9 columns allocates %.0f more bytes than selecting 1, want at most %.0f (projection) + %.0f (IDs) + %d",
+			wide-narrow, projection, ids, slack)
 	}
 }

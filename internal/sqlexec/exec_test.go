@@ -135,6 +135,20 @@ func TestLeftOuterJoinKeepsUnmatchedSuppliers(t *testing.T) {
 	}
 }
 
+// TestLeftOuterJoinPadsEveryRightInput joins a supplier to a join of two
+// tables: the right side has two inputs, and an unmatched supplier must
+// read NULL from both.
+func TestLeftOuterJoinPadsEveryRightInput(t *testing.T) {
+	cat := paperCatalog(t)
+	r := run(t, cat, `select s.suppkey, ps.partkey, p.name
+		from Supplier s left outer join (PartSupp ps join Part p on ps.partkey = p.partkey)
+		on s.suppkey = ps.suppkey
+		order by s.suppkey, ps.partkey`)
+	if got := flatten(r); got != "1|4|plated brass,1|12|anodized steel,2||,3|20|polished nickel" {
+		t.Errorf("got %q", got)
+	}
+}
+
 func TestPaperUnifiedOuterJoinQuery(t *testing.T) {
 	cat := paperCatalog(t)
 	// The complete §3.4 query: Supplier left-outer-joined to an outer

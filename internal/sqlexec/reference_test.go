@@ -9,6 +9,7 @@ package sqlexec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -27,14 +28,18 @@ func referenceRun(cat Catalog, q sqlast.Query) (*Rel, error) {
 		return referenceSelect(cat, q)
 	case *sqlast.Union:
 		var out *Rel
-		for _, b := range q.Branches {
+		for i, b := range q.Branches {
 			r, err := referenceSelect(cat, b)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("sqlexec: union branch %d: %w", i, err)
 			}
 			if out == nil {
 				out = r
 			} else {
+				if len(r.Cols) != len(out.Cols) {
+					return nil, fmt.Errorf("sqlexec: union branch %d has %d columns, first branch has %d",
+						i, len(r.Cols), len(out.Cols))
+				}
 				out.Rows = append(out.Rows, r.Rows...)
 			}
 		}
@@ -42,6 +47,18 @@ func referenceRun(cat Catalog, q sqlast.Query) (*Rel, error) {
 			return nil, err
 		}
 		return out, nil
+	case *sqlast.With:
+		// Each CTE is evaluated once, in order, into the executor's own
+		// overlay, which referenceTable consults before the catalog.
+		overlay := cteCatalog{Catalog: cat, ctes: make(map[string]*Rel, len(q.CTEs))}
+		for _, cte := range q.CTEs {
+			r, err := referenceRun(overlay, cte.Query)
+			if err != nil {
+				return nil, fmt.Errorf("sqlexec: CTE %s: %w", cte.Name, err)
+			}
+			overlay.ctes[strings.ToLower(cte.Name)] = r
+		}
+		return referenceRun(overlay, q.Body)
 	default:
 		return nil, fmt.Errorf("reference: %T", q)
 	}
@@ -108,13 +125,22 @@ func referenceSelect(cat Catalog, s *sqlast.Select) (*Rel, error) {
 func referenceTable(cat Catalog, te sqlast.TableExpr) (*Rel, error) {
 	switch te := te.(type) {
 	case *sqlast.BaseTable:
-		t, ok := cat.Lookup(te.Name)
-		if !ok {
-			return nil, fmt.Errorf("reference: no table %s", te.Name)
-		}
 		alias := te.Alias
 		if alias == "" {
 			alias = te.Name
+		}
+		if rp, ok := cat.(relProvider); ok {
+			if r, found := rp.LookupRel(te.Name); found {
+				cols := make([]Col, len(r.Cols))
+				for i, c := range r.Cols {
+					cols[i] = Col{Qual: alias, Name: c.Name}
+				}
+				return &Rel{Cols: cols, Rows: r.Rows}, nil
+			}
+		}
+		t, ok := cat.Lookup(te.Name)
+		if !ok {
+			return nil, fmt.Errorf("reference: no table %s", te.Name)
 		}
 		cols := make([]Col, len(t.Rel.Columns))
 		for i, c := range t.Rel.Columns {
@@ -282,43 +308,94 @@ var genTables = []struct {
 // genLits are literals that split the paper catalog's keys and quantities.
 var genLits = []string{"0", "1", "2", "3", "4", "12", "19", "20", "24", "64", "100", "320", "910", "'USA'"}
 
-// randomQuery builds a query over one to five of the paper catalog's
-// tables. A table is a comma-join entry or is left-outer-joined to the one
-// before it on an equality, possibly a disjunction of two, possibly with
-// a literal filter or a cross-table non-equi residual. The select list
-// reads some of the tables' columns, so joins prune the rest, including
-// part of an outer join's right side. References are qualified or
-// unqualified, so some are unique and some ambiguous. WHERE mixes literal
-// filters, equalities between neighbours and cross-table non-equi
-// residuals. ORDER BY has one to three keys, each an output alias or a
-// source column outside the select list.
+// genSource is a FROM entry the generator can choose: a stored table, a
+// derived table (from is its parenthesized select) or a CTE (from is its
+// name). alias prefixes the aliases it is given.
+type genSource struct {
+	from, alias string
+	cols        []string
+}
+
+// randomQuery builds a query over the paper catalog. Mostly it is one
+// select (randomSelect) under its ORDER BY. One time in ten it is a
+// two-branch UNION under an ORDER BY on output aliases, and one time in
+// ten a WITH whose body scans its one CTE under two aliases, as the
+// unified-cte plans do.
 func randomQuery(c chooser) string {
+	switch c.Intn(10) {
+	case 8:
+		first, k, _ := randomSelect(c, nil, 0)
+		second, _, _ := randomSelect(c, nil, k)
+		var order []string
+		for n := c.Intn(3) + 1; n > 0; n-- {
+			order = append(order, fmt.Sprintf("c%d", c.Intn(k)))
+		}
+		return first + " union all " + second + " order by " + strings.Join(order, ", ")
+	case 9:
+		body, cols := derivedSelect(c)
+		sql, _, order := randomSelect(c, &genSource{from: "w", alias: "w", cols: cols}, 0)
+		return "with w as (" + body + ") " + sql + order
+	}
+	sql, _, order := randomSelect(c, nil, 0)
+	return sql + order
+}
+
+// randomSelect builds a select over one to five FROM sources, each a
+// table of the paper catalog or, one time in eight, a derived table
+// (derivedSelect). With cte set, two of the sources, under different
+// aliases, are that CTE. A source is a comma-join entry or is
+// left-outer-joined to the one before it on an equality, possibly a
+// disjunction of two, possibly with a literal filter or a cross-source
+// non-equi residual. The select list reads some of the sources' columns,
+// so joins prune the rest, including part of an outer join's right side.
+// References are qualified or unqualified, so some are unique and some
+// ambiguous. WHERE mixes literal filters, equalities between neighbours
+// and cross-source non-equi residuals. items > 0 pads or cuts the select
+// list to that many columns, as a union branch after the first needs.
+// Besides the select, it returns the select list's length and an ORDER BY
+// clause of one to three keys, each an output alias or a source column,
+// which a union branch leaves off.
+func randomSelect(c chooser, cte *genSource, items int) (string, int, string) {
 	ops := []string{"=", "<", ">", "<=", ">=", "<>"}
 	n := c.Intn(5) + 1
-	chosen := make([]int, n)
-	aliases := make([]string, n)
-	for i := range chosen {
-		chosen[i] = c.Intn(len(genTables))
-		aliases[i] = fmt.Sprintf("%s%d", genTables[chosen[i]].alias, i)
+	if cte != nil {
+		n = max(n, 2)
 	}
-	col := func(i int) string { t := genTables[chosen[i]]; return t.cols[c.Intn(len(t.cols))] }
+	src := make([]genSource, n)
+	for i := range src {
+		if c.Intn(8) == 7 {
+			body, cols := derivedSelect(c)
+			src[i] = genSource{from: "(" + body + ")", alias: "d", cols: cols}
+			continue
+		}
+		t := genTables[c.Intn(len(genTables))]
+		src[i] = genSource{from: t.name, alias: t.alias, cols: t.cols}
+	}
+	if cte != nil {
+		a := c.Intn(n)
+		src[a] = *cte
+		src[(a+1+c.Intn(n-1))%n] = *cte
+	}
+	aliases := make([]string, n)
+	for i := range src {
+		aliases[i] = fmt.Sprintf("%s%d", src[i].alias, i)
+	}
+	col := func(i int) string { return src[i].cols[c.Intn(len(src[i].cols))] }
 	qcol := func(i int) string { return aliases[i] + "." + col(i) }
-	// A reference to one of table i's columns, unqualified one time in ten.
+	// A reference to one of source i's columns, unqualified one time in ten.
 	anyCol := func(i int) string {
 		if c.Intn(10) == 0 {
 			return col(i)
 		}
 		return qcol(i)
 	}
-	// An equality between tables i and j, on a column name they share
+	// An equality between sources i and j, on a column name they share
 	// (a key, or both sides of a self-join) three times in four.
 	eq := func(i, j int) string {
 		var shared []string
-		for _, a := range genTables[chosen[i]].cols {
-			for _, b := range genTables[chosen[j]].cols {
-				if a == b {
-					shared = append(shared, a)
-				}
+		for _, a := range src[i].cols {
+			if slices.Contains(src[j].cols, a) {
+				shared = append(shared, a)
 			}
 		}
 		if len(shared) > 0 && c.Intn(4) != 0 {
@@ -328,9 +405,8 @@ func randomQuery(c chooser) string {
 		return qcol(i) + " = " + qcol(j)
 	}
 
-	var entries, where, items []string
-	for i := range chosen {
-		t := genTables[chosen[i]]
+	var entries, where, list []string
+	for i := range src {
 		if i > 0 && c.Intn(3) == 0 {
 			disjunct := func() string {
 				d := eq(i-1, i)
@@ -346,12 +422,12 @@ func randomQuery(c chooser) string {
 			if c.Intn(3) == 0 {
 				on = "(" + on + ") or (" + disjunct() + ")"
 			}
-			entries[len(entries)-1] += " left outer join " + t.name + " " + aliases[i] + " on " + on
+			entries[len(entries)-1] += " left outer join " + src[i].from + " " + aliases[i] + " on " + on
 		} else {
-			entries = append(entries, t.name+" "+aliases[i])
+			entries = append(entries, src[i].from+" "+aliases[i])
 		}
 		if c.Intn(4) != 0 {
-			items = append(items, fmt.Sprintf("%s as c%d", anyCol(i), len(items)))
+			list = append(list, fmt.Sprintf("%s as c%d", anyCol(i), len(list)))
 		}
 		if c.Intn(3) == 0 {
 			where = append(where, anyCol(i)+" "+ops[c.Intn(len(ops))]+" "+genLits[c.Intn(len(genLits))])
@@ -363,8 +439,18 @@ func randomQuery(c chooser) string {
 			where = append(where, qcol(c.Intn(i))+" "+ops[1+c.Intn(len(ops)-1)]+" "+qcol(i))
 		}
 	}
-	if len(items) == 0 {
-		items = append(items, qcol(0)+" as c0")
+	if len(list) == 0 {
+		list = append(list, qcol(0)+" as c0")
+	}
+	if items > 0 {
+		for len(list) < items {
+			list = append(list, fmt.Sprintf("%s as c%d", qcol(c.Intn(n)), len(list)))
+		}
+		list = list[:items]
+	}
+	sql := "select " + strings.Join(list, ", ") + " from " + strings.Join(entries, ", ")
+	if len(where) > 0 {
+		sql += " where " + strings.Join(where, " and ")
 	}
 	var order []string
 	for k := c.Intn(3) + 1; k > 0; k-- {
@@ -372,14 +458,69 @@ func randomQuery(c chooser) string {
 		case 0:
 			order = append(order, anyCol(c.Intn(n)))
 		default:
-			order = append(order, fmt.Sprintf("c%d", c.Intn(len(items))))
+			order = append(order, fmt.Sprintf("c%d", c.Intn(len(list))))
 		}
 	}
-	sql := "select " + strings.Join(items, ", ") + " from " + strings.Join(entries, ", ")
+	return sql, len(list), " order by " + strings.Join(order, ", ")
+}
+
+// derivedSelect builds the body of a derived table or CTE: one of the
+// paper catalog's tables, or two comma-joined or left-outer-joined on a
+// column, sometimes under a literal filter, selecting some of their
+// columns under their own names (each name once) so an enclosing query
+// can join on them, and sometimes a literal column, as sqlgen's L2
+// discriminators are. It returns the select and its column names.
+func derivedSelect(c chooser) (string, []string) {
+	type tab struct {
+		alias string
+		cols  []string
+	}
+	t := genTables[c.Intn(len(genTables))]
+	tabs := []tab{{"x", t.cols}}
+	from := t.name + " x"
+	var where []string
+	if c.Intn(2) == 1 {
+		u := genTables[c.Intn(len(genTables))]
+		tabs = append(tabs, tab{"y", u.cols})
+		on := "x." + t.cols[0] + " = y." + u.cols[0]
+		for _, name := range t.cols {
+			if slices.Contains(u.cols, name) {
+				on = "x." + name + " = y." + name
+				break
+			}
+		}
+		if c.Intn(2) == 0 {
+			from += ", " + u.name + " y"
+			where = append(where, on)
+		} else {
+			from += " left outer join " + u.name + " y on " + on
+		}
+	}
+	if c.Intn(2) == 1 {
+		tb := tabs[c.Intn(len(tabs))]
+		where = append(where, tb.alias+"."+tb.cols[c.Intn(len(tb.cols))]+" >= "+genLits[c.Intn(len(genLits)-1)])
+	}
+	var list, names []string
+	for _, tb := range tabs {
+		for _, name := range tb.cols {
+			if c.Intn(2) == 1 && !slices.Contains(names, name) {
+				list = append(list, tb.alias+"."+name+" as "+name)
+				names = append(names, name)
+			}
+		}
+	}
+	if len(names) == 0 {
+		list, names = []string{"x." + t.cols[0] + " as " + t.cols[0]}, []string{t.cols[0]}
+	}
+	if c.Intn(4) == 0 {
+		list = append(list, genLits[c.Intn(len(genLits))]+" as tag")
+		names = append(names, "tag")
+	}
+	sql := "select " + strings.Join(list, ", ") + " from " + from
 	if len(where) > 0 {
 		sql += " where " + strings.Join(where, " and ")
 	}
-	return sql + " order by " + strings.Join(order, ", ")
+	return sql, names
 }
 
 // errKey is an error's text without the pair of columns an ambiguity
@@ -424,7 +565,7 @@ func checkAgainstReference(t *testing.T, cat Catalog, src string) {
 	}
 	// Rows tied on every key may come out in either order, but the key
 	// sequence is fixed; compare it on the keys that are output columns.
-	for _, it := range q.(*sqlast.Select).OrderBy {
+	for _, it := range orderBy(q) {
 		ce, err := compile(it.Expr, got.Cols)
 		if err != nil {
 			continue
@@ -435,6 +576,19 @@ func checkAgainstReference(t *testing.T, cat Catalog, src string) {
 			}
 		}
 	}
+}
+
+// orderBy returns the ORDER BY that decides a query's output order.
+func orderBy(q sqlast.Query) []sqlast.OrderItem {
+	switch q := q.(type) {
+	case *sqlast.Select:
+		return q.OrderBy
+	case *sqlast.Union:
+		return q.OrderBy
+	case *sqlast.With:
+		return orderBy(q.Body)
+	}
+	return nil
 }
 
 // differentialSeed drives TestExecutorMatchesReferenceOnRandomQueries; the

@@ -10,26 +10,35 @@
 // Like any real back end it keeps intermediate results narrow and their
 // allocation per operator, not per row:
 //
-//   - Column pruning. A join emits only the columns that a reference still
-//     to be evaluated can resolve to: the select list, the ORDER BY, the
-//     WHERE conjuncts not yet applied and an enclosing ON. Pruning keeps
-//     every column a reference matches by name and qualifier, so
+//   - Late materialisation. Inside one SELECT, the FROM and WHERE work on
+//     row-ID relations (rel). An input of one is a row set that is already
+//     materialised: a base table, a CTE or a derived table. A row of the
+//     relation is one int32 row index per input, -1 on the side a left
+//     outer join padded with NULLs. A scan is its input with no ID list; a
+//     filter keeps a list of IDs; a join builds its ID columns from its
+//     (left, right) match list, all carved from one allocation. Its width
+//     is its number of inputs, not of columns. Keys, predicates and ON
+//     residuals read values through an (input, row, column) accessor, and
+//     values are copied exactly once: into the projection, which the final
+//     sort then orders.
+//   - Column pruning. A join exposes only the columns that a reference
+//     still to be evaluated can resolve to: the select list, the ORDER BY,
+//     the WHERE conjuncts not yet applied and an enclosing ON. Pruning
+//     keeps every column a reference matches by name and qualifier, so
 //     resolution — and its unknown- and ambiguous-column errors — is the
-//     same as over the unpruned relation.
-//   - One slab per operator. A join first collects its matches as flat
-//     offset + right-index arrays, so it knows its row count before
-//     emitting; its rows, like a projection's, are then carved from one
-//     value array.
+//     same as over the unpruned relation. An input none of whose columns
+//     is exposed drops out of the join's result.
 //   - In-place sort. When every ORDER BY key is an output column (the
 //     structural sort always is), rows are sorted in place by column
 //     index; only expressions, keys on pre-projection columns and spilling
 //     sorts materialize a key slab.
 //
-// Base tables, CTEs and derived tables are scanned in place, never copied.
+// Base tables, CTEs and derived tables are read in place, never copied.
 package sqlexec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"silkroute/internal/sqlast"
@@ -58,7 +67,8 @@ func (c Col) String() string {
 	return c.Qual + "." + c.Name
 }
 
-// Rel is a materialized intermediate relation.
+// Rel is a materialized relation: a query's result, which is also what a
+// CTE or derived table is read from.
 type Rel struct {
 	Cols []Col
 	Rows []table.Row
@@ -109,30 +119,142 @@ func concatCols(l, r []Col) []Col {
 	return out
 }
 
-// keepCols returns, in order, the indices of the columns of cols that some
-// reference in need can resolve to. Every column a reference matches is
-// kept, so resolving it against the kept columns finds the same column or
-// reports the same ambiguity as against all of them.
-func keepCols(cols []Col, need []*sqlast.ColumnRef) []int {
-	keep := make([]int, 0, len(cols))
-	for i, c := range cols {
-		for _, cr := range need {
-			if c.matches(cr.Table, cr.Column) {
-				keep = append(keep, i)
-				break
-			}
+// keepCol reports whether some reference in need can resolve to c. A
+// join keeps every column a reference matches, so resolving it against the
+// kept columns finds the same column or reports the same ambiguity as
+// against all of them.
+func keepCol(c Col, need []*sqlast.ColumnRef) bool {
+	for _, cr := range need {
+		if c.matches(cr.Table, cr.Column) {
+			return true
 		}
 	}
-	return keep
+	return false
 }
 
-// slabRows returns n rows of width w carved from one value array. Each row
-// is capped at its width, so appending to one can never overwrite the next.
-func slabRows(n, w int) []table.Row {
-	slab := make([]value.Value, n*w)
-	rows := make([]table.Row, n)
-	for i := range rows {
-		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+// rel is a row-ID relation: a SELECT's FROM and WHERE before projection.
+// Its row i reads column k from row ins[in].id(i) of that input's stored
+// rows, where (in, col) = source(k).
+type rel struct {
+	cols []Col    // the columns a reference can resolve to
+	src  []colSrc // where each column's values live; nil: a scan's layout
+	ins  []input
+	n    int      // the row count
+	one  [1]input // ins of a one-input relation, in the same allocation
+}
+
+// colSrc locates a column of a rel: column col of input in.
+type colSrc struct{ in, col int }
+
+// input is one materialised row set a rel reads.
+type input struct {
+	rows []table.Row
+	// ids[i] is the index in rows of the relation's row i, or -1 where a
+	// left outer join padded this input with NULLs. Nil means i itself:
+	// an unfiltered scan.
+	ids []int32
+}
+
+// id returns the stored row behind the relation's row i, or -1.
+func (in *input) id(i int) int32 {
+	if in.ids == nil {
+		return int32(i)
 	}
-	return rows
+	return in.ids[i]
+}
+
+// oneInput returns a relation over the single input in, with the columns
+// cols laid out as src says.
+func oneInput(cols []Col, src []colSrc, in input, n int) *rel {
+	x := &rel{cols: cols, src: src, n: n}
+	x.one[0] = in
+	x.ins = x.one[:]
+	return x
+}
+
+// scan returns the relation over rows, read in place, with columns cols:
+// column k is column k of every row.
+func scan(cols []Col, rows []table.Row) *rel {
+	return oneInput(cols, nil, input{rows: rows}, len(rows))
+}
+
+// source returns where column k's values live.
+func (x *rel) source(k int) colSrc {
+	if x.src == nil {
+		return colSrc{col: k}
+	}
+	return x.src[k]
+}
+
+// at returns the value of column k in row i.
+func (x *rel) at(i, k int) value.Value {
+	s := x.source(k)
+	in := &x.ins[s.in]
+	id := in.id(i)
+	if id < 0 {
+		return value.Null
+	}
+	return in.rows[id][s.col]
+}
+
+// rowExpr evaluates an expression over the rows of row-ID relations. It
+// resolves against a layout: the columns of a relation l, then those of r
+// when it reads a pair of rows (an ON residual) rather than one. A bare
+// column is read directly. Any other expression is compiled against a
+// narrow layout of just the columns it reads, which are copied per row
+// into one scratch row. Nothing is allocated per row.
+type rowExpr struct {
+	nl    int          // layout columns below nl are l's, the rest r's
+	bare  int          // the layout column a bare column reference reads, else -1
+	expr  compiledExpr // over row, when not bare
+	reads []int        // the layout column behind each column of row
+	row   table.Row    // scratch
+}
+
+// bind binds expr to the layout cols, whose first nl columns are l's.
+// Resolution, and its errors, are those of compiling expr against cols.
+func bind(expr sqlast.Expr, cols []Col, nl int) (rowExpr, error) {
+	ce, err := compile(expr, cols)
+	if err != nil {
+		return rowExpr{}, err
+	}
+	if c, ok := ce.(colExpr); ok {
+		return rowExpr{nl: nl, bare: c.idx}, nil
+	}
+	var reads []int
+	var narrow []Col
+	for _, cr := range sqlast.ColumnRefs(expr, nil) {
+		k, _ := resolve(cols, cr.Table, cr.Column)
+		if !slices.Contains(reads, k) {
+			reads = append(reads, k)
+			narrow = append(narrow, cols[k])
+		}
+	}
+	// Every reference matches the same one column of narrow as of cols, so
+	// this compiles, to the same columns.
+	ce, err = compile(expr, narrow)
+	if err != nil {
+		return rowExpr{}, err
+	}
+	return rowExpr{nl: nl, bare: -1, expr: ce, reads: reads, row: make(table.Row, len(reads))}, nil
+}
+
+// eval evaluates the expression on row li of l and, for a pair layout,
+// row ri of r.
+func (e *rowExpr) eval(l *rel, li int, r *rel, ri int) value.Value {
+	if e.bare >= 0 {
+		return pairAt(l, li, r, ri, e.nl, e.bare)
+	}
+	for j, c := range e.reads {
+		e.row[j] = pairAt(l, li, r, ri, e.nl, c)
+	}
+	return e.expr.eval(e.row)
+}
+
+// pairAt returns layout column c of the pair (row li of l, row ri of r).
+func pairAt(l *rel, li int, r *rel, ri, nl, c int) value.Value {
+	if c < nl {
+		return l.at(li, c)
+	}
+	return r.at(ri, c-nl)
 }
