@@ -346,7 +346,8 @@ func randomQuery(c chooser) string {
 // aliases, are that CTE. A source is a comma-join entry or is
 // left-outer-joined to the one before it on an equality, possibly a
 // disjunction of two, possibly with a literal filter or a cross-source
-// non-equi residual. The select list reads some of the sources' columns,
+// non-equi residual; the right side of such a join is sometimes the
+// source inner-joined to the next one, in parentheses. The select list reads some of the sources' columns,
 // so joins prune the rest, including part of an outer join's right side.
 // References are qualified or unqualified, so some are unique and some
 // ambiguous. WHERE mixes literal filters, equalities between neighbours
@@ -406,8 +407,11 @@ func randomSelect(c chooser, cte *genSource, items int) (string, int, string) {
 	}
 
 	var entries, where, list []string
+	nested := -1 // the source inner-joined inside an outer join's parentheses
 	for i := range src {
-		if i > 0 && c.Intn(3) == 0 {
+		if i == nested {
+			// Already in the entry, on the right of the outer join.
+		} else if i > 0 && c.Intn(3) == 0 {
 			disjunct := func() string {
 				d := eq(i-1, i)
 				switch c.Intn(3) {
@@ -422,7 +426,14 @@ func randomSelect(c chooser, cte *genSource, items int) (string, int, string) {
 			if c.Intn(3) == 0 {
 				on = "(" + on + ") or (" + disjunct() + ")"
 			}
-			entries[len(entries)-1] += " left outer join " + src[i].from + " " + aliases[i] + " on " + on
+			right := src[i].from + " " + aliases[i]
+			if i+1 < n && c.Intn(4) == 0 {
+				// A parenthesized join on the right: the outer join pads
+				// both of its inputs.
+				nested = i + 1
+				right = "(" + right + " join " + src[nested].from + " " + aliases[nested] + " on " + eq(i, nested) + ")"
+			}
+			entries[len(entries)-1] += " left outer join " + right + " on " + on
 		} else {
 			entries = append(entries, src[i].from+" "+aliases[i])
 		}
