@@ -2,12 +2,16 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet staticcheck test test-race chaos fuzz-smoke ci loc knobs experiments
+.PHONY: all fmt build vet staticcheck test test-race chaos fuzz-smoke ci loc knobs experiments
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fails on any file gofmt would rewrite, listing them.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -66,7 +70,7 @@ fuzz-smoke:
 
 # test runs tier-1 in full: the allocation and byte gates, the plan sweeps
 # and the full tagger differential skip under test-race's -short.
-ci: vet staticcheck build test test-race chaos fuzz-smoke
+ci: fmt vet staticcheck build test test-race chaos fuzz-smoke
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

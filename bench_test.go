@@ -15,7 +15,6 @@ import (
 	"io"
 	"net"
 	"testing"
-	"time"
 
 	"silkroute/internal/engine"
 	"silkroute/internal/plan"
@@ -282,10 +281,7 @@ func BenchmarkReplicaFailover(b *testing.B) {
 			return c1, nil
 		}
 	}
-	copts := []wire.ClientOption{
-		wire.WithResume(wire.Resume{MaxResumes: 1}),
-		wire.WithRetry(wire.Retry{BaseDelay: time.Millisecond}),
-	}
+	copts := []wire.ClientOption{wire.WithResume(wire.Resume{MaxResumes: 1})}
 	dead := wire.NewClient(pipeDialer(deadSrv), copts...)
 	live := wire.NewClient(pipeDialer(liveSrv), copts...)
 	defer dead.Close()
@@ -316,20 +312,4 @@ func BenchmarkReplicaFailover(b *testing.B) {
 			b.Fatal("no rows transferred")
 		}
 	}
-}
-
-// BenchmarkAblationSortedVsUnordered compares SilkRoute's sorted,
-// constant-space strategy with the [9]-style unordered strategy the
-// paper's §6 discusses: the unordered path skips every server sort but
-// assembles the whole document in client memory.
-func BenchmarkAblationSortedVsUnordered(b *testing.B) {
-	e := env(b, benchScaleA)
-	b.Run("sorted_constant_space", func(b *testing.B) {
-		runWire(b, e, plan.Unified(e.tree1, true))
-	})
-	b.Run("unordered_in_memory", func(b *testing.B) {
-		p := plan.Unified(e.tree1, true)
-		p.Unordered = true
-		runWire(b, e, p)
-	})
 }

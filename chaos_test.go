@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"silkroute/internal/chaos"
 	"silkroute/internal/rxl"
@@ -264,7 +263,9 @@ func TestChaosFailsClosedWithoutResume(t *testing.T) {
 
 // TestChaosClientSideDialFaults exercises the client half of the harness:
 // a dialer that refuses every other attempt, wrapped by the same injector
-// the -chaos flag uses, with the wire retry smoothing it over.
+// the -chaos flag uses. A failed open is not retried, so the view fails
+// closed: every run either equals the fault-free document or fails with
+// the injected refusal and writes nothing.
 func TestChaosClientSideDialFaults(t *testing.T) {
 	db := OpenTPCH(0.001, 42)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -288,18 +289,28 @@ func TestChaosClientSideDialFaults(t *testing.T) {
 	flaky := in.WrapDial(func(dctx context.Context) (net.Conn, error) {
 		return d.DialContext(dctx, "tcp", l.Addr().String())
 	})
-	retry := WithRetry(Retry{MaxAttempts: 4, BaseDelay: time.Millisecond})
-	remote := mustDial(t, SingleFunc(flaky), retry)
+	remote := mustDial(t, SingleFunc(flaky))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if _, err := rv.Materialize(ctx, &got, FullyPartitioned); err != nil {
-		t.Fatal(err)
+	failed := 0
+	for run := 0; run < 6; run++ {
+		var got bytes.Buffer
+		_, err := rv.Materialize(ctx, &got, FullyPartitioned)
+		switch {
+		case err == nil && got.String() != want.String():
+			t.Errorf("run %d: document under dial faults differs from fault-free run", run)
+		case err != nil && !errors.Is(err, chaos.ErrInjected):
+			t.Errorf("run %d: err = %v, want the injected dial refusal", run, err)
+		case err != nil && got.Len() != 0:
+			t.Errorf("run %d: failed run wrote %d bytes; want none", run, got.Len())
+		case err != nil:
+			failed++
+		}
 	}
-	if got.String() != want.String() {
-		t.Error("document under dial faults differs from fault-free run")
+	if failed == 0 {
+		t.Error("no run failed; the refused dials never surfaced")
 	}
 }

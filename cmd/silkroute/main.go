@@ -215,9 +215,6 @@ func main() {
 			if st.Bytes > 0 {
 				fmt.Fprintf(os.Stderr, " bytes=%d", st.Bytes)
 			}
-			if st.Retries > 0 {
-				fmt.Fprintf(os.Stderr, " retries=%d", st.Retries)
-			}
 			if st.Resumes > 0 {
 				fmt.Fprintf(os.Stderr, " resumes=%d", st.Resumes)
 			}

@@ -30,9 +30,10 @@
 // the client can no longer use is abandoned everywhere. With -serve-stale
 // (requires -fragment-cache), a view whose backend is entirely down is
 // answered from its last complete cached document, flagged with
-// Silkroute-Stale headers. -reload polls -views for changed definitions
-// and swaps them in without a restart. SIGTERM drains gracefully:
-// in-flight streams finish (never truncated), new requests are refused.
+// Silkroute-Stale headers. Views load from -views at start; with -admin,
+// PUT/DELETE /views/{name} change them at runtime. SIGTERM drains
+// gracefully: in-flight streams finish (never truncated), new requests are
+// refused.
 //
 // The backend is the built-in TPC-H generator (-scale/-seed), a CSV
 // directory (-data), or remote silkroute -serve databases (-connect, a
@@ -96,7 +97,6 @@ func main() {
 	tenants := flag.String("tenants", "", `per-tenant limit overrides, "name=rate:burst:concurrent,..." (empty field = unlimited)`)
 	apiKeys := flag.String("api-keys", "", `API key to tenant bindings, "key=tenant,..." (keys outrank the Silkroute-Tenant header)`)
 	serveStale := flag.Bool("serve-stale", false, "serve the last complete cached document (flagged Silkroute-Stale) when the backend is entirely down; requires -fragment-cache")
-	reload := flag.Duration("reload", 0, "poll -views for changed definitions at this interval and hot-swap them (0 = off)")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace after SIGTERM before force-closing streams")
 	noReduce := flag.Bool("no-reduce", false, "disable view-tree reduction")
 	parallelism := flag.Int("parallelism", 0, "concurrent partition queries per request (0 = one per CPU)")
@@ -121,9 +121,6 @@ func main() {
 	}
 	if *serveStale && *fragCache == 0 {
 		fatal(fmt.Errorf("-serve-stale needs a cached document to serve: pass -fragment-cache BYTES"))
-	}
-	if *reload > 0 && *viewsDir == "" {
-		fatal(fmt.Errorf("-reload watches the -views directory: pass -views DIR"))
 	}
 
 	// One option list configures everything: the backend connection
@@ -230,12 +227,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *reload > 0 {
-		w := reg.NewWatcher(*viewsDir, backend, opts...)
-		go w.Run(ctx, *reload)
-		fmt.Fprintf(os.Stderr, "silkrouted: watching %s every %s for view changes\n", *viewsDir, *reload)
-	}
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {

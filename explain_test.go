@@ -100,9 +100,6 @@ func TestStreamStatsLocal(t *testing.T) {
 		if st.WallTime < st.QueryTime {
 			t.Errorf("stream %d wall time %v below query time %v", i, st.WallTime, st.QueryTime)
 		}
-		if st.Retries != 0 {
-			t.Errorf("stream %d reports %d retries for a local run", i, st.Retries)
-		}
 		rows += st.Rows
 	}
 	if rows != rep.Rows {

@@ -2,7 +2,7 @@
 // dependency-free set of wrappers that make connections and tuple streams
 // fail on purpose — dial refusals, mid-stream cuts at an exact row or
 // byte, latency spikes, fragmented writes. The middleware's resilience
-// machinery (retry, resume, circuit breaker) is only trustworthy if its
+// machinery (resume, failover, circuit breaker) is only trustworthy if its
 // failure paths are exercised as methodically as its happy paths; this
 // package makes those failures reproducible enough to assert byte-exact
 // output under them.
@@ -62,8 +62,8 @@ type Spec struct {
 	// KillTimes bounds how many times each distinct query text is killed
 	// by the row cut; 0 means once. A resumed continuation carries
 	// different SQL (its key-range predicate), so it is eligible for its
-	// own kill — but an identical retry of an already-killed text passes,
-	// which guarantees forward progress.
+	// own kill — but an already-killed text run again (a stream's last
+	// reopen, from the top) passes, which guarantees forward progress.
 	KillTimes int
 }
 

@@ -84,8 +84,6 @@ func TestPrometheusHTTPExposition(t *testing.T) {
 	m.HTTP.RejectedTenant.Inc()
 	m.HTTP.BudgetExpired.Inc()
 	m.HTTP.StaleServes.Inc()
-	m.HTTP.Reloads.Inc()
-	m.HTTP.ReloadErrors.Inc()
 	m.Client.BudgetExpired.Inc()
 	m.Server.BudgetRefused.Inc()
 	v, ten := m.HTTP.Views.Get("fragment"), m.HTTP.Tenants.Get("acme")
@@ -105,8 +103,6 @@ func TestPrometheusHTTPExposition(t *testing.T) {
 		"silkroute_http_rejected_tenant_total 1",
 		"silkroute_http_budget_expired_total 1",
 		"silkroute_http_stale_serves_total 1",
-		"silkroute_http_reloads_total 1",
-		"silkroute_http_reload_errors_total 1",
 		"silkroute_http_sessions_total 1",
 		"silkroute_http_inflight 0",
 		"silkroute_wire_client_budget_expired_total 1",

@@ -186,7 +186,6 @@ type ClientMetrics struct {
 	Requests          Counter   `metric:"silkroute_wire_client_requests_total" help:"Logical wire requests (queries and estimates) submitted."`
 	Dials             Counter   `metric:"silkroute_wire_client_dials_total" help:"Fresh wire connections dialed."`
 	PoolHits          Counter   `metric:"silkroute_wire_client_pool_hits_total" help:"Wire requests served from the idle-connection pool."`
-	Retries           Counter   `metric:"silkroute_wire_client_retries_total" help:"Wire request retry attempts after transient pre-stream failures."`
 	DeadlineExceeded  Counter   `metric:"silkroute_wire_client_deadline_exceeded_total" help:"Wire requests that hit a deadline."`
 	StaleConns        Counter   `metric:"silkroute_wire_client_stale_conns_total" help:"Pooled connections evicted by the liveness check."`
 	Resumes           Counter   `metric:"silkroute_wire_client_resumes_total" help:"Reopens of a started stream after a mid-stream transport failure."`
@@ -225,8 +224,6 @@ type HTTPMetrics struct {
 	RejectedTenant Counter `metric:"silkroute_http_rejected_tenant_total" help:"HTTP requests refused by a per-tenant quota (429 + Retry-After)."`
 	BudgetExpired  Counter `metric:"silkroute_http_budget_expired_total" help:"HTTP requests refused at admission with an already-spent deadline budget (504)."`
 	StaleServes    Counter `metric:"silkroute_http_stale_serves_total" help:"Responses served whole from a stale fragment-cache entry while the backend was unhealthy."`
-	Reloads        Counter `metric:"silkroute_http_reloads_total" help:"View/topology files hot-reloaded from the view dir."`
-	ReloadErrors   Counter `metric:"silkroute_http_reload_errors_total" help:"Hot-reload attempts that failed, previous binding kept."`
 	Sessions       Counter `metric:"silkroute_http_sessions_total" help:"HTTP sessions opened."`
 	InFlight       Gauge   `metric:"silkroute_http_inflight" help:"HTTP view responses currently streaming."`
 

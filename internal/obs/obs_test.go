@@ -192,10 +192,10 @@ func TestPrometheusExposition(t *testing.T) {
 			samples++
 		}
 	}
-	// 56 unlabeled families, 9 labeled ones over two label values each;
+	// 53 unlabeled families, 9 labeled ones over two label values each;
 	// a histogram series is 17 buckets, _sum and _count.
-	if families != 65 || samples != 53+3*19+2*(4+19)+2*4 {
-		t.Errorf("%d families, %d samples; want 65 and %d", families, samples, 53+3*19+2*(4+19)+2*4)
+	if families != 62 || samples != 50+3*19+2*(4+19)+2*4 {
+		t.Errorf("%d families, %d samples; want 62 and %d", families, samples, 50+3*19+2*(4+19)+2*4)
 	}
 	for _, want := range []string{
 		"silkroute_planner_searches_total 1\n",

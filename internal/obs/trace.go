@@ -12,9 +12,9 @@ import (
 
 // TraceID identifies one logical operation end to end — a Materialize call,
 // or one wire request with all its server-side work. It is generated once
-// per logical operation and is stable across retries: a retried wire
-// request reuses the same trace (and parent span), so every attempt's
-// server spans stitch under the one client request.
+// per logical operation and is stable across reopens: a healed wire stream
+// reopens under the same trace, so every reopen's server spans stitch into
+// the one client request's trace.
 type TraceID uint64
 
 // SpanID identifies one span within a trace.

@@ -43,11 +43,6 @@ type Plan struct {
 	// constructors default it to "document", and "" emits a bare element
 	// sequence.
 	Wrapper string
-	// Unordered runs the [9]-style unordered strategy the paper's §6
-	// discusses: the structural ORDER BY is stripped from every query (no
-	// server-side sorts) and the tagger assembles the document in memory.
-	// Only usable when the document fits in client memory.
-	Unordered bool
 	// Parallelism bounds how many partition queries ExecuteDirect runs
 	// concurrently. <=0 means runtime.GOMAXPROCS(0); 1 reproduces the
 	// original serial behaviour. Partitioned plans are embarrassingly
@@ -59,7 +54,6 @@ type Plan struct {
 	// hook: it fires just before each top-level element opens, with all
 	// earlier bytes already flushed to the output writer. The fragment
 	// cache uses it to split cached documents at exact element boundaries.
-	// Ignored on the unordered path, which has no streaming boundaries.
 	FragmentBoundary func()
 }
 
@@ -107,16 +101,7 @@ func (p *Plan) Streams() ([]*sqlgen.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	streams, err := sqlgen.Generate(p.Tree, comps, p.Style)
-	if err != nil {
-		return nil, err
-	}
-	if p.Unordered {
-		for _, s := range streams {
-			s.StripOrder()
-		}
-	}
-	return streams, nil
+	return sqlgen.Generate(p.Tree, comps, p.Style)
 }
 
 // BaseTables returns the sorted, lower-cased names of every stored relation
@@ -179,9 +164,6 @@ type StreamMetrics struct {
 	// WallTime is the stream's full lifetime — through the last row
 	// drained into the tagger.
 	WallTime time.Duration
-	// Retries counts wire attempts beyond the first (always zero for
-	// direct execution).
-	Retries int
 	// Resumes counts mid-stream reopens: the stream died after delivering
 	// rows and was spliced back together from its last sort key, or from
 	// the top on its last reopen (wire execution with resume enabled;
@@ -201,12 +183,8 @@ type StreamMetrics struct {
 
 // resumeSpec is one sorted stream's resume contract: the output positions
 // of its structural sort key and the rewrite that turns a boundary key
-// into the stream's suffix query. It is nil for an unordered stream, which
-// has no defined prefix to skip.
+// into the stream's suffix query.
 func resumeSpec(s *sqlgen.Stream) *wire.ResumeSpec {
-	if !s.Resumable() {
-		return nil
-	}
 	return &wire.ResumeSpec{KeyCols: s.SortKey(), Rewrite: s.ResumeSQL}
 }
 
@@ -324,7 +302,7 @@ func ExecuteDirect(ctx context.Context, db *engine.Database, p *Plan, w io.Write
 	tg := tagger.New(p.Tree)
 	tg.Wrapper = p.Wrapper
 	tg.OnTopLevel = p.FragmentBoundary
-	if err := writeDoc(tg, w, inputs, p.Unordered); err != nil {
+	if err := tg.WriteXML(w, inputs); err != nil {
 		return Metrics{}, err
 	}
 	m.TotalTime = time.Since(start)
@@ -333,15 +311,6 @@ func ExecuteDirect(ctx context.Context, db *engine.Database, p *Plan, w io.Write
 		m.Rows += n
 	}
 	return m, nil
-}
-
-// writeDoc dispatches between the sorted constant-space merge and the
-// unordered in-memory assembly.
-func writeDoc(tg *tagger.Tagger, w io.Writer, inputs []tagger.Input, unordered bool) error {
-	if unordered {
-		return tg.WriteXMLUnordered(w, inputs)
-	}
-	return tg.WriteXML(w, inputs)
 }
 
 // wireSource adapts a wire row stream to a tagger source and remembers
@@ -403,9 +372,6 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 			qs := time.Now()
 			rows, err := client.QueryResumable(ctx, sql, spec)
 			m.PerStream[i].QueryTime = time.Since(qs)
-			if rows != nil {
-				m.PerStream[i].Retries = rows.Attempts - 1
-			}
 			results[i] = opened{rows: rows, err: err}
 		}(i, sql, resumeSpec(s))
 	}
@@ -441,7 +407,7 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 	tg := tagger.New(p.Tree)
 	tg.Wrapper = p.Wrapper
 	tg.OnTopLevel = p.FragmentBoundary
-	if err := writeDoc(tg, w, inputs, p.Unordered); err != nil {
+	if err := tg.WriteXML(w, inputs); err != nil {
 		return Metrics{}, err
 	}
 	m.TotalTime = time.Since(start)

@@ -332,70 +332,3 @@ func TestWithClausePermissibility(t *testing.T) {
 		t.Error("WITH-style plan rejected despite full capabilities")
 	}
 }
-
-func TestUnorderedStrategyProducesIdenticalXML(t *testing.T) {
-	// §6's unordered strategy ([9]): no server-side sorts, client-side
-	// in-memory assembly — the document must come out identical.
-	db := tpch.Generate(0.001, 13)
-	q, err := rxl.Parse(rxl.Query1Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := viewtree.Build(q, db.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := runPlan(t, db, Unified(tree, true))
-	for _, bits := range []uint64{0, 0b111010111, 511} {
-		p := FromBits(tree, bits, true)
-		p.Unordered = true
-		streams, err := p.Streams()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range streams {
-			if strings.Contains(s.SQL(), "order by") {
-				t.Fatalf("unordered plan still sorts: %s", s.SQL())
-			}
-		}
-		got, _ := runPlan(t, db, p)
-		if got != want {
-			t.Errorf("unordered plan bits=%b differs from sorted reference", bits)
-		}
-	}
-}
-
-func TestUnorderedSkipsServerSortTime(t *testing.T) {
-	// Without the ORDER BY, the server can stream immediately; with a
-	// spill-inducing budget the query-time difference is the whole sort.
-	db := tpch.Generate(0.004, 13)
-	db.SortBudgetRows = 1000
-	q, err := rxl.Parse(rxl.Query1Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := viewtree.Build(q, db.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := Unified(tree, true)
-	unordered := Unified(tree, true)
-	unordered.Unordered = true
-	var bufA, bufB bytes.Buffer
-	mSorted, err := ExecuteDirect(ctx, db, sorted, &bufA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mUnordered, err := ExecuteDirect(ctx, db, unordered, &bufB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bufA.String() != bufB.String() {
-		t.Fatal("documents differ")
-	}
-	// Not a strict timing assertion (noise), but the unordered run must
-	// not be dramatically slower on the server side.
-	if mUnordered.QueryTime > 3*mSorted.QueryTime+mSorted.QueryTime {
-		t.Errorf("unordered query time %v vs sorted %v", mUnordered.QueryTime, mSorted.QueryTime)
-	}
-}

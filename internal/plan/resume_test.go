@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"silkroute/internal/rxl"
 	"silkroute/internal/sqlgen"
@@ -20,7 +19,7 @@ var errCut = errors.New("injected stream cut")
 
 // killEachTextOnce returns a wire.Server RowFault that kills each distinct
 // query text's stream once, after `at` rows. A resumed continuation carries
-// different SQL, so it gets its own kill; an identical retry passes.
+// different SQL, so it gets its own kill; the same text run again passes.
 func killEachTextOnce(at int64) func(string) func(int64) error {
 	var mu sync.Mutex
 	killed := make(map[string]bool)
@@ -83,8 +82,7 @@ func TestWireResumeEquivalence(t *testing.T) {
 
 			srv := &wire.Server{DB: db, RowFault: killEachTextOnce(2)}
 			client := chaosClient(t, srv,
-				wire.WithResume(wire.Resume{MaxResumes: 8}),
-				wire.WithRetry(wire.Retry{BaseDelay: time.Millisecond}))
+				wire.WithResume(wire.Resume{MaxResumes: 8}))
 			var got bytes.Buffer
 			m, err := ExecuteWire(ctx, client, tp.p, &got)
 			if err != nil {
@@ -142,8 +140,7 @@ func TestWireResumeFromTopAfterFrontierReopens(t *testing.T) {
 	}
 	srv := &wire.Server{DB: db, RowFault: fault}
 	client := chaosClient(t, srv,
-		wire.WithResume(wire.Resume{MaxResumes: 2}),
-		wire.WithRetry(wire.Retry{BaseDelay: time.Millisecond}))
+		wire.WithResume(wire.Resume{MaxResumes: 2}))
 
 	var got bytes.Buffer
 	m, err := ExecuteWire(ctx, client, p, &got)

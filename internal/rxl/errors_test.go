@@ -39,7 +39,7 @@ func TestLineCol(t *testing.T) {
 	}{
 		{0, 1, 1},
 		{1, 1, 2},
-		{2, 1, 3},  // the newline itself is still on line 1
+		{2, 1, 3}, // the newline itself is still on line 1
 		{3, 2, 1},
 		{6, 2, 4},
 		{7, 3, 1},

@@ -30,15 +30,13 @@ import (
 const resumeAlias = "rsm"
 
 // SortKey returns the output-row positions of the stream's structural sort
-// key, in ORDER BY order. It is empty when the stream is unordered
-// (StripOrder), in which case the stream cannot be resumed.
+// key, in ORDER BY order. It is empty for a constant key.
 func (s *Stream) SortKey() []int { return s.sortKey }
 
-// Resumable reports whether the stream still carries its structural sort
-// order, so a died stream can be resumed from its last delivered key. It
-// is true even for streams whose sort key is empty (a constant key:
-// resume re-runs the query and skips the delivered prefix), and false
-// after StripOrder — an unordered stream has no defined prefix to skip.
+// Resumable reports whether the stream carries its structural sort order,
+// so a died stream can be resumed from its last delivered key. It is true
+// even for streams whose sort key is empty (a constant key: resume re-runs
+// the query and skips the delivered prefix).
 func (s *Stream) Resumable() bool { return s.sortKey != nil }
 
 // ResumeSQL builds the SQL that resumes this stream at/after the given
@@ -54,9 +52,6 @@ func (s *Stream) Resumable() bool { return s.sortKey != nil }
 func (s *Stream) ResumeSQL(key []value.Value) (string, error) {
 	if len(key) == 0 {
 		return s.SQL(), nil
-	}
-	if len(s.sortKey) == 0 {
-		return "", fmt.Errorf("sqlgen: stream has no sort key (unordered); cannot resume")
 	}
 	if len(key) != len(s.sortKey) {
 		return "", fmt.Errorf("sqlgen: resume key has %d values, sort key has %d columns", len(key), len(s.sortKey))

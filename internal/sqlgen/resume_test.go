@@ -146,22 +146,3 @@ func TestResumeSQLRejectsBadKeys(t *testing.T) {
 		t.Error("ResumeSQL accepted a key of the wrong arity")
 	}
 }
-
-func TestStripOrderDisablesResume(t *testing.T) {
-	tree := fragTree(t)
-	s := gen1(t, tree, tree.NoEdges(), false, OuterJoin)[0]
-	if !s.Resumable() {
-		t.Fatal("ordered stream should be resumable")
-	}
-	key := make([]value.Value, len(s.SortKey()))
-	for i := range key {
-		key[i] = value.Int(1)
-	}
-	s.StripOrder()
-	if s.Resumable() {
-		t.Error("unordered stream reports resumable")
-	}
-	if _, err := s.ResumeSQL(key); err == nil {
-		t.Error("ResumeSQL on an unordered stream did not fail")
-	}
-}

@@ -90,8 +90,7 @@ type Stream struct {
 	// outNames are the query's output column names in position order.
 	outNames []string
 	// sortKey holds the output positions of the structural sort key, in
-	// ORDER BY order; nil once StripOrder removes the ordering, since an
-	// unordered stream has no resumable prefix.
+	// ORDER BY order.
 	sortKey []int
 }
 
@@ -641,14 +640,4 @@ func operandExpr(o rxl.Operand) sqlast.Expr {
 		return &sqlast.Literal{Val: o.Const}
 	}
 	return sqlast.Col(o.Var, o.Field)
-}
-
-// StripOrder removes the structural ORDER BY from the stream's query, for
-// the unordered ([9]) execution strategy where the client assembles the
-// document in memory and the server skips every sort. An unordered stream
-// delivers rows in no defined order, so it also loses its resumable sort
-// key.
-func (s *Stream) StripOrder() {
-	attachOrder(s.Query, nil)
-	s.sortKey = nil
 }

@@ -2,7 +2,6 @@ package tagger
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 
@@ -56,8 +55,7 @@ func write(f func(w *bytes.Buffer) error) (string, error) {
 // space: for every plan of the 2^|E| family of Queries 1 and 2 (the edge
 // masks plan.FromBits builds, here through Tree.KeepFromBits because plan
 // imports this package), reduced or not, the compiled sorted writer must
-// produce the reference tagger's bytes, and so must the unordered writer
-// fed every stream back to front. -short samples one plan in eight.
+// produce the reference tagger's bytes. -short samples one plan in eight.
 func TestTaggerMatchesReference(t *testing.T) {
 	db := tpch.Generate(0.00005, 3)
 	for _, q := range []struct{ name, src string }{{"q1", rxl.Query1Source}, {"q2", rxl.Query2Source}} {
@@ -85,18 +83,6 @@ func TestTaggerMatchesReference(t *testing.T) {
 				got, err := write(func(w *bytes.Buffer) error { return New(tree).WriteXML(w, sources(metas, rows, false)) })
 				if err != nil || got != want {
 					t.Fatalf("%s bits=%#x reduce=%v: WriteXML differs from the reference (err %v)\n got: %.300s\nwant: %.300s",
-						q.name, bits, reduce, err, got, want)
-				}
-				reversed := make([][][]value.Value, len(rows))
-				for i, r := range rows {
-					reversed[i] = slices.Clone(r)
-					slices.Reverse(reversed[i])
-				}
-				got, err = write(func(w *bytes.Buffer) error {
-					return New(tree).WriteXMLUnordered(w, sources(metas, reversed, false))
-				})
-				if err != nil || got != want {
-					t.Fatalf("%s bits=%#x reduce=%v: WriteXMLUnordered differs from the reference (err %v)\n got: %.300s\nwant: %.300s",
 						q.name, bits, reduce, err, got, want)
 				}
 			}
@@ -351,14 +337,6 @@ func runTaggerCase(t *testing.T, tree *viewtree.Tree, tc taggerCase) {
 			if doc := "<document>" + tc.ExpectXML + "</document>"; got != doc || want != doc {
 				t.Errorf("reuse=%v:\ncompiled:  %q\nreference: %q\nexpected:  %q", reuse, got, want, doc)
 			}
-		}
-
-		want, wantErr = write(func(w *bytes.Buffer) error {
-			return newRefTagger(tree).WriteXMLUnordered(w, sources(metas, rows, reuse))
-		})
-		got, err = write(func(w *bytes.Buffer) error { return New(tree).WriteXMLUnordered(w, sources(metas, rows, reuse)) })
-		if err != nil || wantErr != nil || got != want {
-			t.Errorf("reuse=%v: unordered writers differ:\ncompiled:  %q (%v)\nreference: %q (%v)", reuse, got, err, want, wantErr)
 		}
 	}
 }

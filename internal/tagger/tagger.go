@@ -64,7 +64,7 @@ type Tagger struct {
 	// OnTopLevel, when set, is called just before each top-level element
 	// (depth 1) opens, after all previously buffered bytes reached the
 	// underlying writer. The fragment cache hooks it to split the output at
-	// exact top-level boundaries; the unordered writer never calls it.
+	// exact top-level boundaries.
 	OnTopLevel func()
 
 	// The global structural key L1,V(1,*),L2,V(2,*),… has width positions.

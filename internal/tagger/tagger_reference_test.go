@@ -10,8 +10,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"silkroute/internal/value"
 	"silkroute/internal/viewtree"
@@ -63,7 +61,7 @@ type refTagger struct {
 	// OnTopLevel, when set, is called just before each top-level element
 	// (depth 1) opens, after all previously buffered bytes reached the
 	// underlying writer. The fragment cache hooks it to split the output at
-	// exact top-level boundaries; the unordered writer never calls it.
+	// exact top-level boundaries.
 	OnTopLevel func()
 
 	positions []refKeyPos
@@ -362,126 +360,4 @@ func (x *refXMLWriter) flushBuf() {
 func (x *refXMLWriter) flush() error {
 	x.flushBuf()
 	return x.err
-}
-
-// WriteXMLUnordered assembles the document in memory from unsorted
-// streams: global deduplication, one sort into document order, emission.
-func (tg *refTagger) WriteXMLUnordered(w io.Writer, inputs []Input) error {
-	type keyed struct {
-		inst *refInstance
-		sig  string
-	}
-	seen := make(map[string]bool)
-	var all []*refInstance
-
-	for _, in := range inputs {
-		st := &refStreamState{
-			in:     in,
-			colIdx: make(map[string]int),
-			lCols:  make(map[int]int),
-		}
-		for ci, c := range in.Meta.Cols {
-			st.colIdx[c.Name] = ci
-			if c.IsL {
-				st.lCols[c.Level] = ci
-			}
-		}
-		for {
-			row, ok, err := in.Rows.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			for _, inst := range tg.rowInstances(st, row) {
-				k := keyed{inst: inst, sig: refInstanceSignature(inst)}
-				if seen[k.sig] {
-					continue
-				}
-				seen[k.sig] = true
-				all = append(all, inst)
-			}
-		}
-	}
-
-	// Structure late: one global sort into document order, then the same
-	// emission logic as the streaming path.
-	sort.SliceStable(all, func(i, j int) bool {
-		return refCompareKeys(all[i].key, all[j].key) < 0
-	})
-
-	bw := newRefXMLWriter(w)
-	if tg.Wrapper != "" {
-		bw.open(tg.Wrapper)
-	}
-	var stack []*refInstance
-	closeTo := func(depth int) {
-		for len(stack) > depth {
-			bw.close(stack[len(stack)-1].node.Tag)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	for _, inst := range all {
-		d := inst.node.Level()
-		closeTo(d - 1)
-		bw.open(inst.node.Tag)
-		for _, c := range inst.node.Contents {
-			if c.IsConst {
-				bw.text(c.Const.Text())
-			} else {
-				bw.text(inst.vals[c.Ref].Text())
-			}
-		}
-		stack = append(stack, inst)
-	}
-	closeTo(0)
-	if tg.Wrapper != "" {
-		bw.close(tg.Wrapper)
-	}
-	return bw.flush()
-}
-
-// rowInstances expands one row into the node instances it carries, without
-// the sorted-stream deduplication (the caller deduplicates globally).
-func (tg *refTagger) rowInstances(st *refStreamState, row []value.Value) []*refInstance {
-	var out []*refInstance
-	var walk func(g *viewtree.Group)
-	walk = func(g *viewtree.Group) {
-		for _, m := range g.Members {
-			if inst := tg.makeInstance(st, m, row); inst != nil {
-				out = append(out, inst)
-			}
-		}
-		for _, ge := range g.Children {
-			lvl := ge.Child.Root.Level()
-			ci, ok := st.lCols[lvl]
-			if !ok {
-				continue
-			}
-			lv := row[ci]
-			if lv.IsNull() || lv.Kind() != value.KindInt || lv.AsInt() != int64(ge.Child.Root.Ordinal()) {
-				continue
-			}
-			walk(ge.Child)
-		}
-	}
-	walk(st.in.Meta.Comp.Root)
-	return out
-}
-
-// refInstanceSignature identifies an instance for global deduplication: the
-// node plus its structural key.
-func refInstanceSignature(inst *refInstance) string {
-	var b strings.Builder
-	b.WriteString(inst.node.SkolemName)
-	for _, v := range inst.key {
-		b.WriteByte(0)
-		if v.IsNull() {
-			b.WriteByte('N')
-		} else {
-			b.WriteString(v.HashKey())
-		}
-	}
-	return b.String()
 }

@@ -179,7 +179,7 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 	// Effective deadline: the tighter of the server's own RequestTimeout
 	// and the client's declared budget. It bounds the request context (so
 	// the wire layer propagates the remainder to every backend query,
-	// retry, resume, and scatter) and the write deadline (so a stalled
+	// resume, and scatter) and the write deadline (so a stalled
 	// client cannot hold a slot past it).
 	limits := h.srv.cfg.Limits
 	now := time.Now()

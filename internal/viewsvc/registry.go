@@ -248,9 +248,7 @@ func (r *Registry) LoadDir(dir string, b silkroute.Backend, opts ...silkroute.Op
 
 // loadFile compiles one "*.rxl" file (with its optional topology sidecar)
 // into the registry — a live entry on success, a broken one carrying the
-// diagnostic otherwise. It reports whether the entry is live. LoadDir and
-// the hot-reload watcher share it, so a reload behaves exactly like the
-// original load.
+// diagnostic otherwise. It reports whether the entry is live.
 func (r *Registry) loadFile(path string, b silkroute.Backend, opts []silkroute.Option) bool {
 	name := strings.TrimSuffix(filepath.Base(path), ".rxl")
 	raw, rerr := os.ReadFile(path)
@@ -284,20 +282,5 @@ func (r *Registry) loadFile(path string, b silkroute.Backend, opts []silkroute.O
 		return false
 	}
 	r.Register(name, h, src, path)
-	return true
-}
-
-// removeIfOrigin deletes name only if its entry still originates from
-// origin. The hot-reload watcher uses it for deleted files: a view an
-// admin has since replaced over HTTP must not be evicted by the file
-// going away.
-func (r *Registry) removeIfOrigin(name, origin string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if !ok || e.origin != origin {
-		return false
-	}
-	delete(r.entries, name)
 	return true
 }

@@ -110,25 +110,29 @@ func TestBreakerCleanSQLErrorIsSuccess(t *testing.T) {
 }
 
 func TestBackoffDelayDoublesAndCaps(t *testing.T) {
-	c := &Client{retry: Retry{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}}
 	want := []time.Duration{
-		10 * time.Millisecond, // first retry
+		10 * time.Millisecond, // first reopen of an episode
 		20 * time.Millisecond,
-		35 * time.Millisecond, // 40ms capped
-		35 * time.Millisecond, // stays at the cap
+		40 * time.Millisecond,
+		80 * time.Millisecond,
+		160 * time.Millisecond,
+		320 * time.Millisecond,
+		640 * time.Millisecond,
+		time.Second, // 1.28s capped
+		time.Second, // stays at the cap
 	}
 	for i, w := range want {
-		if got := c.backoffDelay(i + 1); got != w {
+		if got := backoffDelay(i + 1); got != w {
 			t.Errorf("backoffDelay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	// Defaults: zero BaseDelay means 10ms, zero MaxDelay means uncapped.
-	d := &Client{}
-	if got := d.backoffDelay(1); got != 10*time.Millisecond {
-		t.Errorf("default backoffDelay(1) = %v, want 10ms", got)
+	// Far past the point where doubling would overflow int64, the delay
+	// stays at the cap, so jitter never sees a negative bound.
+	if got := backoffDelay(1000); got != time.Second {
+		t.Errorf("backoffDelay(1000) = %v, want 1s", got)
 	}
-	if got := d.backoffDelay(12); got != 10*time.Millisecond<<11 {
-		t.Errorf("uncapped backoffDelay(12) = %v, want %v", got, 10*time.Millisecond<<11)
+	if got := jitter(backoffDelay(1000)); got < time.Second/2 || got > time.Second {
+		t.Errorf("jitter(backoffDelay(1000)) = %v, want within [500ms, 1s]", got)
 	}
 }
 

@@ -55,8 +55,8 @@ func TestBudgetedQueryRoundTrip(t *testing.T) {
 
 // TestSpentBudgetShedsWithoutDialing: a request whose deadline has already
 // passed must fail typed (ErrDeadlineExceeded) without opening a single
-// backend connection — the client-side shed is what keeps retries,
-// resumes, and failovers from doing work nobody can use.
+// backend connection — the client-side shed is what keeps resumes and
+// failovers from doing work nobody can use.
 func TestSpentBudgetShedsWithoutDialing(t *testing.T) {
 	srv := &Server{DB: seqDB(t, 10)}
 	var dials atomic.Int64

@@ -26,22 +26,6 @@ type Dialer func(ctx context.Context) (net.Conn, error)
 // DefaultPoolSize bounds each client's idle-connection pool.
 const DefaultPoolSize = 8
 
-// Retry configures the client's retry policy for dial-time and transient
-// pre-stream failures. A request whose tuple stream has started is never
-// retried: replaying rows into a half-merged document would corrupt it.
-type Retry struct {
-	// MaxAttempts is the total number of tries including the first;
-	// values <= 1 disable retrying.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// attempt. Zero means 10ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the pre-jitter backoff. Jitter is applied after the
-	// cap — full jitter on the upper half, so a capped attempt sleeps a
-	// uniform duration in [MaxDelay/2, MaxDelay]. Zero means uncapped.
-	MaxDelay time.Duration
-}
-
 // Client issues queries and estimate requests over a bounded pool of
 // connections. A connection is dialed on demand, carries one request at a
 // time, and returns to the pool once its response has been fully consumed;
@@ -49,7 +33,6 @@ type Retry struct {
 // pool clean. Clients are safe for concurrent use.
 type Client struct {
 	dial    Dialer
-	retry   Retry
 	resume  Resume
 	breaker Breaker
 
@@ -68,12 +51,6 @@ type Client struct {
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithRetry sets the retry policy for dial-time and transient pre-stream
-// failures.
-func WithRetry(r Retry) ClientOption {
-	return func(c *Client) { c.retry = r }
-}
 
 // NewClient returns a client over the given dialer.
 func NewClient(dial Dialer, opts ...ClientOption) *Client {
@@ -229,51 +206,40 @@ func wrapErr(ctx context.Context, op string, err error) error {
 	return fmt.Errorf("wire: %s: %w", op, err)
 }
 
-// attempts returns the configured total attempt count, at least one.
-func (c *Client) attempts() int {
-	if c.retry.MaxAttempts > 1 {
-		return c.retry.MaxAttempts
-	}
-	return 1
-}
+// Reopen backoff: the pre-jitter delay starts at backoffBase and doubles
+// per failed reopen of an episode, up to backoffCap.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffCap  = time.Second
+)
 
-// backoffDelay computes the pre-jitter backoff before retry attempt number
-// attempt (1 = the first retry): BaseDelay doubled per prior retry, capped
-// at MaxDelay. Pure, so the bounds are testable.
-func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.retry.BaseDelay
-	if d <= 0 {
-		d = 10 * time.Millisecond
-	}
-	for i := 1; i < attempt; i++ {
+// backoffDelay computes the pre-jitter backoff before reopen number attempt
+// (1 = the first reopen of an episode): backoffBase doubled per prior
+// reopen, capped at backoffCap. Pure, so the bounds are testable.
+func backoffDelay(attempt int) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
-		if c.retry.MaxDelay > 0 && d >= c.retry.MaxDelay {
-			break
-		}
 	}
-	if c.retry.MaxDelay > 0 && d > c.retry.MaxDelay {
-		d = c.retry.MaxDelay
-	}
-	return d
+	return min(d, backoffCap)
 }
 
 // jitter applies full jitter to the upper half of a backoff: the result is
 // uniform in [d/2, d]. The lower bound keeps some separation between
-// retriers; the randomized upper half de-synchronizes them.
+// reopeners; the randomized upper half de-synchronizes them.
 func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
-// backoff sleeps jitter(backoffDelay(attempt)) before retry attempt number
-// attempt, honoring ctx: the sleep is uniform in [delay/2, delay], where
-// delay doubles from BaseDelay and is capped at MaxDelay before the jitter
-// (so a capped attempt sleeps within [MaxDelay/2, MaxDelay]).
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	t := time.NewTimer(jitter(c.backoffDelay(attempt)))
+// backoff sleeps jitter(backoffDelay(attempt)) before reopen number attempt,
+// honoring ctx: the sleep is uniform in [delay/2, delay], so a capped
+// reopen sleeps within [backoffCap/2, backoffCap].
+func backoff(ctx context.Context, attempt int) error {
+	t := time.NewTimer(jitter(backoffDelay(attempt)))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
-		return fmt.Errorf("wire: retry: %w", ctxSentinel(ctx.Err()))
+		return fmt.Errorf("wire: resume: %w", ctxSentinel(ctx.Err()))
 	case <-t.C:
 		return nil
 	}
@@ -300,10 +266,10 @@ func budgetFor(deadline time.Time) time.Duration {
 	return time.Nanosecond
 }
 
-// transient reports whether a pre-stream failure is worth a fresh attempt:
-// transport errors are (the query never produced a row — SilkRoute queries
-// are read-only SELECTs, so resubmitting cannot duplicate work in the
-// document), definitive server answers and deadline/cancel are not.
+// transient reports whether a failure is worth a fresh attempt: transport
+// errors are (SilkRoute queries are read-only SELECTs, so resubmitting
+// cannot duplicate work in the document), definitive server answers and
+// deadline/cancel are not.
 func transient(err error) bool {
 	var se *Error
 	if errors.As(err, &se) {
@@ -329,9 +295,6 @@ type Rows struct {
 	BytesRead int64
 	// RowCount counts rows decoded so far.
 	RowCount int64
-	// Attempts is how many tries the logical request took before this
-	// stream opened (1 = no retry).
-	Attempts int
 	// Resumes is how many times the stream was reopened mid-flight after
 	// a transport failure, the last reopen from the top included (0 = the
 	// stream ran uninterrupted). Only streams opened with QueryResumable on
@@ -379,9 +342,9 @@ type Rows struct {
 //
 // The context governs the whole request: Query honors its deadline and
 // cancellation while connecting and waiting for the header, and the
-// returned stream keeps honoring it row by row. Dial-time and transient
-// pre-stream failures are retried under the client's Retry policy; a
-// stream that has started is never retried.
+// returned stream keeps honoring it row by row. A failed open is not
+// retried: a replica set moves on to its next replica, and a started
+// stream heals only through QueryResumable.
 func (c *Client) Query(ctx context.Context, sql string) (*Rows, error) {
 	return c.QueryResumable(ctx, sql, nil)
 }
@@ -393,8 +356,8 @@ type response struct {
 	epoch int64           // opEpoch
 }
 
-// do runs one logical request: one span and one request count around the
-// retry loop, which ops[op].retried switches off.
+// do runs one logical request: one span and one request count around one
+// guarded attempt.
 func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) {
 	if err := ctx.Err(); err != nil {
 		return response{}, fmt.Errorf("wire: %s: %w", ops[op].name, ctxSentinel(err))
@@ -404,35 +367,9 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 		m.Client.Requests.Inc()
 		m.Client.InFlight.Inc()
 	}
-	// One span per logical request: its IDs ride the wire on every attempt.
 	ctx, span := obs.StartSpan(ctx, ops[op].clientSpan)
 	span.SetDetail(sql)
-	req := newRequest(op, span, sql)
-	attempts := 1
-	if ops[op].retried {
-		attempts = c.attempts()
-	}
-	var resp response
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if m != nil {
-				m.Client.Retries.Inc()
-			}
-			if err = c.backoff(ctx, attempt); err != nil {
-				break
-			}
-		}
-		if resp, err = c.attempt(ctx, req); err == nil {
-			if resp.rows != nil {
-				resp.rows.Attempts = attempt + 1
-			}
-			break
-		}
-		if !transient(err) || ctx.Err() != nil || errors.Is(err, ErrClientClosed) {
-			break
-		}
-	}
+	resp, err := c.attempt(ctx, newRequest(op, span, sql))
 	span.End()
 	if m != nil {
 		m.Client.InFlight.Dec()
@@ -446,8 +383,8 @@ func (c *Client) do(ctx context.Context, op byte, sql string) (response, error) 
 // attempt runs one guarded round trip. A request whose context deadline
 // has already passed is shed before any connection is acquired or dialed:
 // the caller can no longer use the answer, so opening a backend stream for
-// it is pure waste. Every op's fresh requests, retries, mid-stream reopens
-// and per-shard scatters pass through here, so all are covered. The
+// it is pure waste. Every op's fresh requests, mid-stream reopens and
+// per-shard scatters pass through here, so all are covered. The
 // breaker then admits the attempt and learns from its outcome.
 func (c *Client) attempt(ctx context.Context, req request) (response, error) {
 	name := ops[req.op].name
@@ -467,7 +404,7 @@ func (c *Client) attempt(ctx context.Context, req request) (response, error) {
 
 // roundTrip performs one request/response exchange. A stale pooled
 // connection (closed by the server while idle) is replaced with a fresh
-// dial without consuming a retry attempt. Any complete response — the
+// dial within the same attempt. Any complete response — the
 // status frame or a clean error frame, decoded into the server's typed
 // *Error — leaves the connection request-aligned, so it returns to the
 // pool; an open stream keeps it instead, and a transport failure closes it.
@@ -671,7 +608,7 @@ func (r *Rows) Close() error {
 
 // Estimate asks the remote optimizer for a query's cost, cardinality, and
 // row-width estimate — the middleware-side face of the paper's §5 oracle.
-// It obeys the same context, pooling, and retry rules as Query.
+// It obeys the same context and pooling rules as Query.
 func (c *Client) Estimate(ctx context.Context, sql string) (engine.Estimate, error) {
 	resp, err := c.do(ctx, opEstimate, sql)
 	return resp.est, err
@@ -679,8 +616,7 @@ func (c *Client) Estimate(ctx context.Context, sql string) (engine.Estimate, err
 
 // StatsEpoch asks the server for its database's stats epoch — the write
 // counter the client-side fragment cache validates remote freshness against.
-// Unlike Query and Estimate it is never retried (see ops): callers must map
-// an error to the cold path, never to serving stale data.
+// Callers must map an error to the cold path, never to serving stale data.
 func (c *Client) StatsEpoch(ctx context.Context) (int64, error) {
 	resp, err := c.do(ctx, opEpoch, "")
 	return resp.epoch, err

@@ -1,6 +1,6 @@
 package wire
 
-// Cancellation, deadline, retry, pooling, and graceful-shutdown coverage
+// Cancellation, deadline, pooling, and graceful-shutdown coverage
 // for the wire layer: the production-shaped behaviours the middleware
 // depends on when the target server is slow, gone, or draining.
 
@@ -187,60 +187,16 @@ func TestDeadlineAgainstStalledServer(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversDialFailureWithoutDuplication(t *testing.T) {
-	const rowCount = 700 // several batch frames
-	srv := &Server{DB: seqDB(t, rowCount)}
-	var dials atomic.Int64
-	client := NewClient(countingDialer(srv, &dials, 1),
-		WithRetry(Retry{MaxAttempts: 3, BaseDelay: time.Millisecond}))
-
-	rows, err := client.Query(context.Background(), seqQuery)
-	if err != nil {
-		t.Fatalf("query with one dial failure: %v", err)
-	}
-	got := drain(t, rows)
-	if len(got) != rowCount {
-		t.Errorf("rows after retry = %d, want exactly %d (no duplication)", len(got), rowCount)
-	}
-	for i, r := range got {
-		if r[0].AsInt() != int64(i) {
-			t.Fatalf("row %d out of order after retry: %v", i, r[0])
-		}
-	}
-	if n := dials.Load(); n != 2 {
-		t.Errorf("dials = %d, want 2 (one failure, one success)", n)
-	}
-}
-
-func TestNoRetryWithoutPolicy(t *testing.T) {
+func TestRefusedDialCostsOneDial(t *testing.T) {
+	// A failed open is not retried: one refused dial, one error.
 	srv := &Server{DB: seqDB(t, 3)}
 	var dials atomic.Int64
 	client := NewClient(countingDialer(srv, &dials, 1))
 	if _, err := client.Query(context.Background(), seqQuery); err == nil {
-		t.Fatal("query succeeded despite dial failure and no retry policy")
+		t.Fatal("query succeeded despite a refused dial")
 	}
 	if n := dials.Load(); n != 1 {
 		t.Errorf("dials = %d, want 1", n)
-	}
-}
-
-func TestServerErrorNotRetried(t *testing.T) {
-	// A definitive server answer must not be retried even under an
-	// aggressive policy: the server spoke, the answer is final.
-	srv := &Server{DB: seqDB(t, 3)}
-	var dials atomic.Int64
-	client := NewClient(countingDialer(srv, &dials, 0),
-		WithRetry(Retry{MaxAttempts: 5, BaseDelay: time.Millisecond}))
-	_, err := client.Query(context.Background(), "select g.x from Ghost g")
-	if err == nil {
-		t.Fatal("query on unknown table succeeded")
-	}
-	var se *Error
-	if !errors.As(err, &se) || se.Code != CodeSQL {
-		t.Errorf("server error = %v, want *Error with CodeSQL", err)
-	}
-	if n := dials.Load(); n != 1 {
-		t.Errorf("dials = %d, want 1 (no retry of a definitive answer)", n)
 	}
 }
 

@@ -100,9 +100,9 @@ var (
 	// ErrCircuitOpen reports a request refused fast because the client's
 	// circuit breaker is open: the server failed Breaker.Threshold
 	// consecutive times and the cooldown has not elapsed. The request never
-	// touched the network, and the error is not transient — retrying
-	// immediately would defeat the breaker — so the retry loop gives up at
-	// once.
+	// touched the network, and the error is not transient: the same client
+	// is not asked again, though a replica set moves on to another
+	// replica.
 	ErrCircuitOpen = errors.New("wire: circuit breaker open")
 	// ErrNoHealthyReplica reports a replica-set request refused fast
 	// because every replica's circuit breaker is open and cooling: no
@@ -112,7 +112,7 @@ var (
 	// ErrBadResponse reports a status frame the client cannot decode:
 	// empty, truncated, of the wrong kind for the request, or longer than
 	// maxRequestFrame. The connection is closed; like any transport
-	// failure, the request may be retried.
+	// failure, a replica set moves on and a resumable stream reopens.
 	ErrBadResponse = errors.New("wire: malformed response")
 	// ErrStreamLost reports a tuple stream that died mid-flight — after the
 	// column header, before the terminator — and could not be healed: the

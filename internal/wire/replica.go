@@ -2,7 +2,7 @@ package wire
 
 // Replica sets. The paper's middleware assumes one always-healthy RDBMS;
 // this file lets it run against N replicas of the same database. Each
-// replica keeps its own Client — pool, retry policy, circuit breaker,
+// replica keeps its own Client — pool, resume budget, circuit breaker,
 // stale-conn eviction — and a balancer assigns every stream (and estimate)
 // to one replica at execution time: round-robin for spread, least
 // in-flight to avoid pile-ups, weighted by breaker state and a recent
@@ -128,7 +128,7 @@ func WithReplicaNames(names []string) ReplicaOption {
 }
 
 // NewReplicaSet builds a set over the given endpoint clients. The clients
-// should share one configuration (pool, retry, resume, breaker) so a
+// should share one configuration (pool, resume, breaker) so a
 // stream behaves identically wherever it lands; the facade's Dial
 // guarantees that.
 func NewReplicaSet(clients []*Client, opts ...ReplicaOption) *ReplicaSet {

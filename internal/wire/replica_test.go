@@ -130,7 +130,6 @@ func TestReplicaSetFailoverMidStream(t *testing.T) {
 		[]func(string) func(int64) error{alwaysKill, nil, nil},
 		[]ClientOption{
 			WithResume(Resume{MaxResumes: 2}),
-			WithRetry(Retry{BaseDelay: time.Millisecond}),
 		})
 
 	set.rr.Store(0) // land the stream on the kill-happy replica
@@ -249,7 +248,6 @@ func TestReplicaSetFailoverSpliceIsExact(t *testing.T) {
 		[]func(string) func(int64) error{killAt(100), nil},
 		[]ClientOption{
 			WithResume(Resume{MaxResumes: 1}),
-			WithRetry(Retry{BaseDelay: time.Millisecond}),
 		})
 
 	set.rr.Store(0)

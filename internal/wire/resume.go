@@ -1,8 +1,7 @@
 package wire
 
-// Stream healing. The retry policy deliberately stops once a stream has
-// started: replaying a whole query could re-deliver rows into a
-// half-merged document. But SilkRoute streams are sorted by their
+// Stream healing. Replaying a whole query could re-deliver rows into a
+// half-merged document, but SilkRoute streams are sorted by their
 // structural key, so a dead stream has a well-defined frontier — the sort
 // key of the last row delivered — and healing it means one thing: reopen
 // its SQL after that key on some endpoint, skip the boundary rows already
@@ -166,7 +165,7 @@ func (r *Rows) tryResume(cause error) error {
 		if m := obs.M(); m != nil {
 			m.Client.Resumes.Inc()
 		}
-		if err := r.client.backoff(r.ctx, attempt); err != nil {
+		if err := backoff(r.ctx, attempt); err != nil {
 			r.release(false)
 			return err
 		}

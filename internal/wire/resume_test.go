@@ -116,8 +116,7 @@ func TestResumeMidStream(t *testing.T) {
 		return fault(sql)
 	}
 	client := faultClient(t, db, onlyOriginal,
-		WithResume(Resume{MaxResumes: 3}),
-		WithRetry(Retry{BaseDelay: time.Millisecond}))
+		WithResume(Resume{MaxResumes: 3}))
 
 	rows, err := client.QueryResumable(ctx, bigSQL, bigSpec())
 	if err != nil {
@@ -139,8 +138,7 @@ func TestResumeChained(t *testing.T) {
 	// each advancing the frontier past the previous cut.
 	db := bigDB(t, 300, 1)
 	client := faultClient(t, db, killEachTextOnceAt(100),
-		WithResume(Resume{MaxResumes: 5}),
-		WithRetry(Retry{BaseDelay: time.Millisecond}))
+		WithResume(Resume{MaxResumes: 5}))
 
 	rows, err := client.QueryResumable(ctx, bigSQL, bigSpec())
 	if err != nil {
@@ -158,8 +156,7 @@ func TestResumeSkipsBoundaryTies(t *testing.T) {
 	// so the continuation must skip exactly the delivered share of the group.
 	db := bigDB(t, 60, 3)
 	client := faultClient(t, db, killEachTextOnceAt(100),
-		WithResume(Resume{MaxResumes: 3}),
-		WithRetry(Retry{BaseDelay: time.Millisecond}))
+		WithResume(Resume{MaxResumes: 3}))
 
 	rows, err := client.QueryResumable(ctx, bigSQL, bigSpec())
 	if err != nil {
@@ -177,8 +174,7 @@ func TestResumeConstantKeyFastForwards(t *testing.T) {
 	// resume re-runs the query and fast-forwards past every delivered row.
 	db := bigDB(t, 40, 1)
 	client := faultClient(t, db, killEachTextOnceAt(15),
-		WithResume(Resume{MaxResumes: 3}),
-		WithRetry(Retry{BaseDelay: time.Millisecond}))
+		WithResume(Resume{MaxResumes: 3}))
 
 	spec := &ResumeSpec{Rewrite: func(key []value.Value) (string, error) {
 		return bigSQL, nil
@@ -247,8 +243,7 @@ func TestResumeBudgetExhausted(t *testing.T) {
 		}
 	}
 	client := faultClient(t, db, fault,
-		WithResume(Resume{MaxResumes: 2}),
-		WithRetry(Retry{BaseDelay: time.Millisecond}))
+		WithResume(Resume{MaxResumes: 2}))
 
 	rows, err := client.QueryResumable(ctx, bigSQL, bigSpec())
 	if err != nil {
@@ -286,8 +281,7 @@ func TestResumeDetectsSourceChange(t *testing.T) {
 		},
 	}
 	client := faultClient(t, db, killEachTextOnceAt(100),
-		WithResume(Resume{MaxResumes: 3}),
-		WithRetry(Retry{BaseDelay: time.Millisecond}))
+		WithResume(Resume{MaxResumes: 3}))
 
 	rows, err := client.QueryResumable(ctx, bigSQL, spec)
 	if err != nil {
@@ -296,6 +290,39 @@ func TestResumeDetectsSourceChange(t *testing.T) {
 	_, err = drainToError(rows)
 	if err == nil || !strings.Contains(err.Error(), "source changed") {
 		t.Fatalf("err = %v, want a source-changed resume failure", err)
+	}
+}
+
+func TestServerErrorNotRetried(t *testing.T) {
+	// A definitive server answer on reopen ends the stream: the server
+	// spoke, so the resume budget is not spent on asking again.
+	db := bigDB(t, 300, 1)
+	spec := &ResumeSpec{
+		KeyCols: []int{0},
+		Rewrite: func(key []value.Value) (string, error) {
+			if key == nil {
+				return bigSQL, nil
+			}
+			return "select g.x from Ghost g", nil
+		},
+	}
+	client := faultClient(t, db, killEachTextOnceAt(100),
+		WithResume(Resume{MaxResumes: 3}))
+
+	rows, err := client.QueryResumable(ctx, bigSQL, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := drainToError(rows)
+	var se *Error
+	if !errors.As(err, &se) || se.Code != CodeSQL {
+		t.Fatalf("err = %v, want *Error with CodeSQL", err)
+	}
+	if rows.Resumes != 1 {
+		t.Errorf("Resumes = %d, want 1 (no further reopen after the server's answer)", rows.Resumes)
+	}
+	if n != 100 {
+		t.Errorf("delivered %d rows before the answer, want 100", n)
 	}
 }
 
@@ -446,7 +473,7 @@ func TestResumeLadderContract(t *testing.T) {
 			var mu sync.Mutex
 			var served []int
 			fault := tc.faults()
-			copts := []ClientOption{WithRetry(Retry{BaseDelay: time.Millisecond})}
+			var copts []ClientOption
 			if tc.budget > 0 {
 				copts = append(copts, WithResume(Resume{MaxResumes: tc.budget}))
 			}

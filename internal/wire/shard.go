@@ -86,8 +86,8 @@ func NewShardSet(shards []Backend, opts ...ShardOption) *ShardSet {
 
 // Query submits sql to every shard and returns the merged stream. Without
 // a resume spec there is no sort key to merge on, so the partial streams
-// are concatenated in shard order — exact only for unordered streams
-// (the §6 ablation); sorted plans always arrive via QueryResumable.
+// are concatenated in shard order; sorted plans always arrive via
+// QueryResumable.
 func (s *ShardSet) Query(ctx context.Context, sql string) (*Rows, error) {
 	return s.QueryResumable(ctx, sql, nil)
 }
@@ -134,18 +134,13 @@ func (s *ShardSet) QueryResumable(ctx context.Context, sql string, spec *ResumeS
 	if m := obs.M(); m != nil {
 		m.Client.ScatterStreams.Add(int64(len(children)))
 	}
-	attempts := 1
-	for _, c := range children {
-		attempts += c.Attempts - 1
-	}
 	var keyCols []int
 	if spec != nil {
 		keyCols = spec.KeyCols
 	}
 	return &Rows{
-		Columns:  children[0].Columns,
-		Attempts: attempts,
-		merge:    newShardMerge(children, keyCols, s.names, start),
+		Columns: children[0].Columns,
+		merge:   newShardMerge(children, keyCols, s.names, start),
 	}, nil
 }
 
@@ -302,14 +297,14 @@ func (h *mergeHeap) Pop() interface{} {
 }
 
 // shardMerge drives a merged Rows: it owns the per-shard child streams
-// and serves Next/Close on their behalf. With key columns it k-way-merges
-// (children are sorted); without, it concatenates in shard order.
+// and serves Next/Close on their behalf by a k-way merge on the key
+// columns. Without key columns the shard-index tiebreak alone orders the
+// heap, so the merge concatenates the children in shard order.
 type shardMerge struct {
 	children []*Rows
 	names    []string
 	h        mergeHeap
 	primed   bool
-	concat   int // next child for key-less concatenation
 	start    time.Time
 }
 
@@ -327,9 +322,6 @@ func newShardMerge(children []*Rows, keyCols []int, names []string, start time.T
 func (m *shardMerge) next(r *Rows) ([]value.Value, error) {
 	if r.done {
 		return nil, io.EOF
-	}
-	if m.h.keyCols == nil {
-		return m.nextConcat(r)
 	}
 	if !m.primed {
 		m.primed = true
@@ -362,24 +354,6 @@ func (m *shardMerge) next(r *Rows) ([]value.Value, error) {
 	r.RowCount++
 	m.sync(r)
 	return head.row, nil
-}
-
-// nextConcat drains the children one after another in shard order.
-func (m *shardMerge) nextConcat(r *Rows) ([]value.Value, error) {
-	for m.concat < len(m.children) {
-		row, err := m.children[m.concat].Next()
-		if err == io.EOF {
-			m.concat++
-			continue
-		}
-		if err != nil {
-			return nil, m.fail(r, m.concat, err)
-		}
-		r.RowCount++
-		m.sync(r)
-		return row, nil
-	}
-	return nil, m.finish(r)
 }
 
 // sync folds the children's transfer and recovery counters into the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"silkroute/internal/engine"
 	"silkroute/internal/schema"
@@ -187,8 +186,7 @@ func TestShardResumeUnderMerge(t *testing.T) {
 	backends := make([]Backend, len(dbs))
 	for i, db := range dbs {
 		backends[i] = faultClient(t, db, killEachTextOnceAt(30),
-			WithResume(Resume{MaxResumes: 3}),
-			WithRetry(Retry{BaseDelay: time.Millisecond}))
+			WithResume(Resume{MaxResumes: 3}))
 	}
 	set := NewShardSet(backends)
 	t.Cleanup(func() { set.Close() })
@@ -232,8 +230,7 @@ func TestShardSingleDelegates(t *testing.T) {
 }
 
 // TestShardConcatWithoutKeys: with no resume spec there is no sort key,
-// so Query concatenates partials in shard order — the unordered-stream
-// contract. Shard 0 deliberately holds the *higher* keys to prove the
+// so Query concatenates partials in shard order. Shard 0 deliberately holds the *higher* keys to prove the
 // set concatenates rather than merges.
 func TestShardConcatWithoutKeys(t *testing.T) {
 	dbs := bigShardDBs(t, 20, 1, 2, func(k, d int) int {

@@ -35,23 +35,23 @@ func sniffRequest(br *bufio.Reader) (request, []byte, error) {
 	return req, frame, err
 }
 
-// TestTraceIDStableAcrossRetry asserts the core trace-propagation
-// contract: the trace ID is generated once per logical request, so the
-// frame of a retried attempt carries the same ID as the failed attempt. A
-// fresh ID per attempt would split one logical request across traces.
-func TestTraceIDStableAcrossRetry(t *testing.T) {
+// TestTraceIDStableAcrossResume asserts the core trace-propagation
+// contract for a healed stream: the reopen's request frame carries the
+// stream's trace ID, so one stream cut mid-flight still forms one trace.
+func TestTraceIDStableAcrossResume(t *testing.T) {
 	withObs(t)
-	srv := &Server{DB: wireDB(t)}
+	fault := killEachTextOnceAt(100)
+	srv := &Server{DB: bigDB(t, 300, 1), RowFault: func(sql string) func(int64) error {
+		if sql != bigSQL {
+			return nil
+		}
+		return fault(sql)
+	}}
 
 	var mu sync.Mutex
 	var traces []uint64
-	dials := 0
 	dial := func(dctx context.Context) (net.Conn, error) {
 		c1, c2 := net.Pipe()
-		mu.Lock()
-		dials++
-		failThis := dials == 1
-		mu.Unlock()
 		go func() {
 			br := bufio.NewReader(c2)
 			req, frame, err := sniffRequest(br)
@@ -62,14 +62,9 @@ func TestTraceIDStableAcrossRetry(t *testing.T) {
 			mu.Lock()
 			traces = append(traces, uint64(req.trace))
 			mu.Unlock()
-			if failThis {
-				// Transient pre-stream failure: the request was read but the
-				// connection dies before any response frame.
-				c2.Close()
-				return
-			}
-			// Forward the sniffed frame (and everything after) to a real
-			// server and relay its response back.
+			// Forward the sniffed frame (and everything after) to the
+			// server and relay its response back; the server cutting the
+			// stream closes both pipes.
 			s1, s2 := net.Pipe()
 			go srv.ServeConn(s2)
 			bw := bufio.NewWriter(s1)
@@ -85,30 +80,27 @@ func TestTraceIDStableAcrossRetry(t *testing.T) {
 		return c1, nil
 	}
 
-	client := NewClient(dial, WithRetry(Retry{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+	client := NewClient(dial, WithResume(Resume{MaxResumes: 3}))
 	defer client.Close()
-	rows, err := client.Query(ctx, "select n.name from Nation n order by n.name")
+	rows, err := client.QueryResumable(ctx, bigSQL, bigSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drain(t, rows)
-	if len(got) != 3 {
-		t.Fatalf("got %d rows", len(got))
-	}
-	if rows.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", rows.Attempts)
+	checkBigRows(t, drain(t, rows), 300, 1)
+	if rows.Resumes != 1 {
+		t.Errorf("Resumes = %d, want 1", rows.Resumes)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
 	if len(traces) != 2 {
-		t.Fatalf("sniffed %d requests, want 2 (one failed attempt + one retry)", len(traces))
+		t.Fatalf("sniffed %d requests, want 2 (the open and one reopen)", len(traces))
 	}
 	if traces[0] == 0 {
 		t.Fatal("request carried no trace ID despite obs being enabled")
 	}
 	if traces[0] != traces[1] {
-		t.Fatalf("trace ID changed across retry: attempt 1 = %x, attempt 2 = %x", traces[0], traces[1])
+		t.Fatalf("trace ID changed across resume: open = %x, reopen = %x", traces[0], traces[1])
 	}
 }
 

@@ -25,8 +25,8 @@
 //	                    the optimizer oracle of §5
 //	'P' epoch     no    'V' + one big-endian uint64, the database's write
 //	                    counter; the fragment cache validates cached XML
-//	                    against it and never retries it — a failed probe
-//	                    means "run cold", not "serve stale"
+//	                    against it — a failed probe means "run cold", not
+//	                    "serve stale"
 //
 //	flag          field
 //	traced   0x1  8-byte trace ID + 8-byte parent span ID, so the server's
@@ -142,16 +142,10 @@ var ops = map[byte]struct {
 	name       string // in error text
 	clientSpan string
 	serverSpan string
-	// retried: transient pre-stream failures are retried under the client's
-	// Retry policy. The epoch probe is not: it exists to decide whether
-	// cached bytes may be served, so on any failure the only safe answer is
-	// "run cold", and retrying to rescue a cache shortcut would add latency
-	// exactly when the backend is struggling.
-	retried bool
 }{
-	opQuery:    {"query", "wire.client.query", "wire.server.query", true},
-	opEstimate: {"estimate", "wire.client.estimate", "wire.server.estimate", true},
-	opEpoch:    {"epoch", "wire.client.epoch", "wire.server.epoch", false},
+	opQuery:    {"query", "wire.client.query", "wire.server.query"},
+	opEstimate: {"estimate", "wire.client.estimate", "wire.server.estimate"},
+	opEpoch:    {"epoch", "wire.client.epoch", "wire.server.epoch"},
 }
 
 // Request flags: which optional fixed fields follow the flags byte, in bit
@@ -172,9 +166,9 @@ type request struct {
 	sql    string        // empty for opEpoch
 }
 
-// newRequest builds the header of one logical request. The span is created
-// once per logical request, before the retry loop, so every attempt carries
-// the same IDs and a retried request still forms one trace.
+// newRequest builds the header of one request under span. A stream's
+// reopens reuse the stream's trace, so a healed stream still forms one
+// trace.
 func newRequest(op byte, span *obs.Span, sql string) request {
 	req := request{op: op, sql: sql}
 	if span != nil {

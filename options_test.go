@@ -69,7 +69,6 @@ func TestZeroOptionsMatchOmitted(t *testing.T) {
 			{"WithResume(0)", WithResume(0), false},
 			{"WithBreaker(0, 0)", WithBreaker(0, 0), false},
 			{"WithParallelism(0)", WithParallelism(0), false},
-			{"WithRetry(Retry{})", WithRetry(Retry{}), false},
 			{"WithReduce(true)", WithReduce(true), false},
 			{"WithWrapper(document)", WithWrapper("document"), false},
 			{"WithStrategy(Greedy)", WithStrategy(Greedy), false},

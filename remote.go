@@ -23,8 +23,8 @@ func tpchSchemaForRemote() *schema.Schema { return tpch.Schema() }
 // optimizer for cost estimates.
 //
 // The connection keeps a bounded pool of idle wire connections per
-// endpoint and retries dial-time failures under the WithRetry policy.
-// A Remote is safe for concurrent use; Close it when done to release the
+// endpoint; a failed open is not retried, though a replicated topology
+// moves on to its next replica. A Remote is safe for concurrent use; Close it when done to release the
 // pool.
 type Remote struct {
 	client wire.Backend
@@ -47,7 +47,7 @@ type Remote struct {
 // Grids compose: each shard of a Sharded topology is its own replica
 // group whose streams heal themselves underneath the merge.
 //
-// The option list carries the connection policy (retry, resume, breaker)
+// The option list carries the connection policy (resume, breaker)
 // and the source description (WithSource), so a server's per-backend
 // config maps 1:1 onto one option slice. A topology with no endpoint, or
 // with an empty replica group, is an error.

@@ -61,10 +61,7 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 			if n == 1 {
 				resumes = 16
 			}
-			opts := []Option{
-				WithResume(resumes),
-				WithRetry(Retry{BaseDelay: time.Millisecond}),
-			}
+			opts := []Option{WithResume(resumes)}
 			remote := mustDial(t, Replicas(addrs...), opts...)
 			rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, opts...)
 			if err != nil {
@@ -104,8 +101,7 @@ func TestMaterializeFailsClosedWhenBreakerOpen(t *testing.T) {
 	remote := mustDial(t, SingleFunc(func(context.Context) (net.Conn, error) {
 		return nil, errors.New("refused")
 	}),
-		WithBreaker(1, time.Minute),
-		WithRetry(Retry{MaxAttempts: 1, BaseDelay: time.Millisecond}))
+		WithBreaker(1, time.Minute))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {

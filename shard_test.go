@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"silkroute/internal/rxl"
 )
@@ -71,7 +70,6 @@ func TestShardEquivalenceMatrix(t *testing.T) {
 			}
 			opts := []Option{
 				WithResume(2),
-				WithRetry(Retry{BaseDelay: time.Millisecond}),
 				WithSource(tpchSourceDescription(t)),
 			}
 			remote, err := Dial(Sharded(parts...), opts...)

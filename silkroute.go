@@ -50,17 +50,9 @@ var ErrCircuitOpen = wire.ErrCircuitOpen
 // Test for it with errors.Is.
 var ErrNoHealthyReplica = wire.ErrNoHealthyReplica
 
-// Retry configures how a remote connection retries dial-time and transient
-// failures: MaxAttempts tries in all (<= 1 disables retrying), backing off
-// from BaseDelay (zero means 10ms), doubling per attempt with jitter, up to
-// MaxDelay (zero means uncapped). A query whose tuple stream has started is
-// never retried — the document being assembled must not see duplicated
-// rows.
-type Retry = wire.Retry
-
 // Option configures a view or a remote connection. The same option list is
 // accepted by ParseView, ParseRemoteView, Dial, and NewHandle;
-// options that do not apply to the value being built (WithRetry on a view,
+// options that do not apply to the value being built (WithResume on a view,
 // WithWrapper on a connection) are simply ignored, so one list can be
 // shared across both.
 type Option func(*config)
@@ -78,7 +70,6 @@ type config struct {
 	fragBytes  int64
 	serveStale bool
 
-	retry   wire.Retry
 	resume  wire.Resume
 	breaker wire.Breaker
 }
@@ -121,12 +112,6 @@ func WithSource(s *Schema) Option {
 	return func(c *config) { c.source = s }
 }
 
-// WithRetry sets the retry policy for dial-time and transient pre-stream
-// failures on a remote connection. Connection option.
-func WithRetry(r Retry) Option {
-	return func(c *config) { c.retry = r }
-}
-
 // WithResume enables mid-stream failure recovery on a remote connection:
 // a tuple stream that dies after delivering rows is reopened with a
 // key-range query from its last structural sort key and spliced back
@@ -153,9 +138,9 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 }
 
 // clientOptions translates the connection-side options into wire options.
-// Each policy's zero value is "off", so all three always pass.
+// Each policy's zero value is "off", so both always pass.
 func (c *config) clientOptions() []wire.ClientOption {
-	return []wire.ClientOption{wire.WithRetry(c.retry), wire.WithResume(c.resume), wire.WithBreaker(c.breaker)}
+	return []wire.ClientOption{wire.WithResume(c.resume), wire.WithBreaker(c.breaker)}
 }
 
 // apply stamps the view-side options onto a freshly built view. The caches
@@ -390,7 +375,7 @@ const shutdownGrace = 5 * time.Second
 // the chaos package's ParseSpec; e.g. "seed=7,cutrow=100" kills each
 // query's stream after 100 rows) is applied to every accepted connection
 // and to the row streams the server produces. It exists to rehearse the
-// client-side resilience machinery — retry, resume, circuit breaking —
+// client-side resilience machinery — resume, failover, circuit breaking —
 // against a server that fails on purpose, deterministically.
 func (db *DB) ServeChaosContext(ctx context.Context, l net.Listener, spec string) error {
 	sp, err := chaos.ParseSpec(spec)
@@ -639,7 +624,6 @@ type StreamStat struct {
 	Bytes     int64         // payload bytes transferred (remote views only)
 	QueryTime time.Duration // server execution / time to first tuple
 	WallTime  time.Duration // through the last row drained into the tagger
-	Retries   int           // wire attempts beyond the first (0 for local views)
 	Resumes   int           // mid-stream reopens after transport failures (remote views with WithResume)
 	Failovers int           // reopens that moved to another replica (replicated topologies only)
 	Replica   int           // replica index that finished serving the stream (0 single-backend)
@@ -874,7 +858,7 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 	var rec *fragcache.Recorder
 	var recTables []string
 	var recStamp fragcache.Stamp
-	if v.frags != nil && !p.Unordered {
+	if v.frags != nil {
 		if tables, terr := p.BaseTables(); terr == nil {
 			if stamp, ok := v.currentStamp(ctx, tables); ok {
 				rec = fragcache.NewRecorder(w)
@@ -914,7 +898,6 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 			Bytes:     sm.Bytes,
 			QueryTime: sm.QueryTime,
 			WallTime:  sm.WallTime,
-			Retries:   sm.Retries,
 			Resumes:   sm.Resumes,
 			Failovers: sm.Failovers,
 			Replica:   sm.Replica,
