@@ -69,8 +69,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs
 
 # test runs tier-1 in full: the allocation and byte gates, the plan sweeps
-# and the full tagger differential skip under test-race's -short.
-ci: fmt vet staticcheck build test test-race chaos fuzz-smoke
+# and the full tagger differential skip under test-race's -short. loc and
+# knobs cannot fail; they print the code size and configuration surface
+# into every CI log.
+ci: fmt vet staticcheck build test test-race chaos fuzz-smoke loc knobs
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

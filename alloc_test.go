@@ -70,7 +70,7 @@ func TestAllocsPerDocument(t *testing.T) {
 		},
 		{
 			// serve-hot: a fragment-cache hit through a registry handle.
-			name: "fragment-hit", count: 278, mb: 0.0151, tol: 0.03,
+			name: "fragment-hit", count: 2, mb: 0.00026, tol: 0.03,
 			setup: func(t *testing.T) func() error {
 				h, err := NewHandle("q1", db, rxl.Query1Source, WithPlanCache(), WithFragmentCache(0))
 				if err != nil {

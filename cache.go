@@ -35,20 +35,6 @@ func WithFragmentCache(maxBytes int64) Option {
 	return func(c *config) { c.fragCache, c.fragBytes = true, maxBytes }
 }
 
-// WithServeStale opts a view into graceful degradation: when the backend
-// is entirely unhealthy (every replica open-circuit — ErrNoHealthyReplica
-// or ErrCircuitOpen) and not a single byte of the response has been
-// written yet, Materialize serves the view's last complete fragment-cache
-// entry instead of failing, marking the Report with ServedStale and the
-// entry's age. The stale document is always a complete, previously
-// validated materialization — never a partial, never mixed with fresh
-// bytes. Requires WithFragmentCache; without a cached entry (or once any
-// fresh byte has escaped) the request fails closed exactly as today.
-// View option.
-func WithServeStale() Option {
-	return func(c *config) { c.serveStale = true }
-}
-
 // planCache lazily creates the DB's shared plan cache.
 func (db *DB) planCache() *plancache.Cache {
 	db.cacheMu.Lock()
@@ -62,7 +48,7 @@ func (db *DB) planCache() *plancache.Cache {
 // fragCache lazily creates the DB's shared fragment cache and hooks it into
 // the engine's write path, so every insert — facade, CSV load, generator —
 // invalidates dependent fragments immediately. The first caller's byte
-// budget wins; later callers may resize via the returned cache.
+// budget wins.
 func (db *DB) fragCache(maxBytes int64) *fragcache.Cache {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
@@ -102,7 +88,8 @@ func (r *Remote) fragCache(maxBytes int64) *fragcache.Cache {
 // the WHERE conditions structure alone would miss — arguments, and
 // contents) plus every edge. Strategy is deliberately excluded: all
 // strategies produce byte-identical documents, so one fragment entry serves
-// them all (the plan cache adds strategy to its own key).
+// them all (the plan cache adds strategy to its own key). Every input is
+// fixed at construction, so config.apply computes it once, into View.key.
 func (v *View) fingerprint() uint64 {
 	h := fnv.New64a()
 	ws := func(parts ...string) {
@@ -185,8 +172,7 @@ func (v *View) serveCached(ctx context.Context, w io.Writer, s Strategy) (*Repor
 	}
 	_, span := obs.StartSpan(ctx, "cache.fragment.lookup")
 	defer span.End()
-	key := v.fingerprint()
-	e := v.frags.Get(key)
+	e := v.frags.Get(v.key)
 	if e == nil {
 		if m := obs.M(); m != nil {
 			m.Cache.FragmentMisses.Inc()
@@ -203,7 +189,7 @@ func (v *View) serveCached(ctx context.Context, w io.Writer, s Strategy) (*Repor
 		return nil, false, nil
 	}
 	if !e.Stamp.Fresh(cur) {
-		v.frags.Invalidate(key)
+		v.frags.Invalidate(v.key)
 		if m := obs.M(); m != nil {
 			m.Cache.FragmentMisses.Inc()
 		}
@@ -231,7 +217,7 @@ func (v *View) cachedPlan(ctx context.Context, s Strategy) (*plan.Plan, *Report,
 	if !ok {
 		return v.planCold(ctx, s)
 	}
-	key := plancache.Key{View: v.fingerprint(), Strategy: s.String(), Epoch: epoch}
+	key := plancache.Key{View: v.key, Strategy: s.String(), Epoch: epoch}
 	if e := v.plans.Get(key); e != nil {
 		rep := &Report{Strategy: s, PlanCached: true}
 		rep.GreedyMandatory = append([]int(nil), e.Mandatory...)

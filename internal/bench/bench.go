@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"silkroute/internal/engine"
+	"silkroute/internal/fanout"
 	"silkroute/internal/plan"
 	"silkroute/internal/rxl"
 	"silkroute/internal/tpch"
@@ -101,18 +102,18 @@ type Runner struct {
 	// Repeat re-executes each plan this many times and keeps the fastest
 	// run, damping scheduler noise. Defaults to 1.
 	Repeat int
-	// Parallelism bounds how many plans a Sweep measures concurrently.
-	// <=1 keeps the original serial sweep. Results are collected by plan
-	// bitmask index either way, so CSV exports and figure tables are
-	// byte-identical at any setting. Note that concurrent measurement
-	// trades per-plan timing fidelity for sweep throughput: use it to
-	// explore, re-run serially to publish numbers.
+	// Parallelism bounds how many plans a Sweep measures concurrently:
+	// 1 is the serial sweep, <= 0 one worker per CPU. Results are
+	// collected by plan bitmask index either way, so CSV exports and
+	// figure tables are byte-identical at any setting. Note that
+	// concurrent measurement trades per-plan timing fidelity for sweep
+	// throughput: use it to explore, re-run serially to publish numbers.
 	Parallelism int
 }
 
-// NewRunner builds a runner with an in-process wire client.
+// NewRunner builds a serial runner with an in-process wire client.
 func NewRunner(db *engine.Database) *Runner {
-	return &Runner{DB: db, Client: wire.InProcess(db), Repeat: 1}
+	return &Runner{DB: db, Client: wire.InProcess(db), Repeat: 1, Parallelism: 1}
 }
 
 // Run executes one plan and measures it. Cancelling ctx aborts the
@@ -151,63 +152,31 @@ func (r *Runner) Run(ctx context.Context, p *plan.Plan, bits uint64) (PlanResult
 // Sweep measures all 2^|E| plans of a view tree (the exhaustive experiment
 // behind Figures 13 and 14; the paper ran it only on Config A, as does the
 // harness by default). progress, if non-nil, receives a line every 64
-// plans. With Runner.Parallelism > 1 the plans are measured under a worker
-// pool; the result slice is in bitmask order regardless.
+// plans. Runner.Parallelism plans are measured at once; the result slice
+// is in bitmask order regardless.
 func (r *Runner) Sweep(ctx context.Context, t *viewtree.Tree, reduce bool, progress io.Writer) ([]PlanResult, error) {
-	if r.Parallelism <= 1 {
-		var out []PlanResult
-		err := plan.Enumerate(t, reduce, func(bits uint64, p *plan.Plan) error {
-			res, err := r.Run(ctx, p, bits)
-			if err != nil {
-				return fmt.Errorf("plan %b: %w", bits, err)
-			}
-			out = append(out, res)
-			if progress != nil && bits%64 == 63 {
-				fmt.Fprintf(progress, "  swept %d/%d plans\n", bits+1, 1<<uint(len(t.Edges)))
-			}
-			return nil
-		})
-		return out, err
-	}
-
 	if len(t.Edges) > 30 {
 		return nil, fmt.Errorf("bench: refusing to sweep 2^%d plans", len(t.Edges))
 	}
 	total := 1 << uint(len(t.Edges))
-	workers := r.Parallelism
-	if workers > total {
-		workers = total
-	}
 	out := make([]PlanResult, total)
 	errs := make([]error, total)
-	var next, done atomic.Int64
+	var done atomic.Int64
 	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(total) {
-					return
-				}
-				bits := uint64(i)
-				res, err := r.Run(ctx, plan.FromBits(t, bits, reduce), bits)
-				if err != nil {
-					errs[i] = fmt.Errorf("plan %b: %w", bits, err)
-				} else {
-					out[i] = res
-				}
-				if d := done.Add(1); progress != nil && d%64 == 0 {
-					progressMu.Lock()
-					fmt.Fprintf(progress, "  swept %d/%d plans\n", d, total)
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Each(total, r.Parallelism, func(i int) {
+		bits := uint64(i)
+		res, err := r.Run(ctx, plan.FromBits(t, bits, reduce), bits)
+		if err != nil {
+			errs[i] = fmt.Errorf("plan %b: %w", bits, err)
+		} else {
+			out[i] = res
+		}
+		if d := done.Add(1); progress != nil && d%64 == 0 {
+			progressMu.Lock()
+			fmt.Fprintf(progress, "  swept %d/%d plans\n", d, total)
+			progressMu.Unlock()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

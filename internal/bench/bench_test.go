@@ -77,12 +77,13 @@ func TestRunnerMeasuresPlan(t *testing.T) {
 }
 
 func TestParallelSweepMatchesSerialOrder(t *testing.T) {
-	// The parallel sweep must return results in bitmask order with the
+	// A parallel sweep must return results in bitmask order with the
 	// same per-plan shape facts (streams, rows, bytes) as the serial
-	// enumeration — times differ, the structure may not. A tiny database
-	// keeps the 2×512 wire executions affordable.
+	// one — times differ, the structure may not. Parallelism 0 means one
+	// worker per CPU, not serial. A tiny database keeps the 3×512 wire
+	// executions affordable.
 	if testing.Short() {
-		t.Skip("1024 plan executions in -short mode")
+		t.Skip("1536 plan executions in -short mode")
 	}
 	db := OpenScaled(0.0002, 11)
 	tree, err := QueryTree(db, 1)
@@ -90,31 +91,34 @@ func TestParallelSweepMatchesSerialOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	serialRun := NewRunner(db)
+	serialRun.Parallelism = 1
 	serial, err := serialRun.Sweep(ctx, tree, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRun := NewRunner(db)
-	parRun.Parallelism = 4
-	var progress bytes.Buffer
-	par, err := parRun.Sweep(ctx, tree, true, &progress)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(serial) {
-		t.Fatalf("parallel sweep returned %d results, serial %d", len(par), len(serial))
-	}
-	for i := range par {
-		if par[i].Bits != uint64(i) {
-			t.Fatalf("result %d carries bits %b, want %b", i, par[i].Bits, i)
+	for _, workers := range []int{4, 0} {
+		parRun := NewRunner(db)
+		parRun.Parallelism = workers
+		var progress bytes.Buffer
+		par, err := parRun.Sweep(ctx, tree, true, &progress)
+		if err != nil {
+			t.Fatal(err)
 		}
-		s := serial[i]
-		if par[i].Streams != s.Streams || par[i].Rows != s.Rows || par[i].Bytes != s.Bytes || par[i].Reduced != s.Reduced {
-			t.Errorf("plan %b: parallel %+v vs serial %+v", i, par[i], s)
+		if len(par) != len(serial) {
+			t.Fatalf("parallelism %d: sweep returned %d results, serial %d", workers, len(par), len(serial))
 		}
-	}
-	if !strings.Contains(progress.String(), "swept") {
-		t.Errorf("no progress lines written: %q", progress.String())
+		for i := range par {
+			if par[i].Bits != uint64(i) {
+				t.Fatalf("parallelism %d: result %d carries bits %b, want %b", workers, i, par[i].Bits, i)
+			}
+			s := serial[i]
+			if par[i].Streams != s.Streams || par[i].Rows != s.Rows || par[i].Bytes != s.Bytes || par[i].Reduced != s.Reduced {
+				t.Errorf("parallelism %d, plan %b: parallel %+v vs serial %+v", workers, i, par[i], s)
+			}
+		}
+		if !strings.Contains(progress.String(), "swept") {
+			t.Errorf("parallelism %d: no progress lines written: %q", workers, progress.String())
+		}
 	}
 }
 

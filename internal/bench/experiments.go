@@ -32,9 +32,10 @@ type Suite struct {
 	// Repeat is per-plan repetition count for noise damping.
 	Repeat int
 	// Parallelism is forwarded to every Runner the suite creates (plan
-	// sweeps) and to the greedy searches. <=1 reproduces the serial
-	// harness exactly; higher values speed up exploratory runs at the
-	// price of per-plan timing fidelity.
+	// sweeps) and to the greedy searches. 1, the default, reproduces the
+	// serial harness exactly; higher values, or <= 0 for one worker per
+	// CPU, speed up exploratory runs at the price of per-plan timing
+	// fidelity.
 	Parallelism int
 
 	dbA    *engine.Database
@@ -45,7 +46,7 @@ type Suite struct {
 
 // NewSuite creates a suite writing human-readable tables to out.
 func NewSuite(out io.Writer) *Suite {
-	return &Suite{Out: out, ScaleB: ConfigB.Scale, Repeat: 1,
+	return &Suite{Out: out, ScaleB: ConfigB.Scale, Repeat: 1, Parallelism: 1,
 		trees: make(map[int]*viewtree.Tree), sweeps: make(map[string][]PlanResult)}
 }
 

@@ -116,8 +116,8 @@ func ParseSpec(s string) (Spec, error) {
 
 // String renders the spec back into ParseSpec's key=value form, omitting
 // zero fields; a zero Spec renders as "". ParseSpec(sp.String()) == sp,
-// which lets per-replica specs built by ParseMultiSpec travel through
-// string-typed plumbing like DB.ServeChaosContext.
+// which lets a Spec travel through string-typed plumbing like
+// DB.ServeChaosContext, one string per server.
 func (sp Spec) String() string {
 	var parts []string
 	add := func(k, v string) { parts = append(parts, k+"="+v) }
@@ -152,142 +152,6 @@ func (sp Spec) String() string {
 		add("kills", strconv.Itoa(sp.KillTimes))
 	}
 	return strings.Join(parts, ",")
-}
-
-// ParseMultiSpec parses per-replica fault specs for an n-replica
-// deployment: semicolon-separated segments, each either "i:spec" (the
-// spec applies to replica i only, 0-based) or a bare spec that becomes
-// the default for every replica without its own segment. Later segments
-// for the same replica override earlier ones. An empty segment — or an
-// empty string — means no faults.
-//
-//	"cutrow=5"                      every replica cuts at row 5
-//	"0:cutrowmax=10,kills=100"      replica 0 is kill-happy, others clean
-//	"latency=1ms;2:cutrow=3"        all replicas slow, replica 2 also cut
-func ParseMultiSpec(s string, n int) ([]Spec, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("chaos: multi spec needs n > 0 replicas, got %d", n)
-	}
-	specs := make([]Spec, n)
-	var def Spec
-	own := make([]bool, n)
-	for _, seg := range strings.Split(s, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		// An "i:" prefix targets one replica. The colon cannot be confused
-		// with spec content: keys and values never contain one (durations
-		// like "2ms" don't either).
-		if head, rest, ok := strings.Cut(seg, ":"); ok {
-			i, err := strconv.Atoi(strings.TrimSpace(head))
-			if err != nil {
-				return nil, fmt.Errorf("chaos: multi spec segment %q: bad replica index: %v", seg, err)
-			}
-			if i < 0 || i >= n {
-				return nil, fmt.Errorf("chaos: multi spec segment %q: replica %d out of range [0,%d)", seg, i, n)
-			}
-			sp, err := ParseSpec(rest)
-			if err != nil {
-				return nil, err
-			}
-			specs[i], own[i] = sp, true
-			continue
-		}
-		sp, err := ParseSpec(seg)
-		if err != nil {
-			return nil, err
-		}
-		def = sp
-	}
-	for i := range specs {
-		if !own[i] {
-			specs[i] = def
-		}
-	}
-	return specs, nil
-}
-
-// ParseGridSpec parses per-cell fault specs for a shards × replicas grid:
-// counts[i] is shard i's replica count. Segments are semicolon-separated,
-// each addressing one coordinate level:
-//
-//	"cutrow=5"            default: every replica of every shard
-//	"1:cutrow=5"          every replica of shard 1
-//	"0.1:kills=100"       shard 0, replica 1 only
-//
-// More specific segments win (cell over shard over default); later
-// segments of equal specificity override earlier ones. The addressing
-// round-trips: "i.j:" + Spec.String() re-parses to the same cell.
-func ParseGridSpec(s string, counts []int) ([][]Spec, error) {
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("chaos: grid spec needs at least one shard")
-	}
-	var def Spec
-	shard := make([]Spec, len(counts))
-	ownShard := make([]bool, len(counts))
-	cell := make([][]Spec, len(counts))
-	ownCell := make([][]bool, len(counts))
-	for i, c := range counts {
-		if c <= 0 {
-			return nil, fmt.Errorf("chaos: grid spec shard %d needs > 0 replicas, got %d", i, c)
-		}
-		cell[i] = make([]Spec, c)
-		ownCell[i] = make([]bool, c)
-	}
-	for _, seg := range strings.Split(s, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		head, rest, ok := strings.Cut(seg, ":")
-		if !ok {
-			sp, err := ParseSpec(seg)
-			if err != nil {
-				return nil, err
-			}
-			def = sp
-			continue
-		}
-		head = strings.TrimSpace(head)
-		si, sj, dotted := strings.Cut(head, ".")
-		i, err := strconv.Atoi(strings.TrimSpace(si))
-		if err != nil {
-			return nil, fmt.Errorf("chaos: grid spec segment %q: bad shard index: %v", seg, err)
-		}
-		if i < 0 || i >= len(counts) {
-			return nil, fmt.Errorf("chaos: grid spec segment %q: shard %d out of range [0,%d)", seg, i, len(counts))
-		}
-		sp, err := ParseSpec(rest)
-		if err != nil {
-			return nil, err
-		}
-		if !dotted {
-			shard[i], ownShard[i] = sp, true
-			continue
-		}
-		j, err := strconv.Atoi(strings.TrimSpace(sj))
-		if err != nil {
-			return nil, fmt.Errorf("chaos: grid spec segment %q: bad replica index: %v", seg, err)
-		}
-		if j < 0 || j >= counts[i] {
-			return nil, fmt.Errorf("chaos: grid spec segment %q: replica %d out of range [0,%d) of shard %d", seg, j, counts[i], i)
-		}
-		cell[i][j], ownCell[i][j] = sp, true
-	}
-	for i := range cell {
-		for j := range cell[i] {
-			if ownCell[i][j] {
-				continue
-			}
-			if ownShard[i] {
-				cell[i][j] = shard[i]
-			} else {
-				cell[i][j] = def
-			}
-		}
-	}
-	return cell, nil
 }
 
 // Injector applies one Spec. It is safe for concurrent use; one Injector

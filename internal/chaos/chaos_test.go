@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 )
@@ -188,135 +187,5 @@ func TestSpecStringRoundTrips(t *testing.T) {
 	}
 	if s := (Spec{}).String(); s != "" {
 		t.Errorf("zero Spec renders as %q, want empty", s)
-	}
-}
-
-func TestParseMultiSpec(t *testing.T) {
-	// Bare segment is the default; "i:" segments override per replica.
-	specs, err := ParseMultiSpec("latency=1ms,latencyevery=5;0:cutrowmax=10,kills=100;2:cutrow=3", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Spec{
-		{CutRowMax: 10, KillTimes: 100},
-		{Latency: time.Millisecond, LatencyEvery: 5},
-		{CutRowAt: 3},
-	}
-	for i := range want {
-		if specs[i] != want[i] {
-			t.Errorf("replica %d: got %+v, want %+v", i, specs[i], want[i])
-		}
-	}
-
-	// Later segments for the same replica win.
-	specs, err = ParseMultiSpec("1:cutrow=5;1:cutrow=9", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if specs[1].CutRowAt != 9 {
-		t.Errorf("override: got cutrow=%d, want 9", specs[1].CutRowAt)
-	}
-	if specs[0] != (Spec{}) {
-		t.Errorf("replica 0 without a segment and no default: got %+v, want zero", specs[0])
-	}
-
-	// Empty string: no faults anywhere.
-	specs, err = ParseMultiSpec("", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sp := range specs {
-		if sp != (Spec{}) {
-			t.Errorf("empty multi spec, replica %d: got %+v, want zero", i, sp)
-		}
-	}
-
-	// Errors: out-of-range index, bad index, bad spec body, n <= 0.
-	for _, bad := range []struct {
-		s string
-		n int
-	}{
-		{"3:cutrow=1", 3},
-		{"-1:cutrow=1", 2},
-		{"x:cutrow=1", 2},
-		{"0:bogus=1", 2},
-		{"cutrow=1", 0},
-	} {
-		if _, err := ParseMultiSpec(bad.s, bad.n); err == nil {
-			t.Errorf("ParseMultiSpec(%q, %d) succeeded, want error", bad.s, bad.n)
-		}
-	}
-}
-
-func TestParseGridSpec(t *testing.T) {
-	// Three specificity levels: bare default, "i:" per shard, "i.j:" per
-	// cell — the most specific wins.
-	grid, err := ParseGridSpec("latency=1ms,latencyevery=5;1:cutrowmax=10;1.1:cutrow=3", []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def := Spec{Latency: time.Millisecond, LatencyEvery: 5}
-	want := [][]Spec{
-		{def, def},
-		{{CutRowMax: 10}, {CutRowAt: 3}},
-	}
-	for i := range want {
-		for j := range want[i] {
-			if grid[i][j] != want[i][j] {
-				t.Errorf("cell %d.%d: got %+v, want %+v", i, j, grid[i][j], want[i][j])
-			}
-		}
-	}
-
-	// Empty string: a zero grid of the right shape.
-	grid, err = ParseGridSpec("", []int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != 2 || len(grid[0]) != 1 || len(grid[1]) != 3 {
-		t.Fatalf("empty grid shape: %v", grid)
-	}
-	for i := range grid {
-		for j, sp := range grid[i] {
-			if sp != (Spec{}) {
-				t.Errorf("empty grid cell %d.%d: got %+v, want zero", i, j, sp)
-			}
-		}
-	}
-
-	// A cell segment built from Spec.String round-trips through the grid.
-	sp := Spec{Seed: 7, CutRowMax: 10, KillTimes: 1000000}
-	grid, err = ParseGridSpec("0.1:"+sp.String(), []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid[0][1] != sp {
-		t.Errorf("round-trip cell: got %+v, want %+v", grid[0][1], sp)
-	}
-	if grid[0][0] != (Spec{}) {
-		t.Errorf("unaddressed cell: got %+v, want zero", grid[0][0])
-	}
-
-	for _, tc := range []struct {
-		spec   string
-		counts []int
-		msg    string
-	}{
-		{"", nil, "at least one shard"},
-		{"", []int{2, 0}, "needs > 0 replicas"},
-		{"x:cutrow=1", []int{2}, "bad shard index"},
-		{"2:cutrow=1", []int{2}, "out of range"},
-		{"0.x:cutrow=1", []int{2}, "bad replica index"},
-		{"0.2:cutrow=1", []int{2, 2}, "out of range"},
-		{"0:bogus=1", []int{2}, "bogus"},
-	} {
-		_, err := ParseGridSpec(tc.spec, tc.counts)
-		if err == nil {
-			t.Errorf("ParseGridSpec(%q, %v) accepted", tc.spec, tc.counts)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.msg) {
-			t.Errorf("ParseGridSpec(%q, %v) = %v, want it to mention %q", tc.spec, tc.counts, err, tc.msg)
-		}
 	}
 }

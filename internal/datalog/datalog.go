@@ -64,16 +64,6 @@ func operandString(o rxl.Operand) string {
 	return "$" + o.Var + "." + o.Field
 }
 
-// HasAtom reports whether the rule binds the given tuple variable.
-func (r *Rule) HasAtom(v string) bool {
-	for _, a := range r.Atoms {
-		if a.Var == v {
-			return true
-		}
-	}
-	return false
-}
-
 // relOf returns the relation bound to tuple variable v, or "".
 func (r *Rule) relOf(v string) string {
 	for _, a := range r.Atoms {

@@ -61,13 +61,6 @@ func TestRuleString(t *testing.T) {
 	}
 }
 
-func TestHasAtom(t *testing.T) {
-	r := partRule()
-	if !r.HasAtom("ps") || r.HasAtom("zz") {
-		t.Error("HasAtom wrong")
-	}
-}
-
 func TestFDSetIncludesKeysAndEqualities(t *testing.T) {
 	s := tpch.Schema()
 	r := nationRule()

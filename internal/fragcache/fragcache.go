@@ -212,32 +212,6 @@ func (c *Cache) Invalidate(key uint64) {
 	}
 }
 
-// SetMaxBytes adjusts the byte budget, evicting LRU entries if the cache is
-// now over it. Non-positive means unbounded.
-func (c *Cache) SetMaxBytes(maxBytes int64) {
-	c.mu.Lock()
-	c.max = maxBytes
-	var evicted int64
-	for c.max > 0 && c.bytes > c.max && c.tail != nil {
-		c.remove(c.tail)
-		evicted++
-	}
-	bytes := c.bytes
-	c.mu.Unlock()
-
-	if m := obs.M(); m != nil && evicted > 0 {
-		m.Cache.FragmentEvictions.Add(evicted)
-		m.Cache.FragmentBytes.Set(bytes)
-	}
-}
-
-// MaxBytes returns the current byte budget (non-positive = unbounded).
-func (c *Cache) MaxBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.max
-}
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()

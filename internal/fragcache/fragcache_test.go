@@ -122,25 +122,6 @@ func TestReplaceSameKey(t *testing.T) {
 	}
 }
 
-func TestSetMaxBytesShrinks(t *testing.T) {
-	c := New(0)
-	c.Put(1, frags(strings.Repeat("a", 10)), nil, Stamp{})
-	c.Put(2, frags(strings.Repeat("b", 10)), nil, Stamp{})
-	c.SetMaxBytes(10)
-	if c.Bytes() > 10 {
-		t.Fatalf("Bytes = %d after shrink, want <= 10", c.Bytes())
-	}
-	if c.Get(1) != nil {
-		t.Fatal("LRU entry survived budget shrink")
-	}
-	if c.Get(2) == nil {
-		t.Fatal("MRU entry was evicted")
-	}
-	if c.MaxBytes() != 10 {
-		t.Fatalf("MaxBytes = %d", c.MaxBytes())
-	}
-}
-
 func TestStampFresh(t *testing.T) {
 	cases := []struct {
 		name     string

@@ -2,13 +2,13 @@ package plan
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"silkroute/internal/engine"
+	"silkroute/internal/fanout"
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlast"
 	"silkroute/internal/sqlgen"
@@ -149,11 +149,6 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 	res := &GreedyResult{Params: prm}
 	contracted := make([]bool, len(t.Edges))
 
-	par := prm.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
 	var requests atomic.Int64
 	var cacheMu sync.Mutex
 	// The cost cache is keyed by a candidate's node set, a bitset over node
@@ -265,28 +260,9 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 		}
 		rels := make([]float64, len(remaining))
 		errs := make([]error, len(remaining))
-		if workers := min(par, len(remaining)); workers > 1 {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for g := 0; g < workers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(remaining) {
-							return
-						}
-						rels[i], errs[i] = evalEdge(roots, remaining[i])
-					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			for i, ei := range remaining {
-				rels[i], errs[i] = evalEdge(roots, ei)
-			}
-		}
+		fanout.Each(len(remaining), prm.Parallelism, func(i int) {
+			rels[i], errs[i] = evalEdge(roots, remaining[i])
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

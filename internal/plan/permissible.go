@@ -74,21 +74,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// FilterPermissible keeps the plans that can run on the target.
-func FilterPermissible(plans []*Plan, caps schema.Capabilities) ([]*Plan, error) {
-	var out []*Plan
-	for _, p := range plans {
-		ok, err := p.Permissible(caps)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
 // BestPermissible runs the greedy search and returns the cheapest-looking
 // member of the plan family that the target's capabilities permit, falling
 // back to the fully partitioned plan — which is always permissible.

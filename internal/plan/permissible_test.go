@@ -95,18 +95,6 @@ func TestReductionRemovesUnionNeed(t *testing.T) {
 	}
 }
 
-func TestFilterPermissible(t *testing.T) {
-	tree := permTree(t)
-	plans := []*Plan{FullyPartitioned(tree), Unified(tree, true)}
-	kept, err := FilterPermissible(plans, schema.Capabilities{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 1 || kept[0].KeptEdges() != 0 {
-		t.Errorf("filter kept %d plans", len(kept))
-	}
-}
-
 func TestBestPermissibleFallsBackUnderWeakTargets(t *testing.T) {
 	db := tpch.Generate(0.001, 42)
 	tree, err := viewtree.Build(mustParse(t, rxl.Query1Source), db.Schema)

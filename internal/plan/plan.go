@@ -17,13 +17,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"silkroute/internal/engine"
+	"silkroute/internal/fanout"
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlast"
 	"silkroute/internal/sqlgen"
@@ -132,13 +130,17 @@ func (p *Plan) BaseTables() ([]string, error) {
 // time (until the last tuple has been read and tagged).
 type Metrics struct {
 	Streams int
-	// QueryTime is the summed per-stream server execution time. It is the
-	// paper's "query-only" series and is independent of Parallelism, so
-	// parallel runs stay comparable with the published serial numbers.
+	// QueryTime is the paper's "query-only" series. ExecuteDirect reports
+	// the summed per-stream engine time, which is independent of
+	// Parallelism, so parallel runs stay comparable with the published
+	// serial numbers. ExecuteWire opens every stream at once and reports
+	// the wall clock until each has its first tuple, which is what the
+	// paper's client measured.
 	QueryTime time.Duration
 	// QueryWallTime is the elapsed wall clock of the query phase. With
 	// Parallelism 1 it equals QueryTime (plus scheduling noise); with more
-	// workers it is what actually shrinks.
+	// workers it is what actually shrinks. Over the wire it equals
+	// QueryTime.
 	QueryWallTime time.Duration
 	TotalTime     time.Duration
 	Rows          int64 // total tuples transferred across all streams
@@ -220,7 +222,7 @@ func (s *resultSource) Next() ([]value.Value, bool, error) {
 
 // ExecuteDirect runs the plan against an in-process engine (no wire
 // protocol) and writes the XML document to w. Partition queries execute
-// under a bounded worker pool of p.Parallelism goroutines (see Plan);
+// on at most p.Parallelism goroutines (see Plan and fanout.Each);
 // QueryTime stays the summed server execution time regardless of the pool
 // size, QueryWallTime is the elapsed query phase, and TotalTime adds
 // tagging. Results are collected by stream index, so the merged document
@@ -241,61 +243,20 @@ func ExecuteDirect(ctx context.Context, db *engine.Database, p *Plan, w io.Write
 	inputs := make([]tagger.Input, len(streams))
 	perRows := make([]int64, len(streams))
 
-	par := p.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(streams) {
-		par = len(streams)
-	}
-
-	if par <= 1 {
-		for i, s := range streams {
-			qs := time.Now()
-			res, err := db.ExecuteQueryContext(ctx, s.Query)
-			qd := time.Since(qs)
-			m.QueryTime += qd
-			if err != nil {
-				return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, err)
-			}
-			m.PerStream[i] = StreamMetrics{SQL: s.SQL(), QueryTime: qd, WallTime: qd}
-			inputs[i] = tagger.Input{Meta: s, Rows: &resultSource{ctx: ctx, res: res, rows: &perRows[i]}}
+	results := make([]*engine.Result, len(streams))
+	errs := make([]error, len(streams))
+	fanout.Each(len(streams), p.Parallelism, func(i int) {
+		qs := time.Now()
+		results[i], errs[i] = db.ExecuteQueryContext(ctx, streams[i].Query)
+		qd := time.Since(qs)
+		m.PerStream[i] = StreamMetrics{SQL: streams[i].SQL(), QueryTime: qd, WallTime: qd}
+	})
+	for i, s := range streams {
+		if errs[i] != nil {
+			return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, errs[i])
 		}
-	} else {
-		results := make([]*engine.Result, len(streams))
-		errs := make([]error, len(streams))
-		durs := make([]time.Duration, len(streams))
-		var next atomic.Int64
-		var served atomic.Int64 // summed per-query server nanoseconds
-		var wg sync.WaitGroup
-		for g := 0; g < par; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(streams) {
-						return
-					}
-					qs := time.Now()
-					res, err := db.ExecuteQueryContext(ctx, streams[i].Query)
-					durs[i] = time.Since(qs)
-					served.Add(int64(durs[i]))
-					results[i], errs[i] = res, err
-				}
-			}()
-		}
-		wg.Wait()
-		m.QueryTime = time.Duration(served.Load())
-		for i, err := range errs {
-			if err != nil {
-				return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, err)
-			}
-		}
-		for i, s := range streams {
-			m.PerStream[i] = StreamMetrics{SQL: s.SQL(), QueryTime: durs[i], WallTime: durs[i]}
-			inputs[i] = tagger.Input{Meta: s, Rows: &resultSource{ctx: ctx, res: results[i], rows: &perRows[i]}}
-		}
+		m.QueryTime += m.PerStream[i].QueryTime
+		inputs[i] = tagger.Input{Meta: s, Rows: &resultSource{ctx: ctx, res: results[i], rows: &perRows[i]}}
 	}
 	m.QueryWallTime = time.Since(start)
 
@@ -334,10 +295,12 @@ func (s *wireSource) Next() ([]value.Value, bool, error) {
 }
 
 // ExecuteWire runs the plan through the wire protocol: all SQL queries are
-// submitted concurrently (one connection per stream, as the paper's client
-// opened one JDBC result set per query), then the tagger merges the
-// streams. Query time is the span from submission until every stream has
-// returned its first tuple; total time runs until the document is written.
+// submitted at once, one goroutine each (one connection per stream, as the
+// paper's client opened one JDBC result set per query; an open waits on
+// the server, not on local CPUs, so p.Parallelism does not bound it), then
+// the tagger merges the streams. Query time is the span from submission
+// until every stream has returned its first tuple; total time runs until
+// the document is written.
 //
 // ctx governs the whole run. Cancelling it unblocks any stream mid-read —
 // even one stalled on the network — releases every connection back to the
@@ -362,20 +325,14 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 		err  error
 	}
 	results := make([]opened, len(streams))
-	var wg sync.WaitGroup
-	for i, s := range streams {
-		sql := s.SQL()
-		m.PerStream[i].SQL = sql
-		wg.Add(1)
-		go func(i int, sql string, spec *wire.ResumeSpec) {
-			defer wg.Done()
-			qs := time.Now()
-			rows, err := client.QueryResumable(ctx, sql, spec)
-			m.PerStream[i].QueryTime = time.Since(qs)
-			results[i] = opened{rows: rows, err: err}
-		}(i, sql, resumeSpec(s))
-	}
-	wg.Wait()
+	fanout.Each(len(streams), len(streams), func(i int) {
+		s := streams[i]
+		m.PerStream[i].SQL = s.SQL()
+		qs := time.Now()
+		rows, err := client.QueryResumable(ctx, m.PerStream[i].SQL, resumeSpec(s))
+		m.PerStream[i].QueryTime = time.Since(qs)
+		results[i] = opened{rows: rows, err: err}
+	})
 	m.QueryTime = time.Since(start)
 	m.QueryWallTime = m.QueryTime
 

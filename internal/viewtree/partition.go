@@ -50,19 +50,6 @@ type Component struct {
 	Groups []*Group
 }
 
-// MaxLevel returns the deepest node level in the component.
-func (c *Component) MaxLevel() int {
-	max := 0
-	for _, g := range c.Groups {
-		for _, m := range g.Members {
-			if m.Level() > max {
-				max = m.Level()
-			}
-		}
-	}
-	return max
-}
-
 // Partition splits the tree under a kept-edge subset and, when reduce is
 // true, collapses '1'-labeled kept edges within each component. Components
 // are returned in breadth-first order of their root nodes.

@@ -283,7 +283,7 @@ func TestReplicaSetIdleConnsSumsAndCloses(t *testing.T) {
 	}
 }
 
-func TestParseMultiSpecStyleNamesReplicas(t *testing.T) {
+func TestReplicaSetErrorsNameTheReplica(t *testing.T) {
 	// WithReplicaNames feeds error text; make sure StatsEpoch failures name
 	// the replica they probed.
 	dead := NewClient(func(context.Context) (net.Conn, error) {

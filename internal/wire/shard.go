@@ -30,10 +30,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"silkroute/internal/engine"
+	"silkroute/internal/fanout"
 	"silkroute/internal/obs"
 	"silkroute/internal/value"
 )
@@ -103,15 +103,9 @@ func (s *ShardSet) QueryResumable(ctx context.Context, sql string, spec *ResumeS
 	start := time.Now()
 	children := make([]*Rows, len(s.shards))
 	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			children[i], errs[i] = s.shards[i].QueryResumable(ctx, sql, spec)
-		}(i)
-	}
-	wg.Wait()
+	fanout.Each(len(s.shards), len(s.shards), func(i int) {
+		children[i], errs[i] = s.shards[i].QueryResumable(ctx, sql, spec)
+	})
 	for i, err := range errs {
 		if err != nil {
 			for _, c := range children {
@@ -149,15 +143,9 @@ func (s *ShardSet) QueryResumable(ctx context.Context, sql string, spec *ResumeS
 func (s *ShardSet) Estimate(ctx context.Context, sql string) (engine.Estimate, error) {
 	ests := make([]engine.Estimate, len(s.shards))
 	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ests[i], errs[i] = s.shards[i].Estimate(ctx, sql)
-		}(i)
-	}
-	wg.Wait()
+	fanout.Each(len(s.shards), len(s.shards), func(i int) {
+		ests[i], errs[i] = s.shards[i].Estimate(ctx, sql)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return engine.Estimate{}, fmt.Errorf("wire: %s: %w", s.names[i], err)
@@ -186,15 +174,9 @@ func (s *ShardSet) Estimate(ctx context.Context, sql string) (engine.Estimate, e
 func (s *ShardSet) StatsEpoch(ctx context.Context) (int64, error) {
 	epochs := make([]int64, len(s.shards))
 	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			epochs[i], errs[i] = s.shards[i].StatsEpoch(ctx)
-		}(i)
-	}
-	wg.Wait()
+	fanout.Each(len(s.shards), len(s.shards), func(i int) {
+		epochs[i], errs[i] = s.shards[i].StatsEpoch(ctx)
+	})
 	var sum int64
 	for i, err := range errs {
 		if err != nil {

@@ -8,14 +8,10 @@ import (
 	"silkroute/internal/fragcache"
 	"silkroute/internal/plancache"
 	"silkroute/internal/rxl"
-	"silkroute/internal/schema"
 	"silkroute/internal/tpch"
 	"silkroute/internal/viewtree"
 	"silkroute/internal/wire"
 )
-
-// tpchSchemaForRemote builds the TPC-H schema via the generator package.
-func tpchSchemaForRemote() *schema.Schema { return tpch.Schema() }
 
 // Remote is a SilkRoute connection to a database served elsewhere over the
 // wire protocol — the paper's actual deployment: the middleware runs on a
@@ -129,5 +125,5 @@ func ParseRemoteView(r *Remote, s *Schema, src string, opts ...Option) (*View, e
 // TPC-H fragment schema, for middleware instances that evaluate views
 // against a remote TPC-H server.
 func TPCHSourceDescription() *Schema {
-	return &Schema{s: tpchSchemaForRemote()}
+	return &Schema{s: tpch.Schema()}
 }

@@ -65,10 +65,9 @@ type config struct {
 
 	source *Schema
 
-	planCache  bool
-	fragCache  bool
-	fragBytes  int64
-	serveStale bool
+	planCache bool
+	fragCache bool
+	fragBytes int64
 
 	resume  wire.Resume
 	breaker wire.Breaker
@@ -162,7 +161,9 @@ func (c *config) apply(v *View) {
 			v.frags = v.db.fragCache(c.fragBytes)
 		}
 	}
-	v.serveStale = c.serveStale
+	if v.plans != nil || v.frags != nil {
+		v.key = v.fingerprint()
+	}
 }
 
 // buildConfig applies opts over the defaults: a "document" wrapper,
@@ -516,8 +517,7 @@ func editDistance(a, b string) int {
 
 // View is a compiled RXL view bound to a database (local or remote).
 // Configuration happens exclusively through Options at construction time
-// (WithWrapper, WithReduce, WithParallelism, ...); the struct-field shims
-// that once mirrored them are gone per the DESIGN.md §8 removal schedule.
+// (WithWrapper, WithReduce, WithParallelism, ...).
 type View struct {
 	db     *DB
 	remote *Remote
@@ -538,10 +538,9 @@ type View struct {
 	// was built with WithPlanCache / WithFragmentCache.
 	plans *plancache.Cache
 	frags *fragcache.Cache
-	// serveStale opts the view into serving its last complete cached
-	// document when the backend is entirely unhealthy. Set with
-	// WithServeStale.
-	serveStale bool
+	// key is the view's fingerprint, the caches' key for it; set only when
+	// the view has a cache.
+	key uint64
 }
 
 // ParseView compiles an RXL view definition against the database's schema.
@@ -578,11 +577,15 @@ func (v *View) EdgeLabels() []string {
 
 // Report describes one materialization: the plan used and its timings.
 type Report struct {
-	Strategy  Strategy
-	Streams   int           // SQL queries (tuple streams) executed
-	QueryTime time.Duration // summed server-side execution time of all queries
+	Strategy Strategy
+	Streams  int // SQL queries (tuple streams) executed
+	// QueryTime is the query phase: on a local DB the summed engine time
+	// of all queries, on a remote view the wall clock until every stream
+	// has its first tuple (all streams are opened at once).
+	QueryTime time.Duration
 	// QueryWallTime is the elapsed wall clock of the query phase; with
-	// parallel execution it is shorter than QueryTime.
+	// parallel local execution it is shorter than QueryTime. On a remote
+	// view it equals QueryTime.
 	QueryWallTime time.Duration
 	TotalTime     time.Duration // until the document was fully written
 	Rows          int64         // tuples transferred
@@ -608,41 +611,25 @@ type Report struct {
 	// many of the streams' reopens (WithResume) went to a different replica
 	// than the one the stream died on (replicated topologies only).
 	Failovers int
-	// ServedStale reports that the document came from a stale fragment-cache
-	// entry because the backend was entirely unhealthy (WithServeStale
-	// views only). The document is a complete earlier materialization;
-	// StaleAge says how old.
+	// ServedStale reports that the document came from WriteStale: a
+	// fragment-cache entry served without a freshness check, which the
+	// view service does when the backend is entirely unhealthy. The
+	// document is a complete earlier materialization; StaleAge says how
+	// old.
 	ServedStale bool
 	// StaleAge is the age of the stale entry served (ServedStale only).
 	StaleAge time.Duration
 }
 
-// StreamStat is one tuple stream's share of a materialization.
-type StreamStat struct {
-	SQL       string        // the stream's generated query text
-	Rows      int64         // tuples the stream delivered
-	Bytes     int64         // payload bytes transferred (remote views only)
-	QueryTime time.Duration // server execution / time to first tuple
-	WallTime  time.Duration // through the last row drained into the tagger
-	Resumes   int           // mid-stream reopens after transport failures (remote views with WithResume)
-	Failovers int           // reopens that moved to another replica (replicated topologies only)
-	Replica   int           // replica index that finished serving the stream (0 single-backend)
-	// Shards breaks the stream down per shard for scatter-gather
-	// execution over a Sharded topology; nil otherwise.
-	Shards []ShardStat
-}
+// StreamStat is one tuple stream's share of a materialization: its SQL,
+// rows and bytes, query and wall time, and on remote views its reopens,
+// failovers, serving replica and per-shard breakdown.
+type StreamStat = plan.StreamMetrics
 
 // ShardStat is one shard's contribution to a scattered stream: its share
 // of the merged rows and bytes, the reopens it spent underneath the
 // merge, and the replica that ended up serving it.
-type ShardStat struct {
-	Shard     int   // shard index within the topology
-	Rows      int64 // tuples this shard supplied to the merge
-	Bytes     int64 // payload bytes this shard transferred
-	Resumes   int   // the shard stream's own mid-stream reopens
-	Failovers int   // the shard stream's reopens that moved replica
-	Replica   int   // replica index serving the shard's partial stream
-}
+type ShardStat = wire.ShardStat
 
 // Materialize evaluates the view with the given strategy and writes the
 // XML document to w.
@@ -656,33 +643,17 @@ func (v *View) Materialize(ctx context.Context, w io.Writer, s Strategy) (*Repor
 	if rep, served, err := v.serveCached(ctx, w, s); served {
 		return rep, err
 	}
-	if !v.serveStale {
-		p, rep, err := v.plan(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return v.execute(ctx, w, p, rep)
+	p, rep, err := v.cachedPlan(ctx, s)
+	if err != nil {
+		return nil, err
 	}
-	// Serve-stale is armed: count the bytes that escape to w, because the
-	// fallback is only legal while the response is still untouched — a
-	// stale document must never be mixed with fresh bytes.
-	cw := &countingWriter{w: w}
-	p, rep, err := v.plan(ctx, s)
-	if err == nil {
-		rep, err = v.execute(ctx, cw, p, rep)
-	}
-	if err != nil && cw.n == 0 && BackendUnhealthy(err) {
-		if srep, ok, serr := v.WriteStale(w); ok {
-			return srep, serr
-		}
-	}
-	return rep, err
+	return v.execute(ctx, w, p, rep)
 }
 
 // BackendUnhealthy reports whether err means the backend is entirely
 // unreachable right now — every replica open-circuit, or the single
-// backend's breaker open — the condition under which serve-stale
-// degradation (WithServeStale, viewsvc serve-stale mode) engages. Other
+// backend's breaker open — the condition under which the view service's
+// serve-stale mode answers from WriteStale. Other
 // failures (SQL errors, deadlines, cancellation, mid-stream losses) are
 // not degradation candidates: they fail closed.
 func BackendUnhealthy(err error) bool {
@@ -704,7 +675,7 @@ func (v *View) WriteStale(w io.Writer) (rep *Report, ok bool, err error) {
 	if v.frags == nil {
 		return nil, false, nil
 	}
-	e := v.frags.Get(v.fingerprint())
+	e := v.frags.Get(v.key)
 	if e == nil {
 		return nil, false, nil
 	}
@@ -733,24 +704,11 @@ func (v *View) StaleEntry() (age time.Duration, ok bool) {
 	if v.frags == nil {
 		return 0, false
 	}
-	e := v.frags.Get(v.fingerprint())
+	e := v.frags.Get(v.key)
 	if e == nil {
 		return 0, false
 	}
 	return e.Age(), true
-}
-
-// countingWriter counts the bytes that pass through to w; the serve-stale
-// fallback uses it to prove the response is still untouched.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 // MaterializePlan evaluates the view with an explicit edge bitmask: bit i
@@ -765,12 +723,6 @@ func (v *View) MaterializePlan(ctx context.Context, w io.Writer, keepBits uint64
 	}
 	p := plan.FromBits(v.tree, keepBits, v.reduce)
 	return v.execute(ctx, w, p, &Report{Strategy: Unified})
-}
-
-// plan resolves the strategy to a concrete plan, through the plan cache
-// when the view has one.
-func (v *View) plan(ctx context.Context, s Strategy) (*plan.Plan, *Report, error) {
-	return v.cachedPlan(ctx, s)
 }
 
 // planCold runs actual plan selection; for Greedy that is the §5 search
@@ -882,7 +834,7 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 	}
 	if rec != nil {
 		if cur, ok := v.currentStamp(ctx, recTables); ok && recStamp.Fresh(cur) {
-			v.frags.Put(v.fingerprint(), rec.Fragments(), recTables, recStamp)
+			v.frags.Put(v.key, rec.Fragments(), recTables, recStamp)
 		}
 	}
 	rep.Streams = m.Streams
@@ -890,28 +842,8 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 	rep.QueryWallTime = m.QueryWallTime
 	rep.TotalTime = m.TotalTime
 	rep.Rows = m.Rows
-	rep.StreamStats = make([]StreamStat, len(m.PerStream))
-	for i, sm := range m.PerStream {
-		rep.StreamStats[i] = StreamStat{
-			SQL:       sm.SQL,
-			Rows:      sm.Rows,
-			Bytes:     sm.Bytes,
-			QueryTime: sm.QueryTime,
-			WallTime:  sm.WallTime,
-			Resumes:   sm.Resumes,
-			Failovers: sm.Failovers,
-			Replica:   sm.Replica,
-		}
-		for _, ss := range sm.Shards {
-			rep.StreamStats[i].Shards = append(rep.StreamStats[i].Shards, ShardStat{
-				Shard:     ss.Shard,
-				Rows:      ss.Rows,
-				Bytes:     ss.Bytes,
-				Resumes:   ss.Resumes,
-				Failovers: ss.Failovers,
-				Replica:   ss.Replica,
-			})
-		}
+	rep.StreamStats = m.PerStream
+	for _, sm := range m.PerStream {
 		rep.Failovers += sm.Failovers
 	}
 	return rep, nil
@@ -978,7 +910,7 @@ func (e *Explanation) String() string {
 // queries and writes no document. The explanation's edge sets are exactly
 // the ones a subsequent Materialize with the same strategy uses.
 func (v *View) Explain(ctx context.Context, s Strategy) (*Explanation, error) {
-	p, rep, err := v.plan(ctx, s)
+	p, rep, err := v.cachedPlan(ctx, s)
 	if err != nil {
 		return nil, err
 	}
