@@ -56,14 +56,17 @@ chaos:
 # Ten seconds of coverage-guided fuzzing per target (go test -fuzz takes
 # one target per run): every malformed wire request header must come back
 # as a typed CodeBadRequest, never a panic, every malformed status frame
-# as a typed error on the client side, the tagger's escaper must
-# match xml.EscapeText byte for byte, the executor must agree with the
+# as a typed error on the client side, a row frame must decode whole
+# exactly when value-by-value decoding takes it in whole rows within the
+# batch bound, the tagger's escaper must match xml.EscapeText byte for
+# byte, the executor must agree with the
 # brute-force reference on every generated query, and /metrics must stay
 # conformant exposition under any view or tenant name. The seeds also run
 # as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs

@@ -46,7 +46,7 @@ func TestAllocsPerDocument(t *testing.T) {
 			// shards on loopback. The servers and their pooled connections
 			// run in this process, so their allocations count too and
 			// scheduling can move the total a little: 5 % tolerance.
-			name: "sharded-partitioned", count: 47_838, mb: 23.56, tol: 0.05,
+			name: "sharded-partitioned", count: 9_812, mb: 21.80, tol: 0.05,
 			setup: func(t *testing.T) func() error {
 				var parts []Topology
 				for i := 0; i < 2; i++ {

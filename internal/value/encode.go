@@ -3,7 +3,7 @@ package value
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"strings"
 )
 
 // Wire encoding of a single value:
@@ -46,33 +46,45 @@ func (v Value) AppendEncode(dst []byte) []byte {
 // Decode reads one value from the front of buf, returning the value and the
 // number of bytes consumed.
 func Decode(buf []byte) (Value, int, error) {
+	v, str, n, err := decodeHead(buf)
+	if err == nil && v.kind == KindString {
+		v.s = string(str)
+	}
+	return v, n, err
+}
+
+// decodeHead is the one per-tag decoder behind Decode and DecodeRows. It
+// reads the value at the front of buf and returns it with the number of
+// bytes its encoding takes; a string comes back as its kind alone, with its
+// payload in str still aliasing buf, so each caller decides where the
+// string's bytes live.
+func decodeHead(buf []byte) (v Value, str []byte, n int, err error) {
 	if len(buf) == 0 {
-		return Null, 0, fmt.Errorf("value: decode on empty buffer")
+		return Null, nil, 0, fmt.Errorf("value: decode on empty buffer")
 	}
 	switch buf[0] {
 	case tagNull:
-		return Null, 1, nil
-	case tagInt:
-		if len(buf) < 9 {
-			return Null, 0, fmt.Errorf("value: short int encoding (%d bytes)", len(buf))
+		return Null, nil, 1, nil
+	case tagInt, tagFloat:
+		kind := KindInt
+		if buf[0] == tagFloat {
+			kind = KindFloat
 		}
-		return Int(int64(binary.BigEndian.Uint64(buf[1:9]))), 9, nil
-	case tagFloat:
 		if len(buf) < 9 {
-			return Null, 0, fmt.Errorf("value: short float encoding (%d bytes)", len(buf))
+			return Null, nil, 0, fmt.Errorf("value: short %v encoding (%d bytes)", kind, len(buf))
 		}
-		return Float(math.Float64frombits(binary.BigEndian.Uint64(buf[1:9]))), 9, nil
+		return Value{kind: kind, i: int64(binary.BigEndian.Uint64(buf[1:9]))}, nil, 9, nil
 	case tagString:
 		if len(buf) < 5 {
-			return Null, 0, fmt.Errorf("value: short string header (%d bytes)", len(buf))
+			return Null, nil, 0, fmt.Errorf("value: short string header (%d bytes)", len(buf))
 		}
-		n := int(binary.BigEndian.Uint32(buf[1:5]))
-		if len(buf) < 5+n {
-			return Null, 0, fmt.Errorf("value: short string payload (want %d, have %d)", n, len(buf)-5)
+		n := uint64(binary.BigEndian.Uint32(buf[1:5]))
+		if uint64(len(buf)-5) < n {
+			return Null, nil, 0, fmt.Errorf("value: short string payload (want %d, have %d)", n, len(buf)-5)
 		}
-		return String(string(buf[5 : 5+n])), 5 + n, nil
+		return Value{kind: KindString}, buf[5 : 5+n], 5 + int(n), nil
 	default:
-		return Null, 0, fmt.Errorf("value: unknown tag %q", buf[0])
+		return Null, nil, 0, fmt.Errorf("value: unknown tag %q", buf[0])
 	}
 }
 
@@ -84,33 +96,67 @@ func EncodeRow(dst []byte, row []Value) []byte {
 	return dst
 }
 
-// DecodeRowPrefix decodes exactly n values from the front of buf, returning
-// the row and the number of bytes consumed. Unlike DecodeRow it permits
-// trailing bytes, so several rows can be packed into one wire frame and
-// peeled off one at a time.
-func DecodeRowPrefix(buf []byte, n int) ([]Value, int, error) {
-	row := make([]Value, 0, n)
-	used := 0
-	for i := 0; i < n; i++ {
-		v, u, err := Decode(buf[used:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("value: column %d: %w", i, err)
+// DecodeRows decodes buf as whole rows of n values each, at most maxRows of
+// them, into one slab: row i is slab[i*n : (i+1)*n]. Every string in the
+// slab is a substring of one string holding only buf's string payloads, so
+// a frame of rows costs two allocations however many rows and strings it
+// holds, and a value kept from it pins at most those payloads, never buf.
+//
+// A validating first pass counts the values and sums the string payloads
+// before anything is allocated: an encoding cut short, an unknown tag, a
+// value count that is not a whole number of rows, or more than maxRows rows
+// fails with nothing decoded. With n == 0 only an empty buf is whole rows.
+func DecodeRows(buf []byte, n, maxRows int) ([]Value, error) {
+	cols := max(n, 1) // for error positions and the whole-rows test
+	count, strBytes := 0, 0
+	for used := 0; used < len(buf); count++ {
+		if count == n*maxRows {
+			return nil, fmt.Errorf("value: more than %d values, the bound of %d rows of %d columns", count, maxRows, n)
 		}
-		row = append(row, v)
+		_, str, u, err := decodeHead(buf[used:])
+		if err != nil {
+			return nil, fmt.Errorf("value: row %d column %d: %w", count/cols, count%cols, err)
+		}
+		used += u
+		strBytes += len(str)
+	}
+	if count%cols != 0 {
+		return nil, fmt.Errorf("value: %d values are not whole rows of %d columns", count, n)
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	slab := make([]Value, count)
+	var blob strings.Builder
+	blob.Grow(strBytes)
+	for i, used := 0, 0; i < count; i++ {
+		v, str, u, _ := decodeHead(buf[used:])
+		if v.kind == KindString {
+			// Park the payload length in the unused word until the blob
+			// is complete.
+			blob.Write(str)
+			v.i = int64(len(str))
+		}
+		slab[i] = v
 		used += u
 	}
-	return row, used, nil
+	all := blob.String()
+	for i, off := 0, 0; i < count; i++ {
+		if slab[i].kind == KindString {
+			end := off + int(slab[i].i)
+			slab[i] = String(all[off:end])
+			off = end
+		}
+	}
+	return slab, nil
 }
 
 // DecodeRow decodes exactly n values from buf. It returns an error if buf
 // holds fewer than n encodings or has trailing bytes.
 func DecodeRow(buf []byte, n int) ([]Value, error) {
-	row, used, err := DecodeRowPrefix(buf, n)
-	if err != nil {
-		return nil, err
+	row, err := DecodeRows(buf, n, 1)
+	if err == nil && len(row) != n {
+		return nil, fmt.Errorf("value: %d bytes hold no row of %d columns", len(buf), n)
 	}
-	if used != len(buf) {
-		return nil, fmt.Errorf("value: %d trailing bytes after %d columns", len(buf)-used, n)
-	}
-	return row, nil
+	return row, err
 }

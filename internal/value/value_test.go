@@ -278,6 +278,106 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRows: a buffer of whole rows decodes into one slab, in order,
+// at two allocations (the slab and the string blob) however many rows and
+// strings it holds; anything else fails with nothing decoded.
+func TestDecodeRows(t *testing.T) {
+	rows := [][]Value{
+		{Int(1), String("USA"), Null},
+		{Float(-0.5), String(""), String("Spain")},
+		{Int(3), Null, String("ü✓")},
+	}
+	var enc []byte
+	for _, r := range rows {
+		enc = EncodeRow(enc, r)
+	}
+	slab, err := DecodeRows(enc, 3, len(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slab) != 9 {
+		t.Fatalf("slab holds %d values, want 9", len(slab))
+	}
+	for i, r := range rows {
+		for j, v := range r {
+			if got := slab[i*3+j]; !Identical(got, v) || got.Kind() != v.Kind() {
+				t.Errorf("row %d column %d: %v, want %v", i, j, got, v)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() { DecodeRows(enc, 3, len(rows)) }); got != 2 {
+		t.Errorf("DecodeRows allocated %v times, want 2 (slab and string blob)", got)
+	}
+
+	row := EncodeRow(nil, rows[0])
+	bad := []struct {
+		name string
+		buf  []byte
+		n    int
+	}{
+		{"partial row", append(append([]byte(nil), row...), 'N'), 3},
+		{"more rows than the bound", enc, 2},
+		{"truncated value", enc[:len(enc)-1], 3},
+		{"unknown tag in the last row", append(EncodeRow(nil, rows[0]), 'Z', 'N', 'N'), 3},
+		{"bytes for zero columns", row, 0},
+	}
+	for _, c := range bad {
+		if slab, err := DecodeRows(c.buf, c.n, 2); err == nil {
+			t.Errorf("%s: decoded %v, want an error", c.name, slab)
+		}
+	}
+	if slab, err := DecodeRows(nil, 3, 2); err != nil || len(slab) != 0 {
+		t.Errorf("empty buffer: %v, %v; want no rows", slab, err)
+	}
+}
+
+// FuzzDecodeRows: for any bytes and 0–8 columns, DecodeRows succeeds
+// exactly when decoding value by value with Decode consumes the buffer in
+// whole rows, at most fuzzMaxRows of them, and then yields the same values
+// bit for bit (NaN payloads included).
+func FuzzDecodeRows(f *testing.F) {
+	const fuzzMaxRows = 4
+	f.Add(EncodeRow(nil, []Value{Int(1), String("USA"), Null}), uint8(3))
+	f.Add(EncodeRow(nil, []Value{Float(math.NaN()), String(""), Int(-1), Null}), uint8(2))
+	f.Add([]byte{'N', 'N', 'N', 'N', 'N'}, uint8(1))
+	f.Add([]byte{'S', 0, 0, 0, 9, 'x'}, uint8(1))
+	f.Add([]byte{'Z'}, uint8(0))
+	f.Fuzz(func(t *testing.T, buf []byte, cols uint8) {
+		n := int(cols % 9)
+		var want []Value
+		ok := true
+		for used := 0; used < len(buf); {
+			v, u, err := Decode(buf[used:])
+			if err != nil {
+				ok = false
+				break
+			}
+			want = append(want, v)
+			used += u
+		}
+		if n == 0 {
+			ok = ok && len(want) == 0
+		} else {
+			ok = ok && len(want)%n == 0 && len(want) <= n*fuzzMaxRows
+		}
+		got, err := DecodeRows(buf, n, fuzzMaxRows)
+		if (err == nil) != ok {
+			t.Fatalf("DecodeRows(% x, %d) error = %v, value-by-value decode whole rows = %v", buf, n, err, ok)
+		}
+		if err != nil {
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("DecodeRows decoded %d values, Decode %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].kind != want[i].kind || got[i].i != want[i].i || got[i].s != want[i].s {
+				t.Fatalf("value %d: DecodeRows %#v, Decode %#v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // quickValue builds an arbitrary Value from generator-provided raw parts.
 func quickValue(kind uint8, i int64, f float64, s string) Value {
 	switch kind % 4 {

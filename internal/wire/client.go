@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -313,9 +312,10 @@ type Rows struct {
 	client   *Client
 	conn     net.Conn
 	watch    *watcher
-	br       *bufio.Reader
-	buf      []byte // current batch frame, reused across reads
-	off      int    // decode offset of the next row within buf
+	buf      []byte        // the last frame read, reused across reads
+	slab     []value.Value // the current frame's rows, decoded at once
+	off      int           // index in slab of the next row's first value
+	left     int           // rows of the current frame not yet delivered
 	done     bool
 	released bool
 
@@ -426,7 +426,6 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 		case err == nil && resp.rows != nil:
 			r := resp.rows
 			r.ctx, r.client, r.conn, r.watch = ctx, c, conn, w
-			r.br = bufio.NewReaderSize(conn, 64<<10)
 			return resp, nil
 		case err == nil || errors.As(err, &se):
 			c.settle(ctx, conn, w, true)
@@ -526,10 +525,16 @@ func decodeColumns(status []byte) ([]string, error) {
 }
 
 // Next binds and returns the next row, or io.EOF after the last row. The
-// decode here is the per-tuple "binding" cost the paper attributes to the
-// client: rows arrive packed several to a frame, but each is decoded
-// individually. Cancelling the stream's context interrupts a blocked read
-// promptly; the error then satisfies errors.Is(err, context.Canceled).
+// decode is the per-tuple "binding" cost the paper attributes to the
+// client, and every column of every row is still decoded; a row-batch frame
+// is decoded whole, into one slab of values and one string for its string
+// payloads, so a frame costs two allocations however many rows it holds.
+// A returned row stays valid after later calls — each frame gets a fresh
+// slab, never a reused one — and is capacity-limited, so appending to it
+// cannot overwrite the row after it. A malformed frame fails the stream
+// with ErrBadResponse before any of its rows is delivered. Cancelling the
+// stream's context interrupts a blocked read promptly; the error then
+// satisfies errors.Is(err, context.Canceled).
 func (r *Rows) Next() ([]value.Value, error) {
 	if r.merge != nil {
 		return r.merge.next(r)
@@ -537,15 +542,15 @@ func (r *Rows) Next() ([]value.Value, error) {
 	if r.done {
 		return nil, io.EOF
 	}
-	for r.off >= len(r.buf) {
-		// The rest of the stream may already sit in r.br, where a read
-		// never reaches the watcher's interrupt: a cancelled stream must not
-		// end in a clean io.EOF.
+	for r.left == 0 {
+		// The watcher moves the deadline from its own goroutine, so a read
+		// just after cancellation can still succeed: a cancelled stream
+		// must not end in a clean io.EOF.
 		if err := r.ctx.Err(); err != nil {
 			r.release(false)
 			return nil, wrapErr(r.ctx, "read row", err)
 		}
-		frame, err := readFrame(r.br, r.buf, maxFrame)
+		frame, err := readFrame(r.conn, r.buf, maxFrame)
 		if err != nil {
 			// A transport failure mid-stream. tryResume either splices a
 			// continuation onto the stream (nil: loop and keep reading from
@@ -555,27 +560,41 @@ func (r *Rows) Next() ([]value.Value, error) {
 			}
 			continue
 		}
-		r.buf, r.off = frame, 0
+		r.buf = frame
 		if len(frame) == 0 {
 			r.release(true)
 			return nil, io.EOF
 		}
 		r.BytesRead += int64(len(frame))
+		if err := r.decodeFrame(frame); err != nil {
+			r.release(false)
+			return nil, err
+		}
 	}
-	row, used, err := value.DecodeRowPrefix(r.buf[r.off:], len(r.Columns))
-	if err != nil {
-		r.release(false)
-		return nil, err
-	}
-	r.off += used
-	if used == 0 {
-		// Zero-column rows consume no bytes; treat the frame as one row so
-		// the stream still terminates.
-		r.off = len(r.buf)
-	}
+	n := len(r.Columns)
+	row := r.slab[r.off : r.off+n : r.off+n]
+	r.off += n
+	r.left--
 	r.RowCount++
 	r.noteDelivered(row)
 	return row, nil
+}
+
+// decodeFrame decodes one non-empty row-batch frame into a fresh slab. A
+// zero-column frame is one row whatever it holds: zero-column rows encode
+// to nothing, so counting them is the only way the stream still ends.
+func (r *Rows) decodeFrame(frame []byte) error {
+	n := len(r.Columns)
+	if n == 0 {
+		r.slab, r.off, r.left = nil, 0, 1
+		return nil
+	}
+	slab, err := value.DecodeRows(frame, n, batchMaxRows)
+	if err != nil {
+		return fmt.Errorf("wire: read row: %w: %v", ErrBadResponse, err)
+	}
+	r.slab, r.off, r.left = slab, 0, len(slab)/n
+	return nil
 }
 
 // release retires the stream's connection exactly once: back to the pool

@@ -112,7 +112,10 @@ var (
 	// ErrBadResponse reports a status frame the client cannot decode:
 	// empty, truncated, of the wrong kind for the request, or longer than
 	// maxRequestFrame. The connection is closed; like any transport
-	// failure, a replica set moves on and a resumable stream reopens.
+	// failure, a replica set moves on and a resumable stream reopens. A
+	// row-batch frame that is not whole rows, or holds more than
+	// batchMaxRows of them, fails its stream with it, before any of the
+	// frame's rows is delivered.
 	ErrBadResponse = errors.New("wire: malformed response")
 	// ErrStreamLost reports a tuple stream that died mid-flight — after the
 	// column header, before the terminator — and could not be healed: the

@@ -290,8 +290,8 @@ func (r *Rows) adopt(nr *Rows) (permanent bool, err error) {
 	// identity, counters, and frontier.
 	r.watch.Stop()
 	r.conn.Close()
-	r.conn, r.watch, r.br = nr.conn, nr.watch, nr.br
-	r.buf, r.off = nr.buf, nr.off
+	r.conn, r.watch = nr.conn, nr.watch
+	r.buf, r.slab, r.off, r.left = nr.buf, nr.slab, nr.off, nr.left
 	r.BytesRead += nr.BytesRead
 	return false, nil
 }

@@ -597,3 +597,46 @@ func TestResumeLadderContract(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeCutMidFrameIsByteIdentical: a stream cut partway into a row
+// frame — the server flushes the rows before the cut and dies — is healed
+// into exactly the bytes an uncut stream delivers. The continuation's
+// boundary ties are skipped inside its first frame, so the adopted stream
+// starts mid-slab.
+func TestResumeCutMidFrameIsByteIdentical(t *testing.T) {
+	const n, dup = 400, 3
+	db := bigDB(t, n, dup)
+	encode := func(rows [][]value.Value) []byte {
+		var b []byte
+		for _, r := range rows {
+			b = value.EncodeRow(b, r)
+		}
+		return b
+	}
+	clean, err := InProcess(db).Query(ctx, bigSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encode(drain(t, clean))
+	for _, cut := range []int64{1, batchMaxRows - 1, batchMaxRows, batchMaxRows + 1, 301, 2*batchMaxRows + 100} {
+		fault := killEachTextOnceAt(cut)
+		onlyOriginal := func(sql string) func(int64) error {
+			if sql != bigSQL {
+				return nil
+			}
+			return fault(sql)
+		}
+		client := faultClient(t, db, onlyOriginal, WithResume(Resume{MaxResumes: 3}))
+		rows, err := client.QueryResumable(ctx, bigSQL, bigSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := encode(drain(t, rows))
+		if rows.Resumes != 1 {
+			t.Errorf("cut at row %d: Resumes = %d, want 1", cut, rows.Resumes)
+		}
+		if string(got) != string(want) {
+			t.Errorf("cut at row %d: healed stream differs from the uncut one (%d vs %d bytes)", cut, len(got), len(want))
+		}
+	}
+}

@@ -221,7 +221,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 
-	var reqBuf []byte
+	// Both buffers live as long as the connection: requests are read into
+	// reqBuf and every query's row batches are encoded into batch, so batch
+	// grows to its flush size once per connection, not once per query.
+	var reqBuf, batch []byte
 	for {
 		if s.shuttingDown() {
 			return
@@ -280,7 +283,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			span.SetDetail(req.sql)
 			switch req.op {
 			case opQuery:
-				keep = s.serveQuery(sctx, conn, bw, req.sql)
+				keep = s.serveQuery(sctx, bw, req.sql, &batch)
 			case opEstimate:
 				keep = s.serveEstimate(bw, req.sql)
 			case opEpoch:
@@ -304,9 +307,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// serveQuery executes one SQL request and streams the result. It reports
-// whether the connection is still request-aligned and worth keeping.
-func (s *Server) serveQuery(ctx context.Context, conn net.Conn, bw *bufio.Writer, sqlText string) bool {
+// serveQuery executes one SQL request and streams the result, encoding
+// its row batches into *buf, the connection's buffer. It reports whether
+// the connection is still request-aligned and worth keeping.
+func (s *Server) serveQuery(ctx context.Context, bw *bufio.Writer, sqlText string, buf *[]byte) bool {
 	var rowsSent, bytesSent int64
 	defer func() {
 		if m := obs.M(); m != nil {
@@ -344,7 +348,8 @@ func (s *Server) serveQuery(ctx context.Context, conn net.Conn, bw *bufio.Writer
 	// Once streaming has begun there is no in-band way to signal an error,
 	// so a canceled request just drops the connection — the client sees a
 	// read failure and maps it through its own context.
-	var batch []byte
+	batch := (*buf)[:0]
+	defer func() { *buf = batch }()
 	batched := 0
 	for {
 		row, ok := res.Next()

@@ -47,12 +47,16 @@
 // (cancellation, deadline, shutdown) survive errors.Is across the network
 // boundary.
 //
-// The value encoding is self-delimiting, so the client peels rows off a
-// batch frame one at a time; a frame with exactly one row is the degenerate
-// batch, which keeps the framing compatible with one-row-per-frame peers.
-// Batching amortizes the per-frame header and syscall across rows — the
-// per-tuple bind cost the paper measures is the decode, which is still paid
-// per row.
+// The value encoding is self-delimiting, so a batch frame needs no row
+// count; a frame with exactly one row is the degenerate batch, which keeps
+// the framing compatible with one-row-per-frame peers. The client decodes a
+// frame whole, into one slab of values, and enforces the server's bound: a
+// frame whose values are not whole rows, or that holds more than
+// batchMaxRows rows, is ErrBadResponse, so a hostile frame cannot make the
+// client allocate more than one batch's slab. Batching amortizes the
+// per-frame header, syscall and allocations across rows — the per-tuple
+// bind cost the paper measures is the decode, which is still paid per
+// column of every row.
 //
 // A connection carries a sequence of requests, one at a time: the client
 // keeps drained connections in a bounded pool and reuses them, so a plan
@@ -92,15 +96,19 @@ var errFrameTooLarge = errors.New("wire: frame exceeds limit")
 
 // Row-batch flush policy: a batch frame is emitted when it holds
 // batchMaxRows rows or batchFlushBytes of payload, whichever comes first.
+// batchMaxRows is also the protocol's bound: the client refuses a frame of
+// more rows.
 const (
 	batchMaxRows    = 256
 	batchFlushBytes = 32 << 10
 )
 
+// writeFrame buffers one frame. The length prefix is built in w's free
+// space: a local array passed to w.Write would escape to the heap, one
+// allocation per frame.
 func writeFrame(w *bufio.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
