@@ -31,9 +31,12 @@ test:
 
 # The race detector multiplies runtime; -short skips the exhaustive plan
 # sweeps while still covering every concurrent code path. It also carries
-# the caching layer's correctness gate (root Cache|Invalidation tests,
-# plancache, fragcache) and the view service's load, drain and overload
-# tests (internal/viewsvc); none of them skips under -short.
+# the caching layer's correctness gate — the root Cache|Invalidation tests
+# (TestCacheRemoteEpochProbes among them), plancache, fragcache, and the
+# freshness signal's own tests, engine's TestStatsEpochSumsTableVersions
+# and plan's TestViewRelationsCoverEveryPlan — and the view service's load,
+# drain and overload tests (internal/viewsvc); none of them skips under
+# -short.
 test-race:
 	$(GO) test -race -short ./...
 

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 	"strconv"
+	"sync"
 	"time"
 
 	"silkroute/internal/fragcache"
@@ -27,59 +28,43 @@ func WithPlanCache() Option {
 // WithFragmentCache caches materialized XML on the view's backend under the
 // given byte budget (<= 0 means unbounded), evicting least-recently-used
 // documents. Warm materializations are served straight from memory,
-// byte-identical to a cold run; base-table writes invalidate dependent
-// entries (locally via write hooks, remotely via a stats-epoch probe per
-// request). A failed or killed materialization never populates the cache.
-// View option.
+// byte-identical to a cold run. Each request stamps the data's freshness
+// once — the write versions of the tables the view reads locally, a
+// stats-epoch probe remotely — and a cached document whose stamp no longer
+// matches is dropped and re-materialized. A failed or killed
+// materialization never populates the cache. View option.
 func WithFragmentCache(maxBytes int64) Option {
 	return func(c *config) { c.fragCache, c.fragBytes = true, maxBytes }
 }
 
-// planCache lazily creates the DB's shared plan cache.
-func (db *DB) planCache() *plancache.Cache {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	if db.plans == nil {
-		db.plans = plancache.New()
-	}
-	return db.plans
+// caches holds a backend's shared plan and fragment caches, each built on
+// first use. DB and Remote each own one, so every view sharing a backend
+// shares its caches.
+type caches struct {
+	mu    sync.Mutex
+	plans *plancache.Cache
+	frags *fragcache.Cache
 }
 
-// fragCache lazily creates the DB's shared fragment cache and hooks it into
-// the engine's write path, so every insert — facade, CSV load, generator —
-// invalidates dependent fragments immediately. The first caller's byte
-// budget wins.
-func (db *DB) fragCache(maxBytes int64) *fragcache.Cache {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	if db.frags == nil {
-		cache := fragcache.New(maxBytes)
-		db.eng.RegisterWriteHook(func(table string) { cache.InvalidateTable(table) })
-		db.frags = cache
+// plan returns the backend's plan cache, creating it on first use.
+func (c *caches) plan() *plancache.Cache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.plans == nil {
+		c.plans = plancache.New()
 	}
-	return db.frags
+	return c.plans
 }
 
-// planCache lazily creates the Remote's shared plan cache.
-func (r *Remote) planCache() *plancache.Cache {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if r.plans == nil {
-		r.plans = plancache.New()
+// fragment returns the backend's fragment cache, creating it on first use;
+// the first caller's byte budget wins.
+func (c *caches) fragment(maxBytes int64) *fragcache.Cache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.frags == nil {
+		c.frags = fragcache.New(maxBytes)
 	}
-	return r.plans
-}
-
-// fragCache lazily creates the Remote's shared fragment cache. There are no
-// write hooks across the wire: freshness is validated per request with a
-// stats-epoch probe instead.
-func (r *Remote) fragCache(maxBytes int64) *fragcache.Cache {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if r.frags == nil {
-		r.frags = fragcache.New(maxBytes)
-	}
-	return r.frags
+	return c.frags
 }
 
 // fingerprint hashes everything that determines the view's compiled form
@@ -121,11 +106,16 @@ func (v *View) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// statsEpoch returns the backend's current stats epoch. For a remote view
-// this is one wire round trip; ok=false means the probe failed and the
-// caller must take the cold path (a cache shortcut is never worth serving
-// stale or failing the request).
-func (v *View) statsEpoch(ctx context.Context) (int64, bool) {
+// stamp snapshots the freshness of the view's data once per request, before
+// anything runs: the write versions of the view's base tables (and the
+// database's stats epoch) locally, one stats-epoch probe remotely. ok=false
+// when use is false — no cache of the request would read the stamp — or
+// when the remote probe failed; the caller then skips every cache step
+// (a cache shortcut is never worth serving stale or failing the request).
+func (v *View) stamp(ctx context.Context, use bool) (fragcache.Stamp, bool) {
+	if !use {
+		return fragcache.Stamp{}, false
+	}
 	if v.remote != nil {
 		e, err := v.remote.client.StatsEpoch(ctx)
 		if err != nil {
@@ -134,61 +124,39 @@ func (v *View) statsEpoch(ctx context.Context) (int64, bool) {
 			if m := obs.M(); m != nil {
 				m.Cache.ProbeFailures.Inc()
 			}
-			return 0, false
-		}
-		return e, true
-	}
-	return v.db.eng.StatsEpoch(), true
-}
-
-// currentStamp snapshots the freshness of the given base tables right now:
-// per-table write versions locally, the global stats epoch remotely.
-func (v *View) currentStamp(ctx context.Context, tables []string) (fragcache.Stamp, bool) {
-	if v.remote != nil {
-		e, err := v.remote.client.StatsEpoch(ctx)
-		if err != nil {
-			if m := obs.M(); m != nil {
-				m.Cache.ProbeFailures.Inc()
-			}
 			return fragcache.Stamp{}, false
 		}
 		return fragcache.Stamp{Epoch: e}, true
 	}
-	st := fragcache.Stamp{Epoch: v.db.eng.StatsEpoch(), Versions: make([]int64, len(tables))}
-	for i, t := range tables {
+	st := fragcache.Stamp{Epoch: v.db.eng.StatsEpoch(), Versions: make([]int64, len(v.tables))}
+	for i, t := range v.tables {
 		st.Versions[i] = v.db.eng.TableVersion(t)
 	}
 	return st, true
 }
 
-// serveCached tries to answer a materialization from the fragment cache.
-// served reports whether the response was written (successfully or not);
-// when false the caller must run cold. A stale entry is invalidated and
-// counted as a miss; a mid-write error is the caller's error — the bytes
-// already reached w.
-func (v *View) serveCached(ctx context.Context, w io.Writer, s Strategy) (*Report, bool, error) {
+// serveCached tries to answer a materialization from the fragment cache,
+// checking the entry against the request's stamp st (fresh=false: the
+// stamp could not be taken, so nothing is served). served reports whether
+// the response was written (successfully or not); when false the caller
+// must run cold. A stale entry is invalidated and counted as a miss; a
+// mid-write error is the caller's error — the bytes already reached w.
+func (v *View) serveCached(ctx context.Context, w io.Writer, s Strategy, st fragcache.Stamp, fresh bool) (*Report, bool, error) {
 	if v.frags == nil {
 		return nil, false, nil
 	}
 	_, span := obs.StartSpan(ctx, "cache.fragment.lookup")
 	defer span.End()
 	e := v.frags.Get(v.key)
-	if e == nil {
+	if e == nil || !fresh {
+		// No entry, or the epoch probe failed and freshness cannot be
+		// proved: run cold. An entry stays — the next probe may succeed.
 		if m := obs.M(); m != nil {
 			m.Cache.FragmentMisses.Inc()
 		}
 		return nil, false, nil
 	}
-	cur, ok := v.currentStamp(ctx, e.Tables)
-	if !ok {
-		// Epoch probe failed: cannot prove freshness, run cold. The entry
-		// stays — the next probe may succeed.
-		if m := obs.M(); m != nil {
-			m.Cache.FragmentMisses.Inc()
-		}
-		return nil, false, nil
-	}
-	if !e.Stamp.Fresh(cur) {
+	if !e.Stamp.Fresh(st) {
 		v.frags.Invalidate(v.key)
 		if m := obs.M(); m != nil {
 			m.Cache.FragmentMisses.Inc()
@@ -208,16 +176,13 @@ func (v *View) serveCached(ctx context.Context, w io.Writer, s Strategy) (*Repor
 
 // cachedPlan wraps planCold with the plan cache: a hit skips planning (and
 // for Greedy the entire search), a miss plans cold and stores the result
-// under the epoch observed before planning began.
-func (v *View) cachedPlan(ctx context.Context, s Strategy) (*plan.Plan, *Report, error) {
-	if v.plans == nil {
+// under the epoch of the request's stamp, taken before planning began.
+// fresh=false (no stamp) plans cold and caches nothing.
+func (v *View) cachedPlan(ctx context.Context, s Strategy, st fragcache.Stamp, fresh bool) (*plan.Plan, *Report, error) {
+	if v.plans == nil || !fresh {
 		return v.planCold(ctx, s)
 	}
-	epoch, ok := v.statsEpoch(ctx)
-	if !ok {
-		return v.planCold(ctx, s)
-	}
-	key := plancache.Key{View: v.key, Strategy: s.String(), Epoch: epoch}
+	key := plancache.Key{View: v.key, Strategy: s.String(), Epoch: st.Epoch}
 	if e := v.plans.Get(key); e != nil {
 		rep := &Report{Strategy: s, PlanCached: true}
 		rep.GreedyMandatory = append([]int(nil), e.Mandatory...)

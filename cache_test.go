@@ -210,7 +210,8 @@ func TestFragmentCacheWriteInvalidation(t *testing.T) {
 	}
 	before := warmUp()
 
-	// Write to a table the view reads: the write hook must drop the entry.
+	// Write to a table the view reads: the next lookup's stamp check must
+	// drop the entry.
 	if err := db.Insert("Book", 12, 2, "Pensees"); err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +395,8 @@ func TestChaosNeverCachesPartialFragment(t *testing.T) {
 	}
 }
 
-// TestRemoteWriteInvalidation: a remote view has no write hooks — freshness
-// rides on the wire stats-epoch probe. A server-side insert between two
+// TestRemoteWriteInvalidation: a remote view's freshness rides on the wire
+// stats-epoch probe. A server-side insert between two
 // materializations must yield fresh bytes; a further repeat re-warms.
 func TestRemoteWriteInvalidation(t *testing.T) {
 	db := cacheLibraryDB(t)

@@ -6,14 +6,13 @@ import (
 	"io"
 )
 
-// Backend is a view's evaluation target: a local *DB, a *Remote — one
-// endpoint, a replica set, or a shard grid, Dial decides — or a Topology
-// value, dialed on demand. The interface is sealed; it exists so a view
-// registry can bind the same named view to any backend shape through one
-// constructor (NewHandle) and one option list.
+// Backend is a view's evaluation target: a local *DB or a *Remote — one
+// endpoint, a replica set, or a shard grid, Dial decides. The interface is
+// sealed; it exists so a view registry can bind the same named view to any
+// backend shape through one constructor (NewHandle) and one option list.
 type Backend interface {
 	// parseView compiles src against the backend's schema with the given
-	// options. Sealed to *DB, *Remote, and Topology.
+	// options. Sealed to *DB and *Remote.
 	parseView(src string, opts []Option) (*View, error)
 }
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"silkroute/internal/plan"
+	"silkroute/internal/rxl"
+	"silkroute/internal/viewtree"
 )
 
 var ctx = context.Background()
@@ -73,6 +75,37 @@ func TestRunnerMeasuresPlan(t *testing.T) {
 	}
 	if res.TotalMS < res.QueryMS {
 		t.Errorf("total %.2f < query %.2f", res.TotalMS, res.QueryMS)
+	}
+}
+
+// TestSweepRefusesHugeTrees: a sweep past 30 edges (2^31 plans) is refused
+// before anything runs, and a small tree is swept whole, in bitmask order.
+func TestSweepRefusesHugeTrees(t *testing.T) {
+	db := OpenScaled(0.0002, 11)
+	run := NewRunner(db)
+	big := &viewtree.Tree{Edges: make([]viewtree.Edge, 31)}
+	if _, err := run.Sweep(ctx, big, false, nil); err == nil {
+		t.Error("Sweep accepted 2^31 plans")
+	}
+	q, err := rxl.Parse(rxl.FragmentSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := viewtree.Build(q, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run.Sweep(ctx, tree, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 4 {
+		t.Fatalf("fragment sweep measured %d plans, want 4", len(res))
+	}
+	for i, r := range res {
+		if r.Bits != uint64(i) {
+			t.Errorf("result %d has bits %b", i, r.Bits)
+		}
 	}
 }
 

@@ -32,9 +32,11 @@ import (
 // interface are safe to call from any number of goroutines concurrently.
 // Query execution never mutates the database — the view tree, generated SQL,
 // and executor all work on per-call state; table statistics are computed
-// under a per-table mutex; the estimate-request counter is atomic. What is
-// NOT safe is inserting rows (Table/Insert) concurrently with queries; load
-// first, then query, as every experiment harness here does.
+// under a per-table mutex; the estimate-request counter and every table's
+// write version are atomic, so StatsEpoch and TableVersion may be read at
+// any time. What is NOT safe is inserting rows (Table/Insert) concurrently
+// with queries; load first, then query, as every experiment harness here
+// does.
 type Database struct {
 	Schema *schema.Schema
 	tables map[string]*table.Table
@@ -46,14 +48,6 @@ type Database struct {
 	SortBudgetRows int
 
 	estimateRequests atomic.Int64
-
-	// epoch counts writes across all tables — the stats epoch that keys the
-	// middleware's plan cache: any insert anywhere bumps it, so plans
-	// compiled against older statistics stop matching.
-	epoch atomic.Int64
-
-	hookMu     sync.Mutex
-	writeHooks []func(table string)
 
 	logMu    sync.Mutex
 	logging  bool
@@ -103,33 +97,23 @@ func (db *Database) SortMemoryRows() int { return db.SortBudgetRows }
 func NewDatabase(s *schema.Schema) *Database {
 	db := &Database{Schema: s, tables: make(map[string]*table.Table)}
 	for name, rel := range s.Relations {
-		t := table.New(rel)
-		// Hooking at the table level catches every write path — facade
-		// Insert, CSV loads, the TPC-H generator — without each caller
-		// having to know about epochs.
-		tableName := name
-		t.SetWriteHook(func() { db.noteWrite(tableName) })
-		db.tables[name] = t
+		db.tables[name] = table.New(rel)
 	}
 	return db
 }
 
-// noteWrite records one row landing in the named table: the stats epoch
-// moves and every registered write hook is told which table changed.
-func (db *Database) noteWrite(tableName string) {
-	db.epoch.Add(1)
-	db.hookMu.Lock()
-	hooks := db.writeHooks
-	db.hookMu.Unlock()
-	for _, h := range hooks {
-		h(tableName)
+// StatsEpoch returns the database's write epoch: the sum of every table's
+// write version, so it moves by exactly one per inserted row, whichever
+// table absorbs it. Plans compiled against statistics (or data) from an
+// older epoch must revalidate; the wire server answers the remote
+// freshness probe with it.
+func (db *Database) StatsEpoch() int64 {
+	var sum int64
+	for _, t := range db.tables {
+		sum += t.Version()
 	}
+	return sum
 }
-
-// StatsEpoch returns the database's write epoch: it changes whenever any
-// table absorbs a row. Caches compiled against statistics (or data) from
-// an older epoch must revalidate.
-func (db *Database) StatsEpoch() int64 { return db.epoch.Load() }
 
 // TableVersion returns the named table's write version, or -1 when the
 // relation does not exist. Lookup is case-insensitive like Lookup.
@@ -139,16 +123,6 @@ func (db *Database) TableVersion(name string) int64 {
 		return -1
 	}
 	return t.Version()
-}
-
-// RegisterWriteHook adds a function called after every row insert with the
-// (lower-cased) name of the table written. Hooks run on the inserting
-// goroutine and must be fast and non-blocking; the fragment cache
-// registers its reverse-index invalidation here.
-func (db *Database) RegisterWriteHook(fn func(table string)) {
-	db.hookMu.Lock()
-	db.writeHooks = append(db.writeHooks, fn)
-	db.hookMu.Unlock()
 }
 
 // Lookup implements sqlexec.Catalog.

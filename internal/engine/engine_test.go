@@ -309,3 +309,41 @@ func TestExecutionIdenticalWithAndWithoutSpill(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsEpochSumsTableVersions pins the one write signal: the stats
+// epoch moves by exactly one per insert, whichever table absorbs it, and
+// always equals the sum of the tables' write versions.
+func TestStatsEpochSumsTableVersions(t *testing.T) {
+	db := smallDB(t)
+	sum := func() int64 {
+		var n int64
+		for name := range db.Schema.Relations {
+			n += db.TableVersion(name)
+		}
+		return n
+	}
+	if got := db.StatsEpoch(); got != 4+40+100+400 || got != sum() {
+		t.Fatalf("StatsEpoch = %d after loading 544 rows, version sum %d", got, sum())
+	}
+	for _, rel := range []string{"Nation", "PartSupp", "Nation", "Part", "Supplier"} {
+		tbl := db.MustTable(rel)
+		before, version := db.StatsEpoch(), tbl.Version()
+		row := make([]value.Value, len(tbl.Rel.Columns))
+		for i := range row {
+			row[i] = value.Int(int64(1000 + i))
+		}
+		tbl.MustInsert(row...)
+		if got := db.StatsEpoch(); got != before+1 {
+			t.Errorf("insert into %s moved StatsEpoch %d → %d, want +1", rel, before, got)
+		}
+		if got := tbl.Version(); got != version+1 {
+			t.Errorf("insert into %s moved its version %d → %d, want +1", rel, version, got)
+		}
+		if got := db.StatsEpoch(); got != sum() {
+			t.Errorf("StatsEpoch %d differs from the version sum %d", got, sum())
+		}
+	}
+	if v := db.TableVersion("NoSuchTable"); v != -1 {
+		t.Errorf("TableVersion of an unknown relation = %d, want -1", v)
+	}
+}

@@ -6,14 +6,14 @@
 // LRU eviction. Warm requests are served straight from memory,
 // byte-identical to a cold run, with zero planning, SQL, or tagging work.
 //
-// Freshness is tracked by a Stamp taken before the producing query ran:
-// per-table write versions when the backend is local, the global stats epoch
-// when it is remote (one wire round trip). A reverse index from base table
-// to dependent entries lets the engine's write hooks invalidate exactly the
-// fragments a write could have changed. Entries are committed only after a
-// fully successful materialization and only if the stamp still matches —
-// fail-closed, so a killed or resumed stream can never leave a partial
-// fragment cached.
+// Freshness is tracked by a Stamp the caller takes once per request, before
+// anything runs: the write versions of the view's base tables when the
+// backend is local, the global stats epoch when it is remote (one wire
+// round trip). The cache itself knows nothing of writes: every hit is
+// checked against the request's stamp, and an entry that fails the check is
+// dropped there. Entries are committed only after a fully successful
+// materialization and only if the stamp still matches — fail-closed, so a
+// killed or resumed stream can never leave a partial fragment cached.
 package fragcache
 
 import (
@@ -28,9 +28,10 @@ import (
 type Stamp struct {
 	// Epoch is the database-wide stats epoch (write counter).
 	Epoch int64
-	// Versions holds per-table write versions aligned with the entry's
-	// Tables slice. Nil when per-table versions are unavailable (remote
-	// backends), in which case Epoch alone decides freshness.
+	// Versions holds the write versions of the view's base tables, in the
+	// view's (sorted) table order. Nil when per-table versions are
+	// unavailable (remote backends), in which case Epoch alone decides
+	// freshness.
 	Versions []int64
 }
 
@@ -51,16 +52,12 @@ func (s Stamp) Fresh(cur Stamp) bool {
 }
 
 // Entry is one cached materialization: the document split at top-level
-// element boundaries, the base tables it depends on, and the freshness stamp
-// it was built under.
+// element boundaries and the freshness stamp it was built under.
 type Entry struct {
 	// Fragments is the document in order: fragment i holds the bytes from
 	// the start of top-level element i (or the document prologue/root-open
 	// for i=0) up to the next top-level boundary.
 	Fragments [][]byte
-	// Tables names the base tables (lower-cased, sorted) the producing
-	// plan's SQL reads; writes to any of them invalidate the entry.
-	Tables []string
 	// Stamp is the freshness observed before the producing query ran.
 	Stamp Stamp
 	// StoredAt is when the entry was committed to the cache. The serve-stale
@@ -99,19 +96,14 @@ type Cache struct {
 	max     int64
 	bytes   int64
 	entries map[uint64]*Entry
-	rev     map[string]map[uint64]struct{} // table -> dependent entry keys
-	head    *Entry                         // most recently used
-	tail    *Entry                         // least recently used
+	head    *Entry // most recently used
+	tail    *Entry // least recently used
 }
 
 // New returns an empty cache with the given byte budget. A non-positive
 // budget means unbounded.
 func New(maxBytes int64) *Cache {
-	return &Cache{
-		max:     maxBytes,
-		entries: make(map[uint64]*Entry),
-		rev:     make(map[string]map[uint64]struct{}),
-	}
+	return &Cache{max: maxBytes, entries: make(map[uint64]*Entry)}
 }
 
 // Get returns the entry cached under key, or nil, marking it most recently
@@ -134,7 +126,7 @@ func (c *Cache) Get(key uint64) *Entry {
 // least-recently-used entries until the byte budget holds. An entry larger
 // than the whole budget is not cached at all. Returns the stored entry, or
 // nil when it was rejected.
-func (c *Cache) Put(key uint64, fragments [][]byte, tables []string, stamp Stamp) *Entry {
+func (c *Cache) Put(key uint64, fragments [][]byte, stamp Stamp) *Entry {
 	var size int64
 	for _, f := range fragments {
 		size += int64(len(f))
@@ -142,7 +134,7 @@ func (c *Cache) Put(key uint64, fragments [][]byte, tables []string, stamp Stamp
 	if c.max > 0 && size > c.max {
 		return nil
 	}
-	e := &Entry{Fragments: fragments, Tables: tables, Stamp: stamp, StoredAt: time.Now(), bytes: size, key: key}
+	e := &Entry{Fragments: fragments, Stamp: stamp, StoredAt: time.Now(), bytes: size, key: key}
 
 	c.mu.Lock()
 	if old := c.entries[key]; old != nil {
@@ -154,14 +146,6 @@ func (c *Cache) Put(key uint64, fragments [][]byte, tables []string, stamp Stamp
 		evicted++
 	}
 	c.entries[key] = e
-	for _, t := range tables {
-		deps := c.rev[t]
-		if deps == nil {
-			deps = make(map[uint64]struct{})
-			c.rev[t] = deps
-		}
-		deps[key] = struct{}{}
-	}
 	c.bytes += size
 	c.pushFront(e)
 	bytes := c.bytes
@@ -174,29 +158,8 @@ func (c *Cache) Put(key uint64, fragments [][]byte, tables []string, stamp Stamp
 	return e
 }
 
-// InvalidateTable drops every entry that depends on the named (lower-cased)
-// table. The engine's write hooks call this on the inserting goroutine.
-func (c *Cache) InvalidateTable(table string) {
-	c.mu.Lock()
-	var dropped int64
-	for key := range c.rev[table] {
-		if e := c.entries[key]; e != nil {
-			c.remove(e)
-			dropped++
-		}
-	}
-	bytes := c.bytes
-	c.mu.Unlock()
-
-	if m := obs.M(); m != nil && dropped > 0 {
-		m.Cache.FragmentInvalidations.Add(dropped)
-		m.Cache.FragmentBytes.Set(bytes)
-	}
-}
-
 // Invalidate drops the entry cached under key, if any; the facade calls it
-// when a stamp check catches an entry the write hooks could not (remote
-// backends have no hooks).
+// when a hit fails its stamp check.
 func (c *Cache) Invalidate(key uint64) {
 	c.mu.Lock()
 	e := c.entries[key]
@@ -226,19 +189,11 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// remove unlinks e from the LRU list, the entry map, and the reverse index,
-// and subtracts its size. Caller holds c.mu.
+// remove unlinks e from the LRU list and the entry map, and subtracts its
+// size. Caller holds c.mu.
 func (c *Cache) remove(e *Entry) {
 	c.unlink(e)
 	delete(c.entries, e.key)
-	for _, t := range e.Tables {
-		if deps := c.rev[t]; deps != nil {
-			delete(deps, e.key)
-			if len(deps) == 0 {
-				delete(c.rev, t)
-			}
-		}
-	}
 	c.bytes -= e.bytes
 }
 

@@ -17,7 +17,7 @@ func frags(parts ...string) [][]byte {
 
 func TestPutGetWriteTo(t *testing.T) {
 	c := New(1 << 20)
-	e := c.Put(1, frags("<doc>", "<a/>", "</doc>"), []string{"orders"}, Stamp{Epoch: 7})
+	e := c.Put(1, frags("<doc>", "<a/>", "</doc>"), Stamp{Epoch: 7})
 	if e == nil {
 		t.Fatal("Put rejected an in-budget entry")
 	}
@@ -42,15 +42,15 @@ func TestPutGetWriteTo(t *testing.T) {
 
 func TestLRUEvictionUnderByteBudget(t *testing.T) {
 	c := New(30)
-	c.Put(1, frags(strings.Repeat("a", 10)), nil, Stamp{})
-	c.Put(2, frags(strings.Repeat("b", 10)), nil, Stamp{})
-	c.Put(3, frags(strings.Repeat("c", 10)), nil, Stamp{})
+	c.Put(1, frags(strings.Repeat("a", 10)), Stamp{})
+	c.Put(2, frags(strings.Repeat("b", 10)), Stamp{})
+	c.Put(3, frags(strings.Repeat("c", 10)), Stamp{})
 	if c.Len() != 3 || c.Bytes() != 30 {
 		t.Fatalf("Len=%d Bytes=%d, want 3/30", c.Len(), c.Bytes())
 	}
 	// Touch 1 so 2 becomes LRU, then push it out.
 	c.Get(1)
-	c.Put(4, frags(strings.Repeat("d", 10)), nil, Stamp{})
+	c.Put(4, frags(strings.Repeat("d", 10)), Stamp{})
 	if c.Get(2) != nil {
 		t.Fatal("LRU entry 2 survived eviction")
 	}
@@ -64,7 +64,7 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 
 func TestOversizeEntryRejected(t *testing.T) {
 	c := New(10)
-	if e := c.Put(1, frags(strings.Repeat("x", 11)), nil, Stamp{}); e != nil {
+	if e := c.Put(1, frags(strings.Repeat("x", 11)), Stamp{}); e != nil {
 		t.Fatal("entry larger than the whole budget was cached")
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
@@ -72,28 +72,9 @@ func TestOversizeEntryRejected(t *testing.T) {
 	}
 }
 
-func TestInvalidateTableReverseIndex(t *testing.T) {
-	c := New(0)
-	c.Put(1, frags("a"), []string{"orders", "lineitem"}, Stamp{})
-	c.Put(2, frags("b"), []string{"supplier"}, Stamp{})
-	c.InvalidateTable("orders")
-	if c.Get(1) != nil {
-		t.Fatal("entry depending on written table survived")
-	}
-	if c.Get(2) == nil {
-		t.Fatal("entry on an unrelated table was invalidated")
-	}
-	// Invalidating again is a no-op.
-	c.InvalidateTable("orders")
-	c.InvalidateTable("never-seen")
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-}
-
 func TestInvalidateKey(t *testing.T) {
 	c := New(0)
-	c.Put(1, frags("a"), []string{"orders"}, Stamp{})
+	c.Put(1, frags("a"), Stamp{})
 	c.Invalidate(1)
 	if c.Get(1) != nil || c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("Invalidate left state behind")
@@ -103,22 +84,16 @@ func TestInvalidateKey(t *testing.T) {
 
 func TestReplaceSameKey(t *testing.T) {
 	c := New(0)
-	c.Put(1, frags("old"), []string{"orders"}, Stamp{Epoch: 1})
-	c.Put(1, frags("newer"), []string{"supplier"}, Stamp{Epoch: 2})
+	c.Put(1, frags("old"), Stamp{Epoch: 1})
+	c.Put(1, frags("newer"), Stamp{Epoch: 2})
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after replace, want 1", c.Len())
 	}
 	if c.Bytes() != int64(len("newer")) {
 		t.Fatalf("Bytes = %d, want %d", c.Bytes(), len("newer"))
 	}
-	// Old reverse-index edge must be gone: writing orders no longer drops it.
-	c.InvalidateTable("orders")
-	if c.Get(1) == nil {
-		t.Fatal("replaced entry was invalidated via the old table edge")
-	}
-	c.InvalidateTable("supplier")
-	if c.Get(1) != nil {
-		t.Fatal("new table edge missing from reverse index")
+	if e := c.Get(1); e == nil || e.Stamp.Epoch != 2 {
+		t.Fatal("Get does not return the replacing entry")
 	}
 }
 
@@ -179,7 +154,7 @@ func TestRecorderEmptyDocument(t *testing.T) {
 func TestStoredAtAndAge(t *testing.T) {
 	c := New(0)
 	before := time.Now()
-	e := c.Put(1, frags("doc"), []string{"orders"}, Stamp{})
+	e := c.Put(1, frags("doc"), Stamp{})
 	if e.StoredAt.Before(before) || e.StoredAt.After(time.Now()) {
 		t.Fatalf("StoredAt = %v, want within the Put call", e.StoredAt)
 	}
@@ -188,7 +163,7 @@ func TestStoredAtAndAge(t *testing.T) {
 	}
 	old := e.StoredAt
 	time.Sleep(5 * time.Millisecond)
-	if e2 := c.Put(1, frags("doc2"), []string{"orders"}, Stamp{}); !e2.StoredAt.After(old) {
+	if e2 := c.Put(1, frags("doc2"), Stamp{}); !e2.StoredAt.After(old) {
 		t.Fatalf("replacement StoredAt %v not after original %v", e2.StoredAt, old)
 	}
 }

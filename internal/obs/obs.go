@@ -176,7 +176,7 @@ type CacheMetrics struct {
 	FragmentHits          Counter `metric:"silkroute_cache_fragment_hits_total" help:"Materializations served whole from the fragment cache."`
 	FragmentMisses        Counter `metric:"silkroute_cache_fragment_misses_total" help:"Fragment-cache lookups that fell through to a cold run (absent or stale entries)."`
 	FragmentEvictions     Counter `metric:"silkroute_cache_fragment_evictions_total" help:"Fragment-cache entries evicted for the byte budget."`
-	FragmentInvalidations Counter `metric:"silkroute_cache_fragment_invalidations_total" help:"Fragment-cache entries dropped by write invalidation or staleness."`
+	FragmentInvalidations Counter `metric:"silkroute_cache_fragment_invalidations_total" help:"Fragment-cache entries dropped at lookup because their freshness stamp no longer matched."`
 	ProbeFailures         Counter `metric:"silkroute_cache_fragment_probe_failures_total" help:"Remote stats-epoch probes that failed, forcing a cold run (cache degraded, not merely cold)."`
 	FragmentBytes         Gauge   `metric:"silkroute_cache_bytes" help:"Current fragment-cache size in bytes."`
 }

@@ -8,7 +8,8 @@
 //
 //   - named default plans: unified outer-join, unified outer-union, and
 //     fully partitioned;
-//   - the exhaustive enumerator used by §4's experiments (all 2^|E| plans);
+//   - any plan by edge bitmask (FromBits), which §4's exhaustive sweep over
+//     all 2^|E| plans (internal/bench) walks;
 //   - the greedy genPlan algorithm of §5, which uses the target database's
 //     cost estimates to select mandatory and optional edges.
 package plan
@@ -17,13 +18,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"silkroute/internal/engine"
 	"silkroute/internal/fanout"
 	"silkroute/internal/obs"
-	"silkroute/internal/sqlast"
 	"silkroute/internal/sqlgen"
 	"silkroute/internal/tagger"
 	"silkroute/internal/value"
@@ -100,28 +99,6 @@ func (p *Plan) Streams() ([]*sqlgen.Stream, error) {
 		return nil, err
 	}
 	return sqlgen.Generate(p.Tree, comps, p.Style)
-}
-
-// BaseTables returns the sorted, lower-cased names of every stored relation
-// the plan's streams read — the dependency set the fragment cache's write
-// invalidation keys on.
-func (p *Plan) BaseTables() ([]string, error) {
-	streams, err := p.Streams()
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]struct{})
-	for _, s := range streams {
-		for _, t := range sqlast.BaseTables(s.Query) {
-			seen[t] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Metrics reports one plan execution's measurements, mirroring the paper's
@@ -384,18 +361,4 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 		}
 	}
 	return m, nil
-}
-
-// Enumerate calls fn for every one of the 2^|E| plans of the tree, in
-// bitmask order. It is the driver behind the exhaustive experiments of §4.
-func Enumerate(t *viewtree.Tree, reduce bool, fn func(bits uint64, p *Plan) error) error {
-	if len(t.Edges) > 30 {
-		return fmt.Errorf("plan: refusing to enumerate 2^%d plans", len(t.Edges))
-	}
-	for bits := uint64(0); bits < 1<<uint(len(t.Edges)); bits++ {
-		if err := fn(bits, FromBits(t, bits, reduce)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

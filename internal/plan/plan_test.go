@@ -3,11 +3,13 @@ package plan
 import (
 	"bytes"
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
 	"silkroute/internal/engine"
 	"silkroute/internal/rxl"
+	"silkroute/internal/sqlast"
 	"silkroute/internal/sqlgen"
 	"silkroute/internal/tpch"
 	"silkroute/internal/value"
@@ -160,14 +162,14 @@ func TestQuery1All512PlansProduceIdenticalXML(t *testing.T) {
 		t.Fatalf("reference document suspicious: %.200s", reference)
 	}
 	var checked int
-	err = Enumerate(tree, false, func(bits uint64, p *Plan) error {
+	for bits := uint64(0); bits < 1<<uint(len(tree.Edges)); bits++ {
 		// Check every 7th plan plus the extremes to keep the test fast;
 		// the full sweep runs in the experiment harness.
 		if bits%7 != 0 && bits != 511 {
-			return nil
+			continue
 		}
 		checked++
-		got, _ := runPlan(t, db, p)
+		got, _ := runPlan(t, db, FromBits(tree, bits, false))
 		if got != reference {
 			t.Fatalf("plan %09b differs from reference (lengths %d vs %d)", bits, len(got), len(reference))
 		}
@@ -175,10 +177,6 @@ func TestQuery1All512PlansProduceIdenticalXML(t *testing.T) {
 		if gotR != reference {
 			t.Fatalf("reduced plan %09b differs from reference", bits)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if checked < 70 {
 		t.Fatalf("only %d plans checked", checked)
@@ -248,22 +246,6 @@ func TestReductionShrinksUnifiedQueryRowCount(t *testing.T) {
 	}
 }
 
-func TestEnumerateRefusesHugeTrees(t *testing.T) {
-	tree := fragmentTree(t)
-	// Grow a fake edge list beyond the enumeration limit.
-	big := &viewtree.Tree{Edges: make([]viewtree.Edge, 31)}
-	if err := Enumerate(big, false, func(uint64, *Plan) error { return nil }); err == nil {
-		t.Error("Enumerate accepted 2^31 plans")
-	}
-	count := 0
-	if err := Enumerate(tree, false, func(uint64, *Plan) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 4 {
-		t.Errorf("fragment enumeration visited %d plans, want 4", count)
-	}
-}
-
 func TestGeneratedSQLParsesAndCarriesOrderBy(t *testing.T) {
 	tree := fragmentTree(t)
 	for bits := uint64(0); bits < 4; bits++ {
@@ -330,5 +312,50 @@ func TestWithClausePermissibility(t *testing.T) {
 	caps.WithClause = true
 	if ok, _ := p.Permissible(caps); !ok {
 		t.Error("WITH-style plan rejected despite full capabilities")
+	}
+}
+
+// TestViewRelationsCoverEveryPlan pins the fragment and plan caches'
+// dependency set: for Q1, Q2 and the fragment, under every edge bitmask,
+// reduced or not, and in every SQL style, the base tables the plan's SQL
+// reads are exactly the relations the view tree's rules bind.
+func TestViewRelationsCoverEveryPlan(t *testing.T) {
+	for name, src := range map[string]string{"q1": rxl.Query1Source, "q2": rxl.Query2Source, "fragment": rxl.FragmentSource} {
+		q, err := rxl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := viewtree.Build(q, tpch.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Join(tree.Relations(), ",")
+		for bits := uint64(0); bits < 1<<uint(len(tree.Edges)); bits++ {
+			for _, reduce := range []bool{false, true} {
+				for _, style := range []sqlgen.Style{sqlgen.OuterJoin, sqlgen.OuterUnion, sqlgen.WithClause} {
+					p := FromBits(tree, bits, reduce)
+					p.Style = style
+					streams, err := p.Streams()
+					if err != nil {
+						t.Fatalf("%s plan %b: %v", name, bits, err)
+					}
+					seen := make(map[string]bool)
+					for _, s := range streams {
+						for _, rel := range sqlast.BaseTables(s.Query) {
+							seen[rel] = true
+						}
+					}
+					read := make([]string, 0, len(seen))
+					for rel := range seen {
+						read = append(read, rel)
+					}
+					sort.Strings(read)
+					if got := strings.Join(read, ","); got != want {
+						t.Fatalf("%s plan %b (reduce %v, style %v) reads %s, view relations %s",
+							name, bits, reduce, style, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 // and are excluded; a CTE's body may itself reference earlier CTEs (they bind
 // progressively, left to right), so those references are excluded too.
 //
-// The fragment cache uses this to build its table → dependent-view reverse
-// index: a write to any table returned here invalidates fragments cached for
-// the plan that produced the query.
+// It is the reference for a view's cache dependency set:
+// TestViewRelationsCoverEveryPlan (internal/plan) checks that the relations
+// a view tree's rules bind are exactly the tables every plan's SQL reads.
 func BaseTables(q Query) []string {
 	seen := make(map[string]struct{})
 	collectQueryTables(q, nil, seen)

@@ -32,7 +32,6 @@ type Table struct {
 	stats *Stats // lazily computed, invalidated on Insert, guarded by mu
 
 	version atomic.Int64 // write version, bumped by every Insert
-	onWrite func()       // write hook; set via SetWriteHook before sharing
 }
 
 // New creates an empty table for the given relation.
@@ -45,12 +44,6 @@ func New(rel *schema.Relation) *Table {
 // v is stale the moment Version reports anything else.
 func (t *Table) Version() int64 { return t.version.Load() }
 
-// SetWriteHook installs a function called after every Insert, on the
-// inserting goroutine. The engine uses it to bump its stats epoch and fan
-// out cache invalidations. It must be set before the table is shared —
-// there is no lock around the hook field itself.
-func (t *Table) SetWriteHook(fn func()) { t.onWrite = fn }
-
 // Insert appends a row after arity-checking it against the relation.
 func (t *Table) Insert(row Row) error {
 	if len(row) != len(t.Rel.Columns) {
@@ -62,9 +55,6 @@ func (t *Table) Insert(row Row) error {
 	t.stats = nil
 	t.mu.Unlock()
 	t.version.Add(1)
-	if t.onWrite != nil {
-		t.onWrite()
-	}
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -532,10 +533,12 @@ func TestServeStaleDegradation(t *testing.T) {
 }
 
 // TestWriteStaleFailClosedAfterInvalidation pins the boundary the handler
-// relies on: once a base-table write invalidates the cached entry,
+// relies on: once a base-table write has invalidated the cached entry,
 // WriteStale writes nothing at all — it can never emit part of a stale
 // document, so a response is always entirely fresh or entirely the last
-// validated snapshot.
+// validated snapshot. A write does not drop the entry by itself: the next
+// lookup's stamp check does, and a materialization that then fails caches
+// nothing in its place.
 func TestWriteStaleFailClosedAfterInvalidation(t *testing.T) {
 	db := silkroute.OpenTPCH(0.001, 7)
 	h, err := silkroute.NewHandle("fragment", db, rxl.FragmentSource, silkroute.WithFragmentCache(-1))
@@ -562,10 +565,15 @@ func TestWriteStaleFailClosedAfterInvalidation(t *testing.T) {
 		t.Error("stale document differs from the materialization that populated it")
 	}
 
-	// A write to a base table the view reads invalidates the entry; from
-	// that instant the stale path must produce zero bytes, not a partial.
+	// Write to a base table the view reads, then materialize into a writer
+	// that fails: the stamp check drops the entry, and the failed cold run
+	// must not cache anything. From then on the stale path must produce
+	// zero bytes, not a partial.
 	if err := db.Insert("Supplier", 9999, "zz-new-supplier", "nowhere", 0); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := h.Materialize(context.Background(), failingWriter{}); err == nil {
+		t.Fatal("materialization into a failing writer succeeded")
 	}
 	if _, ok := h.View().StaleEntry(); ok {
 		t.Error("StaleEntry still offered after invalidation")
@@ -578,6 +586,11 @@ func TestWriteStaleFailClosedAfterInvalidation(t *testing.T) {
 		t.Errorf("WriteStale leaked %d bytes after invalidation, want 0", after.Len())
 	}
 }
+
+// failingWriter refuses every write, like a client that hung up.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
 
 // TestTenantNamesCapped sends maxTenants+100 distinct tenant names. The
 // first maxTenants keep their own accounting; each later one is accounted,

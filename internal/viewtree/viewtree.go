@@ -207,6 +207,25 @@ func (t *Tree) VarsAtLevel(p int) []VarInfo {
 	return out
 }
 
+// Relations returns the sorted, lower-cased names of every relation the
+// tree's rules bind: the base tables any plan of the tree reads, since
+// every stream's SQL is generated from these rules. Caches use it as the
+// view's dependency set.
+func (t *Tree) Relations() []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, n := range t.Nodes {
+		for _, a := range n.Rule.Atoms {
+			if rel := strings.ToLower(a.Rel); !seen[rel] {
+				seen[rel] = true
+				out = append(out, rel)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // builder carries construction state.
 type builder struct {
 	schema   *schema.Schema

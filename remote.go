@@ -3,10 +3,7 @@ package silkroute
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"silkroute/internal/fragcache"
-	"silkroute/internal/plancache"
 	"silkroute/internal/rxl"
 	"silkroute/internal/tpch"
 	"silkroute/internal/viewtree"
@@ -29,9 +26,7 @@ type Remote struct {
 	// one is provided. NewHandle compiles views against it.
 	source *Schema
 
-	cacheMu sync.Mutex
-	plans   *plancache.Cache
-	frags   *fragcache.Cache
+	caches caches
 }
 
 // Dial is the single constructor behind every remote connection shape: it

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,12 +192,67 @@ func TestFragmentProbeFailureIsCounted(t *testing.T) {
 			t.Errorf("run %d: degraded-probe document differs from local run", run)
 		}
 	}
-	if n := sink.Cache.ProbeFailures.Value(); n < 2 {
-		t.Errorf("probe failure counter = %d, want >= 2 (one per degraded run)", n)
+	if n := sink.Cache.ProbeFailures.Value(); n != 2 {
+		t.Errorf("probe failure counter = %d, want 2 (one per degraded run)", n)
 	}
 	var b strings.Builder
 	sink.WritePrometheus(&b)
 	if !strings.Contains(b.String(), "silkroute_cache_fragment_probe_failures_total") {
 		t.Error("probe failures missing from Prometheus exposition")
+	}
+}
+
+// probeCounter counts the stats-epoch probes sent over a connection (a
+// request goes out as one Write: 4-byte length, then the op byte — 'P' for
+// the probe) and passes everything through.
+type probeCounter struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c probeCounter) Write(p []byte) (int, error) {
+	if len(p) > 4 && p[4] == 'P' {
+		c.n.Add(1)
+	}
+	return c.Conn.Write(p)
+}
+
+// TestCacheRemoteEpochProbes pins the freshness cost of a remote view with
+// both caches: one stamp per request, so a cold materialization probes the
+// epoch twice (at the start, and to revalidate the fill at commit) and a
+// fragment-cache hit once.
+func TestCacheRemoteEpochProbes(t *testing.T) {
+	db := OpenTPCH(0.001, 42)
+	addr := startChaosServer(t, db, "")
+	var probes atomic.Int64
+	remote := mustDial(t, SingleFunc(func(dctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(dctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return probeCounter{conn, &probes}, nil
+	}))
+	defer remote.Close()
+	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource,
+		WithPlanCache(), WithFragmentCache(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		cached bool
+		probes int64
+	}{{false, 2}, {true, 1}} {
+		probes.Store(0)
+		rep, err := rv.Materialize(ctx, io.Discard, OuterUnion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FragmentCached != want.cached {
+			t.Fatalf("FragmentCached = %v, want %v", rep.FragmentCached, want.cached)
+		}
+		if n := probes.Load(); n != want.probes {
+			t.Errorf("materialization (cached %v) sent %d epoch probes, want %d", want.cached, n, want.probes)
+		}
 	}
 }

@@ -316,30 +316,3 @@ func TestTopologyConstructors(t *testing.T) {
 		t.Error("IsZero misreports")
 	}
 }
-
-// TestNewHandleTopologyBackend proves a Topology value works directly as
-// a NewHandle backend: the registry entry dials it and the document
-// matches the local run.
-func TestNewHandleTopologyBackend(t *testing.T) {
-	db := OpenTPCH(0.001, 42)
-	addr := startChaosServer(t, db, "")
-	h, err := NewHandle("fragment", Single(addr), rxl.FragmentSource,
-		WithSource(tpchSourceDescription(t)), WithStrategy(OuterUnion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := ParseView(db, rxl.FragmentSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, got bytes.Buffer
-	if _, err := local.Materialize(ctx, &want, OuterUnion); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Materialize(ctx, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Error("topology-backed handle differs from local run")
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"silkroute/internal/chaos"
@@ -144,25 +143,24 @@ func (c *config) clientOptions() []wire.ClientOption {
 
 // apply stamps the view-side options onto a freshly built view. The caches
 // live on the view's backend (the DB or Remote), so every view sharing a
-// backend shares one cache and one invalidation domain.
+// backend shares one cache.
 func (c *config) apply(v *View) {
 	v.wrapper, v.reduce, v.parallelism = c.wrapper, c.reduce, c.parallelism
+	var shared *caches
+	if v.remote != nil {
+		shared = &v.remote.caches
+	} else {
+		shared = &v.db.caches
+	}
 	if c.planCache {
-		if v.remote != nil {
-			v.plans = v.remote.planCache()
-		} else {
-			v.plans = v.db.planCache()
-		}
+		v.plans = shared.plan()
 	}
 	if c.fragCache {
-		if v.remote != nil {
-			v.frags = v.remote.fragCache(c.fragBytes)
-		} else {
-			v.frags = v.db.fragCache(c.fragBytes)
-		}
+		v.frags = shared.fragment(c.fragBytes)
 	}
 	if v.plans != nil || v.frags != nil {
 		v.key = v.fingerprint()
+		v.tables = v.tree.Relations()
 	}
 }
 
@@ -180,11 +178,8 @@ func buildConfig(opts []Option) *config {
 // the SQL subset and answers the cost-estimate requests SilkRoute's
 // planner relies on.
 type DB struct {
-	eng *engine.Database
-
-	cacheMu sync.Mutex
-	plans   *plancache.Cache
-	frags   *fragcache.Cache
+	eng    *engine.Database
+	caches caches
 }
 
 // OpenTPCH generates the TPC-H fragment of the paper's Fig. 1 at the given
@@ -353,7 +348,16 @@ func (db *DB) Serve(l net.Listener) error {
 // in-flight requests get up to shutdownGrace to finish before their
 // connections are force-closed. It returns nil after a clean drain.
 func (db *DB) ServeContext(ctx context.Context, l net.Listener) error {
-	srv := &wire.Server{DB: db.eng}
+	return serveUntil(ctx, &wire.Server{DB: db.eng}, l)
+}
+
+// shutdownGrace bounds how long ServeContext waits for in-flight requests
+// when its context ends.
+const shutdownGrace = 5 * time.Second
+
+// serveUntil runs srv on l until ctx is cancelled, then shuts it down with
+// shutdownGrace for in-flight requests to finish.
+func serveUntil(ctx context.Context, srv *wire.Server, l net.Listener) error {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	select {
@@ -368,10 +372,6 @@ func (db *DB) ServeContext(ctx context.Context, l net.Listener) error {
 	return err
 }
 
-// shutdownGrace bounds how long ServeContext waits for in-flight requests
-// when its context ends.
-const shutdownGrace = 5 * time.Second
-
 // ServeChaosContext is ServeContext with fault injection: the spec (see
 // the chaos package's ParseSpec; e.g. "seed=7,cutrow=100" kills each
 // query's stream after 100 rows) is applied to every accepted connection
@@ -384,19 +384,7 @@ func (db *DB) ServeChaosContext(ctx context.Context, l net.Listener, spec string
 		return err
 	}
 	in := chaos.New(sp)
-	srv := &wire.Server{DB: db.eng, RowFault: in.RowFault}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(in.Listener(l)) }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	err = srv.Shutdown(sctx)
-	<-done
-	return err
+	return serveUntil(ctx, &wire.Server{DB: db.eng, RowFault: in.RowFault}, in.Listener(l))
 }
 
 // EnableQueryLog starts recording every SQL statement the database
@@ -538,9 +526,11 @@ type View struct {
 	// was built with WithPlanCache / WithFragmentCache.
 	plans *plancache.Cache
 	frags *fragcache.Cache
-	// key is the view's fingerprint, the caches' key for it; set only when
-	// the view has a cache.
-	key uint64
+	// key is the view's fingerprint, the caches' key for it, and tables the
+	// sorted, lower-cased relations its rules bind, whose write versions
+	// stamp its freshness; both are set only when the view has a cache.
+	key    uint64
+	tables []string
 }
 
 // ParseView compiles an RXL view definition against the database's schema.
@@ -640,14 +630,15 @@ type ShardStat = wire.ShardStat
 // even mid-stream against a stalled remote server, and the returned error
 // satisfies errors.Is(err, ctx.Err()). Every pooled connection is released.
 func (v *View) Materialize(ctx context.Context, w io.Writer, s Strategy) (*Report, error) {
-	if rep, served, err := v.serveCached(ctx, w, s); served {
+	st, fresh := v.stamp(ctx, v.plans != nil || v.frags != nil)
+	if rep, served, err := v.serveCached(ctx, w, s, st, fresh); served {
 		return rep, err
 	}
-	p, rep, err := v.cachedPlan(ctx, s)
+	p, rep, err := v.cachedPlan(ctx, s, st, fresh)
 	if err != nil {
 		return nil, err
 	}
-	return v.execute(ctx, w, p, rep)
+	return v.execute(ctx, w, p, rep, st, fresh)
 }
 
 // BackendUnhealthy reports whether err means the backend is entirely
@@ -718,11 +709,12 @@ func (v *View) StaleEntry() (age time.Duration, ok bool) {
 // Every plan of a view produces the same document, so a warm fragment cache
 // serves bitmask runs too.
 func (v *View) MaterializePlan(ctx context.Context, w io.Writer, keepBits uint64) (*Report, error) {
-	if rep, served, err := v.serveCached(ctx, w, Unified); served {
+	st, fresh := v.stamp(ctx, v.frags != nil)
+	if rep, served, err := v.serveCached(ctx, w, Unified, st, fresh); served {
 		return rep, err
 	}
 	p := plan.FromBits(v.tree, keepBits, v.reduce)
-	return v.execute(ctx, w, p, &Report{Strategy: Unified})
+	return v.execute(ctx, w, p, &Report{Strategy: Unified}, st, fresh)
 }
 
 // planCold runs actual plan selection; for Greedy that is the §5 search
@@ -786,42 +778,30 @@ func (v *View) planCold(ctx context.Context, s Strategy) (*plan.Plan, *Report, e
 	}
 }
 
-func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Report) (*Report, error) {
+// execute runs p and writes the document to w. With a fragment cache and a
+// request stamp st (fresh), the output is teed into fragment buffers and
+// committed under st once the run succeeds and a second stamp, taken at
+// commit, still matches: a write racing the materialization discards the
+// fill rather than caching bytes of uncertain vintage.
+func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Report, st fragcache.Stamp, fresh bool) (*Report, error) {
 	// Plans can come from the shared plan cache, and execution stamps
 	// per-run state (wrapper, parallelism, fragment hook) onto the plan —
 	// work on a copy so concurrent runs never race on a cached plan.
 	clone := *p
 	p = &clone
-	streams, err := p.Streams()
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range streams {
-		rep.SQL = append(rep.SQL, st.SQL())
-	}
 	p.Wrapper = v.wrapper
 	p.Parallelism = v.parallelism
 
-	// Tee the output into fragment buffers when a fragment cache is on.
-	// The stamp is snapshotted BEFORE the queries run and revalidated at
-	// commit: a write racing the materialization discards the fill rather
-	// than caching bytes of uncertain vintage.
 	out := w
 	var rec *fragcache.Recorder
-	var recTables []string
-	var recStamp fragcache.Stamp
-	if v.frags != nil {
-		if tables, terr := p.BaseTables(); terr == nil {
-			if stamp, ok := v.currentStamp(ctx, tables); ok {
-				rec = fragcache.NewRecorder(w)
-				recTables, recStamp = tables, stamp
-				p.FragmentBoundary = rec.Boundary
-				out = rec
-			}
-		}
+	if v.frags != nil && fresh {
+		rec = fragcache.NewRecorder(w)
+		p.FragmentBoundary = rec.Boundary
+		out = rec
 	}
 
 	var m plan.Metrics
+	var err error
 	if v.remote != nil {
 		m, err = plan.ExecuteWire(ctx, v.remote.client, p, out)
 	} else {
@@ -833,8 +813,8 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 		return nil, err
 	}
 	if rec != nil {
-		if cur, ok := v.currentStamp(ctx, recTables); ok && recStamp.Fresh(cur) {
-			v.frags.Put(v.key, rec.Fragments(), recTables, recStamp)
+		if cur, ok := v.stamp(ctx, true); ok && st.Fresh(cur) {
+			v.frags.Put(v.key, rec.Fragments(), st)
 		}
 	}
 	rep.Streams = m.Streams
@@ -844,6 +824,7 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 	rep.Rows = m.Rows
 	rep.StreamStats = m.PerStream
 	for _, sm := range m.PerStream {
+		rep.SQL = append(rep.SQL, sm.SQL)
 		rep.Failovers += sm.Failovers
 	}
 	return rep, nil
@@ -910,7 +891,8 @@ func (e *Explanation) String() string {
 // queries and writes no document. The explanation's edge sets are exactly
 // the ones a subsequent Materialize with the same strategy uses.
 func (v *View) Explain(ctx context.Context, s Strategy) (*Explanation, error) {
-	p, rep, err := v.cachedPlan(ctx, s)
+	st, fresh := v.stamp(ctx, v.plans != nil)
+	p, rep, err := v.cachedPlan(ctx, s, st, fresh)
 	if err != nil {
 		return nil, err
 	}

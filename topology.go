@@ -210,16 +210,3 @@ func ParseTopology(s string) (Topology, error) {
 	}
 	return t, nil
 }
-
-// parseView makes Topology a view Backend: NewHandle(name, topology, src,
-// WithSource(...)) dials the topology and compiles the view against it.
-// Every handle built this way owns a fresh connection; registries hosting
-// many views over one topology should Dial once and share the *Remote
-// (internal/viewsvc caches exactly that way).
-func (t Topology) parseView(src string, opts []Option) (*View, error) {
-	r, err := Dial(t, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return ParseRemoteView(r, nil, src, opts...)
-}
