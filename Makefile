@@ -38,7 +38,7 @@ test:
 # drain and overload tests (internal/viewsvc); none of them skips under
 # -short.
 test-race:
-	$(GO) test -race -short ./...
+	$(GO) test -race -short -count=1 ./...
 
 # Deterministic seeds for the chaos suite's equivalence matrices; override
 # to widen them (CHAOS_SEEDS="1 2 3 4 5 6 7 8" make chaos).

@@ -28,12 +28,12 @@
 // declare a deadline budget with Silkroute-Budget ("250ms"): the server
 // serves within it and propagates the remainder to its backends, so work
 // the client can no longer use is abandoned everywhere. With -serve-stale
-// (requires -fragment-cache), a view whose backend is entirely down is
-// answered from its last complete cached document, flagged with
-// Silkroute-Stale headers. Views load from -views at start; with -admin,
-// PUT/DELETE /views/{name} change them at runtime. SIGTERM drains
-// gracefully: in-flight streams finish (never truncated), new requests are
-// refused.
+// (requires -fragment-cache, -connect and -breaker), a view whose backend
+// is entirely down is answered from its last complete cached document,
+// flagged with Silkroute-Stale headers. Views load from -views at start;
+// with -admin, PUT/DELETE /views/{name} change them at runtime. SIGTERM
+// drains gracefully: in-flight streams finish (never truncated), new
+// requests are refused.
 //
 // The backend is the built-in TPC-H generator (-scale/-seed), a CSV
 // directory (-data), or remote silkroute -serve databases (-connect, a
@@ -90,13 +90,12 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", viewsvc.DefaultMaxConcurrent, "concurrent materializations admitted; beyond it 503 + Retry-After")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline, admission through last byte (0 = none)")
 	maxBytes := flag.Int64("max-bytes", 0, "abort responses past this many bytes, fail-closed (0 = none)")
-	retryAfter := flag.Duration("retry-after", viewsvc.DefaultRetryAfter, "fallback backoff hint on 503 responses (drain-derived when sessions are live)")
 	tenantRate := flag.Float64("tenant-rate", 0, "default per-tenant sustained requests/second (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "default per-tenant burst depth for -tenant-rate")
 	tenantConcurrent := flag.Int("tenant-concurrent", 0, "default per-tenant concurrent-stream quota (0 = global limit only)")
 	tenants := flag.String("tenants", "", `per-tenant limit overrides, "name=rate:burst:concurrent,..." (empty field = unlimited)`)
 	apiKeys := flag.String("api-keys", "", `API key to tenant bindings, "key=tenant,..." (keys outrank the Silkroute-Tenant header)`)
-	serveStale := flag.Bool("serve-stale", false, "serve the last complete cached document (flagged Silkroute-Stale) when the backend is entirely down; requires -fragment-cache")
+	serveStale := flag.Bool("serve-stale", false, "serve the last complete cached document (flagged Silkroute-Stale) when the backend is entirely down; requires -fragment-cache, -connect and -breaker")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace after SIGTERM before force-closing streams")
 	noReduce := flag.Bool("no-reduce", false, "disable view-tree reduction")
 	parallelism := flag.Int("parallelism", 0, "concurrent partition queries per request (0 = one per CPU)")
@@ -119,8 +118,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *serveStale && *fragCache == 0 {
-		fatal(fmt.Errorf("-serve-stale needs a cached document to serve: pass -fragment-cache BYTES"))
+	if err := checkServeStale(*serveStale, *fragCache, *connect, *breakerThreshold); err != nil {
+		fatal(err)
 	}
 
 	// One option list configures everything: the backend connection
@@ -210,7 +209,6 @@ func main() {
 			MaxConcurrent:    *maxConcurrent,
 			RequestTimeout:   *requestTimeout,
 			MaxResponseBytes: *maxBytes,
-			RetryAfter:       *retryAfter,
 		},
 		Admin:   *admin,
 		Backend: backend,
@@ -291,6 +289,21 @@ func parseAPIKeys(spec string) (map[string]string, error) {
 		out[key] = tenant
 	}
 	return out, nil
+}
+
+// checkServeStale refuses a -serve-stale that could never serve: it
+// answers from the fragment cache, and only when the backend is reported
+// unhealthy, which only an open remote circuit breaker does.
+func checkServeStale(serveStale bool, fragCache int64, connect string, breaker int) error {
+	switch {
+	case !serveStale:
+		return nil
+	case fragCache == 0:
+		return fmt.Errorf("-serve-stale needs a cached document to serve: pass -fragment-cache BYTES")
+	case connect == "" || breaker <= 0:
+		return fmt.Errorf("-serve-stale engages only when a remote breaker opens: pass -connect and -breaker N")
+	}
+	return nil
 }
 
 // scaleFor returns the generator scale: zero (empty tables) when a CSV

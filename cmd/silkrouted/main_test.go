@@ -37,3 +37,26 @@ func TestParseTenants(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckServeStale(t *testing.T) {
+	for _, tc := range []struct {
+		serveStale bool
+		fragCache  int64
+		connect    string
+		breaker    int
+		ok         bool
+	}{
+		{false, 0, "", 0, true}, // off: nothing to check
+		{true, -1, "a:7070", 1, true},
+		{true, 1 << 20, "a:7070,b:7070", 3, true},
+		{true, 0, "a:7070", 1, false},  // no fragment cache
+		{true, -1, "", 1, false},       // local backend: never unhealthy
+		{true, -1, "a:7070", 0, false}, // no breaker: never opens
+		{true, -1, "", 0, false},
+	} {
+		err := checkServeStale(tc.serveStale, tc.fragCache, tc.connect, tc.breaker)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkServeStale(%v, %d, %q, %d) = %v, want ok=%v", tc.serveStale, tc.fragCache, tc.connect, tc.breaker, err, tc.ok)
+		}
+	}
+}

@@ -117,7 +117,7 @@ func (h *handler) rejectGlobal(w http.ResponseWriter) {
 		m.HTTP.Rejected.Inc()
 	}
 	oldest, _ := h.srv.sessions.oldestAge("")
-	ra := drainRetryAfter(oldest, h.srv.cfg.Limits.maxConcurrent(), h.srv.cfg.Limits.retryAfter())
+	ra := drainRetryAfter(oldest, h.srv.cfg.Limits.maxConcurrent())
 	w.Header().Set("Retry-After", retrySecs(ra))
 	http.Error(w, "server saturated: concurrent stream limit reached", http.StatusServiceUnavailable)
 }
@@ -134,7 +134,7 @@ func (h *handler) rejectTenant(w http.ResponseWriter, ten *tenant, retryAfter ti
 	}
 	if cause == "concurrency" {
 		oldest, _ := h.srv.sessions.oldestAge(ten.name)
-		retryAfter = drainRetryAfter(oldest, ten.limits.MaxConcurrent, h.srv.cfg.Limits.retryAfter())
+		retryAfter = drainRetryAfter(oldest, ten.limits.MaxConcurrent)
 	}
 	w.Header().Set("Retry-After", retrySecs(retryAfter))
 	http.Error(w, fmt.Sprintf("tenant %q over %s quota", ten.name, cause), http.StatusTooManyRequests)
@@ -226,12 +226,7 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-h.srv.sem }()
 
 	sess := h.srv.sessions.open(name, strat.String(), tenantName, r.RemoteAddr, deadline)
-	defer func() {
-		h.srv.sessions.close(sess)
-		if h.srv.cfg.Hooks.SessionClosed != nil {
-			h.srv.cfg.Hooks.SessionClosed(sess)
-		}
-	}()
+	defer h.srv.sessions.close(sess)
 
 	ctx := r.Context()
 	if !deadline.IsZero() {

@@ -30,24 +30,23 @@ import (
 
 func TestDrainRetryAfterEstimate(t *testing.T) {
 	cases := []struct {
-		name     string
-		oldest   time.Duration
-		quota    int
-		fallback time.Duration
-		want     time.Duration
+		name   string
+		oldest time.Duration
+		quota  int
+		want   time.Duration
 	}{
-		{"idle uses fallback", 0, 4, 3 * time.Second, 3 * time.Second},
-		{"no quota uses fallback", 10 * time.Second, 0, 3 * time.Second, 3 * time.Second},
-		{"oldest over quota", 20 * time.Second, 4, 3 * time.Second, 5 * time.Second},
-		{"clamped to floor", 2 * time.Second, 8, 3 * time.Second, time.Second},
-		{"clamped to ceiling", 10 * time.Minute, 2, 3 * time.Second, time.Minute},
-		{"fallback clamps too", 0, 0, 5 * time.Minute, time.Minute},
-		{"zero fallback clamps up", 0, 4, 0, time.Second},
+		{"idle uses floor", 0, 4, time.Second},
+		{"no quota uses floor", 10 * time.Second, 0, time.Second},
+		{"oldest over quota", 20 * time.Second, 4, 5 * time.Second},
+		{"clamped to floor", 2 * time.Second, 8, time.Second},
+		{"clamped to ceiling", 10 * time.Minute, 2, time.Minute},
+		{"nothing to observe uses floor", 0, 0, time.Second},
+		{"negative age uses floor", -time.Second, 4, time.Second},
 	}
 	for _, c := range cases {
-		if got := drainRetryAfter(c.oldest, c.quota, c.fallback); got != c.want {
-			t.Errorf("%s: drainRetryAfter(%v, %d, %v) = %v, want %v",
-				c.name, c.oldest, c.quota, c.fallback, got, c.want)
+		if got := drainRetryAfter(c.oldest, c.quota); got != c.want {
+			t.Errorf("%s: drainRetryAfter(%v, %d) = %v, want %v",
+				c.name, c.oldest, c.quota, got, c.want)
 		}
 	}
 }

@@ -10,11 +10,9 @@ import (
 	"silkroute"
 )
 
-// Defaults for Limits fields left zero.
-const (
-	DefaultMaxConcurrent = 64
-	DefaultRetryAfter    = time.Second
-)
+// DefaultMaxConcurrent is the admission limit when Limits.MaxConcurrent
+// is left zero.
+const DefaultMaxConcurrent = 64
 
 // Limits bounds what one request may cost the server.
 type Limits struct {
@@ -31,9 +29,6 @@ type Limits struct {
 	// MaxResponseBytes aborts (fail-closed) any response that would exceed
 	// it — a runaway view cannot monopolize the egress. 0 imposes none.
 	MaxResponseBytes int64
-	// RetryAfter is the backoff hint on 503 responses. 0 means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 }
 
 func (l Limits) maxConcurrent() int {
@@ -43,22 +38,12 @@ func (l Limits) maxConcurrent() int {
 	return l.MaxConcurrent
 }
 
-func (l Limits) retryAfter() time.Duration {
-	if l.RetryAfter <= 0 {
-		return DefaultRetryAfter
-	}
-	return l.RetryAfter
-}
-
 // Hooks are optional instrumentation points. They run synchronously on the
 // request goroutine; keep them fast.
 type Hooks struct {
 	// StreamStarted fires after a request passes admission control, right
 	// before planning begins.
 	StreamStarted func(s *Session)
-	// SessionClosed fires when a session leaves the live table, whether
-	// its stream completed or aborted.
-	SessionClosed func(s *Session)
 }
 
 // Config assembles a Server.

@@ -135,10 +135,9 @@ const (
 // pace, one slot frees up after roughly oldest/quota more — the
 // steady-state estimate for uniformly staggered sessions. The result is
 // clamped to [minRetryAfter, maxRetryAfter]; with nothing live to observe
-// (oldest <= 0 or quota <= 0) the configured fallback applies, itself
-// clamped the same way.
-func drainRetryAfter(oldest time.Duration, quota int, fallback time.Duration) time.Duration {
-	est := fallback
+// (oldest <= 0 or quota <= 0) it is the floor.
+func drainRetryAfter(oldest time.Duration, quota int) time.Duration {
+	est := minRetryAfter
 	if oldest > 0 && quota > 0 {
 		est = oldest / time.Duration(quota)
 	}

@@ -184,7 +184,7 @@ func TestSaturationRejectsWith503RetryAfter(t *testing.T) {
 	admitted := make(chan struct{}, 1)
 	srv := New(Config{
 		Registry: newRegistry(t, db),
-		Limits:   Limits{MaxConcurrent: 1, RetryAfter: 3 * time.Second},
+		Limits:   Limits{MaxConcurrent: 1},
 		Hooks: Hooks{StreamStarted: func(*Session) {
 			admitted <- struct{}{}
 			<-gate
@@ -223,8 +223,7 @@ func TestSaturationRejectsWith503RetryAfter(t *testing.T) {
 			t.Fatalf("saturated request %d: status %d, want 503", i, resp.StatusCode)
 		}
 		// The hint is drain-derived: the one live session is milliseconds
-		// old, so the estimate clamps up to the 1-second floor — not the
-		// static 3s fallback, which only applies with nothing to observe.
+		// old, so the estimate clamps up to the 1-second floor.
 		if got := resp.Header.Get("Retry-After"); got != "1" {
 			t.Errorf("Retry-After = %q, want %q", got, "1")
 		}

@@ -4,10 +4,10 @@ package wire
 // this file lets it run against N replicas of the same database. Each
 // replica keeps its own Client — pool, resume budget, circuit breaker,
 // stale-conn eviction — and a balancer assigns every stream (and estimate)
-// to one replica at execution time: round-robin for spread, least
-// in-flight to avoid pile-ups, weighted by breaker state and a recent
-// error/latency EWMA so a sick replica drains traffic before its breaker
-// even opens.
+// to one replica at execution time. The breaker is the only health
+// signal: the balancer skips open breakers, prefers healthy replicas to
+// probing ones, then the fewest in-flight streams, and sends remaining
+// ties round-robin.
 //
 // Because every SilkRoute stream is sorted by its structural key, a stream
 // whose home replica dies mid-flight has a well-defined frontier and its
@@ -21,9 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"silkroute/internal/engine"
 	"silkroute/internal/obs"
@@ -56,51 +54,12 @@ var (
 )
 
 // replicaState is one replica's balancing state: its client plus the
-// signals the balancer weighs — in-flight streams, and error/latency
-// EWMAs updated at every open, estimate, and reopen.
+// count of streams and estimates in flight on it.
 type replicaState struct {
 	client *Client
 	name   string
 
 	inFlight atomic.Int64
-
-	mu      sync.Mutex
-	errEWMA float64 // recent failure rate, 0..1
-	latEWMA float64 // recent time-to-first-tuple, ns
-}
-
-// ewmaAlpha weights the newest observation; ~the last dozen requests
-// dominate the score.
-const ewmaAlpha = 0.3
-
-// note folds one finished operation into the replica's health estimate.
-// lat is the time to the operation's first response, 0 when it failed.
-func (rs *replicaState) note(failed bool, lat time.Duration) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	f := 0.0
-	if failed {
-		f = 1.0
-	}
-	rs.errEWMA = ewmaAlpha*f + (1-ewmaAlpha)*rs.errEWMA
-	if lat > 0 {
-		if rs.latEWMA == 0 {
-			rs.latEWMA = float64(lat)
-		} else {
-			rs.latEWMA = ewmaAlpha*float64(lat) + (1-ewmaAlpha)*rs.latEWMA
-		}
-	}
-}
-
-// score is the health tiebreaker among replicas with equal availability
-// and in-flight load: recent failures dominate, then recent latency.
-// Lower is better.
-func (rs *replicaState) score() float64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	// A full second of latency weighs like a 10% recent error rate: errors
-	// are the stronger signal, latency breaks remaining ties.
-	return rs.errEWMA*10 + rs.latEWMA/float64(time.Second)
 }
 
 // ReplicaSet fans one logical database out over N replica endpoints. It
@@ -152,13 +111,14 @@ func (s *ReplicaSet) Replicas() int { return len(s.reps) }
 // pick chooses the replica for one operation: among the usable replicas
 // (breaker closed or probing, skipping excluded ones when another choice
 // exists), it prefers the best availability class, then the fewest
-// in-flight streams, then the best error/latency score; remaining ties go
-// round-robin. It fails closed with ErrNoHealthyReplica when every
-// replica is open-circuit.
+// in-flight streams; remaining ties go round-robin (the first visited
+// wins). It fails closed with ErrNoHealthyReplica when every replica is
+// open-circuit.
 func (s *ReplicaSet) pick(excluded func(int) bool) (int, *replicaState, error) {
 	start := int(s.rr.Add(1)-1) % len(s.reps)
 	best := -1
-	var bestKey [3]float64
+	var bestAvail int
+	var bestLoad int64
 	healthy := int64(0)
 	for off := 0; off < len(s.reps); off++ {
 		i := (start + off) % len(s.reps)
@@ -170,9 +130,9 @@ func (s *ReplicaSet) pick(excluded func(int) bool) (int, *replicaState, error) {
 		if avail >= 2 || (excluded(i) && len(s.reps) > 1) {
 			continue
 		}
-		key := [3]float64{float64(avail), float64(rs.inFlight.Load()), rs.score()}
-		if best < 0 || keyLess(key, bestKey) {
-			best, bestKey = i, key
+		load := rs.inFlight.Load()
+		if best < 0 || avail < bestAvail || (avail == bestAvail && load < bestLoad) {
+			best, bestAvail, bestLoad = i, avail, load
 		}
 	}
 	if m := obs.M(); m != nil {
@@ -188,32 +148,14 @@ func (s *ReplicaSet) pick(excluded func(int) bool) (int, *replicaState, error) {
 	return best, s.reps[best], nil
 }
 
-// keyLess orders balancer keys lexicographically; strict, so among equal
-// candidates the first visited (the round-robin choice) wins.
-func keyLess(a, b [3]float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
 // run executes op on the replica under the balancer's bookkeeping: the
-// in-flight slot is held while op runs — and kept on success when hold is
-// set, for a stream to surrender in Rows.release — and the outcome folds
-// into the health estimate.
+// in-flight slot is held while op runs, and kept on success when hold is
+// set, for a stream to surrender in Rows.release.
 func (rs *replicaState) run(hold bool, op func(*Client) error) error {
 	rs.inFlight.Add(1)
-	start := time.Now()
 	err := op(rs.client)
 	if err != nil || !hold {
 		rs.inFlight.Add(-1)
-	}
-	if err != nil {
-		rs.note(true, 0)
-	} else {
-		rs.note(false, time.Since(start))
 	}
 	return err
 }

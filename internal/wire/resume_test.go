@@ -439,18 +439,18 @@ func TestResumeLadderContract(t *testing.T) {
 		endpoints int
 		reopens   int
 		failovers int
-		replica   int // final replica; -1 when the balancer's latency tiebreak decides
+		replica   int // final replica
 		outcome   string
 	}{
 		{eachTextOnce, 1, 3, 0, 0, healed},
 		{eachTextOnce, 2, 3, 3, 1, healed},
-		{eachTextOnce, 3, 3, 3, -1, healed},
+		{eachTextOnce, 3, 3, 3, 1, healed},
 		{endpoint0Dead, 1, 3, 0, 0, exhausted},
 		{endpoint0Dead, 2, 1, 1, 1, healed},
 		{endpoint0Dead, 3, 1, 1, 1, healed},
 		{continuationsDie, 1, 3, 0, 0, healed},
 		{continuationsDie, 2, 3, 3, 1, healed},
-		{continuationsDie, 3, 3, 3, -1, healed},
+		{continuationsDie, 3, 3, 3, 1, healed},
 		{sourceChanged, 1, 1, 0, 0, changed},
 		{sourceChanged, 2, 1, 0, 0, changed},
 		{sourceChanged, 3, 1, 0, 0, changed},
@@ -583,7 +583,7 @@ func TestResumeLadderContract(t *testing.T) {
 			if rows.Failovers != tc.failovers {
 				t.Errorf("Failovers = %d, want %d", rows.Failovers, tc.failovers)
 			}
-			if tc.replica >= 0 && rows.Replica != tc.replica {
+			if rows.Replica != tc.replica {
 				t.Errorf("final replica = %d, want %d", rows.Replica, tc.replica)
 			}
 			if tc.endpoints > 1 && tc.others != open && len(served) > 1 && served[1] == served[0] {

@@ -33,8 +33,9 @@ type Remote struct {
 // takes a declarative Topology — Single(addr), Replicas(addrs...),
 // Sharded(groups...), SingleFunc(dialer), or ParseTopology's flag string —
 // and builds the matching wire backend: a pooled client, a replica set
-// with health-weighted balancing and cross-replica failover, or a shard
-// set that scatters every stream and k-way-merges the sorted partials.
+// balanced on each replica's circuit breaker with cross-replica failover,
+// or a shard set that scatters every stream and k-way-merges the sorted
+// partials.
 // Grids compose: each shard of a Sharded topology is its own replica
 // group whose streams heal themselves underneath the merge.
 //
