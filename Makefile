@@ -97,13 +97,15 @@ loc:
 
 # The configuration surface, counted the way `loc` counts lines: facade
 # With* options (non-test root files), wire option constructors, exported
-# config fields of wire.Server (besides DB, the database it serves), and
-# flag definitions per cmd/ binary.
+# config fields of wire.Server (besides DB, the database it serves), the
+# view service's exported config fields (viewsvc.Config, Limits,
+# TenantLimits and Hooks), and flag definitions per cmd/ binary.
 KNOB_FLAGS = flag\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64)(Var)?\(
 knobs:
 	@printf '%6d facade With* options\n' $$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -c '^func With')
 	@printf '%6d wire options\n' $$(ls internal/wire/*.go | grep -v '_test\.go$$' | xargs cat | grep -c '^func With')
 	@printf '%6d wire.Server config fields\n' $$(awk '/^type Server struct/ { body = 1; next } body && /^}/ { exit } body && /^\t[A-Z][A-Za-z0-9]* / && !/^\tDB / { n++ } END { print n + 0 }' internal/wire/server.go)
+	@printf '%6d viewsvc config fields\n' $$(ls internal/viewsvc/*.go | grep -v '_test\.go$$' | xargs awk '/^type (Config|Limits|TenantLimits|Hooks) struct/ { body = 1; next } body && /^}/ { body = 0 } body && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n + 0 }')
 	@for d in cmd/*/; do \
 		printf '%6d %s flags\n' $$(ls $$d*.go | grep -v '_test\.go$$' | xargs cat | grep -cE '$(KNOB_FLAGS)') $$(basename $$d); \
 	done

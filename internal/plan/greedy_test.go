@@ -246,50 +246,55 @@ func TestGreedyPlansProduceCorrectXML(t *testing.T) {
 	}
 }
 
+// TestGreedyBestPlanBeatsExtremes is the headline claim in the planner's
+// own terms: the greedy best plan's estimated objective — Σ over its
+// streams of A·Cost + B·Rows·Width, as the engine's optimizer estimates
+// each stream — is below both the unified outer-union's and the fully
+// partitioned plan's, for Query 1 and Query 2. At Config-A scale the fully
+// partitioned plan is genuinely competitive (the paper's own Fig. 13(a)
+// shows the same), so compare at a scale where the separation is robust.
+// The estimates are deterministic; the wall-clock claim is measured by
+// cmd/experiments -exp sec2 and the benchmark's plan.greedy_gain.
 func TestGreedyBestPlanBeatsExtremes(t *testing.T) {
-	// The headline claim: the greedy plan's execution is faster than both
-	// the unified outer-union and the fully partitioned plan. At Config-A
-	// scale the fully partitioned plan is genuinely competitive (the
-	// paper's own Fig. 13(a) shows the same), so measure at a scale where
-	// the separation is robust, and allow a noise margin.
-	if testing.Short() {
-		t.Skip("wall-clock comparison in -short mode")
-	}
 	db := tpch.Generate(0.005, 42)
-	q, err := rxl.Parse(rxl.Query1Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := viewtree.Build(q, db.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Greedy(ctx, db, tree, DefaultGreedyParams(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	timeOf := func(p *Plan) float64 {
-		var best float64
-		for i := 0; i < 3; i++ {
-			var buf bytes.Buffer
-			m, err := ExecuteDirect(ctx, db, p, &buf)
+	prm := DefaultGreedyParams(true)
+	for _, src := range []struct{ name, text string }{{"Q1", rxl.Query1Source}, {"Q2", rxl.Query2Source}} {
+		q, err := rxl.Parse(src.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := viewtree.Build(q, db.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Greedy(ctx, db, tree, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objective := func(p *Plan) float64 {
+			streams, err := p.Streams()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sec := m.TotalTime.Seconds(); i == 0 || sec < best {
-				best = sec
+			var sum float64
+			for _, s := range streams {
+				est, err := db.EstimateQuery(ctx, s.Query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += prm.A*est.Cost + prm.B*est.DataSize()
 			}
+			return sum
 		}
-		return best
-	}
-	greedy := timeOf(res.BestPlan(tree))
-	outerUnion := timeOf(UnifiedOuterUnion(tree, true))
-	parted := timeOf(FullyPartitioned(tree))
-	const margin = 1.15 // tolerate scheduler noise
-	if greedy > margin*outerUnion {
-		t.Errorf("greedy (%.3fs) not faster than outer-union (%.3fs)", greedy, outerUnion)
-	}
-	if greedy > margin*parted {
-		t.Errorf("greedy (%.3fs) not faster than fully partitioned (%.3fs)", greedy, parted)
+		greedy := objective(res.BestPlan(tree))
+		outerUnion := objective(UnifiedOuterUnion(tree, true))
+		parted := objective(FullyPartitioned(tree))
+		t.Logf("%s: greedy %.3g, outer-union %.3g, fully partitioned %.3g", src.name, greedy, outerUnion, parted)
+		if greedy >= outerUnion {
+			t.Errorf("%s: greedy objective %.3g not below outer-union's %.3g", src.name, greedy, outerUnion)
+		}
+		if greedy >= parted {
+			t.Errorf("%s: greedy objective %.3g not below fully partitioned's %.3g", src.name, greedy, parted)
+		}
 	}
 }

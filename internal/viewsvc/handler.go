@@ -108,36 +108,80 @@ func retrySecs(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// rejectGlobal answers a request the global admission semaphore refused:
-// 503 with a Retry-After derived from the observed session drain rate —
-// the age of the oldest live stream spread across the quota — rather than
-// a static constant.
-func (h *handler) rejectGlobal(w http.ResponseWriter) {
-	if m := obs.M(); m != nil {
-		m.HTTP.Rejected.Inc()
+// refuse answers a request admission turned away. The status says whose
+// problem it is: 429 the tenant's own quota ("back off, you"), 503 the
+// server's saturation ("back off, everyone"); both carry the Retry-After
+// admit computed. 504 is a budget spent before admission, 400 a malformed
+// one.
+func (h *handler) refuse(w http.ResponseWriter, tenant string, ref *refusal) {
+	switch ref.status {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		w.Header().Set("Retry-After", retrySecs(ref.retryAfter))
 	}
-	oldest, _ := h.srv.sessions.oldestAge("")
-	ra := drainRetryAfter(oldest, h.srv.cfg.Limits.maxConcurrent())
-	w.Header().Set("Retry-After", retrySecs(ra))
-	http.Error(w, "server saturated: concurrent stream limit reached", http.StatusServiceUnavailable)
+	if m := obs.M(); m != nil {
+		switch ref.status {
+		case http.StatusTooManyRequests:
+			m.HTTP.RejectedTenant.Inc()
+			m.HTTP.Tenants.Get(tenant).Rejected.Inc()
+		case http.StatusServiceUnavailable:
+			m.HTTP.Rejected.Inc()
+		case http.StatusGatewayTimeout:
+			m.HTTP.BudgetExpired.Inc()
+		}
+	}
+	http.Error(w, ref.msg, ref.status)
 }
 
-// rejectTenant answers a request the tenant's own quota refused: 429, so
-// the client can tell "back off, you" (its quota) from the 503 "back off,
-// everyone" (server saturation). The Retry-After is exact for a drained
-// token bucket (time until the next token) and drain-derived for a full
-// concurrency quota.
-func (h *handler) rejectTenant(w http.ResponseWriter, ten *tenant, retryAfter time.Duration, cause string) {
-	if m := obs.M(); m != nil {
-		m.HTTP.RejectedTenant.Inc()
-		m.HTTP.Tenants.Get(ten.name).Rejected.Inc()
+// view resolves the request's view and strategy — the view's own, or a
+// ?strategy= override — answering 404, 503 or 400 itself when it cannot.
+func (h *handler) view(w http.ResponseWriter, r *http.Request) (*silkroute.Handle, silkroute.Strategy, bool) {
+	name := r.PathValue("name")
+	handle, brokenErr, found := h.srv.cfg.Registry.Lookup(name)
+	if !found {
+		http.Error(w, fmt.Sprintf("unknown view %q", name), http.StatusNotFound)
+		return nil, 0, false
 	}
-	if cause == "concurrency" {
-		oldest, _ := h.srv.sessions.oldestAge(ten.name)
-		retryAfter = drainRetryAfter(oldest, ten.limits.MaxConcurrent)
+	if brokenErr != nil {
+		// The view is registered but its definition does not compile: that
+		// one name is down, the rest of the registry serves normally.
+		http.Error(w, "view unavailable: "+brokenErr.Error(), http.StatusServiceUnavailable)
+		return nil, 0, false
 	}
-	w.Header().Set("Retry-After", retrySecs(retryAfter))
-	http.Error(w, fmt.Sprintf("tenant %q over %s quota", ten.name, cause), http.StatusTooManyRequests)
+	strat := handle.Strategy()
+	if q := r.URL.Query().Get("strategy"); q != "" {
+		var err error
+		if strat, err = silkroute.ParseStrategy(q); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return nil, 0, false
+		}
+	}
+	return handle, strat, true
+}
+
+// deadline sets the request's effective deadline: the tighter of the
+// server's own RequestTimeout and the client's declared budget. It bounds
+// the request context (so the wire layer propagates the remainder to every
+// backend query, resume, and scatter) and the write deadline (so a stalled
+// client cannot hold a slot past it). A malformed budget is refused 400,
+// one too small to use any answer 504, both before taking quota, a slot,
+// or a backend stream.
+func (h *handler) deadline(r *http.Request, s *Session) *refusal {
+	if t := h.srv.cfg.Limits.RequestTimeout; t > 0 {
+		s.Deadline = s.Started.Add(t)
+	}
+	if hdr := r.Header.Get(HeaderBudget); hdr != "" {
+		budget, err := time.ParseDuration(hdr)
+		if err != nil {
+			return &refusal{status: http.StatusBadRequest, msg: fmt.Sprintf("invalid %s %q: %v", HeaderBudget, hdr, err)}
+		}
+		if bd := s.Started.Add(budget); s.Deadline.IsZero() || bd.Before(s.Deadline) {
+			s.Deadline = bd
+		}
+	}
+	if !s.Deadline.IsZero() && s.Deadline.Sub(s.Started) < minHTTPBudget {
+		return &refusal{status: http.StatusGatewayTimeout, msg: "deadline budget spent before admission"}
+	}
+	return nil
 }
 
 // serveView streams one materialization. The response is chunked: bytes
@@ -145,91 +189,27 @@ func (h *handler) rejectTenant(w http.ResponseWriter, ten *tenant, retryAfter ti
 // aborts the connection outright (http.ErrAbortHandler) — the client sees
 // a transport error, never a syntactically plausible truncated document.
 //
-// Admission runs in fixed order: tenant resolution, deadline-budget
-// check (504, no slot), the tenant's token bucket and concurrency quota
-// (429), then the global semaphore (503). Per-tenant gates come first so
-// one tenant's burst is charged to that tenant before it can contend for
-// the shared slots.
+// Admission is one call: admit resolves the tenant, runs the budget,
+// quota and MaxConcurrent checks, and registers the session; closing the
+// session is the only release.
 func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
+	handle, strat, ok := h.view(w, r)
+	if !ok {
+		return
+	}
 	name := r.PathValue("name")
-	handle, brokenErr, found := h.srv.cfg.Registry.Lookup(name)
-	if !found {
-		http.Error(w, fmt.Sprintf("unknown view %q", name), http.StatusNotFound)
+	sess := &Session{View: name, Strategy: strat.String(), RemoteAddr: r.RemoteAddr,
+		Started: time.Now(), bytes: new(atomic.Int64)}
+	ref := h.srv.adm.admit(sess, h.tenantFor(r), h.deadline(r, sess))
+	w.Header().Set(HeaderTenant, sess.Tenant)
+	if ref != nil {
+		h.refuse(w, sess.Tenant, ref)
 		return
 	}
-	if brokenErr != nil {
-		// The view is registered but its definition does not compile: that
-		// one name is down, the rest of the registry serves normally.
-		http.Error(w, "view unavailable: "+brokenErr.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	strat := handle.Strategy()
-	if q := r.URL.Query().Get("strategy"); q != "" {
-		var err error
-		if strat, err = silkroute.ParseStrategy(q); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-
-	ten := h.srv.tenants.get(h.tenantFor(r))
-	tenantName := ten.name
-	w.Header().Set(HeaderTenant, tenantName)
-
-	// Effective deadline: the tighter of the server's own RequestTimeout
-	// and the client's declared budget. It bounds the request context (so
-	// the wire layer propagates the remainder to every backend query,
-	// resume, and scatter) and the write deadline (so a stalled
-	// client cannot hold a slot past it).
-	limits := h.srv.cfg.Limits
-	now := time.Now()
-	var deadline time.Time
-	if limits.RequestTimeout > 0 {
-		deadline = now.Add(limits.RequestTimeout)
-	}
-	if hdr := r.Header.Get(HeaderBudget); hdr != "" {
-		budget, err := time.ParseDuration(hdr)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("invalid %s %q: %v", HeaderBudget, hdr, err), http.StatusBadRequest)
-			return
-		}
-		if bd := now.Add(budget); deadline.IsZero() || bd.Before(deadline) {
-			deadline = bd
-		}
-	}
-	if !deadline.IsZero() && deadline.Sub(now) < minHTTPBudget {
-		// The client cannot use any answer we could produce: fail fast
-		// before taking quota, a slot, or a backend stream.
-		if m := obs.M(); m != nil {
-			m.HTTP.BudgetExpired.Inc()
-		}
-		http.Error(w, "deadline budget spent before admission", http.StatusGatewayTimeout)
-		return
-	}
-
-	// Tenant admission: the tenant's own token bucket and concurrency
-	// carve-out, charged before the shared semaphore.
-	if ok, retryAfter, cause := ten.admit(now); !ok {
-		h.rejectTenant(w, ten, retryAfter, cause)
-		return
-	}
-	defer ten.release()
-
-	// Global admission: a bounded semaphore, not a queue. A saturated
-	// server says so immediately; the client owns the backoff.
-	select {
-	case h.srv.sem <- struct{}{}:
-	default:
-		h.rejectGlobal(w)
-		return
-	}
-	defer func() { <-h.srv.sem }()
-
-	sess := h.srv.sessions.open(name, strat.String(), tenantName, r.RemoteAddr, deadline)
-	defer h.srv.sessions.close(sess)
+	defer h.srv.adm.close(sess)
 
 	ctx := r.Context()
-	if !deadline.IsZero() {
+	if deadline := sess.Deadline; !deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
@@ -246,7 +226,7 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 		m.HTTP.Sessions.Inc()
 		m.HTTP.Requests.Inc()
 		m.HTTP.InFlight.Inc()
-		v, t := m.HTTP.Views.Get(name), m.HTTP.Tenants.Get(tenantName)
+		v, t := m.HTTP.Views.Get(name), m.HTTP.Tenants.Get(sess.Tenant)
 		v.Requests.Inc()
 		v.InFlight.Inc()
 		t.Requests.Inc()
@@ -256,15 +236,15 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.Header().Set("Silkroute-View", name)
-	w.Header().Set("Silkroute-Strategy", strat.String())
+	w.Header().Set("Silkroute-Strategy", sess.Strategy)
 
-	out := &limitWriter{w: &flushWriter{w: w}, limit: limits.MaxResponseBytes, counter: sess.bytes}
+	out := &limitWriter{w: w, limit: h.srv.cfg.Limits.MaxResponseBytes, n: sess.bytes}
 	bw := bufio.NewWriterSize(out, streamBufBytes)
 	_, err := handle.View().Materialize(ctx, bw, strat)
 	if err == nil {
 		err = bw.Flush()
 	}
-	if err != nil && out.n == 0 {
+	if err != nil && out.n.Load() == 0 {
 		// Nothing escaped to the client (anything the materialization
 		// produced is stranded in the abandoned bufio buffer), so the
 		// response is still ours to shape: try stale, else a clean error.
@@ -272,27 +252,28 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 			err = nil
 		}
 	}
+	written := out.n.Load()
 	if m := obs.M(); m != nil {
 		m.HTTP.InFlight.Dec()
-		v, t := m.HTTP.Views.Get(name), m.HTTP.Tenants.Get(tenantName)
+		v, t := m.HTTP.Views.Get(name), m.HTTP.Tenants.Get(sess.Tenant)
 		v.InFlight.Dec()
-		v.Bytes.Add(out.n)
+		v.Bytes.Add(written)
 		v.Latency.Observe(time.Since(start))
 		if err != nil {
 			v.Errors.Inc()
 		}
 		t.InFlight.Dec()
-		t.Bytes.Add(out.n)
+		t.Bytes.Add(written)
 	}
 	if err == nil {
 		return
 	}
-	if out.n > 0 {
+	if written > 0 {
 		// Fail closed mid-stream: kill the connection rather than finish
 		// the chunked encoding around a truncated document.
 		panic(http.ErrAbortHandler)
 	}
-	if !deadline.IsZero() {
+	if !sess.Deadline.IsZero() {
 		// The expired write deadline would otherwise kill the error
 		// response too; clear it — the status line is the whole point.
 		http.NewResponseController(w).SetWriteDeadline(time.Time{})
@@ -310,35 +291,28 @@ func (h *handler) serveView(w http.ResponseWriter, r *http.Request) {
 // serveStale attempts the graceful-degradation path after a zero-byte
 // failure: when enabled and the error says the backend is entirely
 // unhealthy, serve the view's last complete fragment-cache entry, flagged
-// with the Silkroute-Stale headers set before the first body byte.
-// Reported true only when a complete stale document was written; on a
-// mid-write failure it panics fail-closed like the fresh path (out.n > 0
-// guarantees the caller cannot mistake the outcome). On a zero-byte miss
-// the headers are withdrawn and false is returned — the caller's error
-// mapping proceeds untouched.
-func (h *handler) serveStale(w http.ResponseWriter, handle *silkroute.Handle, out *limitWriter, cause error) bool {
+// with the Silkroute-Stale headers set before the first body byte. The
+// entry is one immutable snapshot, looked up once, so what the headers
+// describe is what is written. Reported true only when the stale document
+// was written whole; a failed write panics fail-closed like the fresh
+// path.
+func (h *handler) serveStale(w http.ResponseWriter, handle *silkroute.Handle, out io.Writer, cause error) bool {
 	if !h.srv.cfg.ServeStale || !silkroute.BackendUnhealthy(cause) {
 		return false
 	}
-	age, ok := handle.View().StaleEntry()
+	doc, age, ok := handle.View().Stale()
 	if !ok {
 		return false
+	}
+	if m := obs.M(); m != nil {
+		m.HTTP.StaleServes.Inc()
 	}
 	w.Header().Set(HeaderStale, "true")
 	w.Header().Set(HeaderStaleAge, age.Round(time.Millisecond).String())
 	// The stale document comes from memory; a deadline the backend blew
 	// need not kill this last-resort write.
 	http.NewResponseController(w).SetWriteDeadline(time.Time{})
-	_, served, err := handle.View().WriteStale(out)
-	if !served && out.n == 0 {
-		// The entry vanished between the peek and the write (invalidation
-		// race); nothing was sent, so withdraw the headers and fail as if
-		// there had been no entry at all.
-		w.Header().Del(HeaderStale)
-		w.Header().Del(HeaderStaleAge)
-		return false
-	}
-	if err != nil {
+	if _, err := doc.WriteTo(out); err != nil {
 		panic(http.ErrAbortHandler)
 	}
 	return true
@@ -347,23 +321,9 @@ func (h *handler) serveStale(w http.ResponseWriter, handle *silkroute.Handle, ou
 // explainView reports the plan a strategy would run for a view — edge
 // sets and per-stream SQL — without executing any query.
 func (h *handler) explainView(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	handle, brokenErr, found := h.srv.cfg.Registry.Lookup(name)
-	if !found {
-		http.Error(w, fmt.Sprintf("unknown view %q", name), http.StatusNotFound)
+	handle, strat, ok := h.view(w, r)
+	if !ok {
 		return
-	}
-	if brokenErr != nil {
-		http.Error(w, "view unavailable: "+brokenErr.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	strat := handle.Strategy()
-	if q := r.URL.Query().Get("strategy"); q != "" {
-		var err error
-		if strat, err = silkroute.ParseStrategy(q); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
 	}
 	e, err := handle.View().Explain(r.Context(), strat)
 	if err != nil {
@@ -383,14 +343,14 @@ func (h *handler) listViews(w http.ResponseWriter, r *http.Request) {
 // including each session's tenant, remaining deadline budget, and bytes
 // written so far.
 func (h *handler) listSessions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, h.srv.sessions.snapshot())
+	writeJSON(w, h.srv.adm.sessions())
 }
 
 // listTenants reports per-tenant quota state — configured limits, current
 // token-bucket depth, in-flight streams, and rejection counts — for every
 // tenant the server has seen.
 func (h *handler) listTenants(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, h.srv.tenants.states(time.Now()))
+	writeJSON(w, h.srv.adm.states())
 }
 
 // putView registers (or replaces) a view from the request body's RXL
@@ -449,51 +409,30 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// flushWriter pushes each chunk to the client as soon as it is written:
-// the ResponseWriter's own buffering plus the bufio coalescer above it
-// decide chunk size; this layer only guarantees forward progress.
-type flushWriter struct {
-	w http.ResponseWriter
-	f http.Flusher
-	// probed defers the Flusher type-assert until the first write.
-	probed bool
-}
-
-func (fw *flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	if !fw.probed {
-		fw.f, _ = fw.w.(http.Flusher)
-		fw.probed = true
-	}
-	if fw.f != nil {
-		fw.f.Flush()
-	}
-	return n, err
-}
-
 // errResponseTooLarge aborts a stream past Limits.MaxResponseBytes.
 var errResponseTooLarge = errors.New("viewsvc: response exceeds byte limit")
 
-// limitWriter counts bytes through and fails the stream when the byte
-// budget is exceeded. The error unwinds the materialization, and the
-// handler's fail-closed path kills the connection. The optional counter
-// mirrors the running total into the session table so /sessions can show
-// live per-stream progress.
+// limitWriter is the response body under the bufio coalescer: it fails
+// the stream once the byte budget would be exceeded, flushes each chunk to
+// the client as soon as it is written (the coalescer decides chunk size;
+// this layer guarantees forward progress), and counts the bytes into the
+// session's counter, the stream's one byte count. A budget error unwinds
+// the materialization, and the handler's fail-closed path kills the
+// connection.
 type limitWriter struct {
-	w       io.Writer
-	n       int64
-	limit   int64 // <= 0 means unlimited
-	counter *atomic.Int64
+	w     http.ResponseWriter
+	limit int64 // <= 0 means unlimited
+	n     *atomic.Int64
 }
 
 func (lw *limitWriter) Write(p []byte) (int, error) {
-	if lw.limit > 0 && lw.n+int64(len(p)) > lw.limit {
+	if lw.limit > 0 && lw.n.Load()+int64(len(p)) > lw.limit {
 		return 0, errResponseTooLarge
 	}
 	n, err := lw.w.Write(p)
-	lw.n += int64(n)
-	if lw.counter != nil {
-		lw.counter.Add(int64(n))
+	lw.n.Add(int64(n))
+	if f, ok := lw.w.(http.Flusher); ok {
+		f.Flush()
 	}
 	return n, err
 }

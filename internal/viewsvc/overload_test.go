@@ -531,14 +531,15 @@ func TestServeStaleDegradation(t *testing.T) {
 	}
 }
 
-// TestWriteStaleFailClosedAfterInvalidation pins the boundary the handler
+// TestStaleFailClosedAfterInvalidation pins the boundary the handler
 // relies on: once a base-table write has invalidated the cached entry,
-// WriteStale writes nothing at all — it can never emit part of a stale
+// Stale offers nothing at all — it can never hand out part of a stale
 // document, so a response is always entirely fresh or entirely the last
-// validated snapshot. A write does not drop the entry by itself: the next
-// lookup's stamp check does, and a materialization that then fails caches
-// nothing in its place.
-func TestWriteStaleFailClosedAfterInvalidation(t *testing.T) {
+// validated snapshot. A snapshot taken before the write stays one whole
+// document. A write does not drop the entry by itself: the next lookup's
+// stamp check does, and a materialization that then fails caches nothing
+// in its place.
+func TestStaleFailClosedAfterInvalidation(t *testing.T) {
 	db := silkroute.OpenTPCH(0.001, 7)
 	h, err := silkroute.NewHandle("fragment", db, rxl.FragmentSource, silkroute.WithFragmentCache(-1))
 	if err != nil {
@@ -549,40 +550,32 @@ func TestWriteStaleFailClosedAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := h.View().StaleEntry(); !ok {
-		t.Fatal("no stale entry after a successful materialization")
-	}
-	var buf bytes.Buffer
-	rep, ok, err := h.View().WriteStale(&buf)
-	if !ok || err != nil {
-		t.Fatalf("WriteStale = (ok=%v, err=%v), want served", ok, err)
-	}
-	if !rep.ServedStale || rep.StaleAge < 0 {
-		t.Errorf("Report = %+v, want ServedStale with non-negative age", rep)
-	}
-	if !bytes.Equal(buf.Bytes(), golden.Bytes()) {
-		t.Error("stale document differs from the materialization that populated it")
+	doc, age, ok := h.View().Stale()
+	if !ok || age < 0 {
+		t.Fatalf("Stale = (age=%v, ok=%v) after a successful materialization, want an entry", age, ok)
 	}
 
 	// Write to a base table the view reads, then materialize into a writer
 	// that fails: the stamp check drops the entry, and the failed cold run
-	// must not cache anything. From then on the stale path must produce
-	// zero bytes, not a partial.
+	// must not cache anything. From then on the stale path must offer
+	// nothing, not a partial.
 	if err := db.Insert("Supplier", 9999, "zz-new-supplier", "nowhere", 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Materialize(context.Background(), failingWriter{}); err == nil {
 		t.Fatal("materialization into a failing writer succeeded")
 	}
-	if _, ok := h.View().StaleEntry(); ok {
-		t.Error("StaleEntry still offered after invalidation")
+	if _, _, ok := h.View().Stale(); ok {
+		t.Error("Stale still offered after invalidation")
 	}
-	var after bytes.Buffer
-	if _, ok, _ := h.View().WriteStale(&after); ok {
-		t.Error("WriteStale served after invalidation")
+	// The snapshot looked up before the write is immutable: it still
+	// writes the complete document that populated it.
+	var buf bytes.Buffer
+	if _, err := doc.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if after.Len() != 0 {
-		t.Errorf("WriteStale leaked %d bytes after invalidation, want 0", after.Len())
+	if !bytes.Equal(buf.Bytes(), golden.Bytes()) {
+		t.Error("stale document differs from the materialization that populated it")
 	}
 }
 

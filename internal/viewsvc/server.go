@@ -70,7 +70,7 @@ type Config struct {
 	Tenants map[string]TenantLimits
 	// TenantDefaults applies to every tenant without an explicit entry in
 	// Tenants (including DefaultTenant). The zero value imposes no
-	// per-tenant limits — only the global semaphore gates.
+	// per-tenant limits — only Limits.MaxConcurrent gates.
 	TenantDefaults TenantLimits
 	// APIKeys maps API keys (Authorization: Bearer or X-Api-Key) to tenant
 	// names. A recognized key outranks the Silkroute-Tenant header; an
@@ -86,14 +86,12 @@ type Config struct {
 }
 
 // Server is the listener/lifecycle half of the view service: it owns the
-// admission semaphore, the live-session table, and graceful drain. The
-// per-request half lives in handler.
+// admission table (live sessions and tenant quotas) and graceful drain.
+// The per-request half lives in handler.
 type Server struct {
-	cfg      Config
-	sem      chan struct{}
-	sessions *sessionTable
-	tenants  *tenantTable
-	httpSrv  *http.Server
+	cfg     Config
+	adm     *admission
+	httpSrv *http.Server
 }
 
 // New builds a Server from cfg. It panics on a nil Registry (a
@@ -102,12 +100,7 @@ func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		panic("viewsvc: Config.Registry is required")
 	}
-	s := &Server{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.Limits.maxConcurrent()),
-		sessions: newSessionTable(),
-		tenants:  newTenantTable(cfg),
-	}
+	s := &Server{cfg: cfg, adm: newAdmission(cfg)}
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	return s
 }
@@ -141,7 +134,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // LiveSessions reports how many admitted requests are currently streaming.
-func (s *Server) LiveSessions() int { return s.sessions.count() }
+func (s *Server) LiveSessions() int { return s.adm.count() }
 
 // ServeContext serves on l until ctx is cancelled, then drains with the
 // given grace period. It returns nil after a clean drain — the packaging

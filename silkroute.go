@@ -16,7 +16,6 @@ import (
 	"silkroute/internal/chaos"
 	"silkroute/internal/engine"
 	"silkroute/internal/fragcache"
-	"silkroute/internal/obs"
 	"silkroute/internal/plan"
 	"silkroute/internal/plancache"
 	"silkroute/internal/rxl"
@@ -601,14 +600,6 @@ type Report struct {
 	// many of the streams' reopens (WithResume) went to a different replica
 	// than the one the stream died on (replicated topologies only).
 	Failovers int
-	// ServedStale reports that the document came from WriteStale: a
-	// fragment-cache entry served without a freshness check, which the
-	// view service does when the backend is entirely unhealthy. The
-	// document is a complete earlier materialization; StaleAge says how
-	// old.
-	ServedStale bool
-	// StaleAge is the age of the stale entry served (ServedStale only).
-	StaleAge time.Duration
 }
 
 // StreamStat is one tuple stream's share of a materialization: its SQL,
@@ -644,62 +635,31 @@ func (v *View) Materialize(ctx context.Context, w io.Writer, s Strategy) (*Repor
 // BackendUnhealthy reports whether err means the backend is entirely
 // unreachable right now — every replica open-circuit, or the single
 // backend's breaker open — the condition under which the view service's
-// serve-stale mode answers from WriteStale. Other
+// serve-stale mode answers from Stale. Other
 // failures (SQL errors, deadlines, cancellation, mid-stream losses) are
 // not degradation candidates: they fail closed.
 func BackendUnhealthy(err error) bool {
 	return errors.Is(err, ErrNoHealthyReplica) || errors.Is(err, ErrCircuitOpen)
 }
 
-// WriteStale serves the view's cached document without a freshness check:
-// the complete fragment-cache entry from the last successful
-// materialization, byte-identical to what that run produced, regardless of
-// how stale it has since become. ok=false when the view has no fragment
-// cache or no complete entry — the caller must then surface its original
-// error. The returned Report carries ServedStale and the entry's age, so
-// HTTP layers can stamp an explicit staleness header before streaming.
+// Stale returns the view's cached document without a freshness check: the
+// complete fragment-cache entry from the last successful materialization,
+// byte-identical to what that run produced, regardless of how stale it has
+// since become, and its age. ok=false when the view has no fragment cache
+// or no complete entry — the caller must then surface its original error.
 //
-// The entry is an immutable snapshot: invalidation or eviction racing this
-// call cannot mutate it, so a stale serve is always one complete earlier
+// The entry is an immutable snapshot: invalidation or eviction after this
+// call cannot mutate it, so writing it always yields one complete earlier
 // document — never a partial, never mixed bytes.
-func (v *View) WriteStale(w io.Writer) (rep *Report, ok bool, err error) {
+func (v *View) Stale() (doc io.WriterTo, age time.Duration, ok bool) {
 	if v.frags == nil {
-		return nil, false, nil
+		return nil, 0, false
 	}
 	e := v.frags.Get(v.key)
 	if e == nil {
-		return nil, false, nil
+		return nil, 0, false
 	}
-	if m := obs.M(); m != nil {
-		m.HTTP.StaleServes.Inc()
-	}
-	start := time.Now()
-	if _, werr := e.WriteTo(w); werr != nil {
-		return nil, true, werr
-	}
-	return &Report{
-		FragmentCached: true,
-		ServedStale:    true,
-		StaleAge:       e.Age(),
-		TotalTime:      time.Since(start),
-	}, true, nil
-}
-
-// StaleEntry peeks at whether WriteStale could currently serve, and how
-// old the document it would serve is — without writing anything. HTTP
-// layers use it to commit response headers (status, staleness markers)
-// before the first body byte. The peek is advisory: the entry can be
-// invalidated between StaleEntry and WriteStale, in which case WriteStale
-// reports ok=false having written nothing.
-func (v *View) StaleEntry() (age time.Duration, ok bool) {
-	if v.frags == nil {
-		return 0, false
-	}
-	e := v.frags.Get(v.key)
-	if e == nil {
-		return 0, false
-	}
-	return e.Age(), true
+	return e, e.Age(), true
 }
 
 // MaterializePlan evaluates the view with an explicit edge bitmask: bit i
