@@ -31,8 +31,8 @@ test:
 
 # The race detector multiplies runtime; -short skips the exhaustive plan
 # sweeps while still covering every concurrent code path. It also carries
-# the caching layer's correctness gate — the root Cache|Invalidation tests
-# (TestCacheRemoteEpochProbes among them), plancache, fragcache, and the
+# the caching layer's correctness gate — the root Cache|Invalidation|PlanMemo
+# tests (TestCacheRemoteEpochProbes among them), fragcache, and the
 # freshness signal's own tests, engine's TestStatsEpochSumsTableVersions
 # and plan's TestViewRelationsCoverEveryPlan — and the view service's load,
 # drain and overload tests (internal/viewsvc); none of them skips under
@@ -63,9 +63,11 @@ chaos:
 # exactly when value-by-value decoding takes it in whole rows within the
 # batch bound, the tagger's escaper must match xml.EscapeText byte for
 # byte, the executor must agree with the
-# brute-force reference on every generated query, and /metrics must stay
-# conformant exposition under any view or tenant name. The seeds also run
-# as plain tests in `make test`.
+# brute-force reference on every generated query, /metrics must stay
+# conformant exposition under any view or tenant name, and a -connect
+# topology string must parse or fail with a positioned error, never panic,
+# and round-trip through its String form. The seeds also run as plain
+# tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/wire
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s .
 
 # test runs tier-1 in full: the allocation and byte gates, the plan sweeps
 # and the full tagger differential skip under test-race's -short. loc and

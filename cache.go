@@ -4,6 +4,7 @@ import (
 	"context"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -11,16 +12,15 @@ import (
 	"silkroute/internal/fragcache"
 	"silkroute/internal/obs"
 	"silkroute/internal/plan"
-	"silkroute/internal/plancache"
 	"silkroute/internal/viewtree"
 )
 
-// WithPlanCache memoizes compiled plans on the view's backend (the DB or
-// Remote), keyed by view fingerprint, strategy, and the database's stats
-// epoch. Repeat materializations of the same view skip planning entirely —
-// for Greedy, the whole search and its estimate requests. Any write to the
-// database bumps the epoch, so plans compiled against stale statistics are
-// re-planned on next use. View option.
+// WithPlanCache memoizes each strategy's compiled plan on the view, with
+// the database's stats epoch it was planned at. Repeat materializations of
+// the view skip planning entirely — for Greedy, the whole search and its
+// estimate requests. Any write to the database bumps the epoch, so a plan
+// compiled against stale statistics is re-planned on next use. View
+// option.
 func WithPlanCache() Option {
 	return func(c *config) { c.planCache = true }
 }
@@ -37,23 +37,11 @@ func WithFragmentCache(maxBytes int64) Option {
 	return func(c *config) { c.fragCache, c.fragBytes = true, maxBytes }
 }
 
-// caches holds a backend's shared plan and fragment caches, each built on
-// first use. DB and Remote each own one, so every view sharing a backend
-// shares its caches.
+// caches holds a backend's shared fragment cache, built on first use. DB
+// and Remote each own one, so every view sharing a backend shares it.
 type caches struct {
 	mu    sync.Mutex
-	plans *plancache.Cache
 	frags *fragcache.Cache
-}
-
-// plan returns the backend's plan cache, creating it on first use.
-func (c *caches) plan() *plancache.Cache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.plans == nil {
-		c.plans = plancache.New()
-	}
-	return c.plans
 }
 
 // fragment returns the backend's fragment cache, creating it on first use;
@@ -73,8 +61,8 @@ func (c *caches) fragment(maxBytes int64) *fragcache.Cache {
 // the WHERE conditions structure alone would miss — arguments, and
 // contents) plus every edge. Strategy is deliberately excluded: all
 // strategies produce byte-identical documents, so one fragment entry serves
-// them all (the plan cache adds strategy to its own key). Every input is
-// fixed at construction, so config.apply computes it once, into View.key.
+// them all. Every input is fixed at construction, so config.apply computes
+// it once, into View.key.
 func (v *View) fingerprint() uint64 {
 	h := fnv.New64a()
 	ws := func(parts ...string) {
@@ -171,34 +159,50 @@ func (v *View) serveCached(ctx context.Context, w io.Writer, s Strategy, st frag
 		return nil, true, err
 	}
 	d := time.Since(start)
-	return &Report{Strategy: s, FragmentCached: true, TotalTime: d}, true, nil
+	return &Report{Strategy: s, FragmentCached: true, Metrics: plan.Metrics{TotalTime: d}}, true, nil
 }
 
-// cachedPlan wraps planCold with the plan cache: a hit skips planning (and
-// for Greedy the entire search), a miss plans cold and stores the result
-// under the epoch of the request's stamp, taken before planning began.
-// fresh=false (no stamp) plans cold and caches nothing.
+// planMemo is one strategy's memoized planning result: the plan, the
+// planning part of its Report (Greedy's edge sets and estimate requests),
+// and the stats epoch of the stamp it was planned under. It is immutable;
+// a re-plan replaces the whole memo.
+type planMemo struct {
+	plan  *plan.Plan
+	rep   Report
+	epoch int64
+}
+
+// cachedPlan wraps planCold with the view's plan memo: a slot whose epoch
+// matches the request's stamp is a hit and skips planning (for Greedy the
+// entire search); any other lookup is a miss that plans cold and
+// overwrites the slot. fresh=false (no stamp) plans cold and memoizes
+// nothing.
 func (v *View) cachedPlan(ctx context.Context, s Strategy, st fragcache.Stamp, fresh bool) (*plan.Plan, *Report, error) {
-	if v.plans == nil || !fresh {
+	if v.plans == nil || !fresh || uint(s) >= uint(len(v.plans)) {
 		return v.planCold(ctx, s)
 	}
-	key := plancache.Key{View: v.key, Strategy: s.String(), Epoch: st.Epoch}
-	if e := v.plans.Get(key); e != nil {
-		rep := &Report{Strategy: s, PlanCached: true}
-		rep.GreedyMandatory = append([]int(nil), e.Mandatory...)
-		rep.GreedyOptional = append([]int(nil), e.Optional...)
-		rep.EstimateRequests = e.Requests
-		return e.Plan, rep, nil
+	slot := &v.plans[s]
+	e := slot.Load()
+	hit := e != nil && e.epoch == st.Epoch
+	if m := obs.M(); m != nil {
+		if hit {
+			m.Cache.PlanHits.Inc()
+		} else {
+			m.Cache.PlanMisses.Inc()
+		}
 	}
-	p, rep, err := v.planCold(ctx, s)
-	if err != nil {
-		return nil, nil, err
+	if !hit {
+		p, rep, err := v.planCold(ctx, s)
+		if err != nil {
+			return nil, nil, err
+		}
+		e = &planMemo{plan: p, rep: *rep, epoch: st.Epoch}
+		slot.Store(e)
 	}
-	v.plans.Put(key, &plancache.Entry{
-		Plan:      p,
-		Mandatory: append([]int(nil), rep.GreedyMandatory...),
-		Optional:  append([]int(nil), rep.GreedyOptional...),
-		Requests:  rep.EstimateRequests,
-	})
-	return p, rep, err
+	// Each request gets its own report; the memo's stays as planned.
+	rep := e.rep
+	rep.PlanCached = hit
+	rep.GreedyMandatory = slices.Clone(rep.GreedyMandatory)
+	rep.GreedyOptional = slices.Clone(rep.GreedyOptional)
+	return e.plan, &rep, nil
 }

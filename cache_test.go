@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,8 +87,8 @@ func TestCachedEquivalenceAllStrategies(t *testing.T) {
 		if !rep.FragmentCached {
 			t.Errorf("%s warm run missed the fragment cache", s)
 		}
-		if rep.Streams != 0 || len(rep.SQL) != 0 {
-			t.Errorf("%s warm run reports %d streams, %d SQL — a fragment hit runs no queries", s, rep.Streams, len(rep.SQL))
+		if rep.Streams != 0 || len(rep.PerStream) != 0 {
+			t.Errorf("%s warm run reports %d streams, %d per-stream entries — a fragment hit runs no queries", s, rep.Streams, len(rep.PerStream))
 		}
 		if warm.String() != want.String() {
 			t.Errorf("%s warm: cached bytes differ from uncached run", s)
@@ -448,5 +450,125 @@ func TestRemoteWriteInvalidation(t *testing.T) {
 	}
 	if !rep.FragmentCached {
 		t.Error("cache did not re-warm after the invalidating write")
+	}
+}
+
+// writeCounter records what a materialization writes and how many writes
+// it took.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestFragmentSplitAtTopLevelElements pins how a cached document is split:
+// fragment 0 is the prologue plus the wrapper's open tag, every later
+// fragment begins at a top-level element, the fragments concatenate to the
+// cold run's bytes, and a hit writes each fragment once — len(Fragments)
+// writes.
+func TestFragmentSplitAtTopLevelElements(t *testing.T) {
+	db := OpenTPCH(0.001, 42)
+	v, err := ParseView(db, rxl.Query1Source, WithFragmentCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cold bytes.Buffer
+	if _, err := v.Materialize(ctx, &cold, Greedy); err != nil {
+		t.Fatal(err)
+	}
+	e := v.frags.Get(v.key)
+	if e == nil {
+		t.Fatal("the cold run cached no entry")
+	}
+	frags := e.Fragments
+	if got := string(frags[0]); got != "<document>" {
+		t.Errorf("fragment 0 = %q, want the wrapper's open tag", got)
+	}
+	var opens [][]byte
+	for _, n := range v.tree.Nodes {
+		if n.Level() == 1 {
+			opens = append(opens, []byte("<"+n.Tag+">"))
+		}
+	}
+	if len(frags) < 3 {
+		t.Fatalf("%d fragments; Q1 has several top-level elements", len(frags))
+	}
+	for i, f := range frags[1:] {
+		if !slices.ContainsFunc(opens, func(open []byte) bool { return bytes.HasPrefix(f, open) }) {
+			t.Errorf("fragment %d begins %.40q, not at a top-level element", i+1, f)
+		}
+	}
+	if !bytes.Equal(bytes.Join(frags, nil), cold.Bytes()) {
+		t.Error("the fragments do not concatenate to the cold document")
+	}
+
+	var hit writeCounter
+	rep, err := v.Materialize(ctx, &hit, Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.FragmentCached {
+		t.Fatal("the second run missed the fragment cache")
+	}
+	if hit.writes != len(frags) {
+		t.Errorf("the hit made %d writes, want one per fragment (%d)", hit.writes, len(frags))
+	}
+	if !bytes.Equal(hit.Bytes(), cold.Bytes()) {
+		t.Error("the hit's bytes differ from the cold run")
+	}
+}
+
+// TestPlanMemoReplansEachStrategyOnceAfterWrite: two strategies are
+// memoized side by side, each in its own slot; a write bumps the stats
+// epoch, after which each strategy misses once, re-plans, overwrites its
+// slot with the new epoch and hits again. Hits and misses are counted.
+func TestPlanMemoReplansEachStrategyOnceAfterWrite(t *testing.T) {
+	old := obs.M()
+	m := obs.NewMetrics()
+	obs.SetGlobal(m)
+	t.Cleanup(func() { obs.SetGlobal(old) })
+
+	db := cacheLibraryDB(t)
+	v, err := ParseView(db, libraryView, WithPlanCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(s Strategy, wantCached bool) string {
+		t.Helper()
+		var buf bytes.Buffer
+		rep, err := v.Materialize(ctx, &buf, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.PlanCached != wantCached {
+			t.Errorf("%s: PlanCached = %v, want %v", s, rep.PlanCached, wantCached)
+		}
+		return buf.String()
+	}
+	strategies := []Strategy{Greedy, FullyPartitioned}
+	for _, s := range strategies {
+		run(s, false)
+	}
+	for _, s := range strategies {
+		run(s, true)
+	}
+	if err := db.Insert("Book", 12, 2, "Pensees"); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range strategies {
+		if doc := run(s, false); !strings.Contains(doc, "Pensees") {
+			t.Errorf("%s after the write: document lacks the new row", s)
+		}
+		run(s, true)
+		if e := v.plans[s].Load(); e == nil || e.epoch != db.eng.StatsEpoch() {
+			t.Errorf("%s: slot not re-planned at the current stats epoch", s)
+		}
+	}
+	if h, mi := m.Cache.PlanHits.Value(), m.Cache.PlanMisses.Value(); h != 4 || mi != 4 {
+		t.Errorf("plan memo counters hits=%d misses=%d, want 4/4", h, mi)
 	}
 }

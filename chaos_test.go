@@ -81,7 +81,7 @@ func TestChaosEquivalence(t *testing.T) {
 				t.Errorf("seed %s %s: chaotic document differs from fault-free run (lengths %d vs %d)",
 					seed, s, got.Len(), len(want[s]))
 			}
-			for _, st := range rep.StreamStats {
+			for _, st := range rep.PerStream {
 				if st.Resumes > 0 {
 					anyResumed = true
 				}
@@ -101,7 +101,7 @@ func TestChaosEquivalence(t *testing.T) {
 		if gotBits.String() != wantBits.String() {
 			t.Errorf("seed %s bitmask: chaotic document differs from fault-free run", seed)
 		}
-		for _, st := range rep.StreamStats {
+		for _, st := range rep.PerStream {
 			if st.Resumes > 0 {
 				anyResumed = true
 			}
@@ -147,8 +147,8 @@ func TestChaosResumeRefetchesOnlySuffix(t *testing.T) {
 	if got.String() != want.String() {
 		t.Errorf("chaotic document differs from fault-free run (lengths %d vs %d)", got.Len(), want.Len())
 	}
-	if len(rep.StreamStats) != 1 || rep.StreamStats[0].Resumes == 0 {
-		t.Fatalf("StreamStats = %+v, want one stream with resumes", rep.StreamStats)
+	if len(rep.PerStream) != 1 || rep.PerStream[0].Resumes == 0 {
+		t.Fatalf("StreamStats = %+v, want one stream with resumes", rep.PerStream)
 	}
 
 	// Partition the log: the original stream query (possibly re-logged by
@@ -217,7 +217,7 @@ func TestChaosEveryStreamKilledOnce(t *testing.T) {
 		t.Errorf("chaotic document differs from fault-free run (lengths %d vs %d)", got.Len(), want.Len())
 	}
 	totalResumes := 0
-	for _, st := range rep.StreamStats {
+	for _, st := range rep.PerStream {
 		totalResumes += st.Resumes
 		if st.Rows > 2 && st.Resumes == 0 {
 			t.Errorf("stream %q delivered %d rows without a resume; cutrow=2 should have killed it", st.SQL, st.Rows)

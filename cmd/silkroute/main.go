@@ -209,8 +209,8 @@ func main() {
 		}
 		fmt.Fprint(os.Stderr, e)
 		fmt.Fprintf(os.Stderr, "executed: streams: %d  rows: %d\n", rep.Streams, rep.Rows)
-		fmt.Fprintf(os.Stderr, "query time: %v (wall %v)  total time: %v\n", rep.QueryTime, rep.QueryWallTime, rep.TotalTime)
-		for i, st := range rep.StreamStats {
+		fmt.Fprintf(os.Stderr, "query time: %v  total time: %v\n", rep.QueryTime, rep.TotalTime)
+		for i, st := range rep.PerStream {
 			fmt.Fprintf(os.Stderr, "  stream %d: rows=%d query=%v wall=%v", i+1, st.Rows, st.QueryTime, st.WallTime)
 			if st.Bytes > 0 {
 				fmt.Fprintf(os.Stderr, " bytes=%d", st.Bytes)

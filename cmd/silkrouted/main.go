@@ -21,11 +21,11 @@
 //	PUT/DELETE /views/{name}    register/remove a view (-admin only)
 //
 // Admission control refuses work beyond -max-concurrent with 503 +
-// Retry-After instead of queueing; per-tenant quotas (-tenant-rate,
-// -tenant-burst, -tenant-concurrent, -tenants, -api-keys) answer 429
-// before a tenant's burst can reach the shared slots. Requests identify
-// their tenant with a Silkroute-Tenant header or an API key, and may
-// declare a deadline budget with Silkroute-Budget ("250ms"): the server
+// Retry-After instead of queueing; per-tenant quotas (-tenants, where the
+// entry "*" sets the limits of every tenant not named, and -api-keys)
+// answer 429 before a tenant's burst can reach the shared slots. Requests
+// identify their tenant with a Silkroute-Tenant header or an API key, and
+// may declare a deadline budget with Silkroute-Budget ("250ms"): the server
 // serves within it and propagates the remainder to its backends, so work
 // the client can no longer use is abandoned everywhere. With -serve-stale
 // (requires -fragment-cache, -connect and -breaker), a view whose backend
@@ -90,10 +90,7 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", viewsvc.DefaultMaxConcurrent, "concurrent materializations admitted; beyond it 503 + Retry-After")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline, admission through last byte (0 = none)")
 	maxBytes := flag.Int64("max-bytes", 0, "abort responses past this many bytes, fail-closed (0 = none)")
-	tenantRate := flag.Float64("tenant-rate", 0, "default per-tenant sustained requests/second (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 0, "default per-tenant burst depth for -tenant-rate")
-	tenantConcurrent := flag.Int("tenant-concurrent", 0, "default per-tenant concurrent-stream quota (0 = global limit only)")
-	tenants := flag.String("tenants", "", `per-tenant limit overrides, "name=rate:burst:concurrent,..." (empty field = unlimited)`)
+	tenants := flag.String("tenants", "", `per-tenant limits, "name=rate:burst:concurrent,..." (empty field = unlimited; name "*" = every tenant not named)`)
 	apiKeys := flag.String("api-keys", "", `API key to tenant bindings, "key=tenant,..." (keys outrank the Silkroute-Tenant header)`)
 	serveStale := flag.Bool("serve-stale", false, "serve the last complete cached document (flagged Silkroute-Stale) when the backend is entirely down; requires -fragment-cache, -connect and -breaker")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace after SIGTERM before force-closing streams")
@@ -210,15 +207,10 @@ func main() {
 			RequestTimeout:   *requestTimeout,
 			MaxResponseBytes: *maxBytes,
 		},
-		Admin:   *admin,
-		Backend: backend,
-		Options: opts,
-		Tenants: tenantLimits,
-		TenantDefaults: viewsvc.TenantLimits{
-			Rate:          *tenantRate,
-			Burst:         *tenantBurst,
-			MaxConcurrent: *tenantConcurrent,
-		},
+		Admin:      *admin,
+		Backend:    backend,
+		Options:    opts,
+		Tenants:    tenantLimits,
 		APIKeys:    keyTable,
 		ServeStale: *serveStale,
 	})
@@ -238,9 +230,10 @@ func main() {
 }
 
 // parseTenants parses "name=rate:burst:concurrent,..." into per-tenant
-// limit overrides. Any of the three fields may be empty (that dimension
-// stays unlimited); trailing fields may be omitted. A field must be a
-// number in full, and a fourth field is refused.
+// limits; the name "*" sets those of every tenant not named (see
+// viewsvc.Config.Tenants). Any of the three fields may be empty (that
+// dimension stays unlimited); trailing fields may be omitted. A field must
+// be a number in full, and a fourth field is refused.
 func parseTenants(spec string) (map[string]viewsvc.TenantLimits, error) {
 	if spec == "" {
 		return nil, nil

@@ -22,6 +22,11 @@ func TestParseTenants(t *testing.T) {
 			"acme":  {Rate: 50, Burst: 10, MaxConcurrent: 4},
 			"batch": {Rate: 2, Burst: 1, MaxConcurrent: 1},
 		}, true},
+		{"*=10:5:2", map[string]viewsvc.TenantLimits{"*": {Rate: 10, Burst: 5, MaxConcurrent: 2}}, true},
+		{"*=::1,acme=50:10", map[string]viewsvc.TenantLimits{
+			"*":    {MaxConcurrent: 1},
+			"acme": {Rate: 50, Burst: 10},
+		}, true},
 		{"acme=5x", nil, false},      // trailing bytes after the rate
 		{"acme=10ms", nil, false},    // a duration is not a rate
 		{"acme=1:2x", nil, false},    // trailing bytes after the burst

@@ -54,8 +54,8 @@ func main() {
 	fmt.Printf("  resulting plan: %d tuple streams, %d rows, %v total\n\n",
 		rep.Streams, rep.Rows, rep.TotalTime)
 
-	for i, sql := range rep.SQL {
-		fmt.Printf("-- stream %d --\n%s\n\n", i+1, sql)
+	for i, st := range rep.PerStream {
+		fmt.Printf("-- stream %d --\n%s\n\n", i+1, st.SQL)
 	}
 }
 

@@ -66,8 +66,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "\n-- %d SQL quer%s, %d tuples, %v total --\n",
 		report.Streams, plural(report.Streams), report.Rows, report.TotalTime)
-	for i, sql := range report.SQL {
-		fmt.Fprintf(os.Stderr, "SQL %d: %s\n", i+1, sql)
+	for i, st := range report.PerStream {
+		fmt.Fprintf(os.Stderr, "SQL %d: %s\n", i+1, st.SQL)
 	}
 }
 

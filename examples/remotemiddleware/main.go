@@ -63,8 +63,8 @@ func main() {
 	fmt.Printf("remote optimizer answered %d estimate requests during planning\n",
 		rep.EstimateRequests)
 	fmt.Printf("query time %v, total time %v\n", rep.QueryTime, rep.TotalTime)
-	for i, sql := range rep.SQL {
-		fmt.Printf("-- stream %d --\n%.120s…\n", i+1, sql)
+	for i, st := range rep.PerStream {
+		fmt.Printf("-- stream %d --\n%.120s…\n", i+1, st.SQL)
 	}
 
 	// Cross-check: the same view materialized locally gives the same

@@ -35,8 +35,12 @@ func TestExplainMatchesGreedyExecution(t *testing.T) {
 	if !reflect.DeepEqual(e.OptionalEdges, rep.GreedyOptional) {
 		t.Errorf("optional edges: Explain %v, Materialize %v", e.OptionalEdges, rep.GreedyOptional)
 	}
-	if !reflect.DeepEqual(e.SQL, rep.SQL) {
-		t.Errorf("SQL: Explain %v, Materialize %v", e.SQL, rep.SQL)
+	var sqls []string
+	for _, st := range rep.PerStream {
+		sqls = append(sqls, st.SQL)
+	}
+	if !reflect.DeepEqual(e.SQL, sqls) {
+		t.Errorf("SQL: Explain %v, Materialize %v", e.SQL, sqls)
 	}
 	if e.EstimateRequests <= 0 {
 		t.Error("Explain(Greedy) reported no estimate requests")
@@ -89,13 +93,13 @@ func TestStreamStatsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.StreamStats) != rep.Streams {
-		t.Fatalf("StreamStats has %d entries, report says %d streams", len(rep.StreamStats), rep.Streams)
+	if len(rep.PerStream) != rep.Streams {
+		t.Fatalf("PerStream has %d entries, report says %d streams", len(rep.PerStream), rep.Streams)
 	}
 	var rows int64
-	for i, st := range rep.StreamStats {
-		if st.SQL != rep.SQL[i] {
-			t.Errorf("stream %d SQL mismatch", i)
+	for i, st := range rep.PerStream {
+		if st.SQL == "" {
+			t.Errorf("stream %d has no SQL", i)
 		}
 		if st.WallTime < st.QueryTime {
 			t.Errorf("stream %d wall time %v below query time %v", i, st.WallTime, st.QueryTime)
@@ -129,11 +133,11 @@ func TestStreamStatsRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.StreamStats) != rep.Streams {
-		t.Fatalf("StreamStats has %d entries, report says %d streams", len(rep.StreamStats), rep.Streams)
+	if len(rep.PerStream) != rep.Streams {
+		t.Fatalf("PerStream has %d entries, report says %d streams", len(rep.PerStream), rep.Streams)
 	}
 	var rows, bytesSum int64
-	for _, st := range rep.StreamStats {
+	for _, st := range rep.PerStream {
 		rows += st.Rows
 		bytesSum += st.Bytes
 	}
@@ -141,7 +145,7 @@ func TestStreamStatsRemote(t *testing.T) {
 		t.Errorf("per-stream rows sum to %d, report says %d", rows, rep.Rows)
 	}
 	if bytesSum <= 0 {
-		t.Error("remote run transferred no bytes according to StreamStats")
+		t.Error("remote run transferred no bytes according to PerStream")
 	}
 }
 

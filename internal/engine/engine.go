@@ -173,15 +173,6 @@ func (r *Result) Next() (table.Row, bool) {
 	return row, true
 }
 
-// Reset rewinds the cursor to the first row.
-func (r *Result) Reset() { r.pos = 0 }
-
-// Execute parses and runs one SQL statement without a deadline; it is
-// ExecuteContext with context.Background().
-func (db *Database) Execute(sql string) (*Result, error) {
-	return db.ExecuteContext(context.Background(), sql)
-}
-
 // ExecuteContext parses and runs one SQL statement under a context. The
 // executor checks the context between row batches and external-sort runs,
 // so cancellation interrupts a running query promptly with an error
@@ -200,11 +191,6 @@ func (db *Database) ExecuteContext(ctx context.Context, sql string) (*Result, er
 		}
 	}
 	return res, err
-}
-
-// ExecuteQuery runs an already-parsed statement without a deadline.
-func (db *Database) ExecuteQuery(q sqlast.Query) (*Result, error) {
-	return db.ExecuteQueryContext(context.Background(), q)
 }
 
 // ExecuteQueryContext runs an already-parsed statement under a context.

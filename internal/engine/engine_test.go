@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"silkroute/internal/schema"
@@ -47,7 +48,7 @@ func smallDB(t *testing.T) *Database {
 
 func TestExecuteStreamsRows(t *testing.T) {
 	db := smallDB(t)
-	res, err := db.Execute("select s.suppkey from Supplier s where s.nationkey = 0 order by s.suppkey")
+	res, err := db.ExecuteContext(context.Background(), "select s.suppkey from Supplier s where s.nationkey = 0 order by s.suppkey")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,18 +75,14 @@ func TestExecuteStreamsRows(t *testing.T) {
 	if _, ok := res.Next(); ok {
 		t.Error("Next after exhaustion returned a row")
 	}
-	res.Reset()
-	if _, ok := res.Next(); !ok {
-		t.Error("Reset did not rewind")
-	}
 }
 
 func TestExecuteParseError(t *testing.T) {
 	db := smallDB(t)
-	if _, err := db.Execute("selec nonsense"); err == nil {
+	if _, err := db.ExecuteContext(context.Background(), "selec nonsense"); err == nil {
 		t.Error("bad SQL accepted")
 	}
-	if _, err := db.Execute("select g.x from Ghost g"); err == nil {
+	if _, err := db.ExecuteContext(context.Background(), "select g.x from Ghost g"); err == nil {
 		t.Error("unknown table accepted")
 	}
 }
@@ -139,7 +136,7 @@ func TestEstimateKeyJoinIsCalibrated(t *testing.T) {
 		t.Errorf("key join estimate = %v, want ≈400", est.Rows)
 	}
 	// And the real execution agrees.
-	res, err := db.Execute(`select ps.suppkey, p.name from PartSupp ps, Part p
+	res, err := db.ExecuteContext(context.Background(), `select ps.suppkey, p.name from PartSupp ps, Part p
 		where ps.partkey = p.partkey`)
 	if err != nil {
 		t.Fatal(err)
@@ -281,12 +278,12 @@ func TestEstimateChargesSpillBeyondBudget(t *testing.T) {
 func TestExecutionIdenticalWithAndWithoutSpill(t *testing.T) {
 	db := smallDB(t)
 	sql := "select ps.partkey, ps.suppkey from PartSupp ps order by ps.partkey, ps.suppkey"
-	free, err := db.Execute(sql)
+	free, err := db.ExecuteContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.SortBudgetRows = 7
-	spilled, err := db.Execute(sql)
+	spilled, err := db.ExecuteContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package fragcache is a size-bounded cache of materialized XML fragments.
 //
-// Level 2 of the middleware's cache (level 1, the plan cache, lives in
-// internal/plancache): whole materialized documents are kept in memory as a
-// sequence of top-level fragments, keyed per view, under a byte budget with
-// LRU eviction. Warm requests are served straight from memory,
-// byte-identical to a cold run, with zero planning, SQL, or tagging work.
+// Level 2 of the middleware's cache (level 1, the plan memo, is one slot
+// per view and strategy in the root package): whole materialized documents
+// are kept in memory as a sequence of top-level fragments, keyed per view,
+// under a byte budget with LRU eviction. Warm requests are served straight
+// from memory, byte-identical to a cold run, with zero planning, SQL, or
+// tagging work.
 //
 // Freshness is tracked by a Stamp the caller takes once per request, before
 // anything runs: the write versions of the view's base tables when the
@@ -224,8 +225,9 @@ func (c *Cache) pushFront(e *Entry) {
 
 // Recorder tees a materialization into fragment buffers while passing every
 // byte through to the underlying writer unchanged — cached output is
-// byte-identical to the live stream by construction. The tagger's
-// top-level-element hook calls Boundary to split fragments.
+// byte-identical to the live stream by construction. The tagger finds its
+// Boundary method on the writer it is given and calls it to split
+// fragments.
 type Recorder struct {
 	w     io.Writer
 	frags [][]byte

@@ -167,12 +167,13 @@ type TaggerMetrics struct {
 	Bytes     Counter `metric:"silkroute_tagger_bytes_total" help:"XML bytes written by the tagger, after escaping."`
 }
 
-// CacheMetrics covers the middleware's two-level cache: the plan cache
-// (compiled plan families keyed by view/strategy/stats-epoch) and the
-// fragment cache (materialized XML under a byte budget).
+// CacheMetrics covers the middleware's two cache levels: the plan memo
+// (one compiled plan per view and strategy, at the stats epoch it was
+// planned under) and the fragment cache (materialized XML under a byte
+// budget).
 type CacheMetrics struct {
-	PlanHits              Counter `metric:"silkroute_cache_plan_hits_total" help:"Plan requests answered from the plan cache (planning skipped)."`
-	PlanMisses            Counter `metric:"silkroute_cache_plan_misses_total" help:"Plan-cache lookups that fell through to planning."`
+	PlanHits              Counter `metric:"silkroute_cache_plan_hits_total" help:"Plan requests answered from the view's plan memo (planning skipped)."`
+	PlanMisses            Counter `metric:"silkroute_cache_plan_misses_total" help:"Plan-memo lookups that fell through to planning."`
 	FragmentHits          Counter `metric:"silkroute_cache_fragment_hits_total" help:"Materializations served whole from the fragment cache."`
 	FragmentMisses        Counter `metric:"silkroute_cache_fragment_misses_total" help:"Fragment-cache lookups that fell through to a cold run (absent or stale entries)."`
 	FragmentEvictions     Counter `metric:"silkroute_cache_fragment_evictions_total" help:"Fragment-cache entries evicted for the byte budget."`

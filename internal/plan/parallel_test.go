@@ -79,9 +79,9 @@ func TestParallelSerialEquivalence(t *testing.T) {
 				t.Errorf("%s plan %d: metrics diverge: serial %+v parallel %+v",
 					src.name, pi, mSerial, mPar)
 			}
-			if mPar.QueryWallTime <= 0 || mSerial.QueryWallTime <= 0 {
-				t.Errorf("%s plan %d: QueryWallTime not recorded: serial %v parallel %v",
-					src.name, pi, mSerial.QueryWallTime, mPar.QueryWallTime)
+			if mPar.QueryTime <= 0 || mSerial.QueryTime <= 0 {
+				t.Errorf("%s plan %d: QueryTime not recorded: serial %v parallel %v",
+					src.name, pi, mSerial.QueryTime, mPar.QueryTime)
 			}
 		}
 	}
@@ -99,8 +99,8 @@ func TestParallelismDefaultMatchesSerial(t *testing.T) {
 	if got != want {
 		t.Errorf("default-parallelism document differs:\n got: %s\nwant: %s", got, want)
 	}
-	if m.QueryWallTime <= 0 {
-		t.Errorf("QueryWallTime = %v", m.QueryWallTime)
+	if m.QueryTime <= 0 {
+		t.Errorf("QueryTime = %v", m.QueryTime)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"silkroute/internal/engine"
@@ -30,7 +31,8 @@ import (
 	"silkroute/internal/wire"
 )
 
-// Plan identifies one execution strategy for a view tree.
+// Plan identifies one execution strategy for a view tree. Executions only
+// read a plan, so once built it may run on many goroutines at once.
 type Plan struct {
 	Tree   *viewtree.Tree
 	Keep   []bool // kept edges, indexed like Tree.Edges
@@ -47,11 +49,6 @@ type Plan struct {
 	// work — so this is the knob the paper's "multiple result sets open at
 	// once" client implies.
 	Parallelism int
-	// FragmentBoundary, when set, is forwarded to the tagger's OnTopLevel
-	// hook: it fires just before each top-level element opens, with all
-	// earlier bytes already flushed to the output writer. The fragment
-	// cache uses it to split cached documents at exact element boundaries.
-	FragmentBoundary func()
 }
 
 // Unified returns the plan keeping every edge: one SQL query.
@@ -107,21 +104,15 @@ func (p *Plan) Streams() ([]*sqlgen.Stream, error) {
 // time (until the last tuple has been read and tagged).
 type Metrics struct {
 	Streams int
-	// QueryTime is the paper's "query-only" series. ExecuteDirect reports
-	// the summed per-stream engine time, which is independent of
-	// Parallelism, so parallel runs stay comparable with the published
-	// serial numbers. ExecuteWire opens every stream at once and reports
-	// the wall clock until each has its first tuple, which is what the
-	// paper's client measured.
+	// QueryTime is the paper's "query-only" series, time to first tuple:
+	// the wall clock from the start of the execution until every stream is
+	// open. Locally a stream is open once the engine has computed its
+	// result, and at most Plan.Parallelism open at once; over the wire
+	// every stream opens at once and is open at its first tuple.
 	QueryTime time.Duration
-	// QueryWallTime is the elapsed wall clock of the query phase. With
-	// Parallelism 1 it equals QueryTime (plus scheduling noise); with more
-	// workers it is what actually shrinks. Over the wire it equals
-	// QueryTime.
-	QueryWallTime time.Duration
-	TotalTime     time.Duration
-	Rows          int64 // total tuples transferred across all streams
-	Bytes         int64 // total payload bytes transferred (wire execution only)
+	TotalTime time.Duration
+	Rows      int64 // total tuples transferred across all streams
+	Bytes     int64 // total payload bytes transferred (wire execution only)
 	// PerStream breaks the totals down by tuple stream, in stream order —
 	// the per-stream skew the aggregate times hide is exactly what the
 	// greedy planner exploits, so executions report it.
@@ -136,12 +127,11 @@ type StreamMetrics struct {
 	Rows int64
 	// Bytes counts the payload bytes transferred (wire execution only).
 	Bytes int64
-	// QueryTime is the stream's server execution time: for direct
-	// execution the engine call, for wire execution the span from submit
-	// to the column header (time to first tuple).
+	// QueryTime is the span from the stream's open call until it returned:
+	// the engine call locally, submit to the column header over the wire.
 	QueryTime time.Duration
-	// WallTime is the stream's full lifetime — through the last row
-	// drained into the tagger.
+	// WallTime is the stream's full lifetime — from the start of the
+	// execution through the last row drained into the tagger.
 	WallTime time.Duration
 	// Resumes counts mid-stream reopens: the stream died after delivering
 	// rows and was spliced back together from its last sort key, or from
@@ -167,15 +157,84 @@ func resumeSpec(s *sqlgen.Stream) *wire.ResumeSpec {
 	return &wire.ResumeSpec{KeyCols: s.SortKey(), Rewrite: s.ResumeSQL}
 }
 
-// resultSource adapts an engine result to a tagger source and counts the
-// rows consumed. It polls the context every srcCheckRows rows so that
+// source is one open tuple stream as the executor drives it: the tagger
+// reads its rows, and once the document is written finish reports it.
+type source interface {
+	tagger.Source
+	// finish fills sm's transfer counters — rows and, over the wire, bytes,
+	// reopens and placement — and returns when the last row was read (zero
+	// if the stream never reached its end).
+	finish(sm *StreamMetrics) time.Time
+	// close releases the stream; it may be called more than once.
+	close()
+}
+
+// execute is the one executor behind ExecuteDirect and ExecuteWire: it
+// generates the plan's streams, opens them with open on at most width
+// goroutines (see fanout.Each), merges and tags them into w, and reports.
+// Every opened stream is released on every exit path.
+func execute(ctx context.Context, p *Plan, w io.Writer, width int, open func(context.Context, *sqlgen.Stream, string) (source, error)) (Metrics, error) {
+	streams, err := p.Streams()
+	if err != nil {
+		return Metrics{}, err
+	}
+	ctx, span := obs.StartSpan(ctx, "plan.execute")
+	defer span.End()
+	start := time.Now()
+	m := Metrics{Streams: len(streams), PerStream: make([]StreamMetrics, len(streams))}
+	sources := make([]source, len(streams))
+	errs := make([]error, len(streams))
+	fanout.Each(len(streams), width, func(i int) {
+		sm := &m.PerStream[i]
+		sm.SQL = streams[i].SQL()
+		qs := time.Now()
+		sources[i], errs[i] = open(ctx, streams[i], sm.SQL)
+		sm.QueryTime = time.Since(qs)
+	})
+	m.QueryTime = time.Since(start)
+	defer func() {
+		for _, s := range sources {
+			if s != nil {
+				s.close()
+			}
+		}
+	}()
+
+	inputs := make([]tagger.Input, len(streams))
+	for i, s := range streams {
+		if errs[i] != nil {
+			return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, errs[i])
+		}
+		inputs[i] = tagger.Input{Meta: s, Rows: sources[i]}
+	}
+	tg := tagger.New(p.Tree)
+	tg.Wrapper = p.Wrapper
+	if err := tg.WriteXML(w, inputs); err != nil {
+		return Metrics{}, err
+	}
+	m.TotalTime = time.Since(start)
+	for i, s := range sources {
+		sm := &m.PerStream[i]
+		sm.WallTime = m.TotalTime
+		if end := s.finish(sm); !end.IsZero() {
+			sm.WallTime = end.Sub(start)
+		}
+		m.Rows += sm.Rows
+		m.Bytes += sm.Bytes
+	}
+	return m, nil
+}
+
+// resultSource adapts an engine result to a source and counts the rows
+// consumed. It polls the context every srcCheckRows rows so that
 // cancellation also interrupts the tagging phase, after the queries have
 // already executed.
 type resultSource struct {
 	ctx  context.Context
 	res  *engine.Result
-	rows *int64
+	rows int64
 	n    int
+	end  time.Time
 }
 
 // srcCheckRows is the row granularity of context checks while draining a
@@ -191,78 +250,50 @@ func (s *resultSource) Next() ([]value.Value, bool, error) {
 	s.n++
 	row, ok := s.res.Next()
 	if !ok {
+		s.end = time.Now()
 		return nil, false, nil
 	}
-	*s.rows++
+	s.rows++
 	return row, true, nil
 }
 
+func (s *resultSource) finish(sm *StreamMetrics) time.Time {
+	sm.Rows = s.rows
+	return s.end
+}
+
+func (s *resultSource) close() {}
+
 // ExecuteDirect runs the plan against an in-process engine (no wire
 // protocol) and writes the XML document to w. Partition queries execute
-// on at most p.Parallelism goroutines (see Plan and fanout.Each);
-// QueryTime stays the summed server execution time regardless of the pool
-// size, QueryWallTime is the elapsed query phase, and TotalTime adds
-// tagging. Results are collected by stream index, so the merged document
-// is byte-identical at every parallelism level.
+// on at most p.Parallelism goroutines (see Plan and fanout.Each); results
+// are collected by stream index, so the merged document is byte-identical
+// at every parallelism level.
 //
 // Cancelling ctx interrupts the run promptly — inside a partition query's
 // executor loops, between queries, or while tagging — and the returned
 // error satisfies errors.Is(err, ctx.Err()).
 func ExecuteDirect(ctx context.Context, db *engine.Database, p *Plan, w io.Writer) (Metrics, error) {
-	streams, err := p.Streams()
-	if err != nil {
-		return Metrics{}, err
-	}
-	ctx, span := obs.StartSpan(ctx, "plan.execute.direct")
-	defer span.End()
-	start := time.Now()
-	m := Metrics{Streams: len(streams), PerStream: make([]StreamMetrics, len(streams))}
-	inputs := make([]tagger.Input, len(streams))
-	perRows := make([]int64, len(streams))
-
-	results := make([]*engine.Result, len(streams))
-	errs := make([]error, len(streams))
-	fanout.Each(len(streams), p.Parallelism, func(i int) {
-		qs := time.Now()
-		results[i], errs[i] = db.ExecuteQueryContext(ctx, streams[i].Query)
-		qd := time.Since(qs)
-		m.PerStream[i] = StreamMetrics{SQL: streams[i].SQL(), QueryTime: qd, WallTime: qd}
-	})
-	for i, s := range streams {
-		if errs[i] != nil {
-			return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, errs[i])
+	return execute(ctx, p, w, p.Parallelism, func(ctx context.Context, s *sqlgen.Stream, _ string) (source, error) {
+		res, err := db.ExecuteQueryContext(ctx, s.Query)
+		if err != nil {
+			return nil, err
 		}
-		m.QueryTime += m.PerStream[i].QueryTime
-		inputs[i] = tagger.Input{Meta: s, Rows: &resultSource{ctx: ctx, res: results[i], rows: &perRows[i]}}
-	}
-	m.QueryWallTime = time.Since(start)
-
-	tg := tagger.New(p.Tree)
-	tg.Wrapper = p.Wrapper
-	tg.OnTopLevel = p.FragmentBoundary
-	if err := tg.WriteXML(w, inputs); err != nil {
-		return Metrics{}, err
-	}
-	m.TotalTime = time.Since(start)
-	for i, n := range perRows {
-		m.PerStream[i].Rows = n
-		m.Rows += n
-	}
-	return m, nil
+		return &resultSource{ctx: ctx, res: res}, nil
+	})
 }
 
-// wireSource adapts a wire row stream to a tagger source and remembers
-// when the stream finished draining, for the per-stream wall time.
+// wireSource adapts a wire row stream to a source and remembers when the
+// stream finished draining, for the per-stream wall time.
 type wireSource struct {
-	rows  *wire.Rows
-	start time.Time
-	wall  time.Duration // set once the stream reaches EOF
+	rows *wire.Rows
+	end  time.Time
 }
 
 func (s *wireSource) Next() ([]value.Value, bool, error) {
 	row, err := s.rows.Next()
 	if err == io.EOF {
-		s.wall = time.Since(s.start)
+		s.end = time.Now()
 		return nil, false, nil
 	}
 	if err != nil {
@@ -271,94 +302,37 @@ func (s *wireSource) Next() ([]value.Value, bool, error) {
 	return row, true, nil
 }
 
+func (s *wireSource) finish(sm *StreamMetrics) time.Time {
+	r := s.rows
+	sm.Rows, sm.Bytes = r.RowCount, r.BytesRead
+	sm.Resumes, sm.Failovers, sm.Replica = r.Resumes, r.Failovers, r.Replica
+	sm.Shards = r.ShardStats()
+	return s.end
+}
+
+// close releases the stream; Rows.Close is idempotent, so a stream already
+// closed at EOF is fine.
+func (s *wireSource) close() { s.rows.Close() }
+
 // ExecuteWire runs the plan through the wire protocol: all SQL queries are
 // submitted at once, one goroutine each (one connection per stream, as the
 // paper's client opened one JDBC result set per query; an open waits on
 // the server, not on local CPUs, so p.Parallelism does not bound it), then
-// the tagger merges the streams. Query time is the span from submission
-// until every stream has returned its first tuple; total time runs until
-// the document is written.
+// the tagger merges the streams. Every ordered stream is opened with its
+// resume contract: the client arms healing only when its resume budget is
+// above zero, and a sharded backend's scatter-gather merge keys on the
+// same structural sort columns either way.
 //
 // ctx governs the whole run. Cancelling it unblocks any stream mid-read —
 // even one stalled on the network — releases every connection back to the
 // client (abandoned streams are closed, not pooled), and returns an error
 // satisfying errors.Is(err, ctx.Err()).
 func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer) (Metrics, error) {
-	streams, err := p.Streams()
-	if err != nil {
-		return Metrics{}, err
-	}
-	ctx, span := obs.StartSpan(ctx, "plan.execute.wire")
-	defer span.End()
-	start := time.Now()
-	m := Metrics{Streams: len(streams), PerStream: make([]StreamMetrics, len(streams))}
-
-	// Every ordered stream is opened with its resume contract. The client
-	// arms healing only when its resume budget is above zero; a sharded
-	// backend's scatter-gather merge keys on the same structural sort
-	// columns either way.
-	type opened struct {
-		rows *wire.Rows
-		err  error
-	}
-	results := make([]opened, len(streams))
-	fanout.Each(len(streams), len(streams), func(i int) {
-		s := streams[i]
-		m.PerStream[i].SQL = s.SQL()
-		qs := time.Now()
-		rows, err := client.QueryResumable(ctx, m.PerStream[i].SQL, resumeSpec(s))
-		m.PerStream[i].QueryTime = time.Since(qs)
-		results[i] = opened{rows: rows, err: err}
+	return execute(ctx, p, w, math.MaxInt, func(ctx context.Context, s *sqlgen.Stream, sql string) (source, error) {
+		rows, err := client.QueryResumable(ctx, sql, resumeSpec(s))
+		if rows == nil {
+			return nil, err
+		}
+		return &wireSource{rows: rows}, err // released even when the open failed
 	})
-	m.QueryTime = time.Since(start)
-	m.QueryWallTime = m.QueryTime
-
-	inputs := make([]tagger.Input, len(streams))
-	sources := make([]*wireSource, len(streams))
-	for i, r := range results {
-		if r.rows != nil {
-			sources[i] = &wireSource{rows: r.rows, start: start}
-		}
-	}
-
-	// Every opened stream is released on every exit path; Rows.Close is
-	// idempotent, so streams already closed at EOF are fine.
-	closeAll := func() {
-		for _, s := range sources {
-			if s != nil {
-				s.rows.Close()
-			}
-		}
-	}
-	defer closeAll()
-
-	for i, r := range results {
-		if r.err != nil {
-			return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, r.err)
-		}
-		inputs[i] = tagger.Input{Meta: streams[i], Rows: sources[i]}
-	}
-	tg := tagger.New(p.Tree)
-	tg.Wrapper = p.Wrapper
-	tg.OnTopLevel = p.FragmentBoundary
-	if err := tg.WriteXML(w, inputs); err != nil {
-		return Metrics{}, err
-	}
-	m.TotalTime = time.Since(start)
-	for i, s := range sources {
-		m.Rows += s.rows.RowCount
-		m.Bytes += s.rows.BytesRead
-		m.PerStream[i].Rows = s.rows.RowCount
-		m.PerStream[i].Bytes = s.rows.BytesRead
-		m.PerStream[i].Resumes = s.rows.Resumes
-		m.PerStream[i].Failovers = s.rows.Failovers
-		m.PerStream[i].Replica = s.rows.Replica
-		m.PerStream[i].Shards = s.rows.ShardStats()
-		if w := s.wall; w > 0 {
-			m.PerStream[i].WallTime = w
-		} else {
-			m.PerStream[i].WallTime = m.TotalTime
-		}
-	}
-	return m, nil
 }

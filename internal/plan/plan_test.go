@@ -141,6 +141,55 @@ func TestFragmentWireExecutionAgrees(t *testing.T) {
 	}
 }
 
+// TestDirectAndWireReportAlike runs one plan through both backends of the
+// one executor: the same document, the same per-stream SQL and rows, and
+// the same clock on both — QueryTime <= TotalTime overall, and
+// QueryTime <= WallTime <= TotalTime for every stream.
+func TestDirectAndWireReportAlike(t *testing.T) {
+	db := tpch.Generate(0.001, 42)
+	p := FullyPartitioned(buildTree(t, db, rxl.Query1Source))
+	p.Parallelism = 2
+	var direct, remote bytes.Buffer
+	md, err := ExecuteDirect(ctx, db, p, &direct)
+	if err != nil {
+		t.Fatalf("ExecuteDirect: %v", err)
+	}
+	mw, err := ExecuteWire(ctx, wire.InProcess(db), p, &remote)
+	if err != nil {
+		t.Fatalf("ExecuteWire: %v", err)
+	}
+	if !bytes.Equal(direct.Bytes(), remote.Bytes()) {
+		t.Errorf("wire document differs from direct (lengths %d vs %d)", remote.Len(), direct.Len())
+	}
+	for name, m := range map[string]Metrics{"direct": md, "wire": mw} {
+		if m.Streams != p.NumStreams() || len(m.PerStream) != m.Streams {
+			t.Errorf("%s: %d streams, %d per-stream entries, plan has %d", name, m.Streams, len(m.PerStream), p.NumStreams())
+		}
+		if m.QueryTime <= 0 || m.QueryTime > m.TotalTime {
+			t.Errorf("%s: QueryTime %v, TotalTime %v", name, m.QueryTime, m.TotalTime)
+		}
+		var rows int64
+		for i, sm := range m.PerStream {
+			if sm.QueryTime > sm.WallTime || sm.WallTime > m.TotalTime {
+				t.Errorf("%s stream %d: QueryTime %v, WallTime %v, TotalTime %v", name, i, sm.QueryTime, sm.WallTime, m.TotalTime)
+			}
+			rows += sm.Rows
+		}
+		if rows != m.Rows || rows == 0 {
+			t.Errorf("%s: per-stream rows sum to %d, Rows %d", name, rows, m.Rows)
+		}
+	}
+	for i := range md.PerStream {
+		d, w := md.PerStream[i], mw.PerStream[i]
+		if d.SQL != w.SQL || d.Rows != w.Rows {
+			t.Errorf("stream %d: direct %d rows of %q, wire %d rows of %q", i, d.Rows, d.SQL, w.Rows, w.SQL)
+		}
+	}
+	if md.Bytes != 0 || mw.Bytes <= 0 {
+		t.Errorf("Bytes: direct %d (want 0), wire %d (want > 0)", md.Bytes, mw.Bytes)
+	}
+}
+
 // TestQuery1All512PlansProduceIdenticalXML is the paper's correctness
 // premise: every spanning-forest plan of the Query 1 view tree — reduced
 // or not — computes the same document.
@@ -315,7 +364,7 @@ func TestWithClausePermissibility(t *testing.T) {
 	}
 }
 
-// TestViewRelationsCoverEveryPlan pins the fragment and plan caches'
+// TestViewRelationsCoverEveryPlan pins the fragment cache's
 // dependency set: for Q1, Q2 and the fragment, under every edge bitmask,
 // reduced or not, and in every SQL style, the base tables the plan's SQL
 // reads are exactly the relations the view tree's rules bind.

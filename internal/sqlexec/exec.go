@@ -12,17 +12,13 @@ import (
 	"silkroute/internal/value"
 )
 
-// Run executes a query against the catalog and returns the materialized
-// result. The result's columns carry the output names (aliases or source
-// column names); unnamed expression columns have empty names.
-func Run(cat Catalog, q sqlast.Query) (*Rel, error) {
-	return RunContext(context.Background(), cat, q)
-}
-
-// RunContext executes a query under a context. Execution checks the
-// context cooperatively — between row batches of the scan, join, and
-// projection loops and between external-sort runs — and returns ctx.Err()
-// promptly after cancellation, so errors.Is(err, context.Canceled) holds.
+// RunContext executes a query against the catalog under a context and
+// returns the materialized result. The result's columns carry the output
+// names (aliases or source column names); unnamed expression columns have
+// empty names. Execution checks the context cooperatively — between row
+// batches of the scan, join, and projection loops and between
+// external-sort runs — and returns ctx.Err() promptly after cancellation,
+// so errors.Is(err, context.Canceled) holds.
 func RunContext(ctx context.Context, cat Catalog, q sqlast.Query) (*Rel, error) {
 	return evalQuery(ctx, cat, q)
 }

@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -55,7 +56,7 @@ func BenchmarkHashJoinAllocs(b *testing.B) {
 	bench := func(b *testing.B, q sqlast.Query) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r, err := Run(cat, q)
+			r, err := RunContext(context.Background(), cat, q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func BenchmarkHashJoinDisjunctiveAllocs(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cat, q); err != nil {
+		if _, err := RunContext(context.Background(), cat, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +103,7 @@ func TestRunAllocsIndependentOfRows(t *testing.T) {
 	allocs := func(nOrders int) float64 {
 		cat := benchCatalog(nOrders, 4)
 		return testing.AllocsPerRun(5, func() {
-			r, err := Run(cat, q)
+			r, err := RunContext(context.Background(), cat, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestJoinBytesIndependentOfWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() {
-			r, err := Run(cat, q)
+			r, err := RunContext(context.Background(), cat, q)
 			if err != nil {
 				t.Fatal(err)
 			}

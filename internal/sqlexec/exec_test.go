@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +73,7 @@ func run(t *testing.T, cat Catalog, src string) *Rel {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	r, err := Run(cat, q)
+	r, err := RunContext(context.Background(), cat, q)
 	if err != nil {
 		t.Fatalf("run %q: %v", src, err)
 	}
@@ -190,7 +191,7 @@ func TestUnionArityMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(cat, q); err == nil {
+	if _, err := RunContext(context.Background(), cat, q); err == nil {
 		t.Error("union arity mismatch accepted")
 	}
 }
@@ -287,8 +288,8 @@ func TestErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := Run(cat, q); err == nil {
-			t.Errorf("Run(%q) succeeded, want error", src)
+		if _, err := RunContext(context.Background(), cat, q); err == nil {
+			t.Errorf("RunContext(context.Background(), %q) succeeded, want error", src)
 		}
 	}
 }
@@ -325,13 +326,13 @@ func TestColumnErrorsSurvivePruning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.src, err)
 		}
-		_, err = Run(cat, q)
+		_, err = RunContext(context.Background(), cat, q)
 		got := ""
 		if err != nil {
 			got = err.Error()
 		}
 		if got != c.want {
-			t.Errorf("Run(%q):\n got error %q\nwant error %q", c.src, got, c.want)
+			t.Errorf("RunContext(context.Background(), %q):\n got error %q\nwant error %q", c.src, got, c.want)
 		}
 	}
 }
@@ -400,7 +401,7 @@ func TestWithClauseDuplicateCTERejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(cat, q); err == nil {
+	if _, err := RunContext(context.Background(), cat, q); err == nil {
 		t.Error("duplicate CTE name accepted")
 	}
 }

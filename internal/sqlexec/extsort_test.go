@@ -135,11 +135,11 @@ func TestQueryResultsIdenticalUnderSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlimited, err := Run(cat, q)
+	unlimited, err := RunContext(context.Background(), cat, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, err := Run(budgetCatalog{cat, 1}, q)
+	spilled, err := RunContext(context.Background(), budgetCatalog{cat, 1}, q)
 	if err != nil {
 		t.Fatal(err)
 	}

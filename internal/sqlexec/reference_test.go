@@ -7,6 +7,7 @@ package sqlexec
 // sort. Property tests compare both engines on randomized queries.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -554,7 +555,7 @@ func checkAgainstReference(t *testing.T, cat Catalog, src string) {
 	if err != nil {
 		t.Fatalf("generated unparseable SQL %q: %v", src, err)
 	}
-	got, gerr := Run(cat, q)
+	got, gerr := RunContext(context.Background(), cat, q)
 	want, werr := referenceRun(cat, q)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("on %q: executor error %v, reference error %v", src, gerr, werr)
@@ -643,7 +644,7 @@ func TestExecutorMatchesReferenceOnOuterJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(cat, q)
+		got, err := RunContext(context.Background(), cat, q)
 		if err != nil {
 			t.Fatalf("executor: %v (%s)", err, src)
 		}

@@ -1,6 +1,7 @@
 package sqlgen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // the materialized rows.
 func runSQL(t *testing.T, db *engine.Database, sql string) []table.Row {
 	t.Helper()
-	res, err := db.Execute(sql)
+	res, err := db.ExecuteContext(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("execute %q: %v", sql, err)
 	}

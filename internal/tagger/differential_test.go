@@ -2,6 +2,7 @@ package tagger
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -103,7 +104,7 @@ func runPlan(t *testing.T, db *engine.Database, tree *viewtree.Tree, keep []bool
 	}
 	rows := make([][][]value.Value, len(metas))
 	for i, m := range metas {
-		res, err := db.ExecuteQuery(m.Query)
+		res, err := db.ExecuteQueryContext(context.Background(), m.Query)
 		if err != nil {
 			t.Fatalf("stream %d (%s): %v", i, m.SQL(), err)
 		}

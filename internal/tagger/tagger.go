@@ -61,11 +61,6 @@ type Tagger struct {
 	// so the result is a well-formed document even when the view's root
 	// template produces many instances.
 	Wrapper string
-	// OnTopLevel, when set, is called just before each top-level element
-	// (depth 1) opens, after all previously buffered bytes reached the
-	// underlying writer. The fragment cache hooks it to split the output at
-	// exact top-level boundaries.
-	OnTopLevel func()
 
 	// The global structural key L1,V(1,*),L2,V(2,*),… has width positions.
 	width  int
@@ -297,9 +292,17 @@ func (s *stream) advance() error {
 	return nil
 }
 
+// boundaryWriter is a writer that wants to know where top-level elements
+// begin, such as the fragment cache's recorder.
+type boundaryWriter interface{ Boundary() }
+
 // WriteXML merges the streams and writes the document to w. It stops at the
-// first failed write to w and returns that error.
+// first failed write to w and returns that error. When w has a Boundary
+// method, it is called just before each top-level element (depth 1) opens,
+// after every earlier byte has reached w, so w can split the document at
+// exact top-level boundaries.
 func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
+	bw, _ := w.(boundaryWriter)
 	streams := make([]*stream, len(inputs))
 	for i, in := range inputs {
 		streams[i] = tg.compile(in)
@@ -336,11 +339,11 @@ func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
 			return fmt.Errorf("tagger: instance of <%s> arrived under <%s>, want <%s> (streams out of order?)",
 				n.Tag, x.stack[top].Tag, n.Parent.Tag)
 		}
-		if d == 1 && tg.OnTopLevel != nil {
+		if d == 1 && bw != nil {
 			if x.flushBuf(); x.err != nil {
 				return x.err
 			}
-			tg.OnTopLevel()
+			bw.Boundary()
 		}
 		// The element reads best.row, so it is written before the stream
 		// advances: a source may overwrite the row on its next call.

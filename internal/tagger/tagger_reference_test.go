@@ -58,11 +58,6 @@ type refTagger struct {
 	// so the result is a well-formed document even when the view's root
 	// template produces many instances.
 	Wrapper string
-	// OnTopLevel, when set, is called just before each top-level element
-	// (depth 1) opens, after all previously buffered bytes reached the
-	// underlying writer. The fragment cache hooks it to split the output at
-	// exact top-level boundaries.
-	OnTopLevel func()
 
 	positions []refKeyPos
 	posIndex  map[viewtree.VarRef]int // var ref → key position
@@ -165,10 +160,6 @@ func (tg *refTagger) WriteXML(w io.Writer, inputs []Input) error {
 		if d > 1 && len(stack) < d-1 {
 			return fmt.Errorf("tagger: instance of <%s> at depth %d arrived with only %d open ancestors",
 				inst.node.Tag, d, len(stack))
-		}
-		if d == 1 && tg.OnTopLevel != nil {
-			bw.flushBuf()
-			tg.OnTopLevel()
 		}
 		bw.open(inst.node.Tag)
 		for _, c := range inst.node.Contents {

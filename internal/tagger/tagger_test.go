@@ -2,6 +2,7 @@ package tagger
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -43,7 +44,7 @@ func buildStreams(t *testing.T, db *engine.Database, src string, keepAll bool, r
 	}
 	inputs := make([]Input, len(streams))
 	for i, s := range streams {
-		res, err := db.ExecuteQuery(s.Query)
+		res, err := db.ExecuteQueryContext(context.Background(), s.Query)
 		if err != nil {
 			t.Fatalf("stream %d (%s): %v", i, s.SQL(), err)
 		}

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"testing"
 
 	"silkroute/internal/engine"
@@ -78,7 +79,7 @@ func TestForeignKeysActuallyJoin(t *testing.T) {
 		{"lineitem→partsupp", "select l.orderkey from LineItem l, PartSupp ps where l.partkey = ps.partkey and l.suppkey = ps.suppkey", "LineItem"},
 	}
 	for _, c := range checks {
-		res, err := db.Execute(c.sql)
+		res, err := db.ExecuteContext(context.Background(), c.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -92,7 +93,7 @@ func TestForeignKeysActuallyJoin(t *testing.T) {
 func TestSomeSuppliersHaveNoParts(t *testing.T) {
 	db := Generate(0.002, 7)
 	total := db.MustTable("Supplier").Len()
-	res, err := db.Execute(`select q.k from
+	res, err := db.ExecuteContext(context.Background(), `select q.k from
 		(select s.suppkey as k, ps.partkey as pk from Supplier s
 		 left outer join PartSupp ps on s.suppkey = ps.suppkey) as q
 		where q.pk is null order by q.k`)
@@ -116,7 +117,7 @@ func TestScaleRatioBetweenConfigs(t *testing.T) {
 
 func TestPartKeysAreDenseFromOne(t *testing.T) {
 	db := Generate(0.001, 7)
-	res, err := db.Execute("select p.partkey from Part p order by p.partkey")
+	res, err := db.ExecuteContext(context.Background(), "select p.partkey from Part p order by p.partkey")
 	if err != nil {
 		t.Fatal(err)
 	}

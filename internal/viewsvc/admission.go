@@ -29,6 +29,10 @@ import (
 // header and no recognized API key.
 const DefaultTenant = "default"
 
+// anyTenant is the Config.Tenants entry that sets the limits of every
+// tenant without an entry of its own.
+const anyTenant = "*"
+
 // TenantLimits bounds one tenant's share of the service. The zero value of
 // each field disables that dimension (unlimited).
 type TenantLimits struct {
@@ -154,19 +158,23 @@ type admission struct {
 }
 
 // newAdmission declares DefaultTenant, every APIKeys value and every
-// Tenants key; only Tenants entries carry limits of their own.
+// Tenants key but anyTenant; only Tenants entries carry limits of their
+// own, the rest get anyTenant's.
 func newAdmission(cfg Config) *admission {
-	declared := map[string]TenantLimits{DefaultTenant: cfg.TenantDefaults}
+	defaults := cfg.Tenants[anyTenant]
+	declared := map[string]TenantLimits{DefaultTenant: defaults}
 	for _, name := range cfg.APIKeys {
-		declared[name] = cfg.TenantDefaults
+		declared[name] = defaults
 	}
 	for name, limits := range cfg.Tenants {
-		declared[name] = limits
+		if name != anyTenant {
+			declared[name] = limits
+		}
 	}
 	return &admission{
 		max:      cfg.Limits.maxConcurrent(),
 		declared: declared,
-		defaults: cfg.TenantDefaults,
+		defaults: defaults,
 		tenants:  make(map[string]*tenant),
 		live:     make(map[uint64]*Session),
 	}
@@ -231,9 +239,13 @@ func (a *admission) close(s *Session) {
 // tenant returns the accounting of the tenant a request named, creating it
 // on first use. Each undeclared name gets its own bucket at the defaults
 // (two unknown tenants never share a quota) until maxTenants names are
-// tracked; after that, unseen undeclared names share overflowTenant. The
+// tracked; after that, unseen undeclared names share overflowTenant. A
+// request naming anyTenant is DefaultTenant's: "*" is never a tenant. The
 // returned tenant's name is the one to label and echo. Caller holds mu.
 func (a *admission) tenant(name string) *tenant {
+	if name == anyTenant {
+		name = DefaultTenant
+	}
 	if t, ok := a.tenants[name]; ok {
 		return t
 	}

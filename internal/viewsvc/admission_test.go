@@ -281,3 +281,62 @@ func TestAdmissionHammer(t *testing.T) {
 	}
 	waitDrained(t, srv, ts.URL)
 }
+
+// TestAdmissionAnyTenantLimits: the Tenants entry "*" limits every tenant
+// without an entry of its own — the anonymous DefaultTenant, an API-key
+// tenant and an undeclared name alike — while a named tenant keeps its own
+// limits, and "*" itself never becomes a tenant or a /tenants row: a
+// request naming it is the anonymous tenant's.
+func TestAdmissionAnyTenantLimits(t *testing.T) {
+	db, _ := fixture(t)
+	srv := New(Config{
+		Registry: newRegistry(t, db),
+		Tenants: map[string]TenantLimits{
+			"*":    {Rate: 0.001, Burst: 1},
+			"acme": {Rate: 0.001, Burst: 3},
+		},
+		APIKeys: map[string]string{"sk-keyed": "keyed"},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	keyed := func() int {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/views/fragment", nil)
+		req.Header.Set("X-Api-Key", "sk-keyed")
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		who  string
+		get  func() int
+		want []int
+	}{
+		{"anonymous", func() int { s, _ := getTenant(t, c, ts.URL, ""); return s }, []int{200, 429}},
+		{"*", func() int { s, _ := getTenant(t, c, ts.URL, "*"); return s }, []int{429}},
+		{"stranger", func() int { s, _ := getTenant(t, c, ts.URL, "stranger"); return s }, []int{200, 429}},
+		{"keyed", keyed, []int{200, 429}},
+		{"acme", func() int { s, _ := getTenant(t, c, ts.URL, "acme"); return s }, []int{200, 200, 200, 429}},
+	} {
+		for i, want := range tc.want {
+			if got := tc.get(); got != want {
+				t.Errorf("%s request %d: status %d, want %d", tc.who, i+1, got, want)
+			}
+		}
+	}
+
+	states := tenantStates(t, ts.URL)
+	if _, ok := states["*"]; ok {
+		t.Error(`/tenants lists "*" as a tenant`)
+	}
+	for name, burst := range map[string]int{DefaultTenant: 1, "stranger": 1, "keyed": 1, "acme": 3} {
+		if s, ok := states[name]; !ok || s.Burst != burst {
+			t.Errorf("/tenants %s = %+v (listed %v), want burst %d", name, s, ok, burst)
+		}
+	}
+}

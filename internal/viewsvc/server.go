@@ -65,13 +65,12 @@ type Config struct {
 	Options []silkroute.Option
 	// Hooks are optional instrumentation points.
 	Hooks Hooks
-	// Tenants assigns per-tenant overload limits by tenant name. Tenants
-	// not listed here get TenantDefaults.
+	// Tenants assigns per-tenant overload limits by tenant name. The
+	// entry named "*" sets the limits of every tenant not named
+	// here — DefaultTenant, API-key tenants and the overflow tenant
+	// included — and is never itself a tenant. Without it, unnamed tenants
+	// have no per-tenant limits: only Limits.MaxConcurrent gates.
 	Tenants map[string]TenantLimits
-	// TenantDefaults applies to every tenant without an explicit entry in
-	// Tenants (including DefaultTenant). The zero value imposes no
-	// per-tenant limits — only Limits.MaxConcurrent gates.
-	TenantDefaults TenantLimits
 	// APIKeys maps API keys (Authorization: Bearer or X-Api-Key) to tenant
 	// names. A recognized key outranks the Silkroute-Tenant header; an
 	// empty map disables key lookup.

@@ -177,10 +177,15 @@ func TestUnknownAndBrokenViews(t *testing.T) {
 // TestSaturationRejectsWith503RetryAfter is the admission-control contract:
 // park MaxConcurrent streams on a gate, and the next request must bounce
 // immediately with 503 and a Retry-After hint — while the parked stream
-// still completes byte-identically once released.
+// still completes byte-identically once released. A request admitted past
+// the limit would park on the gate too, so the saturated requests carry a
+// client timeout, and the gate opens on every exit before the server
+// closes: the test then fails instead of hanging.
 func TestSaturationRejectsWith503RetryAfter(t *testing.T) {
 	db, goldens := fixture(t)
 	gate := make(chan struct{})
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
 	admitted := make(chan struct{}, 1)
 	srv := New(Config{
 		Registry: newRegistry(t, db),
@@ -192,6 +197,7 @@ func TestSaturationRejectsWith503RetryAfter(t *testing.T) {
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer release() // runs before ts.Close, which waits for parked handlers
 
 	parked := make(chan error, 1)
 	go func() {
@@ -212,10 +218,11 @@ func TestSaturationRejectsWith503RetryAfter(t *testing.T) {
 		t.Errorf("LiveSessions = %d, want 1", got)
 	}
 
+	saturated := &http.Client{Timeout: 5 * time.Second}
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/views/fragment")
+		resp, err := saturated.Get(ts.URL + "/views/fragment")
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("saturated request %d: %v (admitted past MaxConcurrent?)", i, err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -229,7 +236,7 @@ func TestSaturationRejectsWith503RetryAfter(t *testing.T) {
 		}
 	}
 
-	close(gate)
+	release()
 	if err := <-parked; err != nil {
 		t.Errorf("parked stream: %v", err)
 	}

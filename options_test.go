@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"silkroute/internal/rxl"
@@ -13,10 +14,10 @@ import (
 // same view under the same configuration must agree on.
 func reportShape(r *Report) Report {
 	s := *r
-	s.QueryTime, s.QueryWallTime, s.TotalTime = 0, 0, 0
-	s.StreamStats = append([]StreamStat(nil), r.StreamStats...)
-	for i := range s.StreamStats {
-		s.StreamStats[i].QueryTime, s.StreamStats[i].WallTime = 0, 0
+	s.QueryTime, s.TotalTime = 0, 0
+	s.PerStream = slices.Clone(r.PerStream)
+	for i := range s.PerStream {
+		s.PerStream[i].QueryTime, s.PerStream[i].WallTime = 0, 0
 	}
 	return s
 }

@@ -79,11 +79,15 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 					t.Errorf("replicas=%d seed=%s %s: document differs from fault-free run (lengths %d vs %d)",
 						n, seed, s, got.Len(), len(want[s]))
 				}
-				if rep.Failovers > 0 {
+				failovers := 0
+				for _, st := range rep.PerStream {
+					failovers += st.Failovers
+				}
+				if failovers > 0 {
 					anyFailedOver = true
 					if n == 1 {
 						t.Errorf("replicas=1 seed=%s %s: reported %d failovers with nowhere to fail over to",
-							seed, s, rep.Failovers)
+							seed, s, failovers)
 					}
 				}
 			}

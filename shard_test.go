@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestShardStreamStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range rep.StreamStats {
+	for i, st := range rep.PerStream {
 		if len(st.Shards) != 2 {
 			t.Fatalf("stream %d: %d shard stats, want 2", i, len(st.Shards))
 		}
@@ -216,23 +217,44 @@ func TestPartition(t *testing.T) {
 	}
 }
 
+// topologyGood are well-formed topology strings, their shapes and their
+// canonical String forms.
+var topologyGood = []struct {
+	in       string
+	shards   int
+	replicas []int
+	str      string
+}{
+	{"a:7070", 1, []int{1}, "a:7070"},
+	{"a:7070,b:7070", 1, []int{2}, "a:7070,b:7070"},
+	{"s0=a;s1=b", 2, []int{1, 1}, "s0=a;s1=b"},
+	{"s0=a,b;s1=c,d", 2, []int{2, 2}, "s0=a,b;s1=c,d"},
+	{"a,b;c", 2, []int{2, 1}, "s0=a,b;s1=c"},
+	{" a , b ; c ", 2, []int{2, 1}, "s0=a,b;s1=c"},
+}
+
+// topologyBad are malformed topology strings, the offset each error
+// carries and a fragment of its message.
+var topologyBad = []struct {
+	in     string
+	offset int
+	msg    string
+}{
+	{"", 0, "empty topology"},
+	{"   ", 0, "empty topology"},
+	{"a;;b", 2, "empty replica group"},
+	{"a,,b", 2, "empty address"},
+	{"s1=a;s0=b", 0, "out of order"},
+	{"s0=a;s0=b", 5, "out of order"},
+	{"x0=a", 0, "bad shard label"},
+	{"s0=x=y", 4, `contains "="`},
+	{"a;s1=b,c=d", 8, `contains "="`},
+}
+
 // TestParseTopology drives the flag syntax through its shapes, the
 // canonical String round-trip, and the positioned errors.
 func TestParseTopology(t *testing.T) {
-	good := []struct {
-		in       string
-		shards   int
-		replicas []int
-		str      string
-	}{
-		{"a:7070", 1, []int{1}, "a:7070"},
-		{"a:7070,b:7070", 1, []int{2}, "a:7070,b:7070"},
-		{"s0=a;s1=b", 2, []int{1, 1}, "s0=a;s1=b"},
-		{"s0=a,b;s1=c,d", 2, []int{2, 2}, "s0=a,b;s1=c,d"},
-		{"a,b;c", 2, []int{2, 1}, "s0=a,b;s1=c"},
-		{" a , b ; c ", 2, []int{2, 1}, "s0=a,b;s1=c"},
-	}
-	for _, tc := range good {
+	for _, tc := range topologyGood {
 		topo, err := ParseTopology(tc.in)
 		if err != nil {
 			t.Errorf("ParseTopology(%q): %v", tc.in, err)
@@ -258,20 +280,7 @@ func TestParseTopology(t *testing.T) {
 		}
 	}
 
-	bad := []struct {
-		in     string
-		offset int
-		msg    string
-	}{
-		{"", 0, "empty topology"},
-		{"   ", 0, "empty topology"},
-		{"a;;b", 2, "empty replica group"},
-		{"a,,b", 2, "empty address"},
-		{"s1=a;s0=b", 0, "out of order"},
-		{"s0=a;s0=b", 5, "out of order"},
-		{"x0=a", 0, "bad shard label"},
-	}
-	for _, tc := range bad {
+	for _, tc := range topologyBad {
 		_, err := ParseTopology(tc.in)
 		if err == nil {
 			t.Errorf("ParseTopology(%q) succeeded", tc.in)
@@ -289,6 +298,38 @@ func TestParseTopology(t *testing.T) {
 			t.Errorf("ParseTopology(%q) msg %q, want it to contain %q", tc.in, terr.Msg, tc.msg)
 		}
 	}
+}
+
+// FuzzParseTopology: no input panics, every error is a *TopologyError
+// whose offset lies within the input, and every accepted topology
+// round-trips through String to the same replica groups.
+func FuzzParseTopology(f *testing.F) {
+	for _, tc := range topologyGood {
+		f.Add(tc.in)
+	}
+	for _, tc := range topologyBad {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		topo, err := ParseTopology(s)
+		if err != nil {
+			var terr *TopologyError
+			if !errors.As(err, &terr) {
+				t.Fatalf("ParseTopology(%q) error type %T, want *TopologyError", s, err)
+			}
+			if terr.Offset < 0 || terr.Offset > len(s) {
+				t.Fatalf("ParseTopology(%q) offset %d outside [0, %d]", s, terr.Offset, len(s))
+			}
+			return
+		}
+		again, err := ParseTopology(topo.String())
+		if err != nil {
+			t.Fatalf("ParseTopology(%q).String() = %q does not parse: %v", s, topo.String(), err)
+		}
+		if !reflect.DeepEqual(again.groups, topo.groups) {
+			t.Fatalf("ParseTopology(%q) groups %v, round-trip through %q gives %v", s, topo.groups, topo.String(), again.groups)
+		}
+	})
 }
 
 // TestTopologyConstructors checks the programmatic shapes compose the way

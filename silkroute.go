@@ -11,13 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"silkroute/internal/chaos"
 	"silkroute/internal/engine"
 	"silkroute/internal/fragcache"
 	"silkroute/internal/plan"
-	"silkroute/internal/plancache"
 	"silkroute/internal/rxl"
 	"silkroute/internal/schema"
 	"silkroute/internal/sqlgen"
@@ -140,25 +140,23 @@ func (c *config) clientOptions() []wire.ClientOption {
 	return []wire.ClientOption{wire.WithResume(c.resume), wire.WithBreaker(c.breaker)}
 }
 
-// apply stamps the view-side options onto a freshly built view. The caches
-// live on the view's backend (the DB or Remote), so every view sharing a
-// backend shares one cache.
+// apply stamps the view-side options onto a freshly built view. The plan
+// memo is the view's own; the fragment cache lives on the view's backend
+// (the DB or Remote), so every view sharing a backend shares it.
 func (c *config) apply(v *View) {
 	v.wrapper, v.reduce, v.parallelism = c.wrapper, c.reduce, c.parallelism
-	var shared *caches
-	if v.remote != nil {
-		shared = &v.remote.caches
-	} else {
-		shared = &v.db.caches
-	}
 	if c.planCache {
-		v.plans = shared.plan()
+		v.plans = make([]atomic.Pointer[planMemo], len(Strategies()))
 	}
 	if c.fragCache {
-		v.frags = shared.fragment(c.fragBytes)
+		if v.remote != nil {
+			v.frags = v.remote.caches.fragment(c.fragBytes)
+		} else {
+			v.frags = v.db.caches.fragment(c.fragBytes)
+		}
+		v.key = v.fingerprint()
 	}
 	if v.plans != nil || v.frags != nil {
-		v.key = v.fingerprint()
 		v.tables = v.tree.Relations()
 	}
 }
@@ -521,14 +519,17 @@ type View struct {
 	// WithParallelism.
 	parallelism int
 
-	// plans and frags are the backend's shared caches; nil unless the view
-	// was built with WithPlanCache / WithFragmentCache.
-	plans *plancache.Cache
+	// plans is the plan memo, one slot per Strategy; nil unless the view
+	// was built with WithPlanCache.
+	plans []atomic.Pointer[planMemo]
+	// frags is the backend's shared fragment cache; nil unless the view was
+	// built with WithFragmentCache. key is the view's fingerprint, its key
+	// there.
 	frags *fragcache.Cache
-	// key is the view's fingerprint, the caches' key for it, and tables the
-	// sorted, lower-cased relations its rules bind, whose write versions
-	// stamp its freshness; both are set only when the view has a cache.
-	key    uint64
+	key   uint64
+	// tables are the sorted, lower-cased relations the view's rules bind,
+	// whose write versions stamp its freshness; set only when the view has
+	// a plan memo or a fragment cache.
 	tables []string
 }
 
@@ -567,22 +568,14 @@ func (v *View) EdgeLabels() []string {
 // Report describes one materialization: the plan used and its timings.
 type Report struct {
 	Strategy Strategy
-	Streams  int // SQL queries (tuple streams) executed
-	// QueryTime is the query phase: on a local DB the summed engine time
-	// of all queries, on a remote view the wall clock until every stream
-	// has its first tuple (all streams are opened at once).
-	QueryTime time.Duration
-	// QueryWallTime is the elapsed wall clock of the query phase; with
-	// parallel local execution it is shorter than QueryTime. On a remote
-	// view it equals QueryTime.
-	QueryWallTime time.Duration
-	TotalTime     time.Duration // until the document was fully written
-	Rows          int64         // tuples transferred
-	SQL           []string      // the generated SQL, one statement per stream
-	// StreamStats breaks the run down per tuple stream, in the same order
-	// as SQL. The aggregate times hide per-stream skew; the skew is what
-	// the greedy planner trades on, so reports expose it.
-	StreamStats []StreamStat
+	// Metrics are the run's measurements: Streams (SQL queries executed),
+	// QueryTime (the wall clock until every stream is open, the paper's
+	// time to first tuple), TotalTime (until the document was fully
+	// written), Rows and Bytes transferred, and PerStream, the run broken
+	// down per tuple stream in stream order — its SQL, rows, times and, on
+	// remote views, bytes, reopens, failovers, serving replica and
+	// per-shard breakdown. A fragment-cache hit fills only TotalTime.
+	plan.Metrics
 	// GreedyMandatory/GreedyOptional are set for the Greedy strategy: the
 	// edge indices the planner chose.
 	GreedyMandatory []int
@@ -590,22 +583,13 @@ type Report struct {
 	// EstimateRequests is the number of optimizer calls Greedy made.
 	EstimateRequests int64
 	// PlanCached reports that planning was skipped: the plan came from the
-	// plan cache (WithPlanCache) at the current stats epoch.
+	// view's plan memo (WithPlanCache) at the current stats epoch.
 	PlanCached bool
 	// FragmentCached reports that the whole document was served from the
 	// fragment cache (WithFragmentCache): no planning, no SQL, no tagging —
-	// Streams is 0 and SQL is empty.
+	// Streams is 0 and PerStream is empty.
 	FragmentCached bool
-	// Failovers totals the cross-replica failovers over every stream: how
-	// many of the streams' reopens (WithResume) went to a different replica
-	// than the one the stream died on (replicated topologies only).
-	Failovers int
 }
-
-// StreamStat is one tuple stream's share of a materialization: its SQL,
-// rows and bytes, query and wall time, and on remote views its reopens,
-// failovers, serving replica and per-shard breakdown.
-type StreamStat = plan.StreamMetrics
 
 // ShardStat is one shard's contribution to a scattered stream: its share
 // of the merged rows and bytes, the reopens it spent underneath the
@@ -674,12 +658,24 @@ func (v *View) MaterializePlan(ctx context.Context, w io.Writer, keepBits uint64
 		return rep, err
 	}
 	p := plan.FromBits(v.tree, keepBits, v.reduce)
+	p.Wrapper, p.Parallelism = v.wrapper, v.parallelism
 	return v.execute(ctx, w, p, &Report{Strategy: Unified}, st, fresh)
 }
 
-// planCold runs actual plan selection; for Greedy that is the §5 search
-// with its estimate requests.
+// planCold runs actual plan selection — for Greedy the §5 search with its
+// estimate requests — and sets the view's wrapper and parallelism on the
+// fresh plan, which nothing modifies afterwards.
 func (v *View) planCold(ctx context.Context, s Strategy) (*plan.Plan, *Report, error) {
+	p, rep, err := v.choosePlan(ctx, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Wrapper, p.Parallelism = v.wrapper, v.parallelism
+	return p, rep, nil
+}
+
+// choosePlan builds the plan strategy s selects for the view.
+func (v *View) choosePlan(ctx context.Context, s Strategy) (*plan.Plan, *Report, error) {
 	rep := &Report{Strategy: s}
 	caps := v.tree.Schema.Supports
 	checked := func(p *plan.Plan) (*plan.Plan, *Report, error) {
@@ -744,19 +740,13 @@ func (v *View) planCold(ctx context.Context, s Strategy) (*plan.Plan, *Report, e
 // commit, still matches: a write racing the materialization discards the
 // fill rather than caching bytes of uncertain vintage.
 func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Report, st fragcache.Stamp, fresh bool) (*Report, error) {
-	// Plans can come from the shared plan cache, and execution stamps
-	// per-run state (wrapper, parallelism, fragment hook) onto the plan —
-	// work on a copy so concurrent runs never race on a cached plan.
-	clone := *p
-	p = &clone
-	p.Wrapper = v.wrapper
-	p.Parallelism = v.parallelism
-
+	// The tagger splits the recorder's fragments at top-level elements
+	// (it finds the recorder's Boundary method), so a hit replays the same
+	// writes.
 	out := w
 	var rec *fragcache.Recorder
 	if v.frags != nil && fresh {
 		rec = fragcache.NewRecorder(w)
-		p.FragmentBoundary = rec.Boundary
 		out = rec
 	}
 
@@ -777,16 +767,7 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 			v.frags.Put(v.key, rec.Fragments(), st)
 		}
 	}
-	rep.Streams = m.Streams
-	rep.QueryTime = m.QueryTime
-	rep.QueryWallTime = m.QueryWallTime
-	rep.TotalTime = m.TotalTime
-	rep.Rows = m.Rows
-	rep.StreamStats = m.PerStream
-	for _, sm := range m.PerStream {
-		rep.SQL = append(rep.SQL, sm.SQL)
-		rep.Failovers += sm.Failovers
-	}
+	rep.Metrics = m
 	return rep, nil
 }
 

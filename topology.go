@@ -162,8 +162,8 @@ func (e *TopologyError) Error() string {
 //	"a,b;c,d"                   same, labels implied
 //
 // ";" separates shards, "," separates the replica addresses within one,
-// and an optional "sN=" label must match the shard's position. Errors are
-// *TopologyError values carrying byte offsets.
+// and an optional "sN=" label must match the shard's position; no address
+// may contain "=". Errors are *TopologyError values carrying byte offsets.
 func ParseTopology(s string) (Topology, error) {
 	if strings.TrimSpace(s) == "" {
 		return Topology{}, &TopologyError{Offset: 0, Msg: "empty topology"}
@@ -201,6 +201,12 @@ func ParseTopology(s string) (Topology, error) {
 			if addr == "" {
 				return Topology{}, &TopologyError{Offset: aoff,
 					Msg: fmt.Sprintf("shard %d: empty address", i)}
+			}
+			// Only a shard label may carry "=": an address holding one
+			// would render as a label and not parse back.
+			if eq := strings.IndexByte(a, '='); eq >= 0 {
+				return Topology{}, &TopologyError{Offset: aoff + eq,
+					Msg: fmt.Sprintf("shard %d: address %q contains \"=\"", i, addr)}
 			}
 			g = append(g, endpoint{addr: addr})
 			aoff += len(a) + 1
