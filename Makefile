@@ -61,8 +61,9 @@ chaos:
 # as a typed CodeBadRequest, never a panic, every malformed status frame
 # as a typed error on the client side, a row frame must decode whole
 # exactly when value-by-value decoding takes it in whole rows within the
-# batch bound, the tagger's escaper must match xml.EscapeText byte for
-# byte, the executor must agree with the
+# batch bound, the order-preserving key encoding must order any two rows
+# without a float as value.Compare does, the tagger's escaper must match
+# xml.EscapeText byte for byte, the executor must agree with the
 # brute-force reference on every generated query, /metrics must stay
 # conformant exposition under any view or tenant name, and a -connect
 # topology string must parse or fail with a positioned error, never panic,
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 10s ./internal/value
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs

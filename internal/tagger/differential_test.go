@@ -3,6 +3,7 @@ package tagger
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestTaggerMatchesReference(t *testing.T) {
 }
 
 // runPlan generates one plan's streams and drains each into memory.
-func runPlan(t *testing.T, db *engine.Database, tree *viewtree.Tree, keep []bool, reduce bool) ([]*sqlgen.Stream, [][][]value.Value) {
+func runPlan(t testing.TB, db *engine.Database, tree *viewtree.Tree, keep []bool, reduce bool) ([]*sqlgen.Stream, [][][]value.Value) {
 	t.Helper()
 	comps, err := tree.Partition(keep, reduce)
 	if err != nil {
@@ -155,7 +156,20 @@ type taggerCase struct {
 	Streams     [][]row
 	ExpectXML   string // without the <document> wrapper
 	ExpectErr   string
+
+	// Inputs lists the plan's streams the tagger reads, by index, one
+	// input each; nil reads every stream once.
+	Inputs []int
+	// Fallback marks a case whose keys hold floats, so that some key
+	// comparisons go through compareKeys; every other case takes none.
+	Fallback bool
 }
+
+var (
+	minInt  = i64(math.MinInt64)
+	maxInt  = i64(math.MaxInt64)
+	negZero = value.Float(math.Copysign(0, -1))
+)
 
 var taggerCases = []taggerCase{
 	{
@@ -273,6 +287,109 @@ var taggerCases = []taggerCase{
 		ExpectXML: "<supplier><sname>Acme</sname><part>5</part><part>6</part></supplier>" +
 			"<supplier><sname>Bolt</sname><nation>CHILE</nation><part>5</part></supplier>",
 	},
+	{
+		Name:        "int key extremes",
+		Partitioned: true,
+		Streams: [][]row{
+			{{"v_s_suppkey": minInt}, {"v_s_suppkey": i64(-1)}, {"v_s_suppkey": i64(0)}, {"v_s_suppkey": maxInt}},
+			{
+				{"v_s_suppkey": minInt, "v_s_name": str("min")},
+				{"v_s_suppkey": i64(-1), "v_s_name": str("minus one")},
+				{"v_s_suppkey": maxInt, "v_s_name": str("max")},
+			},
+			{{"v_s_suppkey": i64(0), "v_n_nationkey": maxInt, "v_n_name": str("ZERO")}},
+			{
+				{"v_s_suppkey": i64(-1), "v_ps_partkey": minInt, "v_ps_suppkey": i64(-1)},
+				{"v_s_suppkey": i64(-1), "v_ps_partkey": i64(-1), "v_ps_suppkey": i64(-1)},
+				{"v_s_suppkey": i64(-1), "v_ps_partkey": i64(0), "v_ps_suppkey": i64(-1)},
+				{"v_s_suppkey": i64(-1), "v_ps_partkey": maxInt, "v_ps_suppkey": i64(-1)},
+				{"v_s_suppkey": maxInt, "v_ps_partkey": minInt, "v_ps_suppkey": maxInt},
+			},
+		},
+		ExpectXML: "<supplier><sname>min</sname></supplier>" +
+			"<supplier><sname>minus one</sname><part>-9223372036854775808</part><part>-1</part><part>0</part><part>9223372036854775807</part></supplier>" +
+			"<supplier><nation>ZERO</nation></supplier>" +
+			"<supplier><sname>max</sname><part>-9223372036854775808</part></supplier>",
+	},
+	{
+		// In Compare's order "a" < "a\x00" < "ab" < "a\xff": a 0x00 byte
+		// must sort before every other byte and after the string's end.
+		Name:        "sibling string keys",
+		Partitioned: true,
+		Streams: [][]row{
+			{{"v_s_suppkey": str("a")}, {"v_s_suppkey": str("a\x00")}, {"v_s_suppkey": str("ab")}, {"v_s_suppkey": str("a\xff")}},
+			{
+				{"v_s_suppkey": str("a"), "v_s_name": str("1")},
+				{"v_s_suppkey": str("a\x00"), "v_s_name": str("2")},
+				{"v_s_suppkey": str("ab"), "v_s_name": str("3")},
+				{"v_s_suppkey": str("a\xff"), "v_s_name": str("4")},
+			},
+			{},
+			{
+				{"v_s_suppkey": str("a\x00"), "v_ps_partkey": str("a"), "v_ps_suppkey": str("a\x00")},
+				{"v_s_suppkey": str("a\x00"), "v_ps_partkey": str("a\x00"), "v_ps_suppkey": str("a\x00")},
+				{"v_s_suppkey": str("a\x00"), "v_ps_partkey": str("ab"), "v_ps_suppkey": str("a\x00")},
+				{"v_s_suppkey": str("a\x00"), "v_ps_partkey": str("a\xff"), "v_ps_suppkey": str("a\x00")},
+			},
+		},
+		ExpectXML: "<supplier><sname>1</sname></supplier>" +
+			"<supplier><sname>2</sname><part>a</part><part>a\uFFFD</part><part>ab</part><part>a\uFFFD</part></supplier>" +
+			"<supplier><sname>3</sname></supplier><supplier><sname>4</sname></supplier>",
+	},
+	{
+		Name:        "NULL key before empty-string key",
+		Partitioned: true,
+		Streams: [][]row{
+			{{}, {"v_s_suppkey": str("")}},
+			{{"v_s_name": str("null")}, {"v_s_suppkey": str(""), "v_s_name": str("empty")}},
+			{{"v_s_suppkey": str(""), "v_n_nationkey": str(""), "v_n_name": str("E")}},
+			{{"v_ps_partkey": str("")}, {"v_ps_partkey": str(""), "v_ps_suppkey": str("")}},
+		},
+		ExpectXML: "<supplier><sname>null</sname><part></part><part></part></supplier>" +
+			"<supplier><sname>empty</sname><nation>E</nation></supplier>",
+	},
+	{
+		// Ints and floats mix as value.Compare mixes them: 2 and 2.0 are
+		// one supplier.
+		Name:        "float keys take the fallback",
+		Partitioned: true,
+		Fallback:    true,
+		Streams: [][]row{
+			{{"v_s_suppkey": value.Float(1.5)}, {"v_s_suppkey": i64(2)}, {"v_s_suppkey": value.Float(2.5)}},
+			{{"v_s_suppkey": value.Float(1.5), "v_s_name": str("x")}, {"v_s_suppkey": value.Float(2), "v_s_name": str("y")}},
+			{{"v_s_suppkey": value.Float(2.5), "v_n_nationkey": value.Float(-1), "v_n_name": str("F")}},
+			{
+				{"v_s_suppkey": i64(2), "v_ps_partkey": value.Float(0.5), "v_ps_suppkey": i64(2)},
+				{"v_s_suppkey": value.Float(2), "v_ps_partkey": i64(1), "v_ps_suppkey": value.Float(2)},
+			},
+		},
+		ExpectXML: "<supplier><sname>x</sname></supplier>" +
+			"<supplier><sname>y</sname><part>0.5</part><part>1</part></supplier>" +
+			"<supplier><nation>F</nation></supplier>",
+	},
+	{
+		// The part stream read twice: equal heads are emitted in stream
+		// order, so -0 (stream 3) comes before 0 (stream 4), which
+		// compare equal, and the equal int keys both appear.
+		Name:        "tie between streams",
+		Partitioned: true,
+		Fallback:    true,
+		Inputs:      []int{0, 1, 2, 3, 3},
+		Streams: [][]row{
+			{{"v_s_suppkey": i64(1)}},
+			{},
+			{},
+			{
+				{"v_s_suppkey": i64(1), "v_ps_partkey": negZero, "v_ps_suppkey": i64(1)},
+				{"v_s_suppkey": i64(1), "v_ps_partkey": i64(5), "v_ps_suppkey": i64(1)},
+			},
+			{
+				{"v_s_suppkey": i64(1), "v_ps_partkey": value.Float(0), "v_ps_suppkey": i64(1)},
+				{"v_s_suppkey": i64(1), "v_ps_partkey": i64(5), "v_ps_suppkey": i64(1)},
+			},
+		},
+		ExpectXML: "<supplier><part>-0</part><part>0</part><part>5</part><part>5</part></supplier>",
+	},
 }
 
 func TestTaggerScenarios(t *testing.T) {
@@ -303,8 +420,15 @@ func runTaggerCase(t *testing.T, tree *viewtree.Tree, tc taggerCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tc.Inputs != nil {
+		picked := make([]*sqlgen.Stream, len(tc.Inputs))
+		for i, si := range tc.Inputs {
+			picked[i] = metas[si]
+		}
+		metas = picked
+	}
 	if len(tc.Streams) != len(metas) {
-		t.Fatalf("case has %d streams, plan has %d", len(tc.Streams), len(metas))
+		t.Fatalf("case has %d streams, plan has %d inputs", len(tc.Streams), len(metas))
 	}
 	rows := make([][][]value.Value, len(metas))
 	for i, m := range metas {
@@ -326,7 +450,14 @@ func runTaggerCase(t *testing.T, tree *viewtree.Tree, tc taggerCase) {
 
 	for _, reuse := range []bool{false, true} {
 		want, wantErr := write(func(w *bytes.Buffer) error { return newRefTagger(tree).WriteXML(w, sources(metas, rows, reuse)) })
-		got, err := write(func(w *bytes.Buffer) error { return New(tree).WriteXML(w, sources(metas, rows, reuse)) })
+		fallbacks := 0
+		got, err := write(func(w *bytes.Buffer) (err error) {
+			fallbacks, err = New(tree).write(w, sources(metas, rows, reuse))
+			return err
+		})
+		if (fallbacks > 0) != tc.Fallback {
+			t.Errorf("reuse=%v: %d key comparisons fell back to compareKeys, want some: %v", reuse, fallbacks, tc.Fallback)
+		}
 		if tc.ExpectErr != "" {
 			if err == nil || wantErr == nil || !strings.Contains(err.Error(), tc.ExpectErr) || !strings.Contains(wantErr.Error(), tc.ExpectErr) {
 				t.Errorf("reuse=%v: errors %v (compiled) and %v (reference), want both to contain %q", reuse, err, wantErr, tc.ExpectErr)

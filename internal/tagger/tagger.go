@@ -7,14 +7,21 @@
 // WriteXML compiles every (stream, view-tree node) pair into a program
 // that reads the node's structural key and text in place from the
 // stream's rows, and allocates a 64 KiB output buffer, one reusable
-// pending list per stream and one open-element stack bounded by the tree
-// depth. Nothing is allocated per row, so both the live heap and the
-// allocation total depend only on the view tree and the number of streams,
-// never on the database size. That property is what lets SilkRoute
-// materialize XML views larger than main memory.
+// pending list and one key buffer per stream (grown only when a row's keys
+// outgrow it), a heap of the streams and one open-element stack bounded by
+// the tree depth. Nothing is allocated per row, so both the live heap and
+// the allocation total depend only on the view tree and the number of
+// streams, never on the database size. That property is what lets
+// SilkRoute materialize XML views larger than main memory.
+//
+// Document order is the order of the global structural keys. Each queued
+// instance's key is encoded once with value.AppendKey, so instances and
+// streams are ordered by bytes.Compare; a key holding a float, which has
+// no byte encoding, is compared value by value instead.
 package tagger
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"unicode/utf8"
@@ -97,22 +104,34 @@ func (s slot) get(row []value.Value) value.Value {
 	return s.lit
 }
 
+// keySeg is one part of a node's compiled key encoding: lit, the encoded
+// constant positions before row column col, then that column. last holds
+// the column's value in the instance last queued.
+type keySeg struct {
+	lit  []byte
+	col  int
+	last value.Value
+}
+
 // nodeProg is one view-tree node compiled against one stream's columns.
 // An instance of the node is the program plus the row it reads.
 type nodeProg struct {
 	node *viewtree.Node
-	key  []slot // the instance's global structural key
+	key  []slot // the instance's global structural key, for compareKeys
 	text []slot // the element's text children, in document order
 
-	// Deduplication: keyCols are the row columns of key, and last holds
-	// their values in the instance last queued, overwritten in place.
-	keyCols []int
-	last    []value.Value
-	seen    bool
+	// The key's byte encoding is each segment's constant bytes and column
+	// in turn, then tail: the segments' columns are the key's row columns,
+	// in key order.
+	segs []keySeg
+	tail []byte
+	seen bool // the segments' last values hold a queued instance
 }
 
 // compareKeys orders two instances in document order: their structural
-// keys compared position by position, NULL first.
+// keys compared position by position with value.Compare, NULL first. The
+// merge reaches it only for a key holding a float, which has no byte
+// encoding.
 func compareKeys(a *nodeProg, ra []value.Value, b *nodeProg, rb []value.Value) int {
 	for i := range a.key {
 		if c := value.Compare(a.key[i].get(ra), b.key[i].get(rb)); c != 0 {
@@ -123,25 +142,44 @@ func compareKeys(a *nodeProg, ra []value.Value, b *nodeProg, rb []value.Value) i
 }
 
 // fresh reports whether the row's instance of p differs from the one last
-// queued, and if so remembers it.
+// queued, and if so remembers it. Rows arrive sorted, so consecutive rows
+// usually differ in their deepest column, which is compared first.
 func (p *nodeProg) fresh(row []value.Value) bool {
 	if p.seen {
-		same := true
-		for i, c := range p.keyCols {
-			if value.Compare(p.last[i], row[c]) != 0 {
-				same = false
-				break
-			}
+		i := len(p.segs) - 1
+		for i >= 0 && value.Compare(p.segs[i].last, row[p.segs[i].col]) == 0 {
+			i--
 		}
-		if same {
+		if i < 0 {
 			return false
 		}
 	}
-	for i, c := range p.keyCols {
-		p.last[i] = row[c]
+	for i := range p.segs {
+		p.segs[i].last = row[p.segs[i].col]
 	}
 	p.seen = true
 	return true
+}
+
+// appendKey appends the byte encoding of the row's instance of p to dst.
+// ok is false when a key column holds a float.
+func (p *nodeProg) appendKey(dst []byte, row []value.Value) (_ []byte, ok bool) {
+	for i := range p.segs {
+		dst = append(dst, p.segs[i].lit...)
+		if dst, ok = value.AppendKey(dst, row[p.segs[i].col]); !ok {
+			return dst, false
+		}
+	}
+	return append(dst, p.tail...), true
+}
+
+// instance is one queued instance of a stream's current row: its program
+// and its key, encoded in the stream's key buffer. slow marks a key
+// holding a float, compared through compareKeys.
+type instance struct {
+	prog *nodeProg
+	key  []byte
+	slow bool
 }
 
 // step is one entry of a stream's flattened group walk: a member node to
@@ -157,17 +195,21 @@ type step struct {
 // stream is the per-stream cursor: the compiled walk, the current row and
 // the instances of that row not yet emitted.
 type stream struct {
+	index   int // the input's position, which breaks ties between streams
 	rows    Source
 	steps   []step
 	row     []value.Value
-	pending []*nodeProg // in document order; pending[head:] are unemitted
+	pending []instance // in document order; pending[head:] are unemitted
 	head    int
+	keys    []byte // pending's encoded keys, reused across rows
 	done    bool
 }
 
 // compile builds the stream's program: every member node of its component
-// resolved to row columns through the stream's column metadata.
-func (tg *Tagger) compile(in Input) *stream {
+// resolved to row columns through the stream's column metadata. The
+// programs, their slots, their key segments and the segments' constant
+// bytes each take one slab per stream.
+func (tg *Tagger) compile(s *stream, in Input) {
 	varCol := make(map[viewtree.VarRef]int, len(in.Meta.Cols))
 	lCol := make([]int, len(tg.lPos))
 	for i := range lCol {
@@ -180,32 +222,67 @@ func (tg *Tagger) compile(in Input) *stream {
 			varCol[c.Ref] = ci
 		}
 	}
-	s := &stream{rows: in.Rows}
-	var walk func(g *viewtree.Group)
-	walk = func(g *viewtree.Group) {
+	comp := in.Meta.Comp
+	members, texts := 0, 0
+	for _, g := range comp.Groups {
 		for _, m := range g.Members {
-			s.steps = append(s.steps, step{prog: tg.program(m, varCol)})
-		}
-		for _, ge := range g.Children {
-			// A child branch is present when its dynamic L column holds
-			// the branch ordinal; an outer-join null means no child.
-			at := len(s.steps)
-			s.steps = append(s.steps, step{col: lCol[ge.Child.Root.Level()], ordinal: int64(ge.Child.Root.Ordinal())})
-			walk(ge.Child)
-			s.steps[at].skip = len(s.steps)
+			members++
+			texts += len(m.Contents)
 		}
 	}
-	walk(in.Meta.Comp.Root)
+	progs := make([]nodeProg, members)
+	s.rows = in.Rows
+	s.steps, _ = walk(comp.Root, make([]step, 0, members+len(comp.Groups)-1), progs, lCol)
+
+	slots := make([]slot, members*tg.width+texts)
+	cols := 0
+	for i := range progs {
+		slots = tg.program(&progs[i], varCol, slots)
+		for _, k := range progs[i].key {
+			if k.col >= 0 {
+				cols++
+			}
+		}
+	}
+	segs := make([]keySeg, cols)
+	// A constant key position is an L column's int or NULL: at most 9
+	// bytes each.
+	lits := make([]byte, 0, 9*tg.width*members)
+	for i := range progs {
+		segs, lits = progs[i].segments(segs, lits)
+	}
 	// A row instantiates each member at most once.
-	s.pending = make([]*nodeProg, 0, len(s.steps))
-	return s
+	s.pending = make([]instance, 0, members)
+	s.keys = make([]byte, 0, len(lits)+64*cols)
 }
 
-// program compiles one node: the L positions of its key hold its
+// walk appends g's steps: its members, each taking the next program from
+// progs, then each child group behind its branch test. It returns the
+// steps and the programs not yet taken.
+func walk(g *viewtree.Group, steps []step, progs []nodeProg, lCol []int) ([]step, []nodeProg) {
+	for _, m := range g.Members {
+		progs[0].node = m
+		steps = append(steps, step{prog: &progs[0]})
+		progs = progs[1:]
+	}
+	for _, ge := range g.Children {
+		// A child branch is present when its dynamic L column holds the
+		// branch ordinal; an outer-join null means no child.
+		at := len(steps)
+		steps = append(steps, step{col: lCol[ge.Child.Root.Level()], ordinal: int64(ge.Child.Root.Ordinal())})
+		steps, progs = walk(ge.Child, steps, progs, lCol)
+		steps[at].skip = len(steps)
+	}
+	return steps, progs
+}
+
+// program compiles p's node with its key and text taken from the front of
+// slots, and returns the slots left: the L positions of its key hold its
 // Skolem-function index, its variables' positions their row columns, and
 // every other position NULL.
-func (tg *Tagger) program(n *viewtree.Node, varCol map[viewtree.VarRef]int) *nodeProg {
-	p := &nodeProg{node: n, key: make([]slot, tg.width)}
+func (tg *Tagger) program(p *nodeProg, varCol map[viewtree.VarRef]int, slots []slot) []slot {
+	n := p.node
+	p.key, slots = slots[:tg.width:tg.width], slots[tg.width:]
 	for i := range p.key {
 		p.key[i].col = -1
 	}
@@ -219,20 +296,32 @@ func (tg *Tagger) program(n *viewtree.Node, varCol map[viewtree.VarRef]int) *nod
 			}
 		}
 	}
-	for _, k := range p.key {
-		if k.col >= 0 {
-			p.keyCols = append(p.keyCols, k.col)
-		}
-	}
-	p.last = make([]value.Value, len(p.keyCols))
-	for _, c := range n.Contents {
-		t := slot{col: -1, lit: c.Const} // a variable the stream lacks reads NULL
+	p.text, slots = slots[:len(n.Contents):len(n.Contents)], slots[len(n.Contents):]
+	for i, c := range n.Contents {
+		p.text[i] = slot{col: -1, lit: c.Const} // a variable the stream lacks reads NULL
 		if ci, ok := varCol[c.Ref]; ok && !c.IsConst {
-			t.col = ci
+			p.text[i].col = ci
 		}
-		p.text = append(p.text, t)
 	}
-	return p
+	return slots
+}
+
+// segments splits p's key into segments taken from the front of segs, with
+// their constant bytes appended to lits, and returns what is left of segs
+// and the extended lits.
+func (p *nodeProg) segments(segs []keySeg, lits []byte) ([]keySeg, []byte) {
+	n, from := 0, len(lits)
+	for _, k := range p.key {
+		if k.col < 0 {
+			lits, _ = value.AppendKey(lits, k.lit) // an int or NULL
+			continue
+		}
+		segs[n] = keySeg{lit: lits[from:len(lits):len(lits)], col: k.col}
+		n++
+		from = len(lits)
+	}
+	p.segs, p.tail = segs[:n:n], lits[from:len(lits):len(lits)]
+	return segs[n:], lits
 }
 
 // members sets s.pending to the member nodes the row instantiates, in walk
@@ -243,7 +332,7 @@ func (s *stream) members(row []value.Value) {
 		st := &s.steps[i]
 		i++
 		if st.prog != nil {
-			s.pending = append(s.pending, st.prog)
+			s.pending = append(s.pending, instance{prog: st.prog})
 			continue
 		}
 		if st.col < 0 {
@@ -256,9 +345,29 @@ func (s *stream) members(row []value.Value) {
 	}
 }
 
-// advance reads rows until one carries an instance not queued before (or
-// the stream ends), and queues that row's new instances in document order.
-func (s *stream) advance() error {
+// merge is one document's k-way merge: the streams, a min-heap of those
+// with an unemitted instance ordered by (head key, stream index), and the
+// number of comparisons that fell back to compareKeys.
+type merge struct {
+	streams   []stream
+	heap      []*stream
+	fallbacks int
+}
+
+// compare orders two queued instances, each read from its stream's
+// current row, in document order.
+func (m *merge) compare(a *instance, ra []value.Value, b *instance, rb []value.Value) int {
+	if a.slow || b.slow {
+		m.fallbacks++
+		return compareKeys(a.prog, ra, b.prog, rb)
+	}
+	return bytes.Compare(a.key, b.key)
+}
+
+// advance reads rows of s until one carries an instance not queued before
+// (or the stream ends), and queues that row's new instances in document
+// order, each with its key encoded once.
+func (m *merge) advance(s *stream) error {
 	s.pending, s.head = s.pending[:0], 0
 	for !s.done {
 		row, ok, err := s.rows.Next()
@@ -271,15 +380,20 @@ func (s *stream) advance() error {
 		}
 		s.row = row
 		s.members(row)
+		s.keys = s.keys[:0]
 		// Drop the instances already queued, insertion-sorting the rest
 		// in place: a row expands to at most a handful of instances.
 		n := 0
-		for _, p := range s.pending {
-			if !p.fresh(row) {
+		for _, in := range s.pending {
+			if !in.prog.fresh(row) {
 				continue
 			}
-			s.pending[n] = p
-			for j := n; j > 0 && compareKeys(p, row, s.pending[j-1], row) < 0; j-- {
+			from := len(s.keys)
+			var encoded bool
+			s.keys, encoded = in.prog.appendKey(s.keys, row)
+			in.key, in.slow = s.keys[from:], !encoded
+			s.pending[n] = in
+			for j := n; j > 0 && m.compare(&s.pending[j], row, &s.pending[j-1], row) < 0; j-- {
 				s.pending[j], s.pending[j-1] = s.pending[j-1], s.pending[j]
 			}
 			n++
@@ -292,6 +406,36 @@ func (s *stream) advance() error {
 	return nil
 }
 
+// less orders two streams by their head instances, a tie to the earlier
+// stream: the heap's top is the stream a scan for the first smallest head
+// would pick.
+func (m *merge) less(a, b *stream) bool {
+	if c := m.compare(&a.pending[a.head], a.row, &b.pending[b.head], b.row); c != 0 {
+		return c < 0
+	}
+	return a.index < b.index
+}
+
+// down moves the stream at heap position i down until no child orders
+// before it.
+func (m *merge) down(i int) {
+	h := m.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
+			c = r
+		}
+		if !m.less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // boundaryWriter is a writer that wants to know where top-level elements
 // begin, such as the fragment cache's recorder.
 type boundaryWriter interface{ Boundary() }
@@ -302,46 +446,51 @@ type boundaryWriter interface{ Boundary() }
 // after every earlier byte has reached w, so w can split the document at
 // exact top-level boundaries.
 func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
+	_, err := tg.write(w, inputs)
+	return err
+}
+
+// write is WriteXML, also returning the document's count of key
+// comparisons that fell back to compareKeys.
+func (tg *Tagger) write(w io.Writer, inputs []Input) (int, error) {
 	bw, _ := w.(boundaryWriter)
-	streams := make([]*stream, len(inputs))
+	m := &merge{streams: make([]stream, len(inputs)), heap: make([]*stream, 0, len(inputs))}
 	for i, in := range inputs {
-		streams[i] = tg.compile(in)
-		if err := streams[i].advance(); err != nil {
-			return err
+		s := &m.streams[i]
+		s.index = i
+		tg.compile(s, in)
+		if err := m.advance(s); err != nil {
+			return m.fallbacks, err
 		}
+		if len(s.pending) > 0 {
+			m.heap = append(m.heap, s)
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
 	}
 
 	x := newXMLWriter(w, len(tg.lPos))
 	x.begin(tg.Wrapper)
-	for {
-		// Pick the stream whose head instance is smallest in document
-		// order.
-		var best *stream
-		for _, s := range streams {
-			if s.head < len(s.pending) && (best == nil ||
-				compareKeys(s.pending[s.head], s.row, best.pending[best.head], best.row) < 0) {
-				best = s
-			}
-		}
-		if best == nil {
-			break
-		}
-		p := best.pending[best.head]
+	for len(m.heap) > 0 {
+		// The heap's top holds the instance smallest in document order.
+		best := m.heap[0]
+		p := best.pending[best.head].prog
 		best.head++
 
 		n, d := p.node, p.node.Level()
 		x.closeTo(d - 1)
 		if d > 1 && len(x.stack) < d-1 {
-			return fmt.Errorf("tagger: instance of <%s> at depth %d arrived with only %d open ancestors",
+			return m.fallbacks, fmt.Errorf("tagger: instance of <%s> at depth %d arrived with only %d open ancestors",
 				n.Tag, d, len(x.stack))
 		}
 		if top := len(x.stack) - 1; top >= 0 && x.stack[top] != n.Parent {
-			return fmt.Errorf("tagger: instance of <%s> arrived under <%s>, want <%s> (streams out of order?)",
+			return m.fallbacks, fmt.Errorf("tagger: instance of <%s> arrived under <%s>, want <%s> (streams out of order?)",
 				n.Tag, x.stack[top].Tag, n.Parent.Tag)
 		}
 		if d == 1 && bw != nil {
 			if x.flushBuf(); x.err != nil {
-				return x.err
+				return m.fallbacks, x.err
 			}
 			bw.Boundary()
 		}
@@ -349,26 +498,32 @@ func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
 		// advances: a source may overwrite the row on its next call.
 		x.element(p, best.row)
 		if x.err != nil {
-			return x.err
+			return m.fallbacks, x.err
 		}
 		if best.head == len(best.pending) {
-			if err := best.advance(); err != nil {
-				return err
+			if err := m.advance(best); err != nil {
+				return m.fallbacks, err
+			}
+			if len(best.pending) == 0 { // the stream ended
+				last := len(m.heap) - 1
+				m.heap[0] = m.heap[last]
+				m.heap = m.heap[:last]
 			}
 		}
+		m.down(0)
 	}
 	x.end(tg.Wrapper)
 	if err := x.flush(); err != nil {
-		return err
+		return m.fallbacks, err
 	}
 	// One record per document: the writer counted locally, so the per-element
 	// hot path stayed free of shared-counter traffic.
-	if m := obs.M(); m != nil {
-		m.Tagger.Documents.Inc()
-		m.Tagger.Elements.Add(x.elems)
-		m.Tagger.Bytes.Add(x.bytes)
+	if om := obs.M(); om != nil {
+		om.Tagger.Documents.Inc()
+		om.Tagger.Elements.Add(x.elems)
+		om.Tagger.Bytes.Add(x.bytes)
 	}
-	return nil
+	return m.fallbacks, nil
 }
 
 // xmlWriter emits compact, escaped XML in document order.

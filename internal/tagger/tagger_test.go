@@ -442,3 +442,94 @@ func FuzzAppendEscaped(f *testing.F) {
 		}
 	})
 }
+
+// greedyMask keeps every edge of tree except those into <part> and
+// <order>: for Query 1 the greedy plan's mask, whose supplier→part and
+// part→order edges are cut.
+func greedyMask(tree *viewtree.Tree) []bool {
+	keep := tree.AllEdges()
+	for i, e := range tree.Edges {
+		keep[i] = e.Child.Tag != "part" && e.Child.Tag != "order"
+	}
+	return keep
+}
+
+// TestViewKeysTakeTheBytePath pins the fast path: no key of Query 1,
+// Query 2 or the fragment holds a float, so under the unified, the greedy
+// mask's and the fully partitioned plan every key comparison is a byte
+// comparison and none falls back to compareKeys.
+func TestViewKeysTakeTheBytePath(t *testing.T) {
+	db := tpch.Generate(0.0005, 5)
+	for _, q := range []struct{ name, src string }{
+		{"q1", rxl.Query1Source}, {"q2", rxl.Query2Source}, {"fragment", rxl.FragmentSource},
+	} {
+		parsed, err := rxl.Parse(q.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := viewtree.Build(parsed, db.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []struct {
+			name string
+			keep []bool
+		}{{"unified", tree.AllEdges()}, {"greedy", greedyMask(tree)}, {"partitioned", tree.NoEdges()}} {
+			metas, rows := runPlan(t, db, tree, p.keep, true)
+			var buf bytes.Buffer
+			fallbacks, err := New(tree).write(&buf, sources(metas, rows, false))
+			if err != nil {
+				t.Fatalf("%s %s: %v", q.name, p.name, err)
+			}
+			if fallbacks != 0 || buf.Len() < 1000 {
+				t.Errorf("%s %s: %d fallback comparisons in a document of %d bytes, want 0", q.name, p.name, fallbacks, buf.Len())
+			}
+		}
+	}
+}
+
+// BenchmarkWriteXML measures the tagger alone: Query 1 at scale 0.001 under
+// the fully partitioned plan (10 streams) and the greedy plan's mask (3
+// streams), each executed once into SliceSources, rewound per document.
+func BenchmarkWriteXML(b *testing.B) {
+	db := tpch.Generate(0.001, 42)
+	parsed, err := rxl.Parse(rxl.Query1Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := viewtree.Build(parsed, db.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []struct {
+		name string
+		keep []bool
+	}{{"partitioned", tree.NoEdges()}, {"greedy", greedyMask(tree)}} {
+		b.Run(p.name, func(b *testing.B) {
+			metas, rows := runPlan(b, db, tree, p.keep, true)
+			inputs := sources(metas, rows, false)
+			tg := New(tree)
+			var out countWriter
+			if err := tg.WriteXML(&out, inputs); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(out))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rewind(inputs)
+				if err := tg.WriteXML(io.Discard, inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// countWriter counts the bytes written to it.
+type countWriter int
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	*c += countWriter(len(p))
+	return len(p), nil
+}

@@ -9,6 +9,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -271,6 +272,45 @@ func (v Value) AppendHashKey(dst []byte) []byte {
 		return append(dst, v.s...)
 	}
 	return append(dst, 0, '?')
+}
+
+// AppendKey appends an order-preserving encoding of v to dst: on values
+// that are not floats, bytes.Compare of two encodings has the sign of
+// Compare, and since no encoding is a prefix of another, the same holds
+// for keys encoded value after value and compared lexicographically.
+//
+//	NULL:   0x00
+//	int:    0x01, then 8 big-endian bytes with the sign bit flipped
+//	string: 0x03, then its bytes with each 0x00 written as 0x00 0xFF,
+//	        then the terminator 0x00 0x01
+//
+// The tag bytes follow the Kind order, as Compare's order across kinds
+// does. A float has no such encoding that also keeps Compare's mixing of
+// ints and floats, -0 and NaN, so AppendKey returns dst unchanged and false
+// for it, and the caller compares that key with Compare.
+func AppendKey(dst []byte, v Value) ([]byte, bool) {
+	switch v.kind {
+	case KindNull:
+		return append(dst, 0x00), true
+	case KindInt:
+		dst = append(dst, 0x01)
+		return binary.BigEndian.AppendUint64(dst, uint64(v.i)^(1<<63)), true
+	case KindString:
+		dst = append(dst, 0x03)
+		s := v.s
+		for {
+			i := strings.IndexByte(s, 0)
+			if i < 0 {
+				break
+			}
+			dst = append(dst, s[:i+1]...)
+			dst = append(dst, 0xFF)
+			s = s[i+1:]
+		}
+		dst = append(dst, s...)
+		return append(dst, 0x00, 0x01), true
+	}
+	return dst, false
 }
 
 // Parse converts a CSV/text field into a Value, inferring the narrowest

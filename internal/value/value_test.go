@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -444,4 +445,88 @@ func TestQuickHashKeyConsistentWithEqual(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// compareRows orders two rows lexicographically by Compare, a row that is
+// a prefix of the other first.
+func compareRows(a, b []Value) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
+}
+
+// sign maps a comparison result to -1, 0 or 1.
+func sign(c int) int {
+	switch {
+	case c < 0:
+		return -1
+	case c > 0:
+		return 1
+	}
+	return 0
+}
+
+// FuzzKeyOrder holds AppendKey to Compare. Each fuzz input is two rows in
+// the wire encoding; the first 1–4 values that decode form a row, so rows
+// hold NULLs, ints, strings of any bytes and floats of any bits. When both
+// rows encode, bytes.Compare on the concatenated encodings has the sign of
+// the lexicographic Compare; a float anywhere makes AppendKey report false.
+func FuzzKeyOrder(f *testing.F) {
+	seeds := []Value{Int(math.MinInt64), Int(-1), Int(0), Int(math.MaxInt64),
+		String(""), String("\x00"), String("a"), String("a\x00"), String("a\xff"), String("ab")}
+	for _, a := range seeds {
+		for _, b := range seeds {
+			f.Add(EncodeRow(nil, []Value{a}), EncodeRow(nil, []Value{b}))
+		}
+	}
+	f.Add(EncodeRow(nil, []Value{String("a"), Int(1)}), EncodeRow(nil, []Value{String("a\x00")}))
+	f.Add(EncodeRow(nil, []Value{Int(1), Null}), EncodeRow(nil, []Value{Int(1)}))
+	f.Add(EncodeRow(nil, []Value{Null, String("\x00\x01"), Int(-1), Null}), EncodeRow(nil, []Value{Null, String("\x00"), Int(7)}))
+	f.Add(EncodeRow(nil, []Value{Int(1), Float(1)}), EncodeRow(nil, []Value{Int(1), Int(1)}))
+	f.Add(EncodeRow(nil, []Value{Float(math.Copysign(0, -1))}), EncodeRow(nil, []Value{Float(math.NaN())}))
+	row := func(buf []byte) []Value {
+		var r []Value
+		for len(buf) > 0 && len(r) < 4 {
+			v, n, err := Decode(buf)
+			if err != nil {
+				break
+			}
+			r = append(r, v)
+			buf = buf[n:]
+		}
+		return r
+	}
+	// encode concatenates the row's encodings; ok is false when it holds a
+	// float, which must be exactly when AppendKey reports false, leaving
+	// dst as it was.
+	encode := func(t *testing.T, r []Value) (key []byte, ok bool) {
+		ok = true
+		for _, v := range r {
+			n := len(key)
+			var vok bool
+			key, vok = AppendKey(key, v)
+			if vok == (v.Kind() == KindFloat) || (!vok && len(key) != n) {
+				t.Fatalf("AppendKey(%v) reported %v and grew dst by %d bytes", v, vok, len(key)-n)
+			}
+			ok = ok && vok
+		}
+		return key, ok
+	}
+	f.Fuzz(func(t *testing.T, abuf, bbuf []byte) {
+		a, b := row(abuf), row(bbuf)
+		if len(a) == 0 || len(b) == 0 {
+			return
+		}
+		ka, oka := encode(t, a)
+		kb, okb := encode(t, b)
+		if !oka || !okb {
+			return
+		}
+		if got, want := sign(bytes.Compare(ka, kb)), sign(compareRows(a, b)); got != want {
+			t.Fatalf("rows %v and %v: bytes.Compare of % x and % x = %d, Compare = %d", a, b, ka, kb, got, want)
+		}
+	})
 }
