@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all fmt build vet staticcheck test test-race chaos fuzz-smoke ci loc knobs experiments
+.PHONY: all fmt build vet staticcheck test test-race chaos fuzz-smoke bench-smoke ci loc knobs experiments
 
 all: build
 
@@ -62,13 +62,13 @@ chaos:
 # as a typed error on the client side, a row frame must decode whole
 # exactly when value-by-value decoding takes it in whole rows within the
 # batch bound, the order-preserving key encoding must order any two rows
-# without a float as value.Compare does, the tagger's escaper must match
+# as value.Compare does, floats included, the tagger's escaper must match
 # xml.EscapeText byte for byte, the executor must agree with the
-# brute-force reference on every generated query, /metrics must stay
-# conformant exposition under any view or tenant name, and a -connect
-# topology string must parse or fail with a positioned error, never panic,
-# and round-trip through its String form. The seeds also run as plain
-# tests in `make test`.
+# brute-force reference on every generated query over generated rows,
+# /metrics must stay conformant exposition under any view or tenant name,
+# and a -connect topology string must parse or fail with a positioned
+# error, never panic, and round-trip through its String form. The seeds
+# also run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/wire
@@ -79,11 +79,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s .
 
+# Every benchmark once, so each keeps running and not only compiling.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # test runs tier-1 in full: the allocation and byte gates, the plan sweeps
 # and the full tagger differential skip under test-race's -short. loc and
 # knobs cannot fail; they print the code size and configuration surface
 # into every CI log.
-ci: fmt vet staticcheck build test test-race chaos fuzz-smoke loc knobs
+ci: fmt vet staticcheck build test test-race chaos fuzz-smoke bench-smoke loc knobs
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

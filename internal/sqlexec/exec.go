@@ -799,7 +799,7 @@ func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error
 			}
 			n := 0
 			if passes(rightPred, r, ri) {
-				key, ok := appendHashKey(scratch[:0], r, rightKeys, ri)
+				key, ok := appendJoinKey(scratch[:0], r, rightKeys, ri)
 				scratch = key
 				if ok {
 					n = len(key)
@@ -811,7 +811,7 @@ func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error
 		keys.Grow(int(bounds[r.n]))
 		for ri := 0; ri < r.n; ri++ {
 			if bounds[ri+1] > bounds[ri] {
-				scratch, _ = appendHashKey(scratch[:0], r, rightKeys, ri)
+				scratch, _ = appendJoinKey(scratch[:0], r, rightKeys, ri)
 				keys.Write(scratch)
 			}
 		}
@@ -839,7 +839,7 @@ func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error
 			if !passes(leftPred, l, li) {
 				continue
 			}
-			key, ok := appendHashKey(scratch[:0], l, leftKeys, li)
+			key, ok := appendJoinKey(scratch[:0], l, leftKeys, li)
 			scratch = key
 			if !ok {
 				continue
@@ -876,18 +876,20 @@ func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error
 	return nil
 }
 
-// appendHashKey appends the composite hash key of row i of x under the
-// given key columns to dst; ok is false when any key value is NULL.
+// appendJoinKey appends the composite join key of row i of x under the
+// given key columns to dst, each column's value.AppendKey in turn; ok is
+// false when any key value is NULL. AppendKey's keys are prefix-free, so
+// two rows' composite keys are equal exactly when every column is.
 // Callers reuse dst as a scratch buffer across rows and look maps up
 // through the allocation-free map[string(buf)] form, so the probe side of
 // a hash join allocates nothing per row.
-func appendHashKey(dst []byte, x *rel, keys []int, i int) ([]byte, bool) {
+func appendJoinKey(dst []byte, x *rel, keys []int, i int) ([]byte, bool) {
 	for _, k := range keys {
 		v := x.at(i, k)
 		if v.IsNull() {
 			return dst, false
 		}
-		dst = v.AppendHashKey(dst)
+		dst = value.AppendKey(dst, v)
 	}
 	return dst, true
 }

@@ -20,7 +20,7 @@ func (c testCatalog) Lookup(name string) (*table.Table, bool) {
 	return t, ok
 }
 
-func paperCatalog(t *testing.T) testCatalog {
+func paperCatalog(t testing.TB) testCatalog {
 	t.Helper()
 	s := schema.New()
 	supplier := s.MustAddRelation("Supplier", []string{"suppkey"},

@@ -9,12 +9,14 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"silkroute/internal/schema"
 	"silkroute/internal/sqlast"
 	"silkroute/internal/sqlparse"
 	"silkroute/internal/table"
@@ -306,8 +308,56 @@ var genTables = []struct {
 	{"Part", "p", []string{"partkey", "name", "retail"}},
 }
 
-// genLits are literals that split the paper catalog's keys and quantities.
-var genLits = []string{"0", "1", "2", "3", "4", "12", "19", "20", "24", "64", "100", "320", "910", "'USA'"}
+// genLits are literals that split the paper catalog's keys and quantities
+// and fall on or beside genValues' floats. 'USA' stays last: derivedSelect
+// compares with the others only.
+var genLits = []string{"0", "1", "2", "3", "4", "12", "19", "20", "24", "64", "100", "320", "910",
+	"2.0", "2.5", "9007199254740993", "1e18", "'USA'"}
+
+// genValues are the values randomCatalog fills the paper catalog's columns
+// with. The first genKeys of them are small keys, NULL among them, so
+// joins match and keys repeat; the rest sit at the edges of value.Compare's
+// order: strings holding 0x00, 0xFF or "\x00S" and the empty string, ints
+// and floats that compare equal or nearly equal, NaN, ±Inf and -0.
+var genValues = []value.Value{
+	value.Null, value.Int(1), value.Int(2), value.Float(2), value.Int(3), value.String("a"),
+	value.Int(0), value.Float(math.Copysign(0, -1)), value.Float(2.5), value.Int(24), value.Int(100),
+	value.Int(1 << 53), value.Float(1 << 53), value.Int(1<<53 + 1), value.Int(1e18), value.Float(1e18),
+	value.Float(math.NaN()), value.Float(math.Inf(1)), value.Float(math.Inf(-1)),
+	value.String(""), value.String("USA"), value.String("a\x00"), value.String("\xff"), value.String("a\xff"),
+	value.String("\x00S"), value.String("a\x00Sb"), value.String("b\x00Sc"), value.String("c"),
+}
+
+const genKeys = 6
+
+// randomCatalog is the paper catalog with its rows drawn as well: for
+// each table, decision 0 keeps the paper's rows, so an exhausted fuzz
+// input reads the paper catalog, and n > 0 draws n-1 rows, each value
+// one of genKeys half the time and any of genValues otherwise.
+func randomCatalog(t testing.TB, c chooser) testCatalog {
+	cat := paperCatalog(t)
+	for _, g := range genTables {
+		name := strings.ToLower(g.name)
+		n := c.Intn(7)
+		if n == 0 {
+			continue
+		}
+		tb := table.New(cat[name].Rel)
+		for ; n > 1; n-- {
+			row := make(table.Row, len(g.cols))
+			for i := range row {
+				if c.Intn(2) == 0 {
+					row[i] = genValues[c.Intn(genKeys)]
+				} else {
+					row[i] = genValues[c.Intn(len(genValues))]
+				}
+			}
+			tb.MustInsert(row...)
+		}
+		cat[name] = tb
+	}
+	return cat
+}
 
 // genSource is a FROM entry the generator can choose: a stored table, a
 // derived table (from is its parenthesized select) or a CTE (from is its
@@ -608,25 +658,65 @@ func orderBy(q sqlast.Query) []sqlast.OrderItem {
 const differentialSeed = 2001
 
 func TestExecutorMatchesReferenceOnRandomQueries(t *testing.T) {
-	cat := paperCatalog(t)
 	rng := rand.New(rand.NewSource(differentialSeed))
 	for i := 0; i < 600; i++ {
-		checkAgainstReference(t, cat, randomQuery(rng))
+		checkAgainstReference(t, randomCatalog(t, rng), randomQuery(rng))
 	}
 }
 
-// FuzzExecutorMatchesReference derives a query from the fuzz input through
-// randomQuery's decisions and checks the executor against the reference.
+// FuzzExecutorMatchesReference derives a catalog and a query from the fuzz
+// input through randomCatalog's and randomQuery's decisions and checks the
+// executor against the reference.
 func FuzzExecutorMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(differentialSeed))
 	for i := 0; i < 32; i++ {
 		rec := &recorder{c: rng}
+		randomCatalog(f, rec)
 		randomQuery(rec)
 		f.Add(rec.b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstReference(t, paperCatalog(t), randomQuery(&byteChooser{b: data}))
+		c := &byteChooser{b: data}
+		checkAgainstReference(t, randomCatalog(t, c), randomQuery(c))
 	})
+}
+
+// TestJoinKeysMatchReference: equality joins that an ambiguous or inexact
+// join key once got wrong, each checked against the reference and its row
+// count: composite string keys whose bytes run together, NaN against an
+// int, an int that rounds to a float it does not equal, and an int equal
+// to a large float.
+func TestJoinKeysMatchReference(t *testing.T) {
+	s := schema.New()
+	rel := func(name string) *schema.Relation {
+		return s.MustAddRelation(name, []string{"x"}, schema.Column{Name: "x"}, schema.Column{Name: "y"})
+	}
+	ra, rb := rel("A"), rel("B")
+	zero := value.Int(0)
+	cases := []struct {
+		name string
+		a, b table.Row
+		rows int
+	}{
+		{"strings holding 0x00 S", table.Row{value.String("a\x00Sb"), value.String("c")},
+			table.Row{value.String("a"), value.String("b\x00Sc")}, 0},
+		{"NaN against an int", table.Row{value.Float(math.NaN()), zero}, table.Row{value.Int(5), zero}, 0},
+		{"float 2^53 against int 2^53+1", table.Row{value.Float(1 << 53), zero}, table.Row{value.Int(1<<53 + 1), zero}, 0},
+		{"1e18 as a float and an int", table.Row{value.Float(1e18), zero}, table.Row{value.Int(1e18), zero}, 1},
+	}
+	const src = "select A.x, B.x from A, B where A.x = B.x and A.y = B.y"
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ta, tb := table.New(ra), table.New(rb)
+			ta.MustInsert(tc.a...)
+			tb.MustInsert(tc.b...)
+			cat := testCatalog{"a": ta, "b": tb}
+			checkAgainstReference(t, cat, src)
+			if got := len(run(t, cat, src).Rows); got != tc.rows {
+				t.Errorf("%d rows, want %d", got, tc.rows)
+			}
+		})
+	}
 }
 
 func TestExecutorMatchesReferenceOnOuterJoins(t *testing.T) {

@@ -92,7 +92,7 @@ func (t *Table) Stats() *Stats {
 		return t.stats
 	}
 	st := &Stats{RowCount: len(t.Rows), Columns: make([]ColumnStats, len(t.Rel.Columns))}
-	var scratch []byte // reused hash-key buffer; only new distinct values allocate
+	var scratch []byte // reused key buffer; only new distinct values allocate
 	for c := range t.Rel.Columns {
 		distinct := make(map[string]struct{})
 		var nulls int
@@ -104,7 +104,7 @@ func (t *Table) Stats() *Stats {
 				nulls++
 				continue
 			}
-			scratch = v.AppendHashKey(scratch[:0])
+			scratch = value.AppendKey(scratch[:0], v)
 			if _, ok := distinct[string(scratch)]; !ok {
 				distinct[string(scratch)] = struct{}{}
 			}

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -63,6 +64,20 @@ func TestStats(t *testing.T) {
 	}
 	if w := tb.AvgRowWidth(); w <= 0 {
 		t.Errorf("AvgRowWidth = %v", w)
+	}
+}
+
+// TestStatsDistinctFollowsCompare: distinct values are counted under
+// value.Compare's equality, so 2 and 2.0 are one value, every NaN is one
+// value, and "a\x00" differs from "a".
+func TestStatsDistinctFollowsCompare(t *testing.T) {
+	tb := New(partRelation(t))
+	for _, v := range []value.Value{value.Int(2), value.Float(2), value.Float(math.NaN()),
+		value.Float(math.NaN()), value.String("a\x00"), value.String("a")} {
+		tb.MustInsert(v, value.Null, value.Null)
+	}
+	if got := tb.Stats().Columns[0].Distinct; got != 4 {
+		t.Errorf("Distinct = %d, want 4", got)
 	}
 }
 

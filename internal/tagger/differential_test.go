@@ -149,7 +149,7 @@ var (
 // taggerCase is one adversarial input: the streams of the unified or the
 // fully partitioned plan of scenarioQuery, and the document or the error
 // the sorted writer must produce. Every case also runs through the
-// reference tagger, through both writers, and through row-reusing sources.
+// reference tagger, over fresh and over row-reusing sources.
 type taggerCase struct {
 	Name        string
 	Partitioned bool
@@ -160,15 +160,16 @@ type taggerCase struct {
 	// Inputs lists the plan's streams the tagger reads, by index, one
 	// input each; nil reads every stream once.
 	Inputs []int
-	// Fallback marks a case whose keys hold floats, so that some key
-	// comparisons go through compareKeys; every other case takes none.
-	Fallback bool
 }
 
 var (
 	minInt  = i64(math.MinInt64)
 	maxInt  = i64(math.MaxInt64)
-	negZero = value.Float(math.Copysign(0, -1))
+	f64     = value.Float
+	negZero = f64(math.Copysign(0, -1))
+	nan     = f64(math.NaN())
+	inf     = f64(math.Inf(1))
+	negInf  = f64(math.Inf(-1))
 )
 
 var taggerCases = []taggerCase{
@@ -351,9 +352,8 @@ var taggerCases = []taggerCase{
 	{
 		// Ints and floats mix as value.Compare mixes them: 2 and 2.0 are
 		// one supplier.
-		Name:        "float keys take the fallback",
+		Name:        "int and float keys mix",
 		Partitioned: true,
-		Fallback:    true,
 		Streams: [][]row{
 			{{"v_s_suppkey": value.Float(1.5)}, {"v_s_suppkey": i64(2)}, {"v_s_suppkey": value.Float(2.5)}},
 			{{"v_s_suppkey": value.Float(1.5), "v_s_name": str("x")}, {"v_s_suppkey": value.Float(2), "v_s_name": str("y")}},
@@ -373,7 +373,6 @@ var taggerCases = []taggerCase{
 		// compare equal, and the equal int keys both appear.
 		Name:        "tie between streams",
 		Partitioned: true,
-		Fallback:    true,
 		Inputs:      []int{0, 1, 2, 3, 3},
 		Streams: [][]row{
 			{{"v_s_suppkey": i64(1)}},
@@ -389,6 +388,55 @@ var taggerCases = []taggerCase{
 			},
 		},
 		ExpectXML: "<supplier><part>-0</part><part>0</part><part>5</part><part>5</part></supplier>",
+	},
+	{
+		// Every edge of the numeric order: -Inf, -0 = 0, 0.5, 2^53 as a
+		// float and an int beside the int 2^53+1, which is not equal to
+		// it, +Inf, and NaN above them all.
+		Name:        "float keys in the numeric order",
+		Partitioned: true,
+		Streams: [][]row{
+			{
+				{"v_s_suppkey": negInf}, {"v_s_suppkey": negZero}, {"v_s_suppkey": f64(0.5)},
+				{"v_s_suppkey": f64(1 << 53)}, {"v_s_suppkey": i64(1<<53 + 1)}, {"v_s_suppkey": inf}, {"v_s_suppkey": nan},
+			},
+			{
+				{"v_s_suppkey": negInf, "v_s_name": str("a")},
+				{"v_s_suppkey": i64(0), "v_s_name": str("b")},
+				{"v_s_suppkey": i64(1 << 53), "v_s_name": str("c")},
+				{"v_s_suppkey": i64(1<<53 + 1), "v_s_name": str("d")},
+				{"v_s_suppkey": nan, "v_s_name": str("e")},
+			},
+			{{"v_s_suppkey": inf, "v_n_nationkey": f64(0.5), "v_n_name": str("F")}},
+			{
+				{"v_s_suppkey": f64(0.5), "v_ps_partkey": negInf, "v_ps_suppkey": f64(0.5)},
+				{"v_s_suppkey": f64(0.5), "v_ps_partkey": f64(-0.5), "v_ps_suppkey": f64(0.5)},
+				{"v_s_suppkey": f64(0.5), "v_ps_partkey": negZero, "v_ps_suppkey": f64(0.5)},
+				{"v_s_suppkey": f64(0.5), "v_ps_partkey": f64(0.5), "v_ps_suppkey": f64(0.5)},
+				{"v_s_suppkey": f64(0.5), "v_ps_partkey": inf, "v_ps_suppkey": f64(0.5)},
+				{"v_s_suppkey": f64(0.5), "v_ps_partkey": nan, "v_ps_suppkey": f64(0.5)},
+			},
+		},
+		ExpectXML: "<supplier><sname>a</sname></supplier><supplier><sname>b</sname></supplier>" +
+			"<supplier><part>-Inf</part><part>-0.5</part><part>-0</part><part>0.5</part><part>+Inf</part><part>NaN</part></supplier>" +
+			"<supplier><sname>c</sname></supplier><supplier><sname>d</sname></supplier>" +
+			"<supplier><nation>F</nation></supplier><supplier><sname>e</sname></supplier>",
+	},
+	{
+		// The unified plan's one stream, sorted as its ORDER BY sorts:
+		// the int 2^53+1 follows the float 2^53, and NaN follows +Inf.
+		Name: "float keys in one stream",
+		Streams: [][]row{{
+			{"v_s_suppkey": f64(1 << 53), "L2": i64(1), "v_s_name": str("float")},
+			{"v_s_suppkey": f64(1 << 53), "L2": i64(3), "v_ps_partkey": nan, "v_ps_suppkey": f64(1 << 53)},
+			{"v_s_suppkey": i64(1<<53 + 1), "L2": i64(1), "v_s_name": str("int")},
+			{"v_s_suppkey": i64(1<<53 + 1), "L2": i64(3), "v_ps_partkey": inf, "v_ps_suppkey": i64(1<<53 + 1)},
+			{"v_s_suppkey": i64(1<<53 + 1), "L2": i64(3), "v_ps_partkey": nan, "v_ps_suppkey": i64(1<<53 + 1)},
+			{"v_s_suppkey": nan, "L2": i64(1), "v_s_name": str("nan")},
+		}},
+		ExpectXML: "<supplier><sname>float</sname><part>NaN</part></supplier>" +
+			"<supplier><sname>int</sname><part>+Inf</part><part>NaN</part></supplier>" +
+			"<supplier><sname>nan</sname></supplier>",
 	},
 }
 
@@ -450,14 +498,7 @@ func runTaggerCase(t *testing.T, tree *viewtree.Tree, tc taggerCase) {
 
 	for _, reuse := range []bool{false, true} {
 		want, wantErr := write(func(w *bytes.Buffer) error { return newRefTagger(tree).WriteXML(w, sources(metas, rows, reuse)) })
-		fallbacks := 0
-		got, err := write(func(w *bytes.Buffer) (err error) {
-			fallbacks, err = New(tree).write(w, sources(metas, rows, reuse))
-			return err
-		})
-		if (fallbacks > 0) != tc.Fallback {
-			t.Errorf("reuse=%v: %d key comparisons fell back to compareKeys, want some: %v", reuse, fallbacks, tc.Fallback)
-		}
+		got, err := write(func(w *bytes.Buffer) error { return New(tree).WriteXML(w, sources(metas, rows, reuse)) })
 		if tc.ExpectErr != "" {
 			if err == nil || wantErr == nil || !strings.Contains(err.Error(), tc.ExpectErr) || !strings.Contains(wantErr.Error(), tc.ExpectErr) {
 				t.Errorf("reuse=%v: errors %v (compiled) and %v (reference), want both to contain %q", reuse, err, wantErr, tc.ExpectErr)

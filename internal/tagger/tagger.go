@@ -14,10 +14,11 @@
 // streams, never on the database size. That property is what lets
 // SilkRoute materialize XML views larger than main memory.
 //
-// Document order is the order of the global structural keys. Each queued
-// instance's key is encoded once with value.AppendKey, so instances and
-// streams are ordered by bytes.Compare; a key holding a float, which has
-// no byte encoding, is compared value by value instead.
+// Document order is the order of the global structural keys under
+// value.Compare, the order the streams' SQL ORDER BY sorted them in. Each
+// queued instance's key is encoded once with value.AppendKey, which
+// encodes that order for every value, so instances and streams are
+// ordered by bytes.Compare alone.
 package tagger
 
 import (
@@ -117,7 +118,7 @@ type keySeg struct {
 // An instance of the node is the program plus the row it reads.
 type nodeProg struct {
 	node *viewtree.Node
-	key  []slot // the instance's global structural key, for compareKeys
+	key  []slot // the instance's global structural key, compiled into segs
 	text []slot // the element's text children, in document order
 
 	// The key's byte encoding is each segment's constant bytes and column
@@ -126,19 +127,6 @@ type nodeProg struct {
 	segs []keySeg
 	tail []byte
 	seen bool // the segments' last values hold a queued instance
-}
-
-// compareKeys orders two instances in document order: their structural
-// keys compared position by position with value.Compare, NULL first. The
-// merge reaches it only for a key holding a float, which has no byte
-// encoding.
-func compareKeys(a *nodeProg, ra []value.Value, b *nodeProg, rb []value.Value) int {
-	for i := range a.key {
-		if c := value.Compare(a.key[i].get(ra), b.key[i].get(rb)); c != 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 // fresh reports whether the row's instance of p differs from the one last
@@ -162,24 +150,19 @@ func (p *nodeProg) fresh(row []value.Value) bool {
 }
 
 // appendKey appends the byte encoding of the row's instance of p to dst.
-// ok is false when a key column holds a float.
-func (p *nodeProg) appendKey(dst []byte, row []value.Value) (_ []byte, ok bool) {
+func (p *nodeProg) appendKey(dst []byte, row []value.Value) []byte {
 	for i := range p.segs {
 		dst = append(dst, p.segs[i].lit...)
-		if dst, ok = value.AppendKey(dst, row[p.segs[i].col]); !ok {
-			return dst, false
-		}
+		dst = value.AppendKey(dst, row[p.segs[i].col])
 	}
-	return append(dst, p.tail...), true
+	return append(dst, p.tail...)
 }
 
 // instance is one queued instance of a stream's current row: its program
-// and its key, encoded in the stream's key buffer. slow marks a key
-// holding a float, compared through compareKeys.
+// and its key, encoded in the stream's key buffer.
 type instance struct {
 	prog *nodeProg
 	key  []byte
-	slow bool
 }
 
 // step is one entry of a stream's flattened group walk: a member node to
@@ -245,9 +228,10 @@ func (tg *Tagger) compile(s *stream, in Input) {
 		}
 	}
 	segs := make([]keySeg, cols)
-	// A constant key position is an L column's int or NULL: at most 9
-	// bytes each.
-	lits := make([]byte, 0, 9*tg.width*members)
+	// A constant key position is an L column's int, 4 bytes when below
+	// 256 as Skolem-function indexes are, or NULL, 1 byte; a larger int
+	// only makes the slab grow.
+	lits := make([]byte, 0, 4*tg.width*members)
 	for i := range progs {
 		segs, lits = progs[i].segments(segs, lits)
 	}
@@ -313,7 +297,7 @@ func (p *nodeProg) segments(segs []keySeg, lits []byte) ([]keySeg, []byte) {
 	n, from := 0, len(lits)
 	for _, k := range p.key {
 		if k.col < 0 {
-			lits, _ = value.AppendKey(lits, k.lit) // an int or NULL
+			lits = value.AppendKey(lits, k.lit)
 			continue
 		}
 		segs[n] = keySeg{lit: lits[from:len(lits):len(lits)], col: k.col}
@@ -345,29 +329,10 @@ func (s *stream) members(row []value.Value) {
 	}
 }
 
-// merge is one document's k-way merge: the streams, a min-heap of those
-// with an unemitted instance ordered by (head key, stream index), and the
-// number of comparisons that fell back to compareKeys.
-type merge struct {
-	streams   []stream
-	heap      []*stream
-	fallbacks int
-}
-
-// compare orders two queued instances, each read from its stream's
-// current row, in document order.
-func (m *merge) compare(a *instance, ra []value.Value, b *instance, rb []value.Value) int {
-	if a.slow || b.slow {
-		m.fallbacks++
-		return compareKeys(a.prog, ra, b.prog, rb)
-	}
-	return bytes.Compare(a.key, b.key)
-}
-
 // advance reads rows of s until one carries an instance not queued before
 // (or the stream ends), and queues that row's new instances in document
 // order, each with its key encoded once.
-func (m *merge) advance(s *stream) error {
+func (s *stream) advance() error {
 	s.pending, s.head = s.pending[:0], 0
 	for !s.done {
 		row, ok, err := s.rows.Next()
@@ -389,11 +354,10 @@ func (m *merge) advance(s *stream) error {
 				continue
 			}
 			from := len(s.keys)
-			var encoded bool
-			s.keys, encoded = in.prog.appendKey(s.keys, row)
-			in.key, in.slow = s.keys[from:], !encoded
+			s.keys = in.prog.appendKey(s.keys, row)
+			in.key = s.keys[from:]
 			s.pending[n] = in
-			for j := n; j > 0 && m.compare(&s.pending[j], row, &s.pending[j-1], row) < 0; j-- {
+			for j := n; j > 0 && bytes.Compare(s.pending[j].key, s.pending[j-1].key) < 0; j-- {
 				s.pending[j], s.pending[j-1] = s.pending[j-1], s.pending[j]
 			}
 			n++
@@ -409,8 +373,8 @@ func (m *merge) advance(s *stream) error {
 // less orders two streams by their head instances, a tie to the earlier
 // stream: the heap's top is the stream a scan for the first smallest head
 // would pick.
-func (m *merge) less(a, b *stream) bool {
-	if c := m.compare(&a.pending[a.head], a.row, &b.pending[b.head], b.row); c != 0 {
+func less(a, b *stream) bool {
+	if c := bytes.Compare(a.pending[a.head].key, b.pending[b.head].key); c != 0 {
 		return c < 0
 	}
 	return a.index < b.index
@@ -418,17 +382,16 @@ func (m *merge) less(a, b *stream) bool {
 
 // down moves the stream at heap position i down until no child orders
 // before it.
-func (m *merge) down(i int) {
-	h := m.heap
+func down(h []*stream, i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
+		if r := c + 1; r < len(h) && less(h[r], h[c]) {
 			c = r
 		}
-		if !m.less(h[c], h[i]) {
+		if !less(h[c], h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -445,52 +408,49 @@ type boundaryWriter interface{ Boundary() }
 // method, it is called just before each top-level element (depth 1) opens,
 // after every earlier byte has reached w, so w can split the document at
 // exact top-level boundaries.
+//
+// The streams with an unemitted instance form a min-heap ordered by
+// (head key, stream index).
 func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
-	_, err := tg.write(w, inputs)
-	return err
-}
-
-// write is WriteXML, also returning the document's count of key
-// comparisons that fell back to compareKeys.
-func (tg *Tagger) write(w io.Writer, inputs []Input) (int, error) {
 	bw, _ := w.(boundaryWriter)
-	m := &merge{streams: make([]stream, len(inputs)), heap: make([]*stream, 0, len(inputs))}
+	streams := make([]stream, len(inputs))
+	heap := make([]*stream, 0, len(inputs))
 	for i, in := range inputs {
-		s := &m.streams[i]
+		s := &streams[i]
 		s.index = i
 		tg.compile(s, in)
-		if err := m.advance(s); err != nil {
-			return m.fallbacks, err
+		if err := s.advance(); err != nil {
+			return err
 		}
 		if len(s.pending) > 0 {
-			m.heap = append(m.heap, s)
+			heap = append(heap, s)
 		}
 	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.down(i)
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(heap, i)
 	}
 
 	x := newXMLWriter(w, len(tg.lPos))
 	x.begin(tg.Wrapper)
-	for len(m.heap) > 0 {
+	for len(heap) > 0 {
 		// The heap's top holds the instance smallest in document order.
-		best := m.heap[0]
+		best := heap[0]
 		p := best.pending[best.head].prog
 		best.head++
 
 		n, d := p.node, p.node.Level()
 		x.closeTo(d - 1)
 		if d > 1 && len(x.stack) < d-1 {
-			return m.fallbacks, fmt.Errorf("tagger: instance of <%s> at depth %d arrived with only %d open ancestors",
+			return fmt.Errorf("tagger: instance of <%s> at depth %d arrived with only %d open ancestors",
 				n.Tag, d, len(x.stack))
 		}
 		if top := len(x.stack) - 1; top >= 0 && x.stack[top] != n.Parent {
-			return m.fallbacks, fmt.Errorf("tagger: instance of <%s> arrived under <%s>, want <%s> (streams out of order?)",
+			return fmt.Errorf("tagger: instance of <%s> arrived under <%s>, want <%s> (streams out of order?)",
 				n.Tag, x.stack[top].Tag, n.Parent.Tag)
 		}
 		if d == 1 && bw != nil {
 			if x.flushBuf(); x.err != nil {
-				return m.fallbacks, x.err
+				return x.err
 			}
 			bw.Boundary()
 		}
@@ -498,23 +458,23 @@ func (tg *Tagger) write(w io.Writer, inputs []Input) (int, error) {
 		// advances: a source may overwrite the row on its next call.
 		x.element(p, best.row)
 		if x.err != nil {
-			return m.fallbacks, x.err
+			return x.err
 		}
 		if best.head == len(best.pending) {
-			if err := m.advance(best); err != nil {
-				return m.fallbacks, err
+			if err := best.advance(); err != nil {
+				return err
 			}
 			if len(best.pending) == 0 { // the stream ended
-				last := len(m.heap) - 1
-				m.heap[0] = m.heap[last]
-				m.heap = m.heap[:last]
+				last := len(heap) - 1
+				heap[0] = heap[last]
+				heap = heap[:last]
 			}
 		}
-		m.down(0)
+		down(heap, 0)
 	}
 	x.end(tg.Wrapper)
 	if err := x.flush(); err != nil {
-		return m.fallbacks, err
+		return err
 	}
 	// One record per document: the writer counted locally, so the per-element
 	// hot path stayed free of shared-counter traffic.
@@ -523,7 +483,7 @@ func (tg *Tagger) write(w io.Writer, inputs []Input) (int, error) {
 		om.Tagger.Elements.Add(x.elems)
 		om.Tagger.Bytes.Add(x.bytes)
 	}
-	return m.fallbacks, nil
+	return nil
 }
 
 // xmlWriter emits compact, escaped XML in document order.

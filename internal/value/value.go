@@ -9,9 +9,11 @@
 package value
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -161,58 +163,53 @@ func (v Value) String() string {
 	return "?"
 }
 
-// numeric reports whether the value is an int or float.
-func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+// rank orders the kinds Compare tells apart: NULL, then numbers, ints and
+// floats alike, then strings.
+var rank = [...]int{KindNull: 0, KindInt: 1, KindFloat: 1, KindString: 2}
 
-// Compare defines the total order used by the engine's ORDER BY and by the
-// tagger's k-way merge: NULL < every non-null; numerics compare by value
-// (ints and floats are mutually comparable); strings compare
-// lexicographically; across non-comparable kinds, the kind tag breaks the
-// tie so the order stays total.
+// Compare defines the one total order of values. The engine's ORDER BY
+// and its joins' and filters' equality, the shard merge and the tagger's
+// merge all follow it, and AppendKey's bytes encode it. NULL sorts before
+// every number and numbers before every string; strings compare bytewise.
+// Numbers compare by exact value, ints and floats alike: a float equals
+// an int only when it is integral and exactly that int, -0 equals 0, and
+// NaN equals only NaN and sorts above every other number.
 func Compare(a, b Value) int {
-	if a.kind == KindNull || b.kind == KindNull {
-		switch {
-		case a.kind == KindNull && b.kind == KindNull:
-			return 0
-		case a.kind == KindNull:
-			return -1
-		default:
-			return 1
+	if a.kind == b.kind {
+		switch a.kind {
+		case KindInt:
+			return cmp.Compare(a.i, b.i)
+		case KindString:
+			return strings.Compare(a.s, b.s)
+		case KindFloat:
+			// cmp.Compare puts NaN below every float; negating both
+			// sides and swapping them puts it above, and keeps -0 = 0.
+			return cmp.Compare(-b.float(), -a.float())
 		}
+		return 0 // both NULL
 	}
-	if a.numeric() && b.numeric() {
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1
-			case a.i > b.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+	if ra, rb := rank[a.kind], rank[b.kind]; ra != rb {
+		return cmp.Compare(ra, rb)
 	}
-	if a.kind == KindString && b.kind == KindString {
-		return strings.Compare(a.s, b.s)
+	if a.kind == KindInt {
+		return compareIntFloat(a.i, b.float())
 	}
-	// Incomparable kinds: order by kind tag to keep the order total.
+	return -compareIntFloat(b.i, a.float())
+}
+
+// compareIntFloat compares i with f exactly, without rounding i to a float.
+func compareIntFloat(i int64, f float64) int {
 	switch {
-	case a.kind < b.kind:
+	case f != f || f >= 0x1p63: // NaN, or above every int
 		return -1
-	case a.kind > b.kind:
+	case f < -0x1p63:
 		return 1
-	default:
-		return 0
 	}
+	fl := math.Floor(f)
+	if c := cmp.Compare(i, int64(fl)); c != 0 || fl == f {
+		return c
+	}
+	return -1 // f lies strictly between i and i+1
 }
 
 // Equal reports SQL equality semantics for joins and filters: NULL never
@@ -228,75 +225,39 @@ func Equal(a, b Value) bool {
 // identical to NULL. The tagger uses this to detect group boundaries, where
 // two absent optional children must compare as the same group.
 func Identical(a, b Value) bool {
-	if a.kind == KindNull && b.kind == KindNull {
-		return true
-	}
-	if a.kind == KindNull || b.kind == KindNull {
-		return false
-	}
 	return Compare(a, b) == 0
 }
 
-// HashKey returns a string that is equal for equal values and distinct for
-// distinct values, suitable as a map key in hash joins. NULL gets a key that
-// never matches (callers must exclude NULLs per SQL join semantics before
-// probing, and the engine does).
-func (v Value) HashKey() string {
-	return string(v.AppendHashKey(nil))
-}
-
-// AppendHashKey appends the HashKey bytes of v to dst and returns the
-// extended slice. Hot paths (hash joins, distinct counting) build composite
-// keys into a reusable scratch buffer with it and probe maps through the
-// allocation-free map[string(buf)] form instead of materializing a string
-// per row.
-func (v Value) AppendHashKey(dst []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(dst, 0, 'N')
-	case KindInt:
-		dst = append(dst, 0, 'I')
-		return strconv.AppendInt(dst, v.i, 10)
-	case KindFloat:
-		// Normalize integral floats to the int representation so 1 and 1.0
-		// hash identically, matching Compare.
-		f := v.float()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e18 {
-			dst = append(dst, 0, 'I')
-			return strconv.AppendInt(dst, int64(f), 10)
-		}
-		dst = append(dst, 0, 'F')
-		return strconv.AppendFloat(dst, f, 'b', -1, 64)
-	case KindString:
-		dst = append(dst, 0, 'S')
-		return append(dst, v.s...)
-	}
-	return append(dst, 0, '?')
-}
-
-// AppendKey appends an order-preserving encoding of v to dst: on values
-// that are not floats, bytes.Compare of two encodings has the sign of
-// Compare, and since no encoding is a prefix of another, the same holds
-// for keys encoded value after value and compared lexicographically.
+// AppendKey appends v's key to dst, the one byte encoding of Compare's
+// order: bytes.Compare of two keys has the sign of Compare, and since no
+// key is a prefix of another, the same holds for keys written value after
+// value and compared lexicographically. Equal values, and only they, have
+// equal keys, so the hash join, distinct counts and shard placement key
+// on it as well.
 //
 //	NULL:   0x00
-//	int:    0x01, then 8 big-endian bytes with the sign bit flipped
-//	string: 0x03, then its bytes with each 0x00 written as 0x00 0xFF,
+//	number: 0x01 and the float's 8 order bytes, below -2^63 (-Inf too)
+//	        0x02 and its floor in the int form, then 0x00 if the value
+//	             is integral, else 0x01 and the float's 8 order bytes,
+//	             in [-2^63, 2^63)
+//	        0x03 and the float's 8 order bytes, at or above 2^63 (+Inf too)
+//	        0x04, NaN
+//	string: 0x05, then its bytes with each 0x00 written as 0x00 0xFF,
 //	        then the terminator 0x00 0x01
 //
-// The tag bytes follow the Kind order, as Compare's order across kinds
-// does. A float has no such encoding that also keeps Compare's mixing of
-// ints and floats, -0 and NaN, so AppendKey returns dst unchanged and false
-// for it, and the caller compares that key with Compare.
-func AppendKey(dst []byte, v Value) ([]byte, bool) {
+// The int form is a length byte, 9+k for i >= 0 and 8-k for i < 0, and
+// then the k low-order bytes of i that are not all 0x00 (all 0xFF for a
+// negative i), big-endian: a longer int lies farther from zero. A float's
+// order bytes are its IEEE 754 bits with the sign bit flipped, or with
+// every bit flipped when negative.
+func AppendKey(dst []byte, v Value) []byte {
 	switch v.kind {
-	case KindNull:
-		return append(dst, 0x00), true
 	case KindInt:
-		dst = append(dst, 0x01)
-		return binary.BigEndian.AppendUint64(dst, uint64(v.i)^(1<<63)), true
+		return appendKeyInt(dst, v.i)
+	case KindNull:
+		return append(dst, 0x00)
 	case KindString:
-		dst = append(dst, 0x03)
+		dst = append(dst, 0x05)
 		s := v.s
 		for {
 			i := strings.IndexByte(s, 0)
@@ -308,9 +269,46 @@ func AppendKey(dst []byte, v Value) ([]byte, bool) {
 			s = s[i+1:]
 		}
 		dst = append(dst, s...)
-		return append(dst, 0x00, 0x01), true
+		return append(dst, 0x00, 0x01)
 	}
-	return dst, false
+	f := v.float()
+	switch {
+	case f != f:
+		return append(dst, 0x04)
+	case f < -0x1p63:
+		return appendKeyFloat(append(dst, 0x01), f)
+	case f >= 0x1p63:
+		return appendKeyFloat(append(dst, 0x03), f)
+	}
+	fl := math.Floor(f)
+	dst = appendKeyInt(dst, int64(fl))
+	if fl == f {
+		return dst
+	}
+	dst[len(dst)-1] = 0x01 // not integral
+	return appendKeyFloat(dst, f)
+}
+
+// appendKeyInt appends AppendKey's key of the int i: 0x02, the int form,
+// 0x00.
+func appendKeyInt(dst []byte, i int64) []byte {
+	sign := i >> 63                           // -1 when negative, else 0
+	k := (bits.Len64(uint64(i^sign)) + 7) / 8 // significant bytes
+	dst = append(dst, 0x02, byte(9+(k^int(sign))), 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	// Shifted up, i's k significant bytes lead, and a zero byte follows.
+	binary.BigEndian.PutUint64(dst[len(dst)-9:], uint64(i)<<(64-8*k))
+	return dst[:len(dst)-8+k]
+}
+
+// appendKeyFloat appends AppendKey's order bytes of f.
+func appendKeyFloat(dst []byte, f float64) []byte {
+	u := math.Float64bits(f)
+	if f < 0 {
+		u = ^u
+	} else {
+		u ^= 1 << 63
+	}
+	return binary.BigEndian.AppendUint64(dst, u)
 }
 
 // Parse converts a CSV/text field into a Value, inferring the narrowest

@@ -23,6 +23,7 @@ import (
 	"silkroute/internal/sqlgen"
 	"silkroute/internal/table"
 	"silkroute/internal/tpch"
+	"silkroute/internal/value"
 	"silkroute/internal/viewtree"
 	"silkroute/internal/wire"
 )
@@ -319,13 +320,13 @@ func (db *DB) Partition(relation string, i, n int) (*DB, error) {
 	return &DB{eng: out}, nil
 }
 
-// shardOf hashes a row's key columns (FNV-1a over their canonical hash
-// bytes) onto one of n shards.
+// shardOf hashes a row's key columns (FNV-1a over their value.AppendKey
+// bytes, which are equal exactly for equal values) onto one of n shards.
 func shardOf(row table.Row, keyCols []int, n int) int {
 	h := fnv.New64a()
 	var scratch []byte
 	for _, k := range keyCols {
-		scratch = row[k].AppendHashKey(scratch[:0])
+		scratch = value.AppendKey(scratch[:0], row[k])
 		h.Write(scratch)
 	}
 	return int(h.Sum64() % uint64(n))
