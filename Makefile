@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all fmt build vet staticcheck test test-race chaos fuzz-smoke bench-smoke ci loc knobs experiments
+.PHONY: all fmt build vet staticcheck test test-race chaos fuzz-smoke bench-smoke ci allocs loc knobs experiments
 
 all: build
 
@@ -84,10 +84,20 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # test runs tier-1 in full: the allocation and byte gates, the plan sweeps
-# and the full tagger differential skip under test-race's -short. loc and
-# knobs cannot fail; they print the code size and configuration surface
-# into every CI log.
-ci: fmt vet staticcheck build test test-race chaos fuzz-smoke bench-smoke loc knobs
+# and the full tagger differential skip under test-race's -short. allocs
+# prints the allocation figures; loc and knobs cannot fail; they print the
+# code size and configuration surface into every CI log.
+ci: fmt vet staticcheck build test test-race chaos fuzz-smoke bench-smoke allocs loc knobs
+
+# The allocation gates, each printing its measured figure beside its
+# constant: allocations and MB per document (TestAllocsPerDocument),
+# allocations per greedy search (TestGreedyAllocs) and per tagger document
+# (TestWriteXMLAllocsIndependentOfRows). It fails when a gate does, and
+# then prints the tests' whole output.
+ALLOC_TESTS = ^(TestAllocsPerDocument|TestGreedyAllocs|TestWriteXMLAllocsIndependentOfRows)$$
+allocs:
+	@out=$$($(GO) test -count=1 -v -run '$(ALLOC_TESTS)' . ./internal/plan ./internal/tagger 2>&1); rc=$$?; \
+	if [ $$rc -ne 0 ]; then echo "$$out"; else echo "$$out" | grep -E '^=== RUN.*/|per document|allocates'; fi; exit $$rc
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the
 # simplification PRs report shrinkage in (a line inside a /* */ block or

@@ -390,7 +390,6 @@ func (s *Suite) GreedyStats() error {
 			return err
 		}
 		for _, reduce := range []bool{false, true} {
-			db.ResetEstimateRequests()
 			res, err := plan.Greedy(s.ctx(), db, t, s.greedyParams(plan.DefaultGreedyParams(reduce)))
 			if err != nil {
 				return err

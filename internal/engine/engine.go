@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"silkroute/internal/obs"
@@ -46,8 +45,6 @@ type Database struct {
 	// memory-pressure effects of the paper's Config B server. Zero means
 	// unlimited.
 	SortBudgetRows int
-
-	estimateRequests atomic.Int64
 
 	logMu    sync.Mutex
 	logging  bool
@@ -212,11 +209,3 @@ func (db *Database) ExecuteQueryContext(ctx context.Context, q sqlast.Query) (*R
 	}
 	return &Result{Columns: cols, rel: rel}, nil
 }
-
-// EstimateRequests returns how many estimate calls the database has served;
-// §5.1 reports this count for the greedy algorithm (22–25 versus the
-// theoretical 81).
-func (db *Database) EstimateRequests() int64 { return db.estimateRequests.Load() }
-
-// ResetEstimateRequests zeroes the counter between experiments.
-func (db *Database) ResetEstimateRequests() { db.estimateRequests.Store(0) }

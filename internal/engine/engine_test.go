@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"silkroute/internal/obs"
 	"silkroute/internal/schema"
 	"silkroute/internal/value"
 )
@@ -205,20 +206,22 @@ func TestEstimateUnionSumsRows(t *testing.T) {
 	}
 }
 
+// TestEstimateRequestCounter: every estimate the database serves counts
+// once on the obs sink's EstimatesServed.
 func TestEstimateRequestCounter(t *testing.T) {
+	old := obs.M()
+	m := obs.NewMetrics()
+	obs.SetGlobal(m)
+	t.Cleanup(func() { obs.SetGlobal(old) })
+
 	db := smallDB(t)
-	db.ResetEstimateRequests()
 	for i := 0; i < 3; i++ {
 		if _, err := db.EstimateSQL("select n.name from Nation n"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := db.EstimateRequests(); got != 3 {
-		t.Errorf("EstimateRequests = %d, want 3", got)
-	}
-	db.ResetEstimateRequests()
-	if got := db.EstimateRequests(); got != 0 {
-		t.Errorf("after reset = %d, want 0", got)
+	if got := m.Exec.EstimatesServed.Value(); got != 3 {
+		t.Errorf("EstimatesServed = %d, want 3", got)
 	}
 }
 

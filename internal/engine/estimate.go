@@ -44,7 +44,6 @@ func (db *Database) EstimateQuery(ctx context.Context, q sqlast.Query) (Estimate
 	if err := ctx.Err(); err != nil {
 		return Estimate{}, err
 	}
-	db.estimateRequests.Add(1)
 	if m := obs.M(); m != nil {
 		m.Exec.EstimatesServed.Inc()
 	}

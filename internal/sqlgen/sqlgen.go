@@ -31,6 +31,7 @@ package sqlgen
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,6 +73,9 @@ type StreamCol struct {
 	IsL   bool
 	Level int             // set when IsL
 	Ref   viewtree.VarRef // set when !IsL
+	// Pos is the column's position in the tree's structural key, -1 for a
+	// filler column such as "_k".
+	Pos int
 }
 
 // Stream is one generated SQL query plus the metadata the tagger needs to
@@ -196,29 +200,13 @@ func (g *gen) alias(prefix string) string {
 	return prefix + strconv.Itoa(g.n)
 }
 
-// sortCols orders column IDs by the structural key: level first, L column
-// before the variables of its level, variables by global position.
-func (g *gen) sortCols(cols []colID) []colID {
-	out := append([]colID{}, cols...)
-	key := func(c colID) (int, int, int) {
-		if c.isL {
-			return c.level, 0, 0
-		}
-		vi, _ := g.tree.VarIndex(c.ref)
-		return vi.Level, 1, vi.Pos
+// pos returns a column's position in the tree's structural key.
+func (g *gen) pos(c colID) int {
+	if c.isL {
+		return g.tree.LPos[c.level-1]
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			l1, k1, p1 := key(out[j-1])
-			l2, k2, p2 := key(out[j])
-			if l1 > l2 || l1 == l2 && (k1 > k2 || k1 == k2 && p1 > p2) {
-				out[j-1], out[j] = out[j], out[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	return out
+	vi, _ := g.tree.VarIndex(c.ref)
+	return vi.Pos
 }
 
 // subtreeCols computes the canonical column set of a group subtree: the
@@ -244,7 +232,8 @@ func (g *gen) subtreeCols(grp *viewtree.Group) []colID {
 		}
 	}
 	walk(grp)
-	return g.sortCols(cols)
+	slices.SortFunc(cols, func(a, b colID) int { return g.pos(a) - g.pos(b) })
+	return cols
 }
 
 // nodeSelect builds the plain select computing one group's node query:
@@ -566,39 +555,36 @@ func (g *gen) finishQuery(q sqlast.Query, cols []colID) (*Stream, error) {
 	for _, c := range cols {
 		byName[g.name(c)] = c
 	}
-	present := make(map[string]bool, len(outNames))
-	for _, n := range outNames {
-		present[n] = true
+	// The column metadata follows the query's actual output positions,
+	// since the tagger addresses row values positionally. Filler columns
+	// (e.g. the "_k" constant of variable-free groups) keep positions
+	// aligned; the tagger never reads them.
+	meta := make([]StreamCol, len(outNames))
+	sortKey := make([]int, 0, len(cols))
+	for i, n := range outNames {
+		c, ok := byName[n]
+		if !ok {
+			meta[i] = StreamCol{Name: n, Pos: -1}
+			continue
+		}
+		delete(byName, n)
+		meta[i] = StreamCol{Name: n, IsL: c.isL, Level: c.level, Ref: c.ref, Pos: g.pos(c)}
+		sortKey = append(sortKey, i)
 	}
-	// The ORDER BY follows the canonical structural key; the column
-	// metadata must follow the query's actual output positions, since the
-	// tagger addresses row values positionally.
-	var order []sqlast.OrderItem
+	// byName now holds only the key columns the output lacks.
 	for _, c := range cols {
-		if !present[g.name(c)] {
+		if _, missing := byName[g.name(c)]; missing {
 			return nil, fmt.Errorf("sqlgen: generated query lacks column %s", g.name(c))
 		}
-		order = append(order, sqlast.OrderItem{Expr: &sqlast.ColumnRef{Column: g.name(c)}})
 	}
-	var meta []StreamCol
-	for _, n := range outNames {
-		if c, ok := byName[n]; ok {
-			meta = append(meta, StreamCol{Name: n, IsL: c.isL, Level: c.level, Ref: c.ref})
-		} else {
-			// Filler columns (e.g. the "_k" constant of variable-free
-			// groups) keep positions aligned; the tagger never reads them.
-			meta = append(meta, StreamCol{Name: n})
-		}
-	}
-	// Capture the resume metadata before the ORDER BY mutates the tree:
-	// the body text, and where each sort-key column sits in the output row.
-	pos := make(map[string]int, len(outNames))
-	for i, n := range outNames {
-		pos[n] = i
-	}
-	sortKey := make([]int, 0, len(cols))
-	for _, c := range cols {
-		sortKey = append(sortKey, pos[g.name(c)])
+	// The sort key lists the output positions in structural key order, the
+	// ORDER BY's order. The resume metadata is captured before the ORDER BY
+	// mutates the tree: the body text, and where each sort-key column sits
+	// in the output row.
+	slices.SortFunc(sortKey, func(a, b int) int { return meta[a].Pos - meta[b].Pos })
+	order := make([]sqlast.OrderItem, len(sortKey))
+	for i, k := range sortKey {
+		order[i] = sqlast.OrderItem{Expr: &sqlast.ColumnRef{Column: outNames[k]}}
 	}
 	bodySQL := sqlast.Print(q)
 	attachOrder(q, order)

@@ -3,10 +3,14 @@
 // plan into document order, re-nests the tuples, and emits the XML
 // document.
 //
-// The algorithm is single-pass and constant-space. Once per document,
-// WriteXML compiles every (stream, view-tree node) pair into a program
-// that reads the node's structural key and text in place from the
-// stream's rows, and allocates a 64 KiB output buffer, one reusable
+// The algorithm is single-pass and constant-space. The layout of the
+// structural key L1,V(1,*),L2,V(2,*),… is the view tree's: each level's L
+// column and each variable has a key position, which every stream column
+// carries too (sqlgen.StreamCol.Pos), so the tagger works out no layout of
+// its own. Once per document, WriteXML compiles every (stream, view-tree
+// node) pair into a program that reads the node's structural key and text
+// in place from the stream's rows, mapping key positions to row columns
+// through one slice, and allocates a 64 KiB output buffer, one reusable
 // pending list and one key buffer per stream (grown only when a row's keys
 // outgrow it), a heap of the streams and one open-element stack bounded by
 // the tree depth. Nothing is allocated per row, so both the live heap and
@@ -70,27 +74,11 @@ type Tagger struct {
 	// template produces many instances.
 	Wrapper string
 
-	// The global structural key L1,V(1,*),L2,V(2,*),… has width positions.
-	width  int
-	lPos   []int                   // level (1-based) → key position of its L column
-	varPos map[viewtree.VarRef]int // variable → key position
+	tree *viewtree.Tree
 }
 
 // New builds a tagger for a view tree.
-func New(t *viewtree.Tree) *Tagger {
-	tg := &Tagger{Wrapper: "document", varPos: make(map[viewtree.VarRef]int)}
-	depth := t.MaxDepth()
-	tg.lPos = make([]int, depth+1)
-	for lvl := 1; lvl <= depth; lvl++ {
-		tg.lPos[lvl] = tg.width
-		tg.width++
-		for _, v := range t.VarsAtLevel(lvl) {
-			tg.varPos[v.Ref] = tg.width
-			tg.width++
-		}
-	}
-	return tg
-}
+func New(t *viewtree.Tree) *Tagger { return &Tagger{Wrapper: "document", tree: t} }
 
 // slot is one compiled value: row[col] when col >= 0, else the constant lit.
 type slot struct {
@@ -191,18 +179,17 @@ type stream struct {
 // compile builds the stream's program: every member node of its component
 // resolved to row columns through the stream's column metadata. The
 // programs, their slots, their key segments and the segments' constant
-// bytes each take one slab per stream.
-func (tg *Tagger) compile(s *stream, in Input) {
-	varCol := make(map[viewtree.VarRef]int, len(in.Meta.Cols))
-	lCol := make([]int, len(tg.lPos))
-	for i := range lCol {
-		lCol[i] = -1
+// bytes each take one slab per stream. keyCol, one key position wide, is
+// scratch space: compile maps each key position to the row column holding
+// it there, -1 when the stream lacks it.
+func (tg *Tagger) compile(s *stream, in Input, keyCol []int) {
+	width := len(keyCol)
+	for i := range keyCol {
+		keyCol[i] = -1
 	}
 	for ci, c := range in.Meta.Cols {
-		if c.IsL {
-			lCol[c.Level] = ci
-		} else {
-			varCol[c.Ref] = ci
+		if c.Pos >= 0 {
+			keyCol[c.Pos] = ci
 		}
 	}
 	comp := in.Meta.Comp
@@ -215,12 +202,12 @@ func (tg *Tagger) compile(s *stream, in Input) {
 	}
 	progs := make([]nodeProg, members)
 	s.rows = in.Rows
-	s.steps, _ = walk(comp.Root, make([]step, 0, members+len(comp.Groups)-1), progs, lCol)
+	s.steps, _ = tg.walk(comp.Root, make([]step, 0, members+len(comp.Groups)-1), progs, keyCol)
 
-	slots := make([]slot, members*tg.width+texts)
+	slots := make([]slot, members*width+texts)
 	cols := 0
 	for i := range progs {
-		slots = tg.program(&progs[i], varCol, slots)
+		slots = tg.program(&progs[i], keyCol, slots)
 		for _, k := range progs[i].key {
 			if k.col >= 0 {
 				cols++
@@ -231,7 +218,7 @@ func (tg *Tagger) compile(s *stream, in Input) {
 	// A constant key position is an L column's int, 4 bytes when below
 	// 256 as Skolem-function indexes are, or NULL, 1 byte; a larger int
 	// only makes the slab grow.
-	lits := make([]byte, 0, 4*tg.width*members)
+	lits := make([]byte, 0, 4*width*members)
 	for i := range progs {
 		segs, lits = progs[i].segments(segs, lits)
 	}
@@ -243,7 +230,7 @@ func (tg *Tagger) compile(s *stream, in Input) {
 // walk appends g's steps: its members, each taking the next program from
 // progs, then each child group behind its branch test. It returns the
 // steps and the programs not yet taken.
-func walk(g *viewtree.Group, steps []step, progs []nodeProg, lCol []int) ([]step, []nodeProg) {
+func (tg *Tagger) walk(g *viewtree.Group, steps []step, progs []nodeProg, keyCol []int) ([]step, []nodeProg) {
 	for _, m := range g.Members {
 		progs[0].node = m
 		steps = append(steps, step{prog: &progs[0]})
@@ -252,9 +239,9 @@ func walk(g *viewtree.Group, steps []step, progs []nodeProg, lCol []int) ([]step
 	for _, ge := range g.Children {
 		// A child branch is present when its dynamic L column holds the
 		// branch ordinal; an outer-join null means no child.
-		at := len(steps)
-		steps = append(steps, step{col: lCol[ge.Child.Root.Level()], ordinal: int64(ge.Child.Root.Ordinal())})
-		steps, progs = walk(ge.Child, steps, progs, lCol)
+		at, root := len(steps), ge.Child.Root
+		steps = append(steps, step{col: keyCol[tg.tree.LPos[root.Level()-1]], ordinal: int64(root.Ordinal())})
+		steps, progs = tg.walk(ge.Child, steps, progs, keyCol)
 		steps[at].skip = len(steps)
 	}
 	return steps, progs
@@ -262,29 +249,25 @@ func walk(g *viewtree.Group, steps []step, progs []nodeProg, lCol []int) ([]step
 
 // program compiles p's node with its key and text taken from the front of
 // slots, and returns the slots left: the L positions of its key hold its
-// Skolem-function index, its variables' positions their row columns, and
-// every other position NULL.
-func (tg *Tagger) program(p *nodeProg, varCol map[viewtree.VarRef]int, slots []slot) []slot {
-	n := p.node
-	p.key, slots = slots[:tg.width:tg.width], slots[tg.width:]
+// Skolem-function index, its variables' positions their row columns
+// (keyCol), and every other position NULL.
+func (tg *Tagger) program(p *nodeProg, keyCol []int, slots []slot) []slot {
+	n, width := p.node, len(keyCol)
+	p.key, slots = slots[:width:width], slots[width:]
 	for i := range p.key {
 		p.key[i].col = -1
 	}
-	for lvl := 1; lvl <= n.Level(); lvl++ {
-		p.key[tg.lPos[lvl]].lit = value.Int(int64(n.SFI[lvl-1]))
+	for i, o := range n.SFI {
+		p.key[tg.tree.LPos[i]].lit = value.Int(int64(o))
 	}
-	for _, args := range [][]viewtree.VarRef{n.KeyArgs, n.ContentArgs} {
-		for _, a := range args {
-			if ci, ok := varCol[a]; ok {
-				p.key[tg.varPos[a]].col = ci
-			}
-		}
+	for _, pos := range n.ArgPos {
+		p.key[pos].col = keyCol[pos]
 	}
 	p.text, slots = slots[:len(n.Contents):len(n.Contents)], slots[len(n.Contents):]
 	for i, c := range n.Contents {
 		p.text[i] = slot{col: -1, lit: c.Const} // a variable the stream lacks reads NULL
-		if ci, ok := varCol[c.Ref]; ok && !c.IsConst {
-			p.text[i].col = ci
+		if !c.IsConst {
+			p.text[i].col = keyCol[c.Pos]
 		}
 	}
 	return slots
@@ -415,10 +398,11 @@ func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
 	bw, _ := w.(boundaryWriter)
 	streams := make([]stream, len(inputs))
 	heap := make([]*stream, 0, len(inputs))
+	keyCol := make([]int, tg.tree.Width)
 	for i, in := range inputs {
 		s := &streams[i]
 		s.index = i
-		tg.compile(s, in)
+		tg.compile(s, in, keyCol)
 		if err := s.advance(); err != nil {
 			return err
 		}
@@ -430,7 +414,7 @@ func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
 		down(heap, i)
 	}
 
-	x := newXMLWriter(w, len(tg.lPos))
+	x := newXMLWriter(w, tg.tree.MaxDepth())
 	x.begin(tg.Wrapper)
 	for len(heap) > 0 {
 		// The heap's top holds the instance smallest in document order.

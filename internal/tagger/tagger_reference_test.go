@@ -67,14 +67,19 @@ type refTagger struct {
 // newRefTagger builds a tagger for a view tree.
 func newRefTagger(t *viewtree.Tree) *refTagger {
 	tg := &refTagger{tree: t, Wrapper: "document", posIndex: make(map[viewtree.VarRef]int)}
-	depth := t.MaxDepth()
+	depth := 0
+	for _, n := range t.Nodes {
+		depth = max(depth, n.Level())
+	}
 	tg.lIndex = make([]int, depth+1)
 	for lvl := 1; lvl <= depth; lvl++ {
 		tg.lIndex[lvl] = len(tg.positions)
 		tg.positions = append(tg.positions, refKeyPos{isL: true, level: lvl})
-		for _, v := range t.VarsAtLevel(lvl) {
-			tg.posIndex[v.Ref] = len(tg.positions)
-			tg.positions = append(tg.positions, refKeyPos{ref: v.Ref})
+		for _, v := range t.Vars {
+			if v.Level == lvl {
+				tg.posIndex[v.Ref] = len(tg.positions)
+				tg.positions = append(tg.positions, refKeyPos{ref: v.Ref})
+			}
 		}
 	}
 	return tg

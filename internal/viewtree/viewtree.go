@@ -69,6 +69,7 @@ type ContentItem struct {
 	IsConst bool
 	Const   value.Value
 	Ref     VarRef
+	Pos     int // the variable's position in the structural key
 }
 
 // Node is one view-tree node: an element of the global XML template.
@@ -97,6 +98,8 @@ type Node struct {
 	// Together they form the Skolem term's arguments.
 	KeyArgs     []VarRef
 	ContentArgs []VarRef
+	// ArgPos holds the structural key position of each of Args().
+	ArgPos []int
 	// Contents lists the element's text children in document order.
 	Contents []ContentItem
 
@@ -152,7 +155,7 @@ func (e Edge) Label() Multiplicity { return e.Child.Label }
 
 // VarInfo records a Skolem-term variable's index (§3.1): p is the level of
 // the shallowest node carrying it, q its position within that level, and
-// Pos its rank in the global structural order L1,V(1,*),L2,V(2,*),…
+// Pos its position in the global structural key L1,V(1,*),L2,V(2,*),…
 type VarInfo struct {
 	Ref   VarRef
 	Level int // p
@@ -170,22 +173,20 @@ type Tree struct {
 	// Edges in breadth-first order; a plan is a subset of these.
 	Edges []Edge
 	// Vars is the global Skolem-term variable order.
-	Vars   []VarInfo
+	Vars []VarInfo
+	// The structural key L1,V(1,*),L2,V(2,*),… that every stream sorts by
+	// and the tagger merges on has Width positions; level p's L column
+	// sits at LPos[p-1] and each variable at its VarInfo.Pos.
+	LPos  []int
+	Width int
+	// varPos maps each variable to its index in Vars.
 	varPos map[VarRef]int
-	// varQ holds each variable's qualified name, by global position.
+	// varQ holds each variable's qualified name, by index in Vars.
 	varQ []string
 }
 
 // MaxDepth returns the deepest node level.
-func (t *Tree) MaxDepth() int {
-	max := 0
-	for _, n := range t.Nodes {
-		if n.Level() > max {
-			max = n.Level()
-		}
-	}
-	return max
-}
+func (t *Tree) MaxDepth() int { return len(t.LPos) }
 
 // VarIndex returns the VarInfo for a variable reference.
 func (t *Tree) VarIndex(ref VarRef) (VarInfo, bool) {
@@ -194,17 +195,6 @@ func (t *Tree) VarIndex(ref VarRef) (VarInfo, bool) {
 		return VarInfo{}, false
 	}
 	return t.Vars[i], true
-}
-
-// VarsAtLevel returns the variables introduced at level p, in q order.
-func (t *Tree) VarsAtLevel(p int) []VarInfo {
-	var out []VarInfo
-	for _, v := range t.Vars {
-		if v.Level == p {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Relations returns the sorted, lower-cased names of every relation the
@@ -466,13 +456,16 @@ func (t *Tree) labelEdges() {
 	}
 }
 
-// indexVars assigns Skolem-term variable indices: p = level of the
+// indexVars assigns Skolem-term variable indices, p = level of the
 // shallowest node carrying the variable (nodes are visited breadth-first,
-// so first sight gives the minimum level), q = arrival order within the
-// level.
+// so first sight gives the minimum level) and q = arrival order within the
+// level, and lays out the structural key: each level's L column, then that
+// level's variables in q order.
 func (t *Tree) indexVars() {
 	ordAtLevel := make(map[int]int)
+	depth := 0
 	for _, n := range t.Nodes {
+		depth = max(depth, n.Level())
 		for _, a := range n.Args() {
 			if _, done := t.varPos[a]; done {
 				continue
@@ -490,10 +483,31 @@ func (t *Tree) indexVars() {
 		}
 		return t.Vars[i].Ord < t.Vars[j].Ord
 	})
+	addL := func(level int) {
+		for len(t.LPos) < level {
+			t.LPos = append(t.LPos, t.Width)
+			t.Width++
+		}
+	}
 	t.varQ = make([]string, len(t.Vars))
 	for i := range t.Vars {
-		t.Vars[i].Pos = i
-		t.varPos[t.Vars[i].Ref] = i
-		t.varQ[i] = t.Vars[i].Ref.Q()
+		v := &t.Vars[i]
+		addL(v.Level)
+		v.Pos = t.Width
+		t.Width++
+		t.varPos[v.Ref] = i
+		t.varQ[i] = v.Ref.Q()
+	}
+	addL(depth)
+	pos := func(a VarRef) int { return t.Vars[t.varPos[a]].Pos }
+	for _, n := range t.Nodes {
+		for _, a := range n.Args() {
+			n.ArgPos = append(n.ArgPos, pos(a))
+		}
+		for i, c := range n.Contents {
+			if !c.IsConst {
+				n.Contents[i].Pos = pos(c.Ref)
+			}
+		}
 	}
 }

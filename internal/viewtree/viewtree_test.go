@@ -69,7 +69,7 @@ func TestFragmentSkolemTermVariableIndices(t *testing.T) {
 	}
 	// Level-2 variables: the nation node's args introduce n.nationkey and
 	// n.name; the part node introduces ps keys and p.name.
-	l2 := tree.VarsAtLevel(2)
+	l2 := varsAtLevel(tree, 2)
 	if len(l2) == 0 {
 		t.Fatal("no level-2 variables")
 	}
@@ -79,13 +79,24 @@ func TestFragmentSkolemTermVariableIndices(t *testing.T) {
 		}
 	}
 	// Global positions: all level-1 vars precede all level-2 vars.
-	for _, v1 := range tree.VarsAtLevel(1) {
+	for _, v1 := range varsAtLevel(tree, 1) {
 		for _, v2 := range l2 {
 			if v1.Pos >= v2.Pos {
 				t.Errorf("global order violated: %v >= %v", v1, v2)
 			}
 		}
 	}
+}
+
+// varsAtLevel returns the variables introduced at level p, in q order.
+func varsAtLevel(tree *Tree, p int) []VarInfo {
+	var out []VarInfo
+	for _, v := range tree.Vars {
+		if v.Level == p {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func TestQuery1TreeShapeAndLabels(t *testing.T) {

@@ -20,7 +20,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	defer client.Close()
 
 	for i := 0; i < 3; i++ {
-		_, err := client.Query(ctx, nationSQL)
+		_, err := client.QueryResumable(ctx, nationSQL, nil)
 		if err == nil {
 			t.Fatal("query against a dead dialer succeeded")
 		}
@@ -30,7 +30,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	}
 	// The threshold is reached: subsequent requests fail fast without
 	// touching the dialer.
-	_, err := client.Query(ctx, nationSQL)
+	_, err := client.QueryResumable(ctx, nationSQL, nil)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
@@ -57,10 +57,10 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}, WithBreaker(Breaker{Threshold: 1, Cooldown: cooldown}))
 	defer client.Close()
 
-	if _, err := client.Query(ctx, nationSQL); err == nil {
+	if _, err := client.QueryResumable(ctx, nationSQL, nil); err == nil {
 		t.Fatal("query against a dead dialer succeeded")
 	}
-	if _, err := client.Query(ctx, nationSQL); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := client.QueryResumable(ctx, nationSQL, nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen while open", err)
 	}
 
@@ -68,26 +68,26 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	// still-dead server, re-opening the breaker for another cooldown.
 	time.Sleep(cooldown + 10*time.Millisecond)
 	before := dials.Load()
-	if _, err := client.Query(ctx, nationSQL); errors.Is(err, ErrCircuitOpen) {
+	if _, err := client.QueryResumable(ctx, nationSQL, nil); errors.Is(err, ErrCircuitOpen) {
 		t.Fatal("half-open probe was not admitted after cooldown")
 	}
 	if dials.Load() != before+1 {
 		t.Fatalf("probe did not dial: %d dials, want %d", dials.Load(), before+1)
 	}
-	if _, err := client.Query(ctx, nationSQL); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := client.QueryResumable(ctx, nationSQL, nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatal("failed probe must re-open the breaker")
 	}
 
 	// Server recovers: the next probe succeeds and closes the breaker.
 	time.Sleep(cooldown + 10*time.Millisecond)
 	fail.Store(false)
-	rows, err := client.Query(ctx, nationSQL)
+	rows, err := client.QueryResumable(ctx, nationSQL, nil)
 	if err != nil {
 		t.Fatalf("probe against recovered server: %v", err)
 	}
 	drain(t, rows)
 	// Closed again: requests flow without cooldown waits.
-	rows, err = client.Query(ctx, nationSQL)
+	rows, err = client.QueryResumable(ctx, nationSQL, nil)
 	if err != nil {
 		t.Fatalf("query after breaker closed: %v", err)
 	}
@@ -99,10 +99,10 @@ func TestBreakerCleanSQLErrorIsSuccess(t *testing.T) {
 	// it must not trip the breaker.
 	client := InProcess(wireDB(t), WithBreaker(Breaker{Threshold: 1, Cooldown: time.Hour}))
 	defer client.Close()
-	if _, err := client.Query(ctx, "select g.x from Ghost g"); err == nil {
+	if _, err := client.QueryResumable(ctx, "select g.x from Ghost g", nil); err == nil {
 		t.Fatal("query on unknown table succeeded")
 	}
-	rows, err := client.Query(ctx, nationSQL)
+	rows, err := client.QueryResumable(ctx, nationSQL, nil)
 	if err != nil {
 		t.Fatalf("query after clean SQL error: %v (breaker must stay closed)", err)
 	}

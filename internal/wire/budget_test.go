@@ -26,7 +26,7 @@ func TestBudgetedQueryRoundTrip(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rows, err := client.Query(ctx, seqQuery)
+	rows, err := client.QueryResumable(ctx, seqQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSpentBudgetShedsWithoutDialing(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
-	if _, err := client.Query(ctx, seqQuery); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := client.QueryResumable(ctx, seqQuery, nil); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("Query error = %v, want ErrDeadlineExceeded", err)
 	}
 	if _, err := client.Estimate(ctx, seqQuery); !errors.Is(err, ErrDeadlineExceeded) {

@@ -335,20 +335,6 @@ type Rows struct {
 	merge *shardMerge
 }
 
-// Query submits sql and returns the stream positioned before the first row.
-// The server executes the query fully before sending the header, so the
-// time spent inside Query (until it returns) is the paper's "query-only
-// time": time to the first tuple.
-//
-// The context governs the whole request: Query honors its deadline and
-// cancellation while connecting and waiting for the header, and the
-// returned stream keeps honoring it row by row. A failed open is not
-// retried: a replica set moves on to its next replica, and a started
-// stream heals only through QueryResumable.
-func (c *Client) Query(ctx context.Context, sql string) (*Rows, error) {
-	return c.QueryResumable(ctx, sql, nil)
-}
-
 // response is one decoded status frame: exactly one field is set, by op.
 type response struct {
 	rows  *Rows           // opQuery: the open stream, holding its connection

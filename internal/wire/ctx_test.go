@@ -59,7 +59,7 @@ func TestCancelMidStreamClosesConnPromptly(t *testing.T) {
 	client := NewClient(countingDialer(srv, &dials, 0))
 
 	qctx, cancel := context.WithCancel(context.Background())
-	rows, err := client.Query(qctx, seqQuery)
+	rows, err := client.QueryResumable(qctx, seqQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCancelMidStreamClosesConnPromptly(t *testing.T) {
 	}
 
 	// The client itself stays usable — a fresh request dials fresh.
-	rows2, err := client.Query(context.Background(), seqQuery)
+	rows2, err := client.QueryResumable(context.Background(), seqQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCancelWithStreamBufferedEndsInCancel(t *testing.T) {
 		return &readAheadConn{Conn: c1}, nil
 	})
 	qctx, cancel := context.WithCancel(context.Background())
-	rows, err := client.Query(qctx, seqQuery)
+	rows, err := client.QueryResumable(qctx, seqQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDeadlineAgainstStalledServer(t *testing.T) {
 	qctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = client.Query(qctx, seqQuery)
+	_, err = client.QueryResumable(qctx, seqQuery, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("query against stalled server succeeded")
@@ -192,7 +192,7 @@ func TestRefusedDialCostsOneDial(t *testing.T) {
 	srv := &Server{DB: seqDB(t, 3)}
 	var dials atomic.Int64
 	client := NewClient(countingDialer(srv, &dials, 1))
-	if _, err := client.Query(context.Background(), seqQuery); err == nil {
+	if _, err := client.QueryResumable(context.Background(), seqQuery, nil); err == nil {
 		t.Fatal("query succeeded despite a refused dial")
 	}
 	if n := dials.Load(); n != 1 {
@@ -206,7 +206,7 @@ func TestPoolReusesConnections(t *testing.T) {
 	client := NewClient(countingDialer(srv, &dials, 0))
 
 	for i := 0; i < 5; i++ {
-		rows, err := client.Query(context.Background(), seqQuery)
+		rows, err := client.QueryResumable(context.Background(), seqQuery, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestPoolReusesConnections(t *testing.T) {
 	if n := client.IdleConns(); n != 0 {
 		t.Errorf("IdleConns after Close = %d, want 0", n)
 	}
-	if _, err := client.Query(context.Background(), seqQuery); !errors.Is(err, ErrClientClosed) {
+	if _, err := client.QueryResumable(context.Background(), seqQuery, nil); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("query on closed client = %v, want ErrClientClosed", err)
 	}
 }
@@ -243,7 +243,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	go func() { serveErr <- srv.Serve(l) }()
 
 	client := Dial(l.Addr().String())
-	rows, err := client.Query(context.Background(), seqQuery)
+	rows, err := client.QueryResumable(context.Background(), seqQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestServerShutdownDrains(t *testing.T) {
 		t.Errorf("Serve after Shutdown = %v, want ErrServerClosed", err)
 	}
 	// New work is refused once the server is gone.
-	if _, err := client.Query(context.Background(), seqQuery); err == nil {
+	if _, err := client.QueryResumable(context.Background(), seqQuery, nil); err == nil {
 		t.Error("query after shutdown succeeded")
 	}
 }
@@ -287,7 +287,7 @@ func TestServerShutdownForceClosesOnExpiredContext(t *testing.T) {
 	srv := &Server{DB: seqDB(t, 2000)}
 	var dials atomic.Int64
 	client := NewClient(countingDialer(srv, &dials, 0))
-	rows, err := client.Query(context.Background(), seqQuery)
+	rows, err := client.QueryResumable(context.Background(), seqQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestQueryWithPreCanceledContext(t *testing.T) {
 	client := NewClient(countingDialer(srv, &dials, 0))
 	qctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := client.Query(qctx, seqQuery); !errors.Is(err, context.Canceled) {
+	if _, err := client.QueryResumable(qctx, seqQuery, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled query = %v, want context.Canceled", err)
 	}
 	if _, err := client.Estimate(qctx, seqQuery); !errors.Is(err, ErrCanceled) {

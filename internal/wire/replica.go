@@ -31,11 +31,9 @@ import (
 // single Client or a ReplicaSet. Plan executors and the facade hold this
 // interface so a one-replica deployment pays no extra machinery.
 type Backend interface {
-	// Query submits sql and returns the stream positioned before the
-	// first row.
-	Query(ctx context.Context, sql string) (*Rows, error)
-	// QueryResumable is Query with mid-stream recovery armed (see
-	// Client.QueryResumable).
+	// QueryResumable submits sql and returns the stream positioned before
+	// the first row, with mid-stream recovery armed when spec is non-nil
+	// (see Client.QueryResumable).
 	QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error)
 	// Estimate asks the remote optimizer for a query's cost estimate.
 	Estimate(ctx context.Context, sql string) (engine.Estimate, error)
@@ -202,12 +200,6 @@ func (s *ReplicaSet) openOn(ctx context.Context, idx int, rs *replicaState, sql 
 		rows.set, rows.Replica = s, idx
 	}
 	return rows, err
-}
-
-// Query submits sql on a balancer-chosen replica; see Client.Query for
-// the streaming contract.
-func (s *ReplicaSet) Query(ctx context.Context, sql string) (*Rows, error) {
-	return s.QueryResumable(ctx, sql, nil)
 }
 
 // QueryResumable opens a resumable stream on a balancer-chosen replica,

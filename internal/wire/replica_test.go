@@ -53,7 +53,7 @@ func TestReplicaSetSpreadsStreams(t *testing.T) {
 
 	seen := make(map[int]bool)
 	for i := 0; i < 3; i++ {
-		rows, err := set.Query(ctx, bigSQL)
+		rows, err := set.QueryResumable(ctx, bigSQL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,13 +71,13 @@ func TestReplicaSetPrefersLeastInFlight(t *testing.T) {
 
 	// Hold a stream open on the round-robin's next choice; the balancer
 	// must route the second stream to the idle replica anyway.
-	first, err := set.Query(ctx, bigSQL)
+	first, err := set.QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer first.Close()
 	set.rr.Store(uint64(first.Replica)) // make round-robin point at the busy replica again
-	second, err := set.Query(ctx, bigSQL)
+	second, err := set.QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReplicaSetSkipsOpenBreaker(t *testing.T) {
 
 	set.rr.Store(0) // round-robin would choose replica 0
 	for i := 0; i < 3; i++ {
-		rows, err := set.Query(ctx, bigSQL)
+		rows, err := set.QueryResumable(ctx, bigSQL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestReplicaSetOpenFailsOverToHealthyReplica(t *testing.T) {
 	t.Cleanup(func() { set.Close() })
 
 	set.rr.Store(0)
-	rows, err := set.Query(ctx, bigSQL)
+	rows, err := set.QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +194,12 @@ func TestReplicaSetNoHealthyReplica(t *testing.T) {
 	set := NewReplicaSet(clients)
 	t.Cleanup(func() { set.Close() })
 
-	if _, err := set.Query(ctx, bigSQL); err == nil {
+	if _, err := set.QueryResumable(ctx, bigSQL, nil); err == nil {
 		t.Fatal("first query succeeded against dial-refusing replicas")
 	} else if errors.Is(err, ErrNoHealthyReplica) {
 		t.Fatalf("first query failed with ErrNoHealthyReplica (%v); want the underlying dial error", err)
 	}
-	_, err := set.Query(ctx, bigSQL)
+	_, err := set.QueryResumable(ctx, bigSQL, nil)
 	if !errors.Is(err, ErrNoHealthyReplica) {
 		t.Fatalf("err = %v, want ErrNoHealthyReplica once every breaker is open", err)
 	}
@@ -266,7 +266,7 @@ func TestReplicaSetIdleConnsSumsAndCloses(t *testing.T) {
 	db := bigDB(t, 5, 1)
 	set, _ := replicaHarness(t, db, make([]func(string) func(int64) error, 2), nil)
 	for i := 0; i < 2; i++ {
-		rows, err := set.Query(ctx, bigSQL)
+		rows, err := set.QueryResumable(ctx, bigSQL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestReplicaSetIdleConnsSumsAndCloses(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.Query(ctx, bigSQL); !errors.Is(err, ErrClientClosed) {
+	if _, err := set.QueryResumable(ctx, bigSQL, nil); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("query after close: err = %v, want ErrClientClosed", err)
 	}
 }
@@ -304,7 +304,7 @@ func TestReplicaSetDrainsInFlightAccounting(t *testing.T) {
 	db := bigDB(t, 10, 1)
 	set, _ := replicaHarness(t, db, make([]func(string) func(int64) error, 2), nil)
 	for i := 0; i < 4; i++ {
-		rows, err := set.Query(ctx, bigSQL)
+		rows, err := set.QueryResumable(ctx, bigSQL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,15 +55,24 @@ type ResumeSpec struct {
 	Rewrite func(lastKey []value.Value) (string, error)
 }
 
-// QueryResumable is Query with mid-stream recovery armed: if the returned
-// stream dies with a transient transport error after it started, the
-// client reopens it at the frontier (see tryResume), skips the duplicate
-// boundary rows, and splices the continuation in place, so the caller
-// observes one uninterrupted sorted stream. When the client's Resume
-// budget runs out the stream fails with ErrResumeExhausted (which also
-// satisfies errors.Is(err, ErrStreamLost)).
+// QueryResumable submits sql and returns the stream positioned before the
+// first row. The server executes the query fully before sending the
+// header, so the time spent inside QueryResumable (until it returns) is
+// the paper's "query-only time": time to the first tuple.
 //
-// A nil spec, or a client without WithResume, behaves exactly like Query.
+// The context governs the whole request: QueryResumable honors its
+// deadline and cancellation while connecting and waiting for the header,
+// and the returned stream keeps honoring it row by row. A failed open is
+// not retried: a replica set moves on to its next replica.
+//
+// With a non-nil spec on a client built WithResume, mid-stream recovery is
+// armed: if the returned stream dies with a transient transport error
+// after it started, the client reopens it at the frontier (see tryResume),
+// skips the duplicate boundary rows, and splices the continuation in
+// place, so the caller observes one uninterrupted sorted stream. When the
+// client's Resume budget runs out the stream fails with ErrResumeExhausted
+// (which also satisfies errors.Is(err, ErrStreamLost)). Otherwise a
+// started stream that breaks fails.
 func (c *Client) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error) {
 	resp, err := c.do(ctx, opQuery, sql)
 	if err == nil && spec != nil && c.resume.MaxResumes > 0 {

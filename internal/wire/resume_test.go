@@ -216,7 +216,7 @@ func TestStreamLostNilSpec(t *testing.T) {
 	client := faultClient(t, db, killEachTextOnceAt(100),
 		WithResume(Resume{MaxResumes: 3}))
 
-	rows, err := client.Query(ctx, bigSQL)
+	rows, err := client.QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func TestResumeCutMidFrameIsByteIdentical(t *testing.T) {
 		}
 		return b
 	}
-	clean, err := InProcess(db).Query(ctx, bigSQL)
+	clean, err := InProcess(db).QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestRetainedRowsSurviveLaterFrames(t *testing.T) {
 	client := Dial(l.Addr().String())
 	defer client.Close()
 
-	rows, err := client.Query(ctx, bigSQL)
+	rows, err := client.QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRetainedRowsSurviveLaterFrames(t *testing.T) {
 // caller appending to it gets a copy and the next row in the same frame
 // stays intact.
 func TestAppendToRowKeepsNextRow(t *testing.T) {
-	rows, err := InProcess(bigDB(t, 10, 1)).Query(ctx, bigSQL)
+	rows, err := InProcess(bigDB(t, 10, 1)).QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRowsAllocsPerFrame(t *testing.T) {
 		client := InProcess(bigDB(t, frames*batchMaxRows, 1))
 		defer client.Close()
 		return testing.AllocsPerRun(5, func() {
-			rows, err := client.Query(ctx, bigSQL)
+			rows, err := client.QueryResumable(ctx, bigSQL, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func rawStream(t *testing.T, cols int, frames ...[]byte) *Rows {
 	}()
 	client := NewClient(func(context.Context) (net.Conn, error) { return c1, nil })
 	t.Cleanup(func() { client.Close() })
-	rows, err := client.Query(ctx, "select raw")
+	rows, err := client.QueryResumable(ctx, "select raw", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,18 +84,12 @@ func NewShardSet(shards []Backend, opts ...ShardOption) *ShardSet {
 	return s
 }
 
-// Query submits sql to every shard and returns the merged stream. Without
-// a resume spec there is no sort key to merge on, so the partial streams
-// are concatenated in shard order; sorted plans always arrive via
-// QueryResumable.
-func (s *ShardSet) Query(ctx context.Context, sql string) (*Rows, error) {
-	return s.QueryResumable(ctx, sql, nil)
-}
-
 // QueryResumable scatters sql to every shard concurrently and splices the
 // sorted partial streams through a k-way merge on spec.KeyCols. The spec
 // also rides into each shard backend, so each shard stream heals itself
-// underneath the merge. A single-shard set delegates outright.
+// underneath the merge. Without a spec there is no sort key to merge on,
+// so the partial streams are concatenated in shard order. A single-shard
+// set delegates outright.
 func (s *ShardSet) QueryResumable(ctx context.Context, sql string, spec *ResumeSpec) (*Rows, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].QueryResumable(ctx, sql, spec)

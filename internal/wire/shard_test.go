@@ -240,7 +240,7 @@ func TestShardConcatWithoutKeys(t *testing.T) {
 		return 1
 	})
 	set := inProcessShardSet(t, dbs)
-	rows, err := set.Query(ctx, bigSQL)
+	rows, err := set.QueryResumable(ctx, bigSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 
 	client := Dial(addr)
 	defer client.Close()
-	rows, err := client.Query(ctx, nationSQL)
+	rows, err := client.QueryResumable(ctx, nationSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 	// liveness check sees a dead socket rather than a race.
 	time.Sleep(50 * time.Millisecond)
 
-	rows, err = client.Query(ctx, nationSQL)
+	rows, err = client.QueryResumable(ctx, nationSQL, nil)
 	if err != nil {
 		t.Fatalf("query after server restart: %v", err)
 	}

@@ -140,7 +140,7 @@ func TestUntracedRequestWhenObsDisabled(t *testing.T) {
 	}
 	client := NewClient(dial)
 	defer client.Close()
-	rows, err := client.Query(ctx, "select n.name from Nation n order by n.name")
+	rows, err := client.QueryResumable(ctx, "select n.name from Nation n order by n.name", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestServerSpansStitchUnderClientSpan(t *testing.T) {
 	client := InProcess(wireDB(t))
 	defer client.Close()
 
-	rows, err := client.Query(ctx, "select n.name from Nation n order by n.name")
+	rows, err := client.QueryResumable(ctx, "select n.name from Nation n order by n.name", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

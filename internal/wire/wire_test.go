@@ -48,7 +48,7 @@ func drain(t *testing.T, rows *Rows) [][]value.Value {
 
 func TestInProcessQuery(t *testing.T) {
 	client := InProcess(wireDB(t))
-	rows, err := client.Query(ctx, "select n.nationkey, n.name from Nation n order by n.nationkey")
+	rows, err := client.QueryResumable(ctx, "select n.nationkey, n.name from Nation n order by n.nationkey", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestInProcessQuery(t *testing.T) {
 
 func TestServerError(t *testing.T) {
 	client := InProcess(wireDB(t))
-	_, err := client.Query(ctx, "select g.x from Ghost g")
+	_, err := client.QueryResumable(ctx, "select g.x from Ghost g", nil)
 	if err == nil {
 		t.Fatal("query on unknown table succeeded")
 	}
@@ -83,14 +83,14 @@ func TestNullsCostBytesOnTheWire(t *testing.T) {
 	db := wireDB(t)
 	client := InProcess(db)
 
-	narrow, err := client.Query(ctx, "select n.nationkey from Nation n order by n.nationkey")
+	narrow, err := client.QueryResumable(ctx, "select n.nationkey from Nation n order by n.nationkey", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(t, narrow)
 
-	padded, err := client.Query(ctx,
-		"select n.nationkey, null as a, null as b, null as c, null as d from Nation n order by n.nationkey")
+	padded, err := client.QueryResumable(ctx,
+		"select n.nationkey, null as a, null as b, null as c, null as d from Nation n order by n.nationkey", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTCPLoopback(t *testing.T) {
 	client := NewClient(func(context.Context) (net.Conn, error) {
 		return net.Dial("tcp", l.Addr().String())
 	})
-	rows, err := client.Query(ctx, "select n.name from Nation n order by n.name")
+	rows, err := client.QueryResumable(ctx, "select n.name from Nation n order by n.name", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rows, err := client.Query(ctx, fmt.Sprintf(
-				"select n.nationkey from Nation n where n.nationkey >= %d order by n.nationkey", i%3))
+			rows, err := client.QueryResumable(ctx, fmt.Sprintf(
+				"select n.nationkey from Nation n where n.nationkey >= %d order by n.nationkey", i%3), nil)
 			if err != nil {
 				errs <- err
 				return
@@ -161,7 +161,7 @@ func TestConcurrentStreams(t *testing.T) {
 
 func TestCloseEarlyDoesNotHang(t *testing.T) {
 	client := InProcess(wireDB(t))
-	rows, err := client.Query(ctx, "select n.nationkey, n.name from Nation n order by n.nationkey")
+	rows, err := client.QueryResumable(ctx, "select n.nationkey, n.name from Nation n order by n.nationkey", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestBatchedFrames(t *testing.T) {
 	}
 
 	client := InProcess(db)
-	rows, err := client.Query(ctx, "select s.k, s.label from Seq s order by s.k")
+	rows, err := client.QueryResumable(ctx, "select s.k, s.label from Seq s order by s.k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDialFailure(t *testing.T) {
 	client := NewClient(func(context.Context) (net.Conn, error) {
 		return nil, fmt.Errorf("synthetic dial failure")
 	})
-	if _, err := client.Query(ctx, "select 1 as x"); err == nil {
+	if _, err := client.QueryResumable(ctx, "select 1 as x", nil); err == nil {
 		t.Error("Query with failing dial succeeded")
 	}
 }
@@ -232,7 +232,7 @@ func TestValueRoundTripThroughWire(t *testing.T) {
 	db.MustTable("T").MustInsert(value.Int(-7), value.Float(2.5), value.String("ü✓"), value.Null)
 
 	client := InProcess(db)
-	rows, err := client.Query(ctx, "select t.k, t.f, t.s, t.n from T t")
+	rows, err := client.QueryResumable(ctx, "select t.k, t.f, t.s, t.n from T t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"testing"
 
+	"silkroute/internal/obs"
 	"silkroute/internal/rxl"
 	"silkroute/internal/tpch"
 )
@@ -64,7 +65,10 @@ func TestRemoteGreedyUsesRemoteOracle(t *testing.T) {
 	defer l.Close()
 	go db.Serve(l)
 
-	db.ResetEstimateRequests()
+	old := obs.M()
+	m := obs.NewMetrics()
+	obs.SetGlobal(m)
+	t.Cleanup(func() { obs.SetGlobal(old) })
 	remote := mustDial(t, Single(l.Addr().String()))
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.Query1Source)
 	if err != nil {
@@ -76,7 +80,7 @@ func TestRemoteGreedyUsesRemoteOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The estimate requests must have reached the remote server.
-	if got := db.EstimateRequests(); got != rep.EstimateRequests {
+	if got := m.Exec.EstimatesServed.Value(); got != rep.EstimateRequests {
 		t.Errorf("server saw %d estimate requests, client reports %d", got, rep.EstimateRequests)
 	}
 	if rep.Streams != 3 {

@@ -404,13 +404,6 @@ func (db *DB) QueryLog() []QueryLogEntry { return db.eng.QueryLog() }
 // Zero (the default) means unlimited.
 func (db *DB) SetSortBudget(rows int) { db.eng.SortBudgetRows = rows }
 
-// EstimateRequests reports how many optimizer estimate requests the
-// database has served (the §5.1 economy metric).
-func (db *DB) EstimateRequests() int64 { return db.eng.EstimateRequests() }
-
-// ResetEstimateRequests zeroes the estimate-request counter.
-func (db *DB) ResetEstimateRequests() { db.eng.ResetEstimateRequests() }
-
 // Strategy selects how a view is decomposed into SQL queries.
 type Strategy int
 
@@ -706,7 +699,6 @@ func (v *View) choosePlan(ctx context.Context, s Strategy) (*plan.Plan, *Report,
 		if v.remote != nil {
 			oracle = plan.RemoteOracle{Client: v.remote.client}
 		} else {
-			v.db.ResetEstimateRequests()
 			oracle = v.db.eng
 		}
 		prm := plan.DefaultGreedyParams(v.reduce)

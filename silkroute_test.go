@@ -303,7 +303,7 @@ func TestServeWireClients(t *testing.T) {
 	client := wire.NewClient(func(context.Context) (net.Conn, error) {
 		return net.Dial("tcp", l.Addr().String())
 	})
-	rows, err := client.Query(ctx, "select a.name from Author a order by a.name")
+	rows, err := client.QueryResumable(ctx, "select a.name from Author a order by a.name", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
