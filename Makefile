@@ -65,6 +65,7 @@ chaos:
 # as value.Compare does, floats included, the tagger's escaper must match
 # xml.EscapeText byte for byte, the executor must agree with the
 # brute-force reference on every generated query over generated rows,
+# any SQL that parses must print to SQL that parses and prints the same,
 # /metrics must stay conformant exposition under any view or tenant name,
 # and a -connect topology string must parse or fail with a positioned
 # error, never panic, and round-trip through its String form. The seeds
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEscaped$$' -fuzztime 10s ./internal/tagger
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorMatchesReference$$' -fuzztime 10s ./internal/sqlexec
+	$(GO) test -run '^$$' -fuzz '^FuzzPrintParse$$' -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s .
 

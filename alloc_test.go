@@ -29,7 +29,7 @@ func TestAllocsPerDocument(t *testing.T) {
 		{
 			// export-cold: compile and materialise Query 1 with the greedy
 			// plan in process, no caches.
-			name: "parse-and-greedy", count: 9_766, mb: 5.39, tol: 0.03,
+			name: "parse-and-greedy", count: 9_211, mb: 5.39, tol: 0.03,
 			setup: func(t *testing.T) func() error {
 				return func() error {
 					v, err := ParseView(db, rxl.Query1Source)

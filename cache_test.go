@@ -50,7 +50,7 @@ func cacheLibraryDB(t *testing.T) *DB {
 // path — a fully cached view produces bytes identical to an uncached one,
 // both on the cold fill and on the warm repeat.
 func TestCachedEquivalenceAllStrategies(t *testing.T) {
-	for _, s := range []Strategy{Unified, UnifiedCTE, OuterUnion, FullyPartitioned, Greedy} {
+	for _, s := range []Strategy{Unified, OuterUnion, FullyPartitioned, Greedy} {
 		// A fresh database per strategy so each family exercises its own
 		// cold fill (the fragment key is strategy-independent by design, so
 		// a shared cache would serve every later strategy warm).

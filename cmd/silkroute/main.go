@@ -50,7 +50,11 @@ func main() {
 	scale := flag.Float64("scale", 0.001, "TPC-H scale factor when generating data")
 	seed := flag.Int64("seed", 42, "TPC-H generator seed")
 	data := flag.String("data", "", "directory of <Relation>.csv files (instead of generating)")
-	strategy := flag.String("strategy", "greedy", "plan strategy: unified, unified-cte, outer-union, fully-partitioned, greedy")
+	var strategies []string
+	for _, s := range silkroute.Strategies() {
+		strategies = append(strategies, s.String())
+	}
+	strategy := flag.String("strategy", "greedy", "plan strategy: "+strings.Join(strategies, ", "))
 	explain := flag.Bool("explain", false, "print the plan and SQL to stderr")
 	noReduce := flag.Bool("no-reduce", false, "disable view-tree reduction")
 	parallelism := flag.Int("parallelism", 0, "concurrent partition queries (0 = one per CPU, 1 = serial)")

@@ -19,7 +19,7 @@ import (
 )
 
 func TestParseStrategyRoundTrip(t *testing.T) {
-	for _, s := range []Strategy{Unified, UnifiedCTE, OuterUnion, FullyPartitioned, Greedy} {
+	for _, s := range []Strategy{Unified, OuterUnion, FullyPartitioned, Greedy} {
 		got, err := ParseStrategy(s.String())
 		if err != nil {
 			t.Errorf("ParseStrategy(%q): %v", s.String(), err)
@@ -33,8 +33,10 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 	if got, err := ParseStrategy("Outer-Union"); err != nil || got != OuterUnion {
 		t.Errorf("ParseStrategy(\"Outer-Union\") = %v, %v", got, err)
 	}
-	if _, err := ParseStrategy("speculative"); err == nil {
-		t.Error("ParseStrategy accepted an unknown name")
+	for _, name := range []string{"speculative", "unified-cte"} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Errorf("ParseStrategy accepted the unknown name %q", name)
+		}
 	}
 }
 

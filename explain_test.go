@@ -157,7 +157,7 @@ func TestParseStrategyNearMiss(t *testing.T) {
 		"unifed":            `"unified"`,
 		"outer-unions":      `"outer-union"`,
 		"fully-partitioend": `"fully-partitioned"`,
-		"unified-ctes":      `"unified-cte"`,
+		"outerunion":        `"outer-union"`,
 	} {
 		_, err := ParseStrategy(typo)
 		if err == nil {

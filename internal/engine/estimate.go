@@ -47,8 +47,7 @@ func (db *Database) EstimateQuery(ctx context.Context, q sqlast.Query) (Estimate
 	if m := obs.M(); m != nil {
 		m.Exec.EstimatesServed.Inc()
 	}
-	est := &estimator{db: db}
-	r, err := est.estQuery(q)
+	r, err := db.estQuery(q)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -128,36 +127,17 @@ const (
 // rowWork returns the per-row processing weight for a given row width.
 func rowWork(width float64) float64 { return 1 + width/widthCostDivisor }
 
-// estimator carries one estimate request's state: the database statistics
-// plus the WITH-clause overlay of already-estimated CTEs. A fresh
-// estimator per request keeps concurrent estimate requests independent.
-type estimator struct {
-	db   *Database
-	ctes map[string]*estRel
-}
-
-func (e *estimator) estQuery(q sqlast.Query) (*estRel, error) {
-	if w, ok := q.(*sqlast.With); ok {
-		sub := &estimator{db: e.db, ctes: make(map[string]*estRel, len(w.CTEs)+len(e.ctes))}
-		for k, v := range e.ctes {
-			sub.ctes[k] = v
-		}
-		for _, cte := range w.CTEs {
-			r, err := sub.estQuery(cte.Query)
-			if err != nil {
-				return nil, err
-			}
-			sub.ctes[strings.ToLower(cte.Name)] = r
-		}
-		return sub.estQuery(w.Body)
-	}
+// estQuery models a query's result. It and the estimate methods it calls
+// read only the database's statistics and sort budget, so concurrent
+// estimate requests stay independent.
+func (db *Database) estQuery(q sqlast.Query) (*estRel, error) {
 	switch q := q.(type) {
 	case *sqlast.Select:
-		return e.estSelect(q)
+		return db.estSelect(q)
 	case *sqlast.Union:
 		var out *estRel
 		for _, b := range q.Branches {
-			r, err := e.estSelect(b)
+			r, err := db.estSelect(b)
 			if err != nil {
 				return nil, err
 			}
@@ -180,21 +160,21 @@ func (e *estimator) estQuery(q sqlast.Query) (*estRel, error) {
 			return nil, fmt.Errorf("engine: estimate of empty union")
 		}
 		out.clampDistinct()
-		e.addSortCost(out, q.OrderBy)
+		db.addSortCost(out, q.OrderBy)
 		return out, nil
 	default:
 		return nil, fmt.Errorf("engine: estimate of %T", q)
 	}
 }
 
-func (e *estimator) addSortCost(r *estRel, order []sqlast.OrderItem) {
+func (db *Database) addSortCost(r *estRel, order []sqlast.OrderItem) {
 	if len(order) == 0 || r.rows < 2 {
 		return
 	}
 	r.cost += sortCostFactor * r.rows * math.Log2(r.rows) * rowWork(r.width())
 	// A sort larger than the memory budget spills: charge the run
 	// write-out and merge read-back, proportional to the spilled bytes.
-	if e.db.SortBudgetRows > 0 && r.rows > float64(e.db.SortBudgetRows) {
+	if db.SortBudgetRows > 0 && r.rows > float64(db.SortBudgetRows) {
 		r.cost += spillIOWeight * 2 * r.rows * r.width()
 	}
 }
@@ -203,8 +183,8 @@ func (e *estimator) addSortCost(r *estRel, order []sqlast.OrderItem) {
 // spilling sort dominates the in-memory n·log n term, as disk I/O does.
 const spillIOWeight = 0.5
 
-func (e *estimator) estSelect(s *sqlast.Select) (*estRel, error) {
-	src, err := e.estFromWhere(s.From, s.Where)
+func (db *Database) estSelect(s *sqlast.Select) (*estRel, error) {
+	src, err := db.estFromWhere(s.From, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -231,17 +211,17 @@ func (e *estimator) estSelect(s *sqlast.Select) (*estRel, error) {
 	out.clampDistinct()
 	// Projection materializes every output row.
 	out.cost += out.rows * rowWork(out.width())
-	e.addSortCost(out, s.OrderBy)
+	db.addSortCost(out, s.OrderBy)
 	return out, nil
 }
 
-func (e *estimator) estFromWhere(from []sqlast.TableExpr, where sqlast.Expr) (*estRel, error) {
+func (db *Database) estFromWhere(from []sqlast.TableExpr, where sqlast.Expr) (*estRel, error) {
 	if len(from) == 0 {
 		return &estRel{rows: 1}, nil
 	}
 	rels := make([]*estRel, len(from))
 	for i, te := range from {
-		r, err := e.estTable(te)
+		r, err := db.estTable(te)
 		if err != nil {
 			return nil, err
 		}
@@ -339,25 +319,14 @@ func (e *estimator) estFromWhere(from []sqlast.TableExpr, where sqlast.Expr) (*e
 	return joined, nil
 }
 
-func (e *estimator) estTable(te sqlast.TableExpr) (*estRel, error) {
+func (db *Database) estTable(te sqlast.TableExpr) (*estRel, error) {
 	switch te := te.(type) {
 	case *sqlast.BaseTable:
 		alias := te.Alias
 		if alias == "" {
 			alias = te.Name
 		}
-		if cte, ok := e.ctes[strings.ToLower(te.Name)]; ok {
-			// A CTE scan: the relation was materialized once by the WITH
-			// clause; a scan pays only the read.
-			out := &estRel{rows: cte.rows, cost: cte.rows}
-			for _, c := range cte.cols {
-				cc := c
-				cc.qual = alias
-				out.cols = append(out.cols, cc)
-			}
-			return out, nil
-		}
-		t, ok := e.db.Lookup(te.Name)
+		t, ok := db.Lookup(te.Name)
 		if !ok {
 			return nil, fmt.Errorf("engine: estimate of unknown table %q", te.Name)
 		}
@@ -373,7 +342,7 @@ func (e *estimator) estTable(te sqlast.TableExpr) (*estRel, error) {
 		}
 		return r, nil
 	case *sqlast.Derived:
-		inner, err := e.estQuery(te.Query)
+		inner, err := db.estQuery(te.Query)
 		if err != nil {
 			return nil, err
 		}
@@ -382,11 +351,11 @@ func (e *estimator) estTable(te sqlast.TableExpr) (*estRel, error) {
 		}
 		return inner, nil
 	case *sqlast.Join:
-		l, err := e.estTable(te.L)
+		l, err := db.estTable(te.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.estTable(te.R)
+		r, err := db.estTable(te.R)
 		if err != nil {
 			return nil, err
 		}

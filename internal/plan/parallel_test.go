@@ -11,7 +11,6 @@ import (
 	"silkroute/internal/engine"
 	"silkroute/internal/rxl"
 	"silkroute/internal/schema"
-	"silkroute/internal/sqlgen"
 	"silkroute/internal/tpch"
 	"silkroute/internal/viewtree"
 	"silkroute/internal/wire"
@@ -51,9 +50,6 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			FullyPartitioned(tree),
 			FromBits(tree, 0b101010101, false),
 		}
-		withStyle := FullyPartitioned(tree)
-		withStyle.Style = sqlgen.WithClause
-		plans = append(plans, withStyle)
 		for pi, base := range plans {
 			serial := *base
 			serial.Parallelism = 1

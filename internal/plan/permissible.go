@@ -40,9 +40,6 @@ func (p *Plan) Permissible(caps schema.Capabilities) (bool, error) {
 			}
 		}
 	}
-	if p.Style == sqlgen.WithClause && !caps.WithClause {
-		return false, nil
-	}
 	if p.Style == sqlgen.OuterUnion && !caps.OuterUnion {
 		// The [9]-style generator unions one branch per leaf chain.
 		leafChains := 0

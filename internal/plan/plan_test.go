@@ -315,55 +315,6 @@ func TestGeneratedSQLParsesAndCarriesOrderBy(t *testing.T) {
 	}
 }
 
-func TestWithClauseStyleProducesIdenticalXML(t *testing.T) {
-	db := fig8DB(t)
-	tree := fragmentTree(t)
-	want, _ := runPlan(t, db, Unified(tree, false))
-	for bits := uint64(0); bits < 4; bits++ {
-		for _, reduce := range []bool{false, true} {
-			p := FromBits(tree, bits, reduce)
-			p.Style = sqlgen.WithClause
-			got, _ := runPlan(t, db, p)
-			if got != want {
-				t.Errorf("WITH-style plan bits=%b reduce=%v differs:\n got: %s\nwant: %s",
-					bits, reduce, got, want)
-			}
-		}
-	}
-}
-
-func TestWithClauseSQLShape(t *testing.T) {
-	tree := fragmentTree(t)
-	p := Unified(tree, true)
-	p.Style = sqlgen.WithClause
-	streams, err := p.Streams()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sql := streams[0].SQL()
-	if !strings.Contains(sql, "with w_s1") {
-		t.Errorf("WITH clause missing: %s", sql)
-	}
-	if !strings.Contains(sql, "order by") {
-		t.Errorf("structural sort missing: %s", sql)
-	}
-}
-
-func TestWithClausePermissibility(t *testing.T) {
-	tree := fragmentTree(t)
-	p := Unified(tree, true)
-	p.Style = sqlgen.WithClause
-	caps := tree.Schema.Supports
-	caps.WithClause = false
-	if ok, _ := p.Permissible(caps); ok {
-		t.Error("WITH-style plan permissible on a target without WITH support")
-	}
-	caps.WithClause = true
-	if ok, _ := p.Permissible(caps); !ok {
-		t.Error("WITH-style plan rejected despite full capabilities")
-	}
-}
-
 // TestViewRelationsCoverEveryPlan pins the fragment cache's
 // dependency set: for Q1, Q2 and the fragment, under every edge bitmask,
 // reduced or not, and in every SQL style, the base tables the plan's SQL
@@ -381,7 +332,7 @@ func TestViewRelationsCoverEveryPlan(t *testing.T) {
 		want := strings.Join(tree.Relations(), ",")
 		for bits := uint64(0); bits < 1<<uint(len(tree.Edges)); bits++ {
 			for _, reduce := range []bool{false, true} {
-				for _, style := range []sqlgen.Style{sqlgen.OuterJoin, sqlgen.OuterUnion, sqlgen.WithClause} {
+				for _, style := range []sqlgen.Style{sqlgen.OuterJoin, sqlgen.OuterUnion} {
 					p := FromBits(tree, bits, reduce)
 					p.Style = style
 					streams, err := p.Streams()

@@ -107,11 +107,10 @@ type Schema struct {
 type Capabilities struct {
 	LeftOuterJoin bool
 	OuterUnion    bool
-	WithClause    bool
 }
 
 // AllCapabilities is the capability set of a full-featured engine.
-var AllCapabilities = Capabilities{LeftOuterJoin: true, OuterUnion: true, WithClause: true}
+var AllCapabilities = Capabilities{LeftOuterJoin: true, OuterUnion: true}
 
 // New returns an empty schema with full capabilities.
 func New() *Schema {

@@ -146,7 +146,7 @@ type OrderItem struct {
 	Expr Expr
 }
 
-// Query is a complete statement: a Select, a Union, or a With.
+// Query is a complete statement: a Select or a Union.
 type Query interface{ queryNode() }
 
 // Select is a single select block.
@@ -166,23 +166,8 @@ type Union struct {
 	OrderBy  []OrderItem // applies to the union result
 }
 
-// CTE is one common table expression of a WITH clause.
-type CTE struct {
-	Name  string
-	Query Query
-}
-
-// With is the SQL WITH clause the paper's §3.4 footnote mentions as an
-// alternative way to construct partitioned relations: each CTE is
-// materialized once and the body may scan it like a base table.
-type With struct {
-	CTEs []CTE
-	Body Query
-}
-
 func (*Select) queryNode() {}
 func (*Union) queryNode()  {}
-func (*With) queryNode()   {}
 
 // OutputColumns returns the result column names of a query: the alias if
 // present, the column name for bare references, and "" for unnamed
@@ -206,8 +191,6 @@ func OutputColumns(q Query) []string {
 		if len(q.Branches) > 0 {
 			return OutputColumns(q.Branches[0])
 		}
-	case *With:
-		return OutputColumns(q.Body)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package sqlast
 import (
 	"fmt"
 	"strings"
+
+	"silkroute/internal/value"
 )
 
 // Print renders a query as SQL text. The output is accepted verbatim by
@@ -28,19 +30,6 @@ func printQuery(b *strings.Builder, q Query, depth int) {
 			b.WriteString(")")
 		}
 		printOrderBy(b, q.OrderBy)
-	case *With:
-		b.WriteString("with ")
-		for i, cte := range q.CTEs {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(cte.Name)
-			b.WriteString(" as (")
-			printQuery(b, cte.Query, depth+1)
-			b.WriteString(")")
-		}
-		b.WriteString(" ")
-		printQuery(b, q.Body, depth)
 	}
 }
 
@@ -139,7 +128,13 @@ func printExpr(b *strings.Builder, e Expr) {
 		}
 		b.WriteString(e.Column)
 	case *Literal:
-		b.WriteString(e.Val.String())
+		lit := e.Val.String()
+		b.WriteString(lit)
+		// An integral float ("2", "-0") would reparse as an int: keep it
+		// a float literal.
+		if e.Val.Kind() == value.KindFloat && strings.TrimLeft(lit, "-0123456789") == "" {
+			b.WriteString(".0")
+		}
 	case *Compare:
 		printExpr(b, e.L)
 		fmt.Fprintf(b, " %s ", e.Op)

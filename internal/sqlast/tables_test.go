@@ -23,38 +23,3 @@ func TestBaseTablesWalksEveryShape(t *testing.T) {
 		t.Fatalf("BaseTables = %v, want %v", got, want)
 	}
 }
-
-func TestBaseTablesExcludesCTEs(t *testing.T) {
-	// with a as (select ... from orders),
-	//      b as (select ... from a join lineitem)
-	// select ... from b, supplier
-	q := &With{
-		CTEs: []CTE{
-			{Name: "A", Query: sel(&BaseTable{Name: "orders"})},
-			{Name: "b", Query: sel(&Join{
-				L: &BaseTable{Name: "a"}, // refers to the CTE, not a relation
-				R: &BaseTable{Name: "lineitem"},
-			})},
-		},
-		Body: sel(&BaseTable{Name: "b"}, &BaseTable{Name: "supplier"}),
-	}
-	got := BaseTables(q)
-	want := []string{"lineitem", "orders", "supplier"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BaseTables = %v, want %v", got, want)
-	}
-}
-
-func TestBaseTablesCTENotBoundInOwnBody(t *testing.T) {
-	// A CTE named like a real table: references before the binding point are
-	// base-table reads.
-	q := &With{
-		CTEs: []CTE{{Name: "orders", Query: sel(&BaseTable{Name: "orders"})}},
-		Body: sel(&BaseTable{Name: "orders"}), // the CTE shadows the relation here
-	}
-	got := BaseTables(q)
-	want := []string{"orders"} // from the CTE body only
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BaseTables = %v, want %v", got, want)
-	}
-}

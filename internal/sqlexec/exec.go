@@ -46,55 +46,9 @@ func evalQuery(ctx context.Context, cat Catalog, q sqlast.Query) (*Rel, error) {
 		return evalSelect(ctx, cat, q)
 	case *sqlast.Union:
 		return evalUnion(ctx, cat, q)
-	case *sqlast.With:
-		return evalWith(ctx, cat, q)
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported query %T", q)
 	}
-}
-
-// cteCatalog overlays materialized common table expressions on a catalog.
-// Each CTE is evaluated exactly once, in order, and later CTEs and the
-// body may scan earlier ones by name.
-type cteCatalog struct {
-	Catalog
-	ctes map[string]*Rel
-}
-
-// LookupRel resolves a CTE by name.
-func (c cteCatalog) LookupRel(name string) (*Rel, bool) {
-	r, ok := c.ctes[strings.ToLower(name)]
-	return r, ok
-}
-
-// SortMemoryRows forwards the underlying catalog's budget.
-func (c cteCatalog) SortMemoryRows() int {
-	if sb, ok := c.Catalog.(SortBudget); ok {
-		return sb.SortMemoryRows()
-	}
-	return 0
-}
-
-// relProvider is implemented by catalogs that can resolve named
-// intermediate relations (CTEs) in addition to stored tables.
-type relProvider interface {
-	LookupRel(name string) (*Rel, bool)
-}
-
-func evalWith(ctx context.Context, cat Catalog, w *sqlast.With) (*Rel, error) {
-	overlay := cteCatalog{Catalog: cat, ctes: make(map[string]*Rel, len(w.CTEs))}
-	for _, cte := range w.CTEs {
-		name := strings.ToLower(cte.Name)
-		if _, dup := overlay.ctes[name]; dup {
-			return nil, fmt.Errorf("sqlexec: duplicate CTE %q", cte.Name)
-		}
-		r, err := evalQuery(ctx, overlay, cte.Query)
-		if err != nil {
-			return nil, fmt.Errorf("sqlexec: CTE %s: %w", cte.Name, err)
-		}
-		overlay.ctes[name] = r
-	}
-	return evalQuery(ctx, overlay, w.Body)
 }
 
 func evalUnion(ctx context.Context, cat Catalog, u *sqlast.Union) (*Rel, error) {
@@ -108,11 +62,7 @@ func evalUnion(ctx context.Context, cat Catalog, u *sqlast.Union) (*Rel, error) 
 			return nil, fmt.Errorf("sqlexec: union branch %d: %w", i, err)
 		}
 		if out == nil {
-			// Clone the first branch's row slice before appending later
-			// branches: a branch may hand back a relation whose backing
-			// array is shared (a memoized CTE, a base table), and appending
-			// in place would splice other branches' rows into it.
-			out = &Rel{Cols: r.Cols, Rows: append([]table.Row(nil), r.Rows...)}
+			out = r
 			continue
 		}
 		if len(r.Cols) != len(out.Cols) {
@@ -448,23 +398,13 @@ func filterRel(x *rel, pred rowExpr) *rel {
 
 // evalTable evaluates one FROM entry. need lists the references evaluated
 // over its result; a join keeps only the columns they can resolve to.
-// Base tables, CTEs and derived tables are scanned whole and in place.
+// Base tables and derived tables are scanned whole and in place.
 func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sqlast.ColumnRef) (*rel, error) {
 	switch te := te.(type) {
 	case *sqlast.BaseTable:
 		alias := te.Alias
 		if alias == "" {
 			alias = te.Name
-		}
-		// CTEs shadow stored tables within their WITH scope.
-		if rp, ok := cat.(relProvider); ok {
-			if r, found := rp.LookupRel(te.Name); found {
-				cols := make([]Col, len(r.Cols))
-				for i, c := range r.Cols {
-					cols[i] = Col{Qual: alias, Name: c.Name}
-				}
-				return scan(cols, r.Rows), nil
-			}
 		}
 		t, ok := cat.Lookup(te.Name)
 		if !ok {

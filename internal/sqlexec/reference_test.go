@@ -50,18 +50,6 @@ func referenceRun(cat Catalog, q sqlast.Query) (*Rel, error) {
 			return nil, err
 		}
 		return out, nil
-	case *sqlast.With:
-		// Each CTE is evaluated once, in order, into the executor's own
-		// overlay, which referenceTable consults before the catalog.
-		overlay := cteCatalog{Catalog: cat, ctes: make(map[string]*Rel, len(q.CTEs))}
-		for _, cte := range q.CTEs {
-			r, err := referenceRun(overlay, cte.Query)
-			if err != nil {
-				return nil, fmt.Errorf("sqlexec: CTE %s: %w", cte.Name, err)
-			}
-			overlay.ctes[strings.ToLower(cte.Name)] = r
-		}
-		return referenceRun(overlay, q.Body)
 	default:
 		return nil, fmt.Errorf("reference: %T", q)
 	}
@@ -131,15 +119,6 @@ func referenceTable(cat Catalog, te sqlast.TableExpr) (*Rel, error) {
 		alias := te.Alias
 		if alias == "" {
 			alias = te.Name
-		}
-		if rp, ok := cat.(relProvider); ok {
-			if r, found := rp.LookupRel(te.Name); found {
-				cols := make([]Col, len(r.Cols))
-				for i, c := range r.Cols {
-					cols[i] = Col{Qual: alias, Name: c.Name}
-				}
-				return &Rel{Cols: cols, Rows: r.Rows}, nil
-			}
 		}
 		t, ok := cat.Lookup(te.Name)
 		if !ok {
@@ -359,9 +338,9 @@ func randomCatalog(t testing.TB, c chooser) testCatalog {
 	return cat
 }
 
-// genSource is a FROM entry the generator can choose: a stored table, a
-// derived table (from is its parenthesized select) or a CTE (from is its
-// name). alias prefixes the aliases it is given.
+// genSource is a FROM entry the generator can choose: a stored table or a
+// derived table (from is its parenthesized select). alias prefixes the
+// aliases it is given.
 type genSource struct {
 	from, alias string
 	cols        []string
@@ -370,8 +349,8 @@ type genSource struct {
 // randomQuery builds a query over the paper catalog. Mostly it is one
 // select (randomSelect) under its ORDER BY. One time in ten it is a
 // two-branch UNION under an ORDER BY on output aliases, and one time in
-// ten a WITH whose body scans its one CTE under two aliases, as the
-// unified-cte plans do.
+// ten a select that reads one stored table under two aliases, so one row
+// set feeds two of the executor's inputs.
 func randomQuery(c chooser) string {
 	switch c.Intn(10) {
 	case 8:
@@ -383,9 +362,9 @@ func randomQuery(c chooser) string {
 		}
 		return first + " union all " + second + " order by " + strings.Join(order, ", ")
 	case 9:
-		body, cols := derivedSelect(c)
-		sql, _, order := randomSelect(c, &genSource{from: "w", alias: "w", cols: cols}, 0)
-		return "with w as (" + body + ") " + sql + order
+		t := genTables[c.Intn(len(genTables))]
+		sql, _, order := randomSelect(c, &genSource{from: t.name, alias: t.alias, cols: t.cols}, 0)
+		return sql + order
 	}
 	sql, _, order := randomSelect(c, nil, 0)
 	return sql + order
@@ -393,8 +372,8 @@ func randomQuery(c chooser) string {
 
 // randomSelect builds a select over one to five FROM sources, each a
 // table of the paper catalog or, one time in eight, a derived table
-// (derivedSelect). With cte set, two of the sources, under different
-// aliases, are that CTE. A source is a comma-join entry or is
+// (derivedSelect). With twice set, two of the sources, under different
+// aliases, are that source. A source is a comma-join entry or is
 // left-outer-joined to the one before it on an equality, possibly a
 // disjunction of two, possibly with a literal filter or a cross-source
 // non-equi residual; the right side of such a join is sometimes the
@@ -407,10 +386,10 @@ func randomQuery(c chooser) string {
 // Besides the select, it returns the select list's length and an ORDER BY
 // clause of one to three keys, each an output alias or a source column,
 // which a union branch leaves off.
-func randomSelect(c chooser, cte *genSource, items int) (string, int, string) {
+func randomSelect(c chooser, twice *genSource, items int) (string, int, string) {
 	ops := []string{"=", "<", ">", "<=", ">=", "<>"}
 	n := c.Intn(5) + 1
-	if cte != nil {
+	if twice != nil {
 		n = max(n, 2)
 	}
 	src := make([]genSource, n)
@@ -423,10 +402,10 @@ func randomSelect(c chooser, cte *genSource, items int) (string, int, string) {
 		t := genTables[c.Intn(len(genTables))]
 		src[i] = genSource{from: t.name, alias: t.alias, cols: t.cols}
 	}
-	if cte != nil {
+	if twice != nil {
 		a := c.Intn(n)
-		src[a] = *cte
-		src[(a+1+c.Intn(n-1))%n] = *cte
+		src[a] = *twice
+		src[(a+1+c.Intn(n-1))%n] = *twice
 	}
 	aliases := make([]string, n)
 	for i := range src {
@@ -526,7 +505,7 @@ func randomSelect(c chooser, cte *genSource, items int) (string, int, string) {
 	return sql, len(list), " order by " + strings.Join(order, ", ")
 }
 
-// derivedSelect builds the body of a derived table or CTE: one of the
+// derivedSelect builds the body of a derived table: one of the
 // paper catalog's tables, or two comma-joined or left-outer-joined on a
 // column, sometimes under a literal filter, selecting some of their
 // columns under their own names (each name once) so an enclosing query
@@ -647,8 +626,6 @@ func orderBy(q sqlast.Query) []sqlast.OrderItem {
 		return q.OrderBy
 	case *sqlast.Union:
 		return q.OrderBy
-	case *sqlast.With:
-		return orderBy(q.Body)
 	}
 	return nil
 }

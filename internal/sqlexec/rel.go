@@ -12,7 +12,7 @@
 //
 //   - Late materialisation. Inside one SELECT, the FROM and WHERE work on
 //     row-ID relations (rel). An input of one is a row set that is already
-//     materialised: a base table, a CTE or a derived table. A row of the
+//     materialised: a base table or a derived table. A row of the
 //     relation is one int32 row index per input, -1 on the side a left
 //     outer join padded with NULLs. A scan is its input with no ID list; a
 //     filter keeps a list of IDs; a join builds its ID columns from its
@@ -33,7 +33,7 @@
 //     index; only expressions, keys on pre-projection columns and spilling
 //     sorts materialize a key slab.
 //
-// Base tables, CTEs and derived tables are read in place, never copied.
+// Base tables and derived tables are read in place, never copied.
 package sqlexec
 
 import (
@@ -68,7 +68,7 @@ func (c Col) String() string {
 }
 
 // Rel is a materialized relation: a query's result, which is also what a
-// CTE or derived table is read from.
+// derived table is read from.
 type Rel struct {
 	Cols []Col
 	Rows []table.Row

@@ -25,8 +25,7 @@ import (
 )
 
 // resumeAlias names the derived table a resume query wraps the original
-// body in. Generated aliases are b/q/c/u + counter and w_* CTE names, so it
-// never collides.
+// body in. Generated aliases are b/q/c/u + counter, so it never collides.
 const resumeAlias = "rsm"
 
 // SortKey returns the output-row positions of the stream's structural sort
@@ -64,7 +63,7 @@ func (s *Stream) ResumeSQL(key []value.Value) (string, error) {
 		return "", fmt.Errorf("sqlgen: reparse stream body: %w", err)
 	}
 
-	sel := &sqlast.Select{}
+	sel := &sqlast.Select{From: []sqlast.TableExpr{&sqlast.Derived{Query: body, Alias: resumeAlias}}}
 	keyNames := make([]string, len(s.sortKey))
 	for i, p := range s.sortKey {
 		keyNames[i] = s.outNames[p]
@@ -79,16 +78,6 @@ func (s *Stream) ResumeSQL(key []value.Value) (string, error) {
 	for _, n := range keyNames {
 		sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{Expr: &sqlast.ColumnRef{Column: n}})
 	}
-
-	// A WITH-style body keeps its CTEs at the top level (the grammar
-	// forbids WITH inside a derived table); only the body select is
-	// wrapped.
-	if w, ok := body.(*sqlast.With); ok {
-		sel.From = []sqlast.TableExpr{&sqlast.Derived{Query: w.Body, Alias: resumeAlias}}
-		w.Body = sel
-		return sqlast.Print(w), nil
-	}
-	sel.From = []sqlast.TableExpr{&sqlast.Derived{Query: body, Alias: resumeAlias}}
 	return sqlast.Print(sel), nil
 }
 

@@ -64,7 +64,6 @@ func TestResumeSQLSuffixEquivalence(t *testing.T) {
 		reduce bool
 	}{
 		{"outer-union", tree.AllEdges(), OuterUnion, false},
-		{"unified-cte", tree.AllEdges(), WithClause, false},
 		{"fully-partitioned", tree.NoEdges(), OuterJoin, false},
 		{"outer-join-reduced", tree.AllEdges(), OuterJoin, true},
 	}

@@ -11,9 +11,6 @@
 //   - OuterUnion (the comparator from Shanmugasundaram et al. [9]): one
 //     branch per root-to-leaf group chain, each a chain of outer joins,
 //     combined by outer union — (R ⟕ S) ∪ (R ⟕ T).
-//   - WithClause: the outer-join plan with node queries lifted into WITH
-//     common table expressions, per the paper's §3.4 footnote; for engines
-//     that support WITH, each node query is materialized exactly once.
 //
 // Every generated query sorts by the structural key L1, V(1,*), L2,
 // V(2,*), …, so the tagger can merge the streams and emit XML in constant
@@ -47,23 +44,14 @@ type Style uint8
 const (
 	OuterJoin Style = iota
 	OuterUnion
-	// WithClause generates the outer-join plan with every group's node
-	// query lifted into a common table expression — the alternative the
-	// paper's §3.4 footnote mentions for engines that support WITH. Each
-	// CTE is materialized once by the engine.
-	WithClause
 )
 
 // String names the style.
 func (s Style) String() string {
-	switch s {
-	case OuterUnion:
+	if s == OuterUnion {
 		return "outer-union"
-	case WithClause:
-		return "with-clause"
-	default:
-		return "outer-join"
 	}
+	return "outer-join"
 }
 
 // StreamCol describes one output column of a generated query: either a
@@ -110,13 +98,9 @@ func Generate(t *viewtree.Tree, comps []*viewtree.Component, style Style) ([]*St
 			s   *Stream
 			err error
 		)
-		switch style {
-		case OuterUnion:
+		if style == OuterUnion {
 			s, err = g.genOuterUnion()
-		case WithClause:
-			g.useCTE = true
-			s, err = g.genOuterJoin()
-		default:
+		} else {
 			s, err = g.genOuterJoin()
 		}
 		if err != nil {
@@ -168,31 +152,7 @@ type gen struct {
 	comp *viewtree.Component
 	n    int // derived-table alias counter
 
-	// useCTE lifts node queries into WITH-clause CTEs instead of inline
-	// derived tables.
-	useCTE bool
-	ctes   []sqlast.CTE
-	cteFor map[*viewtree.Group]string
-
 	names map[colID]string
-}
-
-// groupSource returns the FROM-clause source of a group's node query: an
-// inline derived table, or (in WITH style) a scan of the group's CTE.
-func (g *gen) groupSource(grp *viewtree.Group, alias string) sqlast.TableExpr {
-	if !g.useCTE {
-		return &sqlast.Derived{Query: g.nodeSelect(grp), Alias: alias}
-	}
-	if g.cteFor == nil {
-		g.cteFor = make(map[*viewtree.Group]string)
-	}
-	name, ok := g.cteFor[grp]
-	if !ok {
-		name = "w_" + strings.ToLower(strings.ReplaceAll(grp.Root.SkolemName, ".", "_"))
-		g.cteFor[grp] = name
-		g.ctes = append(g.ctes, sqlast.CTE{Name: name, Query: g.nodeSelect(grp)})
-	}
-	return &sqlast.BaseTable{Name: name, Alias: alias}
 }
 
 func (g *gen) alias(prefix string) string {
@@ -266,22 +226,7 @@ func (g *gen) nodeSelect(grp *viewtree.Group) *sqlast.Select {
 // result's output columns are exactly subtreeCols(grp) by name.
 func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 	if len(grp.Children) == 0 {
-		if !g.useCTE {
-			return g.nodeSelect(grp), nil
-		}
-		// WITH style: scan the group's CTE and project its columns.
-		alias := g.alias("b")
-		sel := &sqlast.Select{From: []sqlast.TableExpr{g.groupSource(grp, alias)}}
-		for _, a := range grp.Args {
-			sel.Items = append(sel.Items, sqlast.SelectItem{
-				Expr:  sqlast.Col(alias, g.varName(a)),
-				Alias: g.varName(a),
-			})
-		}
-		if len(sel.Items) == 0 {
-			sel.Items = append(sel.Items, sqlast.SelectItem{Expr: sqlast.Col(alias, "_k"), Alias: "_k"})
-		}
-		return sel, nil
+		return g.nodeSelect(grp), nil
 	}
 
 	// Children columns: everything in the subtree except this group's own
@@ -362,7 +307,7 @@ func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
 	}
 	join := &sqlast.Join{
 		Kind: joinKind,
-		L:    g.groupSource(grp, baseAlias),
+		L:    &sqlast.Derived{Query: g.nodeSelect(grp), Alias: baseAlias},
 		R:    &sqlast.Derived{Query: childQuery, Alias: qAlias},
 		On:   sqlast.MakeAnd(on),
 	}
@@ -429,14 +374,11 @@ func groupCarries(grp *viewtree.Group, k viewtree.VarRef) bool {
 }
 
 // genOuterJoin generates the component's outer-join query with the
-// structural ORDER BY. In WITH style, the collected CTEs wrap the body.
+// structural ORDER BY.
 func (g *gen) genOuterJoin() (*Stream, error) {
 	sel, err := g.genGroup(g.comp.Root)
 	if err != nil {
 		return nil, err
-	}
-	if g.useCTE && len(g.ctes) > 0 {
-		return g.finishQuery(&sqlast.With{CTEs: g.ctes, Body: sel}, g.subtreeCols(g.comp.Root))
 	}
 	return g.finish(sel)
 }
@@ -587,24 +529,16 @@ func (g *gen) finishQuery(q sqlast.Query, cols []colID) (*Stream, error) {
 		order[i] = sqlast.OrderItem{Expr: &sqlast.ColumnRef{Column: outNames[k]}}
 	}
 	bodySQL := sqlast.Print(q)
-	attachOrder(q, order)
-	return &Stream{
-		Comp: g.comp, Query: q, Cols: meta,
-		bodySQL: bodySQL, outNames: outNames, sortKey: sortKey,
-	}, nil
-}
-
-// attachOrder sets the structural ORDER BY on a query, reaching through a
-// WITH clause to its body.
-func attachOrder(q sqlast.Query, order []sqlast.OrderItem) {
 	switch q := q.(type) {
 	case *sqlast.Select:
 		q.OrderBy = order
 	case *sqlast.Union:
 		q.OrderBy = order
-	case *sqlast.With:
-		attachOrder(q.Body, order)
 	}
+	return &Stream{
+		Comp: g.comp, Query: q, Cols: meta,
+		bodySQL: bodySQL, outNames: outNames, sortKey: sortKey,
+	}, nil
 }
 
 // condExpr converts an RXL condition into a SQL expression.

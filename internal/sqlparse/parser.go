@@ -31,12 +31,7 @@ func Parse(src string) (sqlast.Query, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: src}
-	var q sqlast.Query
-	if p.peek().isKeyword("with") {
-		q, err = p.parseWith()
-	} else {
-		q, err = p.parseQuery(true)
-	}
+	q, err := p.parseQuery(true)
 	if err != nil {
 		return nil, err
 	}
@@ -79,45 +74,6 @@ func (p *parser) expectPunct(s string) error {
 	}
 	p.advance()
 	return nil
-}
-
-// parseWith parses "with name as (query) [, ...] body".
-func (p *parser) parseWith() (sqlast.Query, error) {
-	if err := p.expectKeyword("with"); err != nil {
-		return nil, err
-	}
-	w := &sqlast.With{}
-	for {
-		if p.peek().kind != tokIdent || reservedWords[strings.ToLower(p.peek().text)] {
-			return nil, p.errorf("expected CTE name, found %q", p.peek().text)
-		}
-		name := p.advance().text
-		if err := p.expectKeyword("as"); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		q, err := p.parseQuery(false)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		w.CTEs = append(w.CTEs, sqlast.CTE{Name: name, Query: q})
-		if p.peek().isPunct(",") {
-			p.advance()
-			continue
-		}
-		break
-	}
-	body, err := p.parseQuery(true)
-	if err != nil {
-		return nil, err
-	}
-	w.Body = body
-	return w, nil
 }
 
 // parseQuery parses "term (union term)* [order by ...]" where each term is

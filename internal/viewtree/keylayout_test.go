@@ -79,7 +79,7 @@ func TestStructuralKeyLayout(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, style := range []sqlgen.Style{sqlgen.OuterJoin, sqlgen.OuterUnion, sqlgen.WithClause} {
+					for _, style := range []sqlgen.Style{sqlgen.OuterJoin, sqlgen.OuterUnion} {
 						streams, err := sqlgen.Generate(tree, comps, style)
 						if err != nil {
 							t.Fatal(err)
@@ -144,8 +144,6 @@ func orderBy(q sqlast.Query) []sqlast.OrderItem {
 		return q.OrderBy
 	case *sqlast.Union:
 		return q.OrderBy
-	case *sqlast.With:
-		return orderBy(q.Body)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -71,12 +72,30 @@ func TestInProcessQuery(t *testing.T) {
 	}
 }
 
+// TestServerError: SQL the engine refuses, an unknown table or a WITH
+// (outside the SQL subset), comes back as a typed CodeSQL error, and the
+// connection that carried it goes back to the pool and serves the next
+// query.
 func TestServerError(t *testing.T) {
 	client := InProcess(wireDB(t))
-	_, err := client.QueryResumable(ctx, "select g.x from Ghost g", nil)
-	if err == nil {
-		t.Fatal("query on unknown table succeeded")
+	for _, sql := range []string{
+		"select g.x from Ghost g",
+		"with c as (select 1 as x) select c.x from c c",
+	} {
+		_, err := client.QueryResumable(ctx, sql, nil)
+		var se *Error
+		if !errors.As(err, &se) || se.Code != CodeSQL {
+			t.Fatalf("%q: err = %v, want *Error with CodeSQL", sql, err)
+		}
+		if n := client.IdleConns(); n != 1 {
+			t.Fatalf("%q: %d idle connections after the error, want the 1 that carried it", sql, n)
+		}
 	}
+	rows, err := client.QueryResumable(ctx, "select n.nationkey from Nation n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, rows)
 }
 
 func TestNullsCostBytesOnTheWire(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 	"silkroute/internal/plan"
 	"silkroute/internal/rxl"
 	"silkroute/internal/schema"
-	"silkroute/internal/sqlgen"
 	"silkroute/internal/table"
 	"silkroute/internal/tpch"
 	"silkroute/internal/value"
@@ -420,11 +419,6 @@ const (
 	// Greedy runs the paper's genPlan algorithm against the database's
 	// cost estimates and executes the resulting plan.
 	Greedy
-	// UnifiedCTE is the unified outer-join plan with every node query
-	// lifted into a WITH-clause common table expression (the alternative
-	// construction of the paper's §3.4 footnote). Requires a target that
-	// supports WITH.
-	UnifiedCTE
 )
 
 // String names the strategy.
@@ -438,15 +432,13 @@ func (s Strategy) String() string {
 		return "fully-partitioned"
 	case Greedy:
 		return "greedy"
-	case UnifiedCTE:
-		return "unified-cte"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
 // Strategies returns every strategy, in declaration order.
 func Strategies() []Strategy {
-	return []Strategy{Unified, OuterUnion, FullyPartitioned, Greedy, UnifiedCTE}
+	return []Strategy{Unified, OuterUnion, FullyPartitioned, Greedy}
 }
 
 // ParseStrategy parses a strategy name as produced by Strategy.String
@@ -470,7 +462,7 @@ func ParseStrategy(name string) (Strategy, error) {
 	if bestDist <= 1+len(best.String())/3 {
 		return 0, fmt.Errorf("silkroute: unknown strategy %q (did you mean %q?)", name, best)
 	}
-	return 0, fmt.Errorf("silkroute: unknown strategy %q (want unified, outer-union, fully-partitioned, greedy, or unified-cte)", name)
+	return 0, fmt.Errorf("silkroute: unknown strategy %q (want unified, outer-union, fully-partitioned or greedy)", name)
 }
 
 // editDistance is the Levenshtein distance between two short names.
@@ -686,10 +678,6 @@ func (v *View) choosePlan(ctx context.Context, s Strategy) (*plan.Plan, *Report,
 	switch s {
 	case Unified:
 		return checked(plan.Unified(v.tree, v.reduce))
-	case UnifiedCTE:
-		p := plan.Unified(v.tree, v.reduce)
-		p.Style = sqlgen.WithClause
-		return checked(p)
 	case OuterUnion:
 		return checked(plan.UnifiedOuterUnion(v.tree, v.reduce))
 	case FullyPartitioned:
@@ -904,7 +892,6 @@ func (sc *Schema) SetCapabilities(leftOuterJoin, outerUnion bool) {
 	sc.s.Supports = schema.Capabilities{
 		LeftOuterJoin: leftOuterJoin,
 		OuterUnion:    outerUnion,
-		WithClause:    sc.s.Supports.WithClause,
 	}
 }
 

@@ -67,7 +67,7 @@ func TestMaterializeAllStrategiesAgree(t *testing.T) {
 		"<author><name>Ada</name><book>Engines</book><book>Notes</book></author>" +
 		"<author><name>Blaise</name></author>" +
 		"</document>"
-	for _, s := range []Strategy{Unified, UnifiedCTE, OuterUnion, FullyPartitioned, Greedy} {
+	for _, s := range []Strategy{Unified, OuterUnion, FullyPartitioned, Greedy} {
 		var buf bytes.Buffer
 		rep, err := v.Materialize(ctx, &buf, s)
 		if err != nil {
@@ -121,7 +121,6 @@ func TestStrategyNames(t *testing.T) {
 	names := map[Strategy]string{
 		Unified: "unified", OuterUnion: "outer-union",
 		FullyPartitioned: "fully-partitioned", Greedy: "greedy",
-		UnifiedCTE:   "unified-cte",
 		Strategy(42): "Strategy(42)",
 	}
 	for s, want := range names {
