@@ -17,6 +17,7 @@ import (
 
 	"silkroute/internal/rxl"
 	"silkroute/internal/schema"
+	"silkroute/internal/sqlast"
 )
 
 // Atom binds a tuple variable to a relation: PartSupp($ps).
@@ -113,7 +114,7 @@ func FDSet(s *schema.Schema, atoms []Atom, conds []rxl.Condition) []schema.Quali
 		}
 	}
 	for _, c := range conds {
-		if c.Op != rxl.OpEq {
+		if c.Op != sqlast.OpEq {
 			continue
 		}
 		switch {
@@ -241,7 +242,7 @@ func coveringFK(s *schema.Schema, child *Rule, a Atom, covered map[string]bool, 
 // orientation) among conds.
 func findEquality(conds []rxl.Condition, used []bool, v1, f1, v2, f2 string) (int, bool) {
 	for i, c := range conds {
-		if used[i] || c.Op != rxl.OpEq || c.L.IsConst || c.R.IsConst {
+		if used[i] || c.Op != sqlast.OpEq || c.L.IsConst || c.R.IsConst {
 			continue
 		}
 		if c.L.Var == v1 && strings.EqualFold(c.L.Field, f1) && c.R.Var == v2 && strings.EqualFold(c.R.Field, f2) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silkroute/internal/rxl"
+	"silkroute/internal/sqlast"
 	"silkroute/internal/tpch"
 	"silkroute/internal/value"
 )
@@ -28,7 +29,7 @@ func nationRule() *Rule {
 			{Rel: "Nation", Var: "n"},
 		},
 		Conds: []rxl.Condition{{
-			Op: rxl.OpEq,
+			Op: sqlast.OpEq,
 			L:  rxl.FieldRef("s", "nationkey"),
 			R:  rxl.FieldRef("n", "nationkey"),
 		}},
@@ -47,8 +48,8 @@ func partRule() *Rule {
 			{Rel: "Part", Var: "p"},
 		},
 		Conds: []rxl.Condition{
-			{Op: rxl.OpEq, L: rxl.FieldRef("s", "suppkey"), R: rxl.FieldRef("ps", "suppkey")},
-			{Op: rxl.OpEq, L: rxl.FieldRef("ps", "partkey"), R: rxl.FieldRef("p", "partkey")},
+			{Op: sqlast.OpEq, L: rxl.FieldRef("s", "suppkey"), R: rxl.FieldRef("ps", "suppkey")},
+			{Op: sqlast.OpEq, L: rxl.FieldRef("ps", "partkey"), R: rxl.FieldRef("p", "partkey")},
 		},
 	}
 }
@@ -88,7 +89,7 @@ func TestFDSetIncludesKeysAndEqualities(t *testing.T) {
 func TestFDSetConstantEquality(t *testing.T) {
 	s := tpch.Schema()
 	conds := []rxl.Condition{{
-		Op: rxl.OpEq,
+		Op: sqlast.OpEq,
 		L:  rxl.FieldRef("s", "nationkey"),
 		R:  rxl.ConstOp(value.Int(3)),
 	}}
@@ -147,7 +148,7 @@ func TestC2FailsWithResidualFilter(t *testing.T) {
 	s := tpch.Schema()
 	child := nationRule()
 	child.Conds = append(child.Conds, rxl.Condition{
-		Op: rxl.OpGt,
+		Op: sqlast.OpGt,
 		L:  rxl.FieldRef("n", "regionkey"),
 		R:  rxl.ConstOp(value.Int(2)),
 	})
@@ -168,8 +169,8 @@ func TestC2ChainedCoverage(t *testing.T) {
 			{Rel: "Region", Var: "r"},
 		},
 		Conds: []rxl.Condition{
-			{Op: rxl.OpEq, L: rxl.FieldRef("s", "nationkey"), R: rxl.FieldRef("n", "nationkey")},
-			{Op: rxl.OpEq, L: rxl.FieldRef("n", "regionkey"), R: rxl.FieldRef("r", "regionkey")},
+			{Op: sqlast.OpEq, L: rxl.FieldRef("s", "nationkey"), R: rxl.FieldRef("n", "nationkey")},
+			{Op: sqlast.OpEq, L: rxl.FieldRef("n", "regionkey"), R: rxl.FieldRef("r", "regionkey")},
 		},
 	}
 	if !GuaranteesChild(s, supplierRule(), region) {
@@ -196,8 +197,8 @@ func TestC2MultiColumnFK(t *testing.T) {
 			{Rel: "PartSupp", Var: "ps"},
 		},
 		Conds: []rxl.Condition{
-			{Op: rxl.OpEq, L: rxl.FieldRef("l", "partkey"), R: rxl.FieldRef("ps", "partkey")},
-			{Op: rxl.OpEq, L: rxl.FieldRef("l", "suppkey"), R: rxl.FieldRef("ps", "suppkey")},
+			{Op: sqlast.OpEq, L: rxl.FieldRef("l", "partkey"), R: rxl.FieldRef("ps", "partkey")},
+			{Op: sqlast.OpEq, L: rxl.FieldRef("l", "suppkey"), R: rxl.FieldRef("ps", "suppkey")},
 		},
 	}
 	if !GuaranteesChild(s, line, ps) {
@@ -234,7 +235,7 @@ func TestRuleStringWithConst(t *testing.T) {
 		Head:  "F",
 		Args:  []string{"t.a"},
 		Atoms: []Atom{{Rel: "T", Var: "t"}},
-		Conds: []rxl.Condition{{Op: rxl.OpGt, L: rxl.FieldRef("t", "a"), R: rxl.ConstOp(value.Int(5))}},
+		Conds: []rxl.Condition{{Op: sqlast.OpGt, L: rxl.FieldRef("t", "a"), R: rxl.ConstOp(value.Int(5))}},
 	}
 	if got := r.String(); !strings.Contains(got, "$t.a > 5") {
 		t.Errorf("String() = %q", got)

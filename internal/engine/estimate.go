@@ -8,6 +8,7 @@ import (
 
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlast"
+	"silkroute/internal/sqlexec"
 	"silkroute/internal/sqlparse"
 )
 
@@ -58,10 +59,9 @@ func (db *Database) EstimateQuery(ctx context.Context, q sqlast.Query) (Estimate
 }
 
 // estCol is the estimator's knowledge about one column of an intermediate
-// result.
+// result. Its Col names it, which is all sqlexec's planner reads of it.
 type estCol struct {
-	qual     string
-	name     string
+	sqlexec.Col
 	distinct float64
 	width    float64
 }
@@ -98,10 +98,10 @@ func (r *estRel) clampDistinct() {
 // statistics layer).
 func findCol(cols []estCol, qual, name string) (int, bool) {
 	for i, c := range cols {
-		if c.name == "" || !strings.EqualFold(c.name, name) {
+		if c.Name == "" || !strings.EqualFold(c.Name, name) {
 			continue
 		}
-		if qual != "" && !strings.EqualFold(c.qual, qual) {
+		if qual != "" && !strings.EqualFold(c.Qual, qual) {
 			continue
 		}
 		return i, true
@@ -118,9 +118,10 @@ const (
 	// order every output value, so wide rows cost proportionally more than
 	// narrow ones, which is what makes over-merged unified queries
 	// expensive. A join carries one row ID per input, not its columns, so
-	// charging joins at their full concatenated width (estFromWhere,
-	// estJoin) is known to be too high; that waits for the re-fit of the
-	// cost model to the executor (ROADMAP.md).
+	// charging joins at their full concatenated width is known to be too
+	// high. Every join the estimator prices, a step of sqlexec's FROM plan
+	// or an explicit JOIN, is charged in joinRel, so the re-fit of the cost
+	// model to the executor (ROADMAP.md) is one change there.
 	widthCostDivisor = 32.0
 )
 
@@ -196,7 +197,7 @@ func (db *Database) estSelect(s *sqlast.Select) (*estRel, error) {
 				name = cr.Column
 			}
 		}
-		col := estCol{name: name, distinct: 1, width: 9}
+		col := estCol{Col: sqlexec.Col{Name: name}, distinct: 1, width: 9}
 		switch e := item.Expr.(type) {
 		case *sqlast.ColumnRef:
 			if i, ok := findCol(src.cols, e.Table, e.Column); ok {
@@ -215,100 +216,56 @@ func (db *Database) estSelect(s *sqlast.Select) (*estRel, error) {
 	return out, nil
 }
 
+// estFromWhere prices the plan sqlexec.PlanFrom makes of a FROM list and
+// WHERE clause, the plan the executor runs: the entries' filters, the
+// joins in the plan's order, then the residual conjuncts.
 func (db *Database) estFromWhere(from []sqlast.TableExpr, where sqlast.Expr) (*estRel, error) {
 	if len(from) == 0 {
 		return &estRel{rows: 1}, nil
 	}
 	rels := make([]*estRel, len(from))
+	cols := make([][]estCol, len(from))
 	for i, te := range from {
 		r, err := db.estTable(te)
 		if err != nil {
 			return nil, err
 		}
-		rels[i] = r
+		rels[i], cols[i] = r, r.cols
 	}
 	conjs := sqlast.Conjuncts(where)
-	used := make([]bool, len(conjs))
+	p := sqlexec.PlanFrom(cols, conjs)
 
-	// Single-relation filters first.
-	for ci, c := range conjs {
-		for _, r := range rels {
-			if sel, ok := singleRelSelectivity(c, r); ok {
-				r.rows *= sel
-				if r.rows < 1 {
-					r.rows = 1
-				}
-				r.clampDistinct()
-				used[ci] = true
-				break
-			}
+	for ci, e := range p.Filter {
+		if e < 0 {
+			continue
 		}
+		r := rels[e]
+		sel, _ := singleRelSelectivity(conjs[ci], r)
+		r.rows *= sel
+		if r.rows < 1 {
+			r.rows = 1
+		}
+		r.clampDistinct()
 	}
 
-	// Greedy equi-joins, mirroring the executor's join order.
-	joined := rels[0]
-	remaining := rels[1:]
-	for len(remaining) > 0 {
-		bestIdx := -1
-		var bestSel float64
-		for ri, r := range remaining {
-			sel := 1.0
-			found := false
-			for ci, c := range conjs {
-				if used[ci] {
-					continue
-				}
-				if s, ok := equiSelectivity(c, joined, r); ok {
-					// Most restrictive predicate only: composite keys are
-					// correlated (see estJoin).
-					if s < sel {
-						sel = s
-					}
-					found = true
-				}
-			}
-			if found {
-				bestIdx = ri
-				bestSel = sel
-				break
-			}
-		}
-		if bestIdx < 0 {
-			bestIdx = 0
-			bestSel = 1.0
-		} else {
-			// Mark the conjuncts consumed by this join.
-			for ci, c := range conjs {
-				if used[ci] {
-					continue
-				}
-				if _, ok := equiSelectivity(c, joined, remaining[bestIdx]); ok {
-					used[ci] = true
+	joined := rels[p.Order[0]]
+	for s := 1; s < len(p.Order); s++ {
+		right := rels[p.Order[s]]
+		// Most restrictive key only: composite keys are correlated (see
+		// estJoin).
+		sel := 1.0
+		for ci, c := range conjs {
+			if p.Step[ci] == s {
+				if k, _ := equiSelectivity(c, joined, right); k < sel {
+					sel = k
 				}
 			}
 		}
-		right := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx:bestIdx], remaining[bestIdx+1:]...)
-		outRows := joined.rows * right.rows * bestSel
-		if outRows < 1 {
-			outRows = 1
-		}
-		cols := append(append([]estCol{}, joined.cols...), right.cols...)
-		var w float64
-		for _, c := range cols {
-			w += c.width
-		}
-		cost := joined.cost + right.cost + joined.rows + right.rows + outRows*rowWork(w)
-		joined = &estRel{
-			cols: cols,
-			rows: outRows,
-			cost: cost,
-		}
-		joined.clampDistinct()
+		joined = joinRel(joined, right, joined.rows*right.rows*sel)
 	}
 
 	for ci := range conjs {
-		if !used[ci] {
+		if p.Residual(ci) {
 			joined.rows *= defaultSelectivity
 			if joined.rows < 1 {
 				joined.rows = 1
@@ -334,8 +291,7 @@ func (db *Database) estTable(te sqlast.TableExpr) (*estRel, error) {
 		r := &estRel{rows: float64(st.RowCount), cost: float64(st.RowCount)}
 		for i, c := range t.Rel.Columns {
 			r.cols = append(r.cols, estCol{
-				qual:     alias,
-				name:     c.Name,
+				Col:      sqlexec.Col{Qual: alias, Name: c.Name},
 				distinct: math.Max(1, float64(st.Columns[i].Distinct)),
 				width:    math.Max(1, st.Columns[i].AvgWidth),
 			})
@@ -347,7 +303,7 @@ func (db *Database) estTable(te sqlast.TableExpr) (*estRel, error) {
 			return nil, err
 		}
 		for i := range inner.cols {
-			inner.cols[i].qual = te.Alias
+			inner.cols[i].Qual = te.Alias
 		}
 		return inner, nil
 	case *sqlast.Join:
@@ -410,6 +366,13 @@ func estJoin(l, r *estRel, kind sqlast.JoinKind, on sqlast.Expr) *estRel {
 	if kind == sqlast.JoinLeftOuter && rows < l.rows {
 		rows = l.rows
 	}
+	return joinRel(l, r, rows)
+}
+
+// joinRel models the join of l and r that yields rows rows (at least one):
+// both inputs are read, and every output row is charged at the full
+// concatenated width of both sides' columns.
+func joinRel(l, r *estRel, rows float64) *estRel {
 	if rows < 1 {
 		rows = 1
 	}

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"context"
-
 	"silkroute/internal/schema"
 	"silkroute/internal/sqlgen"
 	"silkroute/internal/viewtree"
@@ -44,7 +42,7 @@ func (p *Plan) Permissible(caps schema.Capabilities) (bool, error) {
 		// The [9]-style generator unions one branch per leaf chain.
 		leafChains := 0
 		for _, c := range comps {
-			leafChains = maxInt(leafChains, countLeaves(c.Root))
+			leafChains = max(leafChains, countLeaves(c.Root))
 		}
 		if leafChains > 1 {
 			return false, nil
@@ -64,21 +62,11 @@ func countLeaves(g *viewtree.Group) int {
 	return n
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// BestPermissible runs the greedy search and returns the cheapest-looking
-// member of the plan family that the target's capabilities permit, falling
-// back to the fully partitioned plan — which is always permissible.
-func BestPermissible(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyParams, caps schema.Capabilities) (*Plan, error) {
-	res, err := Greedy(ctx, oracle, t, prm)
-	if err != nil {
-		return nil, err
-	}
+// BestPermissible returns the member of the plan family of a finished
+// greedy search res that the target's capabilities permit, falling back to
+// the fully partitioned plan — which is always permissible. It runs no
+// search of its own.
+func BestPermissible(res *GreedyResult, t *viewtree.Tree, caps schema.Capabilities) (*Plan, error) {
 	// Prefer family members with the most kept edges (fewest streams).
 	family := res.Plans(t)
 	best := FullyPartitioned(t)

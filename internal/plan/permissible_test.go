@@ -101,14 +101,21 @@ func TestBestPermissibleFallsBackUnderWeakTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := BestPermissible(ctx, db, tree, DefaultGreedyParams(true), schema.AllCapabilities)
+	res, err := Greedy(ctx, db, tree, DefaultGreedyParams(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := BestPermissible(res, tree, schema.AllCapabilities)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.KeptEdges() == 0 {
 		t.Error("full-capability target should allow a merged plan")
 	}
-	weak, err := BestPermissible(ctx, db, tree, DefaultGreedyParams(false), schema.Capabilities{})
+	if res, err = Greedy(ctx, db, tree, DefaultGreedyParams(false)); err != nil {
+		t.Fatal(err)
+	}
+	weak, err := BestPermissible(res, tree, schema.Capabilities{})
 	if err != nil {
 		t.Fatal(err)
 	}

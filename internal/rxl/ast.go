@@ -21,7 +21,10 @@
 // introduces them automatically (§3.1).
 package rxl
 
-import "silkroute/internal/value"
+import (
+	"silkroute/internal/sqlast"
+	"silkroute/internal/value"
+)
 
 // Query is a complete RXL view definition: one or more parallel top-level
 // blocks.
@@ -43,41 +46,9 @@ type Binding struct {
 	Var   string
 }
 
-// CompareOp is a comparison operator in a where clause.
-type CompareOp uint8
-
-// Comparison operators.
-const (
-	OpEq CompareOp = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// String returns the RXL spelling of the operator.
-func (op CompareOp) String() string {
-	switch op {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "<>"
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	}
-	return "?"
-}
-
 // Condition is one comparison in a where clause.
 type Condition struct {
-	Op   CompareOp
+	Op   sqlast.CompareOp
 	L, R Operand
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"unicode"
 
+	"silkroute/internal/sqlast"
 	"silkroute/internal/value"
 )
 
@@ -229,24 +230,24 @@ func (p *parser) parseCondition() (Condition, error) {
 	if err != nil {
 		return Condition{}, err
 	}
-	var op CompareOp
+	var op sqlast.CompareOp
 	t := p.peek()
 	if t.kind != tokPunct {
 		return Condition{}, p.errorf("expected comparison operator, found %q", t.text)
 	}
 	switch t.text {
 	case "=":
-		op = OpEq
+		op = sqlast.OpEq
 	case "<>":
-		op = OpNe
+		op = sqlast.OpNe
 	case "<":
-		op = OpLt
+		op = sqlast.OpLt
 	case "<=":
-		op = OpLe
+		op = sqlast.OpLe
 	case ">":
-		op = OpGt
+		op = sqlast.OpGt
 	case ">=":
-		op = OpGe
+		op = sqlast.OpGe
 	default:
 		return Condition{}, p.errorf("expected comparison operator, found %q", t.text)
 	}

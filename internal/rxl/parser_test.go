@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"silkroute/internal/sqlast"
 	"silkroute/internal/value"
 )
 
@@ -49,7 +50,7 @@ func TestParseWhereCommaAndAnd(t *testing.T) {
 	if len(b.Where) != 3 {
 		t.Fatalf("where = %d conditions", len(b.Where))
 	}
-	if b.Where[0].Op != OpEq || b.Where[1].Op != OpGt || b.Where[2].Op != OpNe {
+	if b.Where[0].Op != sqlast.OpEq || b.Where[1].Op != sqlast.OpGt || b.Where[2].Op != sqlast.OpNe {
 		t.Errorf("ops = %v %v %v", b.Where[0].Op, b.Where[1].Op, b.Where[2].Op)
 	}
 	if !b.Where[1].R.IsConst || b.Where[1].R.Const.AsInt() != 3 {
@@ -190,11 +191,13 @@ func TestOperandHelpers(t *testing.T) {
 	}
 }
 
+// TestCompareOpStrings: every RXL comparison operator parses to the SQL
+// operator of the same spelling.
 func TestCompareOpStrings(t *testing.T) {
-	ops := map[CompareOp]string{OpEq: "=", OpNe: "<>", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=", CompareOp(99): "?"}
-	for op, want := range ops {
-		if op.String() != want {
-			t.Errorf("op %d = %q, want %q", op, op.String(), want)
+	for _, want := range []sqlast.CompareOp{sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe} {
+		q := mustParse(t, "from T $t where $t.a "+want.String()+" 1 construct <r>$t.a</r>")
+		if got := q.Blocks[0].Where[0].Op; got != want {
+			t.Errorf("%q parsed to %q", want, got)
 		}
 	}
 }

@@ -71,7 +71,11 @@ func evalUnion(ctx context.Context, cat Catalog, u *sqlast.Union) (*Rel, error) 
 		}
 		out.Rows = append(out.Rows, r.Rows...)
 	}
-	if err := sortRel(ctx, cat, out, u.OrderBy, nil); err != nil {
+	keys, _, err := orderKeys(u.OrderBy, out.Cols, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := sortRows(ctx, out.Rows, keys, sortBudget(cat)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -93,10 +97,13 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 	}
 
 	// Project: the one place the query's values are copied, into rows
-	// carved from one value array. Each row is capped at its width, so
+	// carved from one value array. A sort key that is not an output column
+	// is a hidden column after them, which the projection fills too and
+	// which is trimmed after the sort. Each row is capped at its width, so
 	// appending to one can never overwrite the next.
-	exprs := make([]rowExpr, len(s.Items))
-	outCols := make([]Col, len(s.Items))
+	w := len(s.Items)
+	exprs := make([]rowExpr, w, w+len(s.OrderBy))
+	outCols := make([]Col, w)
 	for i, item := range s.Items {
 		e, err := bind(item.Expr, src.cols, len(src.cols))
 		if err != nil {
@@ -111,122 +118,73 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 		}
 		outCols[i] = Col{Name: name}
 	}
-	w := len(exprs)
-	slab := make([]value.Value, src.n*w)
+	keys, exprs, err := orderKeys(s.OrderBy, outCols, src, exprs)
+	if err != nil {
+		return nil, err
+	}
+	pw := len(exprs)
+	slab := make([]value.Value, src.n*pw)
 	out := &Rel{Cols: outCols, Rows: make([]table.Row, src.n)}
 	for ri := range out.Rows {
 		if err := pollCtx(ctx, ri); err != nil {
 			return nil, err
 		}
-		prow := slab[ri*w : (ri+1)*w : (ri+1)*w]
+		prow := slab[ri*pw : (ri+1)*pw : (ri+1)*pw]
 		for i := range exprs {
 			prow[i] = exprs[i].eval(src, ri, nil, 0)
 		}
 		out.Rows[ri] = prow
 	}
-	if err := sortRel(ctx, cat, out, s.OrderBy, src); err != nil {
+	if err := sortRows(ctx, out.Rows, keys, sortBudget(cat)); err != nil {
 		return nil, err
+	}
+	if pw > w {
+		for i, row := range out.Rows {
+			out.Rows[i] = row[:w:w]
+		}
 	}
 	return out, nil
 }
 
-// sortRel sorts out by the ORDER BY items. Keys resolve against the output
-// columns first (aliases such as L1, L2); a key that does not resolve there
-// falls back to the pre-projection source relation, whose rows parallel the
-// output rows one-to-one. When every key is an output column and the sort
-// fits the catalog's memory budget, the rows are sorted in place by column
-// index. Otherwise each row's key is evaluated into one key slab, and
-// sorts larger than the budget spill to disk through the external merge
-// sort.
-func sortRel(ctx context.Context, cat Catalog, out *Rel, order []sqlast.OrderItem, src *rel) error {
-	if len(order) == 0 {
-		return nil
-	}
-	type keyFn struct {
-		expr  compiledExpr // over an output row
-		onSrc rowExpr      // over a source row, when the key is not an output column
-		isSrc bool
-	}
-	keys := make([]keyFn, len(order))
-	cols := make([]int, 0, len(order)) // the key columns, while every key is one
-	for i, item := range order {
-		ce, outErr := compile(item.Expr, out.Cols)
-		if outErr == nil {
-			keys[i] = keyFn{expr: ce}
-			if c, ok := ce.(colExpr); ok && len(cols) == i {
-				cols = append(cols, c.idx)
+// orderKeys returns the column position of each ORDER BY key, which the
+// subset's parser makes a column reference or a literal. A literal orders
+// nothing and is dropped. A reference to an output column, one of cols,
+// sorts by that column. In a select (src non-nil), any other reference
+// resolves against the pre-projection relation src and becomes a hidden
+// column after the output columns: its expression is appended to exprs,
+// which the projection evaluates.
+func orderKeys(order []sqlast.OrderItem, cols []Col, src *rel, exprs []rowExpr) ([]int, []rowExpr, error) {
+	var keys []int
+	for _, item := range order {
+		switch e := item.Expr.(type) {
+		case *sqlast.Literal:
+		case *sqlast.ColumnRef:
+			k, outErr := resolve(cols, e.Table, e.Column)
+			if outErr == nil {
+				keys = append(keys, k)
+				continue
 			}
-			continue
-		}
-		if src == nil {
-			return fmt.Errorf("sqlexec: order by: %w", outErr)
-		}
-		e, err := bind(item.Expr, src.cols, len(src.cols))
-		if err != nil {
-			return fmt.Errorf("sqlexec: order by: %w", err)
-		}
-		keys[i] = keyFn{onSrc: e, isSrc: true}
-	}
-	budget := 0
-	if sb, ok := cat.(SortBudget); ok {
-		budget = sb.SortMemoryRows()
-	}
-	if len(cols) == len(keys) && (budget <= 0 || len(out.Rows) <= budget) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		slices.SortStableFunc(out.Rows, func(a, b table.Row) int {
-			for _, c := range cols {
-				if d := value.Compare(a[c], b[c]); d != 0 {
-					return d
-				}
+			if src == nil {
+				return nil, nil, fmt.Errorf("sqlexec: order by: %w", outErr)
 			}
-			return 0
-		})
-		if m := obs.M(); m != nil {
-			m.Exec.RowsSorted.Add(int64(len(out.Rows)))
-		}
-		return nil
-	}
-
-	nk := len(keys)
-	slab := make([]value.Value, len(out.Rows)*nk)
-	keyed := make([]keyedRow, len(out.Rows))
-	for i, row := range out.Rows {
-		if err := pollCtx(ctx, i); err != nil {
-			return err
-		}
-		kv := slab[i*nk : (i+1)*nk : (i+1)*nk]
-		for ki := range keys {
-			if k := &keys[ki]; k.isSrc {
-				kv[ki] = k.onSrc.eval(src, i, nil, 0)
-			} else {
-				kv[ki] = k.expr.eval(row)
+			x, err := bind(e, src.cols, len(src.cols))
+			if err != nil {
+				return nil, nil, fmt.Errorf("sqlexec: order by: %w", err)
 			}
+			keys = append(keys, len(exprs))
+			exprs = append(exprs, x)
+		default:
+			return nil, nil, fmt.Errorf("sqlexec: order by: unsupported key %T", e)
 		}
-		keyed[i] = keyedRow{key: kv, row: row}
 	}
-	sorted, err := sortKeyed(ctx, keyed, budget)
-	if err != nil {
-		return err
-	}
-	if m := obs.M(); m != nil {
-		m.Exec.RowsSorted.Add(int64(len(sorted)))
-	}
-	for i := range sorted {
-		out.Rows[i] = sorted[i].row
-	}
-	return nil
+	return keys, exprs, nil
 }
 
-// evalFromWhere evaluates a comma-separated FROM list under a WHERE clause.
-// Single-relation conjuncts filter early; equality conjuncts between two
-// relations become hash-join keys chosen greedily; everything left over is
-// applied as a residual filter. This mirrors what any real target RDBMS
-// does with the paper's generated queries — without it, comma joins over
-// TPC-H would be quadratic cross products. need lists the references the
-// caller evaluates over the result; each join keeps only the columns they
-// and the conjuncts not yet applied can resolve to.
+// evalFromWhere evaluates a comma-separated FROM list under a WHERE clause
+// by the plan PlanFrom makes of it: filters on the entries, then hash
+// joins in the plan's order, then the residual filter. need lists the
+// references the caller evaluates over the result; each join keeps only
+// the columns they and the conjuncts not yet applied can resolve to.
 func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, where sqlast.Expr, need []*sqlast.ColumnRef) (*rel, error) {
 	if len(from) == 0 {
 		// A FROM-less select produces one row so literal selects work.
@@ -237,124 +195,67 @@ func evalFromWhere(ctx context.Context, cat Catalog, from []sqlast.TableExpr, wh
 	}
 
 	conjs := sqlast.Conjuncts(where)
-	used := make([]bool, len(conjs))
-	// pending is need plus the references of every conjunct not yet applied.
-	pending := func() []*sqlast.ColumnRef {
-		refs := need[:len(need):len(need)]
-		for ci, c := range conjs {
-			if !used[ci] {
-				refs = sqlast.ColumnRefs(c, refs)
-			}
-		}
-		return refs
+	entryNeed := need[:len(need):len(need)]
+	for _, c := range conjs {
+		entryNeed = sqlast.ColumnRefs(c, entryNeed)
 	}
-
 	rels := make([]*rel, len(from))
-	entryNeed := pending()
+	cols := make([][]Col, len(from))
 	for i, te := range from {
 		r, err := evalTable(ctx, cat, te, entryNeed)
 		if err != nil {
 			return nil, err
 		}
-		rels[i] = r
+		rels[i], cols[i] = r, r.cols
+	}
+	p := PlanFrom(cols, conjs)
+
+	for ci, e := range p.Filter {
+		if e < 0 {
+			continue
+		}
+		pred, err := bind(conjs[ci], rels[e].cols, len(rels[e].cols))
+		if err != nil {
+			return nil, err
+		}
+		rels[e] = filterRel(rels[e], pred)
 	}
 
-	// Pre-filter conjuncts whose column references all live in a single
-	// relation. Ownership is decided against the concatenation of all
-	// relations' columns so that ambiguous references are never pushed.
-	allCols := make([]Col, 0)
-	bounds := make([]int, 0, len(rels)+1)
-	for _, r := range rels {
-		bounds = append(bounds, len(allCols))
-		allCols = append(allCols, r.cols...)
-	}
-	bounds = append(bounds, len(allCols))
-	owner := func(idx int) int {
-		for i := 0; i < len(rels); i++ {
-			if idx >= bounds[i] && idx < bounds[i+1] {
-				return i
-			}
-		}
-		return -1
-	}
+	// keep lists need, the residual's references, then each join step's
+	// keys from the last step back: the result of step s carries
+	// keep[:end], where end drops the keys of step s and those before it.
+	var residual []sqlast.Expr
+	keep := need[:len(need):len(need)]
 	for ci, c := range conjs {
-		own := -1
-		ok := true
-		for _, cr := range sqlast.ColumnRefs(c, nil) {
-			idx, err := resolve(allCols, cr.Table, cr.Column)
-			if err != nil {
-				ok = false // unknown or ambiguous: leave for the residual pass
-				break
-			}
-			o := owner(idx)
-			if own == -1 {
-				own = o
-			} else if own != o {
-				ok = false // spans relations: a join predicate, not a filter
-				break
-			}
-		}
-		if ok && own >= 0 {
-			pred, err := bind(c, rels[own].cols, len(rels[own].cols))
-			if err != nil {
-				continue
-			}
-			rels[own] = filterRel(rels[own], pred)
-			used[ci] = true
+		if p.Residual(ci) {
+			residual = append(residual, c)
+			keep = sqlast.ColumnRefs(c, keep)
 		}
 	}
-
-	// Greedily hash-join relations connected by equality conjuncts.
-	joined := rels[0]
-	remaining := rels[1:]
-	for len(remaining) > 0 {
-		best := -1
-		var keyConjs []int
-		for ri, r := range remaining {
-			var ks []int
-			for ci, c := range conjs {
-				if used[ci] {
-					continue
-				}
-				if isEquiBetween(c, joined, r) {
-					ks = append(ks, ci)
-				}
-			}
-			if len(ks) > 0 {
-				best = ri
-				keyConjs = ks
-				break
+	for s := len(p.Order) - 1; s > 0; s-- {
+		for ci, c := range conjs {
+			if p.Step[ci] == s {
+				keep = sqlast.ColumnRefs(c, keep)
 			}
 		}
-		if best < 0 {
-			// No join predicate connects: cross product with the next one.
-			best = 0
-		}
-		right := remaining[best]
-		remaining = append(remaining[:best:best], remaining[best+1:]...)
-		var on sqlast.Expr
-		if len(keyConjs) > 0 {
-			terms := make([]sqlast.Expr, 0, len(keyConjs))
-			for _, ci := range keyConjs {
-				terms = append(terms, conjs[ci])
-				used[ci] = true
+	}
+	end := len(keep)
+	joined := rels[p.Order[0]]
+	for s := 1; s < len(p.Order); s++ {
+		var keys []sqlast.Expr
+		for ci, c := range conjs {
+			if p.Step[ci] == s {
+				keys = append(keys, c)
+				end -= 2 // a key is an equality of two column references
 			}
-			on = sqlast.MakeAnd(terms)
 		}
 		var err error
-		joined, err = evalJoinRel(ctx, joined, right, sqlast.JoinInner, on, pending())
+		joined, err = evalJoinRel(ctx, joined, rels[p.Order[s]], sqlast.JoinInner, sqlast.MakeAnd(keys), keep[:end])
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	// Residual conjuncts.
-	var residual []sqlast.Expr
-	for ci, c := range conjs {
-		if !used[ci] {
-			residual = append(residual, c)
-		}
-	}
 	if len(residual) > 0 {
 		pred, err := bind(sqlast.MakeAnd(residual), joined.cols, len(joined.cols))
 		if err != nil {
@@ -443,24 +344,6 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported table expression %T", te)
 	}
-}
-
-// isEquiBetween reports whether c is "a = b" with one side in l and the
-// other in r.
-func isEquiBetween(c sqlast.Expr, l, r *rel) bool {
-	cmp, ok := c.(*sqlast.Compare)
-	if !ok || cmp.Op != sqlast.OpEq {
-		return false
-	}
-	lc, lok := cmp.L.(*sqlast.ColumnRef)
-	rc, rok := cmp.R.(*sqlast.ColumnRef)
-	if !lok || !rok {
-		return false
-	}
-	inL := func(cr *sqlast.ColumnRef) bool { _, err := resolve(l.cols, cr.Table, cr.Column); return err == nil }
-	inR := func(cr *sqlast.ColumnRef) bool { _, err := resolve(r.cols, cr.Table, cr.Column); return err == nil }
-	return inL(lc) && inR(rc) && !inR(lc) && !inL(rc) ||
-		inR(lc) && inL(rc) && !inL(lc) && !inR(rc)
 }
 
 // evalJoinRel joins two row-ID relations, keeping only the columns that

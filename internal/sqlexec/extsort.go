@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"silkroute/internal/obs"
 	"silkroute/internal/table"
@@ -30,38 +30,55 @@ type SortBudget interface {
 	SortMemoryRows() int
 }
 
-// keyedRow pairs a row with its precomputed sort key.
-type keyedRow struct {
-	key []value.Value
-	row table.Row
+// sortBudget returns the catalog's in-memory sort bound in rows; zero or
+// negative means unlimited.
+func sortBudget(cat Catalog) int {
+	if sb, ok := cat.(SortBudget); ok {
+		return sb.SortMemoryRows()
+	}
+	return 0
 }
 
-func lessKeyed(a, b keyedRow) bool {
-	for i := range a.key {
-		if c := value.Compare(a.key[i], b.key[i]); c != 0 {
-			return c < 0
+// compareKeys orders two rows by the key columns in turn.
+func compareKeys(a, b table.Row, keys []int) int {
+	for _, k := range keys {
+		if d := value.Compare(a[k], b[k]); d != 0 {
+			return d
 		}
 	}
-	return false
+	return 0
 }
 
-// sortKeyed sorts rows by key, spilling to temporary files when the input
-// exceeds budget. The sort is stable in the in-memory case and stable
-// across run boundaries in the external case (ties broken by run order).
-func sortKeyed(ctx context.Context, rows []keyedRow, budget int) ([]keyedRow, error) {
-	if budget <= 0 || len(rows) <= budget {
-		sort.SliceStable(rows, func(i, j int) bool { return lessKeyed(rows[i], rows[j]) })
-		return rows, nil
+// sortRows sorts rows in place and stably by the key columns. A sort of
+// more rows than budget (when positive) spills to disk through the
+// external merge sort.
+func sortRows(ctx context.Context, rows []table.Row, keys []int, budget int) error {
+	if len(keys) == 0 {
+		return nil
 	}
-	return externalSort(ctx, rows, budget)
+	if budget > 0 && len(rows) > budget {
+		if err := externalSort(ctx, rows, keys, budget); err != nil {
+			return err
+		}
+	} else {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		slices.SortStableFunc(rows, func(a, b table.Row) int { return compareKeys(a, b, keys) })
+	}
+	if m := obs.M(); m != nil {
+		m.Exec.RowsSorted.Add(int64(len(rows)))
+	}
+	return nil
 }
 
-func externalSort(ctx context.Context, rows []keyedRow, budget int) ([]keyedRow, error) {
-	if len(rows) == 0 {
-		return rows, nil
-	}
-	nkeys := len(rows[0].key)
-	ncols := len(rows[0].row)
+// externalSort sorts rows as sortRows does, by sorting budget-sized runs,
+// spilling each to a temporary file, and merging the runs back into rows.
+// A run holds each row's values once; the merge reads the keys from them.
+// Ties keep their input order: within a run by the stable sort, across
+// runs by run order.
+func externalSort(ctx context.Context, rows []table.Row, keys []int, budget int) error {
+	ncols := len(rows[0])
 
 	// Run generation: sort budget-sized chunks and spill each to a file.
 	var runs []*os.File
@@ -81,37 +98,31 @@ func externalSort(ctx context.Context, rows []keyedRow, budget int) ([]keyedRow,
 		// write, which is exactly the expensive unit the paper's external
 		// sorts pay for, so cancellation lands between runs.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		end := start + budget
-		if end > len(rows) {
-			end = len(rows)
-		}
-		chunk := rows[start:end]
-		sort.SliceStable(chunk, func(i, j int) bool { return lessKeyed(chunk[i], chunk[j]) })
+		chunk := rows[start:min(start+budget, len(rows))]
+		slices.SortStableFunc(chunk, func(a, b table.Row) int { return compareKeys(a, b, keys) })
 		f, err := os.CreateTemp("", "silkroute-sort-*.run")
 		if err != nil {
-			return nil, fmt.Errorf("sqlexec: spill: %w", err)
+			return fmt.Errorf("sqlexec: spill: %w", err)
 		}
 		runs = append(runs, f)
 		w := bufio.NewWriterSize(f, 256<<10)
-		for _, kr := range chunk {
-			buf = buf[:0]
-			buf = value.EncodeRow(buf, kr.key)
-			buf = value.EncodeRow(buf, kr.row)
+		for _, row := range chunk {
+			buf = value.EncodeRow(buf[:0], row)
 			binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
 			if _, err := w.Write(hdr[:]); err != nil {
-				return nil, fmt.Errorf("sqlexec: spill write: %w", err)
+				return fmt.Errorf("sqlexec: spill write: %w", err)
 			}
 			if _, err := w.Write(buf); err != nil {
-				return nil, fmt.Errorf("sqlexec: spill write: %w", err)
+				return fmt.Errorf("sqlexec: spill write: %w", err)
 			}
 		}
 		if err := w.Flush(); err != nil {
-			return nil, fmt.Errorf("sqlexec: spill flush: %w", err)
+			return fmt.Errorf("sqlexec: spill flush: %w", err)
 		}
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("sqlexec: spill rewind: %w", err)
+			return fmt.Errorf("sqlexec: spill rewind: %w", err)
 		}
 	}
 
@@ -119,44 +130,43 @@ func externalSort(ctx context.Context, rows []keyedRow, budget int) ([]keyedRow,
 		m.Exec.SortSpills.Add(int64(len(runs)))
 	}
 
-	// K-way merge.
-	readers := make([]*runReader, len(runs))
-	h := &runHeap{}
+	// K-way merge, back into rows: every row is in a run by now.
+	h := &runHeap{keys: keys}
 	for i, f := range runs {
-		readers[i] = &runReader{r: bufio.NewReaderSize(f, 256<<10), nkeys: nkeys, ncols: ncols, runIdx: i}
-		ok, err := readers[i].next()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			heap.Push(h, readers[i])
-		}
-	}
-	out := make([]keyedRow, 0, len(rows))
-	for h.Len() > 0 {
-		if err := pollCtx(ctx, len(out)); err != nil {
-			return nil, err
-		}
-		r := heap.Pop(h).(*runReader)
-		out = append(out, r.cur)
+		r := &runReader{r: bufio.NewReaderSize(f, 256<<10), ncols: ncols, runIdx: i}
 		ok, err := r.next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
 			heap.Push(h, r)
 		}
 	}
-	return out, nil
+	for i := 0; h.Len() > 0; i++ {
+		if err := pollCtx(ctx, i); err != nil {
+			return err
+		}
+		r := h.runs[0]
+		rows[i] = r.cur
+		ok, err := r.next()
+		if err != nil {
+			return err
+		}
+		if ok {
+			heap.Fix(h, 0)
+		} else {
+			heap.Pop(h)
+		}
+	}
+	return nil
 }
 
-// runReader streams keyedRows back from one spilled run.
+// runReader streams rows back from one spilled run.
 type runReader struct {
 	r      *bufio.Reader
-	nkeys  int
 	ncols  int
 	runIdx int
-	cur    keyedRow
+	cur    table.Row
 	buf    []byte
 }
 
@@ -176,34 +186,33 @@ func (r *runReader) next() (bool, error) {
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
 		return false, fmt.Errorf("sqlexec: run read: %w", err)
 	}
-	all, err := value.DecodeRow(r.buf, r.nkeys+r.ncols)
+	row, err := value.DecodeRow(r.buf, r.ncols)
 	if err != nil {
 		return false, fmt.Errorf("sqlexec: run decode: %w", err)
 	}
-	r.cur = keyedRow{key: all[:r.nkeys], row: all[r.nkeys:]}
+	r.cur = row
 	return true, nil
 }
 
-// runHeap orders run readers by their current row's key, breaking ties by
-// run index for stability.
-type runHeap []*runReader
-
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
-	if lessKeyed(h[i].cur, h[j].cur) {
-		return true
-	}
-	if lessKeyed(h[j].cur, h[i].cur) {
-		return false
-	}
-	return h[i].runIdx < h[j].runIdx
+// runHeap orders run readers by their current row's key columns, breaking
+// ties by run index for stability.
+type runHeap struct {
+	runs []*runReader
+	keys []int
 }
-func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.(*runReader)) }
+
+func (h *runHeap) Len() int { return len(h.runs) }
+func (h *runHeap) Less(i, j int) bool {
+	if c := compareKeys(h.runs[i].cur, h.runs[j].cur, h.keys); c != 0 {
+		return c < 0
+	}
+	return h.runs[i].runIdx < h.runs[j].runIdx
+}
+func (h *runHeap) Swap(i, j int) { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
+func (h *runHeap) Push(x any)    { h.runs = append(h.runs, x.(*runReader)) }
 func (h *runHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+	n := len(h.runs)
+	x := h.runs[n-1]
+	h.runs = h.runs[:n-1]
 	return x
 }

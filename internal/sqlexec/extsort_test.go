@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,82 +14,85 @@ import (
 	"silkroute/internal/value"
 )
 
-func randomKeyed(rng *rand.Rand, n int) []keyedRow {
-	rows := make([]keyedRow, n)
+// sortKeys are the key columns of randomRows' rows.
+var sortKeys = []int{0, 1}
+
+// randomRows returns n rows whose key columns (sortKeys) repeat often,
+// followed by payload columns: the row's index, which tells tied rows
+// apart, and a float.
+func randomRows(rng *rand.Rand, n int) []table.Row {
+	rows := make([]table.Row, n)
 	for i := range rows {
-		rows[i] = keyedRow{
-			key: []value.Value{
-				value.Int(int64(rng.Intn(10))),
-				value.String(fmt.Sprintf("s%02d", rng.Intn(20))),
-			},
-			row: table.Row{value.Int(int64(i)), value.Float(rng.Float64())},
+		rows[i] = table.Row{
+			value.Int(int64(rng.Intn(10))),
+			value.String(fmt.Sprintf("s%02d", rng.Intn(20))),
+			value.Int(int64(i)),
+			value.Float(rng.Float64()),
 		}
 	}
 	return rows
 }
 
-func assertSorted(t *testing.T, rows []keyedRow) {
+// sorted sorts a copy of rows under budget.
+func sorted(t testing.TB, rows []table.Row, budget int) []table.Row {
 	t.Helper()
-	for i := 1; i < len(rows); i++ {
-		if lessKeyed(rows[i], rows[i-1]) {
-			t.Fatalf("rows %d and %d out of order", i-1, i)
-		}
+	out := slices.Clone(rows)
+	if err := sortRows(context.Background(), out, sortKeys, budget); err != nil {
+		t.Fatalf("budget %d: %v", budget, err)
 	}
+	return out
 }
 
+// sameRows reports whether a and b hold identical rows in the same order.
+func sameRows(a, b []table.Row) bool {
+	return slices.EqualFunc(a, b, func(x, y table.Row) bool { return slices.EqualFunc(x, y, value.Identical) })
+}
+
+// TestExternalSortMatchesInMemory: a spilled sort orders rows by their key
+// columns and returns exactly the rows, ties included, in the order the
+// stable in-memory sort does.
 func TestExternalSortMatchesInMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rows := randomKeyed(rng, 500)
-	inMem := append([]keyedRow{}, rows...)
-	inMemSorted, err := sortKeyed(context.Background(), inMem, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := randomRows(rand.New(rand.NewSource(7)), 500)
+	inMem := sorted(t, rows, 0)
 	for _, budget := range []int{1, 7, 64, 499, 500} {
-		ext := append([]keyedRow{}, rows...)
-		extSorted, err := sortKeyed(context.Background(), ext, budget)
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		assertSorted(t, extSorted)
-		if len(extSorted) != len(inMemSorted) {
-			t.Fatalf("budget %d: lost rows", budget)
-		}
-		for i := range extSorted {
-			for k := range extSorted[i].key {
-				if !value.Identical(extSorted[i].key[k], inMemSorted[i].key[k]) {
-					t.Fatalf("budget %d: key mismatch at row %d", budget, i)
-				}
+		ext := sorted(t, rows, budget)
+		for i := 1; i < len(ext); i++ {
+			if compareKeys(ext[i], ext[i-1], sortKeys) < 0 {
+				t.Fatalf("budget %d: rows %d and %d out of order", budget, i-1, i)
 			}
 		}
+		if !sameRows(ext, inMem) {
+			t.Fatalf("budget %d: spilled sort differs from the in-memory sort", budget)
+		}
 	}
 }
 
+// TestExternalSortPreservesRowPayloads: NULL keys sort first, and NULL and
+// float payloads survive the spill.
 func TestExternalSortPreservesRowPayloads(t *testing.T) {
-	rows := []keyedRow{
-		{key: []value.Value{value.Int(2)}, row: table.Row{value.String("two"), value.Null}},
-		{key: []value.Value{value.Int(1)}, row: table.Row{value.String("one"), value.Float(1.5)}},
-		{key: []value.Value{value.Null}, row: table.Row{value.String("null"), value.Int(-1)}},
+	rows := []table.Row{
+		{value.String("two"), value.Null, value.Int(2)},
+		{value.String("one"), value.Float(1.5), value.Int(1)},
+		{value.String("null"), value.Int(-1), value.Null},
 	}
-	sorted, err := sortKeyed(context.Background(), rows, 1)
-	if err != nil {
+	out := slices.Clone(rows)
+	if err := sortRows(context.Background(), out, []int{2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if sorted[0].row[0].AsString() != "null" || sorted[1].row[0].AsString() != "one" || sorted[2].row[0].AsString() != "two" {
-		t.Errorf("payload order wrong: %v %v %v", sorted[0].row[0], sorted[1].row[0], sorted[2].row[0])
+	if out[0][0].AsString() != "null" || out[1][0].AsString() != "one" || out[2][0].AsString() != "two" {
+		t.Errorf("payload order wrong: %v %v %v", out[0][0], out[1][0], out[2][0])
 	}
-	if !sorted[2].row[1].IsNull() {
+	if !out[2][1].IsNull() {
 		t.Error("null payload lost through spill")
 	}
-	if sorted[1].row[1].AsFloat() != 1.5 {
+	if out[1][1].AsFloat() != 1.5 {
 		t.Error("float payload corrupted through spill")
 	}
 }
 
 func TestExternalSortEmpty(t *testing.T) {
-	out, err := sortKeyed(context.Background(), nil, 1)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty sort: %v %v", out, err)
+	if out := sorted(t, nil, 1); len(out) != 0 {
+		t.Fatalf("empty sort: %v", out)
 	}
 }
 
@@ -96,21 +100,8 @@ func TestQuickExternalSortEquivalence(t *testing.T) {
 	prop := func(seed int64, nRaw uint8, budgetRaw uint8) bool {
 		n := int(nRaw)%120 + 1
 		budget := int(budgetRaw)%n + 1
-		rng := rand.New(rand.NewSource(seed))
-		rows := randomKeyed(rng, n)
-		a, err1 := sortKeyed(context.Background(), append([]keyedRow{}, rows...), 0)
-		b, err2 := sortKeyed(context.Background(), append([]keyedRow{}, rows...), budget)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range a {
-			for k := range a[i].key {
-				if !value.Identical(a[i].key[k], b[i].key[k]) {
-					return false
-				}
-			}
-		}
-		return true
+		rows := randomRows(rand.New(rand.NewSource(seed)), n)
+		return sameRows(sorted(t, rows, 0), sorted(t, rows, budget))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -119,7 +110,7 @@ func TestQuickExternalSortEquivalence(t *testing.T) {
 
 // budgetCatalog wraps a catalog with a sort budget.
 type budgetCatalog struct {
-	testCatalog
+	Catalog
 	rows int
 }
 

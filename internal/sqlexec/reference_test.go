@@ -577,7 +577,8 @@ func errKey(err error) string {
 
 // checkAgainstReference runs src through the executor and the reference:
 // both must fail alike or return the same rows, in the same ORDER BY key
-// sequence.
+// sequence. The executor must also return the same as it does unlimited
+// under sort budgets of 1 and 7 rows.
 func checkAgainstReference(t *testing.T, cat Catalog, src string) {
 	t.Helper()
 	q, err := sqlparse.Parse(src)
@@ -585,6 +586,17 @@ func checkAgainstReference(t *testing.T, cat Catalog, src string) {
 		t.Fatalf("generated unparseable SQL %q: %v", src, err)
 	}
 	got, gerr := RunContext(context.Background(), cat, q)
+	// Sorts that spill at every run size must change nothing: the same
+	// rows in the same order, or the same error.
+	for _, budget := range []int{1, 7} {
+		spilled, serr := RunContext(context.Background(), budgetCatalog{cat, budget}, q)
+		if (serr == nil) != (gerr == nil) || serr != nil && serr.Error() != gerr.Error() {
+			t.Fatalf("on %q at sort budget %d: error %v, unlimited %v", src, budget, serr, gerr)
+		}
+		if serr == nil && !sameRows(spilled.Rows, got.Rows) {
+			t.Fatalf("on %q at sort budget %d: rows differ from the unlimited run", src, budget)
+		}
+	}
 	want, werr := referenceRun(cat, q)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("on %q: executor error %v, reference error %v", src, gerr, werr)

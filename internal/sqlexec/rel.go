@@ -28,10 +28,10 @@
 //     resolution — and its unknown- and ambiguous-column errors — is the
 //     same as over the unpruned relation. An input none of whose columns
 //     is exposed drops out of the join's result.
-//   - In-place sort. When every ORDER BY key is an output column (the
-//     structural sort always is), rows are sorted in place by column
-//     index; only expressions, keys on pre-projection columns and spilling
-//     sorts materialize a key slab.
+//   - One sort, by column position. An ORDER BY key that is not an output
+//     column is a hidden column the projection fills after the output
+//     columns and the select trims after the sort. Rows are sorted in
+//     place, or spilled whole and merged back by their key columns.
 //
 // Base tables and derived tables are read in place, never copied.
 package sqlexec

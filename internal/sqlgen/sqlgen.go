@@ -543,16 +543,7 @@ func (g *gen) finishQuery(q sqlast.Query, cols []colID) (*Stream, error) {
 
 // condExpr converts an RXL condition into a SQL expression.
 func condExpr(c rxl.Condition) sqlast.Expr {
-	return &sqlast.Compare{Op: opMap[c.Op], L: operandExpr(c.L), R: operandExpr(c.R)}
-}
-
-var opMap = map[rxl.CompareOp]sqlast.CompareOp{
-	rxl.OpEq: sqlast.OpEq,
-	rxl.OpNe: sqlast.OpNe,
-	rxl.OpLt: sqlast.OpLt,
-	rxl.OpLe: sqlast.OpLe,
-	rxl.OpGt: sqlast.OpGt,
-	rxl.OpGe: sqlast.OpGe,
+	return &sqlast.Compare{Op: c.Op, L: operandExpr(c.L), R: operandExpr(c.R)}
 }
 
 func operandExpr(o rxl.Operand) sqlast.Expr {

@@ -704,7 +704,7 @@ func (v *View) choosePlan(ctx context.Context, s Strategy) (*plan.Plan, *Report,
 		} else if !ok {
 			// Fall back to the best family member (or the always-legal
 			// fully partitioned plan) the target can execute.
-			best, err = plan.BestPermissible(ctx, oracle, v.tree, prm, caps)
+			best, err = plan.BestPermissible(res, v.tree, caps)
 			if err != nil {
 				return nil, nil, err
 			}

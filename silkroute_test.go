@@ -3,6 +3,7 @@ package silkroute
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"silkroute/internal/obs"
 	"silkroute/internal/rxl"
 	"silkroute/internal/value"
 	"silkroute/internal/wire"
@@ -378,6 +380,45 @@ func TestCapabilitiesRestrictPlans(t *testing.T) {
 	}
 	if rep.Streams < 2 {
 		t.Errorf("greedy on a join-free target must split the '*' edge; got %d streams", rep.Streams)
+	}
+}
+
+// TestGreedyFallbackSearchesOnce: when the best greedy plan needs SQL the
+// target lacks, the fallback picks from the search already run, so one
+// Materialize runs one search, and every estimate the engine served is one
+// the report counts.
+func TestGreedyFallbackSearchesOnce(t *testing.T) {
+	s := librarySchema(t)
+	s.SetCapabilities(false, false)
+	db := NewDB(s)
+	for i := 1; i <= 5; i++ {
+		if err := db.Insert("Author", i, fmt.Sprintf("author %d", i), 0.1); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("Book", 10+i, 1+i%3, fmt.Sprintf("book %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := ParseView(db, libraryView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := obs.M()
+	m := obs.NewMetrics()
+	obs.SetGlobal(m)
+	t.Cleanup(func() { obs.SetGlobal(old) })
+	rep, err := v.Materialize(ctx, io.Discard, Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Streams < 2 {
+		t.Fatalf("%d streams: the search's best plan was permissible, so no fallback ran", rep.Streams)
+	}
+	if n := m.Planner.Searches.Value(); n != 1 {
+		t.Errorf("%d greedy searches, want 1", n)
+	}
+	if n := m.Exec.EstimatesServed.Value(); n != rep.EstimateRequests {
+		t.Errorf("engine served %d estimates, report counts %d", n, rep.EstimateRequests)
 	}
 }
 
