@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"silkroute/internal/obs"
@@ -31,11 +32,13 @@ import (
 // interface are safe to call from any number of goroutines concurrently.
 // Query execution never mutates the database — the view tree, generated SQL,
 // and executor all work on per-call state; table statistics are computed
-// under a per-table mutex; the estimate-request counter and every table's
-// write version are atomic, so StatsEpoch and TableVersion may be read at
-// any time. What is NOT safe is inserting rows (Table/Insert) concurrently
-// with queries; load first, then query, as every experiment harness here
-// does.
+// under a per-table mutex; the estimate-request counter, every table's
+// write version and the query log's on switch are atomic, so StatsEpoch,
+// TableVersion and EnableQueryLog may be called at any time. A Result reads
+// the stored columns until it is drained, through row IDs. What is NOT safe
+// is inserting rows (Table/Insert) concurrently with queries or with an
+// undrained Result; load first, then query, as every experiment harness
+// here does.
 type Database struct {
 	Schema *schema.Schema
 	tables map[string]*table.Table
@@ -46,8 +49,8 @@ type Database struct {
 	// unlimited.
 	SortBudgetRows int
 
+	logging  atomic.Bool // read on every query without logMu
 	logMu    sync.Mutex
-	logging  bool
 	queryLog []QueryLogEntry
 }
 
@@ -66,7 +69,7 @@ type QueryLogEntry struct {
 // off by default.
 func (db *Database) EnableQueryLog() {
 	db.logMu.Lock()
-	db.logging = true
+	db.logging.Store(true)
 	db.queryLog = nil
 	db.logMu.Unlock()
 }
@@ -80,9 +83,7 @@ func (db *Database) QueryLog() []QueryLogEntry {
 
 func (db *Database) logQuery(sql string, rows int) {
 	db.logMu.Lock()
-	if db.logging {
-		db.queryLog = append(db.queryLog, QueryLogEntry{SQL: sql, Rows: rows})
-	}
+	db.queryLog = append(db.queryLog, QueryLogEntry{SQL: sql, Rows: rows})
 	db.logMu.Unlock()
 }
 
@@ -146,29 +147,24 @@ func (db *Database) MustTable(name string) *table.Table {
 	return t
 }
 
-// Result is a materialized query result with a streaming cursor interface.
-// The engine computes the entire result before returning (every SilkRoute
-// query ends in the structural sort, which forces full materialization in
-// any engine), then the middleware drains rows one at a time, paying the
-// wire cost per tuple.
+// Result is a query's result with a streaming cursor interface. The
+// engine runs the query's joins and its structural sort before returning
+// (every SilkRoute query ends in that sort, which forces the whole input to
+// be read in any engine), but it keeps the sorted result as row IDs: Next
+// evaluates each row's output columns as the middleware drains it, paying
+// the wire cost per tuple.
 type Result struct {
 	Columns []string
-	rel     *sqlexec.Rel
-	pos     int
+	res     *sqlexec.Result
 }
 
 // Len returns the total number of rows in the result.
-func (r *Result) Len() int { return len(r.rel.Rows) }
+func (r *Result) Len() int { return r.res.Len() }
 
-// Next returns the next row, or ok=false at the end of the stream.
-func (r *Result) Next() (table.Row, bool) {
-	if r.pos >= len(r.rel.Rows) {
-		return nil, false
-	}
-	row := r.rel.Rows[r.pos]
-	r.pos++
-	return row, true
-}
+// Next returns the next row, or ok=false at the end of the stream. The row
+// is valid until the next call, which overwrites it: the contract of
+// tagger.Source and wire.Rows.NextView.
+func (r *Result) Next() (table.Row, bool) { return r.res.Next() }
 
 // ExecuteContext parses and runs one SQL statement under a context. The
 // executor checks the context between row batches and external-sort runs,
@@ -180,7 +176,7 @@ func (db *Database) ExecuteContext(ctx context.Context, sql string) (*Result, er
 		return nil, err
 	}
 	res, err := db.ExecuteQueryContext(ctx, q)
-	if db.logging {
+	if db.logging.Load() {
 		if err != nil {
 			db.logQuery(sql, 0)
 		} else {
@@ -194,7 +190,7 @@ func (db *Database) ExecuteContext(ctx context.Context, sql string) (*Result, er
 func (db *Database) ExecuteQueryContext(ctx context.Context, q sqlast.Query) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "engine.query")
 	start := time.Now()
-	rel, err := sqlexec.RunContext(ctx, db, q)
+	res, err := sqlexec.Open(ctx, db, q)
 	if m := obs.M(); m != nil {
 		m.Exec.Queries.Inc()
 		m.Exec.QuerySeconds.Observe(time.Since(start))
@@ -203,9 +199,9 @@ func (db *Database) ExecuteQueryContext(ctx context.Context, q sqlast.Query) (*R
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, len(rel.Cols))
-	for i, c := range rel.Cols {
+	cols := make([]string, len(res.Cols))
+	for i, c := range res.Cols {
 		cols[i] = c.Name
 	}
-	return &Result{Columns: cols, rel: rel}, nil
+	return &Result{Columns: cols, res: res}, nil
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"silkroute/internal/obs"
 	"silkroute/internal/schema"
@@ -345,5 +347,55 @@ func TestStatsEpochSumsTableVersions(t *testing.T) {
 	}
 	if v := db.TableVersion("NoSuchTable"); v != -1 {
 		t.Errorf("TableVersion of an unknown relation = %d, want -1", v)
+	}
+}
+
+// TestEnableQueryLogDuringQueries: the log can be switched on while other
+// goroutines run queries, each of which reads the switch (run under -race).
+// Every query after the last switch-on is logged with its row count.
+func TestEnableQueryLogDuringQueries(t *testing.T) {
+	db := smallDB(t)
+	const sql = "select s.suppkey from Supplier s where s.nationkey = 0"
+	started, stop := make(chan struct{}), make(chan struct{})
+	done := make(chan error)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := db.ExecuteContext(context.Background(), sql); err != nil {
+				done <- err
+				return
+			}
+			if i == 0 {
+				close(started)
+			}
+		}
+	}()
+	<-started
+	for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); runtime.Gosched() {
+		db.EnableQueryLog()
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	db.EnableQueryLog()
+	for i := 0; i < 3; i++ {
+		if _, err := db.ExecuteContext(context.Background(), sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := db.QueryLog()
+	if len(log) != 3 {
+		t.Fatalf("log holds %d entries after 3 queries, want 3", len(log))
+	}
+	for _, e := range log {
+		if e.SQL != sql || e.Rows != 10 {
+			t.Errorf("logged %+v, want %q with 10 rows", e, sql)
+		}
 	}
 }

@@ -114,10 +114,10 @@ const (
 	sortCostFactor     = 1.0       // per row·log2(rows)
 	perQueryOverhead   = 50.0      // parse/plan/submit overhead per statement
 	// widthCostDivisor converts row width into a per-row work multiplier.
-	// What it prices is the executor's projection and sort: they copy and
-	// order every output value, so wide rows cost proportionally more than
-	// narrow ones, which is what makes over-merged unified queries
-	// expensive. A join carries one row ID per input, not its columns, so
+	// What it prices is the executor's sort and the reading of its
+	// result: they compare and evaluate every output value, so wide rows
+	// cost proportionally more than narrow ones, which is what makes
+	// over-merged unified queries expensive. A join carries one row ID per input, not its columns, so
 	// charging joins at their full concatenated width is known to be too
 	// high. Every join the estimator prices, a step of sqlexec's FROM plan
 	// or an explicit JOIN, is charged in joinRel, so the re-fit of the cost

@@ -291,7 +291,7 @@ type wireSource struct {
 }
 
 func (s *wireSource) Next() ([]value.Value, bool, error) {
-	row, err := s.rows.Next()
+	row, err := s.rows.NextView()
 	if err == io.EOF {
 		s.end = time.Now()
 		return nil, false, nil

@@ -8,19 +8,31 @@ import (
 
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlast"
-	"silkroute/internal/table"
 	"silkroute/internal/value"
 )
 
-// RunContext executes a query against the catalog under a context and
-// returns the materialized result. The result's columns carry the output
-// names (aliases or source column names); unnamed expression columns have
-// empty names. Execution checks the context cooperatively — between row
-// batches of the scan, join, and projection loops and between
-// external-sort runs — and returns ctx.Err() promptly after cancellation,
-// so errors.Is(err, context.Canceled) holds.
-func RunContext(ctx context.Context, cat Catalog, q sqlast.Query) (*Rel, error) {
+// Open executes a query against the catalog under a context and returns
+// its result as a cursor (see Result). The result's columns carry the
+// output names (aliases or source column names); unnamed expression columns
+// have empty names. Execution checks the context cooperatively — between
+// row batches of the scan, join and sort loops and between external-sort
+// runs — and returns ctx.Err() promptly after cancellation, so
+// errors.Is(err, context.Canceled) holds.
+func Open(ctx context.Context, cat Catalog, q sqlast.Query) (*Result, error) {
 	return evalQuery(ctx, cat, q)
+}
+
+// RunContext is Open with the result's rows stored: every row, in order.
+func RunContext(ctx context.Context, cat Catalog, q sqlast.Query) (*Rel, error) {
+	res, err := evalQuery(ctx, cat, q)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := res.store(ctx, len(res.Cols))
+	if err != nil {
+		return nil, err
+	}
+	return &Rel{Cols: res.Cols, Rows: rows}, nil
 }
 
 // checkRows is the row granularity of cooperative cancellation checks:
@@ -37,51 +49,63 @@ func pollCtx(ctx context.Context, i int) error {
 	return ctx.Err()
 }
 
-func evalQuery(ctx context.Context, cat Catalog, q sqlast.Query) (*Rel, error) {
+func evalQuery(ctx context.Context, cat Catalog, q sqlast.Query) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var res *Result
+	var keys []int
+	var err error
 	switch q := q.(type) {
 	case *sqlast.Select:
-		return evalSelect(ctx, cat, q)
+		res, keys, err = evalSelect(ctx, cat, q)
 	case *sqlast.Union:
-		return evalUnion(ctx, cat, q)
+		res, keys, err = evalUnion(ctx, cat, q)
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported query %T", q)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if err := res.sort(ctx, keys, sortBudget(cat)); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-func evalUnion(ctx context.Context, cat Catalog, u *sqlast.Union) (*Rel, error) {
+// evalUnion returns the union's result, one branch per union branch, and
+// its sort keys, which are output columns. A branch's own ORDER BY, which
+// the parser never produces, orders nothing.
+func evalUnion(ctx context.Context, cat Catalog, u *sqlast.Union) (*Result, []int, error) {
 	if len(u.Branches) == 0 {
-		return nil, fmt.Errorf("sqlexec: union with no branches")
+		return nil, nil, fmt.Errorf("sqlexec: union with no branches")
 	}
-	var out *Rel
+	var out *Result
 	for i, b := range u.Branches {
-		r, err := evalSelect(ctx, cat, b)
+		r, _, err := evalSelect(ctx, cat, b)
 		if err != nil {
-			return nil, fmt.Errorf("sqlexec: union branch %d: %w", i, err)
+			return nil, nil, fmt.Errorf("sqlexec: union branch %d: %w", i, err)
 		}
 		if out == nil {
 			out = r
 			continue
 		}
 		if len(r.Cols) != len(out.Cols) {
-			return nil, fmt.Errorf("sqlexec: union branch %d has %d columns, first branch has %d",
+			return nil, nil, fmt.Errorf("sqlexec: union branch %d has %d columns, first branch has %d",
 				i, len(r.Cols), len(out.Cols))
 		}
-		out.Rows = append(out.Rows, r.Rows...)
+		out.union(r)
 	}
 	keys, _, err := orderKeys(u.OrderBy, out.Cols, nil, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := sortRows(ctx, out.Rows, keys, sortBudget(cat)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, keys, nil
 }
 
-func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error) {
+// evalSelect returns the select's unsorted result, one branch, and its
+// sort keys: positions among the branch's expressions.
+func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Result, []int, error) {
 	// The select list and the ORDER BY (which may fall back to
 	// pre-projection columns) are what every join below must carry.
 	var need []*sqlast.ColumnRef
@@ -93,21 +117,19 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 	}
 	src, err := evalFromWhere(ctx, cat, s.From, s.Where, need)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Project: the one place the query's values are copied, into rows
-	// carved from one value array. A sort key that is not an output column
-	// is a hidden column after them, which the projection fills too and
-	// which is trimmed after the sort. Each row is capped at its width, so
-	// appending to one can never overwrite the next.
+	// Bind the output expressions, then a sort key that is not an output
+	// column as one more expression after them. Nothing is evaluated here:
+	// the result evaluates them per row, when it sorts and when it is read.
 	w := len(s.Items)
 	exprs := make([]rowExpr, w, w+len(s.OrderBy))
 	outCols := make([]Col, w)
 	for i, item := range s.Items {
 		e, err := bind(item.Expr, src.cols, len(src.cols))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		exprs[i] = e
 		name := item.Alias
@@ -120,39 +142,18 @@ func evalSelect(ctx context.Context, cat Catalog, s *sqlast.Select) (*Rel, error
 	}
 	keys, exprs, err := orderKeys(s.OrderBy, outCols, src, exprs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pw := len(exprs)
-	slab := make([]value.Value, src.n*pw)
-	out := &Rel{Cols: outCols, Rows: make([]table.Row, src.n)}
-	for ri := range out.Rows {
-		if err := pollCtx(ctx, ri); err != nil {
-			return nil, err
-		}
-		prow := slab[ri*pw : (ri+1)*pw : (ri+1)*pw]
-		for i := range exprs {
-			prow[i] = exprs[i].eval(src, ri, nil, 0)
-		}
-		out.Rows[ri] = prow
-	}
-	if err := sortRows(ctx, out.Rows, keys, sortBudget(cat)); err != nil {
-		return nil, err
-	}
-	if pw > w {
-		for i, row := range out.Rows {
-			out.Rows[i] = row[:w:w]
-		}
-	}
-	return out, nil
+	return newResult(outCols, src, exprs), keys, nil
 }
 
 // orderKeys returns the column position of each ORDER BY key, which the
 // subset's parser makes a column reference or a literal. A literal orders
 // nothing and is dropped. A reference to an output column, one of cols,
 // sorts by that column. In a select (src non-nil), any other reference
-// resolves against the pre-projection relation src and becomes a hidden
-// column after the output columns: its expression is appended to exprs,
-// which the projection evaluates.
+// resolves against the pre-projection relation src and becomes one more
+// expression after the output columns: it is appended to exprs, and its
+// position is past the output columns.
 func orderKeys(order []sqlast.OrderItem, cols []Col, src *rel, exprs []rowExpr) ([]int, []rowExpr, error) {
 	var keys []int
 	for _, item := range order {
@@ -282,7 +283,7 @@ func filterRel(x *rel, pred rowExpr) *rel {
 		for k, i := range sel {
 			sel[k] = x.ins[0].id(int(i))
 		}
-		return oneInput(x.cols, x.src, input{rows: x.ins[0].rows, ids: sel}, n)
+		return oneInput(x.cols, x.src, x.ins[0].withIDs(sel), n)
 	}
 	out := &rel{cols: x.cols, src: x.src, ins: make([]input, len(x.ins)), n: n}
 	block := make([]int32, len(x.ins)*n)
@@ -292,7 +293,7 @@ func filterRel(x *rel, pred rowExpr) *rel {
 		for k, i := range sel {
 			ids[k] = in.id(int(i))
 		}
-		out.ins[j] = input{rows: in.rows, ids: ids}
+		out.ins[j] = in.withIDs(ids)
 	}
 	return out
 }
@@ -316,11 +317,17 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 			cols[i] = Col{Qual: alias, Name: c.Name}
 		}
 		if m := obs.M(); m != nil {
-			m.Exec.RowsScanned.Add(int64(len(t.Rows)))
+			m.Exec.RowsScanned.Add(int64(t.Len()))
 		}
-		return scan(cols, t.Rows), nil
+		return scan(cols, input{cols: t.Columns()}, t.Len()), nil
 	case *sqlast.Derived:
 		inner, err := evalQuery(ctx, cat, te.Query)
+		if err != nil {
+			return nil, err
+		}
+		// A join reads its inputs by row ID, so the derived table's rows
+		// are stored.
+		rows, err := inner.store(ctx, len(inner.Cols))
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +335,7 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 		for i, c := range inner.Cols {
 			cols[i] = Col{Qual: te.Alias, Name: c.Name}
 		}
-		return scan(cols, inner.Rows), nil
+		return scan(cols, input{rows: rows}, len(rows)), nil
 	case *sqlast.Join:
 		// The inputs must also carry what this join's own ON reads.
 		inner := sqlast.ColumnRefs(te.On, need[:len(need):len(need)])
@@ -433,7 +440,7 @@ func evalJoinRel(ctx context.Context, l, r *rel, kind sqlast.JoinKind, on sqlast
 					o++
 				}
 			}
-			out.ins[j] = input{rows: in.rows, ids: ids}
+			out.ins[j] = in.withIDs(ids)
 			continue
 		}
 		// A right input takes its matched rows' IDs, and -1 where an outer
@@ -453,7 +460,7 @@ func evalJoinRel(ctx context.Context, l, r *rel, kind sqlast.JoinKind, on sqlast
 				o++
 			}
 		}
-		out.ins[j] = input{rows: in.rows, ids: ids}
+		out.ins[j] = in.withIDs(ids)
 	}
 	if m := obs.M(); m != nil {
 		m.Exec.RowsJoined.Add(int64(n))

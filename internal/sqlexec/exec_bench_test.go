@@ -167,3 +167,53 @@ func TestJoinBytesIndependentOfWidth(t *testing.T) {
 			wide-narrow, projection, ids, slack)
 	}
 }
+
+// TestResultBytesIndependentOfWidth pins that a query's result is its row
+// IDs: the join of TestJoinBytesIndependentOfWidth, opened and read row by
+// row, allocates the same bytes selecting one column or nine but for the
+// wider run's ID columns (rows × 2 × 4 B per join) and the same 16 KiB of
+// per-column bookkeeping. There is no per-value term: Next evaluates every
+// row into one reused row, and nothing projects the result up front.
+func TestResultBytesIndependentOfWidth(t *testing.T) {
+	const nOrders, fanout = 1000, 4
+	const rows = nOrders * fanout
+	cat := benchCatalog(nOrders, fanout)
+	bytesPerRun := func(sel string) float64 {
+		q, err := sqlparse.Parse(sel + " from Ord o, Line l, Line l2" +
+			" where o.okey = l.okey and l.okey = l2.okey and l.lnum = l2.lnum order by o.okey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			res, err := Open(context.Background(), cat, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, ok := res.Next(); ok; _, ok = res.Next() {
+				n++
+			}
+			if n != rows {
+				t.Fatalf("join produced %d rows, want %d", n, rows)
+			}
+		}
+		run()
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	narrow := bytesPerRun("select o.okey")
+	wide := bytesPerRun("select o.okey, o.clerk, o.total, l.okey, l.lnum, l.qty, l2.okey, l2.lnum, l2.qty")
+	ids := float64(rows * 2 * 4 * 2)
+	const slack = 16 << 10
+	t.Logf("bytes per query read row by row: %.0f selecting 1 column, %.0f selecting 9", narrow, wide)
+	if wide-narrow > ids+slack {
+		t.Errorf("selecting 9 columns allocates %.0f more bytes than selecting 1, want at most %.0f (IDs) + %d",
+			wide-narrow, ids, slack)
+	}
+}

@@ -395,7 +395,7 @@ func TestUnionFirstBranchNotAliased(t *testing.T) {
 	}
 	// The stored base table must be untouched too.
 	nat, _ := cat.Lookup("Nation")
-	if nat.Len() != 3 || nat.Rows[0][1].AsString() != "USA" {
-		t.Errorf("base table mutated by union: %v", nat.Rows)
+	if nat.Len() != 3 || nat.Row(0)[1].AsString() != "USA" {
+		t.Errorf("base table mutated by union: %v", nat.Row(0))
 	}
 }

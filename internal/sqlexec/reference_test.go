@@ -128,7 +128,11 @@ func referenceTable(cat Catalog, te sqlast.TableExpr) (*Rel, error) {
 		for i, c := range t.Rel.Columns {
 			cols[i] = Col{Qual: alias, Name: c.Name}
 		}
-		return &Rel{Cols: cols, Rows: t.Rows}, nil
+		rows := make([]table.Row, t.Len())
+		for i := range rows {
+			rows[i] = t.Row(i)
+		}
+		return &Rel{Cols: cols, Rows: rows}, nil
 	case *sqlast.Join:
 		l, err := referenceTable(cat, te.L)
 		if err != nil {
@@ -575,10 +579,28 @@ func errKey(err error) string {
 	return s
 }
 
+// readRows opens q and reads its result row by row, copying each row: a
+// row is valid only until the next call.
+func readRows(cat Catalog, q sqlast.Query) ([]table.Row, error) {
+	res, err := Open(context.Background(), cat, q)
+	if err != nil {
+		return nil, err
+	}
+	var rows []table.Row
+	for row, ok := res.Next(); ok; row, ok = res.Next() {
+		rows = append(rows, row.Clone())
+	}
+	if len(rows) != res.Len() {
+		return nil, fmt.Errorf("read %d rows of a result of %d", len(rows), res.Len())
+	}
+	return rows, nil
+}
+
 // checkAgainstReference runs src through the executor and the reference:
 // both must fail alike or return the same rows, in the same ORDER BY key
 // sequence. The executor must also return the same as it does unlimited
-// under sort budgets of 1 and 7 rows.
+// under sort budgets of 1 and 7 rows, and at every budget its result read
+// row by row must be the rows RunContext stores, in their order.
 func checkAgainstReference(t *testing.T, cat Catalog, src string) {
 	t.Helper()
 	q, err := sqlparse.Parse(src)
@@ -588,13 +610,21 @@ func checkAgainstReference(t *testing.T, cat Catalog, src string) {
 	got, gerr := RunContext(context.Background(), cat, q)
 	// Sorts that spill at every run size must change nothing: the same
 	// rows in the same order, or the same error.
-	for _, budget := range []int{1, 7} {
-		spilled, serr := RunContext(context.Background(), budgetCatalog{cat, budget}, q)
+	for _, budget := range []int{0, 1, 7} {
+		bcat := budgetCatalog{cat, budget}
+		spilled, serr := RunContext(context.Background(), bcat, q)
 		if (serr == nil) != (gerr == nil) || serr != nil && serr.Error() != gerr.Error() {
 			t.Fatalf("on %q at sort budget %d: error %v, unlimited %v", src, budget, serr, gerr)
 		}
 		if serr == nil && !sameRows(spilled.Rows, got.Rows) {
 			t.Fatalf("on %q at sort budget %d: rows differ from the unlimited run", src, budget)
+		}
+		read, rerr := readRows(bcat, q)
+		if (rerr == nil) != (gerr == nil) || rerr != nil && rerr.Error() != gerr.Error() {
+			t.Fatalf("on %q at sort budget %d: reading the result: error %v, unlimited %v", src, budget, rerr, gerr)
+		}
+		if rerr == nil && !sameRows(read, got.Rows) {
+			t.Fatalf("on %q at sort budget %d: the result read row by row differs from the stored rows", src, budget)
 		}
 	}
 	want, werr := referenceRun(cat, q)

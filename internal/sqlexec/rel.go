@@ -12,15 +12,19 @@
 //
 //   - Late materialisation. Inside one SELECT, the FROM and WHERE work on
 //     row-ID relations (rel). An input of one is a row set that is already
-//     materialised: a base table or a derived table. A row of the
-//     relation is one int32 row index per input, -1 on the side a left
-//     outer join padded with NULLs. A scan is its input with no ID list; a
-//     filter keeps a list of IDs; a join builds its ID columns from its
-//     (left, right) match list, all carved from one allocation. Its width
-//     is its number of inputs, not of columns. Keys, predicates and ON
-//     residuals read values through an (input, row, column) accessor, and
-//     values are copied exactly once: into the projection, which the final
-//     sort then orders.
+//     materialised: a base table, read column by column, or a derived
+//     table, read row by row. A row of the relation is one int32 row index
+//     per input, -1 on the side a left outer join padded with NULLs. A
+//     scan is its input with no ID list; a filter keeps a list of IDs; a
+//     join builds its ID columns from its (left, right) match list, all
+//     carved from one allocation. Its width is its number of inputs, not
+//     of columns. Keys, predicates and ON residuals read values through an
+//     (input, row, column) accessor.
+//   - Row-ID results. A query's result (Result) is its branches' row-ID
+//     relations, their bound output expressions and one sorted order of
+//     row numbers. Its reader evaluates each row when it reads it, into
+//     one reused row; values are copied only where rows must be stored —
+//     a derived table, RunContext, and a sort over the sort budget.
 //   - Column pruning. A join exposes only the columns that a reference
 //     still to be evaluated can resolve to: the select list, the ORDER BY,
 //     the WHERE conjuncts not yet applied and an enclosing ON. Pruning
@@ -28,10 +32,12 @@
 //     resolution — and its unknown- and ambiguous-column errors — is the
 //     same as over the unpruned relation. An input none of whose columns
 //     is exposed drops out of the join's result.
-//   - One sort, by column position. An ORDER BY key that is not an output
-//     column is a hidden column the projection fills after the output
-//     columns and the select trims after the sort. Rows are sorted in
-//     place, or spilled whole and merged back by their key columns.
+//   - One sort key list, by expression. An ORDER BY key is an output
+//     column's expression or, when it is not an output column, one more
+//     expression after them. In memory the order is sorted by comparing
+//     the keys' values read through the row IDs; over the sort budget the
+//     rows are stored with every expression, spilled whole, merged back by
+//     their key columns and trimmed to the output columns.
 //
 // Base tables and derived tables are read in place, never copied.
 package sqlexec
@@ -67,8 +73,7 @@ func (c Col) String() string {
 	return c.Qual + "." + c.Name
 }
 
-// Rel is a materialized relation: a query's result, which is also what a
-// derived table is read from.
+// Rel is a query's result with its rows stored: what RunContext returns.
 type Rel struct {
 	Cols []Col
 	Rows []table.Row
@@ -146,8 +151,10 @@ type rel struct {
 // colSrc locates a column of a rel: column col of input in.
 type colSrc struct{ in, col int }
 
-// input is one materialised row set a rel reads.
+// input is one materialised row set a rel reads: a base table's columns,
+// or a derived table's rows when cols is nil.
 type input struct {
+	cols [][]value.Value
 	rows []table.Row
 	// ids[i] is the index in rows of the relation's row i, or -1 where a
 	// left outer join padded this input with NULLs. Nil means i itself:
@@ -172,10 +179,10 @@ func oneInput(cols []Col, src []colSrc, in input, n int) *rel {
 	return x
 }
 
-// scan returns the relation over rows, read in place, with columns cols:
-// column k is column k of every row.
-func scan(cols []Col, rows []table.Row) *rel {
-	return oneInput(cols, nil, input{rows: rows}, len(rows))
+// scan returns the relation over in, read in place, with columns cols:
+// column k is the input's column k. n is the input's row count.
+func scan(cols []Col, in input, n int) *rel {
+	return oneInput(cols, nil, in, n)
 }
 
 // source returns where column k's values live.
@@ -194,7 +201,15 @@ func (x *rel) at(i, k int) value.Value {
 	if id < 0 {
 		return value.Null
 	}
+	if in.cols != nil {
+		return in.cols[s.col][id]
+	}
 	return in.rows[id][s.col]
+}
+
+// withIDs returns the input over the same rows with the ID list ids.
+func (in *input) withIDs(ids []int32) input {
+	return input{cols: in.cols, rows: in.rows, ids: ids}
 }
 
 // rowExpr evaluates an expression over the rows of row-ID relations. It

@@ -26,7 +26,7 @@ func runSQL(t *testing.T, db *engine.Database, sql string) []table.Row {
 		if !ok {
 			return rows
 		}
-		rows = append(rows, row)
+		rows = append(rows, row.Clone()) // the row is valid until the next call
 	}
 }
 

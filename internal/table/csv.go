@@ -17,9 +17,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("table %s: write header: %w", t.Rel.Name, err)
 	}
 	record := make([]string, len(t.Rel.Columns))
-	for i, row := range t.Rows {
-		for c, v := range row {
-			record[c] = v.Text()
+	for i := 0; i < t.Len(); i++ {
+		for c := range record {
+			record[c] = t.cols[c][i].Text()
 		}
 		if err := cw.Write(record); err != nil {
 			return fmt.Errorf("table %s: write row %d: %w", t.Rel.Name, i, err)
@@ -47,6 +47,7 @@ func (t *Table) ReadCSV(r io.Reader) error {
 			return fmt.Errorf("table %s: header column %d is %q, want %q", t.Rel.Name, i, header[i], names[i])
 		}
 	}
+	row := make(Row, len(names)) // Insert copies the values out, so one row serves every line
 	for line := 2; ; line++ {
 		record, err := cr.Read()
 		if err == io.EOF {
@@ -55,7 +56,6 @@ func (t *Table) ReadCSV(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("table %s: line %d: %w", t.Rel.Name, line, err)
 		}
-		row := make(Row, len(record))
 		for c, field := range record {
 			row[c], err = typedParse(field, t.Rel.Columns[c].Type)
 			if err != nil {

@@ -1,5 +1,5 @@
 // Package table implements the in-memory relation storage of the target
-// database substrate: row storage, per-column statistics (the numbers the
+// database substrate: column-major storage, per-column statistics (the numbers the
 // engine's cost estimator serves to SilkRoute's greedy planner), and CSV
 // import/export used by cmd/tpchgen.
 package table
@@ -23,10 +23,13 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Table is one stored relation plus its statistics.
+// Table is one stored relation plus its statistics. It stores its values
+// column-major: one slice per column, each as long as the table, so a read
+// of column c of row i is one index, cols[c][i].
 type Table struct {
 	Rel  *schema.Relation
-	Rows []Row
+	cols [][]value.Value
+	n    int // the row count
 
 	mu    sync.Mutex
 	stats *Stats // lazily computed, invalidated on Insert, guarded by mu
@@ -36,7 +39,7 @@ type Table struct {
 
 // New creates an empty table for the given relation.
 func New(rel *schema.Relation) *Table {
-	return &Table{Rel: rel}
+	return &Table{Rel: rel, cols: make([][]value.Value, len(rel.Columns))}
 }
 
 // Version returns the table's write version: the number of Inserts it has
@@ -44,13 +47,18 @@ func New(rel *schema.Relation) *Table {
 // v is stale the moment Version reports anything else.
 func (t *Table) Version() int64 { return t.version.Load() }
 
-// Insert appends a row after arity-checking it against the relation.
+// Insert appends a row after arity-checking it against the relation: each
+// value to its column. The table keeps the values, not the row, so the
+// caller may reuse it.
 func (t *Table) Insert(row Row) error {
 	if len(row) != len(t.Rel.Columns) {
 		return fmt.Errorf("table %s: row has %d values, relation has %d columns",
 			t.Rel.Name, len(row), len(t.Rel.Columns))
 	}
-	t.Rows = append(t.Rows, row)
+	for c, v := range row {
+		t.cols[c] = append(t.cols[c], v)
+	}
+	t.n++
 	t.mu.Lock()
 	t.stats = nil
 	t.mu.Unlock()
@@ -66,7 +74,21 @@ func (t *Table) MustInsert(vals ...value.Value) {
 }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.Rows) }
+func (t *Table) Len() int { return t.n }
+
+// Columns returns the table's columns: Columns()[c][i] is column c of row
+// i. The slices are the table's own; callers read them and never write to
+// them or append to them.
+func (t *Table) Columns() [][]value.Value { return t.cols }
+
+// Row returns a copy of row i.
+func (t *Table) Row(i int) Row {
+	row := make(Row, len(t.cols))
+	for c := range t.cols {
+		row[c] = t.cols[c][i]
+	}
+	return row
+}
 
 // Stats holds per-table and per-column statistics. The engine's cost
 // estimator is the "oracle" of the paper's §5; these numbers are all it
@@ -91,14 +113,13 @@ func (t *Table) Stats() *Stats {
 	if t.stats != nil {
 		return t.stats
 	}
-	st := &Stats{RowCount: len(t.Rows), Columns: make([]ColumnStats, len(t.Rel.Columns))}
+	st := &Stats{RowCount: t.n, Columns: make([]ColumnStats, len(t.Rel.Columns))}
 	var scratch []byte // reused key buffer; only new distinct values allocate
 	for c := range t.Rel.Columns {
 		distinct := make(map[string]struct{})
 		var nulls int
 		var width int
-		for _, row := range t.Rows {
-			v := row[c]
+		for _, v := range t.cols[c] {
 			width += v.WireSize()
 			if v.IsNull() {
 				nulls++
@@ -110,8 +131,8 @@ func (t *Table) Stats() *Stats {
 			}
 		}
 		cs := ColumnStats{Distinct: len(distinct), NullCount: nulls}
-		if len(t.Rows) > 0 {
-			cs.AvgWidth = float64(width) / float64(len(t.Rows))
+		if t.n > 0 {
+			cs.AvgWidth = float64(width) / float64(t.n)
 		}
 		st.Columns[c] = cs
 	}

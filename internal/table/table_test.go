@@ -32,6 +32,46 @@ func TestInsertArity(t *testing.T) {
 	}
 }
 
+// TestColumnStorage: a table stores one slice per column. Insert appends
+// each value to its column and keeps nothing of the caller's row; a row of
+// the wrong arity changes nothing; Row(i) reads row i back across the
+// columns.
+func TestColumnStorage(t *testing.T) {
+	tb := New(partRelation(t))
+	row := Row{value.Int(1), value.String("brass"), value.Float(9.5)}
+	if err := tb.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	row[1] = value.String("steel") // reused by the caller
+	if err := tb.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Insert(Row{value.Int(3), value.Null}); err == nil {
+		t.Error("short row accepted")
+	}
+	if tb.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", tb.Len())
+	}
+	cols := tb.Columns()
+	if len(cols) != 3 {
+		t.Fatalf("%d columns, want 3", len(cols))
+	}
+	for c, col := range cols {
+		if len(col) != 2 {
+			t.Errorf("column %d holds %d values, want 2", c, len(col))
+		}
+	}
+	if got := cols[1][0].AsString(); got != "brass" {
+		t.Errorf("column 1 of row 0 = %q, want brass: Insert kept the caller's row", got)
+	}
+	if got := tb.Row(1); got[0].AsInt() != 1 || got[1].AsString() != "steel" || got[2].AsFloat() != 9.5 {
+		t.Errorf("Row(1) = %v, want [1 steel 9.5]", got)
+	}
+	if st := tb.Stats(); st.RowCount != 2 || st.Columns[1].Distinct != 2 || st.Columns[0].Distinct != 1 {
+		t.Errorf("stats = %+v, want 2 rows, 1 distinct partkey, 2 distinct names", st)
+	}
+}
+
 func TestRowClone(t *testing.T) {
 	r := Row{value.Int(1), value.String("x")}
 	c := r.Clone()
@@ -121,16 +161,16 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.Len() != tb.Len() {
 		t.Fatalf("round trip lost rows: %d != %d", back.Len(), tb.Len())
 	}
-	for i := range tb.Rows {
-		for c := range tb.Rows[i] {
-			if !value.Identical(back.Rows[i][c], tb.Rows[i][c]) {
-				t.Errorf("row %d col %d: %v != %v", i, c, back.Rows[i][c], tb.Rows[i][c])
+	for i := 0; i < tb.Len(); i++ {
+		for c, v := range tb.Row(i) {
+			if !value.Identical(back.Row(i)[c], v) {
+				t.Errorf("row %d col %d: %v != %v", i, c, back.Row(i)[c], v)
 			}
 		}
 	}
 	// The string "12" must stay a string because the column is VARCHAR.
-	if back.Rows[2][1].Kind() != value.KindString {
-		t.Errorf("numeric-looking string lost its type: %v", back.Rows[2][1].Kind())
+	if back.Row(2)[1].Kind() != value.KindString {
+		t.Errorf("numeric-looking string lost its type: %v", back.Row(2)[1].Kind())
 	}
 }
 
@@ -159,7 +199,7 @@ func TestReadCSVIntWidensToFloat(t *testing.T) {
 	if err := tb.ReadCSV(strings.NewReader("partkey,name,retail\n1,brass,904\n")); err != nil {
 		t.Fatal(err)
 	}
-	got := tb.Rows[0][2]
+	got := tb.Row(0)[2]
 	if got.Kind() != value.KindFloat || got.AsFloat() != 904.0 {
 		t.Errorf("integer literal in FLOAT column: got %v (%v)", got, got.Kind())
 	}

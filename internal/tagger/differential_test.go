@@ -114,7 +114,7 @@ func runPlan(t testing.TB, db *engine.Database, tree *viewtree.Tree, keep []bool
 			if !ok {
 				break
 			}
-			rows[i] = append(rows[i], row)
+			rows[i] = append(rows[i], row.Clone()) // the row is valid until the next call
 		}
 	}
 	return metas, rows

@@ -10,19 +10,23 @@
 // its own. Once per document, WriteXML compiles every (stream, view-tree
 // node) pair into a program that reads the node's structural key and text
 // in place from the stream's rows, mapping key positions to row columns
-// through one slice, and allocates a 64 KiB output buffer, one reusable
-// pending list and one key buffer per stream (grown only when a row's keys
-// outgrow it), a heap of the streams and one open-element stack bounded by
-// the tree depth. Nothing is allocated per row, so both the live heap and
-// the allocation total depend only on the view tree and the number of
-// streams, never on the database size. That property is what lets
-// SilkRoute materialize XML views larger than main memory.
+// through one slice. The programs and their parts (steps, slots, key
+// segments and constants, pending lists and one key buffer per program,
+// grown only when a key outgrows it) are cut from one slab of each kind
+// for all streams, so their allocations do not grow with the number of
+// streams; beside them WriteXML allocates a 64 KiB output buffer, a heap of
+// the streams and one open-element stack bounded by the tree depth.
+// Nothing is allocated per row, so both the live heap and the allocation
+// total depend only on the view tree and the number of streams, never on
+// the database size. That property is what lets SilkRoute materialize XML
+// views larger than main memory.
 //
 // Document order is the order of the global structural keys under
 // value.Compare, the order the streams' SQL ORDER BY sorted them in. Each
-// queued instance's key is encoded once with value.AppendKey, which
-// encodes that order for every value, so instances and streams are
-// ordered by bytes.Compare alone.
+// queued instance's key is encoded with value.AppendKey, which encodes that
+// order for every value, so instances and streams are ordered by
+// bytes.Compare alone. A program keeps the key of the instance it queued
+// last and re-encodes only from the first column that changed.
 package tagger
 
 import (
@@ -40,7 +44,9 @@ import (
 // Source yields the sorted rows of one tuple stream.
 type Source interface {
 	// Next returns the next row; ok is false at end of stream. The row is
-	// read only until the next call, so a source may reuse its slice.
+	// valid until the next call, which may overwrite it: the contract of
+	// engine.Result.Next and wire.Rows.NextView, whose rows a source hands
+	// on as they are.
 	Next() ([]value.Value, bool, error)
 }
 
@@ -95,11 +101,13 @@ func (s slot) get(row []value.Value) value.Value {
 
 // keySeg is one part of a node's compiled key encoding: lit, the encoded
 // constant positions before row column col, then that column. last holds
-// the column's value in the instance last queued.
+// the column's value in the instance last queued, and end the length of
+// that instance's encoded key up to and including this segment.
 type keySeg struct {
 	lit  []byte
 	col  int
 	last value.Value
+	end  int
 }
 
 // nodeProg is one view-tree node compiled against one stream's columns.
@@ -114,40 +122,50 @@ type nodeProg struct {
 	// in key order.
 	segs []keySeg
 	tail []byte
-	seen bool // the segments' last values hold a queued instance
+	enc  []byte // the encoded key of the instance last queued
+	seen bool   // the segments' last values hold a queued instance
 }
 
-// fresh reports whether the row's instance of p differs from the one last
-// queued, and if so remembers it. Rows arrive sorted, so consecutive rows
-// usually differ in their deepest column, which is compared first.
-func (p *nodeProg) fresh(row []value.Value) bool {
+// fresh returns the first segment whose column differs between the row's
+// instance of p and the one last queued, and remembers the row's values
+// from it on; it returns -1 when the instances are the same. An instance
+// queued first is fresh from segment 0. Rows arrive sorted, so consecutive
+// instances usually share all but their deepest columns.
+func (p *nodeProg) fresh(row []value.Value) int {
+	i := 0
 	if p.seen {
-		i := len(p.segs) - 1
-		for i >= 0 && value.Compare(p.segs[i].last, row[p.segs[i].col]) == 0 {
-			i--
+		for i < len(p.segs) && value.Compare(p.segs[i].last, row[p.segs[i].col]) == 0 {
+			i++
 		}
-		if i < 0 {
-			return false
+		if i == len(p.segs) {
+			return -1
 		}
-	}
-	for i := range p.segs {
-		p.segs[i].last = row[p.segs[i].col]
 	}
 	p.seen = true
-	return true
+	for j := i; j < len(p.segs); j++ {
+		p.segs[j].last = row[p.segs[j].col]
+	}
+	return i
 }
 
-// appendKey appends the byte encoding of the row's instance of p to dst.
-func (p *nodeProg) appendKey(dst []byte, row []value.Value) []byte {
-	for i := range p.segs {
-		dst = append(dst, p.segs[i].lit...)
-		dst = value.AppendKey(dst, row[p.segs[i].col])
+// encode re-encodes p.enc for the row's instance from segment from on. The
+// bytes before it stay: they encode values equal under value.Compare to
+// the row's, and value.AppendKey gives equal values equal bytes.
+func (p *nodeProg) encode(from int, row []value.Value) {
+	k := p.enc[:0]
+	if from > 0 {
+		k = p.enc[:p.segs[from-1].end]
 	}
-	return append(dst, p.tail...)
+	for i := from; i < len(p.segs); i++ {
+		k = append(k, p.segs[i].lit...)
+		k = value.AppendKey(k, row[p.segs[i].col])
+		p.segs[i].end = len(k)
+	}
+	p.enc = append(k, p.tail...)
 }
 
 // instance is one queued instance of a stream's current row: its program
-// and its key, encoded in the stream's key buffer.
+// and its key, the program's encoded key.
 type instance struct {
 	prog *nodeProg
 	key  []byte
@@ -172,18 +190,59 @@ type stream struct {
 	row     []value.Value
 	pending []instance // in document order; pending[head:] are unemitted
 	head    int
-	keys    []byte // pending's encoded keys, reused across rows
 	done    bool
 }
 
-// compile builds the stream's program: every member node of its component
-// resolved to row columns through the stream's column metadata. The
-// programs, their slots, their key segments and the segments' constant
-// bytes each take one slab per stream. keyCol, one key position wide, is
-// scratch space: compile maps each key position to the row column holding
-// it there, -1 when the stream lacks it.
-func (tg *Tagger) compile(s *stream, in Input, keyCol []int) {
-	width := len(keyCol)
+// slabs is what compiling a document's streams takes: each kind of part
+// in one slab for every stream, cut from the front as compile goes.
+type slabs struct {
+	progs   []nodeProg
+	steps   []step
+	slots   []slot
+	segs    []keySeg
+	lits    []byte
+	pending []instance
+	keys    []byte
+}
+
+// keyCap is the key buffer a program of a node with args variables starts
+// with. A constant key position is an L column's int, 4 bytes when below
+// 256 as Skolem-function indexes are, or NULL, 1 byte; a variable is given
+// 64 bytes. A longer key only makes its buffer grow.
+func keyCap(width, args int) int { return 4*width + 64*args }
+
+// newSlabs sizes the slabs for compiling every input.
+func newSlabs(inputs []Input, width int) slabs {
+	var progs, steps, slots, segs, keys int
+	for _, in := range inputs {
+		comp := in.Meta.Comp
+		steps += len(comp.Groups) - 1 // a branch test per child group
+		for _, g := range comp.Groups {
+			for _, m := range g.Members {
+				progs++
+				slots += width + len(m.Contents)
+				segs += len(m.ArgPos) // at most one segment per variable
+				keys += keyCap(width, len(m.ArgPos))
+			}
+		}
+	}
+	return slabs{
+		progs:   make([]nodeProg, progs),
+		steps:   make([]step, progs+steps),
+		slots:   make([]slot, slots),
+		segs:    make([]keySeg, segs),
+		lits:    make([]byte, 0, 4*width*progs),
+		pending: make([]instance, progs), // a row instantiates each member at most once
+		keys:    make([]byte, keys),
+	}
+}
+
+// compile builds the stream's program, taking its parts from sl: every
+// member node of its component resolved to row columns through the
+// stream's column metadata. keyCol, one key position wide, is scratch
+// space: compile maps each key position to the row column holding it
+// there, -1 when the stream lacks it.
+func (tg *Tagger) compile(s *stream, in Input, keyCol []int, sl *slabs) {
 	for i := range keyCol {
 		keyCol[i] = -1
 	}
@@ -193,38 +252,24 @@ func (tg *Tagger) compile(s *stream, in Input, keyCol []int) {
 		}
 	}
 	comp := in.Meta.Comp
-	members, texts := 0, 0
+	members := 0
 	for _, g := range comp.Groups {
-		for _, m := range g.Members {
-			members++
-			texts += len(m.Contents)
-		}
+		members += len(g.Members)
 	}
-	progs := make([]nodeProg, members)
+	progs := sl.progs[:members:members]
+	sl.progs = sl.progs[members:]
 	s.rows = in.Rows
-	s.steps, _ = tg.walk(comp.Root, make([]step, 0, members+len(comp.Groups)-1), progs, keyCol)
-
-	slots := make([]slot, members*width+texts)
-	cols := 0
+	n := members + len(comp.Groups) - 1 // a step per member and per child group
+	s.steps, _ = tg.walk(comp.Root, sl.steps[:0:n], progs, keyCol)
+	sl.steps = sl.steps[n:]
 	for i := range progs {
-		slots = tg.program(&progs[i], keyCol, slots)
-		for _, k := range progs[i].key {
-			if k.col >= 0 {
-				cols++
-			}
-		}
+		p := &progs[i]
+		sl.slots = tg.program(p, keyCol, sl.slots)
+		sl.segs, sl.lits = p.segments(sl.segs, sl.lits)
+		k := keyCap(len(keyCol), len(p.node.ArgPos))
+		p.enc, sl.keys = sl.keys[:0:k], sl.keys[k:]
 	}
-	segs := make([]keySeg, cols)
-	// A constant key position is an L column's int, 4 bytes when below
-	// 256 as Skolem-function indexes are, or NULL, 1 byte; a larger int
-	// only makes the slab grow.
-	lits := make([]byte, 0, 4*width*members)
-	for i := range progs {
-		segs, lits = progs[i].segments(segs, lits)
-	}
-	// A row instantiates each member at most once.
-	s.pending = make([]instance, 0, members)
-	s.keys = make([]byte, 0, len(lits)+64*cols)
+	s.pending, sl.pending = sl.pending[:0:members], sl.pending[members:]
 }
 
 // walk appends g's steps: its members, each taking the next program from
@@ -328,17 +373,16 @@ func (s *stream) advance() error {
 		}
 		s.row = row
 		s.members(row)
-		s.keys = s.keys[:0]
 		// Drop the instances already queued, insertion-sorting the rest
 		// in place: a row expands to at most a handful of instances.
 		n := 0
 		for _, in := range s.pending {
-			if !in.prog.fresh(row) {
+			from := in.prog.fresh(row)
+			if from < 0 {
 				continue
 			}
-			from := len(s.keys)
-			s.keys = in.prog.appendKey(s.keys, row)
-			in.key = s.keys[from:]
+			in.prog.encode(from, row)
+			in.key = in.prog.enc
 			s.pending[n] = in
 			for j := n; j > 0 && bytes.Compare(s.pending[j].key, s.pending[j-1].key) < 0; j-- {
 				s.pending[j], s.pending[j-1] = s.pending[j-1], s.pending[j]
@@ -399,10 +443,11 @@ func (tg *Tagger) WriteXML(w io.Writer, inputs []Input) error {
 	streams := make([]stream, len(inputs))
 	heap := make([]*stream, 0, len(inputs))
 	keyCol := make([]int, tg.tree.Width)
+	sl := newSlabs(inputs, tg.tree.Width)
 	for i, in := range inputs {
 		s := &streams[i]
 		s.index = i
-		tg.compile(s, in, keyCol)
+		tg.compile(s, in, keyCol, &sl)
 		if err := s.advance(); err != nil {
 			return err
 		}

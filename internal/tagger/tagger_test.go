@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func buildStreams(t *testing.T, db *engine.Database, src string, keepAll bool, r
 			if !ok {
 				break
 			}
-			rows = append(rows, row)
+			rows = append(rows, row.Clone()) // the row is valid until the next call
 		}
 		inputs[i] = Input{Meta: s, Rows: &SliceSource{RowsData: rows}}
 	}
@@ -181,11 +182,47 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-// compiledKey compiles p's key into segments and returns the byte key of
-// the row's instance of p.
+// compiledKey compiles p's key into segments and returns a copy of the
+// byte key of the row's instance of p: p keeps its key in one buffer,
+// which the next call overwrites.
 func compiledKey(p *nodeProg, row []value.Value) []byte {
 	p.segments(make([]keySeg, len(p.key)), nil)
-	return p.appendKey(nil, row)
+	p.encode(0, row)
+	return bytes.Clone(p.enc)
+}
+
+// TestIncrementalKeyMatchesFullEncoding: a program re-encodes only the
+// segments from the first changed one on, and its key is then the key
+// encoded from scratch, row after row. Values equal under value.Compare
+// but not identical (2 and 2.0, -0 and 0) keep the bytes of the first.
+func TestIncrementalKeyMatchesFullEncoding(t *testing.T) {
+	key := []slot{{col: -1, lit: value.Int(1)}, {col: 0}, {col: -1, lit: value.Int(2)}, {col: 2}, {col: 1}, {col: -1}}
+	p := &nodeProg{key: key}
+	p.segments(make([]keySeg, len(key)), nil)
+	rows := [][]value.Value{
+		{value.Int(1), value.String("a"), value.Null},
+		{value.Int(1), value.String("a"), value.Null}, // the same instance
+		{value.Int(1), value.String("b"), value.Null},
+		{value.Int(1), value.String("a long string that outgrows the key buffer of its program, and then some more bytes"), value.Int(2)},
+		{value.Float(1), value.String("c"), value.Float(2)},
+		{value.Int(2), value.String("c"), value.Float(2)},
+		{value.Int(2), value.Null, value.Float(math.Copysign(0, -1))},
+		{value.Int(2), value.Null, value.Int(0)}, // equal to -0: the same instance
+	}
+	wantFresh := []int{0, -1, 2, 1, 2, 0, 1, -1}
+	for i, row := range rows {
+		from := p.fresh(row)
+		if from != wantFresh[i] {
+			t.Errorf("row %d: fresh = %d, want %d", i, from, wantFresh[i])
+		}
+		if from < 0 {
+			continue
+		}
+		p.encode(from, row)
+		if want := compiledKey(&nodeProg{key: key}, row); !bytes.Equal(p.enc, want) {
+			t.Errorf("row %d: incremental key % x, want % x", i, p.enc, want)
+		}
+	}
 }
 
 func TestCompareKeysNullFirstAndPrefix(t *testing.T) {
@@ -340,7 +377,7 @@ func rewind(inputs []Input) {
 // measured runs. Each plan's count also has a ceiling, the count when it
 // was set: a fall lowers it.
 func TestWriteXMLAllocsIndependentOfRows(t *testing.T) {
-	ceiling := map[bool]float64{true: 12, false: 75}
+	ceiling := map[bool]float64{true: 12, false: 12}
 	for _, keepAll := range []bool{true, false} {
 		var counts []float64
 		for _, scale := range []float64{0.0005, 0.002} {

@@ -27,16 +27,16 @@ func TestGenerateDeterministic(t *testing.T) {
 		if ta.Len() != tb.Len() {
 			t.Fatalf("%s: %d vs %d rows", rel, ta.Len(), tb.Len())
 		}
-		for i := range ta.Rows {
-			for c := range ta.Rows[i] {
-				if ta.Rows[i][c] != tb.Rows[i][c] {
+		for i := 0; i < ta.Len(); i++ {
+			for c, v := range ta.Row(i) {
+				if v != tb.Row(i)[c] {
 					t.Fatalf("%s row %d differs", rel, i)
 				}
 			}
 		}
 	}
 	c := Generate(0.001, 43)
-	if same := c.MustTable("Supplier").Rows[0][2] == a.MustTable("Supplier").Rows[0][2]; same {
+	if same := c.MustTable("Supplier").Row(0)[2] == a.MustTable("Supplier").Row(0)[2]; same {
 		t.Error("different seeds produced identical addresses")
 	}
 }

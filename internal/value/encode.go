@@ -97,16 +97,19 @@ func EncodeRow(dst []byte, row []Value) []byte {
 }
 
 // DecodeRows decodes buf as whole rows of n values each, at most maxRows of
-// them, into one slab: row i is slab[i*n : (i+1)*n]. Every string in the
-// slab is a substring of one string holding only buf's string payloads, so
-// a frame of rows costs two allocations however many rows and strings it
-// holds, and a value kept from it pins at most those payloads, never buf.
+// them, into one slab: row i is slab[i*n : (i+1)*n]. The slab is dst's
+// array when dst's capacity holds every value, and a new one otherwise.
+// Every string in the slab is a substring of one string holding only buf's
+// string payloads, so a frame of rows costs at most two allocations however
+// many rows and strings it holds (one when dst is large enough), and a
+// value kept from it pins at most those payloads, never buf.
 //
 // A validating first pass counts the values and sums the string payloads
-// before anything is allocated: an encoding cut short, an unknown tag, a
-// value count that is not a whole number of rows, or more than maxRows rows
-// fails with nothing decoded. With n == 0 only an empty buf is whole rows.
-func DecodeRows(buf []byte, n, maxRows int) ([]Value, error) {
+// before anything is allocated or written: an encoding cut short, an
+// unknown tag, a value count that is not a whole number of rows, or more
+// than maxRows rows fails with nothing decoded and dst untouched. With
+// n == 0 only an empty buf is whole rows.
+func DecodeRows(dst []Value, buf []byte, n, maxRows int) ([]Value, error) {
 	cols := max(n, 1) // for error positions and the whole-rows test
 	count, strBytes := 0, 0
 	for used := 0; used < len(buf); count++ {
@@ -124,9 +127,13 @@ func DecodeRows(buf []byte, n, maxRows int) ([]Value, error) {
 		return nil, fmt.Errorf("value: %d values are not whole rows of %d columns", count, n)
 	}
 	if count == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
-	slab := make([]Value, count)
+	slab := dst[:0]
+	if cap(slab) < count {
+		slab = make([]Value, count)
+	}
+	slab = slab[:count]
 	var blob strings.Builder
 	blob.Grow(strBytes)
 	for i, used := 0, 0; i < count; i++ {
@@ -154,7 +161,7 @@ func DecodeRows(buf []byte, n, maxRows int) ([]Value, error) {
 // DecodeRow decodes exactly n values from buf. It returns an error if buf
 // holds fewer than n encodings or has trailing bytes.
 func DecodeRow(buf []byte, n int) ([]Value, error) {
-	row, err := DecodeRows(buf, n, 1)
+	row, err := DecodeRows(nil, buf, n, 1)
 	if err == nil && len(row) != n {
 		return nil, fmt.Errorf("value: %d bytes hold no row of %d columns", len(buf), n)
 	}

@@ -3,6 +3,7 @@ package value
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -336,7 +337,7 @@ func TestDecodeRows(t *testing.T) {
 	for _, r := range rows {
 		enc = EncodeRow(enc, r)
 	}
-	slab, err := DecodeRows(enc, 3, len(rows))
+	slab, err := DecodeRows(nil, enc, 3, len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +351,21 @@ func TestDecodeRows(t *testing.T) {
 			}
 		}
 	}
-	if got := testing.AllocsPerRun(10, func() { DecodeRows(enc, 3, len(rows)) }); got != 2 {
+	if got := testing.AllocsPerRun(10, func() { DecodeRows(nil, enc, 3, len(rows)) }); got != 2 {
 		t.Errorf("DecodeRows allocated %v times, want 2 (slab and string blob)", got)
+	}
+	// A destination large enough is decoded into: only the string blob is
+	// allocated, and the values are the same.
+	dst := make([]Value, 0, 16)
+	again, err := DecodeRows(dst, enc, 3, len(rows))
+	if err != nil || &again[0] != &dst[:1][0] || !slices.EqualFunc(again, slab, Identical) {
+		t.Errorf("DecodeRows into a large destination: %v, %v; want %v in its array", again, err, slab)
+	}
+	if got := testing.AllocsPerRun(10, func() { DecodeRows(dst, enc, 3, len(rows)) }); got != 1 {
+		t.Errorf("DecodeRows into a large destination allocated %v times, want 1 (string blob)", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { DecodeRows(dst[:0:8], enc, 3, len(rows)) }); got != 2 {
+		t.Errorf("DecodeRows into a short destination allocated %v times, want 2", got)
 	}
 
 	row := EncodeRow(nil, rows[0])
@@ -367,11 +381,11 @@ func TestDecodeRows(t *testing.T) {
 		{"bytes for zero columns", row, 0},
 	}
 	for _, c := range bad {
-		if slab, err := DecodeRows(c.buf, c.n, 2); err == nil {
+		if slab, err := DecodeRows(nil, c.buf, c.n, 2); err == nil {
 			t.Errorf("%s: decoded %v, want an error", c.name, slab)
 		}
 	}
-	if slab, err := DecodeRows(nil, 3, 2); err != nil || len(slab) != 0 {
+	if slab, err := DecodeRows(nil, nil, 3, 2); err != nil || len(slab) != 0 {
 		t.Errorf("empty buffer: %v, %v; want no rows", slab, err)
 	}
 }
@@ -405,7 +419,7 @@ func FuzzDecodeRows(f *testing.F) {
 		} else {
 			ok = ok && len(want)%n == 0 && len(want) <= n*fuzzMaxRows
 		}
-		got, err := DecodeRows(buf, n, fuzzMaxRows)
+		got, err := DecodeRows(nil, buf, n, fuzzMaxRows)
 		if (err == nil) != ok {
 			t.Fatalf("DecodeRows(% x, %d) error = %v, value-by-value decode whole rows = %v", buf, n, err, ok)
 		}
@@ -419,6 +433,15 @@ func FuzzDecodeRows(f *testing.F) {
 			if got[i].kind != want[i].kind || got[i].i != want[i].i || got[i].s != want[i].s {
 				t.Fatalf("value %d: DecodeRows %#v, Decode %#v", i, got[i], want[i])
 			}
+		}
+		// Decoding into a used destination leaves nothing of its values.
+		used := make([]Value, len(want)+1)
+		for i := range used {
+			used[i] = String("stale")
+		}
+		again, err := DecodeRows(used[:0], buf, n, fuzzMaxRows)
+		if err != nil || !slices.EqualFunc(again, got, func(a, b Value) bool { return a.kind == b.kind && a.i == b.i && a.s == b.s }) {
+			t.Fatalf("DecodeRows into a used destination: %#v, %v; want %#v", again, err, got)
 		}
 	})
 }

@@ -314,6 +314,7 @@ type Rows struct {
 	watch    *watcher
 	buf      []byte        // the last frame read, reused across reads
 	slab     []value.Value // the current frame's rows, decoded at once
+	kept     bool          // Next returned a row of slab: no frame is decoded into it again
 	off      int           // index in slab of the next row's first value
 	left     int           // rows of the current frame not yet delivered
 	done     bool
@@ -510,20 +511,30 @@ func decodeColumns(status []byte) ([]string, error) {
 	return cols, nil
 }
 
-// Next binds and returns the next row, or io.EOF after the last row. The
-// decode is the per-tuple "binding" cost the paper attributes to the
-// client, and every column of every row is still decoded; a row-batch frame
-// is decoded whole, into one slab of values and one string for its string
-// payloads, so a frame costs two allocations however many rows it holds.
-// A returned row stays valid after later calls — each frame gets a fresh
-// slab, never a reused one — and is capacity-limited, so appending to it
-// cannot overwrite the row after it. A malformed frame fails the stream
-// with ErrBadResponse before any of its rows is delivered. Cancelling the
-// stream's context interrupts a blocked read promptly; the error then
-// satisfies errors.Is(err, context.Canceled).
-func (r *Rows) Next() ([]value.Value, error) {
+// NextView binds and returns the next row, or io.EOF after the last row.
+// The row is valid until the next call: the contract of tagger.Source and
+// engine.Result.Next. The decode is the per-tuple "binding" cost the paper
+// attributes to the client, and every column of every row is still
+// decoded; a row-batch frame is decoded whole, into the stream's one slab
+// of values and one string for its string payloads, so a frame costs one
+// allocation however many rows it holds (two when the slab must grow). A
+// row is capacity-limited, so appending to it cannot overwrite the row
+// after it. A malformed frame fails the stream with ErrBadResponse before
+// any of its rows is delivered. Cancelling the stream's context interrupts
+// a blocked read promptly; the error then satisfies
+// errors.Is(err, context.Canceled).
+func (r *Rows) NextView() ([]value.Value, error) { return r.next(false) }
+
+// Next is NextView for a caller that keeps rows: a returned row stays
+// valid after later calls, because no frame is decoded into a slab that
+// holds a row Next returned. Every frame after such a row costs a fresh
+// slab.
+func (r *Rows) Next() ([]value.Value, error) { return r.next(true) }
+
+// next serves Next (keep) and NextView.
+func (r *Rows) next(keep bool) ([]value.Value, error) {
 	if r.merge != nil {
-		return r.merge.next(r)
+		return r.merge.next(r, keep)
 	}
 	if r.done {
 		return nil, io.EOF
@@ -561,25 +572,31 @@ func (r *Rows) Next() ([]value.Value, error) {
 	row := r.slab[r.off : r.off+n : r.off+n]
 	r.off += n
 	r.left--
+	r.kept = r.kept || keep
 	r.RowCount++
 	r.noteDelivered(row)
 	return row, nil
 }
 
-// decodeFrame decodes one non-empty row-batch frame into a fresh slab. A
-// zero-column frame is one row whatever it holds: zero-column rows encode
-// to nothing, so counting them is the only way the stream still ends.
+// decodeFrame decodes one non-empty row-batch frame into the stream's
+// slab, or into a new one when Next kept a row of it. A zero-column frame
+// is one row whatever it holds: zero-column rows encode to nothing, so
+// counting them is the only way the stream still ends.
 func (r *Rows) decodeFrame(frame []byte) error {
 	n := len(r.Columns)
 	if n == 0 {
 		r.slab, r.off, r.left = nil, 0, 1
 		return nil
 	}
-	slab, err := value.DecodeRows(frame, n, batchMaxRows)
+	dst := r.slab
+	if r.kept {
+		dst = nil
+	}
+	slab, err := value.DecodeRows(dst, frame, n, batchMaxRows)
 	if err != nil {
 		return fmt.Errorf("wire: read row: %w: %v", ErrBadResponse, err)
 	}
-	r.slab, r.off, r.left = slab, 0, len(slab)/n
+	r.slab, r.off, r.left, r.kept = slab, 0, len(slab)/n, false
 	return nil
 }
 

@@ -279,7 +279,7 @@ func (r *Rows) adopt(nr *Rows) (permanent bool, err error) {
 		return true, fmt.Errorf("wire: resume: continuation has %d columns, stream has %d", len(nr.Columns), len(r.Columns))
 	}
 	for i := int64(0); i < r.ties; i++ {
-		row, err := nr.Next()
+		row, err := nr.NextView()
 		if err != nil {
 			nr.Close()
 			// io.EOF here means the continuation holds fewer boundary
@@ -300,7 +300,7 @@ func (r *Rows) adopt(nr *Rows) (permanent bool, err error) {
 	r.watch.Stop()
 	r.conn.Close()
 	r.conn, r.watch = nr.conn, nr.watch
-	r.buf, r.slab, r.off, r.left = nr.buf, nr.slab, nr.off, nr.left
+	r.buf, r.slab, r.off, r.left, r.kept = nr.buf, nr.slab, nr.off, nr.left, nr.kept
 	r.BytesRead += nr.BytesRead
 	return false, nil
 }

@@ -5,17 +5,21 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"silkroute/internal/value"
 )
 
-// TestRetainedRowsSurviveLaterFrames: the shard merge and the benchmark's
-// traced run keep rows across later Next calls, so a row must never be
-// overwritten by a later frame. Drain a multi-frame stream with strings
-// over TCP loopback, keep every row, and check them all after EOF.
+// TestRetainedRowsSurviveLaterFrames: a caller that keeps rows (the
+// benchmark's traced run does) reads with Next, and a row Next returned
+// must never be overwritten by a later frame. Drain a multi-frame stream
+// with strings over TCP loopback, keep every row, and check them all after
+// EOF.
 func TestRetainedRowsSurviveLaterFrames(t *testing.T) {
 	const n = 3*batchMaxRows + 17
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -34,6 +38,73 @@ func TestRetainedRowsSurviveLaterFrames(t *testing.T) {
 	}
 	got := drain(t, rows)
 	checkBigRows(t, got, n, 1)
+}
+
+// drainViews drains rows with NextView, checking every row against
+// bigDB's contents (n keys, no duplicates) as it is returned and again just
+// before the next call, up to which it must stay intact.
+func drainViews(t *testing.T, rows *Rows, n int) {
+	t.Helper()
+	var prev []value.Value
+	var want string
+	for i := 0; ; i++ {
+		if prev != nil && (prev[0].AsInt() != int64(i) || prev[1].AsString() != want) {
+			t.Fatalf("row %d changed before the next call: %v, want [%d %s]", i-1, prev, i, want)
+		}
+		row, err := rows.NextView()
+		if err == io.EOF {
+			if i != n {
+				t.Fatalf("drained %d rows, want %d", i, n)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = fmt.Sprintf("row-%04d", i+1)
+		if row[0].AsInt() != int64(i+1) || row[1].AsString() != want {
+			t.Fatalf("row %d = %v, want [%d %s]", i, row, i+1, want)
+		}
+		prev = row
+	}
+}
+
+// TestViewRowsShareOneSlab: NextView decodes every frame of a stream into
+// one slab, so a row is valid until the next call, and draining
+// 3×batchMaxRows+17 rows allocates no more value slab than draining one
+// frame: what each extra frame allocates, its string payloads and the
+// server's row IDs included, is less than half a frame's slab (a fresh
+// slab per frame would be all of it and more).
+func TestViewRowsShareOneSlab(t *testing.T) {
+	drained := func(n int) uint64 {
+		client := InProcess(bigDB(t, n, 1))
+		defer client.Close()
+		best := ^uint64(0)
+		for run := 0; run < 5; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rows, err := client.QueryResumable(ctx, bigSQL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainViews(t, rows, n)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	one, many := drained(batchMaxRows), drained(3*batchMaxRows+17)
+	if testing.Short() {
+		// -short is how the race detector runs the suite, and its
+		// runtime allocates beside the code measured here.
+		t.Skip("allocation bytes in -short mode")
+	}
+	slab := uint64(batchMaxRows * 2 * unsafe.Sizeof(value.Value{}))
+	perFrame := (many - min(many, one)) / 3
+	t.Logf("%d bytes for one frame, %d for 3 more and 17 rows: %d per extra frame, against a %d-byte slab", one, many, perFrame, slab)
+	if perFrame > slab/2 {
+		t.Errorf("%d bytes per extra frame, want at most half the %d-byte slab", perFrame, slab)
+	}
 }
 
 // TestAppendToRowKeepsNextRow: a returned row is capacity-limited, so a

@@ -273,9 +273,14 @@ func (h *mergeHeap) Pop() interface{} {
 }
 
 // shardMerge drives a merged Rows: it owns the per-shard child streams
-// and serves Next/Close on their behalf by a k-way merge on the key
-// columns. Without key columns the shard-index tiebreak alone orders the
-// heap, so the merge concatenates the children in shard order.
+// and serves Next/NextView/Close on their behalf by a k-way merge on the
+// key columns. Without key columns the shard-index tiebreak alone orders
+// the heap, so the merge concatenates the children in shard order.
+//
+// A shard is advanced on the call after the one that returned its row,
+// not before: until then the row is the heap's top and the shard's slab is
+// not decoded into, so a row NextView returned stays intact until the next
+// call even while the other shards decode new frames.
 type shardMerge struct {
 	children []*Rows
 	names    []string
@@ -293,16 +298,17 @@ func newShardMerge(children []*Rows, keyCols []int, names []string, start time.T
 	}
 }
 
-// next serves Rows.Next for a merged stream, keeping r's public counters
+// next serves Rows.Next (keep) and Rows.NextView for a merged stream,
+// reading the children the same way, and keeps r's public counters
 // (RowCount, BytesRead, Resumes, Failovers) in step with the children.
-func (m *shardMerge) next(r *Rows) ([]value.Value, error) {
+func (m *shardMerge) next(r *Rows, keep bool) ([]value.Value, error) {
 	if r.done {
 		return nil, io.EOF
 	}
 	if !m.primed {
 		m.primed = true
 		for i, c := range m.children {
-			row, err := c.Next()
+			row, err := c.next(keep)
 			if err == io.EOF {
 				continue
 			}
@@ -312,24 +318,26 @@ func (m *shardMerge) next(r *Rows) ([]value.Value, error) {
 			m.h.heads = append(m.h.heads, mergeHead{row: row, shard: i})
 		}
 		heap.Init(&m.h)
+	} else if len(m.h.heads) > 0 {
+		// The top's row was returned by the last call: advance its shard.
+		shard := m.h.heads[0].shard
+		row, err := m.children[shard].next(keep)
+		switch {
+		case err == io.EOF:
+			heap.Pop(&m.h)
+		case err != nil:
+			return nil, m.fail(r, shard, err)
+		default:
+			m.h.heads[0].row = row
+			heap.Fix(&m.h, 0)
+		}
 	}
 	if len(m.h.heads) == 0 {
 		return nil, m.finish(r)
 	}
-	head := m.h.heads[0]
-	nrow, err := m.children[head.shard].Next()
-	switch {
-	case err == io.EOF:
-		heap.Pop(&m.h)
-	case err != nil:
-		return nil, m.fail(r, head.shard, err)
-	default:
-		m.h.heads[0] = mergeHead{row: nrow, shard: head.shard}
-		heap.Fix(&m.h, 0)
-	}
 	r.RowCount++
 	m.sync(r)
-	return head.row, nil
+	return m.h.heads[0].row, nil
 }
 
 // sync folds the children's transfer and recovery counters into the

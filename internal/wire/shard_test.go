@@ -45,6 +45,23 @@ func inProcessShardSet(t *testing.T, dbs []*engine.Database, opts ...ShardOption
 	return s
 }
 
+// TestShardMergeViewRowsStayUntilNextCall: the merge advances a shard on
+// the call after the one that returned its row, so a row NextView returned
+// stays intact until the next call even when that shard's next frame, or
+// the other shard's, is decoded into the same slab later.
+func TestShardMergeViewRowsStayUntilNextCall(t *testing.T) {
+	const n = 4*batchMaxRows + 17 // several frames per shard
+	dbs := bigShardDBs(t, n, 1, 2, func(k, d int) int { return k % 2 })
+	rows, err := inProcessShardSet(t, dbs).QueryResumable(ctx, bigSQL, bigSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainViews(t, rows, n)
+	if rows.RowCount != n {
+		t.Errorf("RowCount = %d, want %d", rows.RowCount, n)
+	}
+}
+
 // TestShardMergeGlobalOrder is the core splice property: rows hashed
 // across three shards come back in exact global key order, with the
 // per-shard breakdown accounting for every row.

@@ -50,10 +50,10 @@
 // The value encoding is self-delimiting, so a batch frame needs no row
 // count; a frame with exactly one row is the degenerate batch, which keeps
 // the framing compatible with one-row-per-frame peers. The client decodes a
-// frame whole, into one slab of values, and enforces the server's bound: a
-// frame whose values are not whole rows, or that holds more than
-// batchMaxRows rows, is ErrBadResponse, so a hostile frame cannot make the
-// client allocate more than one batch's slab. Batching amortizes the
+// frame whole, into the stream's one slab of values (Rows.NextView), and
+// enforces the server's bound: a frame whose values are not whole rows, or
+// that holds more than batchMaxRows rows, is ErrBadResponse, so a hostile
+// frame cannot make the client allocate more than one batch's slab. Batching amortizes the
 // per-frame header, syscall and allocations across rows — the per-tuple
 // bind cost the paper measures is the decode, which is still paid per
 // column of every row.

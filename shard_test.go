@@ -3,6 +3,7 @@ package silkroute
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -177,6 +178,33 @@ func TestShardStreamStats(t *testing.T) {
 // TestPartition checks the horizontal partitioning scheme itself: the
 // partitioned relation splits without loss or overlap, every other
 // relation is replicated whole, and bad arguments are rejected.
+// TestPartitionSplitsSupplierFiveFive pins the shard hash over the
+// column-major tables: at scale 0.001, two shards of Supplier hold 5 rows
+// each, and the shards' union is the whole relation, row for row.
+func TestPartitionSplitsSupplierFiveFive(t *testing.T) {
+	db := OpenTPCH(0.001, 42)
+	all := db.eng.MustTable("Supplier")
+	seen := make(map[string]bool)
+	for i := 0; i < 2; i++ {
+		shard, err := db.Partition("Supplier", i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup := shard.eng.MustTable("Supplier")
+		if sup.Len() != 5 {
+			t.Errorf("shard %d holds %d suppliers, want 5", i, sup.Len())
+		}
+		for r := 0; r < sup.Len(); r++ {
+			seen[fmt.Sprint(sup.Row(r))] = true
+		}
+	}
+	for r := 0; r < all.Len(); r++ {
+		if !seen[fmt.Sprint(all.Row(r))] {
+			t.Errorf("supplier %v is on no shard", all.Row(r))
+		}
+	}
+}
+
 func TestPartition(t *testing.T) {
 	db := OpenTPCH(0.001, 42)
 	total, err := db.RowCount("Supplier")

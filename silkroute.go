@@ -307,11 +307,16 @@ func (db *DB) Partition(relation string, i, n int) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range src.Rows {
-			if name == relation && shardOf(row, keyCols, n) != i {
+		cols := src.Columns()
+		row := make(table.Row, len(cols)) // Insert copies the values out
+		for r := 0; r < src.Len(); r++ {
+			if name == relation && shardOf(cols, r, keyCols, n) != i {
 				continue
 			}
-			if err := dst.Insert(append(table.Row(nil), row...)); err != nil {
+			for c := range row {
+				row[c] = cols[c][r]
+			}
+			if err := dst.Insert(row); err != nil {
 				return nil, err
 			}
 		}
@@ -319,13 +324,14 @@ func (db *DB) Partition(relation string, i, n int) (*DB, error) {
 	return &DB{eng: out}, nil
 }
 
-// shardOf hashes a row's key columns (FNV-1a over their value.AppendKey
-// bytes, which are equal exactly for equal values) onto one of n shards.
-func shardOf(row table.Row, keyCols []int, n int) int {
+// shardOf hashes row r's key columns of cols (FNV-1a over their
+// value.AppendKey bytes, which are equal exactly for equal values) onto one
+// of n shards.
+func shardOf(cols [][]value.Value, r int, keyCols []int, n int) int {
 	h := fnv.New64a()
 	var scratch []byte
 	for _, k := range keyCols {
-		scratch = value.AppendKey(scratch[:0], row[k])
+		scratch = value.AppendKey(scratch[:0], cols[k][r])
 		h.Write(scratch)
 	}
 	return int(h.Sum64() % uint64(n))
