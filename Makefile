@@ -67,9 +67,11 @@ chaos:
 # brute-force reference on every generated query over generated rows,
 # any SQL that parses must print to SQL that parses and prints the same,
 # /metrics must stay conformant exposition under any view or tenant name,
-# and a -connect topology string must parse or fail with a positioned
-# error, never panic, and round-trip through its String form. The seeds
-# also run as plain tests in `make test`.
+# a -connect topology string must parse or fail with a positioned
+# error, never panic, and round-trip through its String form, and an RXL
+# source must parse or fail with a positioned *rxl.Error, and build a
+# TPC-H view tree or fail with an error once parsed, never panic. The
+# seeds also run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/wire
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrintParse$$' -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRXL$$' -fuzztime 10s ./internal/rxl
 
 # Every benchmark once, so each keeps running and not only compiling.
 bench-smoke:
@@ -93,12 +96,13 @@ ci: fmt vet staticcheck build test test-race chaos fuzz-smoke bench-smoke allocs
 
 # The allocation gates, each printing its measured figure beside its
 # constant: allocations and MB per document (TestAllocsPerDocument),
-# allocations per greedy search (TestGreedyAllocs) and per tagger document
-# (TestWriteXMLAllocsIndependentOfRows). It fails when a gate does, and
-# then prints the tests' whole output.
-ALLOC_TESTS = ^(TestAllocsPerDocument|TestGreedyAllocs|TestWriteXMLAllocsIndependentOfRows)$$
+# allocations per greedy search of each Fig. 18 view (TestGreedyAllocs),
+# per view-tree build of Q1 and Q2 (TestBuildAllocs) and per tagger
+# document (TestWriteXMLAllocsIndependentOfRows). It fails when a gate
+# does, and then prints the tests' whole output.
+ALLOC_TESTS = ^(TestAllocsPerDocument|TestGreedyAllocs|TestBuildAllocs|TestWriteXMLAllocsIndependentOfRows)$$
 allocs:
-	@out=$$($(GO) test -count=1 -v -run '$(ALLOC_TESTS)' . ./internal/plan ./internal/tagger 2>&1); rc=$$?; \
+	@out=$$($(GO) test -count=1 -v -run '$(ALLOC_TESTS)' . ./internal/plan ./internal/viewtree ./internal/tagger 2>&1); rc=$$?; \
 	if [ $$rc -ne 0 ]; then echo "$$out"; else echo "$$out" | grep -E '^=== RUN.*/|per document|allocates'; fi; exit $$rc
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the

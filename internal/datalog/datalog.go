@@ -13,6 +13,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"silkroute/internal/rxl"
@@ -85,68 +86,126 @@ func qvar(v, f string) string { return strings.ToLower(v + "." + f) }
 func FDSet(s *schema.Schema, atoms []Atom, conds []rxl.Condition) []schema.QualifiedFD {
 	var fds []schema.QualifiedFD
 	for _, a := range atoms {
-		rel, ok := s.Relation(a.Rel)
-		if !ok {
-			continue
-		}
-		if len(rel.Key) > 0 {
-			fd := schema.QualifiedFD{}
-			for _, k := range rel.Key {
-				fd.From = append(fd.From, qvar(a.Var, k))
-			}
-			for _, c := range rel.Columns {
-				fd.To = append(fd.To, qvar(a.Var, c.Name))
-			}
-			fds = append(fds, fd)
-		}
-		for _, dfd := range s.FDs {
-			if !strings.EqualFold(dfd.Relation, a.Rel) {
-				continue
-			}
-			fd := schema.QualifiedFD{}
-			for _, f := range dfd.From {
-				fd.From = append(fd.From, qvar(a.Var, f))
-			}
-			for _, f := range dfd.To {
-				fd.To = append(fd.To, qvar(a.Var, f))
-			}
-			fds = append(fds, fd)
-		}
+		fds = append(fds, atomFDs(s, a)...)
 	}
 	for _, c := range conds {
-		if c.Op != sqlast.OpEq {
-			continue
+		fds = append(fds, condFDs(c)...)
+	}
+	return fds
+}
+
+// atomFDs qualifies the FDs one tuple variable contributes: its relation's
+// key, then the relation's declared FDs. Every column's qualified name is
+// written once, into one buffer, and the key FD's right-hand side is the
+// list of them.
+func atomFDs(s *schema.Schema, a Atom) []schema.QualifiedFD {
+	rel, ok := s.Relation(a.Rel)
+	if !ok {
+		return nil
+	}
+	v := strings.ToLower(a.Var)
+	size := 0
+	for _, c := range rel.Columns {
+		size += len(v) + 1 + len(c.Name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	names := make([]string, len(rel.Columns))
+	for i, c := range rel.Columns {
+		start := b.Len()
+		b.WriteString(v)
+		b.WriteByte('.')
+		b.WriteString(strings.ToLower(c.Name))
+		names[i] = b.String()[start:]
+	}
+	// qualify names a column as written in the key or a declared FD.
+	qualify := func(cols []string) []string {
+		out := make([]string, len(cols))
+		for i, f := range cols {
+			if j := slices.IndexFunc(rel.Columns, func(c schema.Column) bool { return c.Name == f }); j >= 0 {
+				out[i] = names[j]
+			} else {
+				out[i] = qvar(a.Var, f)
+			}
 		}
-		switch {
-		case !c.L.IsConst && !c.R.IsConst:
-			l := qvar(c.L.Var, c.L.Field)
-			r := qvar(c.R.Var, c.R.Field)
-			fds = append(fds,
-				schema.QualifiedFD{From: []string{l}, To: []string{r}},
-				schema.QualifiedFD{From: []string{r}, To: []string{l}})
-		case !c.L.IsConst && c.R.IsConst:
-			fds = append(fds, schema.QualifiedFD{To: []string{qvar(c.L.Var, c.L.Field)}})
-		case c.L.IsConst && !c.R.IsConst:
-			fds = append(fds, schema.QualifiedFD{To: []string{qvar(c.R.Var, c.R.Field)}})
+		return out
+	}
+	var fds []schema.QualifiedFD
+	if len(rel.Key) > 0 {
+		fds = append(fds, schema.QualifiedFD{From: qualify(rel.Key), To: names})
+	}
+	for _, dfd := range s.FDs {
+		if strings.EqualFold(dfd.Relation, a.Rel) {
+			fds = append(fds, schema.QualifiedFD{From: qualify(dfd.From), To: qualify(dfd.To)})
 		}
 	}
 	return fds
+}
+
+// condFDs qualifies the FDs one condition contributes: an equality between
+// columns both ways, an equality with a constant as a column pinned
+// unconditionally, nothing otherwise.
+func condFDs(c rxl.Condition) []schema.QualifiedFD {
+	if c.Op != sqlast.OpEq {
+		return nil
+	}
+	switch {
+	case !c.L.IsConst && !c.R.IsConst:
+		l := qvar(c.L.Var, c.L.Field)
+		r := qvar(c.R.Var, c.R.Field)
+		return []schema.QualifiedFD{{From: []string{l}, To: []string{r}}, {From: []string{r}, To: []string{l}}}
+	case !c.L.IsConst && c.R.IsConst:
+		return []schema.QualifiedFD{{To: []string{qvar(c.L.Var, c.L.Field)}}}
+	case c.L.IsConst && !c.R.IsConst:
+		return []schema.QualifiedFD{{To: []string{qvar(c.R.Var, c.R.Field)}}}
+	}
+	return nil
+}
+
+// FDs decides C1 for the many edges of one view tree. Every rule of the
+// tree binds tuple variables and conditions drawn from one small set, so
+// FDs qualifies each one's dependencies once and assembles a rule's FD set
+// from them, instead of qualifying every column name again per edge. It is
+// not safe for concurrent use.
+type FDs struct {
+	s     *schema.Schema
+	atoms map[Atom][]schema.QualifiedFD
+	conds map[rxl.Condition][]schema.QualifiedFD
+	set   []schema.QualifiedFD // the last rule's FD set
+}
+
+// NewFDs returns an FDs over the schema.
+func NewFDs(s *schema.Schema) *FDs {
+	return &FDs{s: s, atoms: make(map[Atom][]schema.QualifiedFD), conds: make(map[rxl.Condition][]schema.QualifiedFD)}
+}
+
+// Determines is FunctionallyDetermines over the qualified dependencies.
+func (f *FDs) Determines(parent, child *Rule) bool {
+	f.set = f.set[:0]
+	for _, a := range child.Atoms {
+		fds, ok := f.atoms[a]
+		if !ok {
+			fds = atomFDs(f.s, a)
+			f.atoms[a] = fds
+		}
+		f.set = append(f.set, fds...)
+	}
+	for _, c := range child.Conds {
+		fds, ok := f.conds[c]
+		if !ok {
+			fds = condFDs(c)
+			f.conds[c] = fds
+		}
+		f.set = append(f.set, fds...)
+	}
+	return schema.Implies(f.set, parent.Args, child.Args)
 }
 
 // FunctionallyDetermines decides C1: under the child rule's body, do the
 // parent's arguments functionally determine all of the child's arguments?
 // If so, each parent node instance has at most one child instance.
 func FunctionallyDetermines(s *schema.Schema, parent, child *Rule) bool {
-	fds := FDSet(s, child.Atoms, child.Conds)
-	from := make([]string, len(parent.Args))
-	for i, a := range parent.Args {
-		from[i] = strings.ToLower(a)
-	}
-	to := make([]string, len(child.Args))
-	for i, a := range child.Args {
-		to[i] = strings.ToLower(a)
-	}
-	return schema.Implies(fds, from, to)
+	return NewFDs(s).Determines(parent, child)
 }
 
 // GuaranteesChild decides C2: does every parent binding extend to at least

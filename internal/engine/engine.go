@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"silkroute/internal/obs"
 	"silkroute/internal/schema"
@@ -41,7 +42,8 @@ import (
 // here does.
 type Database struct {
 	Schema *schema.Schema
-	tables map[string]*table.Table
+	// tables holds every relation under its lower-cased name.
+	tables map[string]*stored
 
 	// SortBudgetRows bounds in-memory sorts: larger sorts spill to disk
 	// through the executor's external merge sort, reproducing the
@@ -93,9 +95,9 @@ func (db *Database) SortMemoryRows() int { return db.SortBudgetRows }
 // NewDatabase creates a database for the given schema with empty tables for
 // every relation.
 func NewDatabase(s *schema.Schema) *Database {
-	db := &Database{Schema: s, tables: make(map[string]*table.Table)}
+	db := &Database{Schema: s, tables: make(map[string]*stored, len(s.Relations))}
 	for name, rel := range s.Relations {
-		db.tables[name] = table.New(rel)
+		db.tables[name] = &stored{Table: table.New(rel)}
 	}
 	return db
 }
@@ -123,10 +125,38 @@ func (db *Database) TableVersion(name string) int64 {
 	return t.Version()
 }
 
-// Lookup implements sqlexec.Catalog.
+// Lookup implements sqlexec.Catalog. Names are case-insensitive.
 func (db *Database) Lookup(name string) (*table.Table, bool) {
-	t, ok := db.tables[strings.ToLower(name)]
-	return t, ok
+	s, ok := db.lookup(name)
+	if !ok {
+		return nil, false
+	}
+	return s.Table, true
+}
+
+// lookup resolves a relation name. An ASCII name is lower-cased in a stack
+// buffer, and indexing the map with the converted bytes does not allocate,
+// so the executor's and estimator's lookups per base table cost nothing.
+func (db *Database) lookup(name string) (*stored, bool) {
+	var buf [64]byte
+	if len(name) > len(buf) {
+		s, ok := db.tables[strings.ToLower(name)]
+		return s, ok
+	}
+	key := buf[:len(name)]
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			s, ok := db.tables[strings.ToLower(name)]
+			return s, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		key[i] = c
+	}
+	s, ok := db.tables[string(key)]
+	return s, ok
 }
 
 // Table returns the stored table for a relation, for loading data.

@@ -8,6 +8,7 @@ import (
 
 	"silkroute/internal/obs"
 	"silkroute/internal/schema"
+	"silkroute/internal/sqlparse"
 	"silkroute/internal/value"
 )
 
@@ -92,11 +93,25 @@ func TestExecuteParseError(t *testing.T) {
 
 func TestTableLookup(t *testing.T) {
 	db := smallDB(t)
-	if _, err := db.Table("nation"); err != nil {
-		t.Errorf("case-insensitive lookup failed: %v", err)
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"nation", true},
+		{"Nation", true},
+		{"PaRtSuPp", true}, // mixed case resolves too
+		{"ghost", false},
+		{"", false},
+	} {
+		if _, err := db.Table(c.name); (err == nil) != c.ok {
+			t.Errorf("Table(%q): error %v, want found=%v", c.name, err, c.ok)
+		}
 	}
-	if _, err := db.Table("ghost"); err == nil {
-		t.Error("unknown table lookup succeeded")
+	// The executor and the estimator look a table up per base table of
+	// every query; RXL relations are capitalised, so the case folding
+	// must not allocate.
+	if n := testing.AllocsPerRun(100, func() { db.Lookup("PartSupp") }); n != 0 {
+		t.Errorf("Lookup allocates %v times, want 0", n)
 	}
 }
 
@@ -396,6 +411,37 @@ func TestEnableQueryLogDuringQueries(t *testing.T) {
 	for _, e := range log {
 		if e.SQL != sql || e.Rows != 10 {
 			t.Errorf("logged %+v, want %q with 10 rows", e, sql)
+		}
+	}
+}
+
+// TestEstimatorSizedExactly checks queryCount against the estimator: for
+// queries of every shape the generator emits (comma joins, derived tables,
+// unions, outer joins with disjunctive ON conditions), every column comes
+// from the request's slab and none is left over, and the entry and
+// conjunct buffers never grow.
+func TestEstimatorSizedExactly(t *testing.T) {
+	db := smallDB(t)
+	for _, sql := range []string{
+		"select s.suppkey from Supplier s",
+		"select s.name, n.name from Supplier s, Nation n, PartSupp ps where s.nationkey = n.nationkey and ps.suppkey = s.suppkey and n.name = 'USA'",
+		"select q.k from (select s.suppkey as k from Supplier s where s.nationkey > 1) as q, Nation n where q.k = n.nationkey",
+		"select d.k from (select s.suppkey as k from Supplier s union select p.partkey as k from Part p, PartSupp ps where p.partkey = ps.partkey) as d order by k",
+		"select b.k, c.p from (select s.suppkey as k from Supplier s) as b left outer join (select ps.suppkey as k, ps.partkey as p from PartSupp ps) as c on (b.k = c.k and c.p > 2) or b.k = c.p, Nation n where n.nationkey = b.k",
+		"select 1 as one",
+	} {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := db.newEstimator(q)
+		rels, entries, conjs := cap(e.rels), cap(e.entries), cap(e.conjs)
+		if _, err := e.query(q); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if e.missed != 0 || len(e.cols) != 0 || cap(e.rels) != rels || cap(e.entries) != entries || cap(e.conjs) != conjs {
+			t.Errorf("%s: %d column slices missed the slab, %d columns left; buffers %d/%d/%d grew to %d/%d/%d",
+				sql, e.missed, len(e.cols), rels, entries, conjs, cap(e.rels), cap(e.entries), cap(e.conjs))
 		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlast"
 	"silkroute/internal/sqlexec"
 	"silkroute/internal/sqlparse"
+	"silkroute/internal/table"
 )
 
 // Estimate is the optimizer oracle's answer for one query: an abstract
@@ -48,7 +50,8 @@ func (db *Database) EstimateQuery(ctx context.Context, q sqlast.Query) (Estimate
 	if m := obs.M(); m != nil {
 		m.Exec.EstimatesServed.Inc()
 	}
-	r, err := db.estQuery(q)
+	e := db.newEstimator(q)
+	r, err := e.query(q)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -71,6 +74,41 @@ type estRel struct {
 	cols []estCol
 	rows float64
 	cost float64
+}
+
+// stored is one relation of the database: its table, and its column
+// estimates as of the table's current statistics.
+type stored struct {
+	*table.Table
+	est atomic.Pointer[tableEst]
+}
+
+// tableEst is a table's column estimates, derived once from one Stats and
+// never changed after: each column's distinct count and width, the
+// qualifier left for each request to set on its copy.
+type tableEst struct {
+	stats *table.Stats
+	cols  []estCol
+}
+
+// estimates returns the column estimates of the table's current
+// statistics, deriving them when an Insert has replaced the statistics.
+// Concurrent requests may derive them twice; either result is the same.
+func (s *stored) estimates() *tableEst {
+	st := s.Stats()
+	if e := s.est.Load(); e != nil && e.stats == st {
+		return e
+	}
+	e := &tableEst{stats: st, cols: make([]estCol, len(s.Rel.Columns))}
+	for i, c := range s.Rel.Columns {
+		e.cols[i] = estCol{
+			Col:      sqlexec.Col{Name: c.Name},
+			distinct: math.Max(1, float64(st.Columns[i].Distinct)),
+			width:    math.Max(1, st.Columns[i].AvgWidth),
+		}
+	}
+	s.est.Store(e)
+	return e
 }
 
 func (r *estRel) width() float64 {
@@ -128,21 +166,133 @@ const (
 // rowWork returns the per-row processing weight for a given row width.
 func rowWork(width float64) float64 { return 1 + width/widthCostDivisor }
 
-// estQuery models a query's result. It and the estimate methods it calls
-// read only the database's statistics and sort budget, so concurrent
-// estimate requests stay independent.
-func (db *Database) estQuery(q sqlast.Query) (*estRel, error) {
+// estimator is one estimate request's scratch space, sized for the query
+// up front, reused across the request's selects and never shared:
+// concurrent requests each have their own. rels is a stack of FROM
+// entries, since a derived table's estimate recurses while its enclosing
+// FROM list is half estimated; entries and conjs serve one FROM list or ON
+// condition at a time, after any recursion.
+type estimator struct {
+	db      *Database
+	cols    []estCol // every column the request builds, carved in turn
+	missed  int      // column slices cols could not serve (a miscount)
+	rels    []estRel
+	entries [][]estCol
+	conjs   []sqlast.Expr
+}
+
+// queryCount sizes an estimator's scratch space for one query, over all
+// its selects: the FROM entries, the conjuncts of the WHERE and ON
+// conditions, and the columns the estimate builds.
+type queryCount struct {
+	db                   *Database
+	entries, conjs, cols int
+}
+
+// query counts a query and returns its width in columns.
+func (n *queryCount) query(q sqlast.Query) int {
 	switch q := q.(type) {
 	case *sqlast.Select:
-		return db.estSelect(q)
+		return n.sel(q)
 	case *sqlast.Union:
-		var out *estRel
-		for _, b := range q.Branches {
-			r, err := db.estSelect(b)
-			if err != nil {
-				return nil, err
+		w := 0
+		for i, b := range q.Branches {
+			if wb := n.sel(b); i == 0 {
+				w = wb
 			}
-			if out == nil {
+		}
+		return w
+	}
+	return 0
+}
+
+func (n *queryCount) sel(s *sqlast.Select) int {
+	n.entries += len(s.From)
+	n.cond(s.Where)
+	w := 0
+	for _, te := range s.From {
+		w += n.table(te)
+	}
+	if len(s.From) > 1 {
+		n.cols += w // the joins' columns
+	}
+	n.cols += len(s.Items)
+	return len(s.Items)
+}
+
+func (n *queryCount) table(te sqlast.TableExpr) int {
+	switch te := te.(type) {
+	case *sqlast.BaseTable:
+		if t, ok := n.db.lookup(te.Name); ok {
+			n.cols += len(t.Rel.Columns)
+			return len(t.Rel.Columns)
+		}
+	case *sqlast.Derived:
+		return n.query(te.Query)
+	case *sqlast.Join:
+		w := n.table(te.L) + n.table(te.R)
+		n.cols += w
+		n.cond(te.On)
+		return w
+	}
+	return 0
+}
+
+func (n *queryCount) cond(e sqlast.Expr) {
+	switch e := e.(type) {
+	case nil:
+	case *sqlast.And:
+		for _, t := range e.Terms {
+			n.cond(t)
+		}
+	case *sqlast.Or:
+		for _, t := range e.Terms {
+			n.cond(t)
+		}
+	default:
+		n.conjs++
+	}
+}
+
+// newEstimator sizes an estimator for q.
+func (db *Database) newEstimator(q sqlast.Query) estimator {
+	n := queryCount{db: db}
+	n.query(q)
+	return estimator{
+		db:      db,
+		cols:    make([]estCol, n.cols),
+		rels:    make([]estRel, 0, n.entries),
+		entries: make([][]estCol, 0, n.entries),
+		conjs:   make([]sqlast.Expr, 0, n.conjs),
+	}
+}
+
+// newCols carves n columns from the request's column slab.
+func (e *estimator) newCols(n int) []estCol {
+	if len(e.cols) < n {
+		e.missed++
+		return make([]estCol, n)
+	}
+	c := e.cols[:n:n]
+	e.cols = e.cols[n:]
+	return c
+}
+
+// query models a query's result. It and the methods it calls read only
+// the database's statistics and sort budget, so concurrent estimate
+// requests stay independent.
+func (e *estimator) query(q sqlast.Query) (estRel, error) {
+	switch q := q.(type) {
+	case *sqlast.Select:
+		return e.selectRel(q)
+	case *sqlast.Union:
+		var out estRel
+		for i, b := range q.Branches {
+			r, err := e.selectRel(b)
+			if err != nil {
+				return estRel{}, err
+			}
+			if i == 0 {
 				out = r
 				continue
 			}
@@ -157,14 +307,14 @@ func (db *Database) estQuery(q sqlast.Query) (*estRel, error) {
 				}
 			}
 		}
-		if out == nil {
-			return nil, fmt.Errorf("engine: estimate of empty union")
+		if len(q.Branches) == 0 {
+			return estRel{}, fmt.Errorf("engine: estimate of empty union")
 		}
 		out.clampDistinct()
-		db.addSortCost(out, q.OrderBy)
+		e.db.addSortCost(&out, q.OrderBy)
 		return out, nil
 	default:
-		return nil, fmt.Errorf("engine: estimate of %T", q)
+		return estRel{}, fmt.Errorf("engine: estimate of %T", q)
 	}
 }
 
@@ -184,13 +334,13 @@ func (db *Database) addSortCost(r *estRel, order []sqlast.OrderItem) {
 // spilling sort dominates the in-memory n·log n term, as disk I/O does.
 const spillIOWeight = 0.5
 
-func (db *Database) estSelect(s *sqlast.Select) (*estRel, error) {
-	src, err := db.estFromWhere(s.From, s.Where)
+func (e *estimator) selectRel(s *sqlast.Select) (estRel, error) {
+	src, err := e.fromWhere(s.From, s.Where)
 	if err != nil {
-		return nil, err
+		return estRel{}, err
 	}
-	out := &estRel{rows: src.rows, cost: src.cost}
-	for _, item := range s.Items {
+	out := estRel{cols: e.newCols(len(s.Items)), rows: src.rows, cost: src.cost}
+	for i, item := range s.Items {
 		name := item.Alias
 		if name == "" {
 			if cr, ok := item.Expr.(*sqlast.ColumnRef); ok {
@@ -198,48 +348,58 @@ func (db *Database) estSelect(s *sqlast.Select) (*estRel, error) {
 			}
 		}
 		col := estCol{Col: sqlexec.Col{Name: name}, distinct: 1, width: 9}
-		switch e := item.Expr.(type) {
+		switch x := item.Expr.(type) {
 		case *sqlast.ColumnRef:
-			if i, ok := findCol(src.cols, e.Table, e.Column); ok {
-				col.distinct = src.cols[i].distinct
-				col.width = src.cols[i].width
+			if j, ok := findCol(src.cols, x.Table, x.Column); ok {
+				col.distinct = src.cols[j].distinct
+				col.width = src.cols[j].width
 			}
 		case *sqlast.Literal:
-			col.width = float64(e.Val.WireSize())
+			col.width = float64(x.Val.WireSize())
 		}
-		out.cols = append(out.cols, col)
+		out.cols[i] = col
 	}
 	out.clampDistinct()
 	// Projection materializes every output row.
 	out.cost += out.rows * rowWork(out.width())
-	db.addSortCost(out, s.OrderBy)
+	e.db.addSortCost(&out, s.OrderBy)
 	return out, nil
 }
 
-// estFromWhere prices the plan sqlexec.PlanFrom makes of a FROM list and
+// fromWhere prices the plan sqlexec.PlanFrom makes of a FROM list and
 // WHERE clause, the plan the executor runs: the entries' filters, the
-// joins in the plan's order, then the residual conjuncts.
-func (db *Database) estFromWhere(from []sqlast.TableExpr, where sqlast.Expr) (*estRel, error) {
+// joins in the plan's order, then the residual conjuncts. The joins write
+// their columns into one slice for the whole list: each step's output is
+// the previous step's columns, in place, followed by the next entry's.
+func (e *estimator) fromWhere(from []sqlast.TableExpr, where sqlast.Expr) (estRel, error) {
 	if len(from) == 0 {
-		return &estRel{rows: 1}, nil
+		return estRel{rows: 1}, nil
 	}
-	rels := make([]*estRel, len(from))
-	cols := make([][]estCol, len(from))
-	for i, te := range from {
-		r, err := db.estTable(te)
+	base := len(e.rels)
+	defer func() { e.rels = e.rels[:base] }()
+	width := 0
+	for _, te := range from {
+		r, err := e.table(te)
 		if err != nil {
-			return nil, err
+			return estRel{}, err
 		}
-		rels[i], cols[i] = r, r.cols
+		e.rels = append(e.rels, r)
+		width += len(r.cols)
 	}
-	conjs := sqlast.Conjuncts(where)
-	p := sqlexec.PlanFrom(cols, conjs)
+	rels := e.rels[base:]
+	e.entries = e.entries[:0]
+	for _, r := range rels {
+		e.entries = append(e.entries, r.cols)
+	}
+	e.conjs = sqlast.AppendConjuncts(e.conjs[:0], where)
+	conjs := e.conjs
+	p := sqlexec.PlanFrom(e.entries, conjs)
 
-	for ci, e := range p.Filter {
-		if e < 0 {
+	for ci, f := range p.Filter {
+		if f < 0 {
 			continue
 		}
-		r := rels[e]
+		r := &rels[f]
 		sel, _ := singleRelSelectivity(conjs[ci], r)
 		r.rows *= sel
 		if r.rows < 1 {
@@ -249,19 +409,23 @@ func (db *Database) estFromWhere(from []sqlast.TableExpr, where sqlast.Expr) (*e
 	}
 
 	joined := rels[p.Order[0]]
+	var cols []estCol
+	if len(p.Order) > 1 {
+		cols = e.newCols(width)
+	}
 	for s := 1; s < len(p.Order); s++ {
-		right := rels[p.Order[s]]
+		right := &rels[p.Order[s]]
 		// Most restrictive key only: composite keys are correlated (see
 		// estJoin).
 		sel := 1.0
 		for ci, c := range conjs {
 			if p.Step[ci] == s {
-				if k, _ := equiSelectivity(c, joined, right); k < sel {
+				if k, _ := equiSelectivity(c, &joined, right); k < sel {
 					sel = k
 				}
 			}
 		}
-		joined = joinRel(joined, right, joined.rows*right.rows*sel)
+		joined = joinRel(&joined, right, joined.rows*right.rows*sel, cols)
 	}
 
 	for ci := range conjs {
@@ -276,63 +440,58 @@ func (db *Database) estFromWhere(from []sqlast.TableExpr, where sqlast.Expr) (*e
 	return joined, nil
 }
 
-func (db *Database) estTable(te sqlast.TableExpr) (*estRel, error) {
+func (e *estimator) table(te sqlast.TableExpr) (estRel, error) {
 	switch te := te.(type) {
 	case *sqlast.BaseTable:
 		alias := te.Alias
 		if alias == "" {
 			alias = te.Name
 		}
-		t, ok := db.Lookup(te.Name)
+		t, ok := e.db.lookup(te.Name)
 		if !ok {
-			return nil, fmt.Errorf("engine: estimate of unknown table %q", te.Name)
+			return estRel{}, fmt.Errorf("engine: estimate of unknown table %q", te.Name)
 		}
-		st := t.Stats()
-		r := &estRel{rows: float64(st.RowCount), cost: float64(st.RowCount)}
-		for i, c := range t.Rel.Columns {
-			r.cols = append(r.cols, estCol{
-				Col:      sqlexec.Col{Qual: alias, Name: c.Name},
-				distinct: math.Max(1, float64(st.Columns[i].Distinct)),
-				width:    math.Max(1, st.Columns[i].AvgWidth),
-			})
+		est := t.estimates()
+		r := estRel{cols: e.newCols(len(est.cols)), rows: float64(est.stats.RowCount), cost: float64(est.stats.RowCount)}
+		for i, c := range est.cols {
+			c.Qual = alias
+			r.cols[i] = c
 		}
 		return r, nil
 	case *sqlast.Derived:
-		inner, err := db.estQuery(te.Query)
+		inner, err := e.query(te.Query)
 		if err != nil {
-			return nil, err
+			return estRel{}, err
 		}
 		for i := range inner.cols {
 			inner.cols[i].Qual = te.Alias
 		}
 		return inner, nil
 	case *sqlast.Join:
-		l, err := db.estTable(te.L)
+		l, err := e.table(te.L)
 		if err != nil {
-			return nil, err
+			return estRel{}, err
 		}
-		r, err := db.estTable(te.R)
+		r, err := e.table(te.R)
 		if err != nil {
-			return nil, err
+			return estRel{}, err
 		}
-		return estJoin(l, r, te.Kind, te.On), nil
+		return e.join(&l, &r, te.Kind, te.On), nil
 	default:
-		return nil, fmt.Errorf("engine: estimate of %T", te)
+		return estRel{}, fmt.Errorf("engine: estimate of %T", te)
 	}
 }
 
-// estJoin estimates an explicit join node, handling the disjunctive ON
+// join estimates an explicit join node, handling the disjunctive ON
 // conditions of unified plans by summing per-disjunct match estimates.
-func estJoin(l, r *estRel, kind sqlast.JoinKind, on sqlast.Expr) *estRel {
+func (e *estimator) join(l, r *estRel, kind sqlast.JoinKind, on sqlast.Expr) estRel {
 	var inner float64
 	if on == nil {
 		inner = l.rows * r.rows
 	} else {
-		var disjuncts []sqlast.Expr
+		disjuncts := []sqlast.Expr{on}
 		if or, ok := on.(*sqlast.Or); ok {
 			disjuncts = or.Terms
-		} else {
-			disjuncts = []sqlast.Expr{on}
 		}
 		for _, d := range disjuncts {
 			// Composite-key joins (e.g. lineitem ⋈ partsupp on partkey and
@@ -343,7 +502,8 @@ func estJoin(l, r *estRel, kind sqlast.JoinKind, on sqlast.Expr) *estRel {
 			// multiplicatively (those are genuine restrictions).
 			joinSel := 1.0
 			filterSel := 1.0
-			for _, c := range sqlast.Conjuncts(d) {
+			e.conjs = sqlast.AppendConjuncts(e.conjs[:0], d)
+			for _, c := range e.conjs {
 				if s, ok := equiSelectivity(c, l, r); ok {
 					if s < joinSel {
 						joinSel = s
@@ -366,22 +526,25 @@ func estJoin(l, r *estRel, kind sqlast.JoinKind, on sqlast.Expr) *estRel {
 	if kind == sqlast.JoinLeftOuter && rows < l.rows {
 		rows = l.rows
 	}
-	return joinRel(l, r, rows)
+	return joinRel(l, r, rows, e.newCols(len(l.cols)+len(r.cols)))
 }
 
 // joinRel models the join of l and r that yields rows rows (at least one):
 // both inputs are read, and every output row is charged at the full
-// concatenated width of both sides' columns.
-func joinRel(l, r *estRel, rows float64) *estRel {
+// concatenated width of both sides' columns. The output columns are l's
+// then r's, written into dst, which may begin with l's own columns.
+func joinRel(l, r *estRel, rows float64, dst []estCol) estRel {
 	if rows < 1 {
 		rows = 1
 	}
-	cols := append(append([]estCol{}, l.cols...), r.cols...)
+	cols := dst[:len(l.cols)+len(r.cols)]
+	copy(cols, l.cols)
+	copy(cols[len(l.cols):], r.cols)
 	var w float64
 	for _, c := range cols {
 		w += c.width
 	}
-	out := &estRel{
+	out := estRel{
 		cols: cols,
 		rows: rows,
 		cost: l.cost + r.cost + l.rows + r.rows + rows*rowWork(w),

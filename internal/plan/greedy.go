@@ -244,8 +244,13 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 		return qc - (q1 + q2), nil
 	}
 
+	// Each iteration's remaining edges, relative costs and errors reuse
+	// these, sized for the first iteration, the largest.
+	remainingBuf := make([]int, 0, len(t.Edges))
+	relsBuf := make([]float64, len(t.Edges))
+	errsBuf := make([]error, len(t.Edges))
 	for {
-		var remaining []int
+		remaining := remainingBuf[:0]
 		for ei := range t.Edges {
 			if !contracted[ei] {
 				remaining = append(remaining, ei)
@@ -258,8 +263,7 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 		if err != nil {
 			return nil, err
 		}
-		rels := make([]float64, len(remaining))
-		errs := make([]error, len(remaining))
+		rels, errs := relsBuf[:len(remaining)], errsBuf[:len(remaining)]
 		fanout.Each(len(remaining), prm.Parallelism, func(i int) {
 			rels[i], errs[i] = evalEdge(roots, remaining[i])
 		})

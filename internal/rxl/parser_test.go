@@ -146,23 +146,26 @@ func TestParseStringAndNumberText(t *testing.T) {
 	}
 }
 
+// BadSources are malformed queries every one of which Parse rejects.
+// FuzzParseRXL seeds its corpus with them.
+var BadSources = []string{
+	"",
+	"from construct <a/>",                      // missing binding
+	"from T t construct <a/>",                  // missing $
+	"from T $t",                                // no construct
+	"from T $t construct <a>",                  // unterminated element
+	"from T $t construct <a></b>",              // mismatched tags
+	"from T $t where construct <a/>",           // empty where
+	"from T $t where $t.x construct <a/>",      // incomplete condition
+	"from T $t where $t = 3 construct <a/>",    // var without field
+	"from T $t construct <a>{ from U $u }</a>", // nested without construct
+	"from T $t construct <a @S</a>",            // broken skolem
+	"from T $t construct <a>$</a>",             // bare dollar
+	`from T $t construct <a>"unterminated</a>`, // unterminated string
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"from construct <a/>",                      // missing binding
-		"from T t construct <a/>",                  // missing $
-		"from T $t",                                // no construct
-		"from T $t construct <a>",                  // unterminated element
-		"from T $t construct <a></b>",              // mismatched tags
-		"from T $t where construct <a/>",           // empty where
-		"from T $t where $t.x construct <a/>",      // incomplete condition
-		"from T $t where $t = 3 construct <a/>",    // var without field
-		"from T $t construct <a>{ from U $u }</a>", // nested without construct
-		"from T $t construct <a @S</a>",            // broken skolem
-		"from T $t construct <a>$</a>",             // bare dollar
-		`from T $t construct <a>"unterminated</a>`, // unterminated string
-	}
-	for _, src := range bad {
+	for _, src := range BadSources {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
@@ -204,11 +207,14 @@ func TestCompareOpStrings(t *testing.T) {
 
 // TestParseNeverPanics mutates valid RXL and random noise through the
 // parser: errors are fine, panics are not.
+// GoodSources are well-formed queries TestParseNeverPanics mutates.
+// FuzzParseRXL seeds its corpus with them.
+var GoodSources = []string{Query1Source, Query2Source, FragmentSource,
+	`from T $t where $t.a = 'x' construct <r @F($t.a)>$t.b "lit" 42<s/></r>`}
+
 func TestParseNeverPanics(t *testing.T) {
-	seeds := []string{Query1Source, Query2Source, FragmentSource,
-		`from T $t where $t.a = 'x' construct <r @F($t.a)>$t.b "lit" 42<s/></r>`}
 	prop := func(seed uint32, cut uint8, insert string) bool {
-		src := seeds[int(seed)%len(seeds)]
+		src := GoodSources[int(seed)%len(GoodSources)]
 		pos := int(cut) % (len(src) + 1)
 		mutated := src[:pos] + insert + src[pos:]
 		defer func() {

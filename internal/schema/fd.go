@@ -1,6 +1,9 @@
 package schema
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Functional-dependency reasoning. The paper (§3.5) notes that implication
 // of mixed functional + inclusion dependencies is undecidable [Abiteboul,
@@ -22,10 +25,16 @@ type QualifiedFD struct {
 // qualified attributes functionally determined by start. The implementation
 // is the textbook linear-time membership algorithm: keep a per-FD counter
 // of unsatisfied left-hand attributes and a worklist of newly-derived
-// attributes.
+// attributes. The FDs whose left-hand side holds an attribute are a linked
+// list through one slice, so the allocations do not grow with the FDs.
 func Closure(start []string, fds []QualifiedFD) map[string]bool {
-	closed := make(map[string]bool, len(start))
-	var work []string
+	size, lhs := len(start), 0
+	for _, fd := range fds {
+		size += len(fd.To)
+		lhs += len(fd.From)
+	}
+	closed := make(map[string]bool, size)
+	work := make([]string, 0, size)
 	add := func(a string) {
 		a = strings.ToLower(a)
 		if !closed[a] {
@@ -37,21 +46,30 @@ func Closure(start []string, fds []QualifiedFD) map[string]bool {
 		add(a)
 	}
 
-	// attr → indices of FDs whose LHS contains attr.
-	uses := make(map[string][]int)
-	missing := make([]int, len(fds))
+	// first[attr] is the first left-hand-side occurrence of attr; for an
+	// occurrence o, fdOf[o] is its FD and next[o] the attribute's next
+	// occurrence, -1 after the last. missing[i] counts FD i's left-hand
+	// attributes not yet derived.
+	first := make(map[string]int, lhs)
+	links := make([]int, 2*lhs+len(fds))
+	fdOf, next, missing := links[:lhs], links[lhs:2*lhs], links[2*lhs:]
+	o := 0
 	for i, fd := range fds {
-		seen := make(map[string]bool, len(fd.From))
-		for _, a := range fd.From {
+		for j, a := range fd.From {
 			la := strings.ToLower(a)
-			if !seen[la] {
-				seen[la] = true
-				uses[la] = append(uses[la], i)
+			if slices.ContainsFunc(fd.From[:j], func(b string) bool { return strings.ToLower(b) == la }) {
+				continue
 			}
+			fdOf[o], next[o] = i, -1
+			if h, ok := first[la]; ok {
+				next[o] = h
+			}
+			first[la] = o
+			o++
+			missing[i]++
 		}
 		// Initial attributes are already on the worklist and will decrement
 		// these counters as they are processed; do not pre-count them here.
-		missing[i] = len(seen)
 		if missing[i] == 0 {
 			for _, b := range fd.To {
 				add(b)
@@ -62,7 +80,9 @@ func Closure(start []string, fds []QualifiedFD) map[string]bool {
 	for len(work) > 0 {
 		a := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, i := range uses[a] {
+		o, ok := first[a]
+		for ; ok && o >= 0; o = next[o] {
+			i := fdOf[o]
 			missing[i]--
 			if missing[i] == 0 {
 				for _, b := range fds[i].To {

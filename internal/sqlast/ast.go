@@ -196,18 +196,21 @@ func OutputColumns(q Query) []string {
 }
 
 // Conjuncts flattens an expression into its top-level AND terms.
-func Conjuncts(e Expr) []Expr {
+func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// AppendConjuncts appends an expression's top-level AND terms to dst and
+// returns the extended slice, so a caller can reuse one buffer.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if a, ok := e.(*And); ok {
-		var out []Expr
 		for _, t := range a.Terms {
-			out = append(out, Conjuncts(t)...)
+			dst = AppendConjuncts(dst, t)
 		}
-		return out
+		return dst
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // ColumnRefs appends every column reference in an expression to dst, in

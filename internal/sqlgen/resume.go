@@ -48,6 +48,11 @@ func (s *Stream) Resumable() bool { return s.sortKey != nil }
 // Key values may be NULL: NULLs sort before every value in this engine, so
 // a NULL boundary component compares with IS NULL / IS NOT NULL instead of
 // =/>.
+//
+// The body it wraps is the stream's query printed and parsed back, without
+// its ORDER BY. Generation prints nothing ahead of time: a greedy search
+// generates dozens of candidate queries, and only a stream that dies
+// mid-way is ever resumed.
 func (s *Stream) ResumeSQL(key []value.Value) (string, error) {
 	if len(key) == 0 {
 		return s.SQL(), nil
@@ -55,24 +60,31 @@ func (s *Stream) ResumeSQL(key []value.Value) (string, error) {
 	if len(key) != len(s.sortKey) {
 		return "", fmt.Errorf("sqlgen: resume key has %d values, sort key has %d columns", len(key), len(s.sortKey))
 	}
-	// Reparse the captured body text: Print output is guaranteed to parse
-	// back to an equivalent tree, and a fresh tree keeps the stream's own
-	// Query untouched by the wrapper below.
-	body, err := sqlparse.Parse(s.bodySQL)
+	// Reparse the printed query and drop the fresh tree's ORDER BY: the
+	// SQL grammar forbids one inside a derived table. Print output is
+	// guaranteed to parse back to an equivalent tree, and a fresh tree
+	// keeps the stream's own Query untouched by the wrapper below.
+	body, err := sqlparse.Parse(s.SQL())
 	if err != nil {
-		return "", fmt.Errorf("sqlgen: reparse stream body: %w", err)
+		return "", fmt.Errorf("sqlgen: reparse stream query: %w", err)
+	}
+	switch b := body.(type) {
+	case *sqlast.Select:
+		b.OrderBy = nil
+	case *sqlast.Union:
+		b.OrderBy = nil
 	}
 
 	sel := &sqlast.Select{From: []sqlast.TableExpr{&sqlast.Derived{Query: body, Alias: resumeAlias}}}
 	keyNames := make([]string, len(s.sortKey))
 	for i, p := range s.sortKey {
-		keyNames[i] = s.outNames[p]
+		keyNames[i] = s.Cols[p].Name
 	}
-	for _, n := range s.outNames {
-		if n == "" {
+	for _, c := range s.Cols {
+		if c.Name == "" {
 			return "", fmt.Errorf("sqlgen: stream has an unnamed output column; cannot resume")
 		}
-		sel.Items = append(sel.Items, sqlast.SelectItem{Expr: sqlast.Col(resumeAlias, n), Alias: n})
+		sel.Items = append(sel.Items, sqlast.SelectItem{Expr: sqlast.Col(resumeAlias, c.Name), Alias: c.Name})
 	}
 	sel.Where = resumePredicate(resumeAlias, keyNames, key)
 	for _, n := range keyNames {

@@ -34,6 +34,7 @@ import (
 
 	"silkroute/internal/rxl"
 	"silkroute/internal/sqlast"
+	"silkroute/internal/value"
 	"silkroute/internal/viewtree"
 )
 
@@ -73,14 +74,6 @@ type Stream struct {
 	Query sqlast.Query
 	Cols  []StreamCol
 
-	// bodySQL is the query printed before the structural ORDER BY was
-	// attached. Resume queries (ResumeSQL) wrap the body in a derived
-	// table, and the SQL grammar forbids ORDER BY inside derived tables,
-	// so the body text is captured up front instead of reconstructed by
-	// mutating the shared AST.
-	bodySQL string
-	// outNames are the query's output column names in position order.
-	outNames []string
 	// sortKey holds the output positions of the structural sort key, in
 	// ORDER BY order.
 	sortKey []int
@@ -89,466 +82,808 @@ type Stream struct {
 // SQL renders the stream's query as SQL text.
 func (s *Stream) SQL() string { return sqlast.Print(s.Query) }
 
-// Generate produces one Stream per component.
+// Generate produces one Stream per component. It makes two passes. The
+// first works out every group's column sets and counts the syntax-tree
+// nodes the queries need; the second builds the queries, carving every
+// node from slabs sized by that count. A call therefore allocates once per
+// node kind, not once per node, and the column names are the tree's own
+// (viewtree.Tree.Key).
 func Generate(t *viewtree.Tree, comps []*viewtree.Component, style Style) ([]*Stream, error) {
-	out := make([]*Stream, 0, len(comps))
-	for _, c := range comps {
-		g := &gen{tree: t, comp: c}
-		var (
-			s   *Stream
-			err error
-		)
-		if style == OuterUnion {
-			s, err = g.genOuterUnion()
-		} else {
-			s, err = g.genOuterJoin()
+	out, _, err := generate(t, comps, style)
+	return out, err
+}
+
+// generate is Generate, returning its generator too, so tests can check
+// the plan pass's counts.
+func generate(t *viewtree.Tree, comps []*viewtree.Component, style Style) ([]*Stream, *gen, error) {
+	g := &gen{tree: t, style: style, mark: make([]bool, t.Width)}
+	g.plan(comps)
+	out := make([]*Stream, len(comps))
+	streams := make([]Stream, len(comps))
+	for i, c := range comps {
+		g.comp, g.alias = c, 0
+		s := &streams[i]
+		if err := g.genComp(s, g.ints(g.sortKeys[i])); err != nil {
+			return nil, g, err
 		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out[i] = s
 	}
-	return out, nil
+	return out, g, nil
 }
 
-// colID identifies a logical output column during generation.
-type colID struct {
-	isL   bool
-	level int
-	ref   viewtree.VarRef
+// span is a run of gen.pos.
+type span struct{ lo, hi int }
+
+// part is one group of an outer-union chain and the alias of its derived
+// table.
+type part struct {
+	grp   *viewtree.Group
+	alias string
 }
 
-// name returns a column's SQL name, computed once per colID: generation
-// asks for the same names many times over.
-func (g *gen) name(c colID) string {
-	if n, ok := g.names[c]; ok {
-		return n
-	}
-	var n string
-	if c.isL {
-		n = "L" + strconv.Itoa(c.level)
-	} else {
-		n = mangle(c.ref)
-	}
-	if g.names == nil {
-		g.names = make(map[colID]string)
-	}
-	g.names[c] = n
-	return n
+// sizes counts what the plan pass finds the build pass will carve.
+type sizes struct {
+	sels, tables, derived, joins, unions, cols, lits, cmps, ands int
+	items, from, exprs, branches, order, meta, aliasBytes        int
 }
 
-// varName returns the SQL name of a variable's column.
-func (g *gen) varName(r viewtree.VarRef) string { return g.name(colID{ref: r}) }
+// slabs holds the build pass's nodes, one slice per kind.
+type slabs struct {
+	sels     []sqlast.Select
+	tables   []sqlast.BaseTable
+	derived  []sqlast.Derived
+	joins    []sqlast.Join
+	unions   []sqlast.Union
+	cols     []sqlast.ColumnRef
+	lits     []sqlast.Literal
+	cmps     []sqlast.Compare
+	ands     []sqlast.And
+	items    []sqlast.SelectItem
+	from     []sqlast.TableExpr
+	exprs    []sqlast.Expr
+	branches []*sqlast.Select
+	order    []sqlast.OrderItem
+	meta     []StreamCol
+}
 
-// mangle turns a variable reference into a SQL identifier: s.suppkey →
-// v_s_suppkey. Tuple-variable aliases are globally unique, so names never
-// collide.
-func mangle(r viewtree.VarRef) string {
-	return "v_" + strings.ToLower(r.Var) + "_" + strings.ToLower(r.Field)
+func newSlabs(n sizes) slabs {
+	return slabs{
+		sels:     make([]sqlast.Select, n.sels),
+		tables:   make([]sqlast.BaseTable, n.tables),
+		derived:  make([]sqlast.Derived, n.derived),
+		joins:    make([]sqlast.Join, n.joins),
+		unions:   make([]sqlast.Union, n.unions),
+		cols:     make([]sqlast.ColumnRef, n.cols),
+		lits:     make([]sqlast.Literal, n.lits),
+		cmps:     make([]sqlast.Compare, n.cmps),
+		ands:     make([]sqlast.And, n.ands),
+		items:    make([]sqlast.SelectItem, n.items),
+		from:     make([]sqlast.TableExpr, n.from),
+		exprs:    make([]sqlast.Expr, n.exprs),
+		branches: make([]*sqlast.Select, n.branches),
+		order:    make([]sqlast.OrderItem, n.order),
+		meta:     make([]StreamCol, n.meta),
+	}
+}
+
+// left counts the elements no node took.
+func (sl *slabs) left() int {
+	return len(sl.sels) + len(sl.tables) + len(sl.derived) + len(sl.joins) +
+		len(sl.unions) + len(sl.cols) + len(sl.lits) + len(sl.cmps) + len(sl.ands) +
+		len(sl.items) + len(sl.from) + len(sl.exprs) + len(sl.branches) +
+		len(sl.order) + len(sl.meta)
 }
 
 type gen struct {
-	tree *viewtree.Tree
-	comp *viewtree.Component
-	n    int // derived-table alias counter
+	tree  *viewtree.Tree
+	style Style
+	comp  *viewtree.Component
+	alias int // derived-table alias counter, per component
 
-	names map[colID]string
+	// mark is scratch space over key positions, all false between uses.
+	mark []bool
+	// pos holds every planned subtree's columns, as key positions in
+	// ascending order, and every stream's sort key. An outer-join
+	// component plans every group's subtree, an outer-union component its
+	// root's only.
+	pos      []int
+	subs     []span // the planned subtrees, in the order the build pass asks for them
+	next     int    // the build pass's next subtree
+	sortKeys []span // per component
+	path     []part // an outer-union chain, root first
+
+	n      sizes
+	sl     slabs
+	missed int             // takes a slab could not serve (a miscount)
+	names  strings.Builder // every alias of the call
 }
 
-func (g *gen) alias(prefix string) string {
-	g.n++
-	return prefix + strconv.Itoa(g.n)
-}
-
-// pos returns a column's position in the tree's structural key.
-func (g *gen) pos(c colID) int {
-	if c.isL {
-		return g.tree.LPos[c.level-1]
+// take carves n elements off the front of a slab. A slab the plan pass
+// under-counted falls back to a fresh slice rather than failing.
+func take[T any](g *gen, slab *[]T, n int) []T {
+	s := *slab
+	if len(s) < n {
+		g.missed++
+		return make([]T, n)
 	}
-	vi, _ := g.tree.VarIndex(c.ref)
+	*slab = s[n:]
+	return s[:n:n]
+}
+
+func one[T any](g *gen, slab *[]T) *T { return &take(g, slab, 1)[0] }
+
+func (g *gen) ints(s span) []int { return g.pos[s.lo:s.hi:s.hi] }
+
+// key returns the SQL name of a key position.
+func (g *gen) key(p int) string { return g.tree.Key[p].Name }
+
+// varPos returns a variable's key position.
+func (g *gen) varPos(r viewtree.VarRef) int {
+	vi, _ := g.tree.VarIndex(r)
 	return vi.Pos
 }
 
-// subtreeCols computes the canonical column set of a group subtree: the
-// group's args, one dynamic L column per child-edge level, and the child
-// subtrees' columns.
-func (g *gen) subtreeCols(grp *viewtree.Group) []colID {
-	seen := make(map[colID]bool)
-	var cols []colID
-	add := func(c colID) {
-		if !seen[c] {
-			seen[c] = true
-			cols = append(cols, c)
-		}
-	}
-	var walk func(*viewtree.Group)
-	walk = func(grp *viewtree.Group) {
-		for _, a := range grp.Args {
-			add(colID{ref: a})
-		}
-		for _, ge := range grp.Children {
-			add(colID{isL: true, level: ge.Child.Root.Level()})
-			walk(ge.Child)
-		}
-	}
-	walk(grp)
-	slices.SortFunc(cols, func(a, b colID) int { return g.pos(a) - g.pos(b) })
-	return cols
-}
+// lPos returns the key position of a level's L column.
+func (g *gen) lPos(level int) int { return g.tree.LPos[level-1] }
 
-// nodeSelect builds the plain select computing one group's node query:
-// its combined rule body with the group args projected out.
-func (g *gen) nodeSelect(grp *viewtree.Group) *sqlast.Select {
-	s := &sqlast.Select{}
-	for _, a := range grp.Rule.Atoms {
-		s.From = append(s.From, &sqlast.BaseTable{Name: a.Rel, Alias: a.Var})
-	}
-	var conj []sqlast.Expr
-	for _, c := range grp.Rule.Conds {
-		conj = append(conj, condExpr(c))
-	}
-	s.Where = sqlast.MakeAnd(conj)
+func carries(grp *viewtree.Group, k viewtree.VarRef) bool { return slices.Contains(grp.Args, k) }
+
+// owns reports whether key position p is one of the group's args.
+func (g *gen) owns(grp *viewtree.Group, p int) bool {
 	for _, a := range grp.Args {
-		s.Items = append(s.Items, sqlast.SelectItem{
-			Expr:  sqlast.Col(a.Var, a.Field),
-			Alias: g.varName(a),
-		})
-	}
-	if len(s.Items) == 0 {
-		// A constant element with no variables still needs one column so
-		// the select is well-formed; the tagger ignores it.
-		s.Items = append(s.Items, sqlast.SelectItem{Expr: sqlast.IntLit(1), Alias: "_k"})
-	}
-	return s
-}
-
-// genGroup recursively builds the outer-join query of a group subtree. The
-// result's output columns are exactly subtreeCols(grp) by name.
-func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, error) {
-	if len(grp.Children) == 0 {
-		return g.nodeSelect(grp), nil
-	}
-
-	// Children columns: everything in the subtree except this group's own
-	// args (those come from the base select) — but the join keys must stay
-	// in the union's projection so the ON condition can reference them on
-	// the child side.
-	keys := g.joinKeys(grp)
-	keySet := make(map[colID]bool, len(keys))
-	for _, k := range keys {
-		keySet[colID{ref: k}] = true
-	}
-	own := make(map[colID]bool)
-	for _, a := range grp.Args {
-		own[colID{ref: a}] = true
-	}
-	var childCols []colID
-	for _, c := range g.subtreeCols(grp) {
-		if !own[c] || keySet[c] {
-			childCols = append(childCols, c)
-		}
-	}
-
-	// Build the union of child branches, each padded to childCols.
-	var branches []*sqlast.Select
-	for _, ge := range grp.Children {
-		sub, err := g.genGroup(ge.Child)
-		if err != nil {
-			return nil, err
-		}
-		subAlias := g.alias("c")
-		subCols := make(map[string]bool)
-		for _, c := range g.subtreeCols(ge.Child) {
-			subCols[g.name(c)] = true
-		}
-		branch := &sqlast.Select{From: []sqlast.TableExpr{&sqlast.Derived{Query: sub, Alias: subAlias}}}
-		level := ge.Child.Root.Level()
-		ordinal := int64(ge.Child.Root.Ordinal())
-		for _, c := range childCols {
-			var e sqlast.Expr
-			switch {
-			case c.isL && c.level == level:
-				e = sqlast.IntLit(ordinal)
-			case subCols[g.name(c)]:
-				e = sqlast.Col(subAlias, g.name(c))
-			default:
-				e = sqlast.NullLit()
-			}
-			branch.Items = append(branch.Items, sqlast.SelectItem{Expr: e, Alias: g.name(c)})
-		}
-		branches = append(branches, branch)
-	}
-	var childQuery sqlast.Query
-	if len(branches) == 1 {
-		childQuery = branches[0]
-	} else {
-		childQuery = &sqlast.Union{Branches: branches}
-	}
-
-	// Join base with the children. The join keys are the parent-side
-	// node's key args, which every child branch carries by construction.
-	// The outer join degenerates to an inner join when every child is
-	// guaranteed to exist (paper footnote in §3.5).
-	baseAlias := g.alias("b")
-	qAlias := g.alias("q")
-	joinKind := sqlast.JoinLeftOuter
-	allGuaranteed := true
-	for _, ge := range grp.Children {
-		if !ge.Label.AtLeastOne() {
-			allGuaranteed = false
-		}
-	}
-	if allGuaranteed {
-		joinKind = sqlast.JoinInner
-	}
-	var on []sqlast.Expr
-	for _, k := range keys {
-		on = append(on, sqlast.Eq(sqlast.Col(baseAlias, g.varName(k)), sqlast.Col(qAlias, g.varName(k))))
-	}
-	join := &sqlast.Join{
-		Kind: joinKind,
-		L:    &sqlast.Derived{Query: g.nodeSelect(grp), Alias: baseAlias},
-		R:    &sqlast.Derived{Query: childQuery, Alias: qAlias},
-		On:   sqlast.MakeAnd(on),
-	}
-
-	out := &sqlast.Select{From: []sqlast.TableExpr{join}}
-	for _, a := range grp.Args {
-		out.Items = append(out.Items, sqlast.SelectItem{
-			Expr:  sqlast.Col(baseAlias, g.varName(a)),
-			Alias: g.varName(a),
-		})
-	}
-	for _, c := range childCols {
-		if own[c] {
-			continue // join keys already projected from the base side
-		}
-		out.Items = append(out.Items, sqlast.SelectItem{
-			Expr:  sqlast.Col(qAlias, g.name(c)),
-			Alias: g.name(c),
-		})
-	}
-	return out, nil
-}
-
-// joinKeys returns the deduplicated key args shared between a group and
-// all of its children: the union of the edge parent nodes' key args, every
-// one of which appears in each child subtree (Skolem args accumulate down
-// the tree).
-func (g *gen) joinKeys(grp *viewtree.Group) []viewtree.VarRef {
-	seen := make(map[viewtree.VarRef]bool)
-	var keys []viewtree.VarRef
-	for _, ge := range grp.Children {
-		for _, k := range ge.ParentNode.KeyArgs {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	// Only keys the child actually carries can join; with auto-Skolem
-	// terms that is all of them, but explicit Skolem terms may drop some.
-	var filtered []viewtree.VarRef
-	for _, k := range keys {
-		ok := true
-		for _, ge := range grp.Children {
-			if !groupCarries(ge.Child, k) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			filtered = append(filtered, k)
-		}
-	}
-	return filtered
-}
-
-func groupCarries(grp *viewtree.Group, k viewtree.VarRef) bool {
-	for _, a := range grp.Args {
-		if a == k {
+		if g.varPos(a) == p {
 			return true
 		}
 	}
 	return false
 }
 
-// genOuterJoin generates the component's outer-join query with the
-// structural ORDER BY.
-func (g *gen) genOuterJoin() (*Stream, error) {
-	sel, err := g.genGroup(g.comp.Root)
-	if err != nil {
-		return nil, err
+// countAlias counts the next alias's bytes.
+func (g *gen) countAlias() {
+	g.alias++
+	g.n.aliasBytes += 1 + len(strconv.Itoa(g.alias))
+}
+
+// newAlias names the next derived table, prefix plus counter, carved from
+// the call's one name buffer.
+func (g *gen) newAlias(prefix byte) string {
+	g.alias++
+	start := g.names.Len()
+	g.names.WriteByte(prefix)
+	var buf [20]byte
+	g.names.Write(strconv.AppendInt(buf[:0], int64(g.alias), 10))
+	return g.names.String()[start:]
+}
+
+// plan is the first pass: it plans every component's column sets, counts
+// their nodes, and then sizes the slabs.
+func (g *gen) plan(comps []*viewtree.Component) {
+	groups, maxGroups, positions := 0, 0, 0
+	for _, c := range comps {
+		groups += len(c.Groups)
+		maxGroups = max(maxGroups, len(c.Groups))
+		positions += g.countCols(c.Root) // the sort key
+		if g.style == OuterUnion {
+			positions += g.countCols(c.Root)
+		} else {
+			for _, grp := range c.Groups {
+				positions += g.countCols(grp)
+			}
+		}
 	}
-	return g.finish(sel)
+	if g.style == OuterUnion {
+		g.subs = make([]span, 0, len(comps))
+		g.path = make([]part, maxGroups)
+	} else {
+		g.subs = make([]span, 0, groups)
+	}
+	g.pos = make([]int, 0, positions)
+	g.sortKeys = make([]span, len(comps))
+	for i, c := range comps {
+		g.comp, g.alias = c, 0
+		var root span
+		if g.style == OuterUnion {
+			root = g.subtreeCols(c.Root)
+			g.subs = append(g.subs, root)
+			chains := g.planChains(c.Root, 0, g.ints(root))
+			if chains > 1 {
+				g.n.unions++
+				g.n.branches += chains
+			}
+			g.n.meta += root.hi - root.lo
+		} else {
+			root = g.planGroup(c.Root)
+			g.n.meta += g.outCols(c.Root, g.ints(root))
+		}
+		k := root.hi - root.lo
+		g.n.order += k
+		g.n.cols += k
+		g.sortKeys[i] = span{len(g.pos), len(g.pos) + k}
+		g.pos = append(g.pos, make([]int, k)...)
+	}
+	g.sl = newSlabs(g.n)
+	g.names.Grow(g.n.aliasBytes)
+}
+
+// subtreeCols plans the canonical column set of a group subtree: the
+// group's args, one dynamic L column per child-edge level, and the child
+// subtrees' columns, in key order.
+func (g *gen) subtreeCols(grp *viewtree.Group) span {
+	g.markSubtree(grp)
+	lo := len(g.pos)
+	for p, m := range g.mark {
+		if m {
+			g.pos = append(g.pos, p)
+			g.mark[p] = false
+		}
+	}
+	return span{lo, len(g.pos)}
+}
+
+// countCols counts the columns subtreeCols plans for grp.
+func (g *gen) countCols(grp *viewtree.Group) int {
+	g.markSubtree(grp)
+	n := 0
+	for p, m := range g.mark {
+		if m {
+			n++
+			g.mark[p] = false
+		}
+	}
+	return n
+}
+
+func (g *gen) markSubtree(grp *viewtree.Group) {
+	for _, a := range grp.Args {
+		g.mark[g.varPos(a)] = true
+	}
+	for _, ge := range grp.Children {
+		g.mark[g.lPos(ge.Child.Root.Level())] = true
+		g.markSubtree(ge.Child)
+	}
+}
+
+// joinKeys appends to dst the key positions of the deduplicated key args
+// shared between a group and all of its children, in first-seen order: the
+// union of the edge parent nodes' key args, every one of which appears in
+// each child subtree (Skolem args accumulate down the tree). Only keys
+// every child actually carries can join; with auto-Skolem terms that is
+// all of them, but explicit Skolem terms may drop some.
+func (g *gen) joinKeys(grp *viewtree.Group, dst []int) []int {
+	lo := len(dst)
+	for _, ge := range grp.Children {
+		for _, k := range ge.ParentNode.KeyArgs {
+			p := g.varPos(k)
+			if slices.Contains(dst[lo:], p) {
+				continue
+			}
+			all := true
+			for _, ce := range grp.Children {
+				all = all && carries(ce.Child, k)
+			}
+			if all {
+				dst = append(dst, p)
+			}
+		}
+	}
+	return dst
+}
+
+// inChild reports whether key position p of a group's subtree is a column
+// of the union of its child branches: everything in the subtree except the
+// group's own args (those come from the base select), but the join keys
+// stay, so the ON condition can reference them on the child side.
+func (g *gen) inChild(grp *viewtree.Group, keys []int, p int) bool {
+	return !g.owns(grp, p) || slices.Contains(keys, p)
+}
+
+// planGroup plans a group subtree of an outer-join query in the order
+// genGroup builds it, counts its nodes, and returns the group's subtree
+// columns.
+func (g *gen) planGroup(grp *viewtree.Group) span {
+	sub := g.subtreeCols(grp)
+	g.subs = append(g.subs, sub)
+	g.countNode(grp, 0)
+	if len(grp.Children) == 0 {
+		return sub
+	}
+	var buf [16]int
+	keys := g.joinKeys(grp, buf[:0])
+	child := 0
+	for _, c := range g.ints(sub) {
+		if g.inChild(grp, keys, c) {
+			child++
+		}
+	}
+	for _, ge := range grp.Children {
+		csub := g.ints(g.planGroup(ge.Child))
+		g.countAlias()
+		g.n.sels++
+		g.n.derived++
+		g.n.from++
+		g.n.items += child
+		lp := g.lPos(ge.Child.Root.Level())
+		for _, c := range g.ints(sub) {
+			switch {
+			case !g.inChild(grp, keys, c):
+			case c != lp && slices.Contains(csub, c):
+				g.n.cols++
+			default:
+				g.n.lits++
+			}
+		}
+	}
+	if k := len(grp.Children); k > 1 {
+		g.n.unions++
+		g.n.branches += k
+	}
+	g.countAlias()
+	g.countAlias()
+	g.countJoin(len(keys))
+	g.n.derived += 2
+	g.n.sels++
+	g.n.from++
+	out := g.outCols(grp, g.ints(sub))
+	g.n.items += out
+	g.n.cols += out
+	return sub
+}
+
+// outCols counts the output columns of a group's outer-join query: its
+// args, and the child union's columns that are not.
+func (g *gen) outCols(grp *viewtree.Group, sub []int) int {
+	if len(grp.Children) == 0 {
+		return max(len(grp.Args), 1)
+	}
+	n := len(grp.Args)
+	for _, c := range sub {
+		if !g.owns(grp, c) {
+			n++
+		}
+	}
+	return n
+}
+
+// countJoin counts a join and its ON condition of keys equalities.
+func (g *gen) countJoin(keys int) {
+	g.n.joins++
+	g.n.cmps += keys
+	g.n.cols += 2 * keys
+	g.n.exprs += keys
+	if keys > 1 {
+		g.n.ands++
+	}
+}
+
+// countNode counts the nodes of nodeSelect(grp, extra).
+func (g *gen) countNode(grp *viewtree.Group, extra int) {
+	atoms, conds, args := len(grp.Rule.Atoms), len(grp.Rule.Conds), len(grp.Args)
+	g.n.sels++
+	g.n.tables += atoms
+	g.n.from += atoms
+	g.n.cmps += conds
+	g.n.exprs += conds
+	if conds > 1 {
+		g.n.ands++
+	}
+	for _, c := range grp.Rule.Conds {
+		for _, o := range [2]rxl.Operand{c.L, c.R} {
+			if o.IsConst {
+				g.n.lits++
+			} else {
+				g.n.cols++
+			}
+		}
+	}
+	g.n.items += max(args, 1) + extra
+	g.n.cols += args
+	g.n.lits += extra
+	if args == 0 {
+		g.n.lits++
+	}
+}
+
+// planChains counts the outer-union branches of the chains through grp,
+// whose ancestors fill g.path[:depth], and returns how many there are.
+func (g *gen) planChains(grp *viewtree.Group, depth int, all []int) int {
+	g.path[depth] = part{grp: grp}
+	if len(grp.Children) > 0 {
+		n := 0
+		for _, ge := range grp.Children {
+			n += g.planChains(ge.Child, depth+1, all)
+		}
+		return n
+	}
+	chain := g.path[:depth+1]
+	for i, pt := range chain {
+		extra := min(i, 1)
+		g.countNode(pt.grp, extra)
+		g.n.derived++
+		g.countAlias()
+		if i == 0 {
+			continue
+		}
+		g.countJoin(g.chainKeys(chain[i-1].grp, pt.grp, nil))
+	}
+	g.n.sels++
+	g.n.from++
+	g.n.items += len(all)
+	for _, c := range all {
+		if g.carrier(chain, c) >= 0 {
+			g.n.cols++
+		} else {
+			g.n.lits++
+		}
+	}
+	return 1
+}
+
+// carrier returns the index of the shallowest part of an outer-union chain
+// that carries key position p, -1 if none does.
+func (g *gen) carrier(chain []part, p int) int {
+	for i, pt := range chain {
+		if g.owns(pt.grp, p) || i > 0 && p == g.lPos(pt.grp.Root.Level()) {
+			return i
+		}
+	}
+	return -1
+}
+
+// chainKeys visits the join keys between two consecutive groups of an
+// outer-union chain, the parent group's edge keys both sides carry, and
+// returns how many there are.
+func (g *gen) chainKeys(prev, grp *viewtree.Group, visit func(viewtree.VarRef)) int {
+	n := 0
+	for _, ge := range prev.Children {
+		if ge.Child != grp {
+			continue
+		}
+		for _, k := range ge.ParentNode.KeyArgs {
+			if carries(prev, k) && carries(grp, k) {
+				n++
+				if visit != nil {
+					visit(k)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// genComp is the build pass for one component.
+func (g *gen) genComp(s *Stream, sortKey []int) error {
+	if g.style == OuterUnion {
+		return g.genOuterUnion(s, sortKey)
+	}
+	sel, sub := g.genGroup(g.comp.Root)
+	return g.finish(s, sel, sel.Items, g.ints(sub), sortKey)
+}
+
+func (g *gen) col(table, column string) *sqlast.ColumnRef {
+	c := one(g, &g.sl.cols)
+	c.Table, c.Column = table, column
+	return c
+}
+
+func (g *gen) lit(v value.Value) *sqlast.Literal {
+	l := one(g, &g.sl.lits)
+	l.Val = v
+	return l
+}
+
+func (g *gen) eq(l, r sqlast.Expr) *sqlast.Compare {
+	c := one(g, &g.sl.cmps)
+	c.Op, c.L, c.R = sqlast.OpEq, l, r
+	return c
+}
+
+// and is sqlast.MakeAnd over the slabs.
+func (g *gen) and(terms []sqlast.Expr) sqlast.Expr {
+	switch len(terms) {
+	case 0:
+		return nil
+	case 1:
+		return terms[0]
+	}
+	a := one(g, &g.sl.ands)
+	a.Terms = terms
+	return a
+}
+
+func (g *gen) derived(q sqlast.Query, alias string) *sqlast.Derived {
+	d := one(g, &g.sl.derived)
+	d.Query, d.Alias = q, alias
+	return d
+}
+
+// from1 builds a select reading one table expression.
+func (g *gen) from1(te sqlast.TableExpr) *sqlast.Select {
+	s := one(g, &g.sl.sels)
+	s.From = take(g, &g.sl.from, 1)
+	s.From[0] = te
+	return s
+}
+
+// condExpr converts an RXL condition into a SQL expression.
+func (g *gen) condExpr(c rxl.Condition) sqlast.Expr {
+	cmp := one(g, &g.sl.cmps)
+	cmp.Op, cmp.L, cmp.R = c.Op, g.operand(c.L), g.operand(c.R)
+	return cmp
+}
+
+func (g *gen) operand(o rxl.Operand) sqlast.Expr {
+	if o.IsConst {
+		return g.lit(o.Const)
+	}
+	return g.col(o.Var, o.Field)
+}
+
+// nodeSelect builds the plain select computing one group's node query:
+// its combined rule body with the group args projected out, with room for
+// extra more items.
+func (g *gen) nodeSelect(grp *viewtree.Group, extra int) *sqlast.Select {
+	s := one(g, &g.sl.sels)
+	atoms := grp.Rule.Atoms
+	s.From = take(g, &g.sl.from, len(atoms))
+	tables := take(g, &g.sl.tables, len(atoms))
+	for i, a := range atoms {
+		tables[i] = sqlast.BaseTable{Name: a.Rel, Alias: a.Var}
+		s.From[i] = &tables[i]
+	}
+	conj := take(g, &g.sl.exprs, len(grp.Rule.Conds))
+	for i, c := range grp.Rule.Conds {
+		conj[i] = g.condExpr(c)
+	}
+	s.Where = g.and(conj)
+	s.Items = take(g, &g.sl.items, max(len(grp.Args), 1)+extra)[:0]
+	for _, a := range grp.Args {
+		s.Items = append(s.Items, sqlast.SelectItem{Expr: g.col(a.Var, a.Field), Alias: g.key(g.varPos(a))})
+	}
+	if len(grp.Args) == 0 {
+		// A constant element with no variables still needs one column so
+		// the select is well-formed; the tagger ignores it.
+		s.Items = append(s.Items, sqlast.SelectItem{Expr: g.lit(value.Int(1)), Alias: "_k"})
+	}
+	return s
+}
+
+// genGroup recursively builds the outer-join query of a group subtree. The
+// result's output columns are exactly the subtree's columns, which it
+// returns too.
+func (g *gen) genGroup(grp *viewtree.Group) (*sqlast.Select, span) {
+	subSpan := g.subs[g.next]
+	g.next++
+	sub := g.ints(subSpan)
+	if len(grp.Children) == 0 {
+		return g.nodeSelect(grp, 0), subSpan
+	}
+	var buf [16]int
+	keys := g.joinKeys(grp, buf[:0])
+	child := 0
+	for _, c := range sub {
+		if g.inChild(grp, keys, c) {
+			child++
+		}
+	}
+
+	// Build the union of child branches, each padded to the child columns.
+	var childQuery sqlast.Query
+	var branches []*sqlast.Select
+	if len(grp.Children) > 1 {
+		branches = take(g, &g.sl.branches, len(grp.Children))
+	}
+	for bi, ge := range grp.Children {
+		csel, csub := g.genGroup(ge.Child)
+		subCols := g.ints(csub)
+		subAlias := g.newAlias('c')
+		branch := g.from1(g.derived(csel, subAlias))
+		lp := g.lPos(ge.Child.Root.Level())
+		ordinal := int64(ge.Child.Root.Ordinal())
+		branch.Items = take(g, &g.sl.items, child)[:0]
+		for _, c := range sub {
+			if !g.inChild(grp, keys, c) {
+				continue
+			}
+			var e sqlast.Expr
+			switch {
+			case c == lp:
+				e = g.lit(value.Int(ordinal))
+			case slices.Contains(subCols, c):
+				e = g.col(subAlias, g.key(c))
+			default:
+				e = g.lit(value.Null)
+			}
+			branch.Items = append(branch.Items, sqlast.SelectItem{Expr: e, Alias: g.key(c)})
+		}
+		if branches == nil {
+			childQuery = branch
+		} else {
+			branches[bi] = branch
+		}
+	}
+	if branches != nil {
+		u := one(g, &g.sl.unions)
+		u.Branches = branches
+		childQuery = u
+	}
+
+	// Join base with the children. The join keys are the parent-side
+	// node's key args, which every child branch carries by construction.
+	// The outer join degenerates to an inner join when every child is
+	// guaranteed to exist (paper footnote in §3.5).
+	baseAlias := g.newAlias('b')
+	qAlias := g.newAlias('q')
+	joinKind := sqlast.JoinInner
+	for _, ge := range grp.Children {
+		if !ge.Label.AtLeastOne() {
+			joinKind = sqlast.JoinLeftOuter
+		}
+	}
+	on := take(g, &g.sl.exprs, len(keys))
+	for i, k := range keys {
+		on[i] = g.eq(g.col(baseAlias, g.key(k)), g.col(qAlias, g.key(k)))
+	}
+	join := one(g, &g.sl.joins)
+	*join = sqlast.Join{
+		Kind: joinKind,
+		L:    g.derived(g.nodeSelect(grp, 0), baseAlias),
+		R:    g.derived(childQuery, qAlias),
+		On:   g.and(on),
+	}
+
+	out := g.from1(join)
+	out.Items = take(g, &g.sl.items, g.outCols(grp, sub))[:0]
+	for _, a := range grp.Args {
+		n := g.key(g.varPos(a))
+		out.Items = append(out.Items, sqlast.SelectItem{Expr: g.col(baseAlias, n), Alias: n})
+	}
+	for _, c := range sub {
+		if g.owns(grp, c) {
+			continue // own args, join keys among them, come from the base side
+		}
+		out.Items = append(out.Items, sqlast.SelectItem{Expr: g.col(qAlias, g.key(c)), Alias: g.key(c)})
+	}
+	return out, subSpan
 }
 
 // genOuterUnion generates the component in the [9] style: one branch per
 // root-to-leaf group chain, each a chain of left outer joins.
-func (g *gen) genOuterUnion() (*Stream, error) {
-	var chains [][]*viewtree.Group
-	var walk func(path []*viewtree.Group, grp *viewtree.Group)
-	walk = func(path []*viewtree.Group, grp *viewtree.Group) {
-		path = append(append([]*viewtree.Group{}, path...), grp)
-		if len(grp.Children) == 0 {
-			chains = append(chains, path)
-			return
-		}
-		for _, ge := range grp.Children {
-			walk(path, ge.Child)
-		}
-	}
-	walk(nil, g.comp.Root)
-
-	all := g.subtreeCols(g.comp.Root)
+func (g *gen) genOuterUnion(s *Stream, sortKey []int) error {
+	all := g.ints(g.subs[g.next])
+	g.next++
 	var branches []*sqlast.Select
-	for _, chain := range chains {
-		branch, err := g.genChain(chain, all)
-		if err != nil {
-			return nil, err
+	if n := leaves(g.comp.Root); n > 1 {
+		branches = take(g, &g.sl.branches, n)[:0]
+	}
+	var only *sqlast.Select
+	g.genChains(g.comp.Root, 0, all, func(b *sqlast.Select) {
+		if branches == nil {
+			only = b
+		} else {
+			branches = append(branches, b)
 		}
-		branches = append(branches, branch)
+	})
+	if branches == nil {
+		return g.finish(s, only, only.Items, all, sortKey)
 	}
-	if len(branches) == 1 {
-		return g.finish(branches[0])
+	u := one(g, &g.sl.unions)
+	u.Branches = branches
+	return g.finish(s, u, branches[0].Items, all, sortKey)
+}
+
+func leaves(grp *viewtree.Group) int {
+	if len(grp.Children) == 0 {
+		return 1
 	}
-	u := &sqlast.Union{Branches: branches}
-	return g.finishQuery(u, all)
+	n := 0
+	for _, ge := range grp.Children {
+		n += leaves(ge.Child)
+	}
+	return n
+}
+
+// genChains builds the branch of every chain through grp, whose ancestors
+// fill g.path[:depth], in depth-first order.
+func (g *gen) genChains(grp *viewtree.Group, depth int, all []int, emit func(*sqlast.Select)) {
+	g.path[depth] = part{grp: grp}
+	if len(grp.Children) == 0 {
+		emit(g.genChain(g.path[:depth+1], all))
+		return
+	}
+	for _, ge := range grp.Children {
+		g.genChains(ge.Child, depth+1, all, emit)
+	}
 }
 
 // genChain builds one outer-union branch: the chain's groups joined left
 // to right with outer joins, padded to the full column set.
-func (g *gen) genChain(chain []*viewtree.Group, all []colID) (*sqlast.Select, error) {
-	type part struct {
-		alias string
-		grp   *viewtree.Group
-		cols  map[string]bool
-	}
-	parts := make([]part, len(chain))
-
+func (g *gen) genChain(chain []part, all []int) *sqlast.Select {
 	var from sqlast.TableExpr
-	for i, grp := range chain {
-		base := g.nodeSelect(grp)
-		alias := g.alias("u")
-		cols := make(map[string]bool)
-		for _, a := range grp.Args {
-			cols[g.varName(a)] = true
-		}
+	for i := range chain {
+		grp := chain[i].grp
+		base := g.nodeSelect(grp, min(i, 1))
+		alias := g.newAlias('u')
+		chain[i].alias = alias
 		// Tag the branch's L value inside the derived table so outer-join
 		// null extension nulls it when the chain breaks.
 		if i > 0 {
-			lname := g.name(colID{isL: true, level: grp.Root.Level()})
 			base.Items = append(base.Items, sqlast.SelectItem{
-				Expr:  sqlast.IntLit(int64(grp.Root.Ordinal())),
-				Alias: lname,
+				Expr:  g.lit(value.Int(int64(grp.Root.Ordinal()))),
+				Alias: g.key(g.lPos(grp.Root.Level())),
 			})
-			cols[lname] = true
 		}
-		parts[i] = part{alias: alias, grp: grp, cols: cols}
-		d := &sqlast.Derived{Query: base, Alias: alias}
+		d := g.derived(base, alias)
 		if i == 0 {
 			from = d
 			continue
 		}
 		// Join on the parent group's edge keys (carried by both sides).
-		var on []sqlast.Expr
-		prev := parts[i-1]
-		for _, ge := range chain[i-1].Children {
-			if ge.Child != grp {
-				continue
-			}
-			for _, k := range ge.ParentNode.KeyArgs {
-				if prev.cols[g.varName(k)] && cols[g.varName(k)] {
-					on = append(on, sqlast.Eq(
-						sqlast.Col(prev.alias, g.varName(k)),
-						sqlast.Col(alias, g.varName(k))))
-				}
-			}
-		}
-		from = &sqlast.Join{Kind: sqlast.JoinLeftOuter, L: from, R: d, On: sqlast.MakeAnd(on)}
+		prev := chain[i-1]
+		on := take(g, &g.sl.exprs, g.chainKeys(prev.grp, grp, nil))[:0]
+		g.chainKeys(prev.grp, grp, func(k viewtree.VarRef) {
+			n := g.key(g.varPos(k))
+			on = append(on, g.eq(g.col(prev.alias, n), g.col(alias, n)))
+		})
+		join := one(g, &g.sl.joins)
+		*join = sqlast.Join{Kind: sqlast.JoinLeftOuter, L: from, R: d, On: g.and(on)}
+		from = join
 	}
 
-	sel := &sqlast.Select{From: []sqlast.TableExpr{from}}
-	for _, c := range all {
+	sel := g.from1(from)
+	sel.Items = take(g, &g.sl.items, len(all))
+	for i, c := range all {
 		// Shared columns (ancestor keys) must come from the shallowest
 		// chain part that carries them: deeper parts are null-extended by
 		// the outer joins, which would corrupt the structural sort key.
-		var e sqlast.Expr = sqlast.NullLit()
-		for i := 0; i < len(parts); i++ {
-			if parts[i].cols[g.name(c)] {
-				e = sqlast.Col(parts[i].alias, g.name(c))
-				break
-			}
+		var e sqlast.Expr
+		if pi := g.carrier(chain, c); pi >= 0 {
+			e = g.col(chain[pi].alias, g.key(c))
+		} else {
+			e = g.lit(value.Null)
 		}
-		sel.Items = append(sel.Items, sqlast.SelectItem{Expr: e, Alias: g.name(c)})
+		sel.Items[i] = sqlast.SelectItem{Expr: e, Alias: g.key(c)}
 	}
-	return sel, nil
+	return sel
 }
 
-// finish wraps a component select with the structural ORDER BY and stream
-// metadata.
-func (g *gen) finish(sel *sqlast.Select) (*Stream, error) {
-	return g.finishQuery(sel, g.subtreeCols(g.comp.Root))
-}
-
-func (g *gen) finishQuery(q sqlast.Query, cols []colID) (*Stream, error) {
-	outNames := sqlast.OutputColumns(q)
-	byName := make(map[string]colID, len(cols))
-	for _, c := range cols {
-		byName[g.name(c)] = c
-	}
+// finish attaches the structural ORDER BY to a component query whose
+// output items are items, and fills in the stream: the column metadata,
+// and where each of the key columns cols sits in the output row.
+func (g *gen) finish(s *Stream, q sqlast.Query, items []sqlast.SelectItem, cols, sortKey []int) error {
 	// The column metadata follows the query's actual output positions,
 	// since the tagger addresses row values positionally. Filler columns
 	// (e.g. the "_k" constant of variable-free groups) keep positions
 	// aligned; the tagger never reads them.
-	meta := make([]StreamCol, len(outNames))
-	sortKey := make([]int, 0, len(cols))
-	for i, n := range outNames {
-		c, ok := byName[n]
-		if !ok {
-			meta[i] = StreamCol{Name: n, Pos: -1}
-			continue
+	meta := take(g, &g.sl.meta, len(items))
+	for i, it := range items {
+		name := it.Alias
+		if cr, ok := it.Expr.(*sqlast.ColumnRef); ok && name == "" {
+			name = cr.Column
 		}
-		delete(byName, n)
-		meta[i] = StreamCol{Name: n, IsL: c.isL, Level: c.level, Ref: c.ref, Pos: g.pos(c)}
-		sortKey = append(sortKey, i)
-	}
-	// byName now holds only the key columns the output lacks.
-	for _, c := range cols {
-		if _, missing := byName[g.name(c)]; missing {
-			return nil, fmt.Errorf("sqlgen: generated query lacks column %s", g.name(c))
-		}
+		meta[i] = StreamCol{Name: name, Pos: -1}
 	}
 	// The sort key lists the output positions in structural key order, the
-	// ORDER BY's order. The resume metadata is captured before the ORDER BY
-	// mutates the tree: the body text, and where each sort-key column sits
-	// in the output row.
-	slices.SortFunc(sortKey, func(a, b int) int { return meta[a].Pos - meta[b].Pos })
-	order := make([]sqlast.OrderItem, len(sortKey))
-	for i, k := range sortKey {
-		order[i] = sqlast.OrderItem{Expr: &sqlast.ColumnRef{Column: outNames[k]}}
+	// ORDER BY's order: cols ascends, and each takes the first output
+	// column of its name.
+	for j, c := range cols {
+		k := g.tree.Key[c]
+		i := slices.IndexFunc(meta, func(m StreamCol) bool { return m.Pos < 0 && m.Name == k.Name })
+		if i < 0 {
+			return fmt.Errorf("sqlgen: generated query lacks column %s", k.Name)
+		}
+		meta[i] = StreamCol{Name: k.Name, IsL: k.IsL, Level: k.Level, Ref: k.Ref, Pos: c}
+		sortKey[j] = i
 	}
-	bodySQL := sqlast.Print(q)
+	order := take(g, &g.sl.order, len(sortKey))
+	for j, i := range sortKey {
+		order[j] = sqlast.OrderItem{Expr: g.col("", meta[i].Name)}
+	}
 	switch q := q.(type) {
 	case *sqlast.Select:
 		q.OrderBy = order
 	case *sqlast.Union:
 		q.OrderBy = order
 	}
-	return &Stream{
-		Comp: g.comp, Query: q, Cols: meta,
-		bodySQL: bodySQL, outNames: outNames, sortKey: sortKey,
-	}, nil
-}
-
-// condExpr converts an RXL condition into a SQL expression.
-func condExpr(c rxl.Condition) sqlast.Expr {
-	return &sqlast.Compare{Op: c.Op, L: operandExpr(c.L), R: operandExpr(c.R)}
-}
-
-func operandExpr(o rxl.Operand) sqlast.Expr {
-	if o.IsConst {
-		return &sqlast.Literal{Val: o.Const}
-	}
-	return sqlast.Col(o.Var, o.Field)
+	*s = Stream{Comp: g.comp, Query: q, Cols: meta, sortKey: sortKey}
+	return nil
 }

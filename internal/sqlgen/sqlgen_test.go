@@ -207,8 +207,8 @@ func TestConstantElementGetsFillerColumn(t *testing.T) {
 }
 
 func TestMangleStability(t *testing.T) {
-	a := mangle(viewtree.VarRef{Var: "S", Field: "SuppKey"})
-	b := mangle(viewtree.VarRef{Var: "s", Field: "suppkey"})
+	a := viewtree.VarRef{Var: "S", Field: "SuppKey"}.Column()
+	b := viewtree.VarRef{Var: "s", Field: "suppkey"}.Column()
 	if a != b || a != "v_s_suppkey" {
 		t.Errorf("mangle not canonical: %q vs %q", a, b)
 	}
@@ -242,5 +242,40 @@ func TestQuery1UnifiedGeneration(t *testing.T) {
 	}
 	if len(lCols) != 2 || lCols[0] != "L2" || lCols[1] != "L3" {
 		t.Errorf("dynamic L columns = %v, want [L2 L3]", lCols)
+	}
+}
+
+// TestSlabsSizedExactly checks the plan pass against the build pass: over
+// every plan of the paper's views, reduced or not, in both styles, every
+// node the queries need comes from its slab and no slab element is left
+// over, and neither the alias buffer nor the position buffer grows.
+func TestSlabsSizedExactly(t *testing.T) {
+	for _, src := range []string{rxl.Query1Source, rxl.Query2Source, rxl.FragmentSource} {
+		q, err := rxl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := viewtree.Build(q, tpch.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bits := uint64(0); bits < 1<<uint(len(tree.Edges)); bits++ {
+			for _, reduce := range []bool{false, true} {
+				comps, err := tree.Partition(tree.KeepFromBits(bits), reduce)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, style := range []Style{OuterJoin, OuterUnion} {
+					_, g, err := generate(tree, comps, style)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g.missed != 0 || g.sl.left() != 0 || g.names.Len() != g.n.aliasBytes || len(g.pos) != cap(g.pos) {
+						t.Fatalf("edges %b reduce=%v %v: %d takes missed their slab, %d slab elements left, alias bytes %d of %d, positions %d of %d",
+							bits, reduce, style, g.missed, g.sl.left(), g.names.Len(), g.n.aliasBytes, len(g.pos), cap(g.pos))
+					}
+				}
+			}
+		}
 	}
 }

@@ -122,58 +122,139 @@ func (t *Tree) label(keep []bool, reduce bool) (labelling, error) {
 // at node index only when only >= 0. Nodes are visited in breadth-first
 // order, so a component's or group's first node is its root, and groups
 // appear in breadth-first order of their roots.
+//
+// A first pass counts the components, groups, members, group edges and
+// rule parts; every one of them is then carved from a slab of its kind,
+// so a call allocates per kind, not per group.
 func (t *Tree) build(keep []bool, lab labelling, only int) []*Component {
-	groups := make([]*Group, len(t.Nodes)) // by root node index
-	comps := make([]*Component, len(t.Nodes))
-	var out []*Component
-	for i, n := range t.Nodes {
+	n := len(t.Nodes)
+	// compAt and groupAt give the slab index of the component or group
+	// rooted at a node, -1 before it is met; the counts are by slab index.
+	idx := make([]int, 5*n)
+	compAt, groupAt := idx[:n:n], idx[n:2*n:2*n]
+	groupsIn, membersIn, edgesOut := idx[2*n:3*n:3*n], idx[3*n:4*n:4*n], idx[4*n:]
+	for i := range n {
+		compAt[i], groupAt[i] = -1, -1
+	}
+	var nComps, nGroups, nMembers, nEdges int
+	for i := range t.Nodes {
 		ci, gi := lab.comp[i], lab.group[i]
 		if only >= 0 && ci != only {
 			continue
 		}
-		c := comps[ci]
-		if c == nil {
-			c = &Component{}
-			comps[ci] = c
-			out = append(out, c)
+		if compAt[ci] < 0 {
+			compAt[ci] = nComps
+			nComps++
 		}
-		g := groups[gi]
-		if g == nil {
-			g = &Group{Root: n}
-			groups[gi] = g
-			c.Groups = append(c.Groups, g)
+		if groupAt[gi] < 0 {
+			groupAt[gi] = nGroups
+			groupsIn[compAt[ci]]++
+			nGroups++
 		}
-		g.Members = append(g.Members, n)
+		membersIn[groupAt[gi]]++
+		nMembers++
 	}
 	// Group edges: kept edges crossing group boundaries.
-	for ei, e := range t.Edges {
+	crosses := func(ei int) bool {
+		e := t.Edges[ei]
 		p, ch := e.Parent.Index, e.Child.Index
-		if !keep[ei] || only >= 0 && lab.comp[p] != only {
+		return keep[ei] && (only < 0 || lab.comp[p] == only) && lab.group[p] != lab.group[ch]
+	}
+	for ei, e := range t.Edges {
+		if crosses(ei) {
+			edgesOut[groupAt[lab.group[e.Parent.Index]]]++
+			nEdges++
+		}
+	}
+
+	comps := make([]Component, nComps)
+	out := make([]*Component, nComps)
+	groups := make([]Group, nGroups)
+	groupPtrs := make([]*Group, nGroups)
+	members := make([]*Node, nMembers)
+	edges := make([]GroupEdge, 0, nEdges)
+	edgePtrs := make([]*GroupEdge, nEdges)
+	for i := range comps {
+		out[i] = &comps[i]
+		comps[i].Groups, groupPtrs = groupPtrs[:0:groupsIn[i]], groupPtrs[groupsIn[i]:]
+	}
+	for i := range groups {
+		g := &groups[i]
+		g.Members, members = members[:0:membersIn[i]], members[membersIn[i]:]
+		g.Children, edgePtrs = edgePtrs[:0:edgesOut[i]], edgePtrs[edgesOut[i]:]
+	}
+	for i, nd := range t.Nodes {
+		ci, gi := lab.comp[i], lab.group[i]
+		if only >= 0 && ci != only {
 			continue
 		}
-		pg, cg := groups[lab.group[p]], groups[lab.group[ch]]
-		if pg != cg {
-			pg.Children = append(pg.Children, &GroupEdge{Child: cg, ParentNode: e.Parent, Label: e.Child.Label})
+		c, g := &comps[compAt[ci]], &groups[groupAt[gi]]
+		if len(g.Members) == 0 {
+			g.Root = nd
+			c.Groups = append(c.Groups, g)
 		}
+		g.Members = append(g.Members, nd)
 	}
-	for _, c := range out {
-		c.Root = c.Groups[0]
-		for _, g := range c.Groups {
-			t.combineRule(g)
+	for ei, e := range t.Edges {
+		if !crosses(ei) {
+			continue
 		}
+		pg := &groups[groupAt[lab.group[e.Parent.Index]]]
+		edges = append(edges, GroupEdge{Child: &groups[groupAt[lab.group[e.Child.Index]]], ParentNode: e.Parent, Label: e.Child.Label})
+		pg.Children = append(pg.Children, &edges[len(edges)-1])
 	}
+	for i := range comps {
+		comps[i].Root = comps[i].Groups[0]
+	}
+	t.combineRules(groups)
 	return out
 }
 
-// combineRule builds a group's combined rule and argument list: the union
-// of the members' atoms, conditions, and args (§3.5's "conjunction of all
-// the nodes' query bodies"). Groups are small, so duplicates are found by
-// scanning what has been kept so far.
-func (t *Tree) combineRule(g *Group) {
-	var atoms []datalog.Atom
-	var conds []rxl.Condition
+// combineRules builds every group's combined rule and argument list: the
+// union of the members' atoms, conditions, and args (§3.5's "conjunction
+// of all the nodes' query bodies"). Groups are small, so duplicates are
+// found by scanning what has been kept so far. A first pass counts the
+// distinct parts, so that the rules, atoms, conditions and args come from
+// one slab each.
+func (t *Tree) combineRules(groups []Group) {
+	var nAtoms, nConds, nArgs int
+	var atomBuf [16]datalog.Atom
+	var condBuf [16]rxl.Condition
 	var posBuf [32]int
-	pos := posBuf[:0]
+	for i := range groups {
+		a, c := union(&groups[i], atomBuf[:0], condBuf[:0])
+		nAtoms += len(a)
+		nConds += len(c)
+		nArgs += len(t.argPos(&groups[i], posBuf[:0]))
+	}
+	rules := make([]datalog.Rule, len(groups))
+	atoms := make([]datalog.Atom, nAtoms)
+	conds := make([]rxl.Condition, nConds)
+	args := make([]VarRef, nArgs)
+	qargs := make([]string, nArgs)
+	for i := range groups {
+		g, r := &groups[i], &rules[i]
+		r.Atoms, r.Conds = union(g, atoms[:0], conds[:0])
+		r.Atoms, r.Conds = slices.Clip(r.Atoms), slices.Clip(r.Conds)
+		atoms, conds = atoms[len(r.Atoms):], conds[len(r.Conds):]
+		// Args follow the global variable order so every generator emits
+		// columns in a canonical sequence; each name is the tree's, not a
+		// new concatenation.
+		pos := t.argPos(g, posBuf[:0])
+		g.Args, args = args[:len(pos):len(pos)], args[len(pos):]
+		r.Args, qargs = qargs[:len(pos):len(pos)], qargs[len(pos):]
+		for j, p := range pos {
+			g.Args[j] = t.Vars[p].Ref
+			r.Args[j] = t.varQ[p]
+		}
+		r.Head = g.Root.groupHead
+		g.Rule = r
+	}
+}
+
+// union appends the distinct atoms (by tuple variable) and conditions of a
+// group's members to atoms and conds.
+func union(g *Group, atoms []datalog.Atom, conds []rxl.Condition) ([]datalog.Atom, []rxl.Condition) {
 	for _, m := range g.Members {
 		for _, a := range m.Atoms {
 			if !slices.ContainsFunc(atoms, func(b datalog.Atom) bool { return b.Var == a.Var }) {
@@ -185,30 +266,23 @@ func (t *Tree) combineRule(g *Group) {
 				conds = append(conds, c)
 			}
 		}
+	}
+	return atoms, conds
+}
+
+// argPos appends the distinct indices in Vars of a group's member args to
+// dst, in ascending order.
+func (t *Tree) argPos(g *Group, dst []int) []int {
+	for _, m := range g.Members {
 		for _, a := range m.KeyArgs {
-			pos = append(pos, t.varPos[a])
+			dst = append(dst, t.varPos[a])
 		}
 		for _, a := range m.ContentArgs {
-			pos = append(pos, t.varPos[a])
+			dst = append(dst, t.varPos[a])
 		}
 	}
-	// Args follow the global variable order so every generator emits
-	// columns in a canonical sequence; each name is the tree's, not a new
-	// concatenation.
-	slices.Sort(pos)
-	pos = slices.Compact(pos)
-	g.Args = make([]VarRef, len(pos))
-	qargs := make([]string, len(pos))
-	for i, p := range pos {
-		g.Args[i] = t.Vars[p].Ref
-		qargs[i] = t.varQ[p]
-	}
-	g.Rule = &datalog.Rule{
-		Head:  g.Root.SkolemName + "'",
-		Args:  qargs,
-		Atoms: atoms,
-		Conds: conds,
-	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // AllEdges returns the kept-edge vector of the unified plan (every edge

@@ -9,6 +9,7 @@ package viewtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,6 +65,13 @@ type VarRef struct {
 // Q returns the qualified "var.field" form used in rules and SQL aliases.
 func (v VarRef) Q() string { return v.Var + "." + v.Field }
 
+// Column returns the SQL column name generated queries give the variable:
+// s.suppkey → v_s_suppkey. Tuple-variable aliases are globally unique, so
+// names never collide.
+func (v VarRef) Column() string {
+	return "v_" + strings.ToLower(v.Var) + "_" + strings.ToLower(v.Field)
+}
+
 // ContentItem is one text child of an element: a variable or a constant.
 type ContentItem struct {
 	IsConst bool
@@ -105,6 +113,8 @@ type Node struct {
 
 	// Rule is the node's datalog rule (head = Skolem term, body = scope).
 	Rule *datalog.Rule
+	// groupHead heads the combined rule of a group rooted at the node.
+	groupHead string
 }
 
 // Level returns the node's depth (root = 1).
@@ -118,17 +128,11 @@ func (n *Node) Ordinal() int { return n.SFI[len(n.SFI)-1] }
 // args, without duplicates.
 func (n *Node) Args() []VarRef {
 	out := make([]VarRef, 0, len(n.KeyArgs)+len(n.ContentArgs))
-	seen := make(map[VarRef]bool)
-	for _, a := range n.KeyArgs {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, a := range n.ContentArgs {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+	for _, args := range [2][]VarRef{n.KeyArgs, n.ContentArgs} {
+		for _, a := range args {
+			if !slices.Contains(out, a) {
+				out = append(out, a)
+			}
 		}
 	}
 	return out
@@ -179,10 +183,22 @@ type Tree struct {
 	// sits at LPos[p-1] and each variable at its VarInfo.Pos.
 	LPos  []int
 	Width int
+	// Key describes each of the Width positions, with the SQL column name
+	// every generated query gives it.
+	Key []KeyCol
 	// varPos maps each variable to its index in Vars.
 	varPos map[VarRef]int
 	// varQ holds each variable's qualified name, by index in Vars.
 	varQ []string
+}
+
+// KeyCol is one position of the structural key: a level's L column or a
+// Skolem-term variable.
+type KeyCol struct {
+	Name  string // SQL column name: "L2", or VarRef.Column
+	IsL   bool
+	Level int    // set when IsL
+	Ref   VarRef // set when !IsL
 }
 
 // MaxDepth returns the deepest node level.
@@ -433,15 +449,18 @@ func (t *Tree) attachRules() error {
 			qargs[i] = a.Q()
 		}
 		n.Rule = &datalog.Rule{Head: n.SkolemName, Args: qargs, Atoms: n.Atoms, Conds: n.Conds}
+		n.groupHead = n.SkolemName + "'"
 	}
 	return nil
 }
 
 // labelEdges computes every edge's multiplicity from C1 (functional
-// dependency) and C2 (inclusion dependency), per §3.5's truth table.
+// dependency) and C2 (inclusion dependency), per §3.5's truth table. The
+// FD sets' column names are qualified once per tree, not once per edge.
 func (t *Tree) labelEdges() {
+	fds := datalog.NewFDs(t.Schema)
 	for _, e := range t.Edges {
-		c1 := datalog.FunctionallyDetermines(t.Schema, e.Parent.Rule, e.Child.Rule)
+		c1 := fds.Determines(e.Parent.Rule, e.Child.Rule)
 		c2 := datalog.GuaranteesChild(t.Schema, e.Parent.Rule, e.Child.Rule)
 		switch {
 		case c1 && c2:
@@ -499,6 +518,13 @@ func (t *Tree) indexVars() {
 		t.varQ[i] = v.Ref.Q()
 	}
 	addL(depth)
+	t.Key = make([]KeyCol, t.Width)
+	for i, p := range t.LPos {
+		t.Key[p] = KeyCol{Name: "L" + strconv.Itoa(i+1), IsL: true, Level: i + 1}
+	}
+	for _, v := range t.Vars {
+		t.Key[v.Pos] = KeyCol{Name: v.Ref.Column(), Ref: v.Ref}
+	}
 	pos := func(a VarRef) int { return t.Vars[t.varPos[a]].Pos }
 	for _, n := range t.Nodes {
 		for _, a := range n.Args() {

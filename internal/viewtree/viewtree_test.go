@@ -542,3 +542,39 @@ func TestOneOrMoreLabelWithTotalNonKeyFK(t *testing.T) {
 		t.Errorf("multi label = %s, want +", multi.Label)
 	}
 }
+
+func TestBuildAllocs(t *testing.T) {
+	// One Build of each Fig. 18 view, with its allocation count when the
+	// ceiling was set. The ceiling is that count plus 3 %; a fall of more
+	// than 5 % is logged so the constant can be lowered.
+	if testing.Short() {
+		t.Skip("allocation count in -short mode")
+	}
+	s := tpch.Schema()
+	for _, c := range []struct {
+		name, src string
+		allocs    float64
+	}{
+		{"Q1", rxl.Query1Source, 754},
+		{"Q2", rxl.Query2Source, 698},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := rxl.Parse(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := Build(q, s); err != nil {
+					t.Fatal(err)
+				}
+			})
+			ceiling := c.allocs * 1.03
+			t.Logf("view-tree build allocates %.0f times, figure %.0f", got, c.allocs)
+			if got > ceiling {
+				t.Errorf("view-tree build allocates %.0f times, ceiling %.0f", got, ceiling)
+			} else if got < c.allocs*0.95 {
+				t.Logf("view-tree build allocates %.0f times, more than 5 %% under %.0f: lower it", got, c.allocs)
+			}
+		})
+	}
+}
