@@ -97,12 +97,13 @@ ci: fmt vet staticcheck build test test-race chaos fuzz-smoke bench-smoke allocs
 # The allocation gates, each printing its measured figure beside its
 # constant: allocations and MB per document (TestAllocsPerDocument),
 # allocations per greedy search of each Fig. 18 view (TestGreedyAllocs),
-# per view-tree build of Q1 and Q2 (TestBuildAllocs) and per tagger
-# document (TestWriteXMLAllocsIndependentOfRows). It fails when a gate
-# does, and then prints the tests' whole output.
-ALLOC_TESTS = ^(TestAllocsPerDocument|TestGreedyAllocs|TestBuildAllocs|TestWriteXMLAllocsIndependentOfRows)$$
+# per view-tree build of Q1 and Q2 (TestBuildAllocs), per tagger
+# document (TestWriteXMLAllocsIndependentOfRows) and bytes per hash-join
+# build row (TestHashBuildBytesPerRow). It fails when a gate does, and
+# then prints the tests' whole output.
+ALLOC_TESTS = ^(TestAllocsPerDocument|TestGreedyAllocs|TestBuildAllocs|TestWriteXMLAllocsIndependentOfRows|TestHashBuildBytesPerRow)$$
 allocs:
-	@out=$$($(GO) test -count=1 -v -run '$(ALLOC_TESTS)' . ./internal/plan ./internal/viewtree ./internal/tagger 2>&1); rc=$$?; \
+	@out=$$($(GO) test -count=1 -v -run '$(ALLOC_TESTS)' . ./internal/plan ./internal/viewtree ./internal/tagger ./internal/sqlexec 2>&1); rc=$$?; \
 	if [ $$rc -ne 0 ]; then echo "$$out"; else echo "$$out" | grep -E '^=== RUN.*/|per document|allocates'; fi; exit $$rc
 
 # Non-test, non-blank, non-comment Go lines per package — the figure the

@@ -19,6 +19,7 @@ import (
 	"silkroute/internal/rxl"
 	"silkroute/internal/schema"
 	"silkroute/internal/sqlast"
+	"silkroute/internal/value"
 )
 
 // Atom binds a tuple variable to a relation: PartSupp($ps).
@@ -64,16 +65,6 @@ func operandString(o rxl.Operand) string {
 		return o.Const.String()
 	}
 	return "$" + o.Var + "." + o.Field
-}
-
-// relOf returns the relation bound to tuple variable v, or "".
-func (r *Rule) relOf(v string) string {
-	for _, a := range r.Atoms {
-		if a.Var == v {
-			return a.Rel
-		}
-	}
-	return ""
 }
 
 // qvar qualifies a field reference as an FD attribute.
@@ -215,86 +206,94 @@ func FunctionallyDetermines(s *schema.Schema, parent, child *Rule) bool {
 // whose column pairs appear as equality conditions, and the child may add
 // no other conditions (any residual filter could eliminate matches).
 func GuaranteesChild(s *schema.Schema, parent, child *Rule) bool {
-	covered := make(map[string]bool)
-	for _, a := range parent.Atoms {
-		covered[a.Var] = true
+	// covered[i]: child atom i is guaranteed, at first because the parent
+	// binds its variable. used[ci]: child condition ci is accounted for, at
+	// first because the parent has it too, then because a foreign key
+	// consumed it. Small rules keep both on the stack.
+	var coveredBuf [16]bool
+	var usedBuf [32]bool
+	covered := coveredBuf[:0]
+	if len(child.Atoms) > len(coveredBuf) {
+		covered = make([]bool, 0, len(child.Atoms))
 	}
-	var added []Atom
+	used := usedBuf[:0]
+	if len(child.Conds) > len(usedBuf) {
+		used = make([]bool, 0, len(child.Conds))
+	}
+	pending := 0 // atoms not yet covered
 	for _, a := range child.Atoms {
-		if !covered[a.Var] {
-			added = append(added, a)
+		c := slices.ContainsFunc(parent.Atoms, func(p Atom) bool { return p.Var == a.Var })
+		covered = append(covered, c)
+		if !c {
+			pending++
 		}
 	}
-	// Conditions the child introduces beyond the parent's.
-	parentConds := make(map[string]bool, len(parent.Conds))
-	for _, c := range parent.Conds {
-		parentConds[condString(c)] = true
-	}
-	var addedConds []rxl.Condition
 	for _, c := range child.Conds {
-		if !parentConds[condString(c)] {
-			addedConds = append(addedConds, c)
-		}
+		used = append(used, slices.ContainsFunc(parent.Conds, func(p rxl.Condition) bool { return sameCond(p, c) }))
 	}
-	condUsed := make([]bool, len(addedConds))
 
-	for progress := true; progress && len(added) > 0; {
+	// Cover the first atom in order that a foreign key reaches, until none
+	// is left or none can be.
+	for progress := true; progress && pending > 0; {
 		progress = false
-		for ai := 0; ai < len(added); ai++ {
-			a := added[ai]
-			usedConds, ok := coveringFK(s, child, a, covered, addedConds, condUsed)
-			if !ok {
-				continue
+		for i, a := range child.Atoms {
+			if !covered[i] && coverByFK(s, child, a, covered, used) {
+				covered[i] = true
+				pending--
+				progress = true
+				break
 			}
-			covered[a.Var] = true
-			for _, ci := range usedConds {
-				condUsed[ci] = true
-			}
-			added = append(added[:ai], added[ai+1:]...)
-			progress = true
-			break
 		}
 	}
-	if len(added) > 0 {
-		return false
-	}
-	for _, u := range condUsed {
-		if !u {
-			return false // a residual filter could eliminate matches
-		}
-	}
-	return true
+	// An unused condition is a residual filter that could eliminate
+	// matches.
+	return pending == 0 && !slices.Contains(used, false)
 }
 
-// coveringFK looks for a total foreign key from some covered tuple
-// variable to atom a whose column pairs all appear among the unused added
-// equality conditions. It returns the indices of the conditions consumed.
-func coveringFK(s *schema.Schema, child *Rule, a Atom, covered map[string]bool, conds []rxl.Condition, used []bool) ([]int, bool) {
+// sameCond reports whether two conditions are the same filter: the same
+// operator over the same references or equal constants.
+func sameCond(a, b rxl.Condition) bool {
+	same := func(x, y rxl.Operand) bool {
+		if x.IsConst || y.IsConst {
+			return x.IsConst && y.IsConst && value.Identical(x.Const, y.Const)
+		}
+		return x.Var == y.Var && x.Field == y.Field
+	}
+	return a.Op == b.Op && same(a.L, b.L) && same(a.R, b.R)
+}
+
+// coverByFK looks for a total foreign key from some covered tuple variable,
+// tried in atom order, to atom a whose column pairs all appear among the
+// unused equality conditions. When it finds one it marks the conditions
+// consumed and reports true.
+func coverByFK(s *schema.Schema, child *Rule, a Atom, covered, used []bool) bool {
 	for _, fk := range s.FKs {
 		if !fk.Total || !strings.EqualFold(fk.ToRelation, a.Rel) {
 			continue
 		}
-		// Try each covered variable bound to the FK's source relation.
-		for v := range covered {
-			if !strings.EqualFold(child.relOf(v), fk.FromRelation) {
+		for j, b := range child.Atoms {
+			if !covered[j] || !strings.EqualFold(b.Rel, fk.FromRelation) {
 				continue
 			}
-			var consumed []int
 			ok := true
 			for i := range fk.FromColumns {
-				ci, found := findEquality(conds, used, v, fk.FromColumns[i], a.Var, fk.ToColumns[i])
-				if !found {
+				if _, found := findEquality(child.Conds, used, b.Var, fk.FromColumns[i], a.Var, fk.ToColumns[i]); !found {
 					ok = false
 					break
 				}
-				consumed = append(consumed, ci)
 			}
-			if ok {
-				return consumed, true
+			if !ok {
+				continue
 			}
+			for i := range fk.FromColumns {
+				if ci, found := findEquality(child.Conds, used, b.Var, fk.FromColumns[i], a.Var, fk.ToColumns[i]); found {
+					used[ci] = true
+				}
+			}
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // findEquality locates an unused equality condition v1.f1 = v2.f2 (either

@@ -241,3 +241,40 @@ func TestRuleStringWithConst(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestC2AllocatesNothing pins that deciding C2 for a rule of ordinary size
+// allocates nothing: the covered atoms and the consumed conditions live in
+// stack arrays, and conditions compare field by field.
+func TestC2AllocatesNothing(t *testing.T) {
+	s := tpch.Schema()
+	parent, child := supplierRule(), nationRule()
+	same := partRule()
+	if n := testing.AllocsPerRun(10, func() {
+		GuaranteesChild(s, parent, child)
+		GuaranteesChild(s, parent, same)
+		GuaranteesChild(s, same, same)
+	}); n != 0 {
+		t.Errorf("GuaranteesChild allocates %v times, want 0", n)
+	}
+}
+
+// TestC2ParentConditionByValue: a condition the parent has already, its
+// constant written as an equal value of another kind, filters nothing
+// more; a different constant does.
+func TestC2ParentConditionByValue(t *testing.T) {
+	s := tpch.Schema()
+	cond := func(c value.Value) rxl.Condition {
+		return rxl.Condition{Op: sqlast.OpEq, L: rxl.FieldRef("s", "nationkey"), R: rxl.ConstOp(c)}
+	}
+	parent := supplierRule()
+	parent.Conds = []rxl.Condition{cond(value.Int(2))}
+	child := nationRule()
+	child.Conds = append(child.Conds, cond(value.Float(2)))
+	if !GuaranteesChild(s, parent, child) {
+		t.Error("the parent's own filter, written 2.0, should not cost the guarantee")
+	}
+	child.Conds[1] = cond(value.Int(3))
+	if GuaranteesChild(s, parent, child) {
+		t.Error("a filter the parent lacks must not be guaranteed")
+	}
+}

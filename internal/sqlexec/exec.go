@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlast"
@@ -613,54 +612,34 @@ func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error
 	}
 
 	if len(leftKeys) > 0 {
-		// Hash join: build on the right, probe from the left. NULL keys
-		// never match per SQL equality semantics. The build side's
-		// composite keys are written back to back into one string, so the
-		// map's keys are substrings of it; the map holds each distinct
-		// key's first row and next chains the rest. Neither side allocates
-		// per row: the probe reuses one scratch buffer and looks the map up
-		// through the allocation-free map[string(buf)] form.
-		// A first pass measures the keys, so the string is allocated once.
-		bounds := make([]int32, r.n+1) // row ri's key is all[bounds[ri]:bounds[ri+1]]
-		var scratch []byte
-		for ri := 0; ri < r.n; ri++ {
+		// Hash join: build on the right, probe from the left. One int32
+		// allocation holds the table: a power-of-two array of bucket heads,
+		// at least one per build row, then each row's next link. Slots hold
+		// row+1, so 0 ends a chain. Rows are inserted from the last, so
+		// every chain, and with it each left row's matches, is in ascending
+		// row order. A row whose key has a NULL never enters the table:
+		// NULL equals nothing. A candidate in the probed bucket matches
+		// only if Compare finds every key column equal.
+		nb := 1
+		for nb < r.n {
+			nb <<= 1
+		}
+		tab := make([]int32, nb+r.n)
+		head, next := tab[:nb], tab[nb:]
+		mask := uint64(nb - 1)
+		for ri := r.n - 1; ri >= 0; ri-- {
 			if err := pollCtx(ctx, ri); err != nil {
 				return err
 			}
-			n := 0
-			if passes(rightPred, r, ri) {
-				key, ok := appendJoinKey(scratch[:0], r, rightKeys, ri)
-				scratch = key
-				if ok {
-					n = len(key)
-				}
+			if !passes(rightPred, r, ri) {
+				continue
 			}
-			bounds[ri+1] = bounds[ri] + int32(n)
-		}
-		var keys strings.Builder
-		keys.Grow(int(bounds[r.n]))
-		for ri := 0; ri < r.n; ri++ {
-			if bounds[ri+1] > bounds[ri] {
-				scratch, _ = appendJoinKey(scratch[:0], r, rightKeys, ri)
-				keys.Write(scratch)
-			}
-		}
-		all := keys.String()
-		head := make(map[string]int32, r.n)
-		next := make([]int32, r.n)
-		// Inserting from the last row leaves every chain in ascending
-		// row order.
-		for ri := r.n - 1; ri >= 0; ri-- {
-			k := all[bounds[ri]:bounds[ri+1]]
-			if k == "" {
-				continue // filtered out, or a NULL key
-			}
-			h, ok := head[k]
+			h, ok := hashKey(r, rightKeys, ri)
 			if !ok {
-				h = -1
+				continue
 			}
-			next[ri] = h
-			head[k] = int32(ri)
+			next[ri] = head[h&mask]
+			head[h&mask] = int32(ri + 1)
 		}
 		for li := 0; li < l.n; li++ {
 			if err := pollCtx(ctx, li); err != nil {
@@ -669,17 +648,19 @@ func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error
 			if !passes(leftPred, l, li) {
 				continue
 			}
-			key, ok := appendJoinKey(scratch[:0], l, leftKeys, li)
-			scratch = key
+			h, ok := hashKey(l, leftKeys, li)
 			if !ok {
 				continue
 			}
-			h, ok := head[string(key)]
-			if !ok {
-				continue
-			}
-			for ri := h; ri >= 0; ri = next[ri] {
-				record(li, int(ri))
+		chain:
+			for s := head[h&mask]; s != 0; s = next[s-1] {
+				ri := int(s - 1)
+				for k, lk := range leftKeys {
+					if value.Compare(l.at(li, lk), r.at(ri, rightKeys[k])) != 0 {
+						continue chain
+					}
+				}
+				record(li, ri)
 			}
 		}
 		return nil
@@ -706,20 +687,14 @@ func joinDisjunct(ctx context.Context, l, r *rel, d sqlast.Expr, p *pairs) error
 	return nil
 }
 
-// appendJoinKey appends the composite join key of row i of x under the
-// given key columns to dst, each column's value.AppendKey in turn; ok is
-// false when any key value is NULL. AppendKey's keys are prefix-free, so
-// two rows' composite keys are equal exactly when every column is.
-// Callers reuse dst as a scratch buffer across rows and look maps up
-// through the allocation-free map[string(buf)] form, so the probe side of
-// a hash join allocates nothing per row.
-func appendJoinKey(dst []byte, x *rel, keys []int, i int) ([]byte, bool) {
+// hashKey returns the hash of row i of x under the given key columns,
+// each column's value.Hash seeding the next; ok is false when any key
+// value is NULL.
+func hashKey(x *rel, keys []int, i int) (h uint64, ok bool) {
 	for _, k := range keys {
-		v := x.at(i, k)
-		if v.IsNull() {
-			return dst, false
+		if h, ok = value.Hash(x.at(i, k), h); !ok {
+			return 0, false
 		}
-		dst = value.AppendKey(dst, v)
 	}
-	return dst, true
+	return h, true
 }

@@ -43,9 +43,9 @@ func benchCatalog(nOrders, fanout int) Catalog {
 }
 
 // BenchmarkHashJoinAllocs measures per-operation allocations of the hash
-// join path; the allocation-lean composite keys (scratch buffer +
-// map[string(buf)] probes) must keep allocs/op well below the one-string-
-// per-probe-row baseline.
+// join path: the build is one int32 table of bucket heads and next links,
+// and the probe hashes each row's key values in place, so neither side
+// allocates per row.
 func BenchmarkHashJoinAllocs(b *testing.B) {
 	cat := benchCatalog(1000, 4)
 	q, err := sqlparse.Parse(
@@ -90,9 +90,10 @@ func BenchmarkHashJoinDisjunctiveAllocs(b *testing.B) {
 
 // TestRunAllocsIndependentOfRows pins that the executor allocates per
 // operator, not per row: a three-way join with ORDER BY allocates nearly
-// the same at 250 and at 1 000 orders (1 000 and 4 000 order lines). The
-// slack is the hash builds' maps, which allocate one table per ~900 keys:
-// 24 more at the larger size. A per-row allocation would add thousands.
+// the same at 250 and at 1 000 orders (1 000 and 4 000 order lines). Each
+// hash build is one allocation at any size; the slack of 4 covers the
+// sort's and the match lists' growth. A per-row allocation would add
+// thousands.
 func TestRunAllocsIndependentOfRows(t *testing.T) {
 	q, err := sqlparse.Parse("select o.okey, o.clerk, l.lnum, l2.qty from Ord o, Line l, Line l2" +
 		" where o.okey = l.okey and l.okey = l2.okey and l.lnum = l2.lnum and o.total >= 0" +
@@ -114,7 +115,7 @@ func TestRunAllocsIndependentOfRows(t *testing.T) {
 	}
 	small, large := allocs(250), allocs(1000)
 	t.Logf("allocations per query: %v at 250 orders, %v at 1000", small, large)
-	if large-small > 32 {
+	if large-small > 4 {
 		t.Errorf("allocations grow with rows: %v at 250 orders, %v at 1000", small, large)
 	}
 }
@@ -215,5 +216,47 @@ func TestResultBytesIndependentOfWidth(t *testing.T) {
 	if wide-narrow > ids+slack {
 		t.Errorf("selecting 9 columns allocates %.0f more bytes than selecting 1, want at most %.0f (IDs) + %d",
 			wide-narrow, ids, slack)
+	}
+}
+
+// TestHashBuildBytesPerRow holds a hash join's build to one int32 table:
+// a power-of-two array of bucket heads, fewer than two per build row, and
+// one next link per row, so under 12 bytes per build row however the keys
+// look. The build side is 3 000 rows keyed on an int and a string column,
+// the probe side one row, so the join's other allocations spread to
+// nothing per row.
+func TestHashBuildBytesPerRow(t *testing.T) {
+	const rows, maxBytes = 3000, 12
+	cat := benchCatalog(rows, 1)
+	ord, _ := cat.Lookup("ord")
+	r := scan([]Col{{"o", "okey"}, {"o", "clerk"}, {"o", "total"}}, input{cols: ord.Columns()}, ord.Len())
+	l := scan([]Col{{"p", "okey"}, {"p", "clerk"}}, input{cols: ord.Columns()}, 1)
+	on, err := sqlparse.Parse("select o.okey from Ord o, Ord p where p.okey = o.okey and o.clerk = p.clerk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := on.(*sqlast.Select).Where
+	p := pairs{left: make([]int32, 0, 1), right: make([]int32, 0, 1)}
+	build := func() {
+		p.left, p.right = p.left[:0], p.right[:0]
+		if err := joinDisjunct(context.Background(), l, r, where, &p); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.right) != 1 || p.right[0] != 0 {
+			t.Fatalf("probe matched right rows %v, want [0]", p.right)
+		}
+	}
+	build()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / runs / rows
+	t.Logf("a hash build allocates %.2f B per build row (%d rows), gate %d", perRow, rows, maxBytes)
+	if perRow > maxBytes {
+		t.Errorf("a hash build allocates %.2f B per build row, want at most %d", perRow, maxBytes)
 	}
 }

@@ -738,6 +738,86 @@ func TestJoinKeysMatchReference(t *testing.T) {
 	}
 }
 
+// TestHashJoinChains checks the hash join's table against the reference
+// and against a brute-force match list: a build side so small that
+// distinct keys share a bucket (and a probe key in that bucket matching
+// none of them), duplicate build keys, NULL keys on both sides, and ints
+// beside equal floats, -0 and NaNs of two payloads. Every case runs as an
+// inner and a left outer join, and each left row's matches must be
+// exactly the right rows whose keys equal its own, in ascending order.
+func TestHashJoinChains(t *testing.T) {
+	// Four distinct ints in one bucket of the 4-bucket table a 3-row build
+	// side gets.
+	var shared []value.Value
+	bucket := func(v value.Value) uint64 { h, _ := value.Hash(v, 0); return h & 3 }
+	for i := int64(0); len(shared) < 4; i++ {
+		if bucket(value.Int(i)) == bucket(value.Int(0)) {
+			shared = append(shared, value.Int(i))
+		}
+	}
+	ints := func(xs ...int64) []value.Value {
+		vs := make([]value.Value, len(xs))
+		for i, x := range xs {
+			vs[i] = value.Int(x)
+		}
+		return vs
+	}
+	nan, null := value.Float(math.NaN()), value.Null
+	cases := []struct {
+		name        string
+		left, right []value.Value // the join key column of A and of B
+	}{
+		{"distinct keys in one bucket", shared, shared[:3]},
+		{"one build row", ints(1, 2, 1), ints(1)},
+		{"duplicate build keys", ints(1, 2, 3, 4, 1), ints(1, 2, 1, 1, 2, 3)},
+		{"NULL keys on both sides", []value.Value{null, value.Int(1), null}, []value.Value{null, value.Int(1), null, value.Int(1)}},
+		{"int, float and NaN keys",
+			[]value.Value{value.Float(2), value.Int(0), nan, value.Float(2.5), value.Float(0), value.Int(3)},
+			[]value.Value{value.Int(2), value.Float(2), value.Float(math.Copysign(0, -1)), nan, value.Float(2.5),
+				value.Int(0), value.Float(math.Float64frombits(0xfff0000000000abc)), value.Float(3.5)}},
+		{"empty build side", ints(1, 2), nil},
+	}
+	s := schema.New()
+	rel := func(name string) *schema.Relation {
+		return s.MustAddRelation(name, []string{"y"}, schema.Column{Name: "x"}, schema.Column{Name: "y"})
+	}
+	ra, rb := rel("A"), rel("B")
+	on := &sqlast.Compare{Op: sqlast.OpEq,
+		L: &sqlast.ColumnRef{Table: "A", Column: "x"}, R: &sqlast.ColumnRef{Table: "B", Column: "x"}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ta, tb := table.New(ra), table.New(rb)
+			for i, v := range tc.left {
+				ta.MustInsert(v, value.Int(int64(i)))
+			}
+			for i, v := range tc.right {
+				tb.MustInsert(v, value.Int(int64(i)))
+			}
+			cat := testCatalog{"a": ta, "b": tb}
+			checkAgainstReference(t, cat, "select A.y, B.y from A, B where A.x = B.x order by A.y, B.y")
+			checkAgainstReference(t, cat, "select A.y, B.y from A left outer join B on A.x = B.x order by A.y, B.y")
+
+			l := scan([]Col{{"A", "x"}, {"A", "y"}}, input{cols: ta.Columns()}, ta.Len())
+			r := scan([]Col{{"B", "x"}, {"B", "y"}}, input{cols: tb.Columns()}, tb.Len())
+			m, err := joinMatches(context.Background(), l, r, on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, lv := range tc.left {
+				var want []int32
+				for ri, rv := range tc.right {
+					if value.Equal(lv, rv) {
+						want = append(want, int32(ri))
+					}
+				}
+				if got := m.right[m.off[li]:m.off[li+1]]; !slices.Equal(got, want) {
+					t.Errorf("left row %d (%v) matches right rows %v, want %v", li, lv, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestExecutorMatchesReferenceOnOuterJoins(t *testing.T) {
 	cat := paperCatalog(t)
 	rng := rand.New(rand.NewSource(77))

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"strconv"
@@ -232,8 +233,9 @@ func Identical(a, b Value) bool {
 // order: bytes.Compare of two keys has the sign of Compare, and since no
 // key is a prefix of another, the same holds for keys written value after
 // value and compared lexicographically. Equal values, and only they, have
-// equal keys, so the hash join, distinct counts and shard placement key
-// on it as well.
+// equal keys, so the tagger's merge, distinct counts and shard placement
+// key on it as well. The hash join keys on Hash instead, which needs no
+// bytes written.
 //
 //	NULL:   0x00
 //	number: 0x01 and the float's 8 order bytes, below -2^63 (-Inf too)
@@ -287,6 +289,50 @@ func AppendKey(dst []byte, v Value) []byte {
 	}
 	dst[len(dst)-1] = 0x01 // not integral
 	return appendKeyFloat(dst, f)
+}
+
+// stringSeed keys Hash's string hashing, one seed per process.
+var stringSeed = maphash.MakeSeed()
+
+// Hash returns a hash of v, mixed into seed, for hash tables keyed by
+// Compare's equality: values Compare calls equal hash alike. An int, and
+// an integral float in [-2^63, 2^63), hash as that int, so -0 hashes as 0
+// and 2.0 as 2; every NaN hashes alike; any other float hashes its bits;
+// a string hashes with hash/maphash under a per-process seed. A composite
+// key hashes column after column, each hash the next column's seed.
+// ok is false for NULL, which equals nothing.
+func Hash(v Value, seed uint64) (h uint64, ok bool) {
+	switch v.kind {
+	case KindNull:
+		return 0, false
+	case KindInt:
+		return mix(seed, uint64(v.i)), true
+	case KindString:
+		return mix(seed^saltString, maphash.String(stringSeed, v.s)), true
+	}
+	f := v.float()
+	switch {
+	case f != f:
+		return mix(seed^saltNaN, 0), true
+	case f >= -0x1p63 && f < 0x1p63 && f == math.Trunc(f):
+		return mix(seed, uint64(int64(f))), true
+	}
+	return mix(seed^saltFloat, uint64(v.i)), true
+}
+
+// Hash's salts keep the kinds' hashes apart: equal hashes across kinds
+// would cost only comparisons, never a wrong match.
+const (
+	saltString = 0x9e3779b97f4a7c15
+	saltNaN    = 0xc2b2ae3d27d4eb4f
+	saltFloat  = 0x165667b19e3779f9
+)
+
+// mix combines a seed and a 64-bit word into one hash: wyhash's multiply
+// and fold.
+func mix(seed, u uint64) uint64 {
+	hi, lo := bits.Mul64(seed^0xa0761d6478bd642f, u^0xe7037ed1a0b428db)
+	return hi ^ lo
 }
 
 // appendKeyInt appends AppendKey's key of the int i: 0x02, the int form,

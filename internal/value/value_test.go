@@ -218,26 +218,38 @@ func TestKeyEqualityIsIdentity(t *testing.T) {
 	}
 }
 
-// TestHashKeyAgreesWithEquality: the hash join keys on AppendKey, so two
-// non-NULL values must have equal keys exactly when they are Equal.
+// TestHashKeyAgreesWithEquality: distinct counts and shard placement key
+// on AppendKey, so two non-NULL values must have equal keys exactly when
+// they are Equal; the hash join keys on Hash, so Equal values must hash
+// alike.
 func TestHashKeyAgreesWithEquality(t *testing.T) {
-	pool := []Value{Int(1), Int(2), Float(1), Float(1.5), String("1"), String("a"), Int(-1)}
+	pool := []Value{Int(1), Int(2), Float(1), Float(1.5), String("1"), String("a"), Int(-1),
+		Int(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Float64frombits(0xfff0000000000abc))}
 	for _, a := range pool {
 		for _, b := range pool {
 			if eq, same := Equal(a, b), key(a) == key(b); eq != same {
 				t.Errorf("Equal(%v,%v)=%v but key match=%v", a, b, eq, same)
+			}
+			ha, _ := Hash(a, 7)
+			hb, _ := Hash(b, 7)
+			if Equal(a, b) && ha != hb {
+				t.Errorf("Equal(%v,%v) but hashes %#x and %#x", a, b, ha, hb)
 			}
 		}
 	}
 }
 
 func TestHashKeyNullNeverMatches(t *testing.T) {
-	// NULL's key must not collide with any value a query can produce, so a
-	// join probe with a non-NULL value never meets a NULL build row.
+	// NULL's key must not collide with any value a query can produce, and
+	// NULL must have no hash, so a join probe with a non-NULL value never
+	// meets a NULL build row.
 	for _, v := range []Value{Int(0), Float(0), String(""), String("N")} {
 		if key(v) == key(Null) {
 			t.Errorf("NULL key collides with %v", v)
 		}
+	}
+	if _, ok := Hash(Null, 0); ok {
+		t.Error("Hash(NULL) reports ok")
 	}
 }
 
@@ -548,11 +560,12 @@ func sign(c int) int {
 	return 0
 }
 
-// FuzzKeyOrder holds AppendKey to Compare. Each fuzz input is two rows in
-// the wire encoding; the first 1–4 values that decode form a row, so rows
-// hold NULLs, ints, strings of any bytes and floats of any bits. On any two
-// rows, bytes.Compare on the concatenated keys has the sign of the
-// lexicographic Compare.
+// FuzzKeyOrder holds AppendKey and Hash to Compare. Each fuzz input is two
+// rows in the wire encoding; the first 1–4 values that decode form a row,
+// so rows hold NULLs, ints, strings of any bytes and floats of any bits. On
+// any two rows, bytes.Compare on the concatenated keys has the sign of the
+// lexicographic Compare. Hash reports !ok exactly for NULL, and two
+// non-NULL values Compare calls equal hash alike, under every seed.
 func FuzzKeyOrder(f *testing.F) {
 	seeds := []Value{Int(math.MinInt64), Int(-1), Int(0), Int(math.MaxInt64),
 		String(""), String("\x00"), String("a"), String("a\x00"), String("a\xff"), String("ab"),
@@ -596,6 +609,18 @@ func FuzzKeyOrder(f *testing.F) {
 		ka, kb := encode(a), encode(b)
 		if got, want := sign(bytes.Compare(ka, kb)), sign(compareRows(a, b)); got != want {
 			t.Fatalf("rows %v and %v: bytes.Compare of % x and % x = %d, Compare = %d", a, b, ka, kb, got, want)
+		}
+		for i := range min(len(a), len(b)) {
+			for _, seed := range []uint64{0, 1, math.MaxUint64} {
+				ha, oka := Hash(a[i], seed)
+				hb, okb := Hash(b[i], seed)
+				if oka == a[i].IsNull() || okb == b[i].IsNull() {
+					t.Fatalf("Hash(%v) ok = %v, Hash(%v) ok = %v: want !ok exactly for NULL", a[i], oka, b[i], okb)
+				}
+				if oka && okb && Compare(a[i], b[i]) == 0 && ha != hb {
+					t.Fatalf("%v and %v compare equal but hash to %#x and %#x under seed %#x", a[i], b[i], ha, hb, seed)
+				}
+			}
 		}
 	})
 }

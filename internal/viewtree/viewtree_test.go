@@ -555,8 +555,8 @@ func TestBuildAllocs(t *testing.T) {
 		name, src string
 		allocs    float64
 	}{
-		{"Q1", rxl.Query1Source, 754},
-		{"Q2", rxl.Query2Source, 698},
+		{"Q1", rxl.Query1Source, 672},
+		{"Q2", rxl.Query2Source, 640},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			q, err := rxl.Parse(c.src)
