@@ -399,7 +399,7 @@ func randomSelect(c chooser, twice *genSource, items int) (string, int, string) 
 	src := make([]genSource, n)
 	for i := range src {
 		if c.Intn(8) == 7 {
-			body, cols := derivedSelect(c)
+			body, cols := derivedSelect(c, 1)
 			src[i] = genSource{from: "(" + body + ")", alias: "d", cols: cols}
 			continue
 		}
@@ -509,36 +509,51 @@ func randomSelect(c chooser, twice *genSource, items int) (string, int, string) 
 	return sql, len(list), " order by " + strings.Join(order, ", ")
 }
 
-// derivedSelect builds the body of a derived table: one of the
-// paper catalog's tables, or two comma-joined or left-outer-joined on a
-// column, sometimes under a literal filter, selecting some of their
-// columns under their own names (each name once) so an enclosing query
-// can join on them, and sometimes a literal column, as sqlgen's L2
-// discriminators are. It returns the select and its column names.
-func derivedSelect(c chooser) (string, []string) {
+// derivedSelect builds the body of a derived table at nesting depth
+// depth (1 for one a select reads directly): one or two sources,
+// comma-joined or left-outer-joined on a column, sometimes under a literal
+// filter, selecting some of their columns under their own names (each name
+// once) so an enclosing query can join on them, and sometimes a literal
+// column tag<depth>, as sqlgen's L2 discriminators are. A source is one of
+// the paper catalog's tables or, below depth 3, another derived table, as
+// the unified plans nest one per view-tree level; so a literal column can
+// sit under a left outer join at two levels. One left outer join in three
+// selects only its right side's columns and a literal: the left side then
+// holds no output column, and every output but the literal is NULL on the
+// rows the join pads. It returns the select and its column names.
+func derivedSelect(c chooser, depth int) (string, []string) {
 	type tab struct {
 		alias string
 		cols  []string
 	}
-	t := genTables[c.Intn(len(genTables))]
-	tabs := []tab{{"x", t.cols}}
-	from := t.name + " x"
+	source := func(alias string) (string, tab) {
+		if depth < 3 && c.Intn(3) == 2 {
+			body, cols := derivedSelect(c, depth+1)
+			return "(" + body + ") " + alias, tab{alias, cols}
+		}
+		t := genTables[c.Intn(len(genTables))]
+		return t.name + " " + alias, tab{alias, t.cols}
+	}
+	from, x := source("x")
+	tabs := []tab{x}
 	var where []string
+	rightOnly := false
 	if c.Intn(2) == 1 {
-		u := genTables[c.Intn(len(genTables))]
-		tabs = append(tabs, tab{"y", u.cols})
-		on := "x." + t.cols[0] + " = y." + u.cols[0]
-		for _, name := range t.cols {
-			if slices.Contains(u.cols, name) {
+		entry, y := source("y")
+		tabs = append(tabs, y)
+		on := "x." + x.cols[0] + " = y." + y.cols[0]
+		for _, name := range x.cols {
+			if slices.Contains(y.cols, name) {
 				on = "x." + name + " = y." + name
 				break
 			}
 		}
 		if c.Intn(2) == 0 {
-			from += ", " + u.name + " y"
+			from += ", " + entry
 			where = append(where, on)
 		} else {
-			from += " left outer join " + u.name + " y on " + on
+			from += " left outer join " + entry + " on " + on
+			rightOnly = c.Intn(3) == 2
 		}
 	}
 	if c.Intn(2) == 1 {
@@ -546,7 +561,11 @@ func derivedSelect(c chooser) (string, []string) {
 		where = append(where, tb.alias+"."+tb.cols[c.Intn(len(tb.cols))]+" >= "+genLits[c.Intn(len(genLits)-1)])
 	}
 	var list, names []string
-	for _, tb := range tabs {
+	pick := tabs
+	if rightOnly {
+		pick = tabs[1:]
+	}
+	for _, tb := range pick {
 		for _, name := range tb.cols {
 			if c.Intn(2) == 1 && !slices.Contains(names, name) {
 				list = append(list, tb.alias+"."+name+" as "+name)
@@ -555,11 +574,13 @@ func derivedSelect(c chooser) (string, []string) {
 		}
 	}
 	if len(names) == 0 {
-		list, names = []string{"x." + t.cols[0] + " as " + t.cols[0]}, []string{t.cols[0]}
+		tb := pick[0]
+		list, names = []string{tb.alias + "." + tb.cols[0] + " as " + tb.cols[0]}, []string{tb.cols[0]}
 	}
-	if c.Intn(4) == 0 {
-		list = append(list, genLits[c.Intn(len(genLits))]+" as tag")
-		names = append(names, "tag")
+	if rightOnly || c.Intn(4) == 0 {
+		tag := fmt.Sprintf("tag%d", depth)
+		list = append(list, genLits[c.Intn(len(genLits))]+" as "+tag)
+		names = append(names, tag)
 	}
 	sql := "select " + strings.Join(list, ", ") + " from " + from
 	if len(where) > 0 {
@@ -818,37 +839,20 @@ func TestHashJoinChains(t *testing.T) {
 	}
 }
 
+// TestExecutorMatchesReferenceOnOuterJoins left-outer-joins a derived
+// table that nests another, as the unified plans do: literal columns at
+// both levels read as NULL on the rows the outer join pads.
 func TestExecutorMatchesReferenceOnOuterJoins(t *testing.T) {
 	cat := paperCatalog(t)
 	rng := rand.New(rand.NewSource(77))
 	ops := []string{"=", "<", ">"}
 	for i := 0; i < 100; i++ {
 		onOp := ops[rng.Intn(len(ops))]
-		src := fmt.Sprintf(`select s.suppkey as a, q.pk as b from Supplier s
-			left outer join (select ps.suppkey as sk, ps.partkey as pk from PartSupp ps
-			                 where ps.availqty %s %d) as q
+		checkAgainstReference(t, cat, fmt.Sprintf(`select s.suppkey as a, q.pk as b, q.tag as t, q.L as l from Supplier s
+			left outer join (select q0.sk as sk, q0.pk as pk, q0.tag as tag, 4 as L from
+			                 (select ps.suppkey as sk, ps.partkey as pk, 7 as tag from PartSupp ps
+			                  where ps.availqty %s %d) as q0) as q
 			on s.suppkey %s q.sk
-			order by a, b`, ops[rng.Intn(len(ops))], rng.Intn(400), onOp)
-		q, err := sqlparse.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunContext(context.Background(), cat, q)
-		if err != nil {
-			t.Fatalf("executor: %v (%s)", err, src)
-		}
-		want, err := referenceRun(cat, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, w := canonical(got), canonical(want)
-		if len(g) != len(w) {
-			t.Fatalf("row count mismatch on %q: %d vs %d", src, len(g), len(w))
-		}
-		for j := range g {
-			if g[j] != w[j] {
-				t.Fatalf("mismatch on %q at %d:\n got %s\nwant %s", src, j, g[j], w[j])
-			}
-		}
+			order by a, b`, ops[rng.Intn(len(ops))], rng.Intn(400), onOp))
 	}
 }
