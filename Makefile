@@ -101,7 +101,7 @@ ci: fmt vet staticcheck build test test-race chaos fuzz-smoke bench-smoke allocs
 # document (TestWriteXMLAllocsIndependentOfRows) and bytes per hash-join
 # build row (TestHashBuildBytesPerRow). It fails when a gate does, and
 # then prints the tests' whole output.
-ALLOC_TESTS = ^(TestAllocsPerDocument|TestGreedyAllocs|TestBuildAllocs|TestWriteXMLAllocsIndependentOfRows|TestHashBuildBytesPerRow)$$
+ALLOC_TESTS = ^(TestAllocsPerDocument|TestGreedyAllocs|TestBuildAllocs|TestWriteXMLAllocsIndependentOfRows|TestHashBuildBytesPerRow|TestDerivedTableBytesIndependentOfWidth)$$
 allocs:
 	@out=$$($(GO) test -count=1 -v -run '$(ALLOC_TESTS)' . ./internal/plan ./internal/viewtree ./internal/tagger ./internal/sqlexec 2>&1); rc=$$?; \
 	if [ $$rc -ne 0 ]; then echo "$$out"; else echo "$$out" | grep -E '^=== RUN.*/|per document|allocates'; fi; exit $$rc

@@ -299,7 +299,9 @@ func filterRel(x *rel, pred rowExpr) *rel {
 
 // evalTable evaluates one FROM entry. need lists the references evaluated
 // over its result; a join keeps only the columns they can resolve to.
-// Base tables and derived tables are scanned whole and in place.
+// A base table is scanned whole and in place. A derived table is its inner
+// relation read through its row IDs (derivedRel) when its select allows,
+// and otherwise its stored rows.
 func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sqlast.ColumnRef) (*rel, error) {
 	switch te := te.(type) {
 	case *sqlast.BaseTable:
@@ -320,12 +322,17 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 		}
 		return scan(cols, input{cols: t.Columns()}, t.Len()), nil
 	case *sqlast.Derived:
+		if s, ok := readThrough(te.Query); ok {
+			return derivedRel(ctx, cat, s, te.Alias)
+		}
 		inner, err := evalQuery(ctx, cat, te.Query)
 		if err != nil {
 			return nil, err
 		}
-		// A join reads its inputs by row ID, so the derived table's rows
-		// are stored.
+		// A union or a sorted select is one order over rows that no one
+		// relation holds, and an expression's values live nowhere: a join
+		// reads its inputs by row ID, so these derived tables' rows are
+		// stored.
 		rows, err := inner.store(ctx, len(inner.Cols))
 		if err != nil {
 			return nil, err
@@ -350,6 +357,68 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported table expression %T", te)
 	}
+}
+
+// readThrough returns the select of a derived table that can be read
+// through its inner relation's row IDs: one select with a FROM clause and
+// no ORDER BY, whose every output is a column reference or a literal.
+func readThrough(q sqlast.Query) (*sqlast.Select, bool) {
+	s, ok := q.(*sqlast.Select)
+	if !ok || len(s.From) == 0 || len(s.OrderBy) > 0 {
+		return nil, false
+	}
+	for _, item := range s.Items {
+		switch item.Expr.(type) {
+		case *sqlast.ColumnRef, *sqlast.Literal:
+		default:
+			return nil, false
+		}
+	}
+	return s, true
+}
+
+// derivedRel evaluates the derived table s, aliased alias, as its inner
+// FROM/WHERE relation with the select's outputs as its columns; no value
+// is copied. An output column reference reads where the inner column
+// does, so the source stays one lookup at any depth of nesting. The
+// literals are the columns of one more input, the presence input, whose
+// one stored row holds them: its ID is 0 on every derived row, and an
+// enclosing left outer join pads it with -1 like any other input, so a
+// literal reads as NULL there. Presence cannot be read off an inner input:
+// the inner joins may have pruned every input that no outer join pads.
+func derivedRel(ctx context.Context, cat Catalog, s *sqlast.Select, alias string) (*rel, error) {
+	res, _, err := evalSelect(ctx, cat, s)
+	if err != nil {
+		return nil, err
+	}
+	b := &res.branches[0]
+	inner := b.src
+	nlit := 0
+	for _, item := range s.Items {
+		if _, ok := item.Expr.(*sqlast.Literal); ok {
+			nlit++
+		}
+	}
+	x := &rel{cols: make([]Col, len(res.Cols)), src: make([]colSrc, len(res.Cols)), ins: inner.ins, n: inner.n}
+	var lits []value.Value
+	var litCols [][]value.Value
+	if nlit > 0 {
+		lits, litCols = make([]value.Value, nlit), make([][]value.Value, nlit)
+		x.ins = append(inner.ins[:len(inner.ins):len(inner.ins)], input{cols: litCols, ids: make([]int32, inner.n)})
+	}
+	j := 0
+	for k, item := range s.Items {
+		x.cols[k] = Col{Qual: alias, Name: res.Cols[k].Name}
+		if lit, ok := item.Expr.(*sqlast.Literal); ok {
+			lits[j] = lit.Val
+			litCols[j] = lits[j : j+1 : j+1]
+			x.src[k] = colSrc{in: len(inner.ins), col: j}
+			j++
+			continue
+		}
+		x.src[k] = inner.source(b.exprs[k].bare)
+	}
+	return x, nil
 }
 
 // evalJoinRel joins two row-ID relations, keeping only the columns that

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -179,37 +180,9 @@ func TestResultBytesIndependentOfWidth(t *testing.T) {
 	const nOrders, fanout = 1000, 4
 	const rows = nOrders * fanout
 	cat := benchCatalog(nOrders, fanout)
-	bytesPerRun := func(sel string) float64 {
-		q, err := sqlparse.Parse(sel + " from Ord o, Line l, Line l2" +
-			" where o.okey = l.okey and l.okey = l2.okey and l.lnum = l2.lnum order by o.okey")
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func() {
-			res, err := Open(context.Background(), cat, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for _, ok := res.Next(); ok; _, ok = res.Next() {
-				n++
-			}
-			if n != rows {
-				t.Fatalf("join produced %d rows, want %d", n, rows)
-			}
-		}
-		run()
-		const runs = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
-	}
-	narrow := bytesPerRun("select o.okey")
-	wide := bytesPerRun("select o.okey, o.clerk, o.total, l.okey, l.lnum, l.qty, l2.okey, l2.lnum, l2.qty")
+	const from = " from Ord o, Line l, Line l2 where o.okey = l.okey and l.okey = l2.okey and l.lnum = l2.lnum order by o.okey"
+	narrow := readBytes(t, cat, "select o.okey"+from, rows)
+	wide := readBytes(t, cat, "select o.okey, o.clerk, o.total, l.okey, l.lnum, l.qty, l2.okey, l2.lnum, l2.qty"+from, rows)
 	ids := float64(rows * 2 * 4 * 2)
 	const slack = 16 << 10
 	t.Logf("bytes per query read row by row: %.0f selecting 1 column, %.0f selecting 9", narrow, wide)
@@ -217,6 +190,74 @@ func TestResultBytesIndependentOfWidth(t *testing.T) {
 		t.Errorf("selecting 9 columns allocates %.0f more bytes than selecting 1, want at most %.0f (IDs) + %d",
 			wide-narrow, ids, slack)
 	}
+}
+
+// TestDerivedTableBytesIndependentOfWidth pins that a derived table an
+// enclosing join reads is not stored: the join of
+// TestJoinBytesIndependentOfWidth as a derived table of one column and of
+// nine, left-outer-joined to the orders and read row by row, allocates the
+// same bytes but for the wider run's ID columns — rows × 2 × 4 B for each
+// of the derived select's two joins and the enclosing one, which carry the
+// two inputs the narrow run drops — and 16 KiB of per-column bookkeeping.
+// A derived table stored as values would add rows × 8 columns × one value.
+func TestDerivedTableBytesIndependentOfWidth(t *testing.T) {
+	const nOrders, fanout = 1000, 4
+	const rows = nOrders * fanout
+	cat := benchCatalog(nOrders, fanout)
+	query := func(cols []string) string {
+		inner := make([]string, len(cols))
+		outer := make([]string, len(cols))
+		for i, c := range cols {
+			inner[i] = fmt.Sprintf("%s as c%d", c, i)
+			outer[i] = fmt.Sprintf("d.c%d", i)
+		}
+		return "select x.okey, " + strings.Join(outer, ", ") + " from Ord x left outer join (select " + strings.Join(inner, ", ") +
+			" from Ord o, Line l, Line l2 where o.okey = l.okey and l.okey = l2.okey and l.lnum = l2.lnum) d" +
+			" on x.okey = d.c0 order by x.okey"
+	}
+	narrow := readBytes(t, cat, query([]string{"o.okey"}), rows)
+	wide := readBytes(t, cat, query([]string{"o.okey", "o.clerk", "o.total", "l.okey", "l.lnum", "l.qty", "l2.okey", "l2.lnum", "l2.qty"}), rows)
+	ids := float64(rows * 2 * 4 * 3)
+	const slack = 16 << 10
+	t.Logf("a query over a derived table allocates %.0f B read row by row with 1 column, %.0f B with 9: %.0f more, gate %.0f",
+		narrow, wide, wide-narrow, ids+slack)
+	if wide-narrow > ids+slack {
+		t.Errorf("a derived table of 9 columns allocates %.0f more bytes than one of 1, want at most %.0f (IDs) + %d",
+			wide-narrow, ids, slack)
+	}
+}
+
+// readBytes returns the bytes one run of src allocates, opened and read
+// row by row to its end, averaged over five runs after a warm-up; the
+// result must have rows rows.
+func readBytes(t *testing.T, cat Catalog, src string, rows int) float64 {
+	t.Helper()
+	q, err := sqlparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, err := Open(context.Background(), cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, ok := res.Next(); ok; _, ok = res.Next() {
+			n++
+		}
+		if n != rows {
+			t.Fatalf("%q produced %d rows, want %d", src, n, rows)
+		}
+	}
+	run()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // TestHashBuildBytesPerRow holds a hash join's build to one int32 table:

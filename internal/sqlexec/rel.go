@@ -12,19 +12,30 @@
 //
 //   - Late materialisation. Inside one SELECT, the FROM and WHERE work on
 //     row-ID relations (rel). An input of one is a row set that is already
-//     materialised: a base table, read column by column, or a derived
-//     table, read row by row. A row of the relation is one int32 row index
-//     per input, -1 on the side a left outer join padded with NULLs. A
-//     scan is its input with no ID list; a filter keeps a list of IDs; a
-//     join builds its ID columns from its (left, right) match list, all
-//     carved from one allocation. Its width is its number of inputs, not
-//     of columns. Keys, predicates and ON residuals read values through an
-//     (input, row, column) accessor.
+//     materialised: a base table, read column by column, or a stored
+//     derived table, read row by row. A row of the relation is one int32
+//     row index per input, -1 on the side a left outer join padded with
+//     NULLs. A scan is its input with no ID list; a filter keeps a list of
+//     IDs; a join builds its ID columns from its (left, right) match list,
+//     all carved from one allocation. Its width is its number of inputs,
+//     not of columns. Keys, predicates and ON residuals read values
+//     through an (input, row, column) accessor, one lookup at any depth.
+//   - Derived tables read through. A derived table whose query is one
+//     select with a FROM clause and no ORDER BY, every output a column
+//     reference or a literal, is its inner relation: its columns are the
+//     outputs, a reference reading the inner input its column lives in,
+//     and the literals one more input, the presence input, which an
+//     enclosing outer join pads like the rest. An enclosing join composes
+//     its inputs as it composes any join's, so the unified plans' nested
+//     derived tables flatten into one row-ID relation. Any other derived
+//     table — a union, an ORDER BY, no FROM, another expression — is
+//     stored.
 //   - Row-ID results. A query's result (Result) is its branches' row-ID
 //     relations, their bound output expressions and one sorted order of
 //     row numbers. Its reader evaluates each row when it reads it, into
 //     one reused row; values are copied only where rows must be stored —
-//     a derived table, RunContext, and a sort over the sort budget.
+//     a derived table that is not read through, RunContext, and a sort
+//     over the sort budget.
 //   - Column pruning. A join exposes only the columns that a reference
 //     still to be evaluated can resolve to: the select list, the ORDER BY,
 //     the WHERE conjuncts not yet applied and an enclosing ON. Pruning
@@ -39,7 +50,8 @@
 //     rows are stored with every expression, spilled whole, merged back by
 //     their key columns and trimmed to the output columns.
 //
-// Base tables and derived tables are read in place, never copied.
+// Base tables are read in place, never copied, and so are derived tables
+// read through; the other derived tables are stored once.
 package sqlexec
 
 import (
@@ -152,7 +164,8 @@ type rel struct {
 type colSrc struct{ in, col int }
 
 // input is one materialised row set a rel reads: a base table's columns,
-// or a derived table's rows when cols is nil.
+// a read-through derived table's literals (one row, its presence input),
+// or a stored derived table's rows when cols is nil.
 type input struct {
 	cols [][]value.Value
 	rows []table.Row

@@ -16,9 +16,10 @@ import (
 // branch's rows. No value is copied when the query runs: Next evaluates
 // the next row's output expressions into one reused row.
 //
-// Rows are stored only where something must keep them: a derived table an
-// enclosing join reads by row ID, RunContext, and a sort of more rows than
-// the sort budget, which drains the result and spills it (extsort.go).
+// Rows are stored only where something must keep them: a derived table
+// that an enclosing join cannot read through (a union, a sorted select, a
+// computed output; see derivedRel), RunContext, and a sort of more rows
+// than the sort budget, which drains the result and spills it (extsort.go).
 type Result struct {
 	Cols     []Col
 	branches []branch
