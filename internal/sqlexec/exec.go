@@ -329,10 +329,9 @@ func evalTable(ctx context.Context, cat Catalog, te sqlast.TableExpr, need []*sq
 		if err != nil {
 			return nil, err
 		}
-		// A union or a sorted select is one order over rows that no one
-		// relation holds, and an expression's values live nowhere: a join
-		// reads its inputs by row ID, so these derived tables' rows are
-		// stored.
+		// A union, a sorted or FROM-less select and a computed output have
+		// no one row-ID relation whose inputs hold their rows' values, and
+		// a join reads its inputs by row ID: their rows are stored.
 		rows, err := inner.store(ctx, len(inner.Cols))
 		if err != nil {
 			return nil, err
@@ -393,30 +392,19 @@ func derivedRel(ctx context.Context, cat Catalog, s *sqlast.Select, alias string
 	}
 	b := &res.branches[0]
 	inner := b.src
-	nlit := 0
-	for _, item := range s.Items {
-		if _, ok := item.Expr.(*sqlast.Literal); ok {
-			nlit++
-		}
-	}
 	x := &rel{cols: make([]Col, len(res.Cols)), src: make([]colSrc, len(res.Cols)), ins: inner.ins, n: inner.n}
-	var lits []value.Value
-	var litCols [][]value.Value
-	if nlit > 0 {
-		lits, litCols = make([]value.Value, nlit), make([][]value.Value, nlit)
-		x.ins = append(inner.ins[:len(inner.ins):len(inner.ins)], input{cols: litCols, ids: make([]int32, inner.n)})
-	}
-	j := 0
+	var lits [][]value.Value // the presence input's columns, one value each
 	for k, item := range s.Items {
 		x.cols[k] = Col{Qual: alias, Name: res.Cols[k].Name}
 		if lit, ok := item.Expr.(*sqlast.Literal); ok {
-			lits[j] = lit.Val
-			litCols[j] = lits[j : j+1 : j+1]
-			x.src[k] = colSrc{in: len(inner.ins), col: j}
-			j++
+			x.src[k] = colSrc{in: len(inner.ins), col: len(lits)}
+			lits = append(lits, []value.Value{lit.Val})
 			continue
 		}
 		x.src[k] = inner.source(b.exprs[k].bare)
+	}
+	if lits != nil {
+		x.ins = append(inner.ins[:len(inner.ins):len(inner.ins)], input{cols: lits, ids: make([]int32, inner.n)})
 	}
 	return x, nil
 }
